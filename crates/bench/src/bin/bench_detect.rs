@@ -41,7 +41,8 @@ use std::process::ExitCode;
 
 /// Micro-batch sizes measured for the throughput curve. 128 is the
 /// paper's nominal load (256 vehicles at 10 Hz in a 50 ms batch); 1 is
-/// the scalar-equivalent worst case; 1024 is a backlog burst.
+/// the worst case (all per-call plan setup, nothing amortised); 1024 is a
+/// backlog burst.
 const BATCH_SIZES: [usize; 4] = [1, 16, 128, 1024];
 /// The four metric keys every complete side of the file must carry.
 const METRIC_KEYS: [&str; 4] =

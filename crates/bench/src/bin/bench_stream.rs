@@ -1,11 +1,11 @@
-//! Stream hot-path benchmark: produce, poll-128 and run_batch throughput.
+//! Stream hot-path benchmark: produce and poll-128 throughput.
 //!
-//! Measures the `cad3-stream`/`cad3-engine` ingest path end to end —
-//! multi-producer append throughput on one topic (1/2/4/8 threads), the
-//! consumer `poll(128)` drain rate and the `MicroBatchRunner::run_batch`
-//! poll→dataset rate — and records the numbers in `BENCH_stream.json` at
-//! the repo root so later PRs have a machine-readable baseline to ratchet
-//! against.
+//! Measures the `cad3-stream` ingest path — multi-producer append
+//! throughput on one topic (1/2/4/8 threads) and the consumer `poll(128)`
+//! drain rate — and records the numbers in `BENCH_stream.json` at the repo
+//! root so later PRs have a machine-readable baseline to ratchet against.
+//! The micro-batch loop itself (`RsuNode::run_batch`) is timed end to end by
+//! `benchmark/`'s `bench_e2e` (`core.run_batch_*`).
 //!
 //! Usage:
 //!
@@ -23,7 +23,6 @@
 //! here). Observability stays detached so the numbers are the raw path.
 
 use cad3_bench::json::Json;
-use cad3_engine::{BatchConfig, MicroBatchRunner};
 use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -33,20 +32,13 @@ use std::sync::Arc;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Partitions of the benchmark topic: enough for 8 producers to spread.
 const PARTITIONS: u32 = 8;
-/// The six metric keys every complete side of the file must carry.
-const METRIC_KEYS: [&str; 6] = [
-    "produce_1t_rps",
-    "produce_2t_rps",
-    "produce_4t_rps",
-    "produce_8t_rps",
-    "poll128_rps",
-    "run_batch_rps",
-];
+/// The five metric keys every complete side of the file must carry.
+const METRIC_KEYS: [&str; 5] =
+    ["produce_1t_rps", "produce_2t_rps", "produce_4t_rps", "produce_8t_rps", "poll128_rps"];
 /// A fresh `--check` run must stay above this fraction of the checked-in
 /// baseline. The floor is deliberately loose: `--check` measures in quick
-/// mode, whose smaller prefills carry more fixed overhead per batch
-/// (measured ~0.77× the full-mode `run_batch` number on the same machine),
-/// and CI machines differ from the one that wrote the baseline. It exists
+/// mode, whose smaller prefills carry more fixed overhead per poll, and CI
+/// machines differ from the one that wrote the baseline. It exists
 /// to catch structural regressions — re-serialising the sharded hot path
 /// shows up as a 2–3× drop, far below this line — not to ratchet noise.
 const REGRESSION_FLOOR: f64 = 0.6;
@@ -147,49 +139,12 @@ fn poll128_once(prefill: u64, polls: usize) -> f64 {
     records as f64 / elapsed_s
 }
 
-/// Records/second pulled through `MicroBatchRunner::run_batch` (poll +
-/// dataset assembly + a counting job) over a prefilled topic.
-fn run_batch_once(prefill: u64) -> f64 {
-    let broker = Arc::new(Broker::new("bench"));
-    if broker.create_topic("BENCH", 3).is_err() {
-        fail("create_topic failed on a fresh broker");
-    }
-    let producer = Producer::new(Arc::clone(&broker));
-    let value = payload();
-    for i in 0..prefill {
-        if producer.send("BENCH", Some(&i.to_be_bytes()), value.clone(), i).is_err() {
-            fail("prefill send failed");
-        }
-    }
-    let mut consumer = Consumer::new(broker, "bench-batch", OffsetReset::Earliest);
-    if consumer.subscribe(&["BENCH"]).is_err() {
-        fail("subscribe failed");
-    }
-    let config = BatchConfig { interval_ms: 50, max_records: 10_000 };
-    let mut runner = MicroBatchRunner::new(consumer, config);
-    let mut seen = 0u64;
-    let start = now_ns();
-    while seen < prefill {
-        let mut n = 0usize;
-        match runner.run_batch(|ds| n = ds.count()) {
-            Ok(_) => seen += n as u64,
-            Err(_) => fail("run_batch failed mid-benchmark"),
-        }
-        if n == 0 {
-            fail("run_batch drained early; prefill accounting is wrong");
-        }
-    }
-    let elapsed_s = (now_ns() - start) as f64 / 1e9;
-    seen as f64 / elapsed_s
-}
-
-/// Runs the full suite, returning the six metrics as an object.
+/// Runs the full suite, returning the five metrics as an object.
 fn measure(quick: bool) -> Json {
     let rounds = if quick { 2 } else { 5 };
     let produce_total: u64 = if quick { 40_000 } else { 400_000 };
     let poll_prefill: u64 = if quick { 10_000 } else { 50_000 };
     let polls: usize = if quick { 200 } else { 2_000 };
-    let batch_prefill: u64 = if quick { 20_000 } else { 200_000 };
 
     let mut out = Json::Obj(Vec::new());
     for threads in THREADS {
@@ -201,9 +156,6 @@ fn measure(quick: bool) -> Json {
     let rps = median((0..rounds).map(|_| poll128_once(poll_prefill, polls)).collect::<Vec<_>>());
     println!("poll_128: {rps:.0} rec/s");
     out.insert("poll128_rps", Json::Num(rps.round()));
-    let rps = median((0..rounds).map(|_| run_batch_once(batch_prefill)).collect::<Vec<_>>());
-    println!("run_batch: {rps:.0} rec/s");
-    out.insert("run_batch_rps", Json::Num(rps.round()));
     out
 }
 

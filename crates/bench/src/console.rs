@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn frame_includes_states_and_alert_tail() {
         let contract = SloContract::parse(
-            "[health]\ntick_ms = 100\n\n[slo.t.x]\nmetric = \"engine.batch.queue_depth\"\n\
+            "[health]\ntick_ms = 100\n\n[slo.t.x]\nmetric = \"obs.trace.dropped\"\n\
              signal = \"value\"\nmax = 1\nfast_window_ms = 100\nslow_window_ms = 100\n\
              for_ticks = 1\nclear_ticks = 1\nseverity = \"degraded\"",
         )
@@ -215,7 +215,7 @@ mod tests {
                 t * 100_000_000,
                 cad3_obs::MetricsSnapshot {
                     counters: Default::default(),
-                    gauges: [("engine.batch.queue_depth".to_owned(), 50u64)].into_iter().collect(),
+                    gauges: [("obs.trace.dropped".to_owned(), 50u64)].into_iter().collect(),
                     histograms: Default::default(),
                     exemplars: Default::default(),
                 },

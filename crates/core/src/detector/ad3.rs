@@ -1,6 +1,5 @@
 use super::{
-    group_by_slot, nb_feature_array, nb_features, nb_schema, scalar_detect_batch, Detection,
-    Detector, PlanRouter, SCALAR_FALLBACK_MAX,
+    group_by_slot, nb_feature_array, nb_features, nb_schema, Detection, Detector, PlanRouter,
 };
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
@@ -185,9 +184,6 @@ impl Detector for Ad3Detector {
         observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
         out: &mut Vec<Option<Detection>>,
     ) {
-        if recs.len() <= SCALAR_FALLBACK_MAX {
-            return scalar_detect_batch(self, recs, observe, out);
-        }
         let mut p_abn: Vec<Option<f64>> = Vec::with_capacity(recs.len());
         self.p_abnormal_batch(recs, &mut p_abn);
         for (i, p) in p_abn.iter().enumerate() {

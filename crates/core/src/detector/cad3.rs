@@ -1,7 +1,4 @@
-use super::{
-    dt_hour_code, dt_schema, fuse_probability, scalar_detect_batch, Ad3Detector, Detection,
-    Detector, SCALAR_FALLBACK_MAX,
-};
+use super::{dt_hour_code, dt_schema, fuse_probability, Ad3Detector, Detection, Detector};
 use crate::collaboration::{SummaryTracker, VehicleSummary};
 use crate::CoreError;
 use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, FeatureBatch, TreeBatchPlan};
@@ -166,9 +163,6 @@ impl Detector for Cad3Detector {
         observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
         out: &mut Vec<Option<Detection>>,
     ) {
-        if recs.len() <= SCALAR_FALLBACK_MAX {
-            return scalar_detect_batch(self, recs, observe, out);
-        }
         // Stage 1 once per record (the scalar path recomputes the same
         // Naïve Bayes inside `detect_detailed`; the batch plan is
         // bit-identical, so computing it once is exact).
@@ -176,18 +170,20 @@ impl Detector for Cad3Detector {
         self.nb.p_abnormal_batch(recs, &mut p_nb);
 
         // Collaboration sweep, strictly in record order: the tracker state
-        // a record sees depends on every earlier record in the batch.
-        let mut summaries: Vec<Option<VehicleSummary>> = Vec::with_capacity(recs.len());
-        for (i, p) in p_nb.iter().enumerate() {
-            summaries.push(p.and_then(|p1| observe(i, p1)));
-        }
-
-        // Stage 2 as one column-major tree sweep over the fused rows.
+        // a record sees depends on every earlier record in the batch. A
+        // record with a summary becomes a row of the stage-2 sweep and holds
+        // a `None` in `out` until the tree fills it; one without falls back
+        // to the stage-1 decision (the trip's first RSU has nothing to fuse).
+        let base = out.len();
         let mut batch = FeatureBatch::new(3);
-        let mut rows: Vec<u32> = Vec::new();
-        for (i, rec) in recs.iter().enumerate() {
-            let (Some(p1), Some(summary)) = (p_nb[i], summaries[i].as_ref()) else { continue };
-            let p_x = fuse_probability(p1, Some(summary), self.fusion_weight);
+        let mut rows: Vec<usize> = Vec::new();
+        for (i, (rec, p1)) in recs.iter().zip(p_nb).enumerate() {
+            let summary = p1.and_then(|p1| observe(i, p1).map(|s| (p1, s)));
+            let Some((p1, summary)) = summary else {
+                out.push(p1.map(Detection::from_p_abnormal));
+                continue;
+            };
+            let p_x = fuse_probability(p1, Some(&summary), self.fusion_weight);
             let class_nb = u8::from(p1 < 0.5);
             // Schema validation is vacuous for these rows, so the scalar
             // path's `validate` check is skipped rather than mirrored:
@@ -195,29 +191,23 @@ impl Detector for Cad3Detector {
             // (Cat2), and `p_x` is continuous (never checked). The width
             // always matches, so `push_row` cannot fail either.
             let _ = batch.push_row(&[dt_hour_code(rec.hour), p_x, class_nb as f64]);
-            rows.push(i as u32);
-        }
-        let n = batch.n_rows();
-        let mut keys = vec![0u64; 3 * n];
-        let mut cur = vec![0u32; n];
-        let mut proba = vec![0.0; self.tree_plan.n_classes() * n];
-        let mut fused: Vec<Option<f64>> = vec![None; recs.len()];
-        if self.tree_plan.predict_proba_into(&batch, &mut keys, &mut cur, &mut proba).is_ok() {
-            for (k, &i) in rows.iter().enumerate() {
-                fused[i as usize] = Some(proba[k * self.tree_plan.n_classes()]);
-            }
+            rows.push(base + i);
+            out.push(None);
         }
 
-        for (i, p) in p_nb.iter().enumerate() {
-            out.push(match (p, &fused[i]) {
-                // Collaboration RSU: the tree's abnormal-class probability.
-                (Some(_), Some(p_tree)) => Some(Detection::from_p_abnormal(*p_tree)),
-                // No summary yet: fall back to the stage-1 decision.
-                (Some(p1), None) if summaries[i].is_none() => Some(Detection::from_p_abnormal(*p1)),
-                // Summary present but the tree row was rejected: the scalar
-                // path would have errored on the same row.
-                _ => None,
-            });
+        // Stage 2 as one column-major tree sweep over the fused rows. A
+        // rejected sweep leaves its rows `None`: the scalar path would have
+        // errored on the same rows.
+        let n = batch.n_rows();
+        let n_classes = self.tree_plan.n_classes();
+        let mut keys = vec![0u64; 3 * n];
+        let mut cur = vec![0u32; n];
+        let mut proba = vec![0.0; n_classes * n];
+        if self.tree_plan.predict_proba_into(&batch, &mut keys, &mut cur, &mut proba).is_ok() {
+            for (&row, p_tree) in rows.iter().zip(proba.iter().step_by(n_classes)) {
+                // hotpath-exempt(panic): `row` was `out.len()` when its slot was pushed.
+                out[row] = Some(Detection::from_p_abnormal(*p_tree));
+            }
         }
     }
 }

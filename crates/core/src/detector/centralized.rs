@@ -1,7 +1,4 @@
-use super::{
-    nb_feature_array, nb_features, nb_schema, scalar_detect_batch, Detection, Detector,
-    SCALAR_FALLBACK_MAX,
-};
+use super::{nb_feature_array, nb_features, nb_schema, Detection, Detector};
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
 use cad3_ml::{Dataset, FeatureBatch, NaiveBayes, NbBatchPlan};
@@ -66,9 +63,6 @@ impl Detector for CentralizedDetector {
         observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
         out: &mut Vec<Option<Detection>>,
     ) {
-        if recs.len() <= SCALAR_FALLBACK_MAX {
-            return scalar_detect_batch(self, recs, observe, out);
-        }
         // One model city-wide: the whole batch is a single plan sweep.
         let mut batch = FeatureBatch::new(4);
         for rec in recs {

@@ -134,15 +134,13 @@ pub trait Detector: Send + Sync {
     }
 }
 
-/// The scalar reference loop behind [`Detector::detect_batch`]: per-record
-/// stage 1, observation, then classification, in record order.
+/// The scalar reference loop behind [`Detector::detect_batch`]'s default:
+/// per-record stage 1, observation, then classification, in record order.
 ///
-/// The batch overrides also route here below [`SCALAR_FALLBACK_MAX`]
-/// records, where per-call grouping and scratch setup cost more than the
-/// column-major sweeps save. Outputs are bit-identical on both paths (the
-/// `batch_equivalence` proptests pin this), so the cutoff is purely a
-/// latency choice.
-pub(crate) fn scalar_detect_batch<D: Detector + ?Sized>(
+/// The built-in detectors never route here — their batch plans take every
+/// width, down to one record and the empty slice. It stays as the reference
+/// the `batch_equivalence` proptests hold those plans bit-identical to.
+fn scalar_detect_batch<D: Detector + ?Sized>(
     det: &D,
     recs: &[FeatureRecord],
     observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
@@ -157,12 +155,6 @@ pub(crate) fn scalar_detect_batch<D: Detector + ?Sized>(
         out.push(det.detect(rec, summary.as_ref()).ok());
     }
 }
-
-/// Batches at or below this size take the scalar loop inside the batch
-/// overrides; above it the column-major plans win. Calibrated with
-/// `bench_detect`: at 1 record the batch path's scratch setup roughly
-/// doubles latency, by 16 records the sweep is already ~1.6× ahead.
-pub(crate) const SCALAR_FALLBACK_MAX: usize = 8;
 
 /// Time-of-day regimes a routing table distinguishes.
 pub(crate) const N_BUCKETS: usize = 3;

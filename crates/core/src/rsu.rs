@@ -8,8 +8,8 @@ use cad3_stream::{
     Broker, Consumer, OffsetReset, PAPER_PARTITIONS, TOPIC_CO_DATA, TOPIC_IN_DATA, TOPIC_OUT_DATA,
 };
 use cad3_types::{
-    RsuId, SimDuration, SimTime, SummaryMessage, VehicleId, VehicleStatus, WarningKind,
-    WarningMessage, WireDecode, WireEncode,
+    RsuId, SimDuration, SimTime, SummaryMessage, VehicleStatus, WarningKind, WarningMessage,
+    WireDecode, WireEncode,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -77,6 +77,12 @@ impl std::fmt::Debug for RsuNode {
             .field("batches", &self.batches)
             .finish()
     }
+}
+
+/// Index of the tracker shard (and detect bucket) owning `vehicle`, always
+/// below `n_shards`.
+fn shard_of(vehicle: u64, n_shards: usize) -> usize {
+    (vehicle % n_shards as u64) as usize
 }
 
 impl RsuNode {
@@ -161,15 +167,12 @@ impl RsuNode {
         self.batches
     }
 
-    fn shard_of(&self, vehicle: VehicleId) -> usize {
-        (vehicle.raw() % self.shards.len() as u64) as usize
-    }
-
     /// Runs one micro-batch at virtual time `now`.
     ///
     /// # Errors
     ///
-    /// Propagates stream errors; malformed messages are skipped (a real
+    /// Propagates stream errors; malformed messages, and status packets
+    /// whose record key is not their vehicle id, are skipped (a real
     /// deployment logs and drops them).
     pub fn run_batch(&mut self, now: SimTime) -> Result<BatchResult, CoreError> {
         self.batches += 1;
@@ -189,7 +192,9 @@ impl RsuNode {
                 let mut buf: Bytes = rec.value;
                 if let Ok(msg) = SummaryMessage::decode(&mut buf) {
                     let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
-                    let mut tracker = self.shards[self.shard_of(msg.vehicle)].lock();
+                    let shard = shard_of(msg.vehicle.raw(), self.shards.len());
+                    // hotpath-exempt(panic): `shard_of` is below `shards.len()`.
+                    let mut tracker = self.shards[shard].lock();
                     tracker.seed(msg.vehicle, VehicleSummary::from_message(&msg));
                     if let Some(lineage) = &msg.trace {
                         // The fusion span covers the summary's wait in
@@ -228,19 +233,20 @@ impl RsuNode {
         let mut buckets: Vec<Vec<(u64, u64, cad3_stream::FetchedRecord)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for rec in batch {
-            // Kafka keys our status records with the vehicle id.
+            // Kafka keys our status records with the vehicle id; the worker
+            // drops a record whose payload names a different vehicle.
             let vehicle = rec
                 .key
-                .as_ref()
-                .filter(|k| k.len() == 8)
-                .map(|k| u64::from_be_bytes(k[..8].try_into().expect("checked length")))
-                .unwrap_or(0);
+                .as_deref()
+                .and_then(|k| <[u8; 8]>::try_from(k).ok())
+                .map_or(0, u64::from_be_bytes);
             // A traced record's two span ids (rsu.queue, rsu.detect) are
             // reserved here, in input order on the batch thread; the
             // workers emit with these pre-assigned ids, so trace artifacts
             // never depend on worker schedule (0 = untraced, unused).
             let span_base = if rec.trace.is_some() { cad3_obs::trace::reserve_ids(2) } else { 0 };
-            buckets[(vehicle % self.shards.len() as u64) as usize].push((vehicle, span_base, rec));
+            // hotpath-exempt(panic): one bucket per shard; `shard_of` is below that count.
+            buckets[shard_of(vehicle, self.shards.len())].push((vehicle, span_base, rec));
         }
         drop(ingest_span);
         let detect_span = cad3_obs::span!("rsu.detect", cad3_types::len_u64(records));
@@ -249,7 +255,6 @@ impl RsuNode {
         //      records run in order against its summary state.
         let detector = &self.detector;
         let shards = &self.shards;
-        let n_shards = self.shards.len();
         let node = self.id.raw();
         /// Per-record result of the parallel stage: queuing wait, whether
         /// the record was processed, the warning (if abnormal), the
@@ -267,7 +272,9 @@ impl RsuNode {
             .map_partitions(&self.executor, |part| {
                 let Some((first_vehicle, _, _)) = part.first() else { return Vec::new() };
                 let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
-                let mut tracker = shards[(*first_vehicle % n_shards as u64) as usize].lock();
+                // Every record of the bucket keys to this one shard.
+                // hotpath-exempt(panic): `shard_of` is below `shards.len()`.
+                let mut tracker = shards[shard_of(*first_vehicle, shards.len())].lock();
 
                 // Phase 1: decode and emit the queue spans in input order,
                 // compacting decodable records into a contiguous feature
@@ -276,7 +283,7 @@ impl RsuNode {
                 let mut traces = Vec::with_capacity(part.len());
                 let mut statuses: Vec<Option<VehicleStatus>> = Vec::with_capacity(part.len());
                 let mut feats = Vec::with_capacity(part.len());
-                for (_, span_base, rec) in part {
+                for (keyed_vehicle, span_base, rec) in part {
                     queuings.push(now.saturating_since(SimTime::from_nanos(rec.timestamp)));
                     // A sampled record's broker wait becomes an `rsu.queue`
                     // span (arrival at the log to batch start), emitted on
@@ -294,11 +301,15 @@ impl RsuNode {
                     }));
                     let mut buf: Bytes = rec.value.clone();
                     match VehicleStatus::decode(&mut buf) {
-                        Ok(status) => {
+                        // A payload naming another vehicle than its key was
+                        // routed to the wrong shard: observing it here would
+                        // split that vehicle's Eq. 1 history from the shard
+                        // its CO-DATA seeds land on. Dropped like a malformed one.
+                        Ok(status) if status.vehicle.raw() == *keyed_vehicle => {
                             feats.push(status.to_feature());
                             statuses.push(Some(status));
                         }
-                        Err(_) => statuses.push(None),
+                        _ => statuses.push(None),
                     }
                 }
 
@@ -314,7 +325,9 @@ impl RsuNode {
                     let _sweep = cad3_obs::profile_span!("ml.nb.sweep");
                     detector.detect_batch(
                         &feats,
-                        &mut |i, p1| tracker.observe(feats[i].vehicle, feats[i].road, p1),
+                        &mut |i, p1| {
+                            feats.get(i).and_then(|f| tracker.observe(f.vehicle, f.road, p1))
+                        },
                         &mut detections,
                     );
                 }
@@ -701,6 +714,23 @@ mod tests {
         assert_eq!(result.records, 1, "the record is consumed");
         assert!(result.warnings.is_empty(), "but produces nothing");
         assert_eq!(rsu.records_processed(), 0);
+    }
+
+    #[test]
+    fn statuses_keyed_by_another_vehicle_are_skipped() {
+        let (mut rsu, mut vehicles, _) = rsu_with_vehicles();
+        let status = vehicles[0].next_status(SimTime::from_millis(10));
+        let wrong_key = (status.vehicle.raw() + 1).to_be_bytes();
+        for key in [None, Some(Bytes::copy_from_slice(&wrong_key))] {
+            rsu.broker().produce(TOPIC_IN_DATA, None, key, status.encode_to_bytes(), 0).unwrap();
+        }
+        let result = rsu.run_batch(SimTime::from_millis(50)).unwrap();
+        assert_eq!(result.records, 2, "both records are consumed");
+        assert_eq!(rsu.records_processed(), 0, "but neither is processed");
+        assert!(
+            rsu.export_summaries(SimTime::from_millis(60)).is_empty(),
+            "nor observed on the shard its key routed it to"
+        );
     }
 
     #[test]

@@ -58,8 +58,13 @@ fn run(
 }
 
 fn assert_equivalent(fast: &dyn Detector, scalar: &dyn Detector, records: &[FeatureRecord]) {
-    // Odd chunk sizes so batches straddle trip boundaries.
-    for chunk in [1usize, 7, 97, 1024] {
+    // An empty slice pushes nothing and observes nothing.
+    let mut none = Vec::new();
+    fast.detect_batch(&[], &mut |_, _| panic!("empty batch observed a record"), &mut none);
+    assert!(none.is_empty());
+    // Widths from a single row up, with odd sizes so batches straddle trip
+    // boundaries; every width reaches the column-major plans.
+    for chunk in [1usize, 2, 7, 8, 9, 97, 1024] {
         let (batched, t_batched) = run(fast, records, chunk);
         let (expected, t_expected) = run(scalar, records, chunk);
         assert_eq!(batched.len(), records.len());

@@ -10,10 +10,14 @@
 //! * [`PartitionedDataset`] — an RDD-like partitioned collection with
 //!   `map` / `filter` / `flat_map` / `reduce` / `group_by_key` operators
 //!   that run on an executor.
-//! * [`MicroBatchRunner`] — discretises a stream consumer into fixed-size
-//!   batches and applies a job to each, reporting [`BatchMetrics`]; drive it
-//!   from a virtual-time scheduler or from [`RealtimeScheduler`]'s ticker
-//!   thread.
+//! * [`RealtimeScheduler`] — a wall-clock ticker that calls a micro-batch
+//!   closure once per interval, reporting [`BatchMetrics`] per tick.
+//!
+//! The micro-batch loop itself is not here: the RSU job
+//! (`cad3::RsuNode::run_batch`) *is* the loop — it polls `IN-DATA`, shards
+//! the batch into a [`PartitionedDataset`] and runs detection on the
+//! [`Executor`]. The virtual-time testbed calls it every 50 simulated
+//! milliseconds; [`RealtimeScheduler`] calls it from a real thread.
 //!
 //! # Example
 //!
@@ -30,20 +34,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod dataset;
 mod executor;
 mod realtime;
 mod window;
 
-pub use batch::{BatchConfig, BatchMetrics, MicroBatchRunner};
 pub use dataset::PartitionedDataset;
 pub use executor::Executor;
-pub use realtime::{RealtimeScheduler, WallClockPacer};
+pub use realtime::{BatchMetrics, RealtimeScheduler, WallClockPacer};
 pub use window::{KeyedWindows, SlidingWindow};
-
-/// Micro-batch interval used throughout the paper: 50 ms.
-pub const PAPER_BATCH_INTERVAL_MS: u64 = 50;
 
 /// Spark worker count in the paper's testbed.
 pub const PAPER_WORKERS: usize = 6;

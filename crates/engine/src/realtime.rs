@@ -1,15 +1,25 @@
-use crate::{BatchMetrics, MicroBatchRunner, PartitionedDataset};
-use cad3_stream::{FetchedRecord, StreamError};
+use cad3_stream::StreamError;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Drives a [`MicroBatchRunner`] on a real ticker thread — the wall-clock
+/// The scheduler's record of one executed tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchMetrics {
+    /// Zero-based tick index.
+    pub index: u64,
+    /// Records the tick reported processing.
+    pub records: usize,
+    /// Wall-clock time the tick took.
+    pub wall_time: Duration,
+}
+
+/// Runs a micro-batch tick on a real ticker thread — the wall-clock
 /// analogue of the virtual-time batch scheduling used in the experiments.
 ///
-/// Used by the live integration tests to show the pipeline also works
+/// Used by the live integration test to drive `RsuNode::run_batch`
 /// end-to-end on real threads, as on the paper's physical testbed.
 #[derive(Debug)]
 pub struct RealtimeScheduler {
@@ -19,23 +29,24 @@ pub struct RealtimeScheduler {
 }
 
 impl RealtimeScheduler {
-    /// Starts a scheduler thread running `job` on every batch.
+    /// Starts a scheduler thread calling `tick` once per `interval`.
     ///
-    /// The job receives each batch as a partitioned dataset; batch metrics
-    /// accumulate and can be snapshotted with
-    /// [`RealtimeScheduler::metrics`].
-    pub fn start<F>(mut runner: MicroBatchRunner, mut job: F) -> Self
+    /// `tick` runs one micro-batch and returns its record count; per-tick
+    /// metrics accumulate and can be snapshotted with
+    /// [`RealtimeScheduler::metrics`]. An error stops the ticker and
+    /// surfaces from [`RealtimeScheduler::stop`].
+    pub fn start<F>(interval: Duration, mut tick: F) -> Self
     where
-        F: FnMut(PartitionedDataset<FetchedRecord>) + Send + 'static,
+        F: FnMut() -> Result<usize, StreamError> + Send + 'static,
     {
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(Mutex::new(Vec::new()));
         let stop2 = Arc::clone(&stop);
         let metrics2 = Arc::clone(&metrics);
-        let interval = runner.interval();
 
         let handle = std::thread::spawn(move || {
             let mut next_tick = Instant::now() + interval;
+            let mut index = 0u64;
             // The instant the previous iteration planned to wake at; its
             // distance to the actual wake is the scheduler's tick jitter.
             let mut planned_tick: Option<Instant> = None;
@@ -50,9 +61,10 @@ impl RealtimeScheduler {
                             .observe(u64::try_from(jitter.as_nanos()).unwrap_or(u64::MAX));
                     }
                 }
-                match runner.run_batch(&mut job) {
-                    Ok(mut m) => {
-                        m.wall_time = start.elapsed();
+                match tick() {
+                    Ok(records) => {
+                        let m = BatchMetrics { index, records, wall_time: start.elapsed() };
+                        index += 1;
                         if cad3_obs::enabled() {
                             cad3_obs::histogram!("engine.batch.wall_ns")
                                 .observe(u64::try_from(m.wall_time.as_nanos()).unwrap_or(u64::MAX));
@@ -84,7 +96,7 @@ impl RealtimeScheduler {
         RealtimeScheduler { stop, metrics, handle: Some(handle) }
     }
 
-    /// A snapshot of the metrics of every batch executed so far.
+    /// A snapshot of the metrics of every tick executed so far.
     pub fn metrics(&self) -> Vec<BatchMetrics> {
         let _held = cad3_lockrank::rank_scope!("cad3_engine::RealtimeScheduler::metrics");
         self.metrics.lock().clone()
@@ -95,14 +107,14 @@ impl RealtimeScheduler {
     ///
     /// # Errors
     ///
-    /// Returns the consumer error that killed the ticker early, if any.
+    /// Returns the tick error that killed the ticker early, if any.
     pub fn stop(mut self) -> Result<Vec<BatchMetrics>, StreamError> {
         // ordering: Relaxed — the subsequent join() synchronises with the
         // ticker thread; the flag itself carries no payload.
         self.stop.store(true, Ordering::Relaxed);
         let outcome = match self.handle.take().map(JoinHandle::join) {
             Some(Ok(r)) => r,
-            // A panicked job closure was already reported by the panic hook.
+            // A panicked tick closure was already reported by the panic hook.
             Some(Err(_)) | None => Ok(()),
         };
         let _held = cad3_lockrank::rank_scope!("cad3_engine::RealtimeScheduler::metrics");
@@ -118,12 +130,12 @@ impl RealtimeScheduler {
 #[derive(Debug)]
 pub struct WallClockPacer {
     next: Instant,
-    interval: std::time::Duration,
+    interval: Duration,
 }
 
 impl WallClockPacer {
     /// Creates a pacer whose first tick is one `interval` from now.
-    pub fn new(interval: std::time::Duration) -> Self {
+    pub fn new(interval: Duration) -> Self {
         WallClockPacer { next: Instant::now() + interval, interval }
     }
 
@@ -153,51 +165,47 @@ impl Drop for RealtimeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BatchConfig;
     use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
-    use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+
+    fn consumer_on(topic: &str, partitions: u32) -> (Producer, Consumer) {
+        let broker = Arc::new(Broker::new("rsu"));
+        broker.create_topic(topic, partitions).unwrap();
+        let producer = Producer::new(Arc::clone(&broker));
+        let mut consumer = Consumer::new(broker, "spark", OffsetReset::Earliest);
+        consumer.subscribe(&[topic]).unwrap();
+        (producer, consumer)
+    }
 
     #[test]
     fn scheduler_processes_records_in_near_real_time() {
-        let broker = Arc::new(Broker::new("rsu"));
-        broker.create_topic("IN-DATA", 3).unwrap();
-        let producer = Producer::new(Arc::clone(&broker));
-        let mut consumer = Consumer::new(Arc::clone(&broker), "spark", OffsetReset::Earliest);
-        consumer.subscribe(&["IN-DATA"]).unwrap();
-        let runner =
-            MicroBatchRunner::new(consumer, BatchConfig { interval_ms: 10, max_records: 10_000 });
-
-        let processed = Arc::new(AtomicUsize::new(0));
-        let p2 = Arc::clone(&processed);
-        let scheduler = RealtimeScheduler::start(runner, move |ds| {
-            p2.fetch_add(ds.count(), Ordering::Relaxed);
+        let (producer, mut consumer) = consumer_on("IN-DATA", 3);
+        let scheduler = RealtimeScheduler::start(Duration::from_millis(10), move || {
+            consumer.poll(10_000).map(|batch| batch.len())
         });
 
         for i in 0..100u64 {
             producer.send("IN-DATA", Some(b"veh"), &b"x"[..], i).unwrap();
         }
         // Give the ticker a few intervals to drain.
+        let processed =
+            |s: &RealtimeScheduler| s.metrics().iter().map(|m| m.records).sum::<usize>();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while processed.load(Ordering::Relaxed) < 100 && Instant::now() < deadline {
+        while processed(&scheduler) < 100 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         let metrics = scheduler.stop().unwrap();
-        assert_eq!(processed.load(Ordering::Relaxed), 100);
-        assert!(!metrics.is_empty());
-        let total: usize = metrics.iter().map(|m| m.records).sum();
-        assert_eq!(total, 100);
+        assert_eq!(metrics.iter().map(|m| m.records).sum::<usize>(), 100);
+        for (i, m) in metrics.iter().enumerate() {
+            assert_eq!(m.index, i as u64, "ticks are numbered densely from zero");
+        }
     }
 
     #[test]
     fn stop_is_idempotent_and_drop_safe() {
-        let broker = Arc::new(Broker::new("rsu"));
-        broker.create_topic("T", 1).unwrap();
-        let mut consumer = Consumer::new(broker, "g", OffsetReset::Earliest);
-        consumer.subscribe(&["T"]).unwrap();
-        let runner =
-            MicroBatchRunner::new(consumer, BatchConfig { interval_ms: 5, max_records: 10 });
-        let scheduler = RealtimeScheduler::start(runner, |_| {});
+        let (_producer, mut consumer) = consumer_on("T", 1);
+        let scheduler = RealtimeScheduler::start(Duration::from_millis(5), move || {
+            consumer.poll(10).map(|batch| batch.len())
+        });
         std::thread::sleep(Duration::from_millis(20));
         let metrics = scheduler.stop().unwrap();
         assert!(!metrics.is_empty(), "ticker should have fired at least once");

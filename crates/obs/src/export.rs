@@ -340,7 +340,7 @@ mod tests {
     fn exposition_output_is_conformant() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("rsu.records".into(), 12);
-        snap.gauges.insert("engine.batch.queue_depth".into(), 3);
+        snap.gauges.insert("obs.trace.dropped".into(), 3);
         snap.gauges.insert("stream.consumer.lag.rsu-a".into(), 5);
         snap.gauges.insert("stream.consumer.lag.rsu-b".into(), 6);
         let h = Histogram::new();

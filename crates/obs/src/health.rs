@@ -959,8 +959,8 @@ mod tests {
             escalate_ticks = 1
             recover_ticks = 2
 
-            [slo.global.queue]
-            metric = "engine.batch.queue_depth"
+            [slo.global.drops]
+            metric = "obs.trace.dropped"
             signal = "value"
             max = 5
             fast_window_ms = 100
@@ -973,7 +973,7 @@ mod tests {
         mon.register_rsu("rsu-ua-a");
         mon.register_rsu("rsu-ua-b");
         for i in 0..4u64 {
-            mon.observe(i * 100_000_000, gauge_snap(&[("engine.batch.queue_depth", 50)]));
+            mon.observe(i * 100_000_000, gauge_snap(&[("obs.trace.dropped", 50)]));
         }
         for (_, state) in mon.states() {
             assert_eq!(state, HealthState::Degraded, "degraded alerts cap at degraded");

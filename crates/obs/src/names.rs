@@ -32,12 +32,6 @@ pub const STREAM_CONSUMER_RECORDS: &str = "stream.consumer.records";
 /// appended: `stream.consumer.lag.<group>`.
 pub const STREAM_CONSUMER_LAG_PREFIX: &str = "stream.consumer.lag";
 
-/// Micro-batches executed by `MicroBatchRunner` (counter).
-pub const ENGINE_BATCHES: &str = "engine.batches";
-/// Records carried by executed micro-batches (counter).
-pub const ENGINE_BATCH_RECORDS: &str = "engine.batch.records";
-/// Consumer backlog observed just before each poll (gauge; exporter-gated).
-pub const ENGINE_BATCH_QUEUE_DEPTH: &str = "engine.batch.queue_depth";
 /// Wall-clock micro-batch time, nanoseconds (histogram; exporter-gated).
 pub const ENGINE_BATCH_WALL_NS: &str = "engine.batch.wall_ns";
 /// Scheduler tick start minus its planned instant, nanoseconds
@@ -60,10 +54,6 @@ pub const RSU_WARNINGS: &str = "rsu.warnings";
 pub const RSU_SUMMARIES_IN: &str = "rsu.handover.summaries_in";
 /// Collaboration summaries exported for the next RSU (counter).
 pub const RSU_SUMMARIES_OUT: &str = "rsu.handover.summaries_out";
-/// Records per detect micro-batch (log2-bucketed histogram).
-pub const RSU_DETECT_BATCH_SIZE: &str = "rsu.detect.batch_size";
-/// Rows swept by the batched column-major detect path (counter).
-pub const ML_BATCH_ROWS: &str = "ml.batch.rows";
 /// Column-major NB sweep inside the parallel detect stage (profile-only
 /// stage, entered with `profile_span!` — no recorder event, no histogram).
 pub const ML_NB_SWEEP: &str = "ml.nb.sweep";
@@ -157,9 +147,6 @@ pub const ALL: &[&str] = &[
     STREAM_CONSUMER_POLLS,
     STREAM_CONSUMER_RECORDS,
     STREAM_CONSUMER_LAG_PREFIX,
-    ENGINE_BATCHES,
-    ENGINE_BATCH_RECORDS,
-    ENGINE_BATCH_QUEUE_DEPTH,
     ENGINE_BATCH_WALL_NS,
     ENGINE_TICK_JITTER_NS,
     RSU_MICRO_BATCH,
@@ -170,8 +157,6 @@ pub const ALL: &[&str] = &[
     RSU_WARNINGS,
     RSU_SUMMARIES_IN,
     RSU_SUMMARIES_OUT,
-    RSU_DETECT_BATCH_SIZE,
-    ML_BATCH_ROWS,
     ML_NB_SWEEP,
     RSU_TX_US,
     RSU_QUEUING_US,
@@ -233,9 +218,6 @@ pub const HELP: &[(&str, &str)] = &[
     (STREAM_CONSUMER_POLLS, "Consumer::poll calls."),
     (STREAM_CONSUMER_RECORDS, "Records delivered by Consumer::poll."),
     (STREAM_CONSUMER_LAG_PREFIX, "Committed-vs-head lag of one consumer group."),
-    (ENGINE_BATCHES, "Micro-batches executed by MicroBatchRunner."),
-    (ENGINE_BATCH_RECORDS, "Records carried by executed micro-batches."),
-    (ENGINE_BATCH_QUEUE_DEPTH, "Consumer backlog observed just before each poll."),
     (ENGINE_BATCH_WALL_NS, "Wall-clock micro-batch time in nanoseconds."),
     (ENGINE_TICK_JITTER_NS, "Scheduler tick start minus planned instant in nanoseconds."),
     (RSU_MICRO_BATCH, "Duration of one RSU micro-batch in nanoseconds."),
@@ -246,8 +228,6 @@ pub const HELP: &[(&str, &str)] = &[
     (RSU_WARNINGS, "Warnings emitted by RSUs."),
     (RSU_SUMMARIES_IN, "Collaboration summaries received on CO-DATA."),
     (RSU_SUMMARIES_OUT, "Collaboration summaries exported for the next RSU."),
-    (RSU_DETECT_BATCH_SIZE, "Records per detect micro-batch, log2 buckets."),
-    (ML_BATCH_ROWS, "Rows swept by the batched column-major detect path."),
     (ML_NB_SWEEP, "Column-major NB sweep stage inside parallel detect."),
     (RSU_TX_US, "Modelled DSRC transmission stage in microseconds."),
     (RSU_QUEUING_US, "Modelled queuing stage in microseconds."),

@@ -12,22 +12,6 @@ pub enum OffsetReset {
     Latest,
 }
 
-/// One assigned partition's slice of a poll, in fetch order.
-///
-/// Returned by [`Consumer::poll_grouped`]: the records arrive already
-/// grouped by `(topic, partition)`, so a micro-batch engine can turn a poll
-/// into partitioned work without re-grouping record by record.
-#[derive(Debug)]
-pub struct PartitionBatch {
-    /// Topic the records came from (interned; cloning is refcount-only).
-    pub topic: TopicName,
-    /// Partition index within the topic.
-    pub partition: u32,
-    /// The fetched records, offset-ordered. Never empty: partitions that
-    /// had nothing to fetch are omitted from the poll.
-    pub records: Vec<FetchedRecord>,
-}
-
 /// A group consumer: joins a consumer group on one broker, receives a range
 /// assignment of partitions and polls them in order.
 ///
@@ -139,45 +123,24 @@ impl Consumer {
     /// Polls up to `max_records` across the assigned partitions, advancing
     /// the consumer's in-memory positions.
     ///
+    /// Records come back partition by partition, in assignment order and
+    /// offset order within a partition; partitions with nothing to fetch
+    /// contribute nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`StreamError::NotSubscribed`] before [`Consumer::subscribe`]
     /// and propagates fetch errors.
     pub fn poll(&mut self, max_records: usize) -> Result<Vec<FetchedRecord>, StreamError> {
-        let mut grouped = self.poll_grouped(max_records)?;
-        // The common single-partition poll moves the batch out wholesale.
-        if grouped.len() == 1 {
-            return Ok(grouped.pop().map(|g| g.records).unwrap_or_default());
-        }
-        let mut out = Vec::with_capacity(grouped.iter().map(|g| g.records.len()).sum());
-        for group in grouped {
-            out.extend(group.records);
-        }
-        Ok(out)
-    }
-
-    /// Like [`Consumer::poll`], but keeps the records grouped by assigned
-    /// partition (in assignment order) instead of flattening them.
-    ///
-    /// This is the zero-copy path for micro-batch engines: fetch batches
-    /// map one-to-one onto [`PartitionBatch`]es, so no per-record regroup
-    /// is needed downstream. Partitions with nothing to fetch are omitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::NotSubscribed`] before [`Consumer::subscribe`]
-    /// and propagates fetch errors.
-    pub fn poll_grouped(&mut self, max_records: usize) -> Result<Vec<PartitionBatch>, StreamError> {
         if !self.subscribed {
             return Err(StreamError::NotSubscribed);
         }
         if self.broker.group_generation(&self.group) != self.seen_generation {
             self.refresh_assignments();
         }
-        let mut out: Vec<PartitionBatch> = Vec::new();
-        let mut total = 0usize;
+        let mut out: Vec<FetchedRecord> = Vec::new();
         for idx in 0..self.assignments.len() {
-            if total >= max_records {
+            if out.len() >= max_records {
                 break;
             }
             let (topic, partition) = {
@@ -193,35 +156,30 @@ impl Consumer {
             };
             let pos =
                 self.positions.get(&(TopicName::clone(&topic), partition)).copied().unwrap_or(0);
-            let batch = match handle.fetch(partition, pos, max_records - total) {
+            let batch = match handle.fetch(partition, pos, max_records - out.len()) {
                 Ok(b) => b,
                 Err(StreamError::OffsetOutOfRange { earliest, .. }) => {
                     // Retention overtook us; resume from the horizon.
                     self.positions.insert((TopicName::clone(&topic), partition), earliest);
-                    handle.fetch(partition, earliest, max_records - total)?
+                    handle.fetch(partition, earliest, max_records - out.len())?
                 }
                 Err(e) => return Err(e),
             };
             let Some(last) = batch.last() else { continue };
             self.positions.insert((TopicName::clone(&topic), partition), last.offset + 1);
-            total += batch.len();
-            let records = batch
-                .into_iter()
-                .map(|r| FetchedRecord {
-                    topic: TopicName::clone(&topic),
-                    partition,
-                    offset: r.offset,
-                    key: r.key,
-                    value: r.value,
-                    timestamp: r.timestamp,
-                    trace: r.trace,
-                })
-                .collect();
-            out.push(PartitionBatch { topic, partition, records });
+            out.extend(batch.into_iter().map(|r| FetchedRecord {
+                topic: TopicName::clone(&topic),
+                partition,
+                offset: r.offset,
+                key: r.key,
+                value: r.value,
+                timestamp: r.timestamp,
+                trace: r.trace,
+            }));
         }
         if cad3_obs::enabled() {
             cad3_obs::counter!("stream.consumer.polls").inc();
-            cad3_obs::counter!("stream.consumer.records").add(cad3_types::len_u64(total));
+            cad3_obs::counter!("stream.consumer.records").add(cad3_types::len_u64(out.len()));
             self.publish_lag_gauge();
         }
         Ok(out)
@@ -390,34 +348,31 @@ mod tests {
     }
 
     #[test]
-    fn poll_grouped_batches_follow_fetch_boundaries() {
+    fn poll_returns_each_partition_once_in_offset_order() {
         let (broker, producer) = setup();
         let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
         c.subscribe(&["IN-DATA"]).unwrap();
         for i in 0..60u64 {
             producer.send("IN-DATA", Some(format!("veh-{i}").as_bytes()), &b"x"[..], i).unwrap();
         }
-        let grouped = c.poll_grouped(1000).unwrap();
-        assert_eq!(grouped.len(), 3, "60 spread keys fill all 3 partitions");
+        let recs = c.poll(1000).unwrap();
+        assert_eq!(recs.len(), 60);
+        let runs: Vec<&[FetchedRecord]> =
+            recs.chunk_by(|a, b| a.partition == b.partition).collect();
+        assert_eq!(runs.len(), 3, "60 spread keys fill all 3 partitions");
         let mut seen_partitions = Vec::new();
-        let mut total = 0;
-        for batch in &grouped {
-            assert!(!batch.records.is_empty(), "empty partitions are omitted");
-            seen_partitions.push(batch.partition);
-            total += batch.records.len();
-            for (i, r) in batch.records.iter().enumerate() {
-                assert_eq!(r.offset, cad3_types::len_u64(i), "offsets dense within a batch");
-                assert_eq!(r.partition, batch.partition);
-                assert_eq!(r.topic, batch.topic);
+        for run in &runs {
+            seen_partitions.push(run[0].partition);
+            for (i, r) in run.iter().enumerate() {
+                assert_eq!(r.offset, cad3_types::len_u64(i), "offsets dense within a partition");
+                assert_eq!(&*r.topic, "IN-DATA");
             }
         }
-        assert_eq!(total, 60);
-        let mut sorted = seen_partitions.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), grouped.len(), "each partition appears once");
+        seen_partitions.sort_unstable();
+        seen_partitions.dedup();
+        assert_eq!(seen_partitions.len(), runs.len(), "each partition appears once");
         // Nothing left after a full drain.
-        assert!(c.poll_grouped(1000).unwrap().is_empty());
+        assert!(c.poll(1000).unwrap().is_empty());
     }
 
     #[test]

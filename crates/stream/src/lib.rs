@@ -8,11 +8,10 @@
 //! relies on, from scratch:
 //!
 //! * [`PartitionLog`] — append-only offset-addressed logs with retention.
-//! * [`Topic`] — key-hash partitioning across a fixed partition count (the
-//!   single-threaded reference semantics).
-//! * [`SharedTopic`] — the broker's sharded hot-path topic: immutable
-//!   metadata plus one mutex per partition, so appends and fetches to
-//!   different partitions never contend.
+//! * [`SharedTopic`] — key-hash partitioning across a fixed partition
+//!   count: immutable metadata plus one mutex per partition, so appends and
+//!   fetches to different partitions never contend. (Its single-threaded
+//!   reference semantics live in `tests/support/` as the proptest oracle.)
 //! * [`Broker`] — thread-safe topic registry with produce/fetch and
 //!   consumer-group offset tracking.
 //! * [`Producer`] — the vehicle-side publisher, with a cached topic handle
@@ -54,18 +53,16 @@ mod producer;
 mod record;
 mod shard;
 mod sync;
-mod topic;
 
 pub use batching::BatchingProducer;
 pub use broker::{range_assignment, Broker};
 pub use cluster::Cluster;
-pub use consumer::{Consumer, OffsetReset, PartitionBatch};
+pub use consumer::{Consumer, OffsetReset};
 pub use error::StreamError;
 pub use partition::PartitionLog;
 pub use producer::Producer;
 pub use record::{FetchedRecord, Record, TopicName};
 pub use shard::SharedTopic;
-pub use topic::Topic;
 
 /// Topic name for vehicle status ingestion (the paper's `IN-DATA`).
 pub const TOPIC_IN_DATA: &str = "IN-DATA";

@@ -8,10 +8,10 @@
 //! paper's three-partitions-per-topic layout actually buys parallelism
 //! instead of serialising behind one topic mutex.
 //!
-//! Routing is bit-identical to the single-threaded reference [`crate::Topic`]
-//! (same FNV-1a key partitioner, same round-robin sequence for keyless
-//! records, same explicit-partition validation); the proptest in
-//! `tests/sharded_equivalence.rs` holds the two together.
+//! Routing is bit-identical to the single-threaded reference `Topic` in
+//! `tests/support/` (same FNV-1a key partitioner, same round-robin sequence
+//! for keyless records, same explicit-partition validation); the proptest
+//! in `tests/sharded_equivalence.rs` holds the two together.
 //!
 //! # Lock hierarchy
 //!
@@ -20,10 +20,19 @@
 //! are leaves of the broker's documented hierarchy.
 
 use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
-use crate::topic::fnv1a;
 use crate::{PartitionLog, Record, StreamError, TopicName};
 use bytes::Bytes;
 use cad3_types::{index_usize, len_u32, len_u64, partition_u32};
+
+/// FNV-1a hash, the stable key-partitioner hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// A topic whose partitions are individually locked.
 ///
@@ -91,7 +100,7 @@ impl SharedTopic {
         len_u32(self.partitions.len())
     }
 
-    /// The partition a key routes to (same FNV-1a routing as [`crate::Topic`]).
+    /// The partition a key routes to (FNV-1a of the key, modulo the partition count).
     pub fn partition_for_key(&self, key: &[u8]) -> u32 {
         partition_u32(fnv1a(key) % len_u64(self.partitions.len()))
     }

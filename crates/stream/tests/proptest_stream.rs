@@ -1,9 +1,12 @@
 //! Property-based tests of the streaming substrate's core invariants.
 
 use bytes::Bytes;
-use cad3_stream::{Broker, Consumer, OffsetReset, PartitionLog, Producer, Topic};
+use cad3_stream::{Broker, Consumer, OffsetReset, PartitionLog, Producer};
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::Topic;
+
+mod support;
 
 proptest! {
     /// Appending any sequence yields dense offsets and a faithful replay.

@@ -9,8 +9,11 @@
 //! operation schedules and compares every observable result.
 
 use bytes::Bytes;
-use cad3_stream::{SharedTopic, StreamError, Topic};
+use cad3_stream::{SharedTopic, StreamError};
 use proptest::prelude::*;
+use support::Topic;
+
+mod support;
 
 /// One step of an interleaved schedule: appends routed each of the three
 /// ways the producer can route, plus reads of every observable surface.

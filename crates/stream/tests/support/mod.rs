@@ -1,9 +1,17 @@
-use crate::{PartitionLog, Record, StreamError};
-use bytes::Bytes;
+//! The single-threaded reference implementation of topic semantics, shared
+//! by `proptest_stream.rs` and `sharded_equivalence.rs` as the oracle the
+//! broker's sharded `SharedTopic` is held equal to.
 
-/// FNV-1a hash, the stable key-partitioner hash (shared with
-/// [`crate::SharedTopic`] so both partitioners route identically).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+// Each test binary uses a subset of the reference API.
+#![allow(dead_code)]
+
+use bytes::Bytes;
+use cad3_stream::{PartitionLog, Record, StreamError};
+
+/// FNV-1a hash, the stable key-partitioner hash. Deliberately its own copy
+/// rather than the crate's: the oracle must not share the routing code it
+/// checks.
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -18,10 +26,9 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// in one partition (preserving per-vehicle ordering); keyless records are
 /// spread round-robin.
 ///
-/// This is the single-threaded reference implementation of topic semantics:
-/// the broker's hot path runs on the internally-locked [`crate::SharedTopic`],
-/// and `tests/sharded_equivalence.rs` holds the two observationally equal
-/// over arbitrary interleaved append/fetch sequences.
+/// The broker's hot path runs on the internally-locked
+/// [`cad3_stream::SharedTopic`]; `sharded_equivalence.rs` holds the two
+/// observationally equal over arbitrary interleaved append/fetch sequences.
 #[derive(Debug)]
 pub struct Topic {
     name: String,

@@ -591,7 +591,7 @@ mod tests {
                 "
                 pub struct Consumer { inner: u32 }
                 impl Consumer {
-                    pub fn poll_grouped(&self) -> String {
+                    pub fn poll(&self) -> String {
                         render_label(self.inner)
                     }
                 }
@@ -611,13 +611,13 @@ mod tests {
 
     #[test]
     fn seeded_format_reachable_from_poll_is_caught_with_chain() {
-        let h = hot(&pipeline(), &[("stream::Consumer::poll_grouped", &[])], &[], &[]);
+        let h = hot(&pipeline(), &[("stream::Consumer::poll", &[])], &[], &[]);
         let v = findings(&h, "hotpath-violation");
         assert_eq!(v.len(), 1, "{:?}", h.findings);
         assert!(v[0].message.contains("`alloc`"), "{}", v[0].message);
         assert!(v[0].message.contains("format!"), "{}", v[0].message);
         assert!(
-            v[0].message.contains("stream::Consumer::poll_grouped → util::render_label"),
+            v[0].message.contains("stream::Consumer::poll → util::render_label"),
             "chain missing: {}",
             v[0].message
         );
@@ -625,7 +625,7 @@ mod tests {
 
     #[test]
     fn violation_chain_lands_in_sarif() {
-        let h = hot(&pipeline(), &[("stream::Consumer::poll_grouped", &[])], &[], &[]);
+        let h = hot(&pipeline(), &[("stream::Consumer::poll", &[])], &[], &[]);
         let sarif = crate::report::hot_sarif(&h);
         assert!(sarif.contains("\"hotpath-violation\""), "{sarif}");
         assert!(sarif.contains("util::render_label"), "{sarif}");
@@ -634,7 +634,7 @@ mod tests {
 
     #[test]
     fn declared_capability_covers_the_effect() {
-        let h = hot(&pipeline(), &[("stream::Consumer::poll_grouped", &["alloc"])], &[], &[]);
+        let h = hot(&pipeline(), &[("stream::Consumer::poll", &["alloc"])], &[], &[]);
         assert!(h.findings.is_empty(), "{:?}", h.findings);
         assert_eq!(h.entries.len(), 1);
         assert_eq!(h.entries[0].effects.get("alloc"), Some(&1));
@@ -707,12 +707,12 @@ mod tests {
 
     #[test]
     fn baseline_tolerates_exact_count_and_flags_slack() {
-        let key = "hotpath:stream::Consumer::poll_grouped:alloc";
-        let h = hot(&pipeline(), &[("stream::Consumer::poll_grouped", &[])], &[], &[(key, 1)]);
+        let key = "hotpath:stream::Consumer::poll:alloc";
+        let h = hot(&pipeline(), &[("stream::Consumer::poll", &[])], &[], &[(key, 1)]);
         assert!(h.findings.is_empty(), "{:?}", h.findings);
         assert_eq!(h.violation_counts.get(key), Some(&1));
 
-        let h = hot(&pipeline(), &[("stream::Consumer::poll_grouped", &[])], &[], &[(key, 2)]);
+        let h = hot(&pipeline(), &[("stream::Consumer::poll", &[])], &[], &[(key, 2)]);
         let v = findings(&h, "stale-hotpath-baseline");
         assert_eq!(v.len(), 1, "{:?}", h.findings);
         assert!(v[0].message.contains("--update-hotpaths-baseline"), "{}", v[0].message);
@@ -839,8 +839,8 @@ mod tests {
 
     #[test]
     fn emit_hotpaths_renders_observed_contract() {
-        let h = hot(&pipeline(), &[("stream::Consumer::poll_grouped", &[])], &[], &[]);
+        let h = hot(&pipeline(), &[("stream::Consumer::poll", &[])], &[], &[]);
         let emitted = emit_hotpaths(&h);
-        assert!(emitted.contains("\"stream::Consumer::poll_grouped\" = [\"alloc\"]"), "{emitted}");
+        assert!(emitted.contains("\"stream::Consumer::poll\" = [\"alloc\"]"), "{emitted}");
     }
 }

@@ -539,7 +539,7 @@ mod main_tests {
                 "{key} must be lock-free: {effects:?}"
             );
         }
-        let poll = &entry("cad3_stream::Consumer::poll_grouped").effects;
+        let poll = &entry("cad3_stream::Consumer::poll").effects;
         assert!(poll.contains_key("lock:30"), "poll touches partitions: {poll:?}");
         assert!(!poll.contains_key("panic"), "poll is panic-free: {poll:?}");
     }

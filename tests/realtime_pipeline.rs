@@ -1,65 +1,55 @@
-//! Live wall-clock integration test: the same pipeline the virtual-time
-//! testbed models, but on real threads — producers pushing status packets
-//! through the broker while a real-time micro-batch scheduler detects and
-//! publishes warnings, as on the paper's physical testbed.
+//! Live wall-clock integration test: the same `RsuNode::run_batch` loop the
+//! virtual-time testbed drives, but on real threads — producers pushing
+//! status packets into the RSU's broker while a real-time scheduler ticks
+//! the micro-batch and publishes its warnings, as on the paper's physical
+//! testbed.
 
-use cad3_repro::core::detector::{train_all, DetectionConfig, Detector};
+use cad3_repro::core::detector::{train_all, DetectionConfig};
+use cad3_repro::core::{CoreError, ProcessingCostModel, RsuNode};
 use cad3_repro::data::{DatasetConfig, SyntheticDataset};
-use cad3_repro::engine::{BatchConfig, MicroBatchRunner, RealtimeScheduler};
-use cad3_repro::stream::{Broker, Consumer, OffsetReset, Producer};
+use cad3_repro::engine::RealtimeScheduler;
+use cad3_repro::stream::{Consumer, OffsetReset, Producer, StreamError};
 use cad3_repro::types::{
-    Label, SimTime, VehicleId, VehicleStatus, WarningKind, WarningMessage, WireDecode, WireEncode,
+    RsuId, SimDuration, SimTime, VehicleId, WarningMessage, WireDecode, WireEncode,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// `run_batch` and `publish_warning` only ever propagate stream errors.
+fn stream_error(e: CoreError) -> StreamError {
+    match e {
+        CoreError::Stream(e) => e,
+        other => panic!("the RSU loop surfaced a non-stream error: {other}"),
+    }
+}
 
 #[test]
 fn realtime_rsu_detects_and_disseminates() {
     // Offline stage.
     let ds = SyntheticDataset::generate(&DatasetConfig::small(301));
     let models = train_all(&ds.features, &DetectionConfig::default()).unwrap();
-    let detector = Arc::new(models.ad3);
 
-    // RSU broker with the paper's topics.
-    let broker = Arc::new(Broker::new("rsu-live"));
-    broker.create_topic("IN-DATA", 3).unwrap();
-    broker.create_topic("OUT-DATA", 3).unwrap();
-
-    // Detection job: decode each status, classify, publish warnings.
-    let mut consumer = Consumer::new(Arc::clone(&broker), "detector", OffsetReset::Earliest);
-    consumer.subscribe(&["IN-DATA"]).unwrap();
-    let runner =
-        MicroBatchRunner::new(consumer, BatchConfig { interval_ms: 20, max_records: 100_000 });
-    let warn_broker = Arc::clone(&broker);
-    let det = Arc::clone(&detector);
-    let processed = Arc::new(AtomicUsize::new(0));
+    // The RSU: broker with the paper's topics plus the micro-batch loop,
+    // ticked every 20 ms of wall clock (and of the virtual clock it stamps
+    // detections with).
+    const TICK_MS: u64 = 20;
+    let mut rsu =
+        RsuNode::new(RsuId(1), "rsu-live", Arc::new(models.ad3), ProcessingCostModel::default());
+    let broker = rsu.broker();
+    let processed = Arc::new(AtomicU64::new(0));
     let processed2 = Arc::clone(&processed);
-    let scheduler = RealtimeScheduler::start(runner, move |batch| {
-        for rec in batch.collect() {
-            let mut buf = rec.value;
-            let Ok(status) = VehicleStatus::decode(&mut buf) else { continue };
-            // ordering: Relaxed — a progress counter; the final read below
-            // happens after `stop()` joins the ticker thread.
-            processed2.fetch_add(1, Ordering::Relaxed);
-            let Ok(d) = det.detect(&status.to_feature(), None) else { continue };
-            if d.label == Label::Abnormal {
-                let warning = WarningMessage {
-                    vehicle: status.vehicle,
-                    road: status.road,
-                    kind: WarningKind::classify(
-                        status.speed_kmh,
-                        status.road_speed_kmh,
-                        status.accel_mps2,
-                    ),
-                    probability: d.p_abnormal,
-                    source_sent_at: status.sent_at,
-                    detected_at: status.sent_at,
-                    source_seq: status.seq,
-                };
-                let _ = warn_broker.produce("OUT-DATA", None, None, warning.encode_to_bytes(), 0);
-            }
+    let mut now = SimTime::ZERO;
+    let scheduler = RealtimeScheduler::start(Duration::from_millis(TICK_MS), move || {
+        now += SimDuration::from_millis(TICK_MS);
+        let batch = rsu.run_batch(now).map_err(stream_error)?;
+        for warning in &batch.warnings {
+            rsu.publish_warning(warning).map_err(stream_error)?;
         }
+        // ordering: Relaxed — a progress counter; the final read below
+        // happens after `stop()` joins the ticker thread.
+        processed2.store(rsu.records_processed(), Ordering::Relaxed);
+        Ok(batch.records)
     });
 
     // Vehicle producers on real threads: 8 vehicles × 50 records.
@@ -106,10 +96,10 @@ fn realtime_rsu_detects_and_disseminates() {
     let metrics = scheduler.stop().unwrap();
     // ordering: Relaxed — `stop()` joined the ticker, so this is the final value.
     assert_eq!(processed.load(Ordering::Relaxed), 400, "every status processed exactly once");
-    assert!(!metrics.is_empty());
+    assert_eq!(metrics.iter().map(|m| m.records).sum::<usize>(), 400);
 
     // A vehicle-side consumer sees the warnings.
-    let mut fleet = Consumer::new(Arc::clone(&broker), "fleet", OffsetReset::Earliest);
+    let mut fleet = Consumer::new(broker, "fleet", OffsetReset::Earliest);
     fleet.subscribe(&["OUT-DATA"]).unwrap();
     let warnings = fleet.poll(100_000).unwrap();
     assert!(!warnings.is_empty(), "abnormal traffic produced warnings");
