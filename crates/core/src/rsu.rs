@@ -51,8 +51,9 @@ pub struct RsuNode {
     detector: Arc<dyn Detector>,
     executor: Executor,
     /// Per-vehicle collaboration state, sharded by vehicle hash so the
-    /// parallel detection stage contends on nothing.
-    shards: Vec<Mutex<SummaryTracker>>,
+    /// parallel detection stage contends on nothing; shared with the
+    /// stage's jobs, which outlive any borrow of the node.
+    shards: Arc<[Mutex<SummaryTracker>]>,
     in_consumer: Consumer,
     co_consumer: Consumer,
     cost_model: ProcessingCostModel,
@@ -253,8 +254,8 @@ impl RsuNode {
 
         // 3-4. Detect in parallel per shard; within a shard, a vehicle's
         //      records run in order against its summary state.
-        let detector = &self.detector;
-        let shards = &self.shards;
+        let detector = Arc::clone(&self.detector);
+        let shards = Arc::clone(&self.shards);
         let node = self.id.raw();
         /// Per-record result of the parallel stage: queuing wait, whether
         /// the record was processed, the warning (if abnormal), the
@@ -269,7 +270,7 @@ impl RsuNode {
             Option<cad3_obs::TraceContext>,
         );
         let outcomes: Vec<RecordOutcome> = PartitionedDataset::from_partitions(buckets)
-            .map_partitions(&self.executor, |part| {
+            .map_partitions(&self.executor, move |part| {
                 let Some((first_vehicle, _, _)) = part.first() else { return Vec::new() };
                 let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
                 // Every record of the bucket keys to this one shard.
@@ -283,7 +284,7 @@ impl RsuNode {
                 let mut traces = Vec::with_capacity(part.len());
                 let mut statuses: Vec<Option<VehicleStatus>> = Vec::with_capacity(part.len());
                 let mut feats = Vec::with_capacity(part.len());
-                for (keyed_vehicle, span_base, rec) in part {
+                for (keyed_vehicle, span_base, rec) in &part {
                     queuings.push(now.saturating_since(SimTime::from_nanos(rec.timestamp)));
                     // A sampled record's broker wait becomes an `rsu.queue`
                     // span (arrival at the log to batch start), emitted on
@@ -458,7 +459,7 @@ impl RsuNode {
     /// adjacent RSU's `CO-DATA` (the handover flow of Fig. 3, step 2).
     pub fn export_summaries(&self, now: SimTime) -> Vec<SummaryMessage> {
         let mut out = Vec::new();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
             let tracker = shard.lock();
             out.extend(

@@ -2,11 +2,14 @@ use crate::Executor;
 use cad3_types::{index_usize, len_u64};
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// An RDD-like partitioned, immutable collection.
 ///
 /// Operators are eager (each call runs a parallel stage on the given
-/// [`Executor`]) and return a new dataset. Partitioning is preserved by
+/// [`Executor`]), consume the dataset — its partitions move into the stage's
+/// jobs, one owned partition each — and return a new one; `clone` first to
+/// keep the input. Partitioning is preserved by
 /// narrow operators (`map`, `filter`, `flat_map`) and rebuilt by wide ones
 /// (`group_by_key`).
 #[derive(Debug, Clone, PartialEq)]
@@ -68,55 +71,45 @@ impl<T> PartitionedDataset<T> {
     }
 }
 
-impl<T: Send + Sync> PartitionedDataset<T> {
+impl<T: Send + 'static> PartitionedDataset<T> {
     /// Applies `f` to every element (narrow, parallel per partition).
-    pub fn map<U, F>(&self, exec: &Executor, f: F) -> PartitionedDataset<U>
+    pub fn map<U, F>(self, exec: &Executor, f: F) -> PartitionedDataset<U>
     where
-        U: Send,
-        T: Clone,
-        F: Fn(&T) -> U + Sync,
+        U: Send + 'static,
+        F: Fn(T) -> U + Send + Sync + 'static,
     {
-        let parts = exec.run(self.partitions.iter().collect::<Vec<_>>(), |p| {
-            p.iter().map(&f).collect::<Vec<U>>()
-        });
-        PartitionedDataset { partitions: parts }
+        self.map_partitions(exec, move |p| p.into_iter().map(&f).collect())
     }
 
     /// Keeps elements satisfying `pred` (narrow, parallel per partition).
-    pub fn filter<F>(&self, exec: &Executor, pred: F) -> PartitionedDataset<T>
+    pub fn filter<F>(self, exec: &Executor, pred: F) -> PartitionedDataset<T>
     where
-        T: Clone,
-        F: Fn(&T) -> bool + Sync,
+        F: Fn(&T) -> bool + Send + Sync + 'static,
     {
-        let parts = exec.run(self.partitions.iter().collect::<Vec<_>>(), |p| {
-            p.iter().filter(|x| pred(x)).cloned().collect::<Vec<T>>()
-        });
-        PartitionedDataset { partitions: parts }
+        self.map_partitions(exec, move |p| p.into_iter().filter(&pred).collect())
     }
 
     /// Maps each element to zero or more outputs (narrow).
-    pub fn flat_map<U, I, F>(&self, exec: &Executor, f: F) -> PartitionedDataset<U>
+    pub fn flat_map<U, I, F>(self, exec: &Executor, f: F) -> PartitionedDataset<U>
     where
-        U: Send,
+        U: Send + 'static,
         I: IntoIterator<Item = U>,
-        T: Clone,
-        F: Fn(&T) -> I + Sync,
+        F: Fn(T) -> I + Send + Sync + 'static,
     {
-        let parts = exec.run(self.partitions.iter().collect::<Vec<_>>(), |p| {
-            p.iter().flat_map(&f).collect::<Vec<U>>()
-        });
-        PartitionedDataset { partitions: parts }
+        self.map_partitions(exec, move |p| p.into_iter().flat_map(&f).collect())
     }
 
     /// Runs `f` once per partition (the `mapPartitions` pattern — lets a job
     /// amortise per-batch state such as a loaded model).
-    pub fn map_partitions<U, F>(&self, exec: &Executor, f: F) -> PartitionedDataset<U>
+    pub fn map_partitions<U, F>(self, exec: &Executor, f: F) -> PartitionedDataset<U>
     where
-        U: Send,
-        F: Fn(&[T]) -> Vec<U> + Sync,
+        U: Send + 'static,
+        F: Fn(Vec<T>) -> Vec<U> + Send + Sync + 'static,
     {
-        let parts = exec.run(self.partitions.iter().collect::<Vec<_>>(), |p| f(p.as_slice()));
-        PartitionedDataset { partitions: parts }
+        // Called by path, here and in `reduce`: `run` is not a unique method
+        // name in the workspace, and `cargo xtask analyze` would follow
+        // `exec.run(..)` into every `run` there is.
+        PartitionedDataset { partitions: Executor::run(exec, self.partitions, f) }
     }
 
     /// Concatenates two datasets (Spark's `union`): partitions of `other`
@@ -129,90 +122,94 @@ impl<T: Send + Sync> PartitionedDataset<T> {
     /// Reduces all elements with `op`, starting from `identity` in each
     /// partition and combining partials (requires `op` associative and
     /// `identity` neutral, like Spark's `fold`).
-    pub fn reduce<F>(&self, exec: &Executor, identity: T, op: F) -> T
+    pub fn reduce<F>(self, exec: &Executor, identity: T, op: F) -> T
     where
         T: Clone,
-        F: Fn(T, T) -> T + Sync,
+        F: Fn(T, T) -> T + Send + Sync + 'static,
     {
-        let partials = exec.run(self.partitions.iter().collect::<Vec<_>>(), |p| {
-            p.iter().cloned().fold(identity.clone(), &op)
+        let op = Arc::new(op);
+        let seeded = self.partitions.into_iter().map(|p| (identity.clone(), p)).collect();
+        let fold = Arc::clone(&op);
+        let partials = Executor::run(exec, seeded, move |(identity, p): (T, Vec<T>)| {
+            p.into_iter().fold(identity, &*fold)
         });
-        partials.into_iter().fold(identity, &op)
+        partials.into_iter().fold(identity, &*op)
     }
 }
 
 impl<K, V> PartitionedDataset<(K, V)>
 where
-    K: Send + Sync + Clone + Eq + Hash,
-    V: Send + Sync + Clone,
+    K: Send + Eq + Hash + 'static,
+    V: Send + 'static,
 {
     /// Combines values per key with an associative `op` (wide). Equivalent
     /// to `group_by_key` followed by a fold, but combines within input
     /// partitions first — Spark's `reduceByKey` shuffle optimisation.
-    pub fn reduce_by_key<F>(&self, exec: &Executor, op: F) -> PartitionedDataset<(K, V)>
+    pub fn reduce_by_key<F>(self, exec: &Executor, op: F) -> PartitionedDataset<(K, V)>
     where
-        F: Fn(V, V) -> V + Sync,
+        F: Fn(V, V) -> V + Send + Sync + 'static,
     {
+        let op = Arc::new(op);
         // Map-side combine.
-        let combined: Vec<Vec<(K, V)>> =
-            exec.run(self.partitions.iter().collect::<Vec<_>>(), |p| {
-                let mut acc: HashMap<K, V> = HashMap::new();
-                for (k, v) in p.iter() {
-                    match acc.remove(k) {
-                        Some(prev) => {
-                            let merged = op(prev, v.clone());
-                            acc.insert(k.clone(), merged);
-                        }
-                        None => {
-                            acc.insert(k.clone(), v.clone());
-                        }
-                    }
-                }
-                acc.into_iter().collect::<Vec<(K, V)>>()
-            });
+        let combine = Arc::clone(&op);
+        let combined = self.map_partitions(exec, move |p| {
+            let mut acc: HashMap<K, V> = HashMap::new();
+            for (k, v) in p {
+                let merged = match acc.remove(&k) {
+                    Some(prev) => combine(prev, v),
+                    None => v,
+                };
+                acc.insert(k, merged);
+            }
+            acc.into_iter().collect::<Vec<(K, V)>>()
+        });
         // Reduce-side combine via the grouped shuffle.
-        PartitionedDataset { partitions: combined }.group_by_key(exec).map(exec, |(k, vs)| {
-            let mut it = vs.iter().cloned();
+        combined.group_by_key(exec).map(exec, move |(k, vs)| {
+            let mut it = vs.into_iter();
             let first = it.next().expect("groups are non-empty");
-            (k.clone(), it.fold(first, &op))
+            (k, it.fold(first, &*op))
         })
     }
 
     /// Counts occurrences per key (Spark's `countByKey` as a dataset).
-    pub fn count_by_key(&self, exec: &Executor) -> PartitionedDataset<(K, u64)> {
-        self.map(exec, |(k, _)| (k.clone(), 1u64)).reduce_by_key(exec, |a, b| a + b)
+    pub fn count_by_key(self, exec: &Executor) -> PartitionedDataset<(K, u64)> {
+        self.map(exec, |(k, _)| (k, 1u64)).reduce_by_key(exec, |a, b| a + b)
     }
 
     /// Groups values by key (wide: repartitions by key hash).
     ///
     /// The output has the same partition count; all pairs for one key land
     /// in one partition.
-    pub fn group_by_key(&self, exec: &Executor) -> PartitionedDataset<(K, Vec<V>)> {
+    pub fn group_by_key(self, exec: &Executor) -> PartitionedDataset<(K, Vec<V>)> {
         let n = self.partitions.len();
         // Shuffle-write: each input partition buckets its pairs.
-        let bucketed: Vec<Vec<Vec<(K, V)>>> =
-            exec.run(self.partitions.iter().collect::<Vec<_>>(), |p| {
-                let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-                for (k, v) in p.iter() {
-                    let mut h = std::collections::hash_map::DefaultHasher::new();
-                    use std::hash::Hasher;
-                    k.hash(&mut h);
-                    let b = index_usize(h.finish() % len_u64(n));
-                    buckets[b].push((k.clone(), v.clone()));
-                }
-                buckets
-            });
-        // Shuffle-read + combine per output partition.
-        let combined = exec.run((0..n).collect::<Vec<_>>(), |b| {
-            let mut groups: HashMap<K, Vec<V>> = HashMap::new();
-            for part in &bucketed {
-                for (k, v) in &part[b] {
-                    groups.entry(k.clone()).or_default().push(v.clone());
-                }
+        let bucketed = self.map_partitions(exec, move |p| {
+            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
+            for (k, v) in p {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                use std::hash::Hasher;
+                k.hash(&mut h);
+                let b = index_usize(h.finish() % len_u64(n));
+                buckets[b].push((k, v));
             }
-            groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
+            buckets
         });
-        PartitionedDataset { partitions: combined }
+        // The shuffle itself: output partition b owns bucket b of every
+        // input partition, in input-partition order.
+        let mut shuffled: Vec<Vec<Vec<(K, V)>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+        for buckets in bucketed.partitions {
+            for (inbox, bucket) in shuffled.iter_mut().zip(buckets) {
+                inbox.push(bucket);
+            }
+        }
+        // Shuffle-read + combine per output partition.
+        PartitionedDataset { partitions: shuffled }.map_partitions(exec, |inbox| {
+            let mut groups: HashMap<K, Vec<V>> = HashMap::new();
+            for (k, v) in inbox.into_iter().flatten() {
+                groups.entry(k).or_default().push(v);
+            }
+            groups.into_iter().collect()
+        })
     }
 }
 
@@ -256,7 +253,7 @@ mod tests {
     #[test]
     fn flat_map_expands() {
         let ds = PartitionedDataset::from_vec(vec![1, 2, 3], 2);
-        let out = ds.flat_map(&exec(), |x| vec![*x; *x as usize]).collect();
+        let out = ds.flat_map(&exec(), |x| vec![x; x as usize]).collect();
         assert_eq!(out, vec![1, 2, 2, 3, 3, 3]);
     }
 
@@ -349,7 +346,7 @@ mod tests {
     fn empty_dataset_ops() {
         let ds = PartitionedDataset::from_vec(Vec::<i32>::new(), 3);
         assert!(ds.is_empty());
-        assert!(ds.map(&exec(), |x| *x).collect().is_empty());
+        assert!(ds.clone().map(&exec(), |x| x).collect().is_empty());
         assert_eq!(ds.reduce(&exec(), 0, |a, b| a + b), 0);
     }
 
@@ -364,7 +361,7 @@ mod tests {
         let ds = PartitionedDataset::<i32>::from_partitions(Vec::new());
         assert_eq!(ds.partition_count(), 0);
         assert!(ds.is_empty());
-        assert!(ds.map(&exec(), |x| *x).collect().is_empty());
+        assert!(ds.clone().map(&exec(), |x| x).collect().is_empty());
         assert_eq!(ds.reduce(&exec(), 0, |a, b| a + b), 0);
     }
 }

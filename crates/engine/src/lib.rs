@@ -5,11 +5,15 @@
 //! micro-batches ("RDDs") read from the `IN-DATA` topic. This crate
 //! implements the pieces that matter for the pipeline:
 //!
-//! * [`Executor`] — a fixed worker pool executing per-partition tasks in
-//!   parallel (the "6 worker nodes").
+//! * [`Executor`] — a fixed pool of long-lived worker threads executing
+//!   per-partition tasks in parallel (the "6 worker nodes"): started once by
+//!   [`Executor::new`], woken per stage, joined when the last handle drops.
 //! * [`PartitionedDataset`] — an RDD-like partitioned collection with
 //!   `map` / `filter` / `flat_map` / `reduce` / `group_by_key` operators
-//!   that run on an executor.
+//!   that run on an executor. An operator consumes its dataset: each
+//!   partition moves, owned, into the job of the worker that processes it,
+//!   and the closure must be `'static` — share state with it through an
+//!   `Arc`, keep an input by cloning it first.
 //! * [`RealtimeScheduler`] — a wall-clock ticker that calls a micro-batch
 //!   closure once per interval, reporting [`BatchMetrics`] per tick.
 //!
@@ -24,10 +28,18 @@
 //! ```
 //! use cad3_engine::{Executor, PartitionedDataset};
 //!
+//! use std::sync::Arc;
+//!
 //! let exec = Executor::new(6);
 //! let ds = PartitionedDataset::from_vec((0..100).collect::<Vec<i64>>(), 4);
+//! // `map` takes the dataset and hands each element to `f` by value.
 //! let doubled = ds.map(&exec, |x| x * 2);
 //! assert_eq!(doubled.count(), 100);
+//! // State a stage shares with its workers travels in an `Arc`.
+//! let offset = Arc::new(1i64);
+//! let shifted = doubled.clone().map(&exec, move |x| x + *offset);
+//! assert_eq!(shifted.reduce(&exec, 0i64, |a, b| a + b), 10_000);
+//! // `doubled` was cloned above, so it is still here to consume.
 //! assert_eq!(doubled.reduce(&exec, 0i64, |a, b| a + b), 9900);
 //! ```
 
