@@ -3,7 +3,7 @@ use crate::config::ProcessingCostModel;
 use crate::detector::Detector;
 use crate::CoreError;
 use bytes::Bytes;
-use cad3_engine::{Executor, PartitionedDataset};
+use cad3_engine::Executor;
 use cad3_stream::{
     Broker, Consumer, OffsetReset, PAPER_PARTITIONS, TOPIC_CO_DATA, TOPIC_IN_DATA, TOPIC_OUT_DATA,
 };
@@ -78,6 +78,33 @@ impl std::fmt::Debug for RsuNode {
             .field("batches", &self.batches)
             .finish()
     }
+}
+
+/// What a shard worker needs of one `IN-DATA` record.
+struct ShardRow {
+    /// The vehicle id the record is keyed with (0 without a well-formed key).
+    vehicle: u64,
+    /// First of the record's two reserved span ids (0 = untraced).
+    span_base: u64,
+    /// Broker arrival stamp, virtual nanoseconds.
+    arrived_ns: u64,
+    trace: Option<cad3_obs::TraceContext>,
+    value: Bytes,
+}
+
+/// One shard's share of a [`BatchResult`], each vector in the shard's
+/// arrival order.
+#[derive(Default)]
+struct ShardOutput {
+    /// One wait per record of the shard, processed or not.
+    queuing: Vec<SimDuration>,
+    /// Records that decoded, matched their key and got a detection.
+    processed: u64,
+    warnings: Vec<WarningMessage>,
+    /// Aligned index-for-index with `warnings`.
+    warning_traces: Vec<Option<cad3_obs::TraceContext>>,
+    /// `(road, speed)` of every processed record, for the road context.
+    observations: Vec<(cad3_types::RoadId, f64)>,
 }
 
 /// Index of the tracker shard (and detect bucket) owning `vehicle`, always
@@ -231,8 +258,9 @@ impl RsuNode {
         let processing = self.cost_model.batch_time(records);
         let detected_at = now + processing;
 
-        let mut buckets: Vec<Vec<(u64, u64, cad3_stream::FetchedRecord)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let per_shard = records.div_ceil(self.shards.len());
+        let mut buckets: Vec<Vec<ShardRow>> =
+            (0..self.shards.len()).map(|_| Vec::with_capacity(per_shard)).collect();
         for rec in batch {
             // Kafka keys our status records with the vehicle id; the worker
             // drops a record whose payload names a different vehicle.
@@ -247,7 +275,13 @@ impl RsuNode {
             // never depend on worker schedule (0 = untraced, unused).
             let span_base = if rec.trace.is_some() { cad3_obs::trace::reserve_ids(2) } else { 0 };
             // hotpath-exempt(panic): one bucket per shard; `shard_of` is below that count.
-            buckets[shard_of(vehicle, self.shards.len())].push((vehicle, span_base, rec));
+            buckets[shard_of(vehicle, self.shards.len())].push(ShardRow {
+                vehicle,
+                span_base,
+                arrived_ns: rec.timestamp,
+                trace: rec.trace,
+                value: rec.value,
+            });
         }
         drop(ingest_span);
         let detect_span = cad3_obs::span!("rsu.detect", cad3_types::len_u64(records));
@@ -257,152 +291,123 @@ impl RsuNode {
         let detector = Arc::clone(&self.detector);
         let shards = Arc::clone(&self.shards);
         let node = self.id.raw();
-        /// Per-record result of the parallel stage: queuing wait, whether
-        /// the record was processed, the warning (if abnormal), the
-        /// (road, speed) observation feeding the road context, and the
-        /// record's trace context after the detection spans (`None` for
-        /// unsampled records).
-        type RecordOutcome = (
-            SimDuration,
-            bool,
-            Option<WarningMessage>,
-            Option<(cad3_types::RoadId, f64)>,
-            Option<cad3_obs::TraceContext>,
-        );
-        let outcomes: Vec<RecordOutcome> = PartitionedDataset::from_partitions(buckets)
-            .map_partitions(&self.executor, move |part| {
-                let Some((first_vehicle, _, _)) = part.first() else { return Vec::new() };
-                let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
-                // Every record of the bucket keys to this one shard.
-                // hotpath-exempt(panic): `shard_of` is below `shards.len()`.
-                let mut tracker = shards[shard_of(*first_vehicle, shards.len())].lock();
+        let outputs = Executor::run(&self.executor, buckets, move |part: Vec<ShardRow>| {
+            let mut out = ShardOutput::default();
+            let Some(first) = part.first() else { return out };
+            let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
+            // Every record of the bucket keys to this one shard.
+            // hotpath-exempt(panic): `shard_of` is below `shards.len()`.
+            let mut tracker = shards[shard_of(first.vehicle, shards.len())].lock();
 
-                // Phase 1: decode and emit the queue spans in input order,
-                // compacting decodable records into a contiguous feature
-                // slice for the batched detect sweep.
-                let mut queuings = Vec::with_capacity(part.len());
-                let mut traces = Vec::with_capacity(part.len());
-                let mut statuses: Vec<Option<VehicleStatus>> = Vec::with_capacity(part.len());
-                let mut feats = Vec::with_capacity(part.len());
-                for (keyed_vehicle, span_base, rec) in &part {
-                    queuings.push(now.saturating_since(SimTime::from_nanos(rec.timestamp)));
-                    // A sampled record's broker wait becomes an `rsu.queue`
-                    // span (arrival at the log to batch start), emitted on
-                    // the first of the record's pre-reserved ids.
-                    traces.push(rec.trace.map(|ctx| {
-                        let span = cad3_obs::trace_span_at!(
-                            "rsu.queue",
-                            *span_base,
-                            &ctx,
-                            rec.timestamp,
-                            now.as_nanos(),
-                            node
-                        );
-                        ctx.child(span)
-                    }));
-                    let mut buf: Bytes = rec.value.clone();
-                    match VehicleStatus::decode(&mut buf) {
-                        // A payload naming another vehicle than its key was
-                        // routed to the wrong shard: observing it here would
-                        // split that vehicle's Eq. 1 history from the shard
-                        // its CO-DATA seeds land on. Dropped like a malformed one.
-                        Ok(status) if status.vehicle.raw() == *keyed_vehicle => {
-                            feats.push(status.to_feature());
-                            statuses.push(Some(status));
-                        }
-                        _ => statuses.push(None),
-                    }
-                }
-
-                // Phase 2: one column-major detect sweep over the shard's
-                // records. The tracker observes each stage-1 probability in
-                // record order through the hook, so a vehicle's later
-                // records see exactly the summary state the scalar loop
-                // would have produced.
-                let mut detections = Vec::with_capacity(feats.len());
-                {
-                    // Profile-only stage (no recorder write): safe inside
-                    // worker threads where span records would race the ring.
-                    let _sweep = cad3_obs::profile_span!("ml.nb.sweep");
-                    detector.detect_batch(
-                        &feats,
-                        &mut |i, p1| {
-                            feats.get(i).and_then(|f| tracker.observe(f.vehicle, f.road, p1))
-                        },
-                        &mut detections,
+            // Phase 1: decode and emit the queue spans in input order,
+            // compacting decodable records into a contiguous feature slice
+            // for the batched detect sweep. Beside each feature row rides
+            // what only its warning and detect span need of the record:
+            // `(sent_at, seq, span_base, trace)`.
+            out.queuing.reserve(part.len());
+            let mut feats = Vec::with_capacity(part.len());
+            let mut sides = Vec::with_capacity(part.len());
+            for mut row in part {
+                out.queuing.push(now.saturating_since(SimTime::from_nanos(row.arrived_ns)));
+                // A sampled record's broker wait becomes an `rsu.queue`
+                // span (arrival at the log to batch start), emitted on
+                // the first of the record's pre-reserved ids.
+                let trace = row.trace.map(|ctx| {
+                    let span = cad3_obs::trace_span_at!(
+                        "rsu.queue",
+                        row.span_base,
+                        &ctx,
+                        row.arrived_ns,
+                        now.as_nanos(),
+                        node
                     );
+                    ctx.child(span)
+                });
+                match VehicleStatus::decode(&mut row.value) {
+                    // A payload naming another vehicle than its key was
+                    // routed to the wrong shard: observing it here would
+                    // split that vehicle's Eq. 1 history from the shard
+                    // its CO-DATA seeds land on. Dropped like a malformed one.
+                    Ok(status) if status.vehicle.raw() == row.vehicle => {
+                        feats.push(status.to_feature());
+                        sides.push((status.sent_at, status.seq, row.span_base, trace));
+                    }
+                    _ => {}
                 }
+            }
 
-                // Phase 3: per-record outcomes in input order — detect
-                // spans on the pre-reserved ids, warnings for abnormal
-                // records, road-speed observations.
-                let mut out = Vec::with_capacity(part.len());
-                let mut row = 0usize;
-                let per_record = part.iter().zip(queuings).zip(statuses.into_iter().zip(traces));
-                for (((_, span_base, _), queuing), (status, trace)) in per_record {
-                    let Some(status) = status else {
-                        out.push((queuing, false, None, None, trace));
-                        continue;
-                    };
-                    let detection = detections.get(row).copied().flatten();
-                    row += 1;
-                    let Some(detection) = detection else {
-                        out.push((queuing, false, None, None, trace));
-                        continue;
-                    };
-                    let trace = trace.map(|ctx| {
-                        let span = cad3_obs::trace_span_at!(
-                            "rsu.detect",
-                            span_base + 1,
-                            &ctx,
-                            now.as_nanos(),
-                            detected_at.as_nanos(),
-                            node
-                        );
-                        let next = ctx.child(span);
-                        // The vehicle's latest sampled lineage rides the
-                        // next CO-DATA export across the handover.
-                        tracker
-                            .set_lineage(status.vehicle, crate::collaboration::lineage_of(&next));
-                        next
-                    });
-                    let warning = detection.label.is_abnormal().then(|| WarningMessage {
-                        vehicle: status.vehicle,
-                        road: status.road,
+            // Phase 2: one column-major detect sweep over the shard's
+            // records. The tracker observes each stage-1 probability in
+            // record order through the hook, so a vehicle's later
+            // records see exactly the summary state the scalar loop
+            // would have produced.
+            let mut detections = Vec::with_capacity(feats.len());
+            {
+                // Profile-only stage (no recorder write): safe inside
+                // worker threads where span records would race the ring.
+                let _sweep = cad3_obs::profile_span!("ml.nb.sweep");
+                detector.detect_batch(
+                    &feats,
+                    &mut |i, p1| feats.get(i).and_then(|f| tracker.observe(f.vehicle, f.road, p1)),
+                    &mut detections,
+                );
+            }
+
+            // Phase 3: the verdicts in input order — detect spans on the
+            // pre-reserved ids, warnings for abnormal records, road-speed
+            // observations. A record without a detection was not processed.
+            for ((feat, (sent_at, seq, span_base, trace)), detection) in
+                feats.iter().zip(sides).zip(detections)
+            {
+                let Some(detection) = detection else { continue };
+                out.processed += 1;
+                let trace = trace.map(|ctx| {
+                    let span = cad3_obs::trace_span_at!(
+                        "rsu.detect",
+                        span_base + 1,
+                        &ctx,
+                        now.as_nanos(),
+                        detected_at.as_nanos(),
+                        node
+                    );
+                    let next = ctx.child(span);
+                    // The vehicle's latest sampled lineage rides the
+                    // next CO-DATA export across the handover.
+                    tracker.set_lineage(feat.vehicle, crate::collaboration::lineage_of(&next));
+                    next
+                });
+                if detection.label.is_abnormal() {
+                    out.warnings.push(WarningMessage {
+                        vehicle: feat.vehicle,
+                        road: feat.road,
                         kind: WarningKind::classify(
-                            status.speed_kmh,
-                            status.road_speed_kmh,
-                            status.accel_mps2,
+                            feat.speed_kmh,
+                            feat.road_speed_kmh,
+                            feat.accel_mps2,
                         ),
                         probability: detection.p_abnormal,
-                        source_sent_at: status.sent_at,
+                        source_sent_at: sent_at,
                         detected_at,
-                        source_seq: status.seq,
+                        source_seq: seq,
                     });
-                    out.push((
-                        queuing,
-                        true,
-                        warning,
-                        Some((status.road, status.speed_kmh)),
-                        trace,
-                    ));
+                    out.warning_traces.push(trace);
                 }
-                out
-            })
-            .collect();
+                out.observations.push((feat.road, feat.speed_kmh));
+            }
+            out
+        });
         drop(detect_span);
 
+        // Shard by shard, each in arrival order.
         let mut queuing = Vec::with_capacity(records);
         let mut warnings = Vec::new();
         let mut warning_traces = Vec::new();
-        for (q, processed, warning, observation, trace) in outcomes {
-            queuing.push(q);
-            self.records_processed += u64::from(processed);
-            if let Some(w) = warning {
-                warnings.push(w);
-                warning_traces.push(trace);
-            }
-            if let Some((road, speed)) = observation {
+        for shard in outputs {
+            queuing.extend(shard.queuing);
+            self.records_processed += shard.processed;
+            warnings.extend(shard.warnings);
+            warning_traces.extend(shard.warning_traces);
+            for (road, speed) in shard.observations {
                 // Maintain the road's recent speed context (Section III-A).
                 self.road_stats.observe(road, now, speed);
             }

@@ -1,0 +1,250 @@
+//! Pins the order of everything `RsuNode::run_batch` hands back.
+//!
+//! The shard workers each return vectors that the batch thread concatenates,
+//! so the order of `queuing`, `warnings`, `warning_traces` and of the
+//! `road_stats.observe` calls is a property of that merge: shard by shard
+//! (keyed vehicle id modulo the worker count), arrival order within a shard.
+//! The reference here is the straight-line loop over the same records —
+//! `stage1_p_abnormal` → `SummaryTracker::observe` → `detect` — in exactly
+//! that order, on one worker and on six.
+//!
+//! One `#[test]`: traced records reserve span ids from a process-global
+//! counter and write to the process-global sink.
+
+use bytes::Bytes;
+use cad3::detector::{train_all, DetectionConfig, Detector};
+use cad3::{OnlineRoadStats, ProcessingCostModel, RsuNode, SummaryTracker};
+use cad3_data::{DatasetConfig, SyntheticDataset};
+use cad3_engine::Executor;
+use cad3_obs::TraceContext;
+use cad3_stream::{Consumer, FetchedRecord, OffsetReset, TOPIC_IN_DATA};
+use cad3_types::{
+    FeatureRecord, GeoPoint, RoadId, RoadType, RsuId, SimDuration, SimTime, VehicleId,
+    VehicleStatus, WarningKind, WarningMessage, WireDecode, WireEncode,
+};
+use std::sync::Arc;
+
+/// The road type the detector is trained without.
+const UNTRAINED: RoadType = RoadType::MotorwayLink;
+const VEHICLES: u64 = 24;
+const NOW: SimTime = SimTime::from_millis(500);
+
+/// One record as produced to `IN-DATA`.
+struct Input {
+    key: Option<Bytes>,
+    value: Bytes,
+    arrived: SimTime,
+    trace: Option<TraceContext>,
+}
+
+fn key_of(vehicle: u64) -> Option<Bytes> {
+    Some(Bytes::copy_from_slice(&vehicle.to_be_bytes()))
+}
+
+fn status(vehicle: u64, rec: &FeatureRecord, sent_ms: u64, seq: u32) -> VehicleStatus {
+    VehicleStatus::from_feature(
+        &FeatureRecord { vehicle: VehicleId(vehicle), ..*rec },
+        GeoPoint::new(114.06, 22.54),
+        SimTime::from_millis(sent_ms),
+        seq,
+    )
+}
+
+/// Three well-formed statuses from each of [`VEHICLES`] vehicles, with one of
+/// every kind of record `run_batch` drops or treats specially mixed in.
+fn inputs(det: &dyn Detector, trained: &[FeatureRecord], untrained: &FeatureRecord) -> Vec<Input> {
+    let mut out = Vec::new();
+    let mut traced = [false; 2];
+    for round in 0..3u32 {
+        for v in 1..=VEHICLES {
+            // Neighbouring vehicles replay neighbouring stretches of the
+            // corpus: mostly the same roads, at different speeds.
+            let rec = &trained[(v as usize * 3 + round as usize * 40) % trained.len()];
+            let st = status(v, rec, 100 + u64::from(round), round + 1);
+            // Head-sample the first abnormal and the first normal opener: on
+            // a vehicle's first record the verdict is `detect(.., None)`.
+            let verdict = det.detect(&st.to_feature(), None).expect("trained road type");
+            let slot = usize::from(verdict.label.is_abnormal());
+            let trace = (round == 0 && !std::mem::replace(&mut traced[slot], true))
+                .then(|| TraceContext::from_parts(9000 + v, 1, 1));
+            out.push(Input {
+                key: key_of(v),
+                value: st.encode_to_bytes(),
+                arrived: SimTime::from_millis(200 + v + u64::from(round) * 50),
+                trace,
+            });
+        }
+    }
+    assert_eq!(traced, [true; 2], "fixture: one normal and one abnormal opener to trace");
+    let good = status(3, &trained[0], 150, 9);
+    let odd = [
+        // A truncated payload.
+        Input {
+            key: key_of(5),
+            value: good.encode_to_bytes().slice(..120),
+            arrived: SimTime::from_millis(210),
+            trace: None,
+        },
+        // A payload keyed by another vehicle.
+        Input {
+            key: key_of(4),
+            value: good.encode_to_bytes(),
+            arrived: SimTime::from_millis(220),
+            trace: None,
+        },
+        // A keyless record.
+        Input {
+            key: None,
+            value: good.encode_to_bytes(),
+            arrived: SimTime::from_millis(230),
+            trace: None,
+        },
+        // A road type with no model.
+        Input {
+            key: key_of(7),
+            value: status(7, untrained, 150, 9).encode_to_bytes(),
+            arrived: SimTime::from_millis(240),
+            trace: None,
+        },
+    ];
+    // Spread through the batch rather than appended to it.
+    for (i, input) in odd.into_iter().enumerate() {
+        out.insert(10 + i * 15, input);
+    }
+    out
+}
+
+/// What `run_batch` must return for `batch`, by the straight-line loop.
+struct Expected {
+    queuing: Vec<SimDuration>,
+    warnings: Vec<WarningMessage>,
+    /// Trace id behind each warning, aligned with `warnings`.
+    warning_trace_ids: Vec<Option<u64>>,
+    processed: u64,
+    road_stats: OnlineRoadStats,
+    roads: Vec<RoadId>,
+}
+
+fn keyed_vehicle(rec: &FetchedRecord) -> u64 {
+    rec.key.as_deref().and_then(|k| <[u8; 8]>::try_from(k).ok()).map_or(0, u64::from_be_bytes)
+}
+
+fn reference(
+    det: &dyn Detector,
+    batch: &[FetchedRecord],
+    shards: u64,
+    detected_at: SimTime,
+) -> Expected {
+    let mut tracker = SummaryTracker::new();
+    let mut exp = Expected {
+        queuing: Vec::new(),
+        warnings: Vec::new(),
+        warning_trace_ids: Vec::new(),
+        processed: 0,
+        road_stats: OnlineRoadStats::new(),
+        roads: Vec::new(),
+    };
+    for shard in 0..shards {
+        for rec in batch.iter().filter(|r| keyed_vehicle(r) % shards == shard) {
+            exp.queuing.push(NOW.saturating_since(SimTime::from_nanos(rec.timestamp)));
+            let Ok(st) = VehicleStatus::decode(&mut rec.value.clone()) else { continue };
+            if st.vehicle.raw() != keyed_vehicle(rec) {
+                continue;
+            }
+            let feat = st.to_feature();
+            let Ok(p1) = det.stage1_p_abnormal(&feat) else { continue };
+            let summary = tracker.observe(feat.vehicle, feat.road, p1);
+            let Ok(detection) = det.detect(&feat, summary.as_ref()) else { continue };
+            exp.processed += 1;
+            if detection.label.is_abnormal() {
+                exp.warnings.push(WarningMessage {
+                    vehicle: st.vehicle,
+                    road: st.road,
+                    kind: WarningKind::classify(st.speed_kmh, st.road_speed_kmh, st.accel_mps2),
+                    probability: detection.p_abnormal,
+                    source_sent_at: st.sent_at,
+                    detected_at,
+                    source_seq: st.seq,
+                });
+                exp.warning_trace_ids.push(rec.trace.map(|ctx| ctx.trace_id()));
+            }
+            exp.road_stats.observe(st.road, NOW, st.speed_kmh);
+            exp.roads.push(st.road);
+        }
+    }
+    exp
+}
+
+#[test]
+fn merged_shard_outputs_keep_shard_then_arrival_order() {
+    let ds = SyntheticDataset::generate(&DatasetConfig::small(53));
+    let trained: Vec<FeatureRecord> =
+        ds.features.iter().filter(|f| f.road_type != UNTRAINED).copied().collect();
+    let untrained = ds.features_of_type(UNTRAINED)[0];
+    let models = train_all(&trained, &DetectionConfig::default()).unwrap();
+    let det: Arc<dyn Detector> = Arc::new(models.cad3);
+    assert!(det.stage1_p_abnormal(&untrained).is_err(), "fixture: a road type with no model");
+    let inputs = inputs(&*det, &trained, &untrained);
+
+    for workers in [1usize, 6] {
+        let mut rsu = RsuNode::with_executor(
+            RsuId(1),
+            format!("order-{workers}"),
+            Arc::clone(&det),
+            ProcessingCostModel::default(),
+            Executor::new(workers),
+        );
+        let broker = rsu.broker();
+        for input in &inputs {
+            broker
+                .produce_traced(
+                    TOPIC_IN_DATA,
+                    None,
+                    input.key.clone(),
+                    input.value.clone(),
+                    input.arrived.as_nanos(),
+                    input.trace,
+                )
+                .unwrap();
+        }
+        // A second group reads the batch in the order `run_batch` polls it.
+        let mut reader = Consumer::new(Arc::clone(&broker), "reference", OffsetReset::Earliest);
+        reader.subscribe(&[TOPIC_IN_DATA]).unwrap();
+        let batch = reader.poll(usize::MAX).unwrap();
+        assert_eq!(batch.len(), inputs.len());
+
+        let result = rsu.run_batch(NOW).unwrap();
+        let exp = reference(&*det, &batch, workers as u64, NOW + result.processing);
+
+        assert_eq!(result.records, inputs.len(), "{workers} workers");
+        assert_eq!(result.queuing, exp.queuing, "{workers} workers: queuing value and order");
+        assert_eq!(result.warnings, exp.warnings, "{workers} workers: warnings and their order");
+        let trace_ids: Vec<Option<u64>> =
+            result.warning_traces.iter().map(|t| t.map(|ctx| ctx.trace_id())).collect();
+        assert_eq!(trace_ids, exp.warning_trace_ids, "{workers} workers: trace alignment");
+        assert_eq!(rsu.records_processed(), exp.processed, "{workers} workers");
+        assert_eq!(rsu.warnings_produced(), exp.warnings.len() as u64);
+
+        // The fixture reaches every branch it claims to.
+        assert_eq!(exp.processed, 3 * VEHICLES, "the four odd records are not processed");
+        assert!(!exp.warnings.is_empty() && exp.warnings.len() < exp.processed as usize);
+        assert!(exp.warning_trace_ids.iter().any(Option::is_some), "a traced record warned");
+        assert!(exp.warning_trace_ids.iter().any(Option::is_none));
+
+        // The observe sequence: a windowed mean is a float sum in call order.
+        let mut exp_stats = exp.road_stats;
+        let mut reported = 0;
+        for road in exp.roads {
+            let got = rsu.road_stats_mut().road_speed_kmh(road, NOW);
+            let want = exp_stats.road_speed_kmh(road, NOW);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{workers} workers: {road:?}"
+            );
+            reported += usize::from(want.is_some());
+        }
+        assert!(reported > 0, "fixture: some road gathers enough samples to report a mean");
+        assert_eq!(rsu.road_stats_mut().roads_tracked(), exp_stats.roads_tracked());
+    }
+}

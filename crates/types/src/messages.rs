@@ -25,7 +25,7 @@ pub trait WireEncode {
 
     /// Encodes into a fresh buffer.
     fn encode_to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
         self.encode(&mut buf);
         buf.freeze()
     }
@@ -36,7 +36,8 @@ pub trait WireEncode {
 
 /// Types that can be decoded from their binary wire representation.
 pub trait WireDecode: Sized {
-    /// Decodes one message from the front of `buf`, advancing it.
+    /// Decodes one message from the front of `buf`, advancing it past the
+    /// message on `Ok` and leaving it untouched on `Err`.
     ///
     /// # Errors
     ///
@@ -45,12 +46,25 @@ pub trait WireDecode: Sized {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError>;
 }
 
-fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::Truncated { needed: n - buf.remaining() })
-    } else {
-        Ok(())
-    }
+/// Splits the first `N` bytes off `wire`, or reports how many are missing.
+///
+/// The one length check of the codec: a decoder bounds its message body with
+/// it once, on the borrowed bytes, and [`field`] splits that body further.
+/// Nothing here indexes, so the decoders have no panic site, and below a
+/// body of constant length every later check folds away.
+#[inline]
+fn split_body<const N: usize>(wire: &[u8]) -> Result<(&[u8; N], &[u8]), CodecError> {
+    wire.split_first_chunk::<N>()
+        .ok_or(CodecError::Truncated { needed: N.saturating_sub(wire.len()) })
+}
+
+/// Takes the next `N` bytes of a message body: one big-endian field, sized
+/// by the `from_be_bytes` it is handed to.
+#[inline]
+fn field<const N: usize>(body: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = split_body::<N>(body)?;
+    *body = rest;
+    Ok(*head)
 }
 
 /// The status packet a vehicle pushes to the `IN-DATA` topic of its RSU.
@@ -160,29 +174,33 @@ impl WireEncode for VehicleStatus {
 
 impl WireDecode for VehicleStatus {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        need(buf, STATUS_WIRE_LEN)?;
-        let mut body = buf.split_to(STATUS_WIRE_LEN);
-        let vehicle = VehicleId(body.get_u64());
-        let trip = TripId(body.get_u64());
-        let road = RoadId(body.get_u64());
-        let speed_kmh = body.get_f64();
-        let accel_mps2 = body.get_f64();
-        let hour_raw = body.get_u8();
+        // The 80 meaningful bytes, then padding nobody reads.
+        let (body, _) = split_body::<STATUS_WIRE_LEN>(buf)?;
+        let mut body: &[u8] = body;
+        let vehicle = VehicleId(u64::from_be_bytes(field(&mut body)?));
+        let trip = TripId(u64::from_be_bytes(field(&mut body)?));
+        let road = RoadId(u64::from_be_bytes(field(&mut body)?));
+        let speed_kmh = f64::from_be_bytes(field(&mut body)?);
+        let accel_mps2 = f64::from_be_bytes(field(&mut body)?);
+        let hour_raw = u8::from_be_bytes(field(&mut body)?);
+        let day_raw = u8::from_be_bytes(field(&mut body)?);
+        let rt_raw = u8::from_be_bytes(field(&mut body)?);
+        let truth = Label::from_class(u8::from_be_bytes(field(&mut body)?));
         let hour = HourOfDay::new(hour_raw)
-            .ok_or(CodecError::InvalidValue { field: "hour", value: hour_raw as u64 })?;
-        let day_raw = body.get_u8();
-        if day_raw > 6 {
-            return Err(CodecError::InvalidValue { field: "day", value: day_raw as u64 });
-        }
-        let day = DayOfWeek::from_index_wrapping(day_raw as u64);
-        let rt_raw = body.get_u8();
+            .ok_or(CodecError::InvalidValue { field: "hour", value: u64::from(hour_raw) })?;
+        let day = DayOfWeek::ALL
+            .get(usize::from(day_raw))
+            .copied()
+            .ok_or(CodecError::InvalidValue { field: "day", value: u64::from(day_raw) })?;
         let road_type = RoadType::from_code(rt_raw)
-            .ok_or(CodecError::InvalidValue { field: "road_type", value: rt_raw as u64 })?;
-        let truth = Label::from_class(body.get_u8());
-        let road_speed_kmh = body.get_f64();
-        let position = GeoPoint::new(body.get_f64(), body.get_f64());
-        let sent_at = SimTime::from_nanos(body.get_u64());
-        let seq = body.get_u32();
+            .ok_or(CodecError::InvalidValue { field: "road_type", value: u64::from(rt_raw) })?;
+        let road_speed_kmh = f64::from_be_bytes(field(&mut body)?);
+        let lon = f64::from_be_bytes(field(&mut body)?);
+        let lat = f64::from_be_bytes(field(&mut body)?);
+        let position = GeoPoint::new(lon, lat);
+        let sent_at = SimTime::from_nanos(u64::from_be_bytes(field(&mut body)?));
+        let seq = u32::from_be_bytes(field(&mut body)?);
+        buf.advance(STATUS_WIRE_LEN);
         Ok(VehicleStatus {
             vehicle,
             trip,
@@ -242,6 +260,9 @@ impl WarningKind {
     }
 }
 
+/// On-wire size of an encoded [`WarningMessage`], in bytes.
+const WARNING_WIRE_LEN: usize = 8 + 8 + 1 + 8 + 8 + 8 + 4;
+
 /// The warning an RSU writes to `OUT-DATA` when it detects abnormal driving.
 ///
 /// Vehicles in range consume these and raise an in-cabin alert.
@@ -276,22 +297,24 @@ impl WireEncode for WarningMessage {
     }
 
     fn encoded_len(&self) -> usize {
-        8 + 8 + 1 + 8 + 8 + 8 + 4
+        WARNING_WIRE_LEN
     }
 }
 
 impl WireDecode for WarningMessage {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        need(buf, 45)?;
-        let vehicle = VehicleId(buf.get_u64());
-        let road = RoadId(buf.get_u64());
-        let kind_raw = buf.get_u8();
+        let (body, _) = split_body::<WARNING_WIRE_LEN>(buf)?;
+        let mut body: &[u8] = body;
+        let vehicle = VehicleId(u64::from_be_bytes(field(&mut body)?));
+        let road = RoadId(u64::from_be_bytes(field(&mut body)?));
+        let kind_raw = u8::from_be_bytes(field(&mut body)?);
         let kind = WarningKind::from_code(kind_raw)
-            .ok_or(CodecError::InvalidValue { field: "kind", value: kind_raw as u64 })?;
-        let probability = buf.get_f64();
-        let source_sent_at = SimTime::from_nanos(buf.get_u64());
-        let detected_at = SimTime::from_nanos(buf.get_u64());
-        let source_seq = buf.get_u32();
+            .ok_or(CodecError::InvalidValue { field: "kind", value: u64::from(kind_raw) })?;
+        let probability = f64::from_be_bytes(field(&mut body)?);
+        let source_sent_at = SimTime::from_nanos(u64::from_be_bytes(field(&mut body)?));
+        let detected_at = SimTime::from_nanos(u64::from_be_bytes(field(&mut body)?));
+        let source_seq = u32::from_be_bytes(field(&mut body)?);
+        buf.advance(WARNING_WIRE_LEN);
         Ok(WarningMessage {
             vehicle,
             road,
@@ -322,6 +345,12 @@ pub struct TraceLineage {
 /// Flag byte marking an optional [`TraceLineage`] trailer on an encoded
 /// [`SummaryMessage`] (`b'T'` for "trace").
 const LINEAGE_FLAG: u8 = 0x54;
+
+/// On-wire size of a [`SummaryMessage`] without its lineage trailer.
+const SUMMARY_BASE_LEN: usize = 8 + 4 + 4 + 8 + 1 + 8;
+
+/// On-wire size of the lineage trailer, flag byte included.
+const LINEAGE_LEN: usize = 1 + 8 + 8 + 1;
 
 /// The per-vehicle prediction summary an RSU forwards to the next RSU's
 /// `CO-DATA` topic on handover (the paper's Fig. 3 step 2).
@@ -367,35 +396,45 @@ impl WireEncode for SummaryMessage {
     }
 
     fn encoded_len(&self) -> usize {
-        8 + 4 + 4 + 8 + 1 + 8 + if self.trace.is_some() { 1 + 8 + 8 + 1 } else { 0 }
+        SUMMARY_BASE_LEN + if self.trace.is_some() { LINEAGE_LEN } else { 0 }
     }
 }
 
 impl WireDecode for SummaryMessage {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        need(buf, 33)?;
-        let base = SummaryMessage {
-            vehicle: VehicleId(buf.get_u64()),
-            from_rsu: RsuId(buf.get_u32()),
-            count: buf.get_u32(),
-            mean_probability: buf.get_f64(),
-            last_class: buf.get_u8(),
-            sent_at: SimTime::from_nanos(buf.get_u64()),
-            trace: None,
-        };
+        let (body, trailer) = split_body::<SUMMARY_BASE_LEN>(buf)?;
+        let mut body: &[u8] = body;
+        let vehicle = VehicleId(u64::from_be_bytes(field(&mut body)?));
+        let from_rsu = RsuId(u32::from_be_bytes(field(&mut body)?));
+        let count = u32::from_be_bytes(field(&mut body)?);
+        let mean_probability = f64::from_be_bytes(field(&mut body)?);
+        let last_class = u8::from_be_bytes(field(&mut body)?);
+        let sent_at = SimTime::from_nanos(u64::from_be_bytes(field(&mut body)?));
         // The trailer peek is unambiguous because CO-DATA frames carry
         // exactly one summary per record value: trailing bytes after the
-        // base 33 belong to this message, never to a following one.
-        if buf.remaining() >= 18 && buf.chunk()[0] == LINEAGE_FLAG {
-            buf.get_u8();
-            let lineage = TraceLineage {
-                trace_id: buf.get_u64(),
-                parent_span: buf.get_u64(),
-                hop: buf.get_u8(),
-            };
-            return Ok(SummaryMessage { trace: Some(lineage), ..base });
-        }
-        Ok(base)
+        // base 33 belong to this message, never to a following one. A flag
+        // byte opening fewer than 18 bytes is not a trailer and stays unread.
+        let trace = match trailer.first_chunk::<LINEAGE_LEN>() {
+            Some(&[LINEAGE_FLAG, ref lineage @ ..]) => {
+                let mut lineage: &[u8] = lineage;
+                let trace_id = u64::from_be_bytes(field(&mut lineage)?);
+                let parent_span = u64::from_be_bytes(field(&mut lineage)?);
+                let hop = u8::from_be_bytes(field(&mut lineage)?);
+                Some(TraceLineage { trace_id, parent_span, hop })
+            }
+            _ => None,
+        };
+        let summary = SummaryMessage {
+            vehicle,
+            from_rsu,
+            count,
+            mean_probability,
+            last_class,
+            sent_at,
+            trace,
+        };
+        buf.advance(summary.encoded_len());
+        Ok(summary)
     }
 }
 
@@ -419,6 +458,37 @@ mod tests {
             seq: 99,
             truth: Label::Abnormal,
         }
+    }
+
+    fn warning() -> WarningMessage {
+        WarningMessage {
+            vehicle: VehicleId(1),
+            road: RoadId(2),
+            kind: WarningKind::Slowing,
+            probability: 0.93,
+            source_sent_at: SimTime::from_millis(10),
+            detected_at: SimTime::from_millis(43),
+            source_seq: 5,
+        }
+    }
+
+    fn summary(trace: Option<TraceLineage>) -> SummaryMessage {
+        SummaryMessage {
+            vehicle: VehicleId(9),
+            from_rsu: RsuId(3),
+            count: 120,
+            mean_probability: 0.71,
+            last_class: 0,
+            sent_at: SimTime::from_secs(2),
+            trace,
+        }
+    }
+
+    /// `wire` with the byte at `at` replaced.
+    fn corrupted(wire: &Bytes, at: usize, byte: u8) -> Bytes {
+        let mut raw = wire.to_vec();
+        raw[at] = byte;
+        Bytes::from(raw)
     }
 
     #[test]
@@ -457,15 +527,7 @@ mod tests {
 
     #[test]
     fn warning_round_trip() {
-        let w = WarningMessage {
-            vehicle: VehicleId(1),
-            road: RoadId(2),
-            kind: WarningKind::Slowing,
-            probability: 0.93,
-            source_sent_at: SimTime::from_millis(10),
-            detected_at: SimTime::from_millis(43),
-            source_seq: 5,
-        };
+        let w = warning();
         let mut buf = w.encode_to_bytes();
         assert_eq!(buf.len(), w.encoded_len());
         assert_eq!(WarningMessage::decode(&mut buf).unwrap(), w);
@@ -473,15 +535,7 @@ mod tests {
 
     #[test]
     fn summary_round_trip() {
-        let s = SummaryMessage {
-            vehicle: VehicleId(9),
-            from_rsu: RsuId(3),
-            count: 120,
-            mean_probability: 0.71,
-            last_class: 0,
-            sent_at: SimTime::from_secs(2),
-            trace: None,
-        };
+        let s = summary(None);
         let mut buf = s.encode_to_bytes();
         assert_eq!(buf.len(), s.encoded_len());
         assert_eq!(buf.len(), 33, "untraced summary keeps the pre-tracing wire size");
@@ -490,19 +544,8 @@ mod tests {
 
     #[test]
     fn summary_with_lineage_round_trips() {
-        let untraced = SummaryMessage {
-            vehicle: VehicleId(9),
-            from_rsu: RsuId(3),
-            count: 120,
-            mean_probability: 0.71,
-            last_class: 0,
-            sent_at: SimTime::from_secs(2),
-            trace: None,
-        };
-        let traced = SummaryMessage {
-            trace: Some(TraceLineage { trace_id: 0xDEAD_BEEF, parent_span: 42, hop: 3 }),
-            ..untraced
-        };
+        let untraced = summary(None);
+        let traced = summary(Some(TraceLineage { trace_id: 0xDEAD_BEEF, parent_span: 42, hop: 3 }));
         let mut buf = traced.encode_to_bytes();
         assert_eq!(buf.len(), traced.encoded_len());
         assert_eq!(buf.len(), 33 + 18, "lineage trailer is 18 bytes");
@@ -511,6 +554,81 @@ mod tests {
         let plain = untraced.encode_to_bytes();
         let rich = traced.encode_to_bytes();
         assert_eq!(&rich[..33], &plain[..]);
+    }
+
+    #[test]
+    fn status_decode_moves_the_cursor_only_on_ok() {
+        let mut two = BytesMut::new();
+        status().encode(&mut two);
+        status().encode(&mut two);
+        let two = two.freeze();
+        // hour, day and road_type sit at offsets 40, 41 and 42.
+        for (at, field) in [(40, "hour"), (41, "day"), (42, "road_type")] {
+            let mut bad = corrupted(&two, at, 200);
+            let err = VehicleStatus::decode(&mut bad).unwrap_err();
+            assert_eq!(err, CodecError::InvalidValue { field, value: 200 });
+            assert_eq!(bad.len(), 2 * STATUS_WIRE_LEN, "{field}: nothing consumed");
+        }
+        let mut short = two.slice(..STATUS_WIRE_LEN - 1);
+        assert_eq!(
+            VehicleStatus::decode(&mut short).unwrap_err(),
+            CodecError::Truncated { needed: 1 }
+        );
+        assert_eq!(short.len(), STATUS_WIRE_LEN - 1);
+        let mut good = two;
+        VehicleStatus::decode(&mut good).unwrap();
+        assert_eq!(good.len(), STATUS_WIRE_LEN, "exactly one message consumed");
+    }
+
+    #[test]
+    fn warning_decode_moves_the_cursor_only_on_ok() {
+        let mut two = BytesMut::new();
+        warning().encode(&mut two);
+        warning().encode(&mut two);
+        let two = two.freeze();
+        // The kind byte follows the two ids.
+        let mut bad = corrupted(&two, 16, 3);
+        let err = WarningMessage::decode(&mut bad).unwrap_err();
+        assert_eq!(err, CodecError::InvalidValue { field: "kind", value: 3 });
+        assert_eq!(bad.len(), 2 * WARNING_WIRE_LEN, "nothing consumed");
+        let mut short = two.slice(..WARNING_WIRE_LEN - 5);
+        assert_eq!(
+            WarningMessage::decode(&mut short).unwrap_err(),
+            CodecError::Truncated { needed: 5 }
+        );
+        assert_eq!(short.len(), WARNING_WIRE_LEN - 5);
+        let mut good = two;
+        assert_eq!(WarningMessage::decode(&mut good).unwrap(), warning());
+        assert_eq!(good.len(), WARNING_WIRE_LEN, "exactly one message consumed");
+    }
+
+    #[test]
+    fn summary_decode_moves_the_cursor_only_on_ok_and_only_past_what_it_read() {
+        let lineage = TraceLineage { trace_id: 0xDEAD_BEEF, parent_span: 42, hop: 3 };
+        let traced = summary(Some(lineage)).encode_to_bytes();
+        let mut short = traced.slice(..SUMMARY_BASE_LEN - 1);
+        assert_eq!(
+            SummaryMessage::decode(&mut short).unwrap_err(),
+            CodecError::Truncated { needed: 1 }
+        );
+        assert_eq!(short.len(), SUMMARY_BASE_LEN - 1);
+
+        let mut whole = traced.clone();
+        assert_eq!(SummaryMessage::decode(&mut whole).unwrap(), summary(Some(lineage)));
+        assert!(whole.is_empty(), "base and trailer consumed");
+
+        // A 0x54 flag with a cut-short trailer behind it: the base decodes,
+        // and the cursor stops in front of the bytes that were not read.
+        let mut cut = traced.slice(..SUMMARY_BASE_LEN + LINEAGE_LEN - 1);
+        assert_eq!(SummaryMessage::decode(&mut cut).unwrap(), summary(None));
+        assert_eq!(cut.len(), LINEAGE_LEN - 1);
+        assert_eq!(cut[0], LINEAGE_FLAG);
+
+        // Eighteen trailing bytes that do not open with the flag are not a
+        // trailer either.
+        let mut unflagged = corrupted(&traced, SUMMARY_BASE_LEN, 0x55);
+        assert_eq!(SummaryMessage::decode(&mut unflagged).unwrap(), summary(None));
+        assert_eq!(unflagged.len(), LINEAGE_LEN);
     }
 
     #[test]
