@@ -5,7 +5,8 @@ use crate::CoreError;
 use bytes::Bytes;
 use cad3_engine::Executor;
 use cad3_stream::{
-    Broker, Consumer, OffsetReset, PAPER_PARTITIONS, TOPIC_CO_DATA, TOPIC_IN_DATA, TOPIC_OUT_DATA,
+    Broker, Consumer, OffsetReset, SharedTopic, PAPER_PARTITIONS, TOPIC_CO_DATA, TOPIC_IN_DATA,
+    TOPIC_OUT_DATA,
 };
 use cad3_types::{
     RsuId, SimDuration, SimTime, SummaryMessage, VehicleStatus, WarningKind, WarningMessage,
@@ -56,6 +57,10 @@ pub struct RsuNode {
     shards: Arc<[Mutex<SummaryTracker>]>,
     in_consumer: Consumer,
     co_consumer: Consumer,
+    /// `OUT-DATA` and `CO-DATA`, looked up once: a warning or a summary is
+    /// appended through its handle, past the broker's topic registry.
+    out_topic: Arc<SharedTopic>,
+    co_topic: Arc<SharedTopic>,
     cost_model: ProcessingCostModel,
     /// Pre-created `rsu.lag.<name>` gauge: publishing from the batch path
     /// is a single atomic store (no name formatting, no registry lock).
@@ -136,9 +141,14 @@ impl RsuNode {
     ) -> Self {
         let name = name.into();
         let broker = Arc::new(Broker::new(name.clone()));
-        for topic in [TOPIC_IN_DATA, TOPIC_OUT_DATA, TOPIC_CO_DATA] {
-            broker.create_topic(topic, PAPER_PARTITIONS).expect("fresh broker has no topics");
-        }
+        // The paper's three topics; warnings and summaries are appended
+        // through the handles of `OUT-DATA` and `CO-DATA`.
+        let [_, out_topic, co_topic] =
+            [TOPIC_IN_DATA, TOPIC_OUT_DATA, TOPIC_CO_DATA].map(|topic| {
+                (broker.create_topic(topic, PAPER_PARTITIONS))
+                    .and_then(|()| broker.topic_handle(topic))
+                    .expect("fresh broker has no topics")
+            });
         let mut in_consumer = Consumer::new(Arc::clone(&broker), "detector", OffsetReset::Earliest);
         in_consumer.subscribe(&[TOPIC_IN_DATA]).expect("topic just created");
         let mut co_consumer =
@@ -156,6 +166,8 @@ impl RsuNode {
             shards,
             in_consumer,
             co_consumer,
+            out_topic,
+            co_topic,
             cost_model,
             lag_gauge,
             road_stats: crate::OnlineRoadStats::new(),
@@ -283,6 +295,10 @@ impl RsuNode {
                 value: rec.value,
             });
         }
+        // An empty bucket's output is empty and the merge below only appends,
+        // so only the buckets that hold records are dispatched (a batch with
+        // none or one of them runs inline on this thread).
+        buckets.retain(|bucket| !bucket.is_empty());
         drop(ingest_span);
         let detect_span = cad3_obs::span!("rsu.detect", cad3_types::len_u64(records));
 
@@ -449,8 +465,7 @@ impl RsuNode {
         trace: Option<cad3_obs::TraceContext>,
     ) -> Result<(), CoreError> {
         let key = warning.vehicle.raw().to_be_bytes();
-        self.broker.produce_traced(
-            TOPIC_OUT_DATA,
+        self.out_topic.append_traced(
             None,
             Some(Bytes::copy_from_slice(&key)),
             warning.encode_to_bytes(),
@@ -500,8 +515,7 @@ impl RsuNode {
     /// Propagates stream errors.
     pub fn receive_summary_at(&self, msg: &SummaryMessage, at: SimTime) -> Result<(), CoreError> {
         let key = msg.vehicle.raw().to_be_bytes();
-        self.broker.produce(
-            TOPIC_CO_DATA,
+        self.co_topic.append(
             None,
             Some(Bytes::copy_from_slice(&key)),
             msg.encode_to_bytes(),

@@ -6,7 +6,9 @@
 //! (keyed vehicle id modulo the worker count), arrival order within a shard.
 //! The reference here is the straight-line loop over the same records —
 //! `stage1_p_abnormal` → `SummaryTracker::observe` → `detect` — in exactly
-//! that order, on one worker and on six.
+//! that order, on one worker and on six — and, on six, for two sparse batches
+//! (records in two of the six shards; no records at all), where only the
+//! buckets that hold records are dispatched.
 //!
 //! One `#[test]`: traced records reserve span ids from a process-global
 //! counter and write to the process-global sink.
@@ -175,6 +177,65 @@ fn reference(
     exp
 }
 
+/// Runs `inputs` as one batch on a fresh RSU with `workers` workers and holds
+/// everything it hands back against the reference. Returns the reference and
+/// how many roads reported a mean.
+fn run_against_reference(
+    det: &Arc<dyn Detector>,
+    workers: usize,
+    case: &str,
+    inputs: &[Input],
+) -> (Expected, usize) {
+    let mut rsu = RsuNode::with_executor(
+        RsuId(1),
+        format!("order-{case}"),
+        Arc::clone(det),
+        ProcessingCostModel::default(),
+        Executor::new(workers),
+    );
+    let broker = rsu.broker();
+    for input in inputs {
+        broker
+            .produce_traced(
+                TOPIC_IN_DATA,
+                None,
+                input.key.clone(),
+                input.value.clone(),
+                input.arrived.as_nanos(),
+                input.trace,
+            )
+            .unwrap();
+    }
+    // A second group reads the batch in the order `run_batch` polls it.
+    let mut reader = Consumer::new(Arc::clone(&broker), "reference", OffsetReset::Earliest);
+    reader.subscribe(&[TOPIC_IN_DATA]).unwrap();
+    let batch = reader.poll(usize::MAX).unwrap();
+    assert_eq!(batch.len(), inputs.len());
+
+    let result = rsu.run_batch(NOW).unwrap();
+    let mut exp = reference(&**det, &batch, workers as u64, NOW + result.processing);
+
+    assert_eq!(result.records, inputs.len(), "{case}");
+    assert_eq!(result.queuing, exp.queuing, "{case}: queuing value and order");
+    assert_eq!(result.warnings, exp.warnings, "{case}: warnings and their order");
+    let trace_ids: Vec<Option<u64>> =
+        result.warning_traces.iter().map(|t| t.map(|ctx| ctx.trace_id())).collect();
+    assert_eq!(trace_ids, exp.warning_trace_ids, "{case}: trace alignment");
+    assert_eq!(rsu.records_processed(), exp.processed, "{case}");
+    assert_eq!(rsu.warnings_produced(), exp.warnings.len() as u64, "{case}");
+
+    // The observe sequence: a windowed mean is a float sum in call order.
+    let mut reported = 0;
+    for &road in &exp.roads {
+        let got = rsu.road_stats_mut().road_speed_kmh(road, NOW);
+        let want = exp.road_stats.road_speed_kmh(road, NOW);
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{case}: {road:?}");
+        reported += usize::from(want.is_some());
+    }
+    assert_eq!(rsu.road_stats_mut().roads_tracked(), exp.road_stats.roads_tracked(), "{case}");
+    (exp, reported)
+}
+
 #[test]
 fn merged_shard_outputs_keep_shard_then_arrival_order() {
     let ds = SyntheticDataset::generate(&DatasetConfig::small(53));
@@ -187,64 +248,31 @@ fn merged_shard_outputs_keep_shard_then_arrival_order() {
     let inputs = inputs(&*det, &trained, &untrained);
 
     for workers in [1usize, 6] {
-        let mut rsu = RsuNode::with_executor(
-            RsuId(1),
-            format!("order-{workers}"),
-            Arc::clone(&det),
-            ProcessingCostModel::default(),
-            Executor::new(workers),
-        );
-        let broker = rsu.broker();
-        for input in &inputs {
-            broker
-                .produce_traced(
-                    TOPIC_IN_DATA,
-                    None,
-                    input.key.clone(),
-                    input.value.clone(),
-                    input.arrived.as_nanos(),
-                    input.trace,
-                )
-                .unwrap();
-        }
-        // A second group reads the batch in the order `run_batch` polls it.
-        let mut reader = Consumer::new(Arc::clone(&broker), "reference", OffsetReset::Earliest);
-        reader.subscribe(&[TOPIC_IN_DATA]).unwrap();
-        let batch = reader.poll(usize::MAX).unwrap();
-        assert_eq!(batch.len(), inputs.len());
-
-        let result = rsu.run_batch(NOW).unwrap();
-        let exp = reference(&*det, &batch, workers as u64, NOW + result.processing);
-
-        assert_eq!(result.records, inputs.len(), "{workers} workers");
-        assert_eq!(result.queuing, exp.queuing, "{workers} workers: queuing value and order");
-        assert_eq!(result.warnings, exp.warnings, "{workers} workers: warnings and their order");
-        let trace_ids: Vec<Option<u64>> =
-            result.warning_traces.iter().map(|t| t.map(|ctx| ctx.trace_id())).collect();
-        assert_eq!(trace_ids, exp.warning_trace_ids, "{workers} workers: trace alignment");
-        assert_eq!(rsu.records_processed(), exp.processed, "{workers} workers");
-        assert_eq!(rsu.warnings_produced(), exp.warnings.len() as u64);
-
+        let (exp, reported) =
+            run_against_reference(&det, workers, &format!("{workers}-workers"), &inputs);
         // The fixture reaches every branch it claims to.
         assert_eq!(exp.processed, 3 * VEHICLES, "the four odd records are not processed");
         assert!(!exp.warnings.is_empty() && exp.warnings.len() < exp.processed as usize);
         assert!(exp.warning_trace_ids.iter().any(Option::is_some), "a traced record warned");
         assert!(exp.warning_trace_ids.iter().any(Option::is_none));
-
-        // The observe sequence: a windowed mean is a float sum in call order.
-        let mut exp_stats = exp.road_stats;
-        let mut reported = 0;
-        for road in exp.roads {
-            let got = rsu.road_stats_mut().road_speed_kmh(road, NOW);
-            let want = exp_stats.road_speed_kmh(road, NOW);
-            assert_eq!(
-                got.map(f64::to_bits),
-                want.map(f64::to_bits),
-                "{workers} workers: {road:?}"
-            );
-            reported += usize::from(want.is_some());
-        }
         assert!(reported > 0, "fixture: some road gathers enough samples to report a mean");
-        assert_eq!(rsu.road_stats_mut().roads_tracked(), exp_stats.roads_tracked());
     }
+
+    // Sparse batches on six workers, where only the buckets that hold records
+    // are dispatched: three vehicles in two of the six shards (2 and 8 share
+    // shard 2, 5 is alone in shard 5), and a poll that returned nothing.
+    let sparse: Vec<Input> = [2u64, 5, 8, 2]
+        .into_iter()
+        .zip(0u32..)
+        .map(|(v, i)| Input {
+            key: key_of(v),
+            value: status(v, &trained[i as usize * 7], 100, i + 1).encode_to_bytes(),
+            arrived: SimTime::from_millis(200 + u64::from(i)),
+            trace: None,
+        })
+        .collect();
+    let (exp, _) = run_against_reference(&det, 6, "sparse", &sparse);
+    assert_eq!(exp.processed, 4, "fixture: every sparse record is processed");
+    let (exp, _) = run_against_reference(&det, 6, "empty", &[]);
+    assert_eq!((exp.processed, exp.queuing.len()), (0, 0));
 }

@@ -1,49 +1,113 @@
+use crate::sync::{thread, Arc, Condvar, Mutex};
 use std::any::Any;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 
-/// One chunk of a stage, boxed so a worker's queue can carry any stage's
-/// input and output types.
+/// One chunk of a stage, boxed so the queue can carry any stage's types.
 type Job = Box<dyn FnOnce() + Send>;
 
-/// What a job sends back: its chunk's outputs, or the payload it panicked with.
+/// A finished chunk: its outputs, or the payload it panicked with.
 type ChunkResult<O> = Result<Vec<O>, Box<dyn Any + Send>>;
 
-/// The standing workers: one job queue and one thread each.
-#[derive(Debug)]
+/// The one stage queue: the workers park on it, and callers take from it too.
+#[derive(Default)]
+struct StageQueue {
+    /// Untaken jobs, and whether the pool is closing. A leaf lock: never
+    /// held while a job runs, nor together with a latch's.
+    jobs: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
+}
+
+impl StageQueue {
+    /// Queues a stage's jobs under one lock — or, with `close`, ends the
+    /// workers' loops — and wakes every worker with one broadcast.
+    fn submit(&self, jobs: Vec<Job>, close: bool) {
+        {
+            let _held = cad3_lockrank::rank_scope!("cad3_engine::StageQueue::jobs");
+            let mut queue = self.jobs.lock();
+            queue.0.extend(jobs);
+            queue.1 |= close;
+        }
+        self.ready.notify_all();
+    }
+
+    /// The next job; `None` on an empty queue, which a worker (`park`) sees only once it is
+    /// closed: its check and its wait share one lock hold, so no broadcast falls between.
+    fn next_job(&self, park: bool) -> Option<Job> {
+        let _held = cad3_lockrank::rank_scope!("cad3_engine::StageQueue::jobs");
+        let mut queue = self.jobs.lock();
+        while park && queue.0.is_empty() && !queue.1 {
+            queue = self.ready.wait(queue);
+        }
+        queue.0.pop_front()
+    }
+}
+
+/// One stage's fan-in: the chunks still out and each finished one's result
+/// by chunk index, under a leaf lock like the queue's.
+struct Latch<O> {
+    state: Mutex<(usize, Vec<Option<ChunkResult<O>>>)>,
+    done: Condvar,
+}
+
+impl<O> Latch<O> {
+    /// Slots chunk `index` and counts it done; the last one in signals.
+    fn complete(&self, index: usize, result: ChunkResult<O>) {
+        let _held = cad3_lockrank::rank_scope!("cad3_engine::Latch::state");
+        let mut state = self.state.lock();
+        if let Some(slot) = state.1.get_mut(index) {
+            *slot = Some(result);
+        }
+        state.0 -= 1;
+        if state.0 == 0 {
+            self.done.notify_one();
+        }
+    }
+
+    /// Waits until no chunk is out, then hands over the slots.
+    fn results(&self) -> Vec<Option<ChunkResult<O>>> {
+        let _held = cad3_lockrank::rank_scope!("cad3_engine::Latch::state");
+        let mut state = self.state.lock();
+        while state.0 > 0 {
+            state = self.done.wait(state);
+        }
+        std::mem::take(&mut state.1)
+    }
+}
+
+/// The standing workers and the queue they park on.
 struct Pool {
-    queues: Vec<mpsc::Sender<Job>>,
-    threads: Vec<JoinHandle<()>>,
+    queue: Arc<StageQueue>,
+    threads: Vec<thread::JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool").field("threads", &self.threads.len()).finish()
+    }
 }
 
 impl Pool {
     fn start(workers: usize) -> Pool {
-        let (queues, threads) = (0..workers)
-            .map(|_| {
-                let (queue, jobs) = mpsc::channel::<Job>();
-                let thread = std::thread::spawn(move || {
-                    cad3_obs::profile::set_thread_class("worker");
-                    // Parked here between stages; ends when the pool drops
-                    // the sending half.
-                    while let Ok(job) = jobs.recv() {
-                        job();
-                    }
-                });
-                (queue, thread)
+        let queue = Arc::new(StageQueue::default());
+        let worker = |_| {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || {
+                cad3_obs::profile::set_thread_class("worker");
+                while let Some(job) = queue.next_job(true) {
+                    job();
+                }
             })
-            .unzip();
-        Pool { queues, threads }
+        };
+        Pool { threads: (0..workers).map(worker).collect(), queue }
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        // Closing the queues ends each worker's receive loop.
-        self.queues.clear();
+        self.queue.submit(Vec::new(), true);
         for thread in self.threads.drain(..) {
-            // A job's panic is caught inside the job, so a worker ends only
-            // by leaving its loop; `Drop` has nowhere to report otherwise.
+            // Jobs catch their panics, so a worker only ends by leaving its loop.
             let _ = thread.join();
         }
     }
@@ -53,14 +117,13 @@ impl Drop for Pool {
 ///
 /// Inputs are split into one contiguous chunk per worker up front — the
 /// same fan-out/fan-in structure as a Spark stage over an RDD's partitions.
-/// The workers are long-lived threads started by [`Executor::new`], each
-/// parked on its own job queue: a stage hands chunk *i* to worker *i* as an
-/// owned job and waits for every reply, so it pays one wake/park round trip
-/// per chunk and creates no thread. Each job owns its chunk and its output
-/// buffer, so the stage shares nothing but `f`; input order is restored by
-/// slotting the replies by chunk index.
+/// The workers are long-lived threads parked on one shared queue: a stage
+/// queues its chunks as owned jobs, wakes the workers with one broadcast,
+/// works the queue itself until it is empty, then waits on its latch for
+/// the last job — one wake and at most one park per stage, no thread
+/// created. A job owns its chunk and outputs, so a stage shares only `f`.
 ///
-/// `Clone` shares the pool: every clone feeds the same workers, and the
+/// `Clone` shares the pool: every clone feeds the same queue, and the
 /// threads are joined when the last handle drops. An executor with one
 /// worker has no pool at all and runs every stage inline on the caller.
 #[derive(Debug, Clone)]
@@ -97,8 +160,9 @@ impl Executor {
     ///
     /// The jobs may borrow nothing (`'static`): a stage moves its inputs in
     /// and shares state with its workers through `Arc`s captured by `f`.
-    /// `f` must not start a stage on this same executor — its worker would
-    /// wait on its own queue.
+    /// The calling thread works the queue too: it may run its own chunks,
+    /// or one another clone queued ahead of them, and `f` may itself start
+    /// a stage on this executor.
     ///
     /// # Panics
     ///
@@ -117,72 +181,38 @@ impl Executor {
             _ => return inputs.into_iter().map(f).collect(),
         };
 
-        // One contiguous chunk per worker. `div_ceil` may leave fewer
-        // (never more) chunks than workers; chunk i goes to worker i.
+        // One contiguous chunk per worker; `div_ceil` may leave fewer, never more.
         let chunk_len = n.div_ceil(self.workers.min(n));
-        let mut chunks: Vec<Vec<I>> = Vec::with_capacity(self.workers.min(n));
         let mut inputs = inputs.into_iter();
-        loop {
-            let chunk: Vec<I> = inputs.by_ref().take(chunk_len).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-
+        let chunks: Vec<Vec<I>> =
+            (0..n.div_ceil(chunk_len)).map(|_| inputs.by_ref().take(chunk_len).collect()).collect();
         let f = Arc::new(f);
-        // Profiler stage attribution: workers adopt the coordinator's open
-        // stage path so their self-time lands under it (e.g. a detect sweep
-        // inside `run` shows up below `rsu.run_batch;rsu.detect`).
+        // Profiler attribution: whichever thread runs a job adopts the coordinator's open
+        // stage path (a detect sweep's self-time lands below `rsu.run_batch;rsu.detect`).
         let token = cad3_obs::profile::current_token();
-        let (reply, replies) = mpsc::channel::<(usize, ChunkResult<O>)>();
-        let mut slots: Vec<Option<ChunkResult<O>>> = Vec::with_capacity(chunks.len());
-        for ((index, chunk), queue) in chunks.into_iter().enumerate().zip(&pool.queues) {
-            slots.push(None);
-            let (f, reply) = (Arc::clone(&f), reply.clone());
-            let job: Job = Box::new(move || {
-                let result = {
-                    let _adopt = cad3_obs::profile::adopt(token);
-                    // The chunk and its partial output die with the panic;
-                    // nothing of them is seen again.
-                    catch_unwind(AssertUnwindSafe(|| chunk.into_iter().map(&*f).collect()))
-                };
-                // Released before the reply, so once the stage returns the
-                // caller holds the only handle on what `f` captured.
-                drop(f);
-                // The caller waits for every reply; it is never gone first.
-                let _ = reply.send((index, result));
-            });
-            // A worker lives as long as its pool. Were one gone, its job
-            // would drop here unrun and the fan-in would come up short.
-            let _ = queue.send(job);
+        let state = Mutex::new((chunks.len(), chunks.iter().map(|_| None).collect()));
+        let latch = Arc::new(Latch { state, done: Condvar::default() });
+        let job = |(index, chunk): (usize, Vec<I>)| -> Job {
+            let (f, latch) = (Arc::clone(&f), Arc::clone(&latch));
+            Box::new(move || {
+                let adopted = cad3_obs::profile::adopt(token);
+                let out = catch_unwind(AssertUnwindSafe(|| chunk.into_iter().map(&*f).collect()));
+                // `f` goes before the job counts itself done: once the stage
+                // returns, the caller holds the only handle on its captures.
+                drop((adopted, f));
+                latch.complete(index, out);
+            })
+        };
+        pool.queue.submit(chunks.into_iter().enumerate().map(job).collect(), false);
+        // The caller works the queue too: no stage waits on a queue only it would serve.
+        while let Some(job) = pool.queue.next_job(false) {
+            job();
         }
-        drop(reply);
-
-        // Fan-in, the stage barrier. Replies arrive in whatever order the
-        // workers finish; slotting by chunk index keeps that order out of
-        // the output, which equals the sequential map under any schedule.
-        for _ in 0..slots.len() {
-            // Every job replies, panicking or not; only one dropped unrun
-            // ends the wait early, and the length check below reports it.
-            let Ok((index, result)) = replies.recv() else { break };
-            if let Some(slot) = slots.get_mut(index) {
-                *slot = Some(result);
-            }
-        }
+        // Fan-in, the stage barrier; the slots keep the order jobs finish in out of the output.
         let mut outputs: Vec<O> = Vec::with_capacity(n);
-        let mut panic_payload = None;
-        for result in slots.into_iter().flatten() {
-            match result {
-                Ok(chunk_out) => outputs.extend(chunk_out),
-                Err(payload) => {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = panic_payload {
-            // Re-raise a job's panic on the calling thread unchanged.
-            resume_unwind(payload);
+        for result in latch.results().into_iter().flatten() {
+            // Every chunk is done: re-raise the first panic in chunk order, unchanged.
+            outputs.extend(result.unwrap_or_else(|payload| resume_unwind(payload)));
         }
         assert_eq!(outputs.len(), n, "every chunk produced its outputs");
         outputs
@@ -285,6 +315,96 @@ mod tests {
         // Every worker is still parked on its queue.
         let out = exec.run((0..100).collect(), |x: i32| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_stage_completes_on_its_caller_while_every_worker_is_held() {
+        use std::cell::Cell;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        thread_local! {
+            /// Set on the threads that call `run` here; a pool worker never sets it.
+            static CALLER: Cell<bool> = const { Cell::new(false) };
+        }
+        CALLER.set(true);
+        let exec = Executor::new(2);
+        let held = Arc::new(AtomicUsize::new(0));
+        // Both workers and this thread.
+        let arrived = Arc::new(Barrier::new(3));
+        let release = Arc::new(Barrier::new(3));
+        // A hold job returns at once on a caller and blocks on a worker, so a
+        // holder's stage holds the workers that took its jobs, and the holder
+        // with them. A stage whose jobs all ran on callers held nobody and is
+        // tried again; two holders are enough to pin two workers.
+        let holders: Vec<_> = (0..2)
+            .map(|_| {
+                let exec = exec.clone();
+                let (held, arrived, release) =
+                    (Arc::clone(&held), Arc::clone(&arrived), Arc::clone(&release));
+                std::thread::spawn(move || {
+                    CALLER.set(true);
+                    // ordering: SeqCst — a test tally, no data rides on it.
+                    while held.load(Ordering::SeqCst) < 2 {
+                        let (held, arrived, release) =
+                            (Arc::clone(&held), Arc::clone(&arrived), Arc::clone(&release));
+                        exec.run(vec![(), ()], move |()| {
+                            if CALLER.get() {
+                                // Let a woken worker at the other job.
+                                std::thread::yield_now();
+                                return;
+                            }
+                            // ordering: SeqCst — see above.
+                            held.fetch_add(1, Ordering::SeqCst);
+                            arrived.wait();
+                            release.wait();
+                        });
+                    }
+                })
+            })
+            .collect();
+        arrived.wait();
+        // No worker will take a job now. With a queue per worker this stage
+        // waits for them; with one queue its caller runs it alone.
+        let out = exec.run((0..10).collect(), |x: i32| x + 1);
+        assert_eq!(out, (1..11).collect::<Vec<_>>());
+        release.wait();
+        for holder in holders {
+            holder.join().expect("a released holder finishes its stage");
+        }
+    }
+
+    #[test]
+    fn a_job_may_start_a_stage_on_its_own_executor() {
+        let exec = Executor::new(3);
+        let inner = exec.clone();
+        let out = exec.run((0..6).collect(), move |x: u32| {
+            inner.run((0..4).collect(), move |y: u32| x * 10 + y).into_iter().sum::<u32>()
+        });
+        let expected: Vec<u32> = (0..6).map(|x| (0..4).map(|y| x * 10 + y).sum()).collect();
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn concurrent_stages_on_clones_each_match_their_sequential_map() {
+        use std::sync::Barrier;
+        let exec = Executor::new(4);
+        let start = Arc::new(Barrier::new(2));
+        let callers: Vec<_> = [3u64, 7]
+            .into_iter()
+            .map(|k| {
+                let (exec, start) = (exec.clone(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for stage in 0..200u64 {
+                        let out = exec.run((0..50).collect(), move |x: u64| (k, stage, x * k));
+                        assert_eq!(out, (0..50).map(|x| (k, stage, x * k)).collect::<Vec<_>>());
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("every stage equalled its sequential map");
+        }
     }
 
     #[test]

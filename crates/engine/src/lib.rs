@@ -11,9 +11,9 @@
 //! * [`PartitionedDataset`] — an RDD-like partitioned collection with
 //!   `map` / `filter` / `flat_map` / `reduce` / `group_by_key` operators
 //!   that run on an executor. An operator consumes its dataset: each
-//!   partition moves, owned, into the job of the worker that processes it,
-//!   and the closure must be `'static` — share state with it through an
-//!   `Arc`, keep an input by cloning it first.
+//!   partition moves, owned, into the job that processes it — on a worker
+//!   or on the calling thread — and the closure must be `'static`: share
+//!   state with it through an `Arc`, keep an input by cloning it first.
 //! * [`RealtimeScheduler`] — a wall-clock ticker that calls a micro-batch
 //!   closure once per interval, reporting [`BatchMetrics`] per tick.
 //!
@@ -49,6 +49,7 @@
 mod dataset;
 mod executor;
 mod realtime;
+mod sync;
 mod window;
 
 pub use dataset::PartitionedDataset;

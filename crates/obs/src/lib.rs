@@ -213,6 +213,13 @@ macro_rules! trace_span_at {
 #[doc(hidden)]
 pub use crate::sync::Arc as __Arc;
 
+// `cad3-engine`'s `cfg(loom)` sync facade takes the loom stand-in from here,
+// so that it needs no manifest entry (and no lock-file entry in the frozen
+// `benchmark/` package) of its own.
+#[cfg(loom)]
+#[doc(hidden)]
+pub use loom as __loom;
+
 #[cfg(all(test, not(loom)))]
 mod tests {
     #[test]

@@ -19,7 +19,7 @@
 //! * `lock:<rank>` — acquisition of the lock site holding that rank in
 //!   `lockranks.toml` (bounded blocking the rank hierarchy already orders)
 //! * `block` — unbounded blocking (unranked locks, `thread::sleep`,
-//!   channel `recv`, file I/O)
+//!   channel `recv`, condvar/barrier `wait`, file I/O)
 //! * `wallclock` — `Instant::now`/`SystemTime::now` reads
 //!
 //! A deliberate cold branch is opted out with a `// hotpath-exempt: why`
@@ -280,7 +280,7 @@ fn scan_effects(
                     "lock" | "read" | "write" if !lock_lines.contains(&line) => {
                         push(&mut out, "block", line, format!(".{name}() on unranked lock"));
                     }
-                    "recv" | "recv_timeout" => {
+                    "recv" | "recv_timeout" | "wait" => {
                         push(&mut out, "block", line, format!(".{name}()"));
                     }
                     "elapsed" => push(&mut out, "wallclock", line, ".elapsed()".into()),

@@ -1066,6 +1066,11 @@ impl SymbolTable {
             CallKey::Qualified(ty, name) => {
                 unique(self.by_qualified.get(&(ty.clone(), name.clone())))
             }
+            // The same stoplist as the may-resolution below: the workspace's
+            // one `map` (`PartitionedDataset::map`, which runs a stage and so
+            // takes the executor's locks) is not what an iterator's `.map(`
+            // under a guard calls.
+            CallKey::Method(name) if STD_METHODS.contains(&name.as_str()) => None,
             CallKey::Method(name) => unique(self.method_by_name.get(name)),
             CallKey::Bare(name) => unique(
                 self.free_by_crate
@@ -1293,6 +1298,9 @@ pub(crate) const STD_METHODS: &[&str] = &[
     "try_lock",
     "read",
     "write",
+    "wait",
+    "notify_one",
+    "notify_all",
     "flush",
     "sync_all",
     "elapsed",
