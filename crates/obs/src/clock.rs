@@ -21,12 +21,20 @@ use std::time::Instant;
 static VIRTUAL_MODE: AtomicBool = AtomicBool::new(false);
 static VIRTUAL_NOW: AtomicU64 = AtomicU64::new(0);
 
+/// Readings taken so far — debug builds only, for the tests that hold the
+/// overhead policy's "no clock read for an unsampled record" rule.
+#[cfg(debug_assertions)]
+static READS: AtomicU64 = AtomicU64::new(0);
+
 /// Monotonic nanoseconds since the process's first call to this function,
 /// or the virtual reading while [`set_virtual_nanos`] replay mode is on.
 ///
 /// The first call returns a value close to zero; all later calls are
 /// monotonically non-decreasing. Saturates at `u64::MAX` after ~584 years.
 pub fn now_nanos() -> u64 {
+    // ordering: Relaxed — a statistic; it publishes no other data.
+    #[cfg(debug_assertions)]
+    READS.fetch_add(1, Ordering::Relaxed);
     // ordering: Relaxed — the clock is an advisory value stream; readers
     // only need *a* monotone reading, not synchronisation with other memory.
     if VIRTUAL_MODE.load(Ordering::Relaxed) {
@@ -36,6 +44,15 @@ pub fn now_nanos() -> u64 {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     let anchor = *ANCHOR.get_or_init(Instant::now);
     u64::try_from(anchor.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// How many times [`now_nanos`] has been called in this process, in either
+/// mode (debug builds only).
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn reads() -> u64 {
+    // ordering: Relaxed — a statistic read.
+    READS.load(Ordering::Relaxed)
 }
 
 /// Switches the clock to virtual (replay) mode and advances its reading to

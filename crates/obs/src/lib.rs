@@ -29,6 +29,13 @@
 //!   reduce to one relaxed load + untaken branch when disabled. Even a
 //!   sharded relaxed `fetch_add` is measurable at ~300 ns/op
 //!   (EXPERIMENTS.md), so nothing per-record runs unconditionally.
+//! * **With obs on, a record that is not head-sampled costs no wall-clock
+//!   read.** Timing is per batch, per fetch, or per *traced* record — the
+//!   decision [`trace::mint`] already made once for the whole trace — never
+//!   per record: a clock pair (≈ 60 ns) costs over half of the ≈ 100 ns
+//!   append it would time. Per-record *counters* stay exact. Held by the
+//!   `obs_clock_budget` tests of `cad3-stream` and `cad3`, which count
+//!   [`clock::now_nanos`] calls in debug builds.
 //! * **Batch-granularity counters are always on** (micro-batches executed,
 //!   RSU records/warnings, alerts, flushes): one relaxed RMW on an
 //!   uncontended, cache-padded shard, amortised over a whole batch —
@@ -39,7 +46,11 @@
 //!   locks.
 //!
 //! The enforced budget: with the exporter detached, the instrumented broker
-//! append + consumer poll benchmarks regress < 5% (see EXPERIMENTS.md).
+//! append + consumer poll benchmarks regress < 5% (see EXPERIMENTS.md). With
+//! obs on at 1 % head sampling the line is end to end: `bench_e2e`'s
+//! `steady_256v_obs` within 5 % of `steady_256v`'s `records_per_s` (−3.7 % at
+//! PR 16, EXPERIMENTS.md), and CI's `obs-e2e` job fails if its
+//! `obs.overhead_share` exceeds 0.12.
 //!
 //! # Example
 //!
@@ -221,10 +232,23 @@ pub use crate::sync::Arc as __Arc;
 pub use loom as __loom;
 
 #[cfg(all(test, not(loom)))]
+pub(crate) mod testutil {
+    /// Serialises the unit tests that flip or depend on process-global
+    /// state — the enable gate, the sample rate, the global recorder — so
+    /// one test's `set_enabled(false)` cannot land inside another's span.
+    pub fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A test that failed under the lock poisons it; the state it guards
+        // is reset by the next holder, so carry on.
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+#[cfg(all(test, not(loom)))]
 mod tests {
     #[test]
     fn gate_defaults_off_and_toggles() {
-        // Other tests toggle the gate too; just exercise the round trip.
+        let _serial = crate::testutil::serial();
         crate::set_enabled(false);
         assert!(!crate::enabled());
         crate::set_enabled(true);

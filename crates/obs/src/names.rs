@@ -14,7 +14,8 @@
 pub const STREAM_BROKER_PRODUCE: &str = "stream.broker.produce";
 /// Records returned by `Broker::fetch` (counter).
 pub const STREAM_BROKER_FETCH_RECORDS: &str = "stream.broker.fetch.records";
-/// `Broker::produce` latency, nanoseconds (histogram; exporter-gated).
+/// Append latency of head-sampled records, nanoseconds (histogram;
+/// exporter-gated, and observed only for a record carrying a trace context).
 pub const STREAM_BROKER_PRODUCE_NS: &str = "stream.broker.produce_ns";
 /// `Broker::fetch` latency, nanoseconds (histogram; exporter-gated).
 pub const STREAM_BROKER_FETCH_NS: &str = "stream.broker.fetch_ns";
@@ -210,7 +211,7 @@ pub const DYNAMIC_FAMILIES: &[&str] = &[
 pub const HELP: &[(&str, &str)] = &[
     (STREAM_BROKER_PRODUCE, "Records appended through Broker::produce."),
     (STREAM_BROKER_FETCH_RECORDS, "Records returned by Broker::fetch."),
-    (STREAM_BROKER_PRODUCE_NS, "Broker::produce latency in nanoseconds."),
+    (STREAM_BROKER_PRODUCE_NS, "Append latency of head-sampled records, nanoseconds."),
     (STREAM_BROKER_FETCH_NS, "Broker::fetch latency in nanoseconds."),
     (STREAM_PRODUCER_RECORDS, "Records published by Producer::send."),
     (STREAM_PRODUCER_BYTES, "Bytes published by Producer::send."),

@@ -795,6 +795,7 @@ mod tests {
 
     #[test]
     fn stage_guard_is_inert_when_disabled() {
+        let _serial = crate::testutil::serial();
         crate::set_enabled(false);
         let before = snapshot().stage_totals("test.prof.gated");
         {
@@ -806,6 +807,7 @@ mod tests {
 
     #[test]
     fn stage_guard_accounts_when_enabled() {
+        let _serial = crate::testutil::serial();
         crate::set_enabled(true);
         {
             let _g = crate::profile_span!("test.prof.guard");

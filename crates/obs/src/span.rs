@@ -143,6 +143,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _serial = crate::testutil::serial();
         crate::set_enabled(false);
         let g = crate::span!("test.span.disabled");
         assert_eq!(g.id(), 0);
@@ -151,6 +152,7 @@ mod tests {
 
     #[test]
     fn nested_spans_link_parents() {
+        let _serial = crate::testutil::serial();
         crate::set_enabled(true);
         let (outer_id, inner_parent);
         {
@@ -175,6 +177,7 @@ mod tests {
 
     #[test]
     fn sibling_spans_share_a_parent() {
+        let _serial = crate::testutil::serial();
         crate::set_enabled(true);
         let outer = crate::span!("test.span.parent");
         let a = crate::span!("test.span.a");

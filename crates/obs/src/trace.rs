@@ -589,6 +589,7 @@ mod tests {
 
     #[test]
     fn default_rate_mints_nothing() {
+        let _serial = crate::testutil::serial();
         set_sample_rate(0.0);
         assert_eq!(mint(), None);
         assert_eq!(sample_rate(), 0.0);
@@ -596,6 +597,7 @@ mod tests {
 
     #[test]
     fn full_rate_mints_everything_with_fresh_ids() {
+        let _serial = crate::testutil::serial();
         set_sample_rate(1.0);
         let a = mint().expect("sampled");
         let b = mint().expect("sampled");
@@ -608,6 +610,7 @@ mod tests {
 
     #[test]
     fn partial_rate_is_roughly_proportional() {
+        let _serial = crate::testutil::serial();
         set_sample_rate(0.25);
         let sampled = (0..4000).filter(|_| mint().is_some()).count();
         set_sample_rate(0.0);

@@ -473,38 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn lag_gauge_grows_when_stalled_and_drains_on_commit() {
-        let (broker, producer) = setup();
-        let mut c = Consumer::new(Arc::clone(&broker), "stalled", OffsetReset::Earliest);
-        c.subscribe(&["IN-DATA"]).unwrap();
-        cad3_obs::set_enabled(true);
-        c.poll(10).unwrap();
-        assert_eq!(
-            cad3_obs::registry().snapshot().gauge("stream.consumer.lag.stalled"),
-            0,
-            "fresh group on an empty topic has no lag"
-        );
-        // Stall the consumer: records arrive but nothing is committed.
-        for i in 0..25u64 {
-            producer.send("IN-DATA", Some(format!("v{i}").as_bytes()), &b"x"[..], i).unwrap();
-        }
-        c.poll(1000).unwrap();
-        assert_eq!(
-            cad3_obs::registry().snapshot().gauge("stream.consumer.lag.stalled"),
-            25,
-            "committed-vs-head lag stays high until the group commits"
-        );
-        c.commit();
-        cad3_obs::set_enabled(false);
-        assert_eq!(
-            cad3_obs::registry().snapshot().gauge("stream.consumer.lag.stalled"),
-            0,
-            "commit drains the gauge"
-        );
-        assert_eq!(broker.group_lag("stalled"), 0);
-    }
-
-    #[test]
     fn same_group_consumers_share_one_lag_gauge_cell() {
         let (broker, _) = setup();
         let a = Consumer::new(Arc::clone(&broker), "dedupe-group", OffsetReset::Earliest);

@@ -128,6 +128,11 @@ impl SharedTopic {
     /// Only the target partition's mutex is taken; appends to other
     /// partitions proceed concurrently.
     ///
+    /// With obs on, `stream.broker.produce` counts every record, but only a
+    /// record carrying a `trace` (head-sampled at `trace::mint`) reads the
+    /// clock and feeds `stream.broker.produce_ns`: an untraced append costs
+    /// no wall-clock read (see the cad3-obs overhead policy).
+    ///
     /// # Errors
     ///
     /// Returns [`StreamError::UnknownPartition`] for an explicit partition
@@ -143,7 +148,10 @@ impl SharedTopic {
         // Per-record instrumentation is exporter-gated: with no exporter the
         // append path pays one relaxed load (see cad3-obs overhead policy).
         let observing = cad3_obs::enabled();
-        let start_ns = if observing { cad3_obs::clock::now_nanos() } else { 0 };
+        // A ≈ 60 ns clock pair to time a ≈ 100 ns append: only head-sampled
+        // records pay it.
+        let timing = observing && trace.is_some();
+        let start_ns = if timing { cad3_obs::clock::now_nanos() } else { 0 };
         let p = match (partition, &key) {
             (Some(p), _) => {
                 if p >= self.partition_count() {
@@ -175,6 +183,8 @@ impl SharedTopic {
         };
         if observing {
             cad3_obs::counter!("stream.broker.produce").inc();
+        }
+        if timing {
             cad3_obs::histogram!("stream.broker.produce_ns")
                 .observe(cad3_obs::clock::now_nanos().saturating_sub(start_ns));
         }
