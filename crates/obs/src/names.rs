@@ -23,8 +23,6 @@ pub const STREAM_BROKER_FETCH_NS: &str = "stream.broker.fetch_ns";
 pub const STREAM_PRODUCER_RECORDS: &str = "stream.producer.records";
 /// Bytes published by `Producer::send*` (counter).
 pub const STREAM_PRODUCER_BYTES: &str = "stream.producer.bytes";
-/// Batches flushed by `BatchingProducer` (counter).
-pub const STREAM_PRODUCER_BATCHES: &str = "stream.producer.batches";
 /// `Consumer::poll` calls (counter).
 pub const STREAM_CONSUMER_POLLS: &str = "stream.consumer.polls";
 /// Records delivered by `Consumer::poll` (counter).
@@ -144,7 +142,6 @@ pub const ALL: &[&str] = &[
     STREAM_BROKER_FETCH_NS,
     STREAM_PRODUCER_RECORDS,
     STREAM_PRODUCER_BYTES,
-    STREAM_PRODUCER_BATCHES,
     STREAM_CONSUMER_POLLS,
     STREAM_CONSUMER_RECORDS,
     STREAM_CONSUMER_LAG_PREFIX,
@@ -215,7 +212,6 @@ pub const HELP: &[(&str, &str)] = &[
     (STREAM_BROKER_FETCH_NS, "Broker::fetch latency in nanoseconds."),
     (STREAM_PRODUCER_RECORDS, "Records published by Producer::send."),
     (STREAM_PRODUCER_BYTES, "Bytes published by Producer::send."),
-    (STREAM_PRODUCER_BATCHES, "Batches flushed by BatchingProducer."),
     (STREAM_CONSUMER_POLLS, "Consumer::poll calls."),
     (STREAM_CONSUMER_RECORDS, "Records delivered by Consumer::poll."),
     (STREAM_CONSUMER_LAG_PREFIX, "Committed-vs-head lag of one consumer group."),

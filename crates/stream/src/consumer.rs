@@ -278,18 +278,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_header_survives_produce_batch_and_poll() {
+    fn trace_header_survives_produce_and_poll() {
         use cad3_obs::TraceContext;
         let (broker, producer) = setup();
-        // Mix traced and untraced records through both send paths.
+        // Mix traced, untraced and hopped records.
         let ctx = TraceContext::from_parts(77, 5, 1);
         producer.send_traced("IN-DATA", Some(b"veh-1"), &b"a"[..], 0, Some(ctx)).unwrap();
         producer.send("IN-DATA", Some(b"veh-2"), &b"b"[..], 1).unwrap();
-        let mut batching = crate::BatchingProducer::new(producer, 8);
-        batching
+        producer
             .send_traced("IN-DATA", Some(b"veh-3"), &b"c"[..], 2, Some(ctx.next_hop(9)))
             .unwrap();
-        batching.flush().unwrap();
         let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
         c.subscribe(&["IN-DATA"]).unwrap();
         let mut recs = c.poll(100).unwrap();
@@ -297,7 +295,7 @@ mod tests {
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].trace, Some(ctx));
         assert_eq!(recs[1].trace, None, "untraced records carry no header");
-        let hopped = recs[2].trace.expect("batched trace survives the flush");
+        let hopped = recs[2].trace.expect("hopped trace survives poll");
         assert_eq!((hopped.trace_id(), hopped.parent_span(), hopped.hop()), (77, 9, 2));
     }
 

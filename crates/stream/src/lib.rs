@@ -18,7 +18,6 @@
 //!   so steady-state sends skip the registry.
 //! * [`Consumer`] — group membership, range partition assignment, `poll`,
 //!   commit and seek.
-//! * [`Cluster`] — a set of named brokers (one per emulated RSU).
 //!
 //! # Example
 //!
@@ -43,9 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batching;
 mod broker;
-mod cluster;
 mod consumer;
 mod error;
 mod partition;
@@ -54,9 +51,7 @@ mod record;
 mod shard;
 mod sync;
 
-pub use batching::BatchingProducer;
 pub use broker::{range_assignment, Broker};
-pub use cluster::Cluster;
 pub use consumer::{Consumer, OffsetReset};
 pub use error::StreamError;
 pub use partition::PartitionLog;

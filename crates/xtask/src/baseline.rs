@@ -16,11 +16,15 @@ use std::path::Path;
 
 /// Loads the baseline; a missing file is an empty baseline.
 pub fn load(path: &Path) -> io::Result<BTreeMap<String, u64>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(e) => return Err(e),
-    };
+    match std::fs::read_to_string(path) {
+        Ok(text) => parse(&text, &path.display().to_string()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(BTreeMap::new()),
+        Err(e) => Err(e),
+    }
+}
+
+/// Parses a `"key" = count` table from `origin`'s text.
+pub fn parse(text: &str, origin: &str) -> io::Result<BTreeMap<String, u64>> {
     let mut map = BTreeMap::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -33,7 +37,7 @@ pub fn load(path: &Path) -> io::Result<BTreeMap<String, u64>> {
         let parse_err = || {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("{}:{}: malformed baseline line: {raw}", path.display(), idx + 1),
+                format!("{origin}:{}: malformed baseline line: {raw}", idx + 1),
             )
         };
         let (key, value) = line.split_once('=').ok_or_else(parse_err)?;
@@ -55,8 +59,8 @@ pub fn save(path: &Path, counts: &BTreeMap<String, u64>) -> io::Result<()> {
     )
 }
 
-/// [`save`] with a caller-supplied comment header (the hot-path baseline
-/// shares the format but regenerates through a different command).
+/// [`save`] with a caller-supplied comment header (the contract baselines
+/// share the format but regenerate through different commands).
 pub fn save_with_header(
     path: &Path,
     counts: &BTreeMap<String, u64>,

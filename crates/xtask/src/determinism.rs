@@ -3,13 +3,10 @@
 //! The root `determinism.toml` declares the entry functions a seeded run
 //! must replay bit-identically (the sim event loop, handover fusion, the
 //! detect path, the RNG-seeded generators) and, per entry, the
-//! *nondeterminism allowance* the path may use. This pass rides the
-//! lock-graph extraction ([`crate::lockgraph::extract`]): it scans every
-//! workspace function's token stream for nondeterminism sources, propagates
-//! them transitively over the cross-crate call graph (may-resolution:
-//! trait-method calls follow every implementor, function references too),
-//! and reports any entry whose reachable source set exceeds its allowance —
-//! with the call chain that witnesses the leak.
+//! *nondeterminism allowance* the path may use. The check itself — contract
+//! format, exemptions, reachability, ratchet, reports — is
+//! [`crate::contract`]; this module supplies the nondeterminism lattice and
+//! the scanner that finds its sources.
 //!
 //! Nondeterminism atoms form a flat lattice:
 //!
@@ -27,13 +24,8 @@
 //! * `ptr-order` — observing allocation addresses (`.as_ptr()`,
 //!   `ptr::hash`): address *ordering* varies with heap layout
 //!
-//! A deliberately order-insensitive site is opted out with a
-//! `// determinism-exempt: why` comment on the line or up to three lines
-//! above; the targeted form `// determinism-exempt(map-iter): why`
-//! suppresses only the listed atoms. An exemption that no longer covers any
-//! matching site is itself a finding, so stale escapes rot loudly. Counts
-//! ratchet through `crates/xtask/determinism_baseline.toml` exactly like
-//! the lint and hot-path baselines.
+//! A deliberately order-insensitive site is opted out with
+//! `// determinism-exempt(map-iter): why`.
 //!
 //! # Soundness envelope
 //!
@@ -47,14 +39,13 @@
 //! DESIGN.md alongside the call-resolution envelope). The runtime oracle
 //! for this gap is the double-run `determinism-e2e` CI job.
 
-use crate::lockgraph::{CallKey, Extraction, Finding, FnFacts, SourceInput, SymbolTable};
-use crate::tokens::{Tok, Token};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io;
-use std::path::Path;
+use crate::contract::{Nouns, Pass, Scan, Site};
+use crate::lockgraph::{CallKey, FnFacts};
+use crate::tokens::{skip_group, Tok, Token};
+use std::collections::BTreeSet;
 
-/// The descriptions backing SARIF rule metadata for this analysis.
-pub const CHECKS: [(&str, &str); 5] = [
+/// Check ids and the descriptions backing their SARIF rule metadata.
+const CHECKS: [(&str, &str); 5] = [
     ("determinism-violation", "A declared-deterministic entry can reach a nondeterminism source outside its allowance in determinism.toml."),
     ("stale-entry", "determinism.toml declares an entry function that no longer exists in the workspace."),
     ("unknown-atom", "determinism.toml allows an atom that is not a nondeterminism source (map-iter, hash-state, wallclock, thread, unseeded-rng, ptr-order)."),
@@ -62,98 +53,32 @@ pub const CHECKS: [(&str, &str); 5] = [
     ("stale-determinism-baseline", "The determinism baseline records more violations than currently exist; regenerate to tighten the ratchet."),
 ];
 
-/// One declared entry: function key, allowed atoms, declaration line.
-#[derive(Debug, Clone)]
-pub struct DetEntry {
-    pub key: String,
-    pub allow: Vec<String>,
-    pub line: usize,
-}
-
-/// Per-entry outcome for the report renderers.
-#[derive(Debug)]
-pub struct DetEntryReport {
-    pub key: String,
-    pub allow: Vec<String>,
-    /// Functions reachable from the entry (including itself).
-    pub reachable: usize,
-    /// Non-exempt nondeterminism sites reachable from the entry, per atom.
-    pub sources: BTreeMap<String, usize>,
-}
-
-/// The full analysis result.
-#[derive(Debug, Default)]
-pub struct DetAnalysis {
-    pub entries: Vec<DetEntryReport>,
-    pub findings: Vec<Finding>,
-    /// Functions scanned (the whole workspace, not just reachable ones).
-    pub fns: usize,
-    /// Current per-`determinism:<entry>:<atom>` violation counts (for the
-    /// baseline ratchet; allowance-covered atoms are not violations).
-    pub violation_counts: BTreeMap<String, u64>,
-}
-
-/// One nondeterminism site inside a function body.
-#[derive(Debug, Clone)]
-struct NondetSite {
-    atom: &'static str,
-    file: String,
-    line: usize,
-    what: String,
-}
-
-/// Is `atom` a recognized nondeterminism atom?
-fn known_atom(atom: &str) -> bool {
-    matches!(
-        atom,
-        "map-iter" | "hash-state" | "wallclock" | "thread" | "unseeded-rng" | "ptr-order"
-    )
-}
-
-/// Parses `determinism.toml`: a `[determinism]` table of
-/// `"crate::Type::fn" = ["atom", ...]` entries (restricted TOML subset,
-/// like the other contracts — the workspace carries no TOML dependency).
-pub fn parse_config(text: &str, origin: &str) -> io::Result<Vec<DetEntry>> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('[') {
-            continue;
-        }
-        let parse_err = || {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{origin}:{}: malformed determinism line: {raw}", idx + 1),
-            )
-        };
-        let (key, value) = line.split_once('=').ok_or_else(parse_err)?;
-        let value = value.trim();
-        let inner =
-            value.strip_prefix('[').and_then(|v| v.strip_suffix(']')).ok_or_else(parse_err)?.trim();
-        let allow: Vec<String> = if inner.is_empty() {
-            Vec::new()
-        } else {
-            inner.split(',').map(|c| c.trim().trim_matches('"').to_owned()).collect()
-        };
-        if allow.iter().any(String::is_empty) {
-            return Err(parse_err());
-        }
-        out.push(DetEntry { key: key.trim().trim_matches('"').to_owned(), allow, line: idx + 1 });
-    }
-    Ok(out)
-}
-
-/// Loads the determinism contract from disk. A missing contract is an
-/// error: `--determinism` without entries proves nothing.
-pub fn load_config(path: &Path) -> io::Result<Vec<DetEntry>> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        io::Error::new(
-            e.kind(),
-            format!("{}: {e} (declare deterministic entry points first)", path.display()),
-        )
-    })?;
-    parse_config(&text, &path.display().to_string())
-}
+/// The determinism contract.
+pub static PASS: Pass = Pass {
+    title: "determinism contract",
+    table: "determinism",
+    stem: "determinism",
+    checks: CHECKS,
+    atoms: &["map-iter", "hash-state", "wallclock", "thread", "unseeded-rng", "ptr-order"],
+    header: "# Determinism contract for `cargo xtask analyze --determinism`.\n\
+             # Each entry names a replay-deterministic function and the nondeterminism\n\
+             # atoms its whole reachable call graph may use (map-iter, hash-state,\n\
+             # wallclock, thread, unseeded-rng, ptr-order). Anything beyond the list\n\
+             # fails CI. Regenerate with `cargo xtask analyze --determinism\n\
+             # --emit-determinism` after a deliberate change.\n",
+    scan: scan_nondet,
+    nouns: Nouns {
+        site: "nondeterminism",
+        atom: "a nondeterminism atom",
+        exempt_target: "site",
+        declared: "allowance",
+        declared_key: "allow",
+        found_key: "sources",
+        clean: "replay-deterministic",
+        entries: "deterministic entry points",
+        baseline: "Determinism",
+    },
+};
 
 /// Hash-collection methods whose call visits elements in hasher order.
 const ITER_METHODS: [&str; 10] = [
@@ -186,32 +111,6 @@ const TRANSPARENT_METHODS: [&str; 10] = [
 
 fn is_hash_type(name: &str) -> bool {
     name == "HashMap" || name == "HashSet"
-}
-
-/// Index just past the group opened at `open` (`(`/`[`/`{`/`<`), or
-/// `open + 1` when no group starts there.
-fn skip_group(toks: &[Token], open: usize) -> usize {
-    let (o, c) = match toks.get(open).map(|t| &t.tok) {
-        Some(t) if t.is_punct('(') => ('(', ')'),
-        Some(t) if t.is_punct('[') => ('[', ']'),
-        Some(t) if t.is_punct('{') => ('{', '}'),
-        Some(t) if t.is_punct('<') => ('<', '>'),
-        _ => return open + 1,
-    };
-    let mut depth = 0usize;
-    let mut j = open;
-    while let Some(t) = toks.get(j) {
-        if t.tok.is_punct(o) {
-            depth += 1;
-        } else if t.tok.is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    j
 }
 
 /// Index of the matching opener for the closer at `close`, walking
@@ -477,15 +376,11 @@ fn alias_of_hash(init: &[Token], self_hash: &BTreeSet<String>, locals: &BTreeSet
 /// *not* treated as intrinsic sources — their sources arrive transitively
 /// through the call graph. `map-iter` charges are deduplicated per line so
 /// a `for` header over `self.map.iter()` is one site, not two.
-fn scan_nondet(
-    f: &FnFacts,
-    symbols: &SymbolTable,
-    hash_fields: &HashMap<String, BTreeSet<String>>,
-) -> Vec<NondetSite> {
+fn scan_nondet(f: &FnFacts, cx: &Scan<'_>) -> Vec<Site> {
     static EMPTY: BTreeSet<String> = BTreeSet::new();
     let segs: Vec<&str> = f.key.split("::").collect();
     let self_hash = if segs.len() >= 3 {
-        hash_fields.get(segs[segs.len() - 2]).unwrap_or(&EMPTY)
+        cx.ex.hash_fields.get(segs[segs.len() - 2]).unwrap_or(&EMPTY)
     } else {
         &EMPTY
     };
@@ -498,12 +393,12 @@ fn scan_nondet(
         RecvRoot::Unknown => false,
     };
 
-    let mut out: Vec<NondetSite> = Vec::new();
+    let mut out: Vec<Site> = Vec::new();
     let mut iter_lines: BTreeSet<usize> = BTreeSet::new();
-    let push = |out: &mut Vec<NondetSite>, atom: &'static str, line: usize, what: String| {
-        out.push(NondetSite { atom, file: f.file.clone(), line, what });
+    let push = |out: &mut Vec<Site>, atom: &str, line: usize, what: String| {
+        out.push(Site { atom: atom.to_owned(), line, what });
     };
-    let resolves = |key: CallKey| !symbols.resolve_all(&key, &f.crate_name, false).is_empty();
+    let resolves = |key: CallKey| cx.resolves(f, &key);
 
     let mut i = 0usize;
     while i < toks.len() {
@@ -660,241 +555,19 @@ fn scan_nondet(
     out
 }
 
-/// Runs the analysis: extract, scan, propagate, check against the contract
-/// and baseline.
-pub fn analyze(
-    sources: &[SourceInput<'_>],
-    config: &[DetEntry],
-    baselined: &BTreeMap<String, u64>,
-) -> DetAnalysis {
-    let ex: Extraction = crate::lockgraph::extract(sources);
-    let symbols = SymbolTable::new(&ex.facts);
-    let mut det = DetAnalysis { fns: ex.fns, ..DetAnalysis::default() };
-
-    // Per-function nondeterminism sites, exemptions applied. An exemption
-    // covers a site on its own line or up to 3 lines below when its atom
-    // filter — if any — names the site's atom.
-    let mut exempt_by_file: HashMap<&str, Vec<(usize, &[String])>> = HashMap::new();
-    for e in &ex.det_exempts {
-        exempt_by_file.entry(e.file.as_str()).or_default().push((e.line, &e.atoms));
-    }
-    let covers = |atoms: &[String], atom: &str| atoms.is_empty() || atoms.iter().any(|a| a == atom);
-    let mut used_exempts: BTreeSet<(String, usize)> = BTreeSet::new();
-    let mut sources_per_fn: Vec<Vec<NondetSite>> = Vec::with_capacity(ex.facts.len());
-    for f in &ex.facts {
-        let mut sites = scan_nondet(f, &symbols, &ex.hash_fields);
-        sites.retain(|s| {
-            let mut keep = true;
-            if let Some(comments) = exempt_by_file.get(s.file.as_str()) {
-                for &(c, atoms) in comments.iter() {
-                    if c <= s.line && s.line <= c + 3 && covers(atoms, s.atom) {
-                        used_exempts.insert((s.file.clone(), c));
-                        keep = false;
-                    }
-                }
-            }
-            keep
-        });
-        sources_per_fn.push(sites);
-    }
-
-    // Contract validation.
-    let by_key: HashMap<&str, usize> =
-        ex.facts.iter().enumerate().map(|(i, f)| (f.key.as_str(), i)).collect();
-    for e in config {
-        for atom in &e.allow {
-            if !known_atom(atom) {
-                det.findings.push(Finding {
-                    check: "unknown-atom",
-                    file: "determinism.toml".to_owned(),
-                    line: e.line,
-                    message: format!(
-                        "entry {}: {atom:?} is not a nondeterminism atom (map-iter, \
-                         hash-state, wallclock, thread, unseeded-rng, ptr-order)",
-                        e.key
-                    ),
-                });
-            }
-        }
-        if !by_key.contains_key(e.key.as_str()) {
-            det.findings.push(Finding {
-                check: "stale-entry",
-                file: "determinism.toml".to_owned(),
-                line: e.line,
-                message: format!(
-                    "entry {} does not resolve to any workspace function — \
-                     remove it or fix the key",
-                    e.key
-                ),
-            });
-        }
-    }
-
-    // Per-entry reachability (BFS with parent pointers for call chains).
-    for e in config {
-        let Some(&entry_idx) = by_key.get(e.key.as_str()) else {
-            continue;
-        };
-        let mut parent: HashMap<usize, usize> = HashMap::new();
-        let mut visited: BTreeSet<usize> = BTreeSet::new();
-        visited.insert(entry_idx);
-        let mut queue = vec![entry_idx];
-        while let Some(cur) = queue.pop() {
-            for c in &ex.facts[cur].calls {
-                for callee in symbols.resolve_all(&c.key, &ex.facts[cur].crate_name, c.is_ref) {
-                    if visited.insert(callee) {
-                        parent.insert(callee, cur);
-                        queue.push(callee);
-                    }
-                }
-            }
-        }
-        let chain_to = |idx: usize| -> String {
-            let mut keys = vec![ex.facts[idx].key.clone()];
-            let mut cur = idx;
-            while let Some(&p) = parent.get(&cur) {
-                keys.push(ex.facts[p].key.clone());
-                cur = p;
-            }
-            keys.reverse();
-            keys.join(" → ")
-        };
-
-        // Union the reachable nondeterminism sites per atom.
-        let mut by_atom: BTreeMap<&'static str, Vec<(usize, &NondetSite)>> = BTreeMap::new();
-        for &idx in &visited {
-            for site in &sources_per_fn[idx] {
-                by_atom.entry(site.atom).or_default().push((idx, site));
-            }
-        }
-        for sites in by_atom.values_mut() {
-            sites.sort_by(|a, b| (&a.1.file, a.1.line).cmp(&(&b.1.file, b.1.line)));
-        }
-
-        let allow: BTreeSet<&str> = e.allow.iter().map(String::as_str).collect();
-        for (atom, sites) in &by_atom {
-            if allow.contains(atom) {
-                continue;
-            }
-            let count = sites.len() as u64;
-            let key = format!("determinism:{}:{atom}", e.key);
-            let allowed = baselined.get(&key).copied().unwrap_or(0);
-            det.violation_counts.insert(key, count);
-            if count > allowed {
-                let (idx, first) = sites[0];
-                det.findings.push(Finding {
-                    check: "determinism-violation",
-                    file: first.file.clone(),
-                    line: first.line,
-                    message: format!(
-                        "{}: nondeterminism `{atom}` outside allowance [{}]: {count} site(s) \
-                         ({} baselined), e.g. {} at {}:{} via {}",
-                        e.key,
-                        e.allow.join(", "),
-                        allowed,
-                        first.what,
-                        first.file,
-                        first.line,
-                        chain_to(idx),
-                    ),
-                });
-            }
-        }
-
-        det.entries.push(DetEntryReport {
-            key: e.key.clone(),
-            allow: e.allow.clone(),
-            reachable: visited.len(),
-            sources: by_atom.iter().map(|(a, s)| ((*a).to_owned(), s.len())).collect(),
-        });
-    }
-
-    // Stale exemptions: a determinism-exempt comment that shields nothing.
-    // The scan covers every workspace function, so an exemption that
-    // suppressed no site anywhere (reachable or not) is dead weight.
-    for e in &ex.det_exempts {
-        if !used_exempts.contains(&(e.file.clone(), e.line)) {
-            det.findings.push(Finding {
-                check: "stale-exempt",
-                file: e.file.clone(),
-                line: e.line,
-                message: "determinism-exempt comment covers no matching nondeterminism site \
-                          within 3 lines — remove it or move it to the site"
-                    .to_owned(),
-            });
-        }
-    }
-
-    // Baseline ratchet, downward direction: slack fails until regenerated.
-    for (key, &allowed) in baselined {
-        let current = det.violation_counts.get(key).copied().unwrap_or(0);
-        if current < allowed {
-            det.findings.push(Finding {
-                check: "stale-determinism-baseline",
-                file: "crates/xtask/determinism_baseline.toml".to_owned(),
-                line: 0,
-                message: format!(
-                    "{key}: {allowed} baselined, {current} remain — run \
-                     `cargo xtask analyze --determinism --update-determinism-baseline`"
-                ),
-            });
-        }
-    }
-
-    det.findings.sort_by(|a, b| (a.check, &a.file, a.line).cmp(&(b.check, &b.file, b.line)));
-    det
-}
-
-/// Renders a regenerated `determinism.toml` from the observed source sets
-/// (redirect into the file to accept the current reality as the contract).
-pub fn emit_determinism(det: &DetAnalysis) -> String {
-    let mut out = String::from(
-        "# Determinism contract for `cargo xtask analyze --determinism`.\n\
-         # Each entry names a replay-deterministic function and the nondeterminism\n\
-         # atoms its whole reachable call graph may use (map-iter, hash-state,\n\
-         # wallclock, thread, unseeded-rng, ptr-order). Anything beyond the list\n\
-         # fails CI. Regenerate with `cargo xtask analyze --determinism\n\
-         # --emit-determinism` after a deliberate change.\n\n\
-         [determinism]\n",
-    );
-    for e in &det.entries {
-        let allow: Vec<String> = e.sources.keys().map(|a| format!("\"{a}\"")).collect();
-        out.push_str(&format!("\"{}\" = [{}]\n", e.key, allow.join(", ")));
-    }
-    out
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::contract::tests::{check, findings};
+    use crate::contract::Outcome;
 
-    fn det(
-        srcs: &[(&str, &str, &str)],
-        config: &[(&str, &[&str])],
-        baselined: &[(&str, u64)],
-    ) -> DetAnalysis {
-        let inputs: Vec<SourceInput<'_>> =
-            srcs.iter().map(|(c, p, t)| SourceInput { crate_name: c, path: p, text: t }).collect();
-        let config: Vec<DetEntry> = config
-            .iter()
-            .enumerate()
-            .map(|(i, (k, allow))| DetEntry {
-                key: (*k).to_owned(),
-                allow: allow.iter().map(|c| (*c).to_owned()).collect(),
-                line: i + 1,
-            })
-            .collect();
-        let baselined = baselined.iter().map(|(s, r)| ((*s).to_owned(), *r)).collect();
-        analyze(&inputs, &config, &baselined)
-    }
-
-    fn findings<'a>(d: &'a DetAnalysis, check: &str) -> Vec<&'a Finding> {
-        d.findings.iter().filter(|f| f.check == check).collect()
+    fn det(srcs: &[(&str, &str, &str)], config: &[(&str, &[&str])]) -> Outcome {
+        check(&PASS, srcs, config, &[], &[])
     }
 
     /// Two crates: a sim step whose helper (in another crate) iterates a
     /// HashMap field — the canonical seeded violation.
-    fn pipeline() -> Vec<(&'static str, &'static str, &'static str)> {
+    pub(crate) fn pipeline() -> Vec<(&'static str, &'static str, &'static str)> {
         vec![
             (
                 "sim",
@@ -932,7 +605,7 @@ mod tests {
 
     #[test]
     fn seeded_map_iter_reachable_from_step_is_caught_with_chain() {
-        let d = det(&pipeline(), &[("sim::Simulation::step", &[])], &[]);
+        let d = det(&pipeline(), &[("sim::Simulation::step", &[])]);
         let v = findings(&d, "determinism-violation");
         assert_eq!(v.len(), 1, "{:?}", d.findings);
         assert!(v[0].message.contains("`map-iter`"), "{}", v[0].message);
@@ -945,20 +618,11 @@ mod tests {
     }
 
     #[test]
-    fn violation_chain_lands_in_sarif() {
-        let d = det(&pipeline(), &[("sim::Simulation::step", &[])], &[]);
-        let sarif = crate::report::det_sarif(&d);
-        assert!(sarif.contains("\"determinism-violation\""), "{sarif}");
-        assert!(sarif.contains("core::Registry::states"), "{sarif}");
-        assert!(sarif.contains("crates/core/src/lib.rs"), "{sarif}");
-    }
-
-    #[test]
     fn allowance_covers_the_source() {
-        let d = det(&pipeline(), &[("sim::Simulation::step", &["map-iter"])], &[]);
+        let d = det(&pipeline(), &[("sim::Simulation::step", &["map-iter"])]);
         assert!(d.findings.is_empty(), "{:?}", d.findings);
         assert_eq!(d.entries.len(), 1);
-        assert_eq!(d.entries[0].sources.get("map-iter"), Some(&1));
+        assert_eq!(d.entries[0].found.get("map-iter"), Some(&1));
         assert!(d.violation_counts.is_empty(), "allowed atoms are not violations");
     }
 
@@ -976,7 +640,7 @@ mod tests {
             }
             ",
         )];
-        let d = det(&srcs, &[("core::Registry::states", &[])], &[]);
+        let d = det(&srcs, &[("core::Registry::states", &[])]);
         assert!(d.findings.is_empty(), "{:?}", d.findings);
     }
 
@@ -998,7 +662,7 @@ mod tests {
             }
             ",
         )];
-        let d = det(&srcs, &[("fx::S::f", &[])], &[]);
+        let d = det(&srcs, &[("fx::S::f", &[])]);
         let v = findings(&d, "determinism-violation");
         assert_eq!(v.len(), 1, "{:?}", d.findings);
         assert!(v[0].message.contains("for over self.m"), "{}", v[0].message);
@@ -1031,7 +695,6 @@ mod tests {
         let d = det(
             &srcs,
             &[("fx::S::constructed", &[]), ("fx::S::aliased", &[]), ("fx::S::collected", &[])],
-            &[],
         );
         let v = findings(&d, "determinism-violation");
         assert_eq!(v.len(), 3, "{:?}", d.findings);
@@ -1048,7 +711,7 @@ mod tests {
             }
             ",
         )];
-        let d = det(&srcs, &[("fx::f", &[])], &[]);
+        let d = det(&srcs, &[("fx::f", &[])]);
         let v = findings(&d, "determinism-violation");
         assert_eq!(v.len(), 1, "{:?}", d.findings);
         assert!(v[0].message.contains("into_iter"), "{}", v[0].message);
@@ -1075,7 +738,7 @@ mod tests {
             }
             ",
         )];
-        let d = det(&srcs, &[("fx::S::f", &[])], &[]);
+        let d = det(&srcs, &[("fx::S::f", &[])]);
         assert!(d.findings.is_empty(), "{:?}", d.findings);
     }
 
@@ -1094,26 +757,8 @@ mod tests {
             }
             ",
         )];
-        let d = det(&srcs, &[("fx::S::total", &[])], &[]);
+        let d = det(&srcs, &[("fx::S::total", &[])]);
         assert!(d.findings.is_empty(), "{:?}", d.findings);
-    }
-
-    #[test]
-    fn stale_exempt_is_a_finding() {
-        let srcs = [(
-            "fx",
-            "fx/src/lib.rs",
-            "
-            pub fn f() -> u32 {
-                // determinism-exempt: nothing here anymore
-                1
-            }
-            ",
-        )];
-        let d = det(&srcs, &[], &[]);
-        let v = findings(&d, "stale-exempt");
-        assert_eq!(v.len(), 1, "{:?}", d.findings);
-        assert_eq!(v[0].file, "fx/src/lib.rs");
     }
 
     #[test]
@@ -1132,7 +777,7 @@ mod tests {
             }
             ",
         )];
-        let d = det(&srcs, &[("fx::S::f", &[])], &[]);
+        let d = det(&srcs, &[("fx::S::f", &[])]);
         let atoms: Vec<&str> = findings(&d, "determinism-violation")
             .iter()
             .filter_map(|f| f.message.split('`').nth(1))
@@ -1156,7 +801,7 @@ mod tests {
             }
             ",
         )];
-        let d = det(&srcs, &[("fx::f", &[])], &[]);
+        let d = det(&srcs, &[("fx::f", &[])]);
         let atoms: BTreeSet<&str> = findings(&d, "determinism-violation")
             .iter()
             .filter_map(|f| f.message.split('`').nth(1))
@@ -1164,7 +809,7 @@ mod tests {
         for atom in ["wallclock", "thread", "hash-state", "unseeded-rng"] {
             assert!(atoms.contains(atom), "missing {atom}: {:?}", d.findings);
         }
-        assert_eq!(d.entries[0].sources.get("wallclock"), Some(&2), "now + elapsed");
+        assert_eq!(d.entries[0].found.get("wallclock"), Some(&2), "now + elapsed");
     }
 
     #[test]
@@ -1178,31 +823,10 @@ mod tests {
             }
             ",
         )];
-        let d = det(&srcs, &[("fx::f", &[])], &[]);
+        let d = det(&srcs, &[("fx::f", &[])]);
         let v = findings(&d, "determinism-violation");
         assert_eq!(v.len(), 1, "{:?}", d.findings);
         assert!(v[0].message.contains("`ptr-order`"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn stale_entry_and_unknown_atom_are_findings() {
-        let srcs = [("fx", "fx/src/lib.rs", "pub fn f() {}")];
-        let d = det(&srcs, &[("fx::gone", &["map-iter"]), ("fx::f", &["chaos"])], &[]);
-        assert_eq!(findings(&d, "stale-entry").len(), 1, "{:?}", d.findings);
-        assert_eq!(findings(&d, "unknown-atom").len(), 1, "{:?}", d.findings);
-    }
-
-    #[test]
-    fn baseline_tolerates_exact_count_and_flags_slack() {
-        let key = "determinism:sim::Simulation::step:map-iter";
-        let d = det(&pipeline(), &[("sim::Simulation::step", &[])], &[(key, 1)]);
-        assert!(d.findings.is_empty(), "{:?}", d.findings);
-        assert_eq!(d.violation_counts.get(key), Some(&1));
-
-        let d = det(&pipeline(), &[("sim::Simulation::step", &[])], &[(key, 2)]);
-        let v = findings(&d, "stale-determinism-baseline");
-        assert_eq!(v.len(), 1, "{:?}", d.findings);
-        assert!(v[0].message.contains("--update-determinism-baseline"), "{}", v[0].message);
     }
 
     #[test]
@@ -1222,35 +846,7 @@ mod tests {
             pub fn f(pool: &Pool) -> u32 { pool.spawn(1) }
             ",
         )];
-        let d = det(&srcs, &[("fx::f", &[])], &[]);
+        let d = det(&srcs, &[("fx::f", &[])]);
         assert!(d.findings.is_empty(), "{:?}", d.findings);
-    }
-
-    #[test]
-    fn parse_config_reads_quoted_keys_and_atoms() {
-        let text = "
-            # contract
-            [determinism]
-            \"a::B::c\" = [\"map-iter\", \"wallclock\"]
-            \"a::free\" = []
-        ";
-        let entries = parse_config(text, "determinism.toml").unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].key, "a::B::c");
-        assert_eq!(entries[0].allow, vec!["map-iter".to_owned(), "wallclock".to_owned()]);
-        assert!(entries[1].allow.is_empty());
-    }
-
-    #[test]
-    fn parse_config_rejects_malformed_lines() {
-        assert!(parse_config("\"a::b\" = oops", "t").is_err());
-        assert!(parse_config("just words", "t").is_err());
-    }
-
-    #[test]
-    fn emit_determinism_renders_observed_contract() {
-        let d = det(&pipeline(), &[("sim::Simulation::step", &[])], &[]);
-        let emitted = emit_determinism(&d);
-        assert!(emitted.contains("\"sim::Simulation::step\" = [\"map-iter\"]"), "{emitted}");
     }
 }

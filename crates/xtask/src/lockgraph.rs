@@ -388,8 +388,8 @@ impl Walker<'_> {
             {
                 self.acquisition(line);
             }
-            Some(Tok::Ident(name)) if self.call_paren(self.i).is_some() => {
-                let paren = self.call_paren(self.i).unwrap_or(self.i + 1);
+            Some(Tok::Ident(name)) if tokens::call_paren(self.toks, self.i).is_some() => {
+                let paren = tokens::call_paren(self.toks, self.i).unwrap_or(self.i + 1);
                 self.call_site(&name, line, paren);
             }
             Some(Tok::Ident(name)) => {
@@ -747,32 +747,6 @@ impl Walker<'_> {
         self.i += 3;
     }
 
-    /// The index of the call's opening `(` when the ident at `i` heads a
-    /// call — either directly (`f(`) or through a turbofish (`f::<T>(`).
-    fn call_paren(&self, i: usize) -> Option<usize> {
-        if self.tok(i + 1).is_some_and(|t| t.is_punct('(')) {
-            return Some(i + 1);
-        }
-        if matches!(self.tok(i + 1), Some(Tok::PathSep))
-            && self.tok(i + 2).is_some_and(|t| t.is_punct('<'))
-        {
-            let mut depth = 0i32;
-            let mut j = i + 2;
-            while let Some(t) = self.tok(j) {
-                if t.is_punct('<') {
-                    depth += 1;
-                } else if t.is_punct('>') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return self.tok(j + 1).is_some_and(|t| t.is_punct('(')).then_some(j + 1);
-                    }
-                }
-                j += 1;
-            }
-        }
-        None
-    }
-
     /// Any `name(` that is not an acquisition: record the call (for the
     /// interprocedural closure), track element accesses, handle `drop`.
     fn call_site(&mut self, name: &str, line: usize, paren: usize) {
@@ -991,10 +965,8 @@ pub(crate) struct Extraction {
     pub(crate) edges: Vec<Edge>,
     /// Declaration points of lock sites (for missing-rank messages).
     pub(crate) site_decls: BTreeMap<String, (String, usize)>,
-    /// Non-test `// hotpath-exempt:` comment sites.
+    /// Non-test `// <stem>-exempt:` comment sites, of every stem.
     pub(crate) exempts: Vec<Exempt>,
-    /// Non-test `// determinism-exempt:` comment sites.
-    pub(crate) det_exempts: Vec<Exempt>,
     /// Struct name → fields whose declared type mentions `HashMap`/`HashSet`
     /// anywhere (`RwLock<HashMap<..>>` counts), for hash-receiver typing in
     /// the determinism scan.
@@ -1003,10 +975,12 @@ pub(crate) struct Extraction {
     pub(crate) fns: usize,
 }
 
-/// One `// hotpath-exempt: reason` (all atoms) or
-/// `// hotpath-exempt(panic, ...): reason` (listed atoms only) comment.
+/// One `// <stem>-exempt: reason` (all atoms) or
+/// `// <stem>-exempt(panic, ...): reason` (listed atoms only) comment.
 #[derive(Debug)]
 pub(crate) struct Exempt {
+    /// Which contract pass it addresses (`hotpath`, `determinism`).
+    pub(crate) stem: String,
     pub(crate) file: String,
     /// 1-based line of the comment.
     pub(crate) line: usize,
@@ -1314,19 +1288,23 @@ pub(crate) const STD_METHODS: &[&str] = &[
     "subsec_nanos",
 ];
 
-/// Parses an exempt-comment tail: accepts `<prefix>: why` (all atoms) and
-/// `<prefix>(a, b): why` (listed atoms); anything else (e.g. a prose
-/// mention of the marker) is not an exemption.
-fn exempt_atoms(comment: &str, prefix: &str) -> Option<Vec<String>> {
-    let rest = comment.strip_prefix(prefix)?;
+/// Parses an exempt comment: `<stem>-exempt: why` (all atoms) or
+/// `<stem>-exempt(a, b): why` (listed atoms), the stem one lowercase word;
+/// anything else (e.g. a prose mention of the marker) is not an exemption.
+fn exempt_comment(comment: &str) -> Option<(&str, Vec<String>)> {
+    let (stem, rest) = comment.split_once("-exempt")?;
+    if stem.is_empty() || !stem.bytes().all(|b| b.is_ascii_lowercase()) {
+        return None;
+    }
     if rest.starts_with(':') {
-        return Some(Vec::new());
+        return Some((stem, Vec::new()));
     }
     let (inner, after) = rest.strip_prefix('(').and_then(|r| r.split_once(')'))?;
     if !after.trim_start().starts_with(':') {
         return None;
     }
-    Some(inner.split(',').map(|a| a.trim().to_owned()).filter(|a| !a.is_empty()).collect())
+    let atoms = inner.split(',').map(|a| a.trim().to_owned()).filter(|a| !a.is_empty()).collect();
+    Some((stem, atoms))
 }
 
 /// Parses the sources and walks every non-test function, producing the raw
@@ -1342,10 +1320,13 @@ pub(crate) fn extract(sources: &[SourceInput<'_>]) -> Extraction {
                 if line.in_test {
                     continue;
                 }
-                if let Some(atoms) = exempt_atoms(c, "hotpath-exempt") {
-                    ex.exempts.push(Exempt { file: s.path.to_owned(), line: idx + 1, atoms });
-                } else if let Some(atoms) = exempt_atoms(c, "determinism-exempt") {
-                    ex.det_exempts.push(Exempt { file: s.path.to_owned(), line: idx + 1, atoms });
+                if let Some((stem, atoms)) = exempt_comment(c) {
+                    ex.exempts.push(Exempt {
+                        stem: stem.to_owned(),
+                        file: s.path.to_owned(),
+                        line: idx + 1,
+                        atoms,
+                    });
                 }
             }
             (s, parser::parse(&tokens::tokenize(&lexed)))

@@ -1,23 +1,29 @@
 //! `cargo xtask` — workspace automation for the CAD3 reproduction.
 //!
-//! Two subcommands:
+//! Two subcommands, four checks:
 //!
 //! ```sh
 //! cargo xtask lint                    # check against crates/xtask/baseline.toml
 //! cargo xtask lint --update-baseline  # regenerate the ratchet
 //! cargo xtask analyze                 # lock-graph deadlock + rank analysis
-//! cargo xtask analyze --format sarif  # machine-readable (also: json)
 //! cargo xtask analyze --emit-lockranks  # print a regenerated lockranks.toml
+//! cargo xtask analyze --hotpaths      # hot-path purity contract (hotpaths.toml)
+//! cargo xtask analyze --determinism   # determinism contract (determinism.toml)
+//! cargo xtask analyze [..] --format sarif  # machine-readable (also: json)
 //! ```
 //!
-//! Both are from-scratch passes (no rustc/syn involvement). `lint` is
+//! All are from-scratch passes (no rustc/syn involvement). `lint` is
 //! token-level, applying the per-line rules in `rules.rs`; `analyze` parses
-//! every workspace crate (`lexer` → `tokens` → `parser`), extracts the
-//! whole-workspace lock-acquisition graph (`lockgraph`) and checks it for
-//! cycles and violations of the declared hierarchy in `lockranks.toml`.
+//! every workspace crate (`lexer` → `tokens` → `parser`) and extracts one
+//! set of per-function facts (`lockgraph::extract`). The lock-graph analysis
+//! checks the acquisition graph for cycles and violations of the hierarchy
+//! in `lockranks.toml`; the two contract analyses are one check (`contract`)
+//! over two scanners (`hotpaths`, `determinism`), each taking
+//! `--<table>`, `--emit-<table>` and `--update-<table>-baseline`.
 //! See `DESIGN.md` §"Verification strategy".
 
 mod baseline;
+mod contract;
 mod determinism;
 mod hotpaths;
 mod lexer;
@@ -27,6 +33,7 @@ mod report;
 mod rules;
 mod tokens;
 
+use contract::{Outcome, Pass};
 use rules::FileKind;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -51,74 +58,71 @@ commands:
       unseeded-rng, ptr-order) outside their declared allowance,
       ratcheted via crates/xtask/determinism_baseline.toml";
 
+/// The contract analyses `analyze` can run, each behind its own flags.
+const PASSES: [&Pass; 2] = [&hotpaths::PASS, &determinism::PASS];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => {
             let update = args.iter().any(|a| a == "--update-baseline");
             if args.iter().skip(1).any(|a| a != "--update-baseline") {
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
+                return usage();
             }
             exit_of(lint(update), "lint")
         }
         Some("analyze") => {
             let mut format = "human".to_owned();
-            let mut emit = false;
-            let mut hot = false;
-            let mut emit_hot = false;
-            let mut update_hot_baseline = false;
-            let mut det = false;
-            let mut emit_det = false;
-            let mut update_det_baseline = false;
+            let mut emit_lockranks = false;
+            let mut pass: Option<&Pass> = None;
+            let (mut emit, mut update_baseline) = (false, false);
             let mut rest = args[1..].iter();
             while let Some(a) = rest.next() {
                 match a.as_str() {
                     "--format" => match rest.next().map(String::as_str) {
                         Some(f @ ("human" | "json" | "sarif")) => format = f.to_owned(),
-                        _ => {
-                            eprintln!("{USAGE}");
-                            return ExitCode::from(2);
-                        }
+                        _ => return usage(),
                     },
-                    "--emit-lockranks" => emit = true,
-                    "--hotpaths" => hot = true,
-                    "--emit-hotpaths" => {
-                        hot = true;
-                        emit_hot = true;
-                    }
-                    "--update-hotpaths-baseline" => {
-                        hot = true;
-                        update_hot_baseline = true;
-                    }
-                    "--determinism" => det = true,
-                    "--emit-determinism" => {
-                        det = true;
-                        emit_det = true;
-                    }
-                    "--update-determinism-baseline" => {
-                        det = true;
-                        update_det_baseline = true;
-                    }
-                    _ => {
-                        eprintln!("{USAGE}");
-                        return ExitCode::from(2);
+                    "--emit-lockranks" => emit_lockranks = true,
+                    flag => {
+                        let hit = PASSES.iter().find_map(|p| {
+                            let t = p.table;
+                            let flags = [
+                                format!("--{t}"),
+                                format!("--emit-{t}"),
+                                format!("--update-{t}-baseline"),
+                            ];
+                            Some((*p, flags.iter().position(|f| f == flag)?))
+                        });
+                        match hit {
+                            // One analysis per command line.
+                            Some((p, at)) if pass.is_none_or(|chosen| chosen.table == p.table) => {
+                                pass = Some(p);
+                                emit |= at == 1;
+                                update_baseline |= at == 2;
+                            }
+                            _ => return usage(),
+                        }
                     }
                 }
             }
-            if det {
-                exit_of(analyze_determinism(&format, emit_det, update_det_baseline), "analyze")
-            } else if hot {
-                exit_of(analyze_hotpaths(&format, emit_hot, update_hot_baseline), "analyze")
-            } else {
-                exit_of(analyze(&format, emit), "analyze")
+            match pass {
+                // A lock-graph-only flag next to a contract pass.
+                Some(_) if emit_lockranks => usage(),
+                Some(pass) => {
+                    exit_of(analyze_contract(pass, &format, emit, update_baseline), "analyze")
+                }
+                None => exit_of(analyze(&format, emit_lockranks), "analyze"),
             }
         }
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
+        _ => usage(),
     }
+}
+
+/// A bad command line: usage on stderr, exit 2.
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
 }
 
 /// Maps a subcommand result to an exit code (1 = findings, 2 = I/O error).
@@ -341,6 +345,14 @@ fn collect_analyze_sources(root: &Path) -> std::io::Result<Vec<(String, String, 
     Ok(out)
 }
 
+/// Borrows loaded sources as analyzer inputs.
+fn inputs(sources: &[(String, String, String)]) -> Vec<lockgraph::SourceInput<'_>> {
+    sources
+        .iter()
+        .map(|(c, p, t)| lockgraph::SourceInput { crate_name: c, path: p, text: t })
+        .collect()
+}
+
 /// Runs the lock-graph analysis; returns `Ok(true)` when there are no
 /// findings. With `emit_lockranks`, prints a regenerated table instead
 /// (redirect into `lockranks.toml` to accept it) and always succeeds.
@@ -348,11 +360,7 @@ fn analyze(format: &str, emit_lockranks: bool) -> std::io::Result<bool> {
     let root = workspace_root();
     let ranks = baseline::load(&root.join("lockranks.toml"))?;
     let sources = collect_analyze_sources(&root)?;
-    let inputs: Vec<lockgraph::SourceInput<'_>> = sources
-        .iter()
-        .map(|(c, p, t)| lockgraph::SourceInput { crate_name: c, path: p, text: t })
-        .collect();
-    let analysis = lockgraph::analyze(&inputs, &ranks);
+    let analysis = lockgraph::analyze(&inputs(&sources), &ranks);
 
     if emit_lockranks {
         print!("{}", lockgraph::emit_lockranks(&analysis, &ranks));
@@ -366,94 +374,53 @@ fn analyze(format: &str, emit_lockranks: bool) -> std::io::Result<bool> {
     Ok(analysis.findings.is_empty())
 }
 
-/// Runs the hot-path purity analysis; returns `Ok(true)` when every entry
-/// in `hotpaths.toml` stays within its declared capabilities (modulo the
-/// ratcheted baseline). With `emit`, prints a regenerated contract; with
-/// `update_baseline`, rewrites the ratchet to current reality.
-fn analyze_hotpaths(format: &str, emit: bool, update_baseline: bool) -> std::io::Result<bool> {
-    let root = workspace_root();
+/// Checks the workspace against `pass`'s checked-in contract and baseline.
+fn check_contract(pass: &Pass, root: &Path) -> std::io::Result<Outcome> {
     let ranks = baseline::load(&root.join("lockranks.toml"))?;
-    let config = hotpaths::load_config(&root.join("hotpaths.toml"))?;
-    let baseline_path = root.join("crates/xtask/hotpaths_baseline.toml");
-    let baselined = baseline::load(&baseline_path)?;
-    let sources = collect_analyze_sources(&root)?;
-    let inputs: Vec<lockgraph::SourceInput<'_>> = sources
-        .iter()
-        .map(|(c, p, t)| lockgraph::SourceInput { crate_name: c, path: p, text: t })
-        .collect();
-    let hot = hotpaths::analyze(&inputs, &config, &ranks, &baselined);
-
-    if emit {
-        print!("{}", hotpaths::emit_hotpaths(&hot));
-        return Ok(true);
-    }
-    if update_baseline {
-        baseline::save_with_header(
-            &baseline_path,
-            &hot.violation_counts,
-            "# Hot-path purity baseline — a ratchet, not an allowlist.\n\
-             # Keys are `hotpath:<entry>:<atom>` from `cargo xtask analyze --hotpaths`;\n\
-             # counts above these fail CI, counts below fail until regenerated with\n\
-             # `cargo xtask analyze --hotpaths --update-hotpaths-baseline`.\n",
-        )?;
-        println!(
-            "hotpaths baseline regenerated: {} ({} violation key(s))",
-            baseline_path.display(),
-            hot.violation_counts.values().filter(|&&c| c > 0).count(),
-        );
-        return Ok(true);
-    }
-    match format {
-        "json" => print!("{}", report::hot_json(&hot)),
-        "sarif" => print!("{}", report::hot_sarif(&hot)),
-        _ => print!("{}", report::hot_human(&hot)),
-    }
-    Ok(hot.findings.is_empty())
+    let config = contract::load(pass, root)?;
+    let baselined = baseline::load(&root.join(pass.baseline_file()))?;
+    let sources = collect_analyze_sources(root)?;
+    Ok(contract::analyze(pass, &inputs(&sources), &config, &ranks, &baselined))
 }
 
-/// Runs the determinism analysis; returns `Ok(true)` when every entry in
-/// `determinism.toml` reaches no nondeterminism source outside its
-/// allowance (modulo the ratcheted baseline). With `emit`, prints a
-/// regenerated contract; with `update_baseline`, rewrites the ratchet to
-/// current reality.
-fn analyze_determinism(format: &str, emit: bool, update_baseline: bool) -> std::io::Result<bool> {
+/// Runs one contract analysis; returns `Ok(true)` when every entry of the
+/// pass's contract stays within its declared atoms (modulo the ratcheted
+/// baseline). With `emit`, prints a regenerated contract; with
+/// `update_baseline`, rewrites the ratchet to current reality.
+fn analyze_contract(
+    pass: &Pass,
+    format: &str,
+    emit: bool,
+    update_baseline: bool,
+) -> std::io::Result<bool> {
     let root = workspace_root();
-    let config = determinism::load_config(&root.join("determinism.toml"))?;
-    let baseline_path = root.join("crates/xtask/determinism_baseline.toml");
-    let baselined = baseline::load(&baseline_path)?;
-    let sources = collect_analyze_sources(&root)?;
-    let inputs: Vec<lockgraph::SourceInput<'_>> = sources
-        .iter()
-        .map(|(c, p, t)| lockgraph::SourceInput { crate_name: c, path: p, text: t })
-        .collect();
-    let det = determinism::analyze(&inputs, &config, &baselined);
+    let outcome = check_contract(pass, &root)?;
 
     if emit {
-        print!("{}", determinism::emit_determinism(&det));
+        print!("{}", contract::emit(pass, &outcome));
         return Ok(true);
     }
     if update_baseline {
+        let baseline_path = root.join(pass.baseline_file());
         baseline::save_with_header(
             &baseline_path,
-            &det.violation_counts,
-            "# Determinism baseline — a ratchet, not an allowlist.\n\
-             # Keys are `determinism:<entry>:<atom>` from `cargo xtask analyze --determinism`;\n\
-             # counts above these fail CI, counts below fail until regenerated with\n\
-             # `cargo xtask analyze --determinism --update-determinism-baseline`.\n",
+            &outcome.violation_counts,
+            &pass.baseline_header(),
         )?;
         println!(
-            "determinism baseline regenerated: {} ({} violation key(s))",
+            "{} baseline regenerated: {} ({} violation key(s))",
+            pass.table,
             baseline_path.display(),
-            det.violation_counts.values().filter(|&&c| c > 0).count(),
+            outcome.violation_counts.values().filter(|&&c| c > 0).count(),
         );
         return Ok(true);
     }
     match format {
-        "json" => print!("{}", report::det_json(&det)),
-        "sarif" => print!("{}", report::det_sarif(&det)),
-        _ => print!("{}", report::det_human(&det)),
+        "json" => print!("{}", contract::json(pass, &outcome)),
+        "sarif" => print!("{}", contract::sarif(pass, &outcome)),
+        _ => print!("{}", contract::human(pass, &outcome)),
     }
-    Ok(det.findings.is_empty())
+    Ok(outcome.findings.is_empty())
 }
 
 #[cfg(test)]
@@ -468,11 +435,7 @@ mod main_tests {
         let ranks = baseline::load(&root.join("lockranks.toml")).expect("lockranks.toml");
         assert!(!ranks.is_empty(), "rank table must not be empty");
         let sources = collect_analyze_sources(&root).expect("workspace sources");
-        let inputs: Vec<lockgraph::SourceInput<'_>> = sources
-            .iter()
-            .map(|(c, p, t)| lockgraph::SourceInput { crate_name: c, path: p, text: t })
-            .collect();
-        let analysis = lockgraph::analyze(&inputs, &ranks);
+        let analysis = lockgraph::analyze(&inputs(&sources), &ranks);
         assert!(
             analysis.findings.is_empty(),
             "workspace analysis findings:\n{}",
@@ -506,63 +469,47 @@ mod main_tests {
         assert_eq!(name.as_deref(), Some("cad3_stream"));
     }
 
-    /// End-to-end: the checked-in hot-path contract must hold on the real
-    /// workspace — every entry resolves, no effect escapes its capability
-    /// set, no exemption is stale, and the baseline carries no slack.
+    /// End-to-end: a checked-in contract must hold on the real workspace —
+    /// it declares entries, every entry resolves, nothing escapes its
+    /// declared atoms, no exemption is stale, the baseline carries no slack.
+    fn clean_outcome(pass: &Pass) -> Outcome {
+        let outcome = check_contract(pass, &workspace_root()).expect("workspace check");
+        assert!(
+            outcome.findings.is_empty(),
+            "{} findings:\n{}",
+            pass.title,
+            contract::human(pass, &outcome)
+        );
+        assert!(!outcome.entries.is_empty(), "{} must declare entries", pass.contract_file());
+        outcome
+    }
+
     #[test]
     fn real_workspace_hotpaths_is_clean() {
-        let root = workspace_root();
-        let ranks = baseline::load(&root.join("lockranks.toml")).expect("lockranks.toml");
-        let config = hotpaths::load_config(&root.join("hotpaths.toml")).expect("hotpaths.toml");
-        assert!(!config.is_empty(), "contract must declare entries");
-        let baselined =
-            baseline::load(&root.join("crates/xtask/hotpaths_baseline.toml")).expect("baseline");
-        let sources = collect_analyze_sources(&root).expect("workspace sources");
-        let inputs: Vec<lockgraph::SourceInput<'_>> = sources
-            .iter()
-            .map(|(c, p, t)| lockgraph::SourceInput { crate_name: c, path: p, text: t })
-            .collect();
-        let hot = hotpaths::analyze(&inputs, &config, &ranks, &baselined);
-        assert!(hot.findings.is_empty(), "hot-path findings:\n{}", report::hot_human(&hot));
+        let hot = clean_outcome(&hotpaths::PASS);
         // The headline claims must be discovered, not vacuous: transmit is
         // pure, detection is lock-free and panic-free, poll's locks are
         // exactly the declared ranks.
         let entry = |key: &str| {
             hot.entries.iter().find(|e| e.key == key).unwrap_or_else(|| panic!("missing {key}"))
         };
-        assert!(entry("cad3_net::WiredLink::transmit").effects.is_empty(), "transmit is pure");
+        assert!(entry("cad3_net::WiredLink::transmit").found.is_empty(), "transmit is pure");
         for key in ["cad3_ml::NaiveBayes::predict", "cad3_ml::DecisionTree::predict"] {
-            let effects = &entry(key).effects;
+            let effects = &entry(key).found;
             assert!(!effects.contains_key("panic"), "{key} must be panic-free: {effects:?}");
             assert!(
                 !effects.keys().any(|a| a.starts_with("lock:") || a == "block"),
                 "{key} must be lock-free: {effects:?}"
             );
         }
-        let poll = &entry("cad3_stream::Consumer::poll").effects;
+        let poll = &entry("cad3_stream::Consumer::poll").found;
         assert!(poll.contains_key("lock:30"), "poll touches partitions: {poll:?}");
         assert!(!poll.contains_key("panic"), "poll is panic-free: {poll:?}");
     }
 
-    /// End-to-end: the checked-in determinism contract must hold on the
-    /// real workspace — every entry resolves and reaches no nondeterminism
-    /// source outside its allowance, no exemption is stale, and the
-    /// baseline carries no slack.
     #[test]
     fn real_workspace_determinism_is_clean() {
-        let root = workspace_root();
-        let config =
-            determinism::load_config(&root.join("determinism.toml")).expect("determinism.toml");
-        assert!(!config.is_empty(), "contract must declare entries");
-        let baselined =
-            baseline::load(&root.join("crates/xtask/determinism_baseline.toml")).expect("baseline");
-        let sources = collect_analyze_sources(&root).expect("workspace sources");
-        let inputs: Vec<lockgraph::SourceInput<'_>> = sources
-            .iter()
-            .map(|(c, p, t)| lockgraph::SourceInput { crate_name: c, path: p, text: t })
-            .collect();
-        let det = determinism::analyze(&inputs, &config, &baselined);
-        assert!(det.findings.is_empty(), "determinism findings:\n{}", report::det_human(&det));
+        let det = clean_outcome(&determinism::PASS);
         // The headline claims must be discovered, not vacuous: the detect
         // and fusion paths reach real call graphs, and no entry needs a
         // nondeterminism allowance — the debt is paid, not capped.
@@ -572,7 +519,7 @@ mod main_tests {
         assert!(entry("cad3::RsuNode::run_batch").reachable > 10, "detect path is traversed");
         assert!(entry("cad3::SummaryTracker::observe").reachable > 1, "fusion path is traversed");
         for e in &det.entries {
-            assert!(e.allow.is_empty(), "{} should need no allowance: {:?}", e.key, e.allow);
+            assert!(e.atoms.is_empty(), "{} should need no allowance: {:?}", e.key, e.atoms);
         }
     }
 }

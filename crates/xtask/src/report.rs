@@ -3,10 +3,10 @@
 //! Three formats over the same [`Analysis`]: `human` for terminals, `json`
 //! for scripting, and `sarif` (SARIF 2.1.0) for code-scanning UIs. The JSON
 //! is emitted by hand — the workspace intentionally carries no serde — so
-//! the renderers stick to the small, flat subset the consumers need.
+//! the renderers stick to the small, flat subset the consumers need. The
+//! findings blocks and the SARIF log are shared with the contract reports
+//! ([`crate::contract`]), which differ only in what precedes the findings.
 
-use crate::determinism::DetAnalysis;
-use crate::hotpaths::HotAnalysis;
 use crate::lockgraph::{Analysis, Finding};
 use std::fmt::Write as _;
 
@@ -47,23 +47,28 @@ pub fn human(analysis: &Analysis) -> String {
         let _ =
             writeln!(out, "  edge {} -> {} ({}:{}, in {})", e.from, e.to, e.file, e.line, e.via);
     }
-    if analysis.findings.is_empty() {
-        let _ = writeln!(out, "no findings");
-    } else {
-        let _ = writeln!(out, "{} finding(s):", analysis.findings.len());
-        for f in &analysis.findings {
-            if f.file.is_empty() {
-                let _ = writeln!(out, "  [{}] {}", f.check, f.message);
-            } else {
-                let _ = writeln!(out, "  [{}] {}:{}: {}", f.check, f.file, f.line, f.message);
-            }
-        }
-    }
+    findings_human(&mut out, &analysis.findings);
     out
 }
 
+/// Appends the findings block that closes every human report.
+pub fn findings_human(out: &mut String, findings: &[Finding]) {
+    if findings.is_empty() {
+        let _ = writeln!(out, "no findings");
+        return;
+    }
+    let _ = writeln!(out, "{} finding(s):", findings.len());
+    for f in findings {
+        if f.file.is_empty() {
+            let _ = writeln!(out, "  [{}] {}", f.check, f.message);
+        } else {
+            let _ = writeln!(out, "  [{}] {}:{}: {}", f.check, f.file, f.line, f.message);
+        }
+    }
+}
+
 /// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -113,8 +118,15 @@ pub fn json(analysis: &Analysis) -> String {
     }
     out.push_str(if analysis.edges.is_empty() { "],\n" } else { "\n  ],\n" });
 
+    findings_json(&mut out, &analysis.findings);
+    out.push_str("}\n");
+    out
+}
+
+/// Appends the `"findings"` member that closes every JSON report.
+pub fn findings_json(out: &mut String, findings: &[Finding]) {
     out.push_str("  \"findings\": [");
-    for (i, f) in analysis.findings.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         let sep = if i == 0 { "\n" } else { ",\n" };
         let _ = write!(
             out,
@@ -126,9 +138,7 @@ pub fn json(analysis: &Analysis) -> String {
             esc(&f.message)
         );
     }
-    out.push_str(if analysis.findings.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
+    out.push_str(if findings.is_empty() { "]\n" } else { "\n  ]\n" });
 }
 
 /// Renders a SARIF 2.1.0 log for code-scanning upload.
@@ -136,9 +146,8 @@ pub fn sarif(analysis: &Analysis) -> String {
     sarif_log("cad3-xtask-analyze", &CHECKS, &analysis.findings)
 }
 
-/// Renders a SARIF 2.1.0 log from any finding list — shared by the
-/// lock-graph and hot-path analyses, which differ only in tool name and
-/// rule table.
+/// Renders a SARIF 2.1.0 log from any finding list — the analyses differ
+/// only in tool name and rule table.
 pub fn sarif_log(tool: &str, checks: &[(&str, &str)], findings: &[Finding]) -> String {
     let mut out = String::from(
         "{\n  \"version\": \"2.1.0\",\n  \
@@ -170,170 +179,6 @@ pub fn sarif_log(tool: &str, checks: &[(&str, &str)], findings: &[Finding]) -> S
     }
     out.push_str("      ]\n    }\n  ]\n}\n");
     out
-}
-
-/// Renders the human-readable hot-path purity report.
-pub fn hot_human(hot: &HotAnalysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "hot-path purity: {} entr{} over {} functions",
-        hot.entries.len(),
-        if hot.entries.len() == 1 { "y" } else { "ies" },
-        hot.fns
-    );
-    for e in &hot.entries {
-        let _ = writeln!(out, "  entry {} [caps: {}]", e.key, e.caps.join(", "));
-        let effects: Vec<String> =
-            e.effects.iter().map(|(atom, n)| format!("{atom}×{n}")).collect();
-        let _ = writeln!(
-            out,
-            "    reaches {} fn(s); effects: {}",
-            e.reachable,
-            if effects.is_empty() { "none (pure)".to_owned() } else { effects.join(", ") }
-        );
-    }
-    if hot.findings.is_empty() {
-        let _ = writeln!(out, "no findings");
-    } else {
-        let _ = writeln!(out, "{} finding(s):", hot.findings.len());
-        for f in &hot.findings {
-            if f.file.is_empty() {
-                let _ = writeln!(out, "  [{}] {}", f.check, f.message);
-            } else {
-                let _ = writeln!(out, "  [{}] {}:{}: {}", f.check, f.file, f.line, f.message);
-            }
-        }
-    }
-    out
-}
-
-/// Renders the machine-readable JSON hot-path report.
-pub fn hot_json(hot: &HotAnalysis) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"functions\": {},", hot.fns);
-    out.push_str("  \"entries\": [");
-    for (i, e) in hot.entries.iter().enumerate() {
-        let sep = if i == 0 { "\n" } else { ",\n" };
-        let caps: Vec<String> = e.caps.iter().map(|c| format!("\"{}\"", esc(c))).collect();
-        let effects: Vec<String> =
-            e.effects.iter().map(|(a, n)| format!("\"{}\": {n}", esc(a))).collect();
-        let _ = write!(
-            out,
-            "{sep}    {{\"entry\": \"{}\", \"caps\": [{}], \"reachable\": {}, \
-             \"effects\": {{{}}}}}",
-            esc(&e.key),
-            caps.join(", "),
-            e.reachable,
-            effects.join(", ")
-        );
-    }
-    out.push_str(if hot.entries.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"findings\": [");
-    for (i, f) in hot.findings.iter().enumerate() {
-        let sep = if i == 0 { "\n" } else { ",\n" };
-        let _ = write!(
-            out,
-            "{sep}    {{\"check\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"message\": \"{}\"}}",
-            esc(f.check),
-            esc(&f.file),
-            f.line,
-            esc(&f.message)
-        );
-    }
-    out.push_str(if hot.findings.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the SARIF 2.1.0 hot-path log for code-scanning upload.
-pub fn hot_sarif(hot: &HotAnalysis) -> String {
-    sarif_log("cad3-xtask-hotpaths", &crate::hotpaths::CHECKS, &hot.findings)
-}
-
-/// Renders the human-readable determinism report.
-pub fn det_human(det: &DetAnalysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "determinism contract: {} entr{} over {} functions",
-        det.entries.len(),
-        if det.entries.len() == 1 { "y" } else { "ies" },
-        det.fns
-    );
-    for e in &det.entries {
-        let _ = writeln!(out, "  entry {} [allow: {}]", e.key, e.allow.join(", "));
-        let sources: Vec<String> =
-            e.sources.iter().map(|(atom, n)| format!("{atom}×{n}")).collect();
-        let _ = writeln!(
-            out,
-            "    reaches {} fn(s); sources: {}",
-            e.reachable,
-            if sources.is_empty() {
-                "none (replay-deterministic)".to_owned()
-            } else {
-                sources.join(", ")
-            }
-        );
-    }
-    if det.findings.is_empty() {
-        let _ = writeln!(out, "no findings");
-    } else {
-        let _ = writeln!(out, "{} finding(s):", det.findings.len());
-        for f in &det.findings {
-            if f.file.is_empty() {
-                let _ = writeln!(out, "  [{}] {}", f.check, f.message);
-            } else {
-                let _ = writeln!(out, "  [{}] {}:{}: {}", f.check, f.file, f.line, f.message);
-            }
-        }
-    }
-    out
-}
-
-/// Renders the machine-readable JSON determinism report.
-pub fn det_json(det: &DetAnalysis) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"functions\": {},", det.fns);
-    out.push_str("  \"entries\": [");
-    for (i, e) in det.entries.iter().enumerate() {
-        let sep = if i == 0 { "\n" } else { ",\n" };
-        let allow: Vec<String> = e.allow.iter().map(|c| format!("\"{}\"", esc(c))).collect();
-        let sources: Vec<String> =
-            e.sources.iter().map(|(a, n)| format!("\"{}\": {n}", esc(a))).collect();
-        let _ = write!(
-            out,
-            "{sep}    {{\"entry\": \"{}\", \"allow\": [{}], \"reachable\": {}, \
-             \"sources\": {{{}}}}}",
-            esc(&e.key),
-            allow.join(", "),
-            e.reachable,
-            sources.join(", ")
-        );
-    }
-    out.push_str(if det.entries.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"findings\": [");
-    for (i, f) in det.findings.iter().enumerate() {
-        let sep = if i == 0 { "\n" } else { ",\n" };
-        let _ = write!(
-            out,
-            "{sep}    {{\"check\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"message\": \"{}\"}}",
-            esc(f.check),
-            esc(&f.file),
-            f.line,
-            esc(&f.message)
-        );
-    }
-    out.push_str(if det.findings.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the SARIF 2.1.0 determinism log for code-scanning upload.
-pub fn det_sarif(det: &DetAnalysis) -> String {
-    sarif_log("cad3-xtask-determinism", &crate::determinism::CHECKS, &det.findings)
 }
 
 fn sarif_result(f: &Finding) -> String {

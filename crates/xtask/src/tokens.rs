@@ -178,6 +178,57 @@ pub fn tokenize(file: &SourceFile) -> Vec<Token> {
     out
 }
 
+/// Index just past the group opened at `open` (`(`/`[`/`{`), or `open + 1`
+/// when no group starts there.
+pub fn skip_group(toks: &[Token], open: usize) -> usize {
+    let (o, c) = match toks.get(open).map(|t| &t.tok) {
+        Some(t) if t.is_punct('(') => ('(', ')'),
+        Some(t) if t.is_punct('[') => ('[', ']'),
+        Some(t) if t.is_punct('{') => ('{', '}'),
+        _ => return open + 1,
+    };
+    let mut depth = 0usize;
+    let mut j = open;
+    while let Some(t) = toks.get(j) {
+        if t.tok.is_punct(o) {
+            depth += 1;
+        } else if t.tok.is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+        j += 1;
+    }
+    j
+}
+
+/// Index of the call's opening `(` when the identifier at `i` heads a call
+/// — directly (`f(`) or through one turbofish (`collect::<Vec<_>>(`);
+/// `None` when the identifier is not called.
+pub fn call_paren(toks: &[Token], i: usize) -> Option<usize> {
+    let at = |j: usize| toks.get(j).map(|t| &t.tok);
+    if at(i + 1).is_some_and(|t| t.is_punct('(')) {
+        return Some(i + 1);
+    }
+    if matches!(at(i + 1), Some(Tok::PathSep)) && at(i + 2).is_some_and(|t| t.is_punct('<')) {
+        let mut depth = 0usize;
+        let mut j = i + 2;
+        while let Some(t) = at(j) {
+            if t.is_punct('<') {
+                depth += 1;
+            } else if t.is_punct('>') {
+                depth -= 1;
+                if depth == 0 {
+                    return at(j + 1).is_some_and(|t| t.is_punct('(')).then_some(j + 1);
+                }
+            }
+            j += 1;
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
