@@ -12,53 +12,31 @@
 //! (or when stdout is not a terminal) it skips the animation and prints
 //! the final frame, so piping `cad3_top` into a file is still useful.
 
-use cad3::detector::{train_all, DetectionConfig};
-use cad3::{scenario, Observer, SystemConfig};
-use cad3_bench::{console, quick_mode, DEFAULT_SEED};
-use cad3_data::{DatasetConfig, SyntheticDataset};
-use cad3_obs::{HealthMonitor, SloContract};
-use cad3_types::{RoadType, SimDuration};
+use cad3::Observer;
+use cad3_bench::{console, handover_monitor, handover_run};
+use cad3_types::SimDuration;
 use std::cell::RefCell;
 use std::io::{self, IsTerminal, Write as _};
-use std::path::Path;
 use std::rc::Rc;
-use std::sync::Arc;
 
 fn main() {
     let once = std::env::args().any(|a| a == "--once");
-    let quick = quick_mode();
 
     cad3_obs::set_enabled(true);
 
-    let slos_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../slos.toml");
-    let contract = match SloContract::load(&slos_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cad3_top: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(DEFAULT_SEED));
-    let models = match train_all(&ds.features, &DetectionConfig::default()) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("cad3_top: corpus not trainable: {e}");
-            std::process::exit(2);
-        }
-    };
-    let vehicles = if quick { 16 } else { 32 };
-    let duration = SimDuration::from_secs(if quick { 4 } else { 8 });
+    let monitor = handover_monitor().unwrap_or_else(|e| {
+        eprintln!("cad3_top: {e}");
+        std::process::exit(2);
+    });
+    let tick_ns = monitor.contract().tick_ns;
 
     // One frame per health tick, captured during the deterministic run.
-    let monitor = Rc::new(RefCell::new(HealthMonitor::new(contract.clone())));
-    monitor.borrow_mut().register_rsu("rsu-motorway");
-    monitor.borrow_mut().register_rsu("rsu-motorway-link");
+    let monitor = Rc::new(RefCell::new(monitor));
     let frames: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
     let hook_monitor = Rc::clone(&monitor);
     let hook_frames = Rc::clone(&frames);
     let observer = Observer {
-        interval: SimDuration::from_nanos(contract.tick_ns),
+        interval: SimDuration::from_nanos(tick_ns),
         hook: Box::new(move |now| {
             let mut mon = hook_monitor.borrow_mut();
             mon.tick(now.as_nanos());
@@ -72,25 +50,17 @@ fn main() {
         }),
     };
 
-    let report = scenario::handover_migration_observed(
-        SystemConfig::default(),
-        DEFAULT_SEED,
-        Arc::new(models.cad3),
-        ds.features_of_type(RoadType::Motorway),
-        ds.features_of_type(RoadType::MotorwayLink),
-        vehicles,
-        0.5,
-        duration,
-        vec![observer],
-    );
+    let report = handover_run(vec![observer]).unwrap_or_else(|e| {
+        eprintln!("cad3_top: corpus not trainable: {e}");
+        std::process::exit(2);
+    });
 
     let frames = frames.borrow();
     let live = !once && io::stdout().is_terminal();
     if live {
         // Replay at the contract cadence: a 100 ms tick becomes a 100 ms
         // redraw, so the animation runs at the speed the pipeline ran.
-        let mut pacer =
-            cad3_engine::WallClockPacer::new(std::time::Duration::from_nanos(contract.tick_ns));
+        let mut pacer = cad3_engine::WallClockPacer::new(std::time::Duration::from_nanos(tick_ns));
         for frame in frames.iter() {
             print!("\x1b[2J\x1b[H{frame}");
             let _ = io::stdout().flush();

@@ -1,7 +1,10 @@
-//! Runs every experiment binary's workload in sequence — regenerates all
-//! tables and figures of the paper's evaluation in one go.
+//! Regenerates every table and figure of the paper's evaluation, then the
+//! three extension experiments, in one run. Each section prints the
+//! measured values beside the paper's and writes its JSON record under
+//! `results/`; `CAD3_QUICK=1` selects the smaller corpora and shorter runs.
 
-use cad3_bench::{experiments, quick_mode, tables, write_json, DEFAULT_SEED};
+use cad3_bench::experiments::{self, MultiRsuResult, ScalingResult, SeedRow};
+use cad3_bench::{paper, quick_mode, tables, write_json, write_metrics, DEFAULT_SEED};
 
 fn main() {
     let quick = quick_mode();
@@ -9,131 +12,504 @@ fn main() {
         "Regenerating all CAD3 experiments (mode: {}; set CAD3_QUICK=1 for a fast pass)",
         if quick { "quick" } else { "full" }
     );
+    fig2();
+    // Fig. 6a and 6c are one testbed sweep, Fig. 6b and 6d one five-RSU
+    // deployment (§VI): each pair renders from a single run.
+    let scaling = fig6a(quick);
+    fig6c(&scaling);
+    let multi = experiments::multi_rsu_deployment(DEFAULT_SEED, quick);
+    fig6b(&multi);
+    fig6d(&multi);
+    fig7(quick);
+    fig8();
+    table3(quick);
+    table4(quick);
+    table5();
+    table6(quick);
+    fig9(quick);
+    mac_analysis();
+    ablation(quick);
+    cloud_vs_edge(quick);
+    future_models();
+    seed_stability(quick);
+    println!("\nAll experiments complete.");
+}
 
-    tables::banner("Fig. 2");
-    let fig2 = experiments::fig2();
-    println!("{} speed-profile series generated.", fig2.len());
-    write_json("fig2_speed_profiles", &fig2);
+/// Prints one table row per item under `header`.
+fn print_table<T>(
+    header: &[&str],
+    items: impl IntoIterator<Item = T>,
+    row: impl Fn(T) -> Vec<String>,
+) {
+    let rows: Vec<Vec<String>> = items.into_iter().map(row).collect();
+    println!("{}", tables::render(header, &rows));
+}
 
-    tables::banner("Fig. 6a / 6c");
-    let scaling = experiments::scaling_sweep(DEFAULT_SEED, quick);
-    for r in &scaling.rows {
-        println!(
-            "{:>4} vehicles: total {:6.2} ms (tx {:.2} | queue {:5.2} | proc {:5.2} | dissem {:5.2}) | {} per vehicle, {} total",
-            r.vehicles,
-            r.total_ms,
-            r.tx_ms,
-            r.queuing_ms,
-            r.processing_ms,
-            r.dissemination_ms,
+/// Fig. 2 — speed profiles by road type, day class and hour of day.
+fn fig2() {
+    tables::banner("Figure 2 — speed profiles (synthetic generator)");
+    let series = experiments::fig2();
+    print_table(&["hour", "mw wkday", "mw wkend", "link wkday", "link wkend"], 0..24, |h| {
+        let mut row = vec![format!("{h:02}:00")];
+        row.extend(series.iter().map(|s| tables::f(s.hourly_mean_kmh[h], 1)));
+        row
+    });
+    println!("Paper shape: motorway >> motorway link; weekday rush-hour dips (07-09, 17-19);");
+    println!("free-flowing nights; flatter weekends. Link traffic mostly 0-35 km/h.");
+    write_json("fig2_speed_profiles", &series);
+}
+
+/// Fig. 6a — latency decomposition vs vehicles on one RSU. The sweep runs
+/// with the metrics exporter attached, so it also leaves the decomposition
+/// as `rsu.*_us` histograms in `results/fig6a_metrics.prom`.
+fn fig6a(quick: bool) -> ScalingResult {
+    tables::banner("Figure 6a — end-to-end latency vs vehicles (single RSU)");
+    cad3_obs::set_enabled(true);
+    let result = experiments::scaling_sweep(DEFAULT_SEED, quick);
+    print_table(
+        &["vehicles", "tx ms", "queue ms", "proc ms", "dissem ms", "total ms", "p95 ms", "n"],
+        &result.rows,
+        |r| {
+            vec![
+                r.vehicles.to_string(),
+                tables::f(r.tx_ms, 2),
+                tables::f(r.queuing_ms, 2),
+                tables::f(r.processing_ms, 2),
+                tables::f(r.dissemination_ms, 2),
+                format!("{:.2} ± {:.2}", r.total_ms, r.total_stderr_ms),
+                tables::f(r.total_p95_ms, 1),
+                r.samples.to_string(),
+            ]
+        },
+    );
+    println!(
+        "Paper: total {:.1} ms @8 -> {:.1} ms @256 (always < {:.0} ms); processing {:.1} -> {:.1} ms.",
+        paper::FIG6A_TOTAL_AT_8,
+        paper::FIG6A_TOTAL_AT_256,
+        paper::LATENCY_BOUND_MS,
+        paper::FIG6A_PROC_AT_8,
+        paper::FIG6A_PROC_AT_256,
+    );
+    let worst = result.rows.iter().map(|r| r.total_ms).fold(0.0, f64::max);
+    println!(
+        "Measured: worst mean total {:.1} ms — bound {} HELD.",
+        worst,
+        if worst < paper::LATENCY_BOUND_MS { "✓" } else { "✗ NOT" }
+    );
+    write_json("fig6a_latency_scaling", &result);
+    if let Some(snapshot) = write_metrics("fig6a_metrics") {
+        for stage in ["rsu.tx_us", "rsu.queuing_us", "rsu.processing_us", "rsu.total_us"] {
+            let hist = snapshot.histogram(stage);
+            assert!(
+                hist.is_some_and(|h| h.count > 0),
+                "metrics snapshot is missing Fig. 6a stage histogram {stage}"
+            );
+        }
+    }
+    cad3_obs::set_enabled(false);
+    result
+}
+
+/// Fig. 6c — per-vehicle and total bandwidth of the Fig. 6a sweep.
+fn fig6c(result: &ScalingResult) {
+    tables::banner("Figure 6c — bandwidth vs vehicles (single RSU)");
+    print_table(&["vehicles", "per-vehicle", "total", "of DSRC 27 Mb/s"], &result.rows, |r| {
+        vec![
+            r.vehicles.to_string(),
             tables::bps(r.per_vehicle_bps),
             tables::bps(r.total_bps),
-        );
-    }
-    write_json("fig6a_latency_scaling", &scaling);
-    write_json("fig6c_bandwidth_scaling", &scaling);
+            tables::f(r.total_bps / paper::DSRC_CAPACITY_BPS * 100.0, 1) + " %",
+        ]
+    });
+    println!(
+        "Paper: ~{} per vehicle; ~{} total at 256 vehicles (< 1/5 of DSRC capacity).",
+        tables::bps(paper::FIG6C_PER_VEHICLE_BPS),
+        tables::bps(paper::FIG6C_TOTAL_AT_256_BPS),
+    );
+    write_json("fig6c_bandwidth_scaling", result);
+}
 
-    tables::banner("Fig. 6b / 6d");
-    let multi = experiments::multi_rsu_deployment(DEFAULT_SEED, quick);
-    for r in &multi.rows {
-        println!(
-            "{:>8}: dissemination {:5.2} ± {:.2} ms | vehicles {} | CO-DATA {} | total {}",
-            r.name,
-            r.dissemination_ms,
-            r.dissemination_stderr_ms,
+/// Fig. 6b — dissemination latency per RSU type: 4 motorway RSUs forwarding
+/// CO-DATA summaries to 1 motorway-link RSU.
+fn fig6b(result: &MultiRsuResult) {
+    tables::banner("Figure 6b — dissemination latency per RSU (5 RSUs × 128 vehicles)");
+    print_table(&["RSU", "dissemination ms", "total ms"], &result.rows, |r| {
+        vec![
+            r.name.clone(),
+            format!("{:.2} ± {:.2}", r.dissemination_ms, r.dissemination_stderr_ms),
+            tables::f(r.total_ms, 2),
+        ]
+    });
+    println!(
+        "Paper: dissemination ≈ {:.1} ms (poll 10 ms + fetch 7.2 ± {:.1} ms) on every RSU type.",
+        paper::FIG6B_DISSEMINATION_MS,
+        paper::FIG6B_DISSEMINATION_STDERR_MS,
+    );
+    write_json("fig6b_dissemination", result);
+}
+
+/// Fig. 6d — bandwidth received per RSU in the Fig. 6b deployment; the
+/// link RSU receives slightly more, the CO-DATA collaboration.
+fn fig6d(result: &MultiRsuResult) {
+    tables::banner("Figure 6d — bandwidth per RSU (5 RSUs × 128 vehicles)");
+    print_table(&["RSU", "vehicles", "CO-DATA", "total"], &result.rows, |r| {
+        vec![
+            r.name.clone(),
             tables::bps(r.uplink_bps),
             tables::bps(r.co_data_bps),
             tables::bps(r.total_bps),
-        );
-    }
-    write_json("fig6b_dissemination", &multi);
-    write_json("fig6d_bandwidth_per_rsu", &multi);
-
-    tables::banner("Fig. 7");
-    let fig7 = experiments::fig7(DEFAULT_SEED, quick);
-    for r in &fig7.rows {
-        println!("{:>12}: accuracy {:.4} | F1 {:.4}", r.model, r.accuracy, r.f1);
-    }
-    write_json("fig7_detection_quality", &fig7);
-
-    tables::banner("Fig. 8");
-    let fig8 = experiments::fig8(DEFAULT_SEED);
+        ]
+    });
+    let link = &result.rows[0];
+    let mw_mean =
+        result.rows[1..].iter().map(|r| r.total_bps).sum::<f64>() / (result.rows.len() - 1) as f64;
     println!(
-        "trip of a {} driver, {} points: accuracies [centralized {:.3}, ad3 {:.3}, cad3 {:.3}], flips {:?}",
-        fig8.profile, fig8.points, fig8.accuracies[0], fig8.accuracies[1], fig8.accuracies[2], fig8.flips
+        "Paper shape: Mw Link slightly above the Mw RSUs, all far below 27 Mb/s DSRC capacity."
     );
-    write_json("fig8_mesoscopic", &fig8);
-
-    tables::banner("Table III");
-    let t3 = experiments::table3(DEFAULT_SEED, quick);
-    for r in &t3 {
-        println!(
-            "{:>15}: {:>5} cars | {:>5} trips | mean speed {:6.1} | {:>8} trajectories",
-            r.region, r.cars, r.trips, r.mean_speed_kmh, r.trajectories
-        );
-    }
-    write_json("table3_dataset_stats", &t3);
-
-    tables::banner("Table IV");
-    let t4 = experiments::table4(DEFAULT_SEED, quick);
-    for r in &t4.rows {
-        println!(
-            "{:>12}: TP {:5.1} % | FN {:5.1} % | E(Λ) {:8.0}",
-            r.model, r.tp_rate_pct, r.fn_rate_pct, r.expected_accidents
-        );
-    }
-    write_json("table4_accidents", &t4);
-
-    tables::banner("Table V");
-    let t5 = experiments::table5();
-    println!("total RSUs: {}", t5.iter().map(|r| r.rsus).sum::<usize>());
-    write_json("table5_rsu_requirements", &t5);
-
-    tables::banner("Table VI");
-    let t6 = experiments::table6(DEFAULT_SEED, quick);
-    for r in &t6 {
-        println!(
-            "{:>14}: {:>6} placed | avg {:6.1} m | max {:6.1} m | 300 m coverage {:.1} %",
-            r.kind,
-            r.count,
-            r.avg_m,
-            r.max_m,
-            r.coverage_300m * 100.0
-        );
-    }
-    write_json("table6_infrastructure", &t6);
-
-    tables::banner("Fig. 9");
-    let fig9 = experiments::fig9(DEFAULT_SEED, quick);
     println!(
-        "{} RSU sites | 300 m coverage {:.1}% ({} gaps) | {} SCHs used, {} conflicts",
-        fig9.sites,
-        fig9.coverage_300m * 100.0,
-        fig9.gaps_300m,
-        fig9.channels_used,
-        fig9.channel_conflicts
+        "Measured: Mw Link {} vs Mw mean {} ({}).",
+        tables::bps(link.total_bps),
+        tables::bps(mw_mean),
+        if link.total_bps > mw_mean { "✓ link is higher" } else { "✗ link is NOT higher" }
     );
-    write_json("fig9_deployment", &fig9);
+    write_json("fig6d_bandwidth_per_rsu", result);
+}
 
-    tables::banner("Eq. 5-6 MAC analysis");
-    let mac = experiments::mac_analysis();
-    for r in &mac {
-        println!(
-            "MCS{}: {:4.1} Mb/s | t_v(256) {:6.2} ms | 256@10Hz: {}",
-            r.mcs,
-            r.rate_mbps,
-            r.access_256_ms,
-            if r.supports_256_at_10hz { "yes" } else { "no" }
-        );
-    }
-    write_json("mac_analysis", &mac);
+/// Fig. 7 — F1 and accuracy: centralized vs AD3 vs CAD3.
+fn fig7(quick: bool) {
+    tables::banner("Figure 7 — detection quality: centralized vs AD3 vs CAD3");
+    let result = experiments::fig7(DEFAULT_SEED, quick);
+    print_table(&["model", "accuracy", "F1", "precision", "recall"], &result.rows, |r| {
+        vec![
+            r.model.clone(),
+            tables::f(r.accuracy, 4),
+            tables::f(r.f1, 4),
+            tables::f(r.precision, 4),
+            tables::f(r.recall, 4),
+        ]
+    });
+    let (central, ad3, cad3) = (&result.rows[0], &result.rows[1], &result.rows[2]);
+    println!(
+        "Measured gains: CAD3 vs AD3: F1 {:+.4}, acc {:+.4}; CAD3 vs centralized: F1 {:+.4}, acc {:+.4}.",
+        cad3.f1 - ad3.f1,
+        cad3.accuracy - ad3.accuracy,
+        cad3.f1 - central.f1,
+        cad3.accuracy - central.accuracy,
+    );
+    println!(
+        "Paper gains:    CAD3 vs AD3: F1 +{:.4}, acc +{:.4}; CAD3 vs centralized: +{:.4} both.",
+        paper::FIG7_F1_GAIN_OVER_AD3,
+        paper::FIG7_ACC_GAIN_OVER_AD3,
+        paper::FIG7_GAIN_OVER_CENTRALIZED,
+    );
+    println!(
+        "({} test records, {:.1}% abnormal)",
+        result.test_records,
+        result.abnormal_fraction * 100.0
+    );
+    write_json("fig7_detection_quality", &result);
+}
 
-    tables::banner("Ablations");
-    let ab = experiments::ablation(DEFAULT_SEED, quick);
-    for r in &ab.fusion {
-        println!("fusion w={:.2}: F1 {:.4}, FN {:.1} %", r.weight, r.f1, r.fn_rate_pct);
-    }
-    write_json("ablation", &ab);
+/// Fig. 8 — one abnormally slowing driver's trip: CAD3 detects stably, AD3
+/// fluctuates, centralized is unpredictable.
+fn fig8() {
+    tables::banner("Figure 8 — mesoscopic trip timeline (abnormally slowing driver)");
+    let r = experiments::fig8(DEFAULT_SEED);
+    println!("driver profile: {} | points along trip: {}\n", r.profile, r.points);
+    let show = |name: &str, strip: &str| {
+        let display: String = strip.chars().take(100).collect();
+        println!("{name:>12}: {display}{}", if strip.len() > 100 { "…" } else { "" });
+    };
+    show("truth", &r.truth_strip);
+    show("centralized", &r.centralized_strip);
+    show("ad3", &r.ad3_strip);
+    show("cad3", &r.cad3_strip);
+    println!("\n('A' = flagged abnormal, '.' = considered normal)\n");
+    let models = ["centralized", "ad3", "cad3"].into_iter().enumerate();
+    print_table(&["model", "trip accuracy", "prediction flips"], models, |(i, model)| {
+        vec![model.to_owned(), tables::f(r.accuracies[i], 3), r.flips[i].to_string()]
+    });
+    println!("Paper shape: CAD3 stable and accurate; AD3 fluctuates; centralized unpredictable.");
+    write_json("fig8_mesoscopic", &r);
+}
 
-    println!("\nAll experiments complete.");
+/// Table III — dataset statistics of the synthetic corpus.
+fn table3(quick: bool) {
+    tables::banner("Table III — dataset statistics (synthetic Shenzhen-like corpus)");
+    let rows = experiments::table3(DEFAULT_SEED, quick);
+    print_table(&["region", "#cars", "#trips", "mean speed", "#trajectories"], &rows, |r| {
+        vec![
+            r.region.clone(),
+            r.cars.to_string(),
+            r.trips.to_string(),
+            tables::f(r.mean_speed_kmh, 1),
+            r.trajectories.to_string(),
+        ]
+    });
+    let (cars, trips, speed, traj) = paper::TABLE3_SHENZHEN;
+    println!(
+        "Paper (real corpus): Shenzhen {cars} cars, {trips} trips, mean speed {speed}, {traj} trajectories."
+    );
+    println!("The synthetic corpus preserves the *structure* (motorway > link > city-wide mean");
+    println!("speed ordering; link/motorway record ratios), scaled to a tractable size.");
+    write_json("table3_dataset_stats", &rows);
+}
+
+/// Table IV — TP rate, FN rate and expected potential accidents E(Λ).
+fn table4(quick: bool) {
+    tables::banner("Table IV — TP/FN rates and potential accidents E(Λ)");
+    let result = experiments::table4(DEFAULT_SEED, quick);
+    let paper_rows = paper::TABLE4_TP_RATES
+        .iter()
+        .zip(&paper::TABLE4_FN_RATES)
+        .zip(&paper::TABLE4_EXPECTED_ACCIDENTS);
+    print_table(
+        &["model", "TP rate", "(paper)", "FN rate", "(paper)", "E(Λ)", "(paper)"],
+        result.rows.iter().zip(paper_rows),
+        |(r, ((ptp, pfn), pacc))| {
+            vec![
+                r.model.clone(),
+                format!("{:.1} %", r.tp_rate_pct),
+                format!("{ptp:.1} %"),
+                format!("{:.1} %", r.fn_rate_pct),
+                format!("{pfn:.1} %"),
+                tables::f(r.expected_accidents, 0),
+                tables::f(*pacc, 0),
+            ]
+        },
+    );
+    let [c, a, k] = [
+        result.rows[0].expected_accidents,
+        result.rows[1].expected_accidents,
+        result.rows[2].expected_accidents,
+    ];
+    println!(
+        "Measured ratios: centralized/CAD3 = {:.1}×, AD3/CAD3 = {:.1}× (paper: 24× and 4×).",
+        c / k.max(1e-9),
+        a / k.max(1e-9),
+    );
+    println!(
+        "({} test records, {:.1}% abnormal; paper corpus: 500k records, {:.0}% abnormal)",
+        result.test_records,
+        result.abnormal_fraction * 100.0,
+        paper::TABLE4_ABNORMAL_FRACTION * 100.0,
+    );
+    write_json("table4_accidents", &result);
+}
+
+/// Table V — RSUs required per road type (one RSU per km of used road).
+fn table5() {
+    tables::banner("Table V — RSUs required per road type");
+    let rows = experiments::table5();
+    print_table(&["road type", "density", "# roads", "mean (m)", "RSUs"], &rows, |r| {
+        vec![
+            r.road_type.clone(),
+            format!("{:.1} %", r.density_pct),
+            r.roads.to_string(),
+            tables::f(r.mean_m, 0),
+            r.rsus.to_string(),
+        ]
+    });
+    let total: usize = rows.iter().map(|r| r.rsus).sum();
+    println!("Total RSUs: {total} (paper rows give the same per-type counts, e.g. motorway 1460).");
+    write_json("table5_rsu_requirements", &rows);
+}
+
+/// Table VI — spacing of the traffic lights and lamp poles that could host
+/// RSUs.
+fn table6(quick: bool) {
+    tables::banner("Table VI — roadside infrastructure spacing");
+    let rows = experiments::table6(DEFAULT_SEED, quick);
+    print_table(
+        &["kind", "count", "avg (m)", "std (m)", "75% (m)", "max (m)", "≤300 m"],
+        &rows,
+        |r| {
+            vec![
+                r.kind.clone(),
+                r.count.to_string(),
+                tables::f(r.avg_m, 1),
+                tables::f(r.std_m, 1),
+                tables::f(r.p75_m, 1),
+                tables::f(r.max_m, 1),
+                format!("{:.1} %", r.coverage_300m * 100.0),
+            ]
+        },
+    );
+    let (c, avg, std, p75, max) = paper::TABLE6_TRAFFIC_LIGHTS;
+    println!("Paper, traffic lights: count {c}, avg {avg}, std {std}, 75% {p75}, max {max}.");
+    let (_, avg, std, p75, max) = paper::TABLE6_LAMP_POLES;
+    println!("Paper, lamp poles:     avg {avg}, std {std}, 75% {p75}, max {max}.");
+    println!("Counts scale with the synthetic network size; spacing statistics are calibrated.");
+    write_json("table6_infrastructure", &rows);
+}
+
+/// Fig. 9 — deployment feasibility: RSU placement, DSRC coverage gaps (the
+/// grey circles) and service-channel management.
+fn fig9(quick: bool) {
+    tables::banner("Figure 9 — deployment feasibility (synthetic Shenzhen network)");
+    let r = experiments::fig9(DEFAULT_SEED, quick);
+    println!("planned RSU sites (1 per km of road): {}", r.sites);
+    println!(
+        "coverage with 300 m DSRC range: {:.1}% ({} uncovered sample points — the paper's grey circles)",
+        r.coverage_300m * 100.0,
+        r.gaps_300m
+    );
+    println!(
+        "coverage with the 125 m MCS 8 range: {:.1}% (dense high-rate deployments need closer spacing)",
+        r.coverage_125m * 100.0
+    );
+    println!(
+        "service-channel assignment: {} of 6 SCHs used, {} interference conflicts at 300 m",
+        r.channels_used, r.channel_conflicts
+    );
+    println!("\nPaper: existing roadside infrastructure almost covers the city; marked regions");
+    println!("require dedicated installation, and channel management avoids interference.");
+    write_json("fig9_deployment", &r);
+}
+
+/// Eq. 5–6 — can 256 vehicles each send a 200 B packet every 100 ms?
+fn mac_analysis() {
+    tables::banner("Eq. 5-6 — 802.11p medium-access analysis (256 vehicles, 200 B, 10 Hz)");
+    let rows = experiments::mac_analysis();
+    print_table(
+        &["MCS", "Mb/s", "airtime µs", "t_v(256) ms", "256@10Hz?", "max veh @10Hz"],
+        &rows,
+        |r| {
+            vec![
+                format!("MCS{}", r.mcs),
+                format!("{:.1}", r.rate_mbps),
+                tables::f(r.airtime_us, 1),
+                tables::f(r.access_256_ms, 2),
+                if r.supports_256_at_10hz { "yes".into() } else { "no".into() },
+                r.max_vehicles_at_10hz.to_string(),
+            ]
+        },
+    );
+    println!(
+        "Paper: t_v(256) = {:.2} ms at MCS 3 and {:.2} ms at MCS 8; both under the 100 ms",
+        paper::MAC_ACCESS_256_MCS3_MS,
+        paper::MAC_ACCESS_256_MCS8_MS,
+    );
+    println!("update period, so 256 vehicles can send at 10 Hz without sender-side build-up.");
+    println!("(Our PHY-overhead assumptions differ slightly from the paper's unstated ones;");
+    println!("the shape — MCS8 < MCS3 < 100 ms — is what the conclusion rests on.)");
+    write_json("mac_analysis", &rows);
+}
+
+/// Ablations of the design choices DESIGN.md calls out.
+fn ablation(quick: bool) {
+    tables::banner("Ablation — Eq. 1 fusion weight (paper fixes w = 0.5)");
+    let result = experiments::ablation(DEFAULT_SEED, quick);
+    print_table(&["weight", "CAD3 F1", "CAD3 FN rate"], &result.fusion, |r| {
+        vec![tables::f(r.weight, 2), tables::f(r.f1, 4), format!("{:.1} %", r.fn_rate_pct)]
+    });
+    println!("w = 0 degrades CAD3 to a tree over P_NB alone; w = 1 trusts only history.");
+
+    tables::banner("Ablation — summary history depth (paper keeps all history)");
+    print_table(&["roads kept", "CAD3 F1", "CAD3 FN rate"], &result.depth, |r| {
+        vec![
+            r.depth.map_or("all".to_owned(), |d| d.to_string()),
+            tables::f(r.f1, 4),
+            format!("{:.1} %", r.fn_rate_pct),
+        ]
+    });
+    println!("Short memories make the driver prior reactive; full history is smoothest.");
+
+    tables::banner("Ablation — micro-batch interval (paper uses 50 ms)");
+    print_table(&["batch ms", "queue ms", "total ms"], &result.batch, |r| {
+        vec![r.batch_interval_ms.to_string(), tables::f(r.queuing_ms, 2), tables::f(r.total_ms, 2)]
+    });
+    println!("Queuing scales with the interval (mean wait ≈ interval/2).");
+
+    tables::banner("Ablation — consumer poll interval (paper uses 10 ms)");
+    print_table(&["poll ms", "dissem ms", "total ms"], &result.poll, |r| {
+        vec![
+            r.poll_interval_ms.to_string(),
+            tables::f(r.dissemination_ms, 2),
+            tables::f(r.total_ms, 2),
+        ]
+    });
+    println!("Dissemination scales with the poll interval (mean wait ≈ interval/2 + fetch).");
+    write_json("ablation", &result);
+}
+
+/// The paper's motivation (Sections II-B, VII-A): a cloud detector pays a
+/// backhaul round trip on every warning. QF-COTE reports > 300 ms; CAD3
+/// stays < 50 ms.
+fn cloud_vs_edge(quick: bool) {
+    tables::banner("Edge vs cloud offload — end-to-end warning latency");
+    let rows = experiments::cloud_vs_edge(DEFAULT_SEED, quick);
+    print_table(
+        &["deployment", "tx ms", "queue ms", "proc ms", "dissem ms", "total ms"],
+        &rows,
+        |r| {
+            vec![
+                r.deployment.clone(),
+                tables::f(r.tx_ms, 2),
+                tables::f(r.queuing_ms, 2),
+                tables::f(r.processing_ms, 2),
+                tables::f(r.dissemination_ms, 2),
+                tables::f(r.total_ms, 2),
+            ]
+        },
+    );
+    println!(
+        "Paper: CAD3 < 50 ms at the edge; cloud-assisted detection (QF-COTE) > 300 ms.\n\
+         The uplink backhaul lands in Tx and the downlink in dissemination — the whole\n\
+         gap is network, which no amount of cloud compute can buy back."
+    );
+    write_json("cloud_vs_edge", &rows);
+}
+
+/// The paper's future work (Section VII-E): a more complex stage-1 model
+/// hosted by the same pipeline.
+fn future_models() {
+    tables::banner("Future work — hosting a more complex detector in CAD3");
+    let rows = experiments::future_models(DEFAULT_SEED);
+    print_table(&["stage-1 model", "accuracy", "F1", "FN rate"], &rows, |r| {
+        vec![
+            r.model.clone(),
+            tables::f(r.accuracy, 4),
+            tables::f(r.f1, 4),
+            format!("{:.1} %", r.fn_rate_pct),
+        ]
+    });
+    println!(
+        "Both models plug into the identical Detector interface, RSU pipeline and\n\
+         collaboration flow — the extensibility the paper's Section VII-C claims\n\
+         (\"our framework allows reusing a multitude of existing data analytics\n\
+         algorithms\")."
+    );
+    write_json("future_models", &rows);
+}
+
+/// The Fig. 7 / Table IV orderings across corpus seeds, not just the
+/// reported one.
+fn seed_stability(quick: bool) {
+    tables::banner("Seed stability — Fig. 7 / Table IV orderings across corpora");
+    let rows = experiments::seed_stability(DEFAULT_SEED, quick);
+    print_table(&["seed", "F1 central", "F1 ad3", "F1 cad3", "FN c/a/k"], &rows, |r| {
+        vec![
+            r.seed.to_string(),
+            tables::f(r.f1_centralized, 4),
+            tables::f(r.f1_ad3, 4),
+            tables::f(r.f1_cad3, 4),
+            format!("{:.1}/{:.1}/{:.1} %", r.fn_pct_centralized, r.fn_pct_ad3, r.fn_pct_cad3),
+        ]
+    });
+    let n = rows.len();
+    let holds = |ordering: fn(&SeedRow) -> bool| rows.iter().filter(|r| ordering(r)).count();
+    println!(
+        "\nedge models beat centralized on F1:      {}/{n} seeds",
+        holds(SeedRow::edge_beats_centralized)
+    );
+    println!(
+        "CAD3 has the lowest FN rate:              {}/{n} seeds",
+        holds(SeedRow::cad3_fn_lowest)
+    );
+    println!(
+        "CAD3 F1 ≥ AD3 (within noise):             {}/{n} seeds",
+        holds(SeedRow::cad3_f1_holds)
+    );
+    write_json("seed_stability", &rows);
 }

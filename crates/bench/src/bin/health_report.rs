@@ -10,19 +10,17 @@
 //! SLO quiet, both RSUs healthy, at least one evaluation tick executed and
 //! no interned metric names shed — the CI gate for the health pipeline.
 
-use cad3::detector::{train_all, DetectionConfig};
-use cad3::{scenario, Observer, SystemConfig};
-use cad3_bench::{console, quick_mode, tables, write_json, write_text, DEFAULT_SEED};
-use cad3_data::{DatasetConfig, SyntheticDataset};
+use cad3::Observer;
+use cad3_bench::{
+    console, handover_duration, handover_monitor, handover_run, tables, write_json, write_text,
+};
 use cad3_obs::health::alerts_jsonl;
-use cad3_obs::{HealthMonitor, HealthState, SloContract};
-use cad3_types::{RoadType, SimDuration};
+use cad3_obs::HealthState;
+use cad3_types::SimDuration;
 use serde::Serialize;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// One (SLO, member) row of the JSON record, from the final tick.
 #[derive(Debug, Clone, Serialize)]
@@ -53,19 +51,15 @@ struct HealthReport {
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-    let quick = quick_mode();
     tables::banner("Health & SLOs — 2-RSU handover under the slos.toml contract");
 
     cad3_obs::set_enabled(true);
 
-    let slos_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../slos.toml");
-    let contract = match SloContract::load(&slos_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("health_report: {e}");
-            std::process::exit(2);
-        }
-    };
+    let monitor = handover_monitor().unwrap_or_else(|e| {
+        eprintln!("health_report: {e}");
+        std::process::exit(2);
+    });
+    let contract = monitor.contract();
     println!(
         "contract: {} SLOs, tick {} ms, escalate {} / recover {} ticks\n",
         contract.slos.len(),
@@ -73,41 +67,22 @@ fn main() {
         contract.escalate_ticks,
         contract.recover_ticks,
     );
-
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(DEFAULT_SEED));
-    let models = match train_all(&ds.features, &DetectionConfig::default()) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("health_report: corpus not trainable: {e}");
-            std::process::exit(2);
-        }
-    };
-    let vehicles = if quick { 16 } else { 32 };
-    let duration = SimDuration::from_secs(if quick { 4 } else { 8 });
+    let tick = SimDuration::from_nanos(contract.tick_ns);
 
     // The monitor rides the simulation as a periodic observer event: each
     // tick snapshots the registry at the *virtual* instant, so the whole
     // evaluation is a pure function of the seed.
-    let monitor = Rc::new(RefCell::new(HealthMonitor::new(contract.clone())));
-    monitor.borrow_mut().register_rsu("rsu-motorway");
-    monitor.borrow_mut().register_rsu("rsu-motorway-link");
+    let monitor = Rc::new(RefCell::new(monitor));
     let hook_monitor = Rc::clone(&monitor);
     let observer = Observer {
-        interval: SimDuration::from_nanos(contract.tick_ns),
+        interval: tick,
         hook: Box::new(move |now| hook_monitor.borrow_mut().tick(now.as_nanos())),
     };
-
-    let report = scenario::handover_migration_observed(
-        SystemConfig::default(),
-        DEFAULT_SEED,
-        Arc::new(models.cad3),
-        ds.features_of_type(RoadType::Motorway),
-        ds.features_of_type(RoadType::MotorwayLink),
-        vehicles,
-        0.5,
-        duration,
-        vec![observer],
-    );
+    let report = handover_run(vec![observer]).unwrap_or_else(|e| {
+        eprintln!("health_report: corpus not trainable: {e}");
+        std::process::exit(2);
+    });
+    let duration = handover_duration();
 
     let mon = monitor.borrow();
     println!("{}", console::frame(&mon, duration.as_nanos()));

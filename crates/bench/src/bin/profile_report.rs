@@ -19,14 +19,9 @@
 //!   is attributed in the profile and every tail exemplar resolves to a
 //!   complete assembled trace.
 
-use cad3::detector::{train_all, DetectionConfig};
-use cad3::{scenario, SystemConfig};
-use cad3_bench::{quick_mode, tables, write_json, write_text, DEFAULT_SEED};
-use cad3_data::{DatasetConfig, SyntheticDataset};
+use cad3_bench::{handover_run, tables, write_json, write_text};
 use cad3_obs::{bucket_upper, profile, trace};
-use cad3_types::{RoadType, SimDuration};
 use serde::Serialize;
-use std::sync::Arc;
 
 /// One folded stage path of the attribution table.
 #[derive(Debug, Clone, Serialize)]
@@ -64,7 +59,6 @@ const REQUIRED_STAGES: usize = 5;
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let virtual_clock = std::env::args().any(|a| a == "--virtual");
-    let quick = quick_mode();
     tables::banner("Continuous profiler — 2-RSU handover, stage attribution");
 
     // Virtual clock first (when requested), before any instrumented work
@@ -76,26 +70,10 @@ fn main() {
     trace::set_sample_rate(1.0);
     let _ = trace::sink().drain(); // discard any stale events
 
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(DEFAULT_SEED));
-    let models = match train_all(&ds.features, &DetectionConfig::default()) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("profile_report: corpus not trainable: {e}");
-            std::process::exit(2);
-        }
-    };
-    let vehicles = if quick { 16 } else { 32 };
-    let duration = SimDuration::from_secs(if quick { 4 } else { 8 });
-    let report = scenario::handover_migration(
-        SystemConfig::default(),
-        DEFAULT_SEED,
-        Arc::new(models.cad3),
-        ds.features_of_type(RoadType::Motorway),
-        ds.features_of_type(RoadType::MotorwayLink),
-        vehicles,
-        0.5,
-        duration,
-    );
+    let report = handover_run(Vec::new()).unwrap_or_else(|e| {
+        eprintln!("profile_report: corpus not trainable: {e}");
+        std::process::exit(2);
+    });
     trace::set_sample_rate(0.0);
 
     // Profile side: the folded stage tree with per-path totals.

@@ -10,15 +10,10 @@
 //! cross-RSU trace was assembled with zero orphaned spans and zero dropped
 //! trace events — the CI gate for the tracing pipeline.
 
-use cad3::detector::{train_all, DetectionConfig};
-use cad3::{scenario, SystemConfig};
-use cad3_bench::{quick_mode, tables, write_json, write_text, DEFAULT_SEED};
-use cad3_data::{DatasetConfig, SyntheticDataset};
+use cad3_bench::{handover_run, tables, write_json, write_text};
 use cad3_obs::trace;
-use cad3_types::{RoadType, SimDuration};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Per-span-name attribution row of the report.
 #[derive(Debug, Clone, Serialize)]
@@ -49,27 +44,16 @@ fn us(ns: u64) -> f64 {
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-    let quick = quick_mode();
     tables::banner("Distributed tracing — 2-RSU handover, 100% sampling");
 
     cad3_obs::set_enabled(true);
     trace::set_sample_rate(1.0);
     let _ = trace::sink().drain(); // discard any stale events
 
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(DEFAULT_SEED));
-    let models = train_all(&ds.features, &DetectionConfig::default()).expect("corpus is trainable");
-    let vehicles = if quick { 16 } else { 32 };
-    let duration = SimDuration::from_secs(if quick { 4 } else { 8 });
-    let report = scenario::handover_migration(
-        SystemConfig::default(),
-        DEFAULT_SEED,
-        Arc::new(models.cad3),
-        ds.features_of_type(RoadType::Motorway),
-        ds.features_of_type(RoadType::MotorwayLink),
-        vehicles,
-        0.5,
-        duration,
-    );
+    let report = handover_run(Vec::new()).unwrap_or_else(|e| {
+        eprintln!("trace_report: corpus not trainable: {e}");
+        std::process::exit(2);
+    });
     trace::set_sample_rate(0.0);
 
     let events = trace::sink().drain();

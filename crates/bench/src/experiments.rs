@@ -1,20 +1,37 @@
-//! One function per paper table/figure. Each returns a serialisable result
-//! consumed by the `exp_*` binaries.
+//! One function per paper table or figure, plus the three extension
+//! experiments. Each returns a serialisable result that `exp_all` renders
+//! and writes under `results/`.
 
-use cad3::detector::{train_all, DetectionConfig};
+use cad3::detector::{
+    train_all, Ad3Detector, DetectionConfig, Detector, LogisticAd3Detector, TrainedModels,
+};
 use cad3::scenario::{
-    self, detection_comparison, find_mesoscopic_trip, mesoscopic_trip, ModelComparison,
+    self, detection_comparison, edge_vs_cloud, find_mesoscopic_trip, mesoscopic_trip,
+    ModelComparison,
 };
 use cad3::{RsuReport, SystemConfig};
 use cad3_data::{
     infrastructure, DatasetConfig, DatasetStats, InfrastructureKind, RoadNetwork,
     RoadNetworkConfig, RoadTypeSpec, RoadsideInfrastructure, SpeedProfile, SyntheticDataset,
 };
+use cad3_ml::{ConfusionMatrix, LogisticParams};
 use cad3_net::{MacModel, Mcs};
 use cad3_sim::SimRng;
-use cad3_types::{DayOfWeek, DriverProfile, FeatureRecord, RoadType, SimDuration};
+use cad3_types::{DayOfWeek, DriverProfile, FeatureRecord, Label, RoadType, SimDuration};
 use serde::Serialize;
 use std::sync::Arc;
+
+/// Trains the three models with the default configuration. Every corpus
+/// the experiments generate is trainable.
+fn train(features: &[FeatureRecord]) -> TrainedModels {
+    train_all(features, &DetectionConfig::default()).expect("corpus is trainable")
+}
+
+/// [`detection_comparison`] on a corpus the experiments generated, which is
+/// always trainable. Rows are in `[centralized, ad3, cad3]` order.
+fn compare(ds: &SyntheticDataset, config: &DetectionConfig, seed: u64) -> Vec<ModelComparison> {
+    detection_comparison(ds, config, seed).expect("corpus is trainable")
+}
 
 // ---------------------------------------------------------------------
 // Fig. 2 — speed profiles
@@ -90,8 +107,7 @@ pub fn scaling_sweep(seed: u64, quick: bool) -> ScalingResult {
     let counts: &[u32] = if quick { &[8, 32, 128] } else { &[8, 16, 32, 64, 128, 256] };
     let duration = SimDuration::from_secs(if quick { 5 } else { 15 });
     let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
-    let models = train_all(&ds.features, &DetectionConfig::default()).expect("corpus is trainable");
-    let detector = Arc::new(models.ad3);
+    let detector = Arc::new(train(&ds.features).ad3);
     let pool = ds.features_of_type(RoadType::Motorway);
 
     let rows = counts
@@ -164,11 +180,10 @@ pub fn multi_rsu_deployment(seed: u64, quick: bool) -> MultiRsuResult {
     let vehicles = if quick { 32 } else { 128 };
     let duration = SimDuration::from_secs(if quick { 5 } else { 15 });
     let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
-    let models = train_all(&ds.features, &DetectionConfig::default()).expect("corpus is trainable");
     let report = scenario::multi_rsu(
         SystemConfig::default(),
         seed,
-        Arc::new(models.cad3),
+        Arc::new(train(&ds.features).cad3),
         ds.features_of_type(RoadType::Motorway),
         ds.features_of_type(RoadType::MotorwayLink),
         vehicles,
@@ -256,8 +271,7 @@ pub fn table4(seed: u64, quick: bool) -> DetectionResult {
 
 fn detection_experiment(config: &DatasetConfig, seed: u64) -> DetectionResult {
     let ds = SyntheticDataset::generate(config);
-    let rows =
-        detection_comparison(&ds, &DetectionConfig::default(), seed).expect("corpus is trainable");
+    let rows = compare(&ds, &DetectionConfig::default(), seed);
     DetectionResult {
         test_records: rows[0].confusion.total(),
         abnormal_fraction: ds.abnormal_fraction(),
@@ -305,9 +319,9 @@ pub fn fig8(seed: u64) -> Fig8Result {
     rng.shuffle(&mut trip_ids);
     let cut = (trip_ids.len() * 8 / 10).max(1);
     let held_out: std::collections::HashSet<_> = trip_ids[cut..].iter().copied().collect();
-    let train: Vec<FeatureRecord> =
+    let training: Vec<FeatureRecord> =
         ds.features.iter().filter(|f| !held_out.contains(&f.trip)).copied().collect();
-    let models = train_all(&train, &DetectionConfig::default()).expect("corpus is trainable");
+    let models = train(&training);
 
     let candidates: Vec<cad3_types::TripId> = ds
         .trips
@@ -643,7 +657,7 @@ pub fn ablation(seed: u64, quick: bool) -> AblationResult {
         .iter()
         .map(|&w| {
             let config = DetectionConfig { fusion_weight: w, ..DetectionConfig::default() };
-            let rows = detection_comparison(&ds, &config, seed).expect("corpus is trainable");
+            let rows = compare(&ds, &config, seed);
             let cad3 = &rows[2];
             FusionAblationRow { weight: w, f1: cad3.f1, fn_rate_pct: cad3.fn_rate * 100.0 }
         })
@@ -656,15 +670,14 @@ pub fn ablation(seed: u64, quick: bool) -> AblationResult {
         .iter()
         .map(|&d| {
             let config = DetectionConfig { summary_road_depth: d, ..DetectionConfig::default() };
-            let rows = detection_comparison(&ds, &config, seed).expect("corpus is trainable");
+            let rows = compare(&ds, &config, seed);
             let cad3 = &rows[2];
             DepthAblationRow { depth: d, f1: cad3.f1, fn_rate_pct: cad3.fn_rate * 100.0 }
         })
         .collect();
 
     // Latency sweeps share a trained detector.
-    let models = train_all(&ds.features, &DetectionConfig::default()).expect("corpus is trainable");
-    let detector = Arc::new(models.ad3);
+    let detector = Arc::new(train(&ds.features).ad3);
     let pool = ds.features_of_type(RoadType::Motorway);
     let duration = SimDuration::from_secs(if quick { 4 } else { 10 });
     let vehicles = 64;
@@ -720,6 +733,162 @@ pub fn ablation(seed: u64, quick: bool) -> AblationResult {
         .collect();
 
     AblationResult { fusion, depth, batch, poll }
+}
+
+// ---------------------------------------------------------------------
+// Edge vs cloud — the Section II-B / VII-A motivation
+// ---------------------------------------------------------------------
+
+/// One deployment's latency decomposition.
+#[derive(Debug, Clone, Serialize)]
+pub struct DeploymentRow {
+    /// Where detection runs.
+    pub deployment: String,
+    /// Mean transmission latency, ms.
+    pub tx_ms: f64,
+    /// Mean queuing latency, ms.
+    pub queuing_ms: f64,
+    /// Mean processing latency, ms.
+    pub processing_ms: f64,
+    /// Mean dissemination latency, ms.
+    pub dissemination_ms: f64,
+    /// Mean total end-to-end latency, ms.
+    pub total_ms: f64,
+}
+
+/// Serves the same motorway traffic from a roadside RSU and from a cloud
+/// node behind a metropolitan backhaul (~60 ms one way: access, core and
+/// data-centre ingress — the regime in which QF-COTE-style systems report
+/// 300 ms+ loops). Rows are `[edge, cloud]`.
+pub fn cloud_vs_edge(seed: u64, quick: bool) -> Vec<DeploymentRow> {
+    let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
+    let (edge, cloud) = edge_vs_cloud(
+        SystemConfig::default(),
+        seed,
+        Arc::new(train(&ds.features).ad3),
+        ds.features_of_type(RoadType::Motorway),
+        if quick { 32 } else { 128 },
+        SimDuration::from_millis(60),
+        SimDuration::from_secs(if quick { 5 } else { 12 }),
+    );
+    let row = |name: &str, r: &RsuReport| DeploymentRow {
+        deployment: name.to_owned(),
+        tx_ms: r.latency.tx_ms.mean(),
+        queuing_ms: r.latency.queuing_ms.mean(),
+        processing_ms: r.latency.processing_ms.mean(),
+        dissemination_ms: r.latency.dissemination_ms.mean(),
+        total_ms: r.latency.total_ms.mean(),
+    };
+    vec![row("edge RSU (CAD3)", &edge.per_rsu[0]), row("cloud node", &cloud.per_rsu[0])]
+}
+
+// ---------------------------------------------------------------------
+// Future-work models — Section VII-E
+// ---------------------------------------------------------------------
+
+/// One stage-1 model's held-out quality.
+#[derive(Debug, Clone, Serialize)]
+pub struct StageOneRow {
+    /// Model name.
+    pub model: String,
+    /// Accuracy.
+    pub accuracy: f64,
+    /// F1 with abnormal as the positive class.
+    pub f1: f64,
+    /// FN rate over all records, percent.
+    pub fn_rate_pct: f64,
+}
+
+fn evaluate(name: &str, det: &dyn Detector, test: &[FeatureRecord]) -> StageOneRow {
+    let mut cm = ConfusionMatrix::new();
+    for rec in test {
+        if let Ok(d) = det.detect(rec, None) {
+            cm.record(rec.label == Label::Abnormal, d.label == Label::Abnormal);
+        }
+    }
+    StageOneRow {
+        model: name.to_owned(),
+        accuracy: cm.accuracy(),
+        f1: cm.f1(),
+        fn_rate_pct: cm.fn_rate_overall() * 100.0,
+    }
+}
+
+/// Hosts a quadratic logistic-regression stage 1 in place of the paper's
+/// Naïve Bayes ("we will implement complex anomaly detection algorithms to
+/// operate within CAD3") and evaluates both on an 80/20 record split.
+/// Rows are `[naive-bayes, logistic]`.
+pub fn future_models(seed: u64) -> Vec<StageOneRow> {
+    let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
+    let cut = ds.features.len() * 8 / 10;
+    let (training, test) = ds.features.split_at(cut);
+    let nb = Ad3Detector::train(training).expect("corpus is trainable");
+    let lr = LogisticAd3Detector::train(training, LogisticParams::default())
+        .expect("corpus is trainable");
+    vec![evaluate("naive-bayes (paper)", &nb, test), evaluate("logistic (quadratic)", &lr, test)]
+}
+
+// ---------------------------------------------------------------------
+// Seed stability — the Fig. 7 / Table IV orderings across corpora
+// ---------------------------------------------------------------------
+
+/// The detection comparison on one independently generated corpus.
+#[derive(Debug, Clone, Serialize)]
+pub struct SeedRow {
+    /// Corpus (and split) seed.
+    pub seed: u64,
+    /// Centralized F1.
+    pub f1_centralized: f64,
+    /// AD3 F1.
+    pub f1_ad3: f64,
+    /// CAD3 F1.
+    pub f1_cad3: f64,
+    /// Centralized FN rate over all records, percent.
+    pub fn_pct_centralized: f64,
+    /// AD3 FN rate over all records, percent.
+    pub fn_pct_ad3: f64,
+    /// CAD3 FN rate over all records, percent.
+    pub fn_pct_cad3: f64,
+}
+
+impl SeedRow {
+    /// Both edge models beat centralized on F1.
+    pub fn edge_beats_centralized(&self) -> bool {
+        self.f1_ad3 > self.f1_centralized && self.f1_cad3 > self.f1_centralized
+    }
+
+    /// CAD3 has the lowest FN rate (ties with AD3 within 0.1 point).
+    pub fn cad3_fn_lowest(&self) -> bool {
+        self.fn_pct_cad3 <= self.fn_pct_ad3 + 0.1 && self.fn_pct_cad3 < self.fn_pct_centralized
+    }
+
+    /// CAD3's F1 is at least AD3's, within 0.005.
+    pub fn cad3_f1_holds(&self) -> bool {
+        self.f1_cad3 + 0.005 >= self.f1_ad3
+    }
+}
+
+/// Runs the Fig. 7 comparison on 3 (quick) or 5 corpora seeded `seed`,
+/// `seed + 1000`, ...
+pub fn seed_stability(seed: u64, quick: bool) -> Vec<SeedRow> {
+    (0..if quick { 3 } else { 5 })
+        .map(|i| {
+            let seed = seed + i * 1000;
+            let config =
+                if quick { DatasetConfig::small(seed) } else { DatasetConfig::paper_89k(seed) };
+            let rows =
+                compare(&SyntheticDataset::generate(&config), &DetectionConfig::default(), seed);
+            SeedRow {
+                seed,
+                f1_centralized: rows[0].f1,
+                f1_ad3: rows[1].f1,
+                f1_cad3: rows[2].f1,
+                fn_pct_centralized: rows[0].fn_rate * 100.0,
+                fn_pct_ad3: rows[1].fn_rate * 100.0,
+                fn_pct_cad3: rows[2].fn_rate * 100.0,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -782,6 +951,33 @@ mod tests {
         assert!(r.rows[2].f1 > r.rows[0].f1, "cad3 beats centralized");
         assert!(r.rows[1].f1 > r.rows[0].f1, "ad3 beats centralized");
         assert!(r.rows[2].fn_rate_pct <= r.rows[1].fn_rate_pct + 0.5);
+    }
+
+    #[test]
+    fn quick_cloud_vs_edge_pays_the_backhaul() {
+        let [edge, cloud] = &cloud_vs_edge(42, true)[..] else { panic!("two deployments") };
+        assert!(edge.total_ms < 50.0, "edge total {} ms", edge.total_ms);
+        // Two 60 ms backhaul legs; the parent measured 43.4 vs 164.2 ms.
+        assert!(cloud.total_ms - edge.total_ms >= 100.0, "{} vs {}", cloud.total_ms, edge.total_ms);
+    }
+
+    #[test]
+    fn future_models_both_evaluate() {
+        let rows = future_models(42);
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            assert!(r.accuracy > 0.5 && r.accuracy < 1.0, "{}: accuracy {}", r.model, r.accuracy);
+        }
+    }
+
+    #[test]
+    fn quick_seed_stability_orderings_hold_on_every_seed() {
+        let rows = seed_stability(42, true);
+        assert_eq!(rows.len(), 3);
+        for r in &rows {
+            assert!(r.edge_beats_centralized(), "seed {}: {r:?}", r.seed);
+            assert!(r.cad3_fn_lowest(), "seed {}: {r:?}", r.seed);
+        }
     }
 
     #[test]

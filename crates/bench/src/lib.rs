@@ -1,16 +1,17 @@
 //! Experiment harness regenerating every table and figure of the CAD3
 //! paper's evaluation (Section VI) on the reproduction's substrates.
 //!
-//! Each `exp_*` binary in `src/bin/` wraps one function from
-//! [`experiments`], prints a human-readable table with the paper's
-//! reported values alongside the measured ones, and writes a JSON record
-//! under `results/`.
-//!
-//! Run everything with:
+//! [`experiments`] has one function per table or figure; the `exp_all`
+//! binary runs them all, prints each as a human-readable table with the
+//! paper's reported values alongside the measured ones, and is the one
+//! writer of their JSON records under `results/`:
 //!
 //! ```text
 //! cargo run -p cad3-bench --release --bin exp_all
 //! ```
+//!
+//! The obs tools (`trace_report`, `health_report`, `profile_report`,
+//! `cad3_top`) share one seeded workload, [`handover_run`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,8 +23,14 @@ pub mod json;
 pub mod paper;
 pub mod tables;
 
+use cad3::detector::{train_all, DetectionConfig};
+use cad3::{scenario, CoreError, Observer, SystemConfig, TestbedReport};
+use cad3_data::{DatasetConfig, SyntheticDataset};
+use cad3_obs::{HealthMonitor, SloContract};
+use cad3_types::{RoadType, SimDuration};
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Default seed shared by the experiment binaries.
 pub const DEFAULT_SEED: u64 = 42;
@@ -32,6 +39,43 @@ pub const DEFAULT_SEED: u64 = 42;
 /// the `CAD3_QUICK` environment variable.
 pub fn quick_mode() -> bool {
     std::env::var("CAD3_QUICK").map(|v| v != "0" && !v.is_empty()).unwrap_or(false)
+}
+
+/// Virtual length of [`handover_run`]: 4 s in quick mode, 8 s otherwise.
+pub fn handover_duration() -> SimDuration {
+    SimDuration::from_secs(if quick_mode() { 4 } else { 8 })
+}
+
+/// The obs tools' one seeded workload: the paper's 2-RSU handover
+/// scenario at [`DEFAULT_SEED`] with the CAD3 model, 16 (quick) or 32
+/// motorway vehicles, half of which migrate to the link RSU halfway
+/// through [`handover_duration`]. `observers` ride the simulation clock.
+/// Fails only if the generated corpus is not trainable.
+pub fn handover_run(observers: Vec<Observer>) -> Result<TestbedReport, CoreError> {
+    let ds = SyntheticDataset::generate(&DatasetConfig::small(DEFAULT_SEED));
+    let models = train_all(&ds.features, &DetectionConfig::default())?;
+    Ok(scenario::handover_migration(
+        SystemConfig::default(),
+        DEFAULT_SEED,
+        Arc::new(models.cad3),
+        ds.features_of_type(RoadType::Motorway),
+        ds.features_of_type(RoadType::MotorwayLink),
+        if quick_mode() { 16 } else { 32 },
+        0.5,
+        handover_duration(),
+        observers,
+    ))
+}
+
+/// A health monitor on the root `slos.toml` contract with the two RSUs of
+/// [`handover_run`] registered. Fails if the contract cannot be read.
+pub fn handover_monitor() -> Result<HealthMonitor, String> {
+    let contract =
+        SloContract::load(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../slos.toml"))?;
+    let mut monitor = HealthMonitor::new(contract);
+    monitor.register_rsu("rsu-motorway");
+    monitor.register_rsu("rsu-motorway-link");
+    Ok(monitor)
 }
 
 /// Writes an experiment's JSON record to `results/<name>.json`, creating
@@ -59,10 +103,10 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 /// Captures the current [`cad3_obs`] metrics snapshot and writes it to
 /// `results/<name>.prom` in the Prometheus text exposition format.
 ///
-/// Returns the rendered snapshot so callers can also assert on it (the
-/// Fig. 6a binary checks the `rsu.*_us` histograms reproduce the stage
-/// decomposition). Returns `None` when writing failed (counted on
-/// `bench.results.errors`).
+/// Returns the rendered snapshot so callers can also assert on it
+/// (`exp_all`'s Fig. 6a section checks the `rsu.*_us` histograms
+/// reproduce the stage decomposition). Returns `None` when writing failed
+/// (counted on `bench.results.errors`).
 pub fn write_metrics(name: &str) -> Option<cad3_obs::MetricsSnapshot> {
     let snapshot = cad3_obs::registry().snapshot();
     let text = cad3_obs::export::prometheus_text(&snapshot);

@@ -90,36 +90,11 @@ pub fn multi_rsu(
 /// Runs the paper's handover emulation: two RSUs (motorway and motorway
 /// link); halfway through the run, `fraction` of the motorway's vehicles
 /// migrate to the link RSU, switch to the link sub-dataset, and their
-/// prediction summaries follow them over the backhaul.
+/// prediction summaries follow them over the backhaul. `observers` are
+/// periodic hooks riding the simulation clock — how the health monitor
+/// ticks during the run (`health_report`, the `health-e2e` CI job).
 #[allow(clippy::too_many_arguments)] // mirrors the scenario's natural parameter list
 pub fn handover_migration(
-    config: SystemConfig,
-    seed: u64,
-    detector: Arc<dyn Detector>,
-    motorway_records: Vec<FeatureRecord>,
-    link_records: Vec<FeatureRecord>,
-    vehicles: u32,
-    fraction: f64,
-    duration: SimDuration,
-) -> TestbedReport {
-    handover_migration_observed(
-        config,
-        seed,
-        detector,
-        motorway_records,
-        link_records,
-        vehicles,
-        fraction,
-        duration,
-        Vec::new(),
-    )
-}
-
-/// [`handover_migration`] with periodic [`crate::Observer`] hooks riding
-/// the simulation clock — how the health monitor ticks during the
-/// 2-RSU handover scenario (`health_report`, the `health-e2e` CI job).
-#[allow(clippy::too_many_arguments)] // mirrors the scenario's natural parameter list
-pub fn handover_migration_observed(
     config: SystemConfig,
     seed: u64,
     detector: Arc<dyn Detector>,

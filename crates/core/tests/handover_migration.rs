@@ -25,6 +25,7 @@ fn migrated_vehicles_shift_load_and_carry_summaries() {
             40,
             fraction,
             SimDuration::from_secs(10),
+            Vec::new(),
         )
     };
 
@@ -77,6 +78,7 @@ fn full_migration_drains_the_motorway() {
         24,
         1.0,
         SimDuration::from_secs(8),
+        Vec::new(),
     );
     // After the halfway point every motorway vehicle streams to the link;
     // the motorway RSU keeps only its first-half traffic.

@@ -32,6 +32,7 @@ fn handover_traces_span_both_rsus_with_no_missing_spans() {
         8,
         0.5,
         SimDuration::from_secs(4),
+        Vec::new(),
     );
     trace::set_sample_rate(0.0);
 
