@@ -42,10 +42,7 @@ fn main() {
             mon.tick(now.as_nanos());
             let mut frame = console::frame(&mon, now.as_nanos());
             frame.push('\n');
-            frame.push_str(&console::profile_block(
-                &cad3_obs::profile::snapshot(),
-                &cad3_obs::profile::live_stacks(),
-            ));
+            frame.push_str(&console::profile_block(&cad3_obs::profile::snapshot()));
             hook_frames.borrow_mut().push(frame);
         }),
     };

@@ -1,14 +1,14 @@
 //! Frame rendering for the health console (`cad3_top`) and the
 //! `health_report` end-of-run summary.
 //!
-//! Everything here is a pure string builder over a
-//! [`HealthMonitor`](cad3_obs::HealthMonitor)'s latest tick — no I/O, no
-//! clocks — so the two binaries (one live and wall-clock paced, one batch)
-//! share exactly the same view and the frame is unit-testable.
+//! Everything here is a pure string builder over a [`HealthMonitor`]'s
+//! latest tick — no I/O, no clocks — so the two binaries (one live and
+//! wall-clock paced, one batch) share exactly the same view and the frame
+//! is unit-testable.
 
 use crate::tables;
 use cad3_obs::health::SloRow;
-use cad3_obs::{AlertEvent, HealthMonitor, HealthState, ProfileSnapshot, StackView};
+use cad3_obs::{AlertEvent, HealthMonitor, HealthState, ProfileSnapshot};
 
 /// How many alert transitions the frame's tail shows.
 const RECENT_ALERTS: usize = 8;
@@ -107,8 +107,8 @@ pub fn alerts_block<'a>(events: impl Iterator<Item = &'a AlertEvent>, shed: u64)
 
 /// The continuous-profiler panel: the heaviest stage paths by self-time
 /// (ties broken by call count, then path, so virtual-clock frames are
-/// stable) plus each live thread's currently open stage stack.
-pub fn profile_block(snap: &ProfileSnapshot, stacks: &[StackView]) -> String {
+/// stable).
+pub fn profile_block(snap: &ProfileSnapshot) -> String {
     let mut rows: Vec<(&String, &cad3_obs::StageTotals)> =
         snap.stages.iter().filter(|(_, t)| t.calls > 0).collect();
     rows.sort_by(|a, b| {
@@ -136,14 +136,6 @@ pub fn profile_block(snap: &ProfileSnapshot, stacks: &[StackView]) -> String {
         .collect();
     let mut out = String::from("top stages (self-time):\n");
     out.push_str(&tables::render(&["stage path", "calls", "self ms", "self %"], &body));
-    if !stacks.is_empty() {
-        out.push_str("live stacks:\n");
-        for s in stacks {
-            let path = if s.stages.is_empty() { "(idle)".to_owned() } else { s.stages.join(";") };
-            let truncated = if s.depth > s.stages.len() { " …" } else { "" };
-            out.push_str(&format!("  [{}] {path}{truncated}\n", s.class));
-        }
-    }
     out
 }
 
@@ -230,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_block_ranks_stages_and_shows_live_stacks() {
+    fn profile_block_ranks_stages_by_self_time() {
         let mut snap = ProfileSnapshot::default();
         snap.stages.insert(
             "main;rsu.micro_batch".to_owned(),
@@ -241,18 +233,12 @@ mod tests {
             cad3_obs::StageTotals { calls: 10, self_ns: 8_000_000, total_ns: 8_000_000 },
         );
         snap.stages.insert("main;cold".to_owned(), cad3_obs::StageTotals::default());
-        let stacks = vec![
-            StackView { class: "main", depth: 2, stages: vec!["rsu.micro_batch", "rsu.detect"] },
-            StackView { class: "worker", depth: 0, stages: vec![] },
-        ];
-        let block = profile_block(&snap, &stacks);
+        let block = profile_block(&snap);
         // The heavier stage leads the table and the zero-call path is gone.
         let detect = block.find("rsu.micro_batch;rsu.detect").expect("detect row");
         assert!(block.contains("top stages"), "{block}");
         assert!(!block.contains("main;cold"), "{block}");
         assert!(block.find("88.9").is_some_and(|p| p > detect), "{block}");
-        assert!(block.contains("[main] rsu.micro_batch;rsu.detect"), "{block}");
-        assert!(block.contains("[worker] (idle)"), "{block}");
     }
 
     #[test]
@@ -262,8 +248,7 @@ mod tests {
             "main;virtual".to_owned(),
             cad3_obs::StageTotals { calls: 3, self_ns: 0, total_ns: 0 },
         );
-        let block = profile_block(&snap, &[]);
+        let block = profile_block(&snap);
         assert!(block.contains("main;virtual"), "{block}");
-        assert!(!block.contains("live stacks"), "{block}");
     }
 }

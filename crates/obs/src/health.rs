@@ -21,7 +21,7 @@
 //!
 //! The [`HealthMonitor`] is driver-owned (`&mut self`, no interior locks):
 //! a periodic tick snapshots the registry, pushes it into a
-//! [`SnapshotRing`](crate::window::SnapshotRing) and evaluates every SLO.
+//! [`SnapshotRing`] and evaluates every SLO.
 //! Nothing runs on the hot path — instrumented code only keeps feeding the
 //! same counters it already feeds, behind the usual one-relaxed-load gate.
 //! Timestamps come from [`crate::clock`], so under the virtual clock the

@@ -88,7 +88,7 @@ pub use health::{AlertEvent, HealthMonitor, HealthState, Severity, SloContract};
 pub use metrics::{
     bucket_lower, bucket_upper, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot,
 };
-pub use profile::{ProfileSnapshot, ProfileToken, StackView, StageTotals};
+pub use profile::{ProfileSnapshot, ProfileToken, StageTotals};
 pub use recorder::{install_panic_dump, recorder, EventKind, FlightRecorder, SpanEvent};
 pub use registry::{registry, MetricsSnapshot, Registry};
 pub use span::{point, SpanGuard, SpanSite};
@@ -171,13 +171,12 @@ macro_rules! span {
 }
 
 /// Enters a **profile-only** stage, returning its RAII guard: the stage
-/// accounts into the continuous profiler's stage tree and the thread's
-/// live stack ([`profile`]), but never touches the flight recorder, the
-/// span-id counter or any histogram. This is the form safe inside parallel
-/// workers, where recorder writes would make deterministic-replay
-/// artifacts schedule-dependent. The name must be a string literal from
-/// [`names`] (checked by `cargo xtask lint`'s `profile-names` rule).
-/// Inert (no clock read) unless [`enabled`].
+/// accounts into the continuous profiler's stage tree ([`profile`]), but
+/// never touches the flight recorder, the span-id counter or any histogram.
+/// This is the form safe inside parallel workers, where recorder writes
+/// would make deterministic-replay artifacts schedule-dependent. The name
+/// must be a string literal from [`names`] (checked by `cargo xtask lint`'s
+/// `profile-names` rule). Inert (no clock read) unless [`enabled`].
 #[macro_export]
 macro_rules! profile_span {
     ($name:expr) => {{

@@ -325,7 +325,8 @@ impl Default for Histogram {
 /// An immutable merged view of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (see [`BUCKETS`]).
+    /// Per-bucket observation counts: bucket `b` holds values with exactly
+    /// `b` significant bits ([`bucket_lower`]..=[`bucket_upper`]).
     pub buckets: [u64; BUCKETS],
     /// Total observations (always equals the bucket total).
     pub count: u64,

@@ -8,17 +8,12 @@
 //! per-(thread-class, stage-path) tree nodes. The result is exportable two
 //! ways:
 //!
-//! * [`ProfileSnapshot`] — a mergeable, `MetricsSnapshot`-style map from
-//!   folded stage paths (`main;rsu.micro_batch;rsu.detect;ml.nb.sweep`) to
+//! * [`ProfileSnapshot`] — a `MetricsSnapshot`-style map from folded stage
+//!   paths (`main;rsu.micro_batch;rsu.detect;ml.nb.sweep`) to
 //!   `{calls, self_ns, total_ns}` totals;
 //! * [`ProfileSnapshot::folded`] — folded-stack lines
 //!   (`main;rsu.micro_batch;rsu.detect 1234567`, weight = self-time)
 //!   consumable by standard flamegraph tooling.
-//!
-//! Each profiled thread also seqlock-publishes its *live* stage stack (a
-//! fixed-depth array of interned stage name ids, the flight-recorder
-//! publish discipline) so `cad3_top` can show what every thread is doing
-//! right now without stopping it ([`live_stacks`]).
 //!
 //! # Accounting model
 //!
@@ -35,12 +30,12 @@
 //! # Overhead policy
 //!
 //! Everything here is behind the same one relaxed [`crate::enabled`] load
-//! as the rest of the substrate: disabled spans never reach [`push`]. When
-//! enabled, a push/pop pair costs a thread-local stack op, three relaxed
-//! `fetch_add`s on a cache-padded shard, and the seqlock publish — the
-//! profiler mutex (rank 92, a leaf like the registry's) is only taken the
-//! first time a thread sees a new (class, parent, stage) edge, after which
-//! the node handle comes from a thread-local cache.
+//! as the rest of the substrate: disabled spans never open a stage frame.
+//! When enabled, a push/pop pair costs a thread-local stack op and three
+//! relaxed `fetch_add`s on a cache-padded shard — the profiler mutex (rank
+//! 92, a leaf like the registry's) is only taken the first time a thread
+//! sees a new (class, parent, stage) edge, after which the node handle
+//! comes from a thread-local cache.
 
 use crate::metrics::SHARDS;
 use crate::registry::registry;
@@ -50,16 +45,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::sync::OnceLock;
-
-/// Depth of the seqlock-published live stage stack. Accounting itself is
-/// depth-unbounded; only the live view truncates to the innermost
-/// `STACK_DEPTH` frames' prefix.
-pub const STACK_DEPTH: usize = 16;
-
-/// Bound on concurrently-live published stacks. Threads past the cap still
-/// account normally; they just have no live view. Dead threads' slots are
-/// reclaimed (the pool holds weak references).
-const STACK_SLOTS: usize = 64;
 
 /// Cap on distinct (thread-class, stage-path) tree nodes; pushes past it
 /// are counted in [`ProfileSnapshot::dropped`] instead of allocating
@@ -138,109 +123,16 @@ impl StageNode {
     }
 }
 
-/// A seqlock-published fixed-depth stage stack: one writer (the owning
-/// thread) publishing its current stack of interned stage names, many
-/// wait-free readers.
-///
-/// The protocol is the flight recorder's slot discipline: `seq` is 0 until
-/// the first publish, odd while a write is in progress, and even after.
-/// Readers load `seq`, copy the fields, and re-check `seq`; a mismatch or
-/// odd value means a torn read and the sample is discarded. Model-checked
-/// in `tests/loom_obs.rs`.
-#[derive(Debug)]
-pub struct StageStack {
-    /// 0 = never published, odd = mid-write, even = published.
-    seq: AtomicU64,
-    class: AtomicU64,
-    depth: AtomicU64,
-    names: Vec<AtomicU64>,
-}
-
-impl StageStack {
-    /// Creates an unpublished stack (readers see `None`).
-    pub fn new() -> Self {
-        StageStack {
-            seq: AtomicU64::new(0),
-            class: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            names: (0..STACK_DEPTH).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Publishes the owning thread's current stack: its thread-class id,
-    /// the true depth, and the outermost-first name ids (callers pass at
-    /// most [`STACK_DEPTH`]; anything deeper is truncated to the prefix,
-    /// with `depth` still reporting the true value).
-    ///
-    /// Single-writer by contract: only the owning thread calls this.
-    pub fn publish(&self, class: u32, depth: usize, name_ids: &[u32]) {
-        // ordering: Relaxed — this thread is the only writer, so the read
-        // needs no synchronisation; the odd/even protocol below is what
-        // readers synchronise on.
-        let before = self.seq.load(Ordering::Relaxed);
-        // ordering: Release — odd seq marks the write in progress before
-        // any field changes (the flight-recorder seqlock discipline).
-        self.seq.store(before + 1, Ordering::Release);
-        // ordering: Relaxed — fields are fenced by the seq protocol.
-        self.class.store(u64::from(class), Ordering::Relaxed);
-        // ordering: Relaxed — fields are fenced by the seq protocol.
-        self.depth.store(u64::try_from(depth).unwrap_or(u64::MAX), Ordering::Relaxed);
-        for (slot, id) in self.names.iter().zip(name_ids.iter().take(STACK_DEPTH)) {
-            // ordering: Relaxed — fields are fenced by the seq protocol.
-            slot.store(u64::from(*id), Ordering::Relaxed);
-        }
-        // ordering: Release — the even seq publishes the fields to readers.
-        self.seq.store(before + 2, Ordering::Release);
-    }
-
-    /// One consistent read attempt: `(class id, true depth, visible name
-    /// ids)`, or `None` if the stack was never published or the read tore
-    /// against a concurrent publish (callers just skip the sample).
-    pub fn read(&self) -> Option<(u32, usize, Vec<u32>)> {
-        // ordering: Acquire — pairs with the publishing Release store so
-        // the field reads below see that write's values.
-        let before = self.seq.load(Ordering::Acquire);
-        if before == 0 || before % 2 == 1 {
-            return None;
-        }
-        // ordering: Relaxed — validity is established by re-checking seq.
-        let class = self.class.load(Ordering::Relaxed);
-        // ordering: Relaxed — validity is established by re-checking seq.
-        let depth = usize::try_from(self.depth.load(Ordering::Relaxed)).unwrap_or(usize::MAX);
-        let shown = depth.min(STACK_DEPTH);
-        let mut ids = Vec::with_capacity(shown);
-        for slot in self.names.iter().take(shown) {
-            // ordering: Relaxed — validity is established by re-checking seq.
-            ids.push(u32::try_from(slot.load(Ordering::Relaxed)).unwrap_or(0));
-        }
-        // ordering: Acquire — a changed seq means the fields were torn by a
-        // concurrent publish; discard the sample.
-        if self.seq.load(Ordering::Acquire) != before {
-            return None;
-        }
-        Some((u32::try_from(class).unwrap_or(0), depth, ids))
-    }
-}
-
-impl Default for StageStack {
-    fn default() -> Self {
-        StageStack::new()
-    }
-}
-
 struct Inner {
     /// (class, parent-or-[`NO_PARENT`], name id) → node index.
     index: BTreeMap<(u32, u32, u32), u32>,
     nodes: Vec<Arc<StageNode>>,
     classes: Vec<&'static str>,
-    /// Live-stack pool: weak so a dead thread's slot reclaims itself (no
-    /// lock is ever taken from a thread-local destructor).
-    stacks: Vec<std::sync::Weak<StageStack>>,
     dropped: u64,
 }
 
 /// The process-wide stage-path tree. Normally used through the module-level
-/// functions ([`snapshot`], [`live_stacks`]); the type is public so the
+/// function [`snapshot`]; the type is public so the
 /// determinism contract can name its entry points.
 pub struct Profiler {
     inner: Mutex<Inner>,
@@ -259,7 +151,6 @@ impl Profiler {
                 index: BTreeMap::new(),
                 nodes: Vec::new(),
                 classes: Vec::new(),
-                stacks: Vec::new(),
                 dropped: 0,
             }),
         }
@@ -295,22 +186,7 @@ impl Profiler {
         Some((i, node))
     }
 
-    /// Leases a live-stack slot for the calling thread, pruning slots whose
-    /// owning threads have exited. `None` once [`STACK_SLOTS`] threads hold
-    /// one concurrently.
-    fn lease(&self) -> Option<std::sync::Arc<StageStack>> {
-        let _held = cad3_lockrank::rank_scope!("cad3_obs::Profiler::inner");
-        let mut inner = self.inner.lock();
-        inner.stacks.retain(|w| w.strong_count() > 0);
-        if inner.stacks.len() >= STACK_SLOTS {
-            return None;
-        }
-        let stack = std::sync::Arc::new(StageStack::new());
-        inner.stacks.push(std::sync::Arc::downgrade(&stack));
-        Some(stack)
-    }
-
-    /// Merges the whole stage tree into one mergeable snapshot. Stage
+    /// Merges the whole stage tree into one snapshot. Stage
     /// names resolve through the registry *after* the profiler lock is
     /// released (ranks 92 and 90 must not nest that way round).
     pub fn snapshot(&self) -> ProfileSnapshot {
@@ -342,27 +218,6 @@ impl Profiler {
         }
         ProfileSnapshot { stages, dropped }
     }
-
-    /// One consistent read of every live thread's published stage stack,
-    /// names resolved (lock released before touching the registry).
-    pub fn live_stacks(&self) -> Vec<StackView> {
-        let (stacks, classes) = {
-            let _held = cad3_lockrank::rank_scope!("cad3_obs::Profiler::inner");
-            let inner = self.inner.lock();
-            let live: Vec<_> = inner.stacks.iter().filter_map(std::sync::Weak::upgrade).collect();
-            (live, inner.classes.clone())
-        };
-        let mut out = Vec::with_capacity(stacks.len());
-        for stack in stacks {
-            let Some((class, depth, ids)) = stack.read() else { continue };
-            out.push(StackView {
-                class: classes.get(class as usize).copied().unwrap_or("?"),
-                depth,
-                stages: ids.iter().map(|&id| registry().name_of(id)).collect(),
-            });
-        }
-        out
-    }
 }
 
 /// The process-wide profiler every span guard accounts into.
@@ -382,7 +237,7 @@ pub struct StageTotals {
     pub total_ns: u64,
 }
 
-/// A mergeable point-in-time view of the stage tree: folded stage paths
+/// A point-in-time view of the stage tree: folded stage paths
 /// (`class;stage;…;leaf`) to their totals. The profile analogue of
 /// [`crate::MetricsSnapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -394,18 +249,6 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// Merges `other` into `self` (union of paths, saturating sums) — the
-    /// multi-process/multi-snapshot analogue of histogram shard merging.
-    pub fn merge(&mut self, other: &ProfileSnapshot) {
-        for (path, t) in &other.stages {
-            let e = self.stages.entry(path.clone()).or_default();
-            e.calls = e.calls.saturating_add(t.calls);
-            e.self_ns = e.self_ns.saturating_add(t.self_ns);
-            e.total_ns = e.total_ns.saturating_add(t.total_ns);
-        }
-        self.dropped = self.dropped.saturating_add(other.dropped);
-    }
-
     /// Renders folded-stack lines — `path self_ns` per completed stage,
     /// path-sorted — the input format of standard flamegraph tooling
     /// (weight = self-time, so frame widths sum correctly).
@@ -418,22 +261,6 @@ impl ProfileSnapshot {
             let _ = writeln!(out, "{path} {}", t.self_ns);
         }
         out
-    }
-
-    /// Parses folded-stack lines back into a snapshot (self-time weights
-    /// only — call counts become one per line and `total_ns` is not
-    /// representable in the format). Unparseable lines are skipped.
-    /// Round-trips with [`Self::folded`] on the (path → weight) mapping.
-    pub fn from_folded(text: &str) -> ProfileSnapshot {
-        let mut snap = ProfileSnapshot::default();
-        for line in text.lines() {
-            let Some((path, weight)) = line.rsplit_once(' ') else { continue };
-            let Ok(self_ns) = weight.parse::<u64>() else { continue };
-            let e = snap.stages.entry(path.to_owned()).or_default();
-            e.calls = e.calls.saturating_add(1);
-            e.self_ns = e.self_ns.saturating_add(self_ns);
-        }
-        snap
     }
 
     /// Totals of stage `name` summed over every path it terminates —
@@ -452,17 +279,6 @@ impl ProfileSnapshot {
         }
         out
     }
-}
-
-/// One live thread's published stage stack, names resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StackView {
-    /// The owning thread's class (`"main"`, `"worker"`, …).
-    pub class: &'static str,
-    /// True stack depth (may exceed `stages.len()` past [`STACK_DEPTH`]).
-    pub depth: usize,
-    /// Outermost-first stage names currently live.
-    pub stages: Vec<&'static str>,
 }
 
 /// A copyable capture of the calling thread's current stage position,
@@ -509,8 +325,6 @@ struct ThreadState {
     frames: Vec<Frame>,
     /// (class, parent, name) → node, so steady-state pushes never lock.
     cache: BTreeMap<(u32, u32, u32), (u32, Arc<StageNode>)>,
-    slot: Option<std::sync::Arc<StageStack>>,
-    slot_exhausted: bool,
 }
 
 impl ThreadState {
@@ -521,8 +335,6 @@ impl ThreadState {
             base: None,
             frames: Vec::new(),
             cache: BTreeMap::new(),
-            slot: None,
-            slot_exhausted: false,
         }
     }
 }
@@ -531,8 +343,7 @@ thread_local! {
     static STATE: RefCell<ThreadState> = const { RefCell::new(ThreadState::new()) };
 }
 
-/// Declares the calling thread's class for path roots and the live view
-/// (literals are anchored to [`crate::names::THREAD_CLASSES`] by the
+/// Declares the calling thread's class for path roots (literals are anchored to [`crate::names::THREAD_CLASSES`] by the
 /// `profile-names` lint). Threads default to `"main"`; the engine executor
 /// marks its pool threads `"worker"`.
 pub fn set_thread_class(class: &'static str) {
@@ -578,12 +389,6 @@ pub fn snapshot() -> ProfileSnapshot {
     profiler().snapshot()
 }
 
-/// Every live thread's published stage stack (see
-/// [`Profiler::live_stacks`]).
-pub fn live_stacks() -> Vec<StackView> {
-    profiler().live_stacks()
-}
-
 fn ensure_class(st: &mut ThreadState) -> u32 {
     match st.class_id {
         Some(id) => id,
@@ -592,30 +397,6 @@ fn ensure_class(st: &mut ThreadState) -> u32 {
             st.class_id = Some(id);
             id
         }
-    }
-}
-
-/// Seqlock-publishes the thread's current stack into its live-view slot
-/// (leased on first use; accounting is unaffected when the pool is full).
-fn publish_live(st: &mut ThreadState) {
-    if st.slot.is_none() {
-        if st.slot_exhausted {
-            return;
-        }
-        st.slot = profiler().lease();
-        if st.slot.is_none() {
-            st.slot_exhausted = true;
-            return;
-        }
-    }
-    let class = ensure_class(st);
-    let mut ids = [0u32; STACK_DEPTH];
-    let shown = st.frames.len().min(STACK_DEPTH);
-    for (slot, frame) in ids.iter_mut().zip(st.frames.iter()) {
-        *slot = frame.name_id;
-    }
-    if let Some(stack) = &st.slot {
-        stack.publish(class, st.frames.len(), &ids[..shown]);
     }
 }
 
@@ -631,7 +412,6 @@ pub(crate) fn push(name_id: u32, start_ns: u64) {
                 // unattributed too rather than re-rooting mid-stack.
                 None => {
                     st.frames.push(Frame { node: None, name_id, start_ns, child_ns: 0 });
-                    publish_live(&mut st);
                     return;
                 }
             },
@@ -653,7 +433,6 @@ pub(crate) fn push(name_id: u32, start_ns: u64) {
             }
         };
         st.frames.push(Frame { node, name_id, start_ns, child_ns: 0 });
-        publish_live(&mut st);
     });
 }
 
@@ -679,12 +458,11 @@ pub(crate) fn pop(name_id: u32, end_ns: u64) {
         if let Some((_, node)) = &frame.node {
             node.add(self_ns, elapsed);
         }
-        publish_live(&mut st);
     });
 }
 
-/// RAII guard for a profile-only stage: accounts into the stage tree and
-/// the live stack like a span, but never touches the flight recorder,
+/// RAII guard for a profile-only stage: accounts into the stage tree like
+/// a span, but never touches the flight recorder,
 /// span-id counter or any histogram. This is the form safe inside
 /// parallel workers, where recorder writes or id allocation would make
 /// replay artifacts schedule-dependent (see DESIGN.md "Continuous
@@ -817,42 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn live_stack_shows_the_open_frames() {
-        let name = intern("test.prof.live");
-        push(name, 0);
-        let views = live_stacks();
-        assert!(
-            views.iter().any(|v| v.stages.contains(&"test.prof.live")),
-            "live stacks: {views:?}"
-        );
-        pop(name, 1);
-        let views = live_stacks();
-        assert!(!views.iter().any(|v| v.stages.contains(&"test.prof.live")));
-    }
-
-    #[test]
-    fn stage_stack_publish_read_round_trip() {
-        let stack = StageStack::new();
-        assert_eq!(stack.read(), None, "unpublished stacks read as None");
-        stack.publish(3, 2, &[7, 9]);
-        assert_eq!(stack.read(), Some((3, 2, vec![7, 9])));
-        stack.publish(3, 0, &[]);
-        assert_eq!(stack.read(), Some((3, 0, Vec::new())));
-    }
-
-    #[test]
-    fn stage_stack_truncates_but_reports_true_depth() {
-        let stack = StageStack::new();
-        let deep: Vec<u32> = (0..40).collect();
-        stack.publish(0, deep.len(), &deep[..STACK_DEPTH.min(deep.len())]);
-        let (_, depth, ids) = stack.read().expect("published");
-        assert_eq!(depth, 40);
-        assert_eq!(ids.len(), STACK_DEPTH);
-        assert_eq!(ids[..4], [0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn folded_round_trips_the_weight_map() {
+    fn folded_renders_one_line_per_called_path() {
         let mut snap = ProfileSnapshot::default();
         snap.stages.insert(
             "main;rsu.micro_batch;rsu.detect".to_owned(),
@@ -862,27 +605,12 @@ mod tests {
             "main;rsu.micro_batch".to_owned(),
             StageTotals { calls: 3, self_ns: 400, total_ns: 2_000_400 },
         );
-        let folded = snap.folded();
-        assert!(folded.contains("main;rsu.micro_batch;rsu.detect 1234567\n"));
-        let parsed = ProfileSnapshot::from_folded(&folded);
-        assert_eq!(parsed.folded(), folded, "folded → parse → folded is stable");
-    }
-
-    #[test]
-    fn merge_is_a_union_with_summed_totals() {
-        let mut a = ProfileSnapshot::default();
-        a.stages.insert("main;x".to_owned(), StageTotals { calls: 1, self_ns: 10, total_ns: 10 });
-        let mut b = ProfileSnapshot::default();
-        b.stages.insert("main;x".to_owned(), StageTotals { calls: 2, self_ns: 5, total_ns: 7 });
-        b.stages.insert("main;y".to_owned(), StageTotals { calls: 9, self_ns: 1, total_ns: 1 });
-        b.dropped = 4;
-        a.merge(&b);
+        snap.stages.insert("main;cold".to_owned(), StageTotals::default());
+        // Path-sorted, weight = self-time, and the zero-call path is skipped.
         assert_eq!(
-            a.stages.get("main;x"),
-            Some(&StageTotals { calls: 3, self_ns: 15, total_ns: 17 })
+            snap.folded(),
+            "main;rsu.micro_batch 400\nmain;rsu.micro_batch;rsu.detect 1234567\n"
         );
-        assert_eq!(a.stages.get("main;y").map(|t| t.calls), Some(9));
-        assert_eq!(a.dropped, 4);
     }
 
     /// A generated stage tree: `gap_ns` self-time interleaved with the
@@ -954,88 +682,6 @@ mod tests {
                 prop_assert!(t.total_ns - prev.total_ns >= t.self_ns - prev.self_ns);
             }
             prop_assert_eq!(self_sum, wall(&tree), "self-times sum to the root's wall time");
-        }
-
-        /// Satellite invariant: merging per-shard (here: per-snapshot)
-        /// profiles is equivalent to the single-shard oracle that saw
-        /// every (path, totals) pair at once.
-        #[test]
-        fn merge_of_split_profiles_equals_the_single_oracle(
-            raw in prop::collection::vec(
-                ((0usize..3, 0usize..3, 0usize..4), 0u64..1000, 0u64..1000, 1u64..50),
-                1..20,
-            ),
-            split in 0usize..20,
-        ) {
-            const SEG: [&str; 3] = ["a", "b", "c"];
-            let entries: Vec<(String, u64, u64, u64)> = raw
-                .iter()
-                .map(|&((a, b, c), self_ns, extra_ns, calls)| {
-                    let mut path = format!("{};{}", SEG[a], SEG[b]);
-                    if c < SEG.len() {
-                        path = format!("{path};{}", SEG[c]);
-                    }
-                    (path, self_ns, extra_ns, calls)
-                })
-                .collect();
-            let mut oracle = ProfileSnapshot::default();
-            let mut left = ProfileSnapshot::default();
-            let mut right = ProfileSnapshot::default();
-            for (i, (path, self_ns, extra_ns, calls)) in entries.iter().enumerate() {
-                let t = StageTotals {
-                    calls: *calls,
-                    self_ns: *self_ns,
-                    total_ns: self_ns + extra_ns,
-                };
-                for target in [&mut oracle, if i < split { &mut left } else { &mut right }] {
-                    let e = target.stages.entry(path.clone()).or_default();
-                    e.calls += t.calls;
-                    e.self_ns += t.self_ns;
-                    e.total_ns += t.total_ns;
-                }
-            }
-            let mut merged = left.clone();
-            merged.merge(&right);
-            prop_assert_eq!(merged, oracle);
-        }
-
-        /// Satellite invariant: folded encoding round-trips the
-        /// (path → self-weight) mapping for arbitrary path shapes.
-        #[test]
-        fn folded_encoding_round_trips(
-            raw in prop::collection::vec(
-                (
-                    prop::collection::vec(0usize..6, 1..5),
-                    1u64..100,
-                    0u64..u32::MAX as u64,
-                ),
-                0..16,
-            ),
-        ) {
-            const SEG: [&str; 6] =
-                ["rsu.detect", "ml.nb", "main", "worker", "x_1", "ingest.co2"];
-            let mut entries: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-            for (segs, calls, self_ns) in &raw {
-                let path =
-                    segs.iter().map(|&i| SEG[i]).collect::<Vec<_>>().join(";");
-                entries.insert(path, (*calls, *self_ns));
-            }
-            let mut snap = ProfileSnapshot::default();
-            for (path, (calls, self_ns)) in &entries {
-                snap.stages.insert(
-                    path.clone(),
-                    StageTotals { calls: *calls, self_ns: *self_ns, total_ns: *self_ns },
-                );
-            }
-            let folded = snap.folded();
-            let parsed = ProfileSnapshot::from_folded(&folded);
-            prop_assert_eq!(parsed.folded(), folded.clone());
-            for (path, (_, self_ns)) in &entries {
-                prop_assert_eq!(
-                    parsed.stages.get(path).map(|t| t.self_ns),
-                    Some(*self_ns)
-                );
-            }
         }
     }
 }

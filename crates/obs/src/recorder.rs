@@ -3,13 +3,24 @@
 //!
 //! Writers claim a ticket from an atomic cursor and publish into
 //! `slots[ticket % capacity]` under a seqlock-style sequence word, so
-//! recording never blocks and never allocates. Reading back ([`dump`]) is
-//! best-effort by design: a slot being overwritten *while it is read* is
-//! detected by the sequence re-check and skipped, and a slot lapped between
-//! the two checks can surface one stale event — acceptable for a diagnostic
-//! ring, in exchange for a wait-free hot path. All slot fields are atomics,
-//! so torn reads are impossible at the memory level; the protocol only has
-//! to keep whole *events* consistent.
+//! recording never blocks and never allocates. Reading back
+//! ([`FlightRecorder::dump`]) is best-effort by design: a slot being
+//! overwritten *while it is read* is detected by the sequence re-check and
+//! skipped, and a slot lapped between the two checks can surface one stale
+//! event — acceptable for a diagnostic ring, in exchange for a wait-free
+//! hot path. All slot fields are atomics, so torn reads are impossible at
+//! the memory level; the protocol only has to keep whole *events*
+//! consistent.
+//!
+//! Two fences make that hold under the language memory model, not just on
+//! x86 (Boehm, "Can Seqlocks Get Along with Programming Language Memory
+//! Models?", MSPC 2012). A `Release` store of the odd word orders nothing
+//! *after* it, so the writer follows it with `fence(Release)`: a reader
+//! that sees any of the new field values then sees the odd word on its
+//! re-check. An `Acquire` re-check orders nothing *before* it, so the
+//! reader precedes it with `fence(Acquire)`: the field loads cannot be
+//! satisfied after the re-check. Without either, `dump` could accept an
+//! event mixing two writes. Model-checked in `tests/loom_obs.rs`.
 //!
 //! The recorder stores interned name ids (see
 //! [`Registry::intern_name`](crate::Registry::intern_name)), not pointers:
@@ -17,8 +28,7 @@
 
 use crate::metrics::Gauge;
 use crate::registry;
-use crate::sync::Arc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{fence, Arc, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// What a recorded event marks.
@@ -154,11 +164,13 @@ impl FlightRecorder {
         }
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
         let published = 2 * (ticket + 1);
-        // ordering: Release/Acquire on seq fence the field writes for
-        // readers: an odd seq marks the slot mid-write, and the final even
-        // store publishes the fields written before it.
-        slot.seq.store(published - 1, Ordering::Release);
-        // ordering: Relaxed — fields are ordered by the seq protocol above.
+        // ordering: Relaxed — the odd seq marks the slot mid-write; the
+        // Release fence below is what orders it before the field stores.
+        slot.seq.store(published - 1, Ordering::Relaxed);
+        // ordering: Release fence — any reader whose loads see a field store
+        // below also sees the odd seq on its re-check (module docs).
+        fence(Ordering::Release);
+        // ordering: Relaxed — fields are ordered by the fences above/below.
         slot.time.store(time_ns, Ordering::Relaxed);
         slot.kind.store(kind.code(), Ordering::Relaxed);
         slot.name_id.store(u64::from(name_id), Ordering::Relaxed);
@@ -166,7 +178,7 @@ impl FlightRecorder {
         slot.span.store(span, Ordering::Relaxed);
         slot.parent.store(parent, Ordering::Relaxed);
         slot.value.store(value, Ordering::Relaxed);
-        // ordering: Release — publishes the fields; see above.
+        // ordering: Release — the even seq publishes the fields to readers.
         slot.seq.store(published, Ordering::Release);
     }
 
@@ -175,7 +187,8 @@ impl FlightRecorder {
     pub fn dump(&self) -> Vec<SpanEvent> {
         let mut out = Vec::new();
         for slot in &self.slots {
-            // ordering: Acquire — pairs with the writer's Release publishes.
+            // ordering: Acquire — pairs with the writer's even Release store
+            // so the field loads below see at least that write's values.
             let before = slot.seq.load(Ordering::Acquire);
             if before == 0 || before % 2 == 1 {
                 continue;
@@ -188,8 +201,12 @@ impl FlightRecorder {
             let span = slot.span.load(Ordering::Relaxed);
             let parent = slot.parent.load(Ordering::Relaxed);
             let value = slot.value.load(Ordering::Relaxed);
-            // ordering: Acquire — the re-check detecting concurrent rewrite.
-            if slot.seq.load(Ordering::Acquire) != before {
+            // ordering: Acquire fence — keeps the field loads above from
+            // being satisfied after the re-check (module docs).
+            fence(Ordering::Acquire);
+            // ordering: Relaxed — ordered after the field loads by the fence;
+            // a changed seq means a concurrent rewrite, so skip the slot.
+            if slot.seq.load(Ordering::Relaxed) != before {
                 continue;
             }
             let Some(kind) = EventKind::from_code(kind) else { continue };

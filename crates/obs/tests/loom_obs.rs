@@ -1,4 +1,5 @@
-//! Loom model checks of the metric primitives' sharded-cell merge.
+//! Loom model checks of the metric primitives' sharded-cell merge and the
+//! flight recorder's seqlock.
 //!
 //! Built and run only under `RUSTFLAGS="--cfg loom"`:
 //!
@@ -11,11 +12,12 @@
 //! once writers are quiescent the merge is *exact*. These models hold that
 //! claim across perturbed schedules — concurrent writers (and a racing
 //! reader) never lose an observation, and the post-join merge conserves
-//! count, sum and max.
+//! count, sum and max. The recorder's model holds its seqlock to the
+//! promise in its module docs: a dump racing a write skips the slot, it
+//! never returns an event mixing two writes.
 #![cfg(loom)]
 
-use cad3_obs::profile::StageStack;
-use cad3_obs::{Counter, Histogram};
+use cad3_obs::{registry, Counter, EventKind, FlightRecorder, Histogram, SpanEvent};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -66,40 +68,41 @@ fn histogram_sharded_merge_conserves_observations() {
     });
 }
 
-/// The profiler's seqlock stage-stack publish/read race: a reader racing
-/// the owning thread's publishes either skips the sample (torn read, odd
-/// seq, never published) or sees one of the *complete* published states —
-/// never a mix of two publishes.
+/// The flight recorder's seqlock: one writer records two events into a
+/// one-slot ring, every field of the first set to 1 and of the second to 2
+/// (its ticket makes `seq` follow suit). A racing dump sees nothing or
+/// exactly one complete event — never a mix of the two writes.
 #[test]
-fn stage_stack_reads_are_torn_free() {
+fn recorder_dump_is_torn_free() {
+    const NAMES: [&str; 2] = ["test.loom.recorder.1", "test.loom.recorder.2"];
+    fn event(v: u64) -> SpanEvent {
+        let (kind, name) =
+            if v == 1 { (EventKind::Enter, NAMES[0]) } else { (EventKind::Exit, NAMES[1]) };
+        SpanEvent { seq: v, time_ns: v, kind, name, span: v, parent: v, value: v }
+    }
     loom::model(|| {
-        let stack = Arc::new(StageStack::new());
+        let ids = NAMES.map(|n| registry().intern_name(n));
+        let rec = Arc::new(FlightRecorder::with_capacity(1));
         let writer = {
-            let stack = Arc::clone(&stack);
-            // Single-writer by contract: both publishes happen on this one
-            // thread, racing only the reader.
+            let rec = Arc::clone(&rec);
+            // Both records happen on this one thread, racing only the dump.
             thread::spawn(move || {
-                stack.publish(1, 1, &[11]);
-                stack.publish(2, 2, &[22, 22]);
+                rec.record(EventKind::Enter, ids[0], 1, 1, 1, 1);
+                rec.record(EventKind::Exit, ids[1], 2, 2, 2, 2);
             })
         };
         let reader = {
-            let stack = Arc::clone(&stack);
-            thread::spawn(move || {
-                if let Some((class, depth, ids)) = stack.read() {
-                    // Any successful read is exactly one published state.
-                    match class {
-                        1 => assert_eq!((depth, ids), (1, vec![11])),
-                        2 => assert_eq!((depth, ids), (2, vec![22, 22])),
-                        other => panic!("torn class {other}"),
-                    }
-                }
+            let rec = Arc::clone(&rec);
+            thread::spawn(move || match rec.dump().as_slice() {
+                [] => {}
+                [e] => assert!(*e == event(1) || *e == event(2), "torn event: {e:?}"),
+                more => panic!("one slot dumped {} events", more.len()),
             })
         };
         writer.join().expect("writer thread");
         reader.join().expect("reader thread");
-        // Quiescent: the last publish is always visible and complete.
-        assert_eq!(stack.read(), Some((2, 2, vec![22, 22])));
+        // Quiescent: the second event has overwritten the first, whole.
+        assert_eq!(rec.dump(), vec![event(2)]);
     });
 }
 
