@@ -1,6 +1,7 @@
 use crate::sync::{Arc, AtomicU64, Mutex, Ordering, RwLock};
 use crate::{Record, SharedTopic, StreamError, TopicName};
 use bytes::Bytes;
+use cad3_types::len_u32;
 use std::collections::HashMap;
 
 #[derive(Debug, Default)]
@@ -19,11 +20,16 @@ struct GroupState {
 /// is internally synchronised so it can be shared across threads in the
 /// real-time integration tests and across simulated actors in virtual time.
 ///
-/// Topics are [`SharedTopic`]s: the registry hands out `Arc` handles
-/// ([`Broker::topic_handle`]) that producers and consumers cache, so the
-/// steady-state produce/fetch path touches only the target partition's
-/// mutex — the registry lock is paid once per (client, topic), not once
-/// per record.
+/// Topics are [`SharedTopic`]s in a small registry — an RSU has three —
+/// searched by name compare. The by-name methods (`produce`,
+/// `produce_traced`, `fetch`, ...) use the topic under the registry's read
+/// guard and clone nothing, so a by-name produce costs one uncontended read
+/// lock and a short string compare on top of the partition append.
+/// [`Broker::topic_handle`] still hands out `Arc` handles for callers that
+/// keep one (the consumer, the RSU's `OUT-DATA` and `CO-DATA` legs). The
+/// by-name methods call [`SharedTopic`] by path so that `cargo xtask
+/// analyze`, which follows only calls it can resolve to one function, sees
+/// the registry → partition nesting.
 ///
 /// # Lock hierarchy
 ///
@@ -31,17 +37,17 @@ struct GroupState {
 /// `cargo xtask analyze` statically and the `cad3-lockrank` runtime
 /// witness in debug builds):
 ///
-/// 1. `topics` registry `RwLock` (rank 20),
-/// 2. a producer's handle-cache `RwLock` (rank 25),
-/// 3. a [`SharedTopic`] partition `Mutex` (rank 30) — never two at once,
-/// 4. the `groups` coordination `Mutex` (rank 40).
+/// 1. `topics` registry `RwLock` (rank 20) — a by-name method holds its
+///    read guard across the partition lock below,
+/// 2. a [`SharedTopic`] partition `Mutex` (rank 30) — never two at once,
+/// 3. the `groups` coordination `Mutex` (rank 40).
 ///
 /// Any method needing topic data *and* group state reads the topic side
 /// first, drops those guards, then locks `groups` — never the reverse.
 #[derive(Debug)]
 pub struct Broker {
     name: String,
-    topics: RwLock<HashMap<TopicName, Arc<SharedTopic>>>,
+    topics: RwLock<Vec<Arc<SharedTopic>>>,
     groups: Mutex<HashMap<String, GroupState>>,
     next_member: AtomicU64,
 }
@@ -80,12 +86,24 @@ fn debug_assert_covering(partitions: u32, members: u32) {
     let _ = (partitions, members);
 }
 
+/// The registered topic named `name`, by linear compare: the registry holds
+/// a handful of topics, so this beats hashing the name on every record.
+fn find<'a>(
+    topics: &'a [Arc<SharedTopic>],
+    name: &str,
+) -> Result<&'a Arc<SharedTopic>, StreamError> {
+    topics
+        .iter()
+        .find(|t| &**t.name() == name)
+        .ok_or_else(|| StreamError::UnknownTopic(name.to_owned()))
+}
+
 impl Broker {
     /// Creates a broker with a human-readable name (e.g. `"rsu-motorway"`).
     pub fn new(name: impl Into<String>) -> Self {
         Broker {
             name: name.into(),
-            topics: RwLock::new(HashMap::new()),
+            topics: RwLock::new(Vec::new()),
             groups: Mutex::new(HashMap::new()),
             next_member: AtomicU64::new(1),
         }
@@ -105,13 +123,10 @@ impl Broker {
     pub fn create_topic(&self, name: &str, partitions: u32) -> Result<(), StreamError> {
         let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
         let mut topics = self.topics.write();
-        if topics.contains_key(name) {
+        if find(&topics, name).is_ok() {
             return Err(StreamError::TopicExists(name.to_owned()));
         }
-        // Intern the name once; registry key and topic metadata share it.
-        let interned: TopicName = TopicName::from(name);
-        let topic = SharedTopic::new(TopicName::clone(&interned), partitions)?;
-        topics.insert(interned, Arc::new(topic));
+        topics.push(Arc::new(SharedTopic::new(name, partitions)?));
         Ok(())
     }
 
@@ -119,7 +134,7 @@ impl Broker {
     pub fn topic_names(&self) -> Vec<String> {
         let mut names: Vec<String> = {
             let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
-            self.topics.read().keys().map(|n| n.to_string()).collect()
+            self.topics.read().iter().map(|t| t.name().to_string()).collect()
         };
         names.sort();
         names
@@ -127,10 +142,10 @@ impl Broker {
 
     /// Looks up the shared handle for a topic.
     ///
-    /// The handle is the hot-path entry point: it bypasses the registry on
-    /// every later call, taking only the target partition's mutex. Topics
-    /// are never removed once created, so a cached handle stays valid for
-    /// the broker's lifetime.
+    /// A caller that keeps the handle bypasses the registry on every later
+    /// call, taking only the target partition's mutex. Topics are never
+    /// removed once created, so a kept handle stays valid for the broker's
+    /// lifetime.
     ///
     /// # Errors
     ///
@@ -138,7 +153,7 @@ impl Broker {
     pub fn topic_handle(&self, topic: &str) -> Result<Arc<SharedTopic>, StreamError> {
         let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
         let topics = self.topics.read();
-        topics.get(topic).map(Arc::clone).ok_or_else(|| StreamError::UnknownTopic(topic.to_owned()))
+        find(&topics, topic).map(Arc::clone)
     }
 
     /// Partition count of a topic.
@@ -147,13 +162,15 @@ impl Broker {
     ///
     /// Returns [`StreamError::UnknownTopic`] if the topic does not exist.
     pub fn partition_count(&self, topic: &str) -> Result<u32, StreamError> {
-        Ok(self.topic_handle(topic)?.partition_count())
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
+        let topics = self.topics.read();
+        Ok(SharedTopic::partition_count(find(&topics, topic)?))
     }
 
     /// Appends a record to a topic. Returns `(partition, offset)`.
     ///
-    /// Convenience over [`Broker::topic_handle`] +
-    /// [`SharedTopic::append`], which is where the produce metrics live.
+    /// Runs [`SharedTopic::append`], which is where the produce metrics
+    /// live, under the registry's read guard.
     ///
     /// # Errors
     ///
@@ -167,12 +184,18 @@ impl Broker {
         value: Bytes,
         timestamp: u64,
     ) -> Result<(u32, u64), StreamError> {
-        self.topic_handle(topic)?.append(partition, key, value, timestamp)
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
+        let topics = self.topics.read();
+        SharedTopic::append(find(&topics, topic)?, partition, key, value, timestamp)
     }
 
     /// [`Broker::produce`] with an optional distributed-trace header: the
     /// context rides the record through the log and back out of
     /// `Consumer::poll*` unchanged.
+    ///
+    /// This is the ingest path (one call per vehicle status record), so it
+    /// neither hashes the name nor touches a reference count: the topic is
+    /// found by compare and appended to while the read guard is held.
     ///
     /// # Errors
     ///
@@ -187,13 +210,15 @@ impl Broker {
         timestamp: u64,
         trace: Option<cad3_obs::TraceContext>,
     ) -> Result<(u32, u64), StreamError> {
-        self.topic_handle(topic)?.append_traced(partition, key, value, timestamp, trace)
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
+        let topics = self.topics.read();
+        SharedTopic::append_traced(find(&topics, topic)?, partition, key, value, timestamp, trace)
     }
 
     /// Fetches up to `max` records from `topic`/`partition` at `offset`.
     ///
-    /// Convenience over [`Broker::topic_handle`] + [`SharedTopic::fetch`],
-    /// which is where the fetch metrics live.
+    /// Runs [`SharedTopic::fetch`], which is where the fetch metrics live,
+    /// under the registry's read guard.
     ///
     /// # Errors
     ///
@@ -206,7 +231,9 @@ impl Broker {
         offset: u64,
         max: usize,
     ) -> Result<Vec<Record>, StreamError> {
-        self.topic_handle(topic)?.fetch(partition, offset, max)
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
+        let topics = self.topics.read();
+        SharedTopic::fetch(find(&topics, topic)?, partition, offset, max)
     }
 
     /// The end (next-produced) offset of a partition.
@@ -215,7 +242,9 @@ impl Broker {
     ///
     /// Returns [`StreamError::UnknownTopic`] or [`StreamError::UnknownPartition`].
     pub fn end_offset(&self, topic: &str, partition: u32) -> Result<u64, StreamError> {
-        self.topic_handle(topic)?.end_offset(partition)
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
+        let topics = self.topics.read();
+        SharedTopic::end_offset(find(&topics, topic)?, partition)
     }
 
     /// The earliest retained offset of a partition.
@@ -224,7 +253,9 @@ impl Broker {
     ///
     /// Returns [`StreamError::UnknownTopic`] or [`StreamError::UnknownPartition`].
     pub fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64, StreamError> {
-        self.topic_handle(topic)?.earliest_offset(partition)
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
+        let topics = self.topics.read();
+        SharedTopic::earliest_offset(find(&topics, topic)?, partition)
     }
 
     /// Total retained records in a topic.
@@ -233,7 +264,9 @@ impl Broker {
     ///
     /// Returns [`StreamError::UnknownTopic`] if the topic does not exist.
     pub fn topic_len(&self, topic: &str) -> Result<usize, StreamError> {
-        Ok(self.topic_handle(topic)?.len())
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
+        let topics = self.topics.read();
+        Ok(SharedTopic::len(find(&topics, topic)?))
     }
 
     // ---- consumer-group coordination -------------------------------------
@@ -288,7 +321,7 @@ impl Broker {
         let partition_counts: HashMap<TopicName, u32> = {
             let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
             let topics = self.topics.read();
-            topics.iter().map(|(name, t)| (TopicName::clone(name), t.partition_count())).collect()
+            topics.iter().map(|t| (TopicName::clone(t.name()), t.partition_count())).collect()
         };
         let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::groups");
         let groups = self.groups.lock();
@@ -305,10 +338,10 @@ impl Broker {
                 .map(|(m, _)| *m)
                 .collect();
             members.sort_unstable();
-            let n = members.len() as u32;
+            let n = len_u32(members.len());
             let Some(rank) = members.iter().position(|m| *m == member) else { continue };
             debug_assert_covering(partitions, n);
-            for p in range_assignment(partitions, n, rank as u32) {
+            for p in range_assignment(partitions, n, len_u32(rank)) {
                 out.push((TopicName::clone(topic), p));
             }
         }
@@ -388,16 +421,16 @@ impl Broker {
             (topics, committed)
         };
         let mut lag = 0u64;
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
+        let registry = self.topics.read();
         for topic in &topics {
-            // One registry lookup per topic; every per-partition read below
-            // goes through the handle.
-            let Ok(handle) = self.topic_handle(topic) else { continue };
-            for partition in 0..handle.partition_count() {
-                let Ok(end) = handle.end_offset(partition) else { continue };
+            let Ok(t) = find(&registry, topic) else { continue };
+            for partition in 0..t.partition_count() {
+                let Ok(end) = SharedTopic::end_offset(t, partition) else { continue };
                 let base = committed
                     .get(&(TopicName::clone(topic), partition))
                     .copied()
-                    .or_else(|| handle.earliest_offset(partition).ok())
+                    .or_else(|| SharedTopic::earliest_offset(t, partition).ok())
                     .unwrap_or(0);
                 lag += end.saturating_sub(base);
             }

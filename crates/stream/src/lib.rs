@@ -7,15 +7,17 @@
 //! partitions. This crate implements the semantics the paper's pipeline
 //! relies on, from scratch:
 //!
-//! * [`PartitionLog`] — append-only offset-addressed logs with retention.
+//! * [`PartitionLog`] — append-only offset-addressed logs with retention,
+//!   stored in fixed-capacity chunks so growth never re-copies a record.
 //! * [`SharedTopic`] — key-hash partitioning across a fixed partition
 //!   count: immutable metadata plus one mutex per partition, so appends and
 //!   fetches to different partitions never contend. (Its single-threaded
 //!   reference semantics live in `tests/support/` as the proptest oracle.)
-//! * [`Broker`] — thread-safe topic registry with produce/fetch and
-//!   consumer-group offset tracking.
-//! * [`Producer`] — the vehicle-side publisher, with a cached topic handle
-//!   so steady-state sends skip the registry.
+//! * [`Broker`] — thread-safe topic registry with by-name produce/fetch
+//!   and consumer-group offset tracking. Its locks form three ranks: the
+//!   registry (20), then one partition (30), then group state (40).
+//! * [`Producer`] — the vehicle-side publisher: a thin, cloneable front for
+//!   the broker's by-name produce, with shared send counters.
 //! * [`Consumer`] — group membership, range partition assignment, `poll`,
 //!   commit and seek.
 //!

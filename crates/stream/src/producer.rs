@@ -1,6 +1,7 @@
-use crate::sync::{Arc, AtomicU64, Ordering, RwLock};
-use crate::{Broker, SharedTopic, StreamError, TopicName};
+use crate::sync::{Arc, AtomicU64, Ordering};
+use crate::{Broker, StreamError};
 use bytes::Bytes;
+use cad3_types::len_u64;
 
 /// A publisher bound to one broker — the role each emulated vehicle's DSRC
 /// uplink plays in the paper's testbed (a Kafka producer per vehicle).
@@ -8,12 +9,10 @@ use bytes::Bytes;
 /// Sends are synchronous: the record is on the log when `send` returns,
 /// like a flushed Kafka producer with `acks=1` against a single broker.
 ///
-/// The producer caches [`SharedTopic`] handles per topic name
-/// ([`Broker::topic_handle`]), so the steady-state send path skips the
-/// broker's registry entirely: one read of the small cache, then the target
-/// partition's mutex. Clones start with an empty cache (each clone —
-/// typically one per thread — warms its own), while the statistic counters
-/// stay shared.
+/// A send is the broker's by-name produce ([`Broker::produce_traced`]),
+/// which finds the topic by compare under the registry's read guard: no
+/// handle to cache, so clones share the broker and the statistic counters
+/// and nothing else.
 ///
 /// # Counter ordering policy
 ///
@@ -24,29 +23,11 @@ use bytes::Bytes;
 /// counts that lag concurrent in-flight sends, and the two counters are not
 /// guaranteed mutually consistent at any instant. Any future use of these
 /// counters as a happens-before signal must upgrade the policy, not one site.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Producer {
     broker: Arc<Broker>,
-    /// Cached topic handles. A producer talks to a handful of topics (the
-    /// paper has three per broker), so a linear scan of a small `Vec` beats
-    /// hashing the topic name on every send.
-    handles: RwLock<Vec<(TopicName, Arc<SharedTopic>)>>,
     records_sent: Arc<AtomicU64>,
     bytes_sent: Arc<AtomicU64>,
-}
-
-impl Clone for Producer {
-    /// Clones share the broker and the statistic counters but start with an
-    /// empty handle cache, so concurrent senders never contend on one
-    /// shared cache lock.
-    fn clone(&self) -> Self {
-        Producer {
-            broker: Arc::clone(&self.broker),
-            handles: RwLock::new(Vec::new()),
-            records_sent: Arc::clone(&self.records_sent),
-            bytes_sent: Arc::clone(&self.bytes_sent),
-        }
-    }
 }
 
 impl Producer {
@@ -54,7 +35,6 @@ impl Producer {
     pub fn new(broker: Arc<Broker>) -> Self {
         Producer {
             broker,
-            handles: RwLock::new(Vec::new()),
             records_sent: Arc::new(AtomicU64::new(0)),
             bytes_sent: Arc::new(AtomicU64::new(0)),
         }
@@ -63,31 +43,6 @@ impl Producer {
     /// The broker this producer publishes to.
     pub fn broker(&self) -> &Arc<Broker> {
         &self.broker
-    }
-
-    /// The cached handle for `topic`, resolving through the broker registry
-    /// on first use.
-    ///
-    /// The cache read (rank 25) and the registry lookup (rank 20) are never
-    /// held together: on a miss the cache guard is dropped before the
-    /// registry is consulted, then re-taken for the insert.
-    fn handle(&self, topic: &str) -> Result<Arc<SharedTopic>, StreamError> {
-        {
-            let _held = cad3_lockrank::rank_scope!("cad3_stream::Producer::handles");
-            let cache = self.handles.read();
-            for (name, t) in cache.iter() {
-                if &**name == topic {
-                    return Ok(Arc::clone(t));
-                }
-            }
-        }
-        let t = self.broker.topic_handle(topic)?;
-        let _held = cad3_lockrank::rank_scope!("cad3_stream::Producer::handles");
-        let mut cache = self.handles.write();
-        if !cache.iter().any(|(name, _)| &**name == topic) {
-            cache.push((TopicName::clone(t.name()), Arc::clone(&t)));
-        }
-        Ok(t)
     }
 
     /// Publishes a record; routing follows the topic's partitioner.
@@ -121,8 +76,9 @@ impl Producer {
         trace: Option<cad3_obs::TraceContext>,
     ) -> Result<(u32, u64), StreamError> {
         let value = value.into();
-        let n = value.len() as u64;
-        let result = self.handle(topic)?.append_traced(
+        let n = len_u64(value.len());
+        let result = self.broker.produce_traced(
+            topic,
             None,
             key.map(Bytes::copy_from_slice),
             value,
@@ -155,8 +111,9 @@ impl Producer {
         timestamp: u64,
     ) -> Result<(u32, u64), StreamError> {
         let value = value.into();
-        let n = value.len() as u64;
-        let result = self.handle(topic)?.append(
+        let n = len_u64(value.len());
+        let result = self.broker.produce(
+            topic,
             Some(partition),
             key.map(Bytes::copy_from_slice),
             value,
@@ -222,13 +179,13 @@ mod tests {
     }
 
     #[test]
-    fn cached_handle_sees_topics_created_after_the_producer() {
+    fn send_sees_topics_created_after_the_producer() {
         let broker = Arc::new(Broker::new("rsu"));
         let p = Producer::new(Arc::clone(&broker));
         assert!(p.send("LATE", None, &b"x"[..], 0).is_err());
         broker.create_topic("LATE", 1).unwrap();
-        // A miss is re-resolved through the registry, so the topic is found
-        // now; repeated sends reuse the cached handle and stay dense.
+        // Every send resolves the name through the registry, so the topic
+        // is found now and repeated sends stay dense.
         for i in 0..3u64 {
             let (_, off) = p.send("LATE", None, &b"x"[..], i).unwrap();
             assert_eq!(off, i);

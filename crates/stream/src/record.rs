@@ -24,7 +24,7 @@ pub struct Record {
     /// Distributed-trace header slot. `Copy` and `None` for every untraced
     /// record, so the unsampled path allocates nothing. The partition log
     /// stores headers out-of-band and joins them back in at fetch time, so
-    /// the stored record stays the pre-tracing 80 bytes; the header is also
+    /// the stored record carries no header slot; the header is also
     /// out-of-band relative to [`Record::wire_size`] (tracing must not
     /// perturb the paper's bandwidth results).
     pub trace: Option<TraceContext>,

@@ -15,9 +15,11 @@
 //!
 //! # Lock hierarchy
 //!
-//! All partition mutexes share one rank (`cad3_stream::SharedTopic::partitions`)
-//! and no method ever holds two of them at once, so the per-partition locks
-//! are leaves of the broker's documented hierarchy.
+//! All partition mutexes share one rank (`cad3_stream::SharedTopic::partitions`,
+//! 30) and no method ever holds two of them at once, so the per-partition
+//! locks are leaves of the broker's three-rank hierarchy: the broker's
+//! by-name methods take one under the registry's read guard (rank 20), and
+//! nothing is acquired under one.
 
 use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
 use crate::{PartitionLog, Record, StreamError, TopicName};
@@ -36,8 +38,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A topic whose partitions are individually locked.
 ///
-/// Shared by `Arc` between the broker's registry and the producer/consumer
-/// handle caches; see the module docs for the locking discipline.
+/// Shared by `Arc` between the broker's registry and the handles callers
+/// keep ([`crate::Broker::topic_handle`]); see the module docs for the
+/// locking discipline.
 #[derive(Debug)]
 pub struct SharedTopic {
     name: TopicName,

@@ -94,6 +94,39 @@ fn sharded_partitions_interleave_without_losing_records() {
     });
 }
 
+/// The registry under a writer: `create_topic("B")` takes the registry's
+/// write lock while a by-name `produce_traced` to `A` holds its read guard
+/// across the partition lock, and a third thread lists the topics. In every
+/// schedule the record lands exactly once, at offset 0 with its header, and
+/// the listing is either side of the creation, never torn.
+#[test]
+fn topic_creation_races_by_name_produce() {
+    loom::model(|| {
+        let broker = Arc::new(Broker::new("rsu"));
+        broker.create_topic("A", 1).expect("fresh topic");
+        let creator = {
+            let broker = Arc::clone(&broker);
+            thread::spawn(move || broker.create_topic("B", 1).expect("fresh topic"))
+        };
+        let lister = {
+            let broker = Arc::clone(&broker);
+            thread::spawn(move || broker.topic_names())
+        };
+        let ctx = cad3_obs::TraceContext::from_parts(7, 1, 0);
+        let landed = broker
+            .produce_traced("A", None, None, vec![7u8].into(), 0, Some(ctx))
+            .expect("produce succeeds");
+        creator.join().expect("creator thread");
+        let listed = lister.join().expect("lister thread");
+        assert_eq!(landed, (0, 0), "the record lands at partition 0, offset 0");
+        assert!(listed == ["A"] || listed == ["A", "B"], "torn topic listing: {listed:?}");
+        let records = broker.fetch("A", 0, 0, 16).expect("fetch succeeds");
+        assert_eq!(records.len(), 1, "the record lands exactly once");
+        assert_eq!((records[0].offset, records[0].trace), (0, Some(ctx)));
+        assert_eq!(broker.topic_names(), ["A", "B"], "names are complete after join");
+    });
+}
+
 /// A consumer commits offsets while another member joins and leaves,
 /// forcing rebalances: commits never exceed the log end and the survivor
 /// ends up owning every partition.

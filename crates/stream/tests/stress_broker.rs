@@ -8,9 +8,10 @@
 //! ```
 //!
 //! where the `rank_scope!` witness is compiled in, so every acquisition the
-//! stress mix performs — registry reads, handle-cache fills, per-partition
-//! appends and fetches, group commits and rebalances — is checked against
-//! the hierarchy in `lockranks.toml` on a real (not model-checked) schedule.
+//! stress mix performs — by-name produces and fetches (a per-partition lock
+//! under the registry's read guard), group commits and rebalances — is
+//! checked against the hierarchy in `lockranks.toml` on a real (not
+//! model-checked) schedule.
 
 use bytes::Bytes;
 use cad3_stream::{Broker, Consumer, OffsetReset, Producer};

@@ -1,12 +1,18 @@
 //! The single-threaded reference implementation of topic semantics, shared
 //! by `proptest_stream.rs` and `sharded_equivalence.rs` as the oracle the
 //! broker's sharded `SharedTopic` is held equal to.
+//!
+//! The oracle shares no storage code with the crate either: [`Topic`] sits
+//! on [`FlatLog`], one flat `VecDeque` of records that carry their own
+//! offsets, so a chunk-indexing bug in `PartitionLog` shows up as a
+//! divergence instead of being reproduced on both sides.
 
 // Each test binary uses a subset of the reference API.
 #![allow(dead_code)]
 
 use bytes::Bytes;
-use cad3_stream::{PartitionLog, Record, StreamError};
+use cad3_stream::{Record, StreamError};
+use std::collections::VecDeque;
 
 /// FNV-1a hash, the stable key-partitioner hash. Deliberately its own copy
 /// rather than the crate's: the oracle must not share the routing code it
@@ -18,6 +24,70 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// An append-only, offset-addressed log in one flat `VecDeque`, each record
+/// stored with its offset: `PartitionLog`'s semantics in the simplest
+/// layout, sharing none of its chunk indexing. No trace side-deque — the
+/// oracle's appends are untraced.
+#[derive(Debug, Default)]
+pub struct FlatLog {
+    records: VecDeque<Record>,
+    base_offset: u64,
+    retention_records: Option<usize>,
+}
+
+impl FlatLog {
+    /// Creates an empty log with unbounded retention.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates an empty log that retains at most `max_records`.
+    pub fn with_retention(max_records: usize) -> Self {
+        FlatLog { retention_records: Some(max_records), ..Self::default() }
+    }
+
+    /// Appends a record, returning its assigned offset.
+    pub fn append(&mut self, key: Option<Bytes>, value: Bytes, timestamp: u64) -> u64 {
+        let offset = self.next_offset();
+        self.records.push_back(Record { offset, key, value, timestamp, trace: None });
+        if let Some(max) = self.retention_records {
+            while self.records.len() > max {
+                self.records.pop_front();
+                self.base_offset += 1;
+            }
+        }
+        offset
+    }
+
+    /// Offset the next appended record will receive.
+    pub fn next_offset(&self) -> u64 {
+        self.base_offset + self.records.len() as u64
+    }
+
+    /// Earliest offset still retained.
+    pub fn earliest_offset(&self) -> u64 {
+        self.base_offset
+    }
+
+    /// Number of retained records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Reads up to `max` records starting at `offset`; past the end is an
+    /// empty batch, before the earliest retained offset an error.
+    pub fn fetch(&self, offset: u64, max: usize) -> Result<Vec<Record>, StreamError> {
+        if offset < self.base_offset {
+            return Err(StreamError::OffsetOutOfRange {
+                requested: offset,
+                earliest: self.base_offset,
+            });
+        }
+        let start = (offset - self.base_offset) as usize;
+        Ok(self.records.iter().skip(start).take(max).cloned().collect())
+    }
 }
 
 /// A named, partitioned log.
@@ -32,7 +102,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug)]
 pub struct Topic {
     name: String,
-    partitions: Vec<PartitionLog>,
+    partitions: Vec<FlatLog>,
     round_robin: u64,
 }
 
@@ -48,7 +118,7 @@ impl Topic {
         }
         Ok(Topic {
             name: name.into(),
-            partitions: (0..partitions).map(|_| PartitionLog::new()).collect(),
+            partitions: (0..partitions).map(|_| FlatLog::new()).collect(),
             round_robin: 0,
         })
     }
@@ -68,9 +138,7 @@ impl Topic {
         }
         Ok(Topic {
             name: name.into(),
-            partitions: (0..partitions)
-                .map(|_| PartitionLog::with_retention(max_records))
-                .collect(),
+            partitions: (0..partitions).map(|_| FlatLog::with_retention(max_records)).collect(),
             round_robin: 0,
         })
     }
@@ -152,7 +220,7 @@ impl Topic {
     pub fn end_offset(&self, partition: u32) -> Result<u64, StreamError> {
         self.partitions
             .get(partition as usize)
-            .map(PartitionLog::next_offset)
+            .map(FlatLog::next_offset)
             .ok_or_else(|| StreamError::UnknownPartition { topic: self.name.clone(), partition })
     }
 
@@ -164,13 +232,13 @@ impl Topic {
     pub fn earliest_offset(&self, partition: u32) -> Result<u64, StreamError> {
         self.partitions
             .get(partition as usize)
-            .map(PartitionLog::earliest_offset)
+            .map(FlatLog::earliest_offset)
             .ok_or_else(|| StreamError::UnknownPartition { topic: self.name.clone(), partition })
     }
 
     /// Total records currently retained across all partitions.
     pub fn len(&self) -> usize {
-        self.partitions.iter().map(PartitionLog::len).sum()
+        self.partitions.iter().map(FlatLog::len).sum()
     }
 
     /// Whether no records are retained.

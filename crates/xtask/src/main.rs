@@ -444,7 +444,6 @@ mod main_tests {
         // The canonical hierarchy must actually be discovered, not vacuous.
         for site in [
             "cad3_stream::Broker::topics",
-            "cad3_stream::Producer::handles",
             "cad3_stream::SharedTopic::partitions",
             "cad3_stream::Broker::groups",
             "cad3::RsuNode::shards",
