@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks of the substrate hot paths: broker
-//! produce/fetch, wire codec, MAC airtime, HTB shaping, geo math.
+//! produce/fetch, wire codec, MAC airtime, HTB shaping, DSRC send, geo math.
 
-use cad3_net::{HtbShaper, MacModel, Mcs};
+use cad3_net::{DsrcChannel, HtbShaper, MacModel, Mcs};
+use cad3_sim::SimRng;
 use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
 use cad3_types::{
-    DayOfWeek, GeoPoint, HourOfDay, Label, RoadId, RoadType, SimTime, TripId, VehicleId,
-    VehicleStatus, WireDecode, WireEncode,
+    DayOfWeek, GeoPoint, HourOfDay, Label, RoadId, RoadType, SimDuration, SimTime, TripId,
+    VehicleId, VehicleStatus, WireDecode, WireEncode,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -101,7 +102,25 @@ fn bench_net(c: &mut Criterion) {
         let mut t = 0u64;
         b.iter(|| {
             t += 100;
-            black_box(htb.depart(t % 256, SimTime::from_millis(t), 200))
+            black_box(htb.depart(SimTime::from_millis(t), 200))
+        });
+    });
+    // The benchmark's ingest stream: 256 senders, 128 of them a 50 ms step,
+    // 244 B on air at MCS8.
+    group.bench_function("dsrc_send", |b| {
+        let mut channel = DsrcChannel::new(
+            MacModel::default(),
+            Mcs::MCS8,
+            HtbShaper::paper_default(),
+            256,
+            SimDuration::from_millis(100),
+        );
+        let mut rng = SimRng::seed_from(42);
+        let mut i = 0u64;
+        b.iter(|| {
+            let now = SimTime::from_millis(i / 128 * 50);
+            i += 1;
+            black_box(channel.send(&mut rng, i % 256, now, 244))
         });
     });
     group.finish();

@@ -1,6 +1,7 @@
+use crate::mac::AccessProfile;
 use crate::{BandwidthMeter, HtbShaper, MacModel, Mcs};
 use cad3_sim::SimRng;
-use cad3_types::{SimDuration, SimTime};
+use cad3_types::{count_f64, len_u64, SimDuration, SimTime};
 
 /// Aggregate statistics of a [`DsrcChannel`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -19,7 +20,7 @@ impl ChannelStats {
         if self.packets == 0 {
             SimDuration::ZERO
         } else {
-            SimDuration::from_secs_f64(self.total_access_delay_s / self.packets as f64)
+            SimDuration::from_secs_f64(self.total_access_delay_s / count_f64(self.packets))
         }
     }
 }
@@ -37,13 +38,16 @@ pub struct DsrcChannel {
     shaper: HtbShaper,
     contenders: u32,
     update_period: SimDuration,
+    /// The medium-access constants of the last `(bytes, contenders)` sent;
+    /// `send` rebuilds them when either differs.
+    access: ((usize, u32), AccessProfile),
     meter: BandwidthMeter,
     stats: ChannelStats,
 }
 
 impl DsrcChannel {
     /// Creates a channel with the paper's defaults: MCS 3, 27 Mb/s HTB
-    /// ceiling with 100 Kb/s assured per vehicle, 10 Hz update period.
+    /// ceiling, 10 Hz update period.
     pub fn paper_default(contenders: u32) -> Self {
         DsrcChannel::new(
             MacModel::default(),
@@ -62,12 +66,14 @@ impl DsrcChannel {
         contenders: u32,
         update_period: SimDuration,
     ) -> Self {
+        let access = mac.access_profile(mcs, 0, contenders, update_period);
         DsrcChannel {
             mac,
             mcs,
             shaper,
             contenders,
             update_period,
+            access: ((0, contenders), access),
             meter: BandwidthMeter::new(SimDuration::from_secs(1)),
             stats: ChannelStats::default(),
         }
@@ -84,21 +90,24 @@ impl DsrcChannel {
         self.contenders
     }
 
-    /// Sends `bytes` from `sender` at `now`; returns the arrival time at
-    /// the RSU (HTB shaping, then CSMA/CA medium access).
-    pub fn send(&mut self, rng: &mut SimRng, sender: u64, now: SimTime, bytes: usize) -> SimTime {
-        let shaped = self.shaper.depart(sender, now, bytes);
-        let access = self.mac.sample_access_delay(
-            rng,
-            self.mcs,
-            bytes,
-            self.contenders.max(1),
-            self.update_period,
-        );
+    /// Sends `bytes` at `now` from the station `_sender`; returns the
+    /// arrival time at the RSU (HTB shaping, then CSMA/CA medium access).
+    ///
+    /// The medium model is symmetric, so which station sends does not
+    /// change the arrival.
+    pub fn send(&mut self, rng: &mut SimRng, _sender: u64, now: SimTime, bytes: usize) -> SimTime {
+        let shaped = self.shaper.depart(now, bytes);
+        let key = (bytes, self.contenders);
+        if self.access.0 != key {
+            let profile =
+                self.mac.access_profile(self.mcs, bytes, self.contenders, self.update_period);
+            self.access = (key, profile);
+        }
+        let access = self.access.1.draw(rng);
         let arrival = shaped + access;
-        self.meter.record(arrival, bytes as u64);
+        self.meter.record(arrival, len_u64(bytes));
         self.stats.packets += 1;
-        self.stats.bytes += bytes as u64;
+        self.stats.bytes += len_u64(bytes);
         self.stats.total_access_delay_s += access.as_secs_f64();
         arrival
     }
@@ -179,6 +188,62 @@ mod tests {
         assert!(avg > 3e6 && avg < 6e6, "avg {avg}");
         // Well under the 27 Mb/s DSRC capacity, as the paper reports.
         assert!(avg < crate::DSRC_BANDWIDTH_BPS / 5.0);
+    }
+
+    /// Folds `word` into an FNV-1a digest, byte by byte.
+    fn fnv1a(digest: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Drives a seeded channel at MCS3 and MCS8 through bursts that the
+    /// ceiling shapes, from 5 000 distinct senders, with contender counts
+    /// 8 → 1 → 2 → 256 → 4 096 set between bursts (one contender means no
+    /// contention wait, and so one draw fewer a packet). Payloads alternate
+    /// between two sizes in runs of 1 000 packets, and no run ends at a
+    /// contender change. Digests every arrival and the final statistics.
+    fn arrival_digest() -> u64 {
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for (mcs, seed) in [(Mcs::MCS3, 11), (Mcs::MCS8, 12)] {
+            let mut ch = DsrcChannel::new(
+                MacModel::default(),
+                mcs,
+                HtbShaper::paper_default(),
+                8,
+                SimDuration::from_millis(100),
+            );
+            let mut rng = SimRng::seed_from(seed);
+            let mut sender = 0u64;
+            let mut now = SimTime::ZERO;
+            for contenders in [8, 1, 2, 256, 4096] {
+                ch.set_contenders(contenders);
+                for _ in 0..10 {
+                    for _ in 0..512 {
+                        let bytes = if (sender / 1_000).is_multiple_of(2) { 200 } else { 244 };
+                        fnv1a(
+                            &mut digest,
+                            ch.send(&mut rng, sender % 5_000, now, bytes).as_nanos(),
+                        );
+                        sender += 1;
+                    }
+                    now += SimDuration::from_millis(50);
+                }
+            }
+            let stats = ch.stats();
+            fnv1a(&mut digest, stats.packets);
+            fnv1a(&mut digest, stats.bytes);
+            fnv1a(&mut digest, stats.total_access_delay_s.to_bits());
+            fnv1a(&mut digest, ch.average_rate_bps().to_bits());
+        }
+        digest
+    }
+
+    #[test]
+    fn arrivals_match_the_golden_digest() {
+        // Captured from the channel before the access profile was cached
+        // and the shaper's per-sender buckets were removed.
+        assert_eq!(arrival_digest(), 0x29a3_cc70_eefa_31b4);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   1–8 the way the paper numbers it (MCS 8 = 64-QAM 3/4 = 27 Mb/s).
 //! * [`MacParams`] / [`MacModel`] — frame airtime and the Eq. 5–6 medium
 //!   access time, plus stochastic per-packet access delays for simulation.
-//! * [`TokenBucket`] / [`HtbShaper`] — `tc htb` semantics: per-leaf assured
-//!   rate with borrowing against a shared root ceiling.
+//! * [`TokenBucket`] / [`HtbShaper`] — the netem hierarchy's shared 27 Mb/s
+//!   ceiling, FIFO-shared at the root (the ≥ 100 Kb/s per-vehicle floor
+//!   never binds: a vehicle sends ≈ 19.5 kb/s on air).
 //! * [`WiredLink`] — serialization + propagation delay for RSU↔RSU links.
 //! * [`DsrcChannel`] — the composed vehicle→RSU access channel.
 //! * [`BandwidthMeter`] — windowed bandwidth accounting for Fig. 6c/6d.

@@ -1,6 +1,6 @@
 use crate::Mcs;
 use cad3_sim::SimRng;
-use cad3_types::SimDuration;
+use cad3_types::{count_f64, index_usize, len_u64, SimDuration};
 
 /// IEEE 802.11p MAC/PHY timing parameters.
 ///
@@ -150,23 +150,69 @@ impl MacModel {
         contenders: u32,
         update_period: SimDuration,
     ) -> SimDuration {
+        self.access_profile(mcs, payload_bytes, contenders, update_period).draw(rng)
+    }
+
+    /// The draw-independent half of [`MacModel::sample_access_delay`]: every
+    /// constant of the delay for one (MCS, size, contenders, period).
+    pub(crate) fn access_profile(
+        &self,
+        mcs: Mcs,
+        payload_bytes: usize,
+        contenders: u32,
+        update_period: SimDuration,
+    ) -> AccessProfile {
         let p = &self.params;
-        let airtime = self.frame_airtime(mcs, payload_bytes);
-        // Uniform backoff over the initial contention window, escalating
-        // with collision probability toward cw_max.
-        let cw = if rng.chance(p.collision_probability) { p.cw_max } else { p.cw_min };
-        let backoff_slots = rng.index(cw as usize + 1) as f64;
-        let backoff_us = backoff_slots * p.slot_us;
+        let airtime_us = self.frame_airtime(mcs, payload_bytes).as_micros_f64();
         // Expected wait for the channel to clear other stations' frames.
         let rho = self
             .utilization(contenders.saturating_sub(1), mcs, payload_bytes, update_period)
             .min(0.95);
-        let queue_wait_us = if rho > 0.0 {
-            rng.exponential(1.0 / (airtime.as_micros_f64() * rho / (1.0 - rho) + 1e-9))
+        AccessProfile {
+            collision_probability: p.collision_probability,
+            cw_max_slots: index_usize(u64::from(p.cw_max)) + 1,
+            cw_min_slots: index_usize(u64::from(p.cw_min)) + 1,
+            slot_us: p.slot_us,
+            difs_us: p.difs_us(),
+            airtime_us,
+            queue_rate: (rho > 0.0).then(|| 1.0 / (airtime_us * rho / (1.0 - rho) + 1e-9)),
+        }
+    }
+}
+
+/// The constants of one per-packet access-delay draw, so a channel whose
+/// frame size and contender count do not change computes them once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct AccessProfile {
+    collision_probability: f64,
+    /// Backoff draw bound (`cw + 1` slots) after a collision, and without.
+    cw_max_slots: usize,
+    cw_min_slots: usize,
+    slot_us: f64,
+    difs_us: f64,
+    airtime_us: f64,
+    /// Rate of the exponential contention wait; `None` when no other
+    /// station loads the channel (ρ = 0), which draws nothing.
+    queue_rate: Option<f64>,
+}
+
+impl AccessProfile {
+    /// Draws one access delay: collision, backoff slot, then contention
+    /// wait, from `rng` in that order.
+    pub(crate) fn draw(&self, rng: &mut SimRng) -> SimDuration {
+        // Uniform backoff over the initial contention window, escalating
+        // with collision probability toward cw_max.
+        let slots = if rng.chance(self.collision_probability) {
+            self.cw_max_slots
         } else {
-            0.0
+            self.cw_min_slots
         };
-        let total_us = p.difs_us() + backoff_us + queue_wait_us + airtime.as_micros_f64();
+        let backoff_us = count_f64(len_u64(rng.index(slots))) * self.slot_us;
+        let queue_wait_us = match self.queue_rate {
+            Some(rate) => rng.exponential(rate),
+            None => 0.0,
+        };
+        let total_us = self.difs_us + backoff_us + queue_wait_us + self.airtime_us;
         SimDuration::from_nanos((total_us * 1_000.0).round() as u64)
     }
 }
@@ -257,6 +303,68 @@ mod tests {
         assert!(m8 < m256, "contention must increase delay: {m8} vs {m256}");
         // Individual packet access should stay well below one update period.
         assert!(m256 < 10_000.0, "mean delay should be far below 10 ms, got {m256} µs");
+    }
+
+    /// `sample_access_delay` written as one inline formula: the reference
+    /// the profile/draw split must match bit for bit.
+    fn inline_access_delay(
+        mac: &MacModel,
+        rng: &mut SimRng,
+        mcs: Mcs,
+        payload_bytes: usize,
+        contenders: u32,
+        update_period: SimDuration,
+    ) -> SimDuration {
+        let p = mac.params();
+        let airtime = mac.frame_airtime(mcs, payload_bytes);
+        let cw = if rng.chance(p.collision_probability) { p.cw_max } else { p.cw_min };
+        let backoff_slots = rng.index(cw as usize + 1) as f64;
+        let backoff_us = backoff_slots * p.slot_us;
+        let rho = mac
+            .utilization(contenders.saturating_sub(1), mcs, payload_bytes, update_period)
+            .min(0.95);
+        let queue_wait_us = if rho > 0.0 {
+            rng.exponential(1.0 / (airtime.as_micros_f64() * rho / (1.0 - rho) + 1e-9))
+        } else {
+            0.0
+        };
+        let total_us = p.difs_us() + backoff_us + queue_wait_us + airtime.as_micros_f64();
+        SimDuration::from_nanos((total_us * 1_000.0).round() as u64)
+    }
+
+    #[test]
+    fn profile_draw_matches_the_inline_formula_bit_for_bit() {
+        let mac = MacModel::default();
+        let periods = [SimDuration::from_millis(100), SimDuration::from_millis(50)];
+        for mcs in Mcs::ALL {
+            for contenders in [1, 2, 256, 4096] {
+                for payload in [0, 200, 244] {
+                    for period in periods {
+                        let mut split = SimRng::seed_from(u64::from(contenders) ^ 0xD5C);
+                        let mut inline = split.clone();
+                        let profile = mac.access_profile(mcs, payload, contenders, period);
+                        for i in 0..64 {
+                            let a = profile.draw(&mut split);
+                            let b = inline_access_delay(
+                                &mac,
+                                &mut inline,
+                                mcs,
+                                payload,
+                                contenders,
+                                period,
+                            );
+                            assert_eq!(a, b, "{mcs} × {contenders} × {payload} B, draw {i}");
+                        }
+                        // Both consumed the same number of draws.
+                        assert_eq!(
+                            split.uniform(0.0, 1.0).to_bits(),
+                            inline.uniform(0.0, 1.0).to_bits(),
+                            "{mcs} × {contenders} × {payload} B: rng streams diverged"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

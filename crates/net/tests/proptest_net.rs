@@ -41,22 +41,22 @@ proptest! {
     /// HTB departures are causal and the aggregate respects the ceiling.
     #[test]
     fn htb_is_causal_and_capped(
-        leaves in 1u64..10,
-        per_leaf in 5usize..40,
+        senders in 1u64..10,
+        per_sender in 5usize..40,
     ) {
         let ceiling = 1_000_000.0;
-        let mut htb = HtbShaper::new(ceiling, 50_000.0);
+        let mut htb = HtbShaper::new(ceiling);
         let mut last = SimTime::ZERO;
         let bytes = 1_250; // 10 kb
-        for round in 0..per_leaf {
-            for leaf in 0..leaves {
+        for round in 0..per_sender {
+            for _sender in 0..senders {
                 let now = SimTime::from_millis(round as u64);
-                let depart = htb.depart(leaf, now, bytes);
+                let depart = htb.depart(now, bytes);
                 prop_assert!(depart >= now);
                 last = last.max(depart);
             }
         }
-        let total_bits = (leaves as usize * per_leaf * bytes * 8) as f64;
+        let total_bits = (senders as usize * per_sender * bytes * 8) as f64;
         let elapsed = last.as_secs_f64().max(1e-9);
         prop_assert!(
             total_bits <= ceiling * elapsed + ceiling * 0.02 + 12_000.0 + 1.0,
