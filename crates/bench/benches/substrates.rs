@@ -64,7 +64,7 @@ fn bench_broker(c: &mut Criterion) {
         });
     });
 
-    // Fetch a pre-filled log through the consumer-group path.
+    // Fetch a pre-filled log through the consumer path.
     let broker2 = Arc::new(Broker::new("bench2"));
     broker2.create_topic("IN-DATA", 3).expect("fresh broker");
     let producer2 = Producer::new(Arc::clone(&broker2));

@@ -62,8 +62,9 @@ pub struct RsuNode {
     out_topic: Arc<SharedTopic>,
     co_topic: Arc<SharedTopic>,
     cost_model: ProcessingCostModel,
-    /// Pre-created `rsu.lag.<name>` gauge: publishing from the batch path
-    /// is a single atomic store (no name formatting, no registry lock).
+    /// Pre-created `rsu.lag.<name>` gauge, the one lag signal: publishing
+    /// from the batch path is a single atomic store (no name formatting, no
+    /// registry lock).
     lag_gauge: cad3_obs::Handle<cad3_obs::Gauge>,
     road_stats: crate::OnlineRoadStats,
     records_processed: u64,
@@ -217,11 +218,6 @@ impl RsuNode {
     pub fn run_batch(&mut self, now: SimTime) -> Result<BatchResult, CoreError> {
         self.batches += 1;
         let _batch_span = cad3_obs::span!("rsu.micro_batch", self.batches);
-        if cad3_obs::enabled() {
-            // Pre-poll backlog: records that accumulated in IN-DATA since
-            // the previous batch — the health engine's per-RSU lag signal.
-            self.lag_gauge.set(self.in_consumer.lag());
-        }
 
         // 1. Collaboration input.
         let mut summaries_received = 0;
@@ -267,6 +263,12 @@ impl RsuNode {
         let ingest_span = cad3_obs::span!("rsu.ingest");
         let batch = self.in_consumer.poll(usize::MAX)?;
         let records = batch.len();
+        if cad3_obs::enabled() {
+            // The poll drained IN-DATA, so what it returned is the backlog
+            // that accumulated since the previous batch — the health
+            // engine's per-RSU lag signal.
+            self.lag_gauge.set(cad3_types::len_u64(records));
+        }
         let processing = self.cost_model.batch_time(records);
         let detected_at = now + processing;
 

@@ -1,10 +1,12 @@
 //! The RSU loop's share of the cad3-obs overhead policy: with obs on and no
 //! record head-sampled, a step's wall-clock reads come from per-batch spans
-//! and per-fetch timing only, so they do not grow with the batch.
+//! and per-fetch timing only, so they do not grow with the batch. Beside it,
+//! the one lag signal the obs-on loop publishes: `rsu.lag.<rsu>`.
 //!
-//! Single `#[test]` on purpose: the obs gate, the sample rate and the clock
-//! read count are process-global, and this binary owns them. Debug builds
-//! only, because `clock::reads` only counts there.
+//! The obs gate, the sample rate and the clock read count are
+//! process-global and this binary owns them; each test takes `GATE` so
+//! none flips them, or reads the clock, under another. Debug builds only,
+//! because `clock::reads` only counts there.
 #![cfg(debug_assertions)]
 
 use bytes::Bytes;
@@ -15,9 +17,21 @@ use cad3_engine::Executor;
 use cad3_obs::clock;
 use cad3_stream::{Consumer, OffsetReset, TOPIC_IN_DATA, TOPIC_OUT_DATA};
 use cad3_types::{FeatureRecord, RsuId, SimTime, VehicleId, WireEncode};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const VEHICLES: u64 = 8;
+
+static GATE: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn trained_detector() -> (Arc<dyn Detector>, SyntheticDataset) {
+    let ds = SyntheticDataset::generate(&DatasetConfig::small(57));
+    let models = train_all(&ds.features, &DetectionConfig::default()).expect("trainable corpus");
+    (Arc::new(models.cad3), ds)
+}
 
 /// Clock reads and warnings of one ingest → `run_batch` → publish → fleet
 /// poll step over `per_vehicle` records from each of the eight vehicles,
@@ -75,9 +89,8 @@ fn step(
 
 #[test]
 fn step_clock_reads_do_not_grow_with_the_batch() {
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(57));
-    let models = train_all(&ds.features, &DetectionConfig::default()).expect("trainable corpus");
-    let detector: Arc<dyn Detector> = Arc::new(models.cad3);
+    let _serial = serial();
+    let (detector, ds) = trained_detector();
     let rows = &ds.features[..400];
     cad3_obs::set_enabled(true);
     cad3_obs::trace::set_sample_rate(0.0);
@@ -93,4 +106,59 @@ fn step_clock_reads_do_not_grow_with_the_batch() {
         );
     }
     cad3_obs::set_enabled(false);
+}
+
+/// Two RSUs publish their own backlogs under their own names, each gauge
+/// drains to 0 on a batch with nothing new, and no per-consumer lag family
+/// exists beside them.
+#[test]
+fn rsu_lag_is_each_rsus_own_backlog() {
+    let _serial = serial();
+    let (detector, ds) = trained_detector();
+    let mut rsus = [("lag-a", 7u64), ("lag-b", 3)].map(|(name, records)| {
+        let rsu = RsuNode::with_executor(
+            RsuId(1),
+            name,
+            Arc::clone(&detector),
+            ProcessingCostModel::default(),
+            Executor::new(1),
+        );
+        (rsu, records)
+    });
+    cad3_obs::set_enabled(true);
+    for (rsu, records) in &mut rsus {
+        let mut agent = VehicleAgent::new(VehicleId(1), ds.features[..400].to_vec());
+        for i in 0..*records {
+            let status = agent.next_status(SimTime::from_millis(i));
+            let key = status.vehicle.raw().to_be_bytes();
+            rsu.broker()
+                .produce(
+                    TOPIC_IN_DATA,
+                    None,
+                    Some(Bytes::copy_from_slice(&key)),
+                    status.encode_to_bytes(),
+                    SimTime::from_millis(i + 1).as_nanos(),
+                )
+                .expect("IN-DATA exists");
+        }
+    }
+    let batch = |rsus: &mut [(RsuNode, u64)], at_ms: u64| {
+        for (rsu, _) in rsus.iter_mut() {
+            rsu.run_batch(SimTime::from_millis(at_ms)).expect("batch runs");
+        }
+        cad3_obs::registry().snapshot()
+    };
+    let first = batch(&mut rsus, 100);
+    let second = batch(&mut rsus, 200);
+    cad3_obs::set_enabled(false);
+
+    assert_eq!(first.gauge("rsu.lag.lag-a"), 7, "a's backlog, under a's name");
+    assert_eq!(first.gauge("rsu.lag.lag-b"), 3, "b's backlog, under b's name");
+    assert_eq!(second.gauge("rsu.lag.lag-a"), 0, "a drained its backlog");
+    assert_eq!(second.gauge("rsu.lag.lag-b"), 0, "b drained its backlog");
+    // The consumer publishes counters only; no per-consumer gauge (the old
+    // lag family) exists beside `rsu.lag`.
+    let stray: Vec<&String> =
+        second.gauges.keys().filter(|k| k.starts_with("stream.consumer.")).collect();
+    assert!(stray.is_empty(), "rsu.lag is the one lag signal: {stray:?}");
 }

@@ -138,7 +138,7 @@ mod tests {
     fn increasing_ranks_are_accepted() {
         let a = crate::rank_scope!("cad3_stream::Broker::topics");
         let b = crate::rank_scope!("cad3_stream::SharedTopic::partitions");
-        let c = crate::rank_scope!("cad3_stream::Broker::groups");
+        let c = crate::rank_scope!("cad3::RsuNode::shards");
         assert_eq!(crate::held_depth(), 3);
         drop((a, b, c));
         assert_eq!(crate::held_depth(), 0);
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "violates the hierarchy")]
     fn inverted_acquisition_panics() {
-        let _groups = crate::rank_scope!("cad3_stream::Broker::groups");
+        let _shards = crate::rank_scope!("cad3::RsuNode::shards");
         let _topics = crate::rank_scope!("cad3_stream::Broker::topics");
     }
 
@@ -170,15 +170,15 @@ mod tests {
         let b = crate::rank_scope!("cad3_stream::SharedTopic::partitions");
         drop(a);
         assert_eq!(crate::held_depth(), 1);
-        // `groups` outranks the still-held partition mutex.
-        let _c = crate::rank_scope!("cad3_stream::Broker::groups");
+        // `shards` outranks the still-held partition mutex.
+        let _c = crate::rank_scope!("cad3::RsuNode::shards");
         drop(b);
         assert_eq!(crate::held_depth(), 1);
     }
 
     #[test]
     fn stacks_are_per_thread() {
-        let _groups = crate::rank_scope!("cad3_stream::Broker::groups");
+        let _shards = crate::rank_scope!("cad3::RsuNode::shards");
         // A fresh thread starts with an empty stack, so a lower rank is fine.
         std::thread::spawn(|| {
             let _topics = crate::rank_scope!("cad3_stream::Broker::topics");

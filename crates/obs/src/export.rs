@@ -96,11 +96,10 @@ fn prom_histogram(out: &mut String, name: &str, h: &HistogramSnapshot, ex: &[(us
 }
 
 /// Gauge families rendered with a label instead of a name suffix: the
-/// registry stores per-group lag as `stream.consumer.lag.<group>`, which
-/// the exporter folds into one `cad3_stream_consumer_lag{group="…"}`
-/// family so dashboards can aggregate across groups.
-const LABELED_GAUGE_PREFIXES: [(&str, &str, &str); 4] = [
-    ("stream.consumer.lag.", "cad3_stream_consumer_lag", "group"),
+/// registry stores per-RSU lag as `rsu.lag.<rsu>`, which the exporter
+/// folds into one `cad3_rsu_lag{rsu="…"}` family so dashboards can
+/// aggregate across RSUs.
+const LABELED_GAUGE_PREFIXES: [(&str, &str, &str); 3] = [
     ("rsu.lag.", "cad3_rsu_lag", "rsu"),
     ("rsu.health.state.", "cad3_rsu_health_state", "rsu"),
     ("net.dsrc.offered_bps.", "cad3_net_dsrc_offered_bps", "rsu"),
@@ -205,7 +204,7 @@ mod tests {
     fn prometheus_renders_all_kinds() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("stream.broker.produce".into(), 42);
-        snap.gauges.insert("stream.consumer.lag.g".into(), 7);
+        snap.gauges.insert("rsu.lag.g".into(), 7);
         let h = Histogram::new();
         for v in [1, 2, 3, 100] {
             h.observe(v);
@@ -214,8 +213,8 @@ mod tests {
         let text = prometheus_text(&snap);
         assert!(text.contains("# TYPE cad3_stream_broker_produce_total counter"));
         assert!(text.contains("cad3_stream_broker_produce_total 42"));
-        assert!(text.contains("# TYPE cad3_stream_consumer_lag gauge"));
-        assert!(text.contains("cad3_stream_consumer_lag{group=\"g\"} 7"));
+        assert!(text.contains("# TYPE cad3_rsu_lag gauge"));
+        assert!(text.contains("cad3_rsu_lag{rsu=\"g\"} 7"));
         assert!(text.contains("# TYPE cad3_rsu_total_us histogram"));
         assert!(text.contains("cad3_rsu_total_us_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("cad3_rsu_total_us_sum 106"));
@@ -341,8 +340,8 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("rsu.records".into(), 12);
         snap.gauges.insert("obs.trace.dropped".into(), 3);
-        snap.gauges.insert("stream.consumer.lag.rsu-a".into(), 5);
-        snap.gauges.insert("stream.consumer.lag.rsu-b".into(), 6);
+        snap.gauges.insert("net.dsrc.offered_bps.rsu-a".into(), 5);
+        snap.gauges.insert("net.dsrc.offered_bps.rsu-b".into(), 6);
         let h = Histogram::new();
         for v in [0, 1, 5, 1_000, u64::MAX] {
             h.observe(v);
@@ -353,8 +352,8 @@ mod tests {
         // The unbounded top bucket surfaces only as +Inf, never as a
         // literal 2^64-1 bound.
         assert!(!text.contains("le=\"18446744073709551615\""), "{text}");
-        // One TYPE line serves both labeled lag samples.
-        assert_eq!(text.matches("# TYPE cad3_stream_consumer_lag gauge").count(), 1);
+        // One TYPE line serves both labeled offered-load samples.
+        assert_eq!(text.matches("# TYPE cad3_net_dsrc_offered_bps gauge").count(), 1);
     }
 
     #[test]
@@ -425,9 +424,9 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         let mut snap = MetricsSnapshot::default();
-        snap.gauges.insert("stream.consumer.lag.a\"b\\c".into(), 1);
+        snap.gauges.insert("rsu.lag.a\"b\\c".into(), 1);
         let text = prometheus_text(&snap);
-        assert!(text.contains("cad3_stream_consumer_lag{group=\"a\\\"b\\\\c\"} 1"), "{text}");
+        assert!(text.contains("cad3_rsu_lag{rsu=\"a\\\"b\\\\c\"} 1"), "{text}");
     }
 
     #[test]

@@ -27,9 +27,6 @@ pub const STREAM_PRODUCER_BYTES: &str = "stream.producer.bytes";
 pub const STREAM_CONSUMER_POLLS: &str = "stream.consumer.polls";
 /// Records delivered by `Consumer::poll` (counter).
 pub const STREAM_CONSUMER_RECORDS: &str = "stream.consumer.records";
-/// Per-group committed-vs-head lag gauge prefix; the group name is
-/// appended: `stream.consumer.lag.<group>`.
-pub const STREAM_CONSUMER_LAG_PREFIX: &str = "stream.consumer.lag";
 
 /// Wall-clock micro-batch time, nanoseconds (histogram; exporter-gated).
 pub const ENGINE_BATCH_WALL_NS: &str = "engine.batch.wall_ns";
@@ -107,8 +104,9 @@ pub const BENCH_RESULTS_WRITTEN: &str = "bench.results.written";
 /// Result artefacts the bench harness failed to write (counter).
 pub const BENCH_RESULTS_ERRORS: &str = "bench.results.errors";
 
-/// Per-RSU pre-poll backlog gauge prefix; the RSU name is appended:
-/// `rsu.lag.<rsu>` (records queued on `IN-DATA` at batch start).
+/// Per-RSU backlog gauge prefix, the one lag signal; the RSU name is
+/// appended: `rsu.lag.<rsu>` (records queued on `IN-DATA` at batch start,
+/// which the batch's `IN-DATA` poll drains).
 pub const RSU_LAG_PREFIX: &str = "rsu.lag";
 /// Per-RSU health state gauge prefix; the RSU name is appended:
 /// `rsu.health.state.<rsu>` (0 healthy, 1 degraded, 2 overloaded).
@@ -144,7 +142,6 @@ pub const ALL: &[&str] = &[
     STREAM_PRODUCER_BYTES,
     STREAM_CONSUMER_POLLS,
     STREAM_CONSUMER_RECORDS,
-    STREAM_CONSUMER_LAG_PREFIX,
     ENGINE_BATCH_WALL_NS,
     ENGINE_TICK_JITTER_NS,
     RSU_MICRO_BATCH,
@@ -194,12 +191,8 @@ pub const ALL: &[&str] = &[
 /// a hostile or buggy label set cannot grow the registry without bound.
 pub const DYNAMIC_FAMILY_CAP: usize = 64;
 /// The families themselves; every entry's prefix is also in [`ALL`].
-pub const DYNAMIC_FAMILIES: &[&str] = &[
-    STREAM_CONSUMER_LAG_PREFIX,
-    RSU_LAG_PREFIX,
-    RSU_HEALTH_STATE_PREFIX,
-    NET_DSRC_OFFERED_BPS_PREFIX,
-];
+pub const DYNAMIC_FAMILIES: &[&str] =
+    &[RSU_LAG_PREFIX, RSU_HEALTH_STATE_PREFIX, NET_DSRC_OFFERED_BPS_PREFIX];
 
 /// One-line exposition help text per catalogued name, rendered as
 /// Prometheus `# HELP` lines by [`crate::export::prometheus_text`]. Span
@@ -214,7 +207,6 @@ pub const HELP: &[(&str, &str)] = &[
     (STREAM_PRODUCER_BYTES, "Bytes published by Producer::send."),
     (STREAM_CONSUMER_POLLS, "Consumer::poll calls."),
     (STREAM_CONSUMER_RECORDS, "Records delivered by Consumer::poll."),
-    (STREAM_CONSUMER_LAG_PREFIX, "Committed-vs-head lag of one consumer group."),
     (ENGINE_BATCH_WALL_NS, "Wall-clock micro-batch time in nanoseconds."),
     (ENGINE_TICK_JITTER_NS, "Scheduler tick start minus planned instant in nanoseconds."),
     (RSU_MICRO_BATCH, "Duration of one RSU micro-batch in nanoseconds."),
@@ -352,7 +344,7 @@ mod tests {
         for bad in ["", "Upper.case", "trailing.", ".leading", "sp ace", "dash-ed", "1digit"] {
             assert!(!is_valid_name(bad), "{bad} should be invalid");
         }
-        for good in ["a", "rsu.micro_batch", "stream.consumer.lag", "rsu.tx_us", "x9.y_z"] {
+        for good in ["a", "rsu.micro_batch", "stream.consumer.polls", "rsu.tx_us", "x9.y_z"] {
             assert!(is_valid_name(good), "{good} should be valid");
         }
     }

@@ -289,22 +289,22 @@ mod tests {
 
     #[test]
     fn family_cardinality_is_capped_with_shared_overflow() {
-        use crate::names::{DYNAMIC_FAMILY_CAP, OBS_NAMES_DROPPED, STREAM_CONSUMER_LAG_PREFIX};
+        use crate::names::{DYNAMIC_FAMILY_CAP, OBS_NAMES_DROPPED, RSU_LAG_PREFIX};
         let r = Registry::new();
         // Repeated registration of the same member neither grows the
         // family nor counts a drop.
         for _ in 0..3 {
-            r.gauge(&format!("{STREAM_CONSUMER_LAG_PREFIX}.repeat"));
+            r.gauge(&format!("{RSU_LAG_PREFIX}.repeat"));
         }
         for i in 0..(DYNAMIC_FAMILY_CAP + 10) {
-            r.gauge(&format!("{STREAM_CONSUMER_LAG_PREFIX}.g{i}")).set(u64::try_from(i).unwrap());
+            r.gauge(&format!("{RSU_LAG_PREFIX}.g{i}")).set(u64::try_from(i).unwrap());
         }
         let snap = r.snapshot();
-        let overflow = format!("{STREAM_CONSUMER_LAG_PREFIX}.overflow");
+        let overflow = format!("{RSU_LAG_PREFIX}.overflow");
         let members = snap
             .gauges
             .keys()
-            .filter(|k| is_family_member(k, STREAM_CONSUMER_LAG_PREFIX) && **k != overflow)
+            .filter(|k| is_family_member(k, RSU_LAG_PREFIX) && **k != overflow)
             .count();
         assert_eq!(members, DYNAMIC_FAMILY_CAP, "family stops growing at the cap");
         // 1 (repeat) + 63 admitted from the loop fill the cap; the
@@ -312,7 +312,7 @@ mod tests {
         assert_eq!(snap.counter(OBS_NAMES_DROPPED), 11);
         // The rejects share one overflow cell.
         assert!(snap.gauges.contains_key(&overflow));
-        let a = r.gauge(&format!("{STREAM_CONSUMER_LAG_PREFIX}.another"));
+        let a = r.gauge(&format!("{RSU_LAG_PREFIX}.another"));
         a.set(777);
         assert_eq!(r.gauge(&overflow).value(), 777, "overflow members share the cell");
         // Un-capped names are untouched.

@@ -1,8 +1,7 @@
 use crate::sync::Arc;
 use crate::{Broker, FetchedRecord, SharedTopic, StreamError, TopicName};
-use std::collections::HashMap;
 
-/// Where a consumer starts when no committed offset exists for a partition.
+/// Where a consumer starts reading a partition it subscribes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OffsetReset {
     /// Start from the earliest retained record.
@@ -12,118 +11,90 @@ pub enum OffsetReset {
     Latest,
 }
 
-/// A group consumer: joins a consumer group on one broker, receives a range
-/// assignment of partitions and polls them in order.
+/// An independent reader: a position in every partition of the topics it
+/// subscribes to, advanced by [`Consumer::poll`] and moved by the seeks.
 ///
-/// In the reproduction, each RSU's detection pipeline is a consumer group on
-/// `IN-DATA`/`CO-DATA`, and each vehicle is a single-member group on
-/// `OUT-DATA` (every vehicle must see every warning).
+/// In the reproduction, each RSU's detection pipeline reads `IN-DATA` and
+/// `CO-DATA` through its own consumers, and each vehicle reads `OUT-DATA`
+/// through one of its own (every vehicle must see every warning). Two
+/// consumers never share positions, so each sees every record.
 ///
-/// The consumer caches a [`SharedTopic`] handle per assigned topic
-/// (refreshed on rebalance), so the steady-state poll touches only the
-/// fetched partitions' mutexes — no registry lock, no name hashing and no
-/// per-record allocation.
-#[derive(Debug)]
+/// A cursor holds its topic's [`SharedTopic`] handle, so a poll touches
+/// only the fetched partitions' mutexes — no registry lock, no name lookup
+/// and no per-record allocation.
 pub struct Consumer {
     broker: Arc<Broker>,
-    group: String,
-    member: u64,
+    /// A label for `Debug` output; it names no shared state.
+    name: String,
     reset: OffsetReset,
     subscribed: bool,
-    seen_generation: u64,
-    assignments: Vec<(TopicName, u32)>,
-    positions: HashMap<(TopicName, u32), u64>,
-    handles: HashMap<TopicName, Arc<SharedTopic>>,
-    /// The `stream.consumer.lag.<group>` gauge, resolved once at
-    /// construction so the per-poll publish is a single atomic store —
-    /// no name formatting and no registry lock on the poll path.
-    lag_gauge: cad3_obs::Handle<cad3_obs::Gauge>,
+    /// Every partition of every subscribed topic, in subscribe order and
+    /// then partition order — the order [`Consumer::poll`] reads them in.
+    cursors: Vec<Cursor>,
+}
+
+/// One partition a [`Consumer`] reads and the next offset it will fetch.
+struct Cursor {
+    topic: Arc<SharedTopic>,
+    partition: u32,
+    position: u64,
+}
+
+impl std::fmt::Debug for Consumer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let positions: Vec<_> =
+            self.cursors.iter().map(|c| (c.topic.name(), c.partition, c.position)).collect();
+        f.debug_struct("Consumer")
+            .field("name", &self.name)
+            .field("positions", &positions)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Consumer {
-    /// Creates a consumer in `group` on `broker`.
-    pub fn new(broker: Arc<Broker>, group: impl Into<String>, reset: OffsetReset) -> Self {
-        let member = broker.allocate_member_id();
-        let group = group.into();
-        let lag_gauge = cad3_obs::registry().gauge(&format!("stream.consumer.lag.{group}"));
-        Consumer {
-            broker,
-            group,
-            member,
-            reset,
-            subscribed: false,
-            seen_generation: 0,
-            assignments: Vec::new(),
-            positions: HashMap::new(),
-            handles: HashMap::new(),
-            lag_gauge,
-        }
+    /// Creates a consumer on `broker`; `name` only labels it in `Debug`
+    /// output.
+    pub fn new(broker: Arc<Broker>, name: impl Into<String>, reset: OffsetReset) -> Self {
+        Consumer { broker, name: name.into(), reset, subscribed: false, cursors: Vec::new() }
     }
 
-    /// This consumer's broker-unique member id.
-    pub fn member_id(&self) -> u64 {
-        self.member
-    }
-
-    /// Subscribes to a set of topics, (re)joining the group.
+    /// Subscribes to a set of topics, replacing any previous subscription.
+    /// A partition this consumer already reads keeps its position; a new one
+    /// starts where the [`OffsetReset`] says.
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::UnknownTopic`] if any topic does not exist.
+    /// Returns [`StreamError::UnknownTopic`] if any topic does not exist;
+    /// the previous subscription then stays in place.
     pub fn subscribe(&mut self, topics: &[&str]) -> Result<(), StreamError> {
-        for t in topics {
-            // Validate eagerly so misconfiguration fails loudly.
-            self.broker.partition_count(t)?;
+        let mut cursors: Vec<Cursor> = Vec::new();
+        for name in topics {
+            let topic = self.broker.topic_handle(name)?;
+            if cursors.iter().any(|c| Arc::ptr_eq(&c.topic, &topic)) {
+                continue; // listed twice
+            }
+            for partition in 0..topic.partition_count() {
+                let kept = self
+                    .cursors
+                    .iter()
+                    .find(|c| Arc::ptr_eq(&c.topic, &topic) && c.partition == partition);
+                let position = match (kept, self.reset) {
+                    (Some(c), _) => c.position,
+                    (None, OffsetReset::Earliest) => topic.earliest_offset(partition)?,
+                    (None, OffsetReset::Latest) => topic.end_offset(partition)?,
+                };
+                cursors.push(Cursor { topic: Arc::clone(&topic), partition, position });
+            }
         }
-        self.broker.join_group(
-            &self.group,
-            self.member,
-            topics.iter().map(|s| s.to_string()).collect(),
-        );
+        self.cursors = cursors;
         self.subscribed = true;
-        self.refresh_assignments();
         Ok(())
     }
 
-    fn refresh_assignments(&mut self) {
-        self.seen_generation = self.broker.group_generation(&self.group);
-        self.assignments = self.broker.assignments(&self.group, self.member);
-        for (topic, partition) in &self.assignments {
-            if !self.handles.contains_key(topic) {
-                if let Ok(handle) = self.broker.topic_handle(topic) {
-                    self.handles.insert(TopicName::clone(topic), handle);
-                }
-            }
-            let key = (TopicName::clone(topic), *partition);
-            if self.positions.contains_key(&key) {
-                continue;
-            }
-            let start =
-                self.broker.committed_offset(&self.group, topic, *partition).unwrap_or_else(|| {
-                    self.handles
-                        .get(topic)
-                        .map(|h| match self.reset {
-                            OffsetReset::Earliest => h.earliest_offset(*partition).unwrap_or(0),
-                            OffsetReset::Latest => h.end_offset(*partition).unwrap_or(0),
-                        })
-                        .unwrap_or(0)
-                });
-            self.positions.insert(key, start);
-        }
-    }
-
-    /// The partitions currently assigned to this consumer.
-    pub fn assignments(&mut self) -> &[(TopicName, u32)] {
-        if self.broker.group_generation(&self.group) != self.seen_generation {
-            self.refresh_assignments();
-        }
-        &self.assignments
-    }
-
-    /// Polls up to `max_records` across the assigned partitions, advancing
-    /// the consumer's in-memory positions.
+    /// Polls up to `max_records` across the subscribed partitions, advancing
+    /// the consumer's positions.
     ///
-    /// Records come back partition by partition, in assignment order and
+    /// Records come back partition by partition, in subscribe order and
     /// offset order within a partition; partitions with nothing to fetch
     /// contribute nothing.
     ///
@@ -135,40 +106,26 @@ impl Consumer {
         if !self.subscribed {
             return Err(StreamError::NotSubscribed);
         }
-        if self.broker.group_generation(&self.group) != self.seen_generation {
-            self.refresh_assignments();
-        }
         let mut out: Vec<FetchedRecord> = Vec::new();
-        for idx in 0..self.assignments.len() {
-            if out.len() >= max_records {
+        for cursor in &mut self.cursors {
+            let room = max_records.saturating_sub(out.len());
+            if room == 0 {
                 break;
             }
-            let (topic, partition) = {
-                // hotpath-exempt(panic): idx ranges over 0..assignments.len() and
-                // assignments is not mutated inside the loop.
-                let (t, p) = &self.assignments[idx];
-                (TopicName::clone(t), *p)
-            };
-            let Some(handle) = self.handles.get(&topic) else {
-                // `refresh_assignments` caches a handle for every assigned
-                // topic; a miss means the topic is gone from the registry.
-                return Err(StreamError::UnknownTopic(topic.to_string()));
-            };
-            let pos =
-                self.positions.get(&(TopicName::clone(&topic), partition)).copied().unwrap_or(0);
-            let batch = match handle.fetch(partition, pos, max_records - out.len()) {
+            let (topic, partition) = (&cursor.topic, cursor.partition);
+            let batch = match topic.fetch(partition, cursor.position, room) {
                 Ok(b) => b,
                 Err(StreamError::OffsetOutOfRange { earliest, .. }) => {
                     // Retention overtook us; resume from the horizon.
-                    self.positions.insert((TopicName::clone(&topic), partition), earliest);
-                    handle.fetch(partition, earliest, max_records - out.len())?
+                    cursor.position = earliest;
+                    topic.fetch(partition, earliest, room)?
                 }
                 Err(e) => return Err(e),
             };
             let Some(last) = batch.last() else { continue };
-            self.positions.insert((TopicName::clone(&topic), partition), last.offset + 1);
+            cursor.position = last.offset + 1;
             out.extend(batch.into_iter().map(|r| FetchedRecord {
-                topic: TopicName::clone(&topic),
+                topic: TopicName::clone(topic.name()),
                 partition,
                 offset: r.offset,
                 key: r.key,
@@ -180,87 +137,26 @@ impl Consumer {
         if cad3_obs::enabled() {
             cad3_obs::counter!("stream.consumer.polls").inc();
             cad3_obs::counter!("stream.consumer.records").add(cad3_types::len_u64(out.len()));
-            self.publish_lag_gauge();
         }
         Ok(out)
     }
 
-    /// Commits the current positions to the group.
-    pub fn commit(&self) {
-        for ((topic, partition), offset) in &self.positions {
-            self.broker.commit_offset_at(&self.group, topic, *partition, *offset);
-        }
-        self.publish_lag_gauge();
-    }
-
-    /// Refreshes the `stream.consumer.lag.<group>` gauge from the broker's
-    /// committed-vs-head [`Broker::group_lag`]. Exporter-gated: with no
-    /// exporter attached this is one relaxed load.
-    fn publish_lag_gauge(&self) {
-        if !cad3_obs::enabled() {
-            return;
-        }
-        self.lag_gauge.set(self.broker.group_lag(&self.group));
-    }
-
-    /// Seeks every assigned partition to the log end (skip history).
+    /// Seeks every subscribed partition to the log end (skip history).
     pub fn seek_to_end(&mut self) {
-        for (topic, partition) in &self.assignments {
-            if let Some(end) = self.handles.get(topic).and_then(|h| h.end_offset(*partition).ok()) {
-                self.positions.insert((TopicName::clone(topic), *partition), end);
+        for c in &mut self.cursors {
+            if let Ok(end) = c.topic.end_offset(c.partition) {
+                c.position = end;
             }
         }
     }
 
-    /// Seeks every assigned partition to the earliest retained offset.
+    /// Seeks every subscribed partition to the earliest retained offset.
     pub fn seek_to_beginning(&mut self) {
-        for (topic, partition) in &self.assignments {
-            if let Some(earliest) =
-                self.handles.get(topic).and_then(|h| h.earliest_offset(*partition).ok())
-            {
-                self.positions.insert((TopicName::clone(topic), *partition), earliest);
+        for c in &mut self.cursors {
+            if let Ok(earliest) = c.topic.earliest_offset(c.partition) {
+                c.position = earliest;
             }
         }
-    }
-
-    /// Total records between this consumer's positions and the log ends of
-    /// its assigned partitions — the lag a monitoring stack would alert on
-    /// when an RSU falls behind its vehicles.
-    pub fn lag(&mut self) -> u64 {
-        if self.broker.group_generation(&self.group) != self.seen_generation {
-            self.refresh_assignments();
-        }
-        self.assignments
-            .iter()
-            .map(|(topic, partition)| {
-                let end = self
-                    .handles
-                    .get(topic)
-                    .and_then(|h| h.end_offset(*partition).ok())
-                    .unwrap_or(0);
-                let pos = self
-                    .positions
-                    .get(&(TopicName::clone(topic), *partition))
-                    .copied()
-                    .unwrap_or(0);
-                end.saturating_sub(pos)
-            })
-            .sum()
-    }
-
-    /// Leaves the group explicitly (also done on drop).
-    pub fn unsubscribe(&mut self) {
-        if self.subscribed {
-            self.broker.leave_group(&self.group, self.member);
-            self.subscribed = false;
-            self.assignments.clear();
-        }
-    }
-}
-
-impl Drop for Consumer {
-    fn drop(&mut self) {
-        self.unsubscribe();
     }
 }
 
@@ -388,56 +284,23 @@ mod tests {
     }
 
     #[test]
-    fn two_members_split_partitions_and_cover_all_records() {
+    fn consumers_are_independent_readers() {
         let (broker, producer) = setup();
-        let mut c1 = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
-        let mut c2 = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
-        c1.subscribe(&["IN-DATA"]).unwrap();
-        c2.subscribe(&["IN-DATA"]).unwrap();
+        let mut a = Consumer::new(Arc::clone(&broker), "fleet", OffsetReset::Earliest);
+        let mut b = Consumer::new(Arc::clone(&broker), "probe", OffsetReset::Earliest);
+        a.subscribe(&["IN-DATA"]).unwrap();
+        b.subscribe(&["IN-DATA"]).unwrap();
         for i in 0..60u64 {
             producer.send("IN-DATA", Some(format!("veh-{i}").as_bytes()), &b"x"[..], i).unwrap();
         }
-        let r1 = c1.poll(1000).unwrap();
-        let r2 = c2.poll(1000).unwrap();
-        assert_eq!(r1.len() + r2.len(), 60, "each record consumed exactly once");
-        assert!(!r1.is_empty() && !r2.is_empty());
-        let p1: std::collections::HashSet<u32> = r1.iter().map(|r| r.partition).collect();
-        let p2: std::collections::HashSet<u32> = r2.iter().map(|r| r.partition).collect();
-        assert!(p1.is_disjoint(&p2));
-    }
-
-    #[test]
-    fn rebalance_on_member_departure() {
-        let (broker, producer) = setup();
-        let mut c1 = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
-        let mut c2 = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
-        c1.subscribe(&["IN-DATA"]).unwrap();
-        c2.subscribe(&["IN-DATA"]).unwrap();
-        assert!(c1.assignments().len() < 3);
-        drop(c2);
-        assert_eq!(c1.assignments().len(), 3, "survivor owns all partitions");
-        producer.send("IN-DATA", Some(b"any"), &b"x"[..], 0).unwrap();
-        assert_eq!(c1.poll(10).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn committed_offsets_resume_new_member() {
-        let (broker, producer) = setup();
-        for i in 0..10u64 {
-            producer.send("IN-DATA", None, &b"x"[..], i).unwrap();
-        }
-        {
-            let mut c = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
-            c.subscribe(&["IN-DATA"]).unwrap();
-            assert_eq!(c.poll(1000).unwrap().len(), 10);
-            c.commit();
-        }
-        // A fresh member of the same group resumes after the commit.
-        let mut c = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
-        c.subscribe(&["IN-DATA"]).unwrap();
-        assert!(c.poll(1000).unwrap().is_empty());
-        producer.send("IN-DATA", None, &b"new"[..], 99).unwrap();
-        assert_eq!(c.poll(1000).unwrap().len(), 1);
+        let offsets = |recs: Vec<FetchedRecord>| -> Vec<(u32, u64)> {
+            recs.iter().map(|r| (r.partition, r.offset)).collect()
+        };
+        let seen_a = offsets(a.poll(1000).unwrap());
+        assert_eq!(seen_a.len(), 60, "the first reader sees every record");
+        assert_eq!(offsets(b.poll(1000).unwrap()), seen_a, "and so does the second, in order");
+        assert!(a.poll(1000).unwrap().is_empty(), "each sees a record once");
+        assert!(b.poll(1000).unwrap().is_empty());
     }
 
     #[test]
@@ -452,35 +315,6 @@ mod tests {
         assert!(c.poll(100).unwrap().is_empty());
         c.seek_to_beginning();
         assert_eq!(c.poll(100).unwrap().len(), 5);
-    }
-
-    #[test]
-    fn lag_tracks_unconsumed_records() {
-        let (broker, producer) = setup();
-        let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
-        c.subscribe(&["IN-DATA"]).unwrap();
-        assert_eq!(c.lag(), 0);
-        for i in 0..7u64 {
-            producer.send("IN-DATA", Some(format!("v{i}").as_bytes()), &b"x"[..], i).unwrap();
-        }
-        assert_eq!(c.lag(), 7);
-        c.poll(3).unwrap();
-        assert_eq!(c.lag(), 4);
-        c.poll(100).unwrap();
-        assert_eq!(c.lag(), 0);
-    }
-
-    #[test]
-    fn same_group_consumers_share_one_lag_gauge_cell() {
-        let (broker, _) = setup();
-        let a = Consumer::new(Arc::clone(&broker), "dedupe-group", OffsetReset::Earliest);
-        let b = Consumer::new(Arc::clone(&broker), "dedupe-group", OffsetReset::Earliest);
-        assert!(
-            cad3_obs::Handle::ptr_eq(&a.lag_gauge, &b.lag_gauge),
-            "repeated registration of one group must dedupe onto one cell"
-        );
-        let other = Consumer::new(broker, "dedupe-other", OffsetReset::Earliest);
-        assert!(!cad3_obs::Handle::ptr_eq(&a.lag_gauge, &other.lag_gauge));
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //!   count: immutable metadata plus one mutex per partition, so appends and
 //!   fetches to different partitions never contend. (Its single-threaded
 //!   reference semantics live in `tests/support/` as the proptest oracle.)
-//! * [`Broker`] — thread-safe topic registry with by-name produce/fetch
-//!   and consumer-group offset tracking. Its locks form three ranks: the
-//!   registry (20), then one partition (30), then group state (40).
+//! * [`Broker`] — thread-safe topic registry with by-name produce/fetch.
+//!   Its locks form two ranks: the registry (20), then one partition (30).
 //! * [`Producer`] — the vehicle-side publisher: a thin, cloneable front for
 //!   the broker's by-name produce, with shared send counters.
-//! * [`Consumer`] — group membership, range partition assignment, `poll`,
-//!   commit and seek.
+//! * [`Consumer`] — an independent reader: its own position in every
+//!   partition of the topics it subscribes to, `poll` and seek.
 //!
 //! # Example
 //!
@@ -53,7 +52,7 @@ mod record;
 mod shard;
 mod sync;
 
-pub use broker::{range_assignment, Broker};
+pub use broker::Broker;
 pub use consumer::{Consumer, OffsetReset};
 pub use error::StreamError;
 pub use partition::PartitionLog;

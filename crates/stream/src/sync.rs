@@ -1,6 +1,6 @@
 //! Synchronization facade for the streaming substrate.
 //!
-//! All broker/topic/consumer-group code imports its lock and atomic types
+//! All broker/topic/consumer code imports its lock and atomic types
 //! from here instead of `parking_lot`/`std::sync` directly, so the whole
 //! crate can be re-built against loom's model-checked types with
 //! `RUSTFLAGS="--cfg loom"` (see `tests/loom_stream.rs`). Both sides expose

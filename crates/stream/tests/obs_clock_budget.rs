@@ -1,34 +1,20 @@
 //! The stream layer's share of the cad3-obs overhead policy: with obs on, a
 //! record that is not head-sampled costs no wall-clock read.
 //!
-//! A test binary of its own because these tests flip the process-wide obs
-//! gate and sample rate; they take `GATE` so they do not flip it under
-//! each other.
+//! Single `#[test]` in a binary of its own on purpose: the obs gate, the
+//! sample rate and the clock read count are process-global, and this binary
+//! owns them. Debug builds only, because `clock::reads` only counts there.
+#![cfg(debug_assertions)]
 
-use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use bytes::Bytes;
+use cad3_obs::{clock, registry, TraceContext};
+use cad3_stream::{Broker, Consumer, OffsetReset};
+use std::sync::Arc;
 
-static GATE: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn broker() -> Arc<Broker> {
-    let broker = Arc::new(Broker::new("rsu"));
-    broker.create_topic("IN-DATA", 3).unwrap();
-    broker
-}
-
-/// `clock::reads` only counts in debug builds, so `--release` skips this.
-#[cfg(debug_assertions)]
 #[test]
 fn only_traced_appends_read_the_clock() {
-    use bytes::Bytes;
-    use cad3_obs::{clock, registry, TraceContext};
-
-    let _serial = serial();
-    let broker = broker();
+    let broker = Arc::new(Broker::new("rsu"));
+    broker.create_topic("IN-DATA", 3).unwrap();
     let produce = |i: u64, trace: Option<TraceContext>| {
         let key = Bytes::copy_from_slice(&i.to_be_bytes());
         broker.produce_traced("IN-DATA", None, Some(key), Bytes::from_static(b"x"), i, trace)
@@ -71,38 +57,4 @@ fn only_traced_appends_read_the_clock() {
     let expected: Vec<TraceContext> =
         (0..100).map(|i| TraceContext::from_parts(1 + i, 7, 1)).collect();
     assert_eq!(traced, expected);
-}
-
-#[test]
-fn lag_gauge_grows_when_stalled_and_drains_on_commit() {
-    let _serial = serial();
-    let broker = broker();
-    let producer = Producer::new(Arc::clone(&broker));
-    let mut c = Consumer::new(Arc::clone(&broker), "stalled", OffsetReset::Earliest);
-    c.subscribe(&["IN-DATA"]).unwrap();
-    cad3_obs::set_enabled(true);
-    c.poll(10).unwrap();
-    assert_eq!(
-        cad3_obs::registry().snapshot().gauge("stream.consumer.lag.stalled"),
-        0,
-        "fresh group on an empty topic has no lag"
-    );
-    // Stall the consumer: records arrive but nothing is committed.
-    for i in 0..25u64 {
-        producer.send("IN-DATA", Some(format!("v{i}").as_bytes()), &b"x"[..], i).unwrap();
-    }
-    c.poll(1000).unwrap();
-    assert_eq!(
-        cad3_obs::registry().snapshot().gauge("stream.consumer.lag.stalled"),
-        25,
-        "committed-vs-head lag stays high until the group commits"
-    );
-    c.commit();
-    cad3_obs::set_enabled(false);
-    assert_eq!(
-        cad3_obs::registry().snapshot().gauge("stream.consumer.lag.stalled"),
-        0,
-        "commit drains the gauge"
-    );
-    assert_eq!(broker.group_lag("stalled"), 0);
 }

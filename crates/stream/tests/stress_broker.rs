@@ -9,9 +9,8 @@
 //!
 //! where the `rank_scope!` witness is compiled in, so every acquisition the
 //! stress mix performs — by-name produces and fetches (a per-partition lock
-//! under the registry's read guard), group commits and rebalances — is
-//! checked against the hierarchy in `lockranks.toml` on a real (not
-//! model-checked) schedule.
+//! under the registry's read guard) and consumer polls — is checked against
+//! the hierarchy in `lockranks.toml` on a real (not model-checked) schedule.
 
 use bytes::Bytes;
 use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
@@ -21,10 +20,10 @@ const TOPICS: [&str; 3] = ["IN-DATA", "OUT-RESULT", "GLOBAL-ABNORMAL"];
 const RECORDS_PER_PRODUCER: u64 = 5_001;
 const PRODUCERS: usize = 4;
 
-/// Four producers, three polling consumer groups, and a membership-churn
-/// thread all hammer one broker. Afterwards every topic must hold exactly
-/// the records sent to it, with dense offsets, and each steady group's
-/// consumers must have seen every record exactly once.
+/// Four producers and three polling consumers all hammer one broker.
+/// Afterwards every topic must hold exactly the records sent to it, with
+/// dense offsets, and each consumer must have seen every record of its
+/// topic exactly once.
 #[test]
 #[ignore = "threaded stress mix; run explicitly via -- --ignored (lockrank CI job)"]
 fn stress_sharded_broker_under_lockrank_witness() {
@@ -55,40 +54,29 @@ fn stress_sharded_broker_under_lockrank_witness() {
         }));
     }
 
-    // Churn: members join and leave a side group, forcing rebalances that
-    // take the groups lock while producers hold partition locks elsewhere.
-    let churn = {
-        let broker = Arc::clone(&broker);
-        std::thread::spawn(move || {
-            for _ in 0..200 {
-                let mut transient =
-                    Consumer::new(Arc::clone(&broker), "churn", OffsetReset::Latest);
-                transient.subscribe(&TOPICS).expect("subscribe succeeds");
-                let _ = transient.poll(32).expect("poll succeeds");
-                let _ = broker.group_lag("churn");
-                transient.unsubscribe();
-            }
-        })
-    };
-
-    // Steady consumers: one single-member group per topic drains everything.
+    // Consumers: one per topic drains everything.
     let mut consumers = Vec::new();
     for topic in TOPICS {
         let broker = Arc::clone(&broker);
         consumers.push(std::thread::spawn(move || {
-            let group = format!("g-{topic}");
-            let mut consumer = Consumer::new(broker, group, OffsetReset::Earliest);
+            let mut consumer = Consumer::new(broker, topic, OffsetReset::Earliest);
             consumer.subscribe(&[topic]).expect("subscribe succeeds");
             let mut seen = 0usize;
             let mut idle_rounds = 0u32;
             // Producers send RECORDS_PER_PRODUCER / 3 records to each topic
             // (the cycle length divides the count evenly).
             let expected = PRODUCERS * (RECORDS_PER_PRODUCER as usize / 3);
+            // An empty poll is cheap, so an idle round waits a little: the
+            // consumer gives up only after about a second without progress.
             while seen < expected && idle_rounds < 10_000 {
                 let got = consumer.poll(256).expect("poll succeeds").len();
                 seen += got;
-                consumer.commit();
-                idle_rounds = if got == 0 { idle_rounds + 1 } else { 0 };
+                if got == 0 {
+                    idle_rounds += 1;
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                } else {
+                    idle_rounds = 0;
+                }
             }
             (seen, expected)
         }));
@@ -99,10 +87,9 @@ fn stress_sharded_broker_under_lockrank_witness() {
         produced_total += h.join().expect("producer thread");
     }
     assert_eq!(produced_total, PRODUCERS as u64 * RECORDS_PER_PRODUCER);
-    churn.join().expect("churn thread");
     for c in consumers {
         let (seen, expected) = c.join().expect("consumer thread");
-        assert_eq!(seen, expected, "steady group saw every record exactly once");
+        assert_eq!(seen, expected, "consumer saw every record exactly once");
     }
 
     // Terminal integrity sweep: per-topic totals and dense per-partition logs.

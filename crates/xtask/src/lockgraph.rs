@@ -14,7 +14,7 @@
 //! # Site naming
 //!
 //! - a lock struct field: `crate::Struct::field`
-//!   (e.g. `cad3_stream::Broker::groups`); a `Vec`/`HashMap` of locks is one
+//!   (e.g. `cad3_stream::Broker::topics`); a `Vec`/`HashMap` of locks is one
 //!   site covering every element (`cad3_stream::SharedTopic::partitions` is
 //!   all of a topic's per-partition mutexes);
 //! - locks nested inside a locked collection get `.inner` (a

@@ -445,7 +445,6 @@ mod main_tests {
         for site in [
             "cad3_stream::Broker::topics",
             "cad3_stream::SharedTopic::partitions",
-            "cad3_stream::Broker::groups",
             "cad3::RsuNode::shards",
         ] {
             assert!(analysis.sites.contains(site), "missing site {site}: {:?}", analysis.sites);

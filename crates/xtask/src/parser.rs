@@ -445,14 +445,14 @@ mod tests {
             "pub struct Broker {\n\
              name: String,\n\
              topics: RwLock<HashMap<TopicName, Arc<SharedTopic>>>,\n\
-             groups: Mutex<HashMap<String, GroupState>>,\n\
+             stats: Mutex<HashMap<String, TopicStats>>,\n\
              }\n",
         );
         assert_eq!(p.structs.len(), 1);
         let s = &p.structs[0];
         assert_eq!(s.name, "Broker");
         let names: Vec<_> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["name", "topics", "groups"]);
+        assert_eq!(names, ["name", "topics", "stats"]);
         let topics = &s.fields[1];
         assert!(topics.ty.iter().any(|t| t.is_ident("RwLock")));
         assert!(topics.ty.iter().any(|t| t.is_ident("SharedTopic")));
@@ -509,11 +509,11 @@ mod tests {
     #[test]
     fn free_fns_and_mods_flatten() {
         let p = parse_src(
-            "pub fn range_assignment(p: u32) -> u32 { p }\n\
+            "pub fn partition_for(p: u32) -> u32 { p }\n\
              mod inner {\n    pub fn nested() {}\n}\n",
         );
         let names: Vec<_> = p.fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["range_assignment", "nested"]);
+        assert_eq!(names, ["partition_for", "nested"]);
         assert!(p.fns.iter().all(|f| f.self_ty.is_none()));
     }
 
