@@ -1,10 +1,8 @@
-use super::{
-    group_by_slot, nb_feature_array, nb_features, nb_schema, Detection, Detector, PlanRouter,
-};
+use super::{nb_features, nb_schema, single_stage, with_scratch, Detection, Detector, PlanRouter};
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
 use cad3_data::TimeBucket;
-use cad3_ml::{Dataset, FeatureBatch, NaiveBayes, NbBatchPlan};
+use cad3_ml::{Dataset, NaiveBayes, NbBatchPlan};
 use cad3_types::{FeatureRecord, RoadType};
 use std::collections::HashMap;
 
@@ -23,8 +21,9 @@ pub struct Ad3Detector {
     /// regime had too little training data.
     pooled: HashMap<RoadType, NaiveBayes>,
     /// Column-major batch plans behind a dense (road, bucket) routing
-    /// table, precomputed at training time for the RSU detect path.
-    router: PlanRouter<NbBatchPlan>,
+    /// table, precomputed at training time for the RSU detect path; CAD3's
+    /// stage 1 sweeps it too.
+    pub(super) router: PlanRouter<NbBatchPlan>,
 }
 
 impl Ad3Detector {
@@ -107,62 +106,6 @@ impl Ad3Detector {
         let proba = self.model_for(rec)?.predict_proba(&nb_features(rec))?;
         Ok(proba[0])
     }
-
-    /// Batched [`Ad3Detector::p_abnormal`]: pushes one entry per record
-    /// onto `out`, `None` where the scalar path would return an error.
-    ///
-    /// Records are grouped by the model they route to (same context →
-    /// pooled fallback as [`Ad3Detector::p_abnormal`]) and each group is
-    /// evaluated through its precomputed column-major plan in one sweep.
-    /// Outputs are bit-identical to the scalar path.
-    pub fn p_abnormal_batch(&self, recs: &[FeatureRecord], out: &mut Vec<Option<f64>>) {
-        let base = out.len();
-        out.resize(base + recs.len(), None);
-        // Route every record with one LUT index (no per-record hashing),
-        // then split into per-plan groups with one counting-sort pass.
-        // Slot order is fixed at training time, so evaluation order is
-        // deterministic.
-        let mut slots: Vec<u16> = Vec::with_capacity(recs.len());
-        for rec in recs {
-            slots.push(self.router.slot(rec.road_type, TimeBucket::of(rec.hour)));
-        }
-        let mut starts: Vec<u32> = Vec::new();
-        let mut grouped: Vec<u32> = Vec::new();
-        group_by_slot(&slots, self.router.n_slots(), &mut starts, &mut grouped);
-        let mut batch = FeatureBatch::new(4);
-        let mut ll: Vec<f64> = Vec::new();
-        let mut proba: Vec<f64> = Vec::new();
-        for slot in 1..=self.router.n_slots() as u16 {
-            let idxs = &grouped
-                [starts[usize::from(slot)] as usize..starts[usize::from(slot) + 1] as usize];
-            if idxs.is_empty() {
-                continue; // slot 0 (no model) stays None: NoModelForRoadType
-            }
-            let plan = self.router.plan(slot);
-            batch.clear();
-            for &i in idxs {
-                // Schema validation is vacuous for these rows, so the
-                // scalar path's `validate` check is skipped rather than
-                // mirrored: `nb_feature_array` rows are valid by type
-                // construction (`HourOfDay` is 0..24, `RoadType::code` is
-                // 0..10, continuous columns are never checked), and the
-                // width always matches, so `push_row` cannot fail either.
-                let _ = batch.push_row(&nb_feature_array(&recs[i as usize]));
-            }
-            let n = batch.n_rows();
-            ll.clear();
-            ll.resize(plan.n_classes() * n, 0.0);
-            proba.clear();
-            proba.resize(plan.n_classes() * n, 0.0);
-            if plan.predict_proba_into(&batch, &mut ll, &mut proba).is_err() {
-                continue;
-            }
-            for (k, &i) in idxs.iter().enumerate() {
-                // Class 0 is abnormal in the paper's convention.
-                out[base + i as usize] = Some(proba[k * plan.n_classes()]);
-            }
-        }
-    }
 }
 
 impl Detector for Ad3Detector {
@@ -184,17 +127,11 @@ impl Detector for Ad3Detector {
         observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
         out: &mut Vec<Option<Detection>>,
     ) {
-        let mut p_abn: Vec<Option<f64>> = Vec::with_capacity(recs.len());
-        self.p_abnormal_batch(recs, &mut p_abn);
-        for (i, p) in p_abn.iter().enumerate() {
-            let Some(p) = *p else {
-                out.push(None);
-                continue;
-            };
-            // AD3 ignores the summary but must still record its prediction.
-            let _ = observe(i, p);
-            out.push(Some(Detection::from_p_abnormal(p)));
-        }
+        with_scratch(|s| {
+            s.p1.clear();
+            self.router.p_abnormal_into(recs, &mut s.sweep, &mut s.p1);
+            single_stage(&s.p1, observe, out);
+        });
     }
 }
 

@@ -1,7 +1,10 @@
-use super::{dt_hour_code, dt_schema, fuse_probability, Ad3Detector, Detection, Detector};
+use super::{
+    dt_hour_code, dt_schema, fuse_probability, with_scratch, Ad3Detector, Detection, Detector,
+    TreeScratch,
+};
 use crate::collaboration::{SummaryTracker, VehicleSummary};
 use crate::CoreError;
-use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, FeatureBatch, TreeBatchPlan};
+use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, TreeBatchPlan};
 use cad3_types::FeatureRecord;
 
 /// The collaborative detector (the paper's CAD3, Fig. 4).
@@ -163,52 +166,59 @@ impl Detector for Cad3Detector {
         observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
         out: &mut Vec<Option<Detection>>,
     ) {
-        // Stage 1 once per record (the scalar path recomputes the same
-        // Naïve Bayes inside `detect_detailed`; the batch plan is
-        // bit-identical, so computing it once is exact).
-        let mut p_nb: Vec<Option<f64>> = Vec::with_capacity(recs.len());
-        self.nb.p_abnormal_batch(recs, &mut p_nb);
+        with_scratch(|s| {
+            // Stage 1 once per record (the scalar path recomputes the same
+            // Naïve Bayes inside `detect_detailed`; the batch plan is
+            // bit-identical, so computing it once is exact).
+            s.p1.clear();
+            self.nb.router.p_abnormal_into(recs, &mut s.sweep, &mut s.p1);
 
-        // Collaboration sweep, strictly in record order: the tracker state
-        // a record sees depends on every earlier record in the batch. A
-        // record with a summary becomes a row of the stage-2 sweep and holds
-        // a `None` in `out` until the tree fills it; one without falls back
-        // to the stage-1 decision (the trip's first RSU has nothing to fuse).
-        let base = out.len();
-        let mut batch = FeatureBatch::new(3);
-        let mut rows: Vec<usize> = Vec::new();
-        for (i, (rec, p1)) in recs.iter().zip(p_nb).enumerate() {
-            let summary = p1.and_then(|p1| observe(i, p1).map(|s| (p1, s)));
-            let Some((p1, summary)) = summary else {
-                out.push(p1.map(Detection::from_p_abnormal));
-                continue;
-            };
-            let p_x = fuse_probability(p1, Some(&summary), self.fusion_weight);
-            let class_nb = u8::from(p1 < 0.5);
-            // Schema validation is vacuous for these rows, so the scalar
-            // path's `validate` check is skipped rather than mirrored:
-            // `dt_hour_code` is in {0, 1, 2} (Cat3), `class_nb` in {0, 1}
-            // (Cat2), and `p_x` is continuous (never checked). The width
-            // always matches, so `push_row` cannot fail either.
-            let _ = batch.push_row(&[dt_hour_code(rec.hour), p_x, class_nb as f64]);
-            rows.push(base + i);
-            out.push(None);
-        }
-
-        // Stage 2 as one column-major tree sweep over the fused rows. A
-        // rejected sweep leaves its rows `None`: the scalar path would have
-        // errored on the same rows.
-        let n = batch.n_rows();
-        let n_classes = self.tree_plan.n_classes();
-        let mut keys = vec![0u64; 3 * n];
-        let mut cur = vec![0u32; n];
-        let mut proba = vec![0.0; n_classes * n];
-        if self.tree_plan.predict_proba_into(&batch, &mut keys, &mut cur, &mut proba).is_ok() {
-            for (&row, p_tree) in rows.iter().zip(proba.iter().step_by(n_classes)) {
-                // hotpath-exempt(panic): `row` was `out.len()` when its slot was pushed.
-                out[row] = Some(Detection::from_p_abnormal(*p_tree));
+            // Collaboration sweep, strictly in record order: the tracker
+            // state a record sees depends on every earlier record in the
+            // batch. A record with a summary becomes a row of the stage-2
+            // sweep and holds a `None` in `out` until the tree fills it; one
+            // without falls back to the stage-1 decision (the trip's first
+            // RSU has nothing to fuse).
+            let TreeScratch { batch, rows, keys, cur, proba } = &mut s.tree;
+            batch.clear();
+            rows.clear();
+            let base = out.len();
+            for (i, (rec, &p1)) in recs.iter().zip(&s.p1).enumerate() {
+                let summary = p1.and_then(|p1| observe(i, p1).map(|summary| (p1, summary)));
+                let Some((p1, summary)) = summary else {
+                    out.push(p1.map(Detection::from_p_abnormal));
+                    continue;
+                };
+                let p_x = fuse_probability(p1, Some(&summary), self.fusion_weight);
+                let class_nb = u8::from(p1 < 0.5);
+                // Schema validation is vacuous for these rows, so the scalar
+                // path's `validate` check is skipped rather than mirrored:
+                // `dt_hour_code` is in {0, 1, 2} (Cat3), `class_nb` in {0, 1}
+                // (Cat2), and `p_x` is continuous (never checked). The width
+                // always matches, so `push_row` cannot fail either.
+                let _ = batch.push_row(&[dt_hour_code(rec.hour), p_x, class_nb as f64]);
+                rows.push(base + i);
+                out.push(None);
             }
-        }
+
+            // Stage 2 as one column-major tree sweep over the fused rows. A
+            // rejected sweep leaves its rows `None`: the scalar path would
+            // have errored on the same rows.
+            let n = batch.n_rows();
+            let n_classes = self.tree_plan.n_classes();
+            keys.clear();
+            keys.resize(3 * n, 0);
+            cur.clear();
+            cur.resize(n, 0);
+            proba.clear();
+            proba.resize(n_classes * n, 0.0);
+            if self.tree_plan.predict_proba_into(batch, keys, cur, proba).is_ok() {
+                for (&row, p_tree) in rows.iter().zip(proba.iter().step_by(n_classes)) {
+                    // hotpath-exempt(panic): `row` was `out.len()` when its slot was pushed.
+                    out[row] = Some(Detection::from_p_abnormal(*p_tree));
+                }
+            }
+        });
     }
 }
 

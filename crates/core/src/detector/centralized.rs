@@ -1,7 +1,10 @@
-use super::{nb_feature_array, nb_features, nb_schema, Detection, Detector};
+use super::{
+    nb_feature_array, nb_features, nb_schema, single_stage, with_scratch, Detection, Detector,
+    SweepScratch,
+};
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
-use cad3_ml::{Dataset, FeatureBatch, NaiveBayes, NbBatchPlan};
+use cad3_ml::{Dataset, NaiveBayes, NbBatchPlan};
 use cad3_types::FeatureRecord;
 
 /// The centralized baseline: a single Naïve Bayes model trained on *all*
@@ -64,25 +67,28 @@ impl Detector for CentralizedDetector {
         out: &mut Vec<Option<Detection>>,
     ) {
         // One model city-wide: the whole batch is a single plan sweep.
-        let mut batch = FeatureBatch::new(4);
-        for rec in recs {
-            // Schema validation is vacuous for these rows — see
-            // `Ad3Detector::p_abnormal_batch` — and the width always
-            // matches, so `push_row` cannot fail either.
-            let _ = batch.push_row(&nb_feature_array(rec));
-        }
-        let n = batch.n_rows();
-        let mut ll = vec![0.0; self.plan.n_classes() * n];
-        let mut proba = vec![0.0; self.plan.n_classes() * n];
-        if self.plan.predict_proba_into(&batch, &mut ll, &mut proba).is_err() {
-            out.extend(recs.iter().map(|_| None));
-            return;
-        }
-        for i in 0..recs.len() {
-            let p = proba[i * self.plan.n_classes()];
-            let _ = observe(i, p);
-            out.push(Some(Detection::from_p_abnormal(p)));
-        }
+        with_scratch(|s| {
+            let SweepScratch { batch, scratch, proba, .. } = &mut s.sweep;
+            batch.clear();
+            for rec in recs {
+                // Schema validation is vacuous for these rows — see
+                // `PlanRouter::p_abnormal_into` — and the width always
+                // matches, so `push_row` cannot fail either.
+                let _ = batch.push_row(&nb_feature_array(rec));
+            }
+            let n_classes = self.plan.n_classes();
+            scratch.clear();
+            scratch.resize(n_classes * recs.len(), 0.0);
+            proba.clear();
+            proba.resize(n_classes * recs.len(), 0.0);
+            s.p1.clear();
+            if self.plan.predict_proba_into(batch, scratch, proba).is_ok() {
+                s.p1.extend(proba.iter().step_by(n_classes.max(1)).map(|&p| Some(p)));
+            } else {
+                s.p1.resize(recs.len(), None);
+            }
+            single_stage(&s.p1, observe, out);
+        });
     }
 }
 

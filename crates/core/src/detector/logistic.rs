@@ -1,10 +1,8 @@
-use super::{
-    group_by_slot, nb_feature_array, nb_features, nb_schema, Detection, Detector, PlanRouter,
-};
+use super::{nb_features, nb_schema, single_stage, with_scratch, Detection, Detector, PlanRouter};
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
 use cad3_data::TimeBucket;
-use cad3_ml::{Dataset, FeatureBatch, LogisticParams, LogisticRegression, LrBatchPlan};
+use cad3_ml::{Dataset, LogisticParams, LogisticRegression, LrBatchPlan};
 use cad3_types::{FeatureRecord, RoadType};
 use std::collections::HashMap;
 
@@ -84,53 +82,6 @@ impl LogisticAd3Detector {
         // Class 0 is abnormal in the paper's convention.
         Ok(model.predict_proba(&nb_features(rec))?[0])
     }
-
-    /// Batched [`LogisticAd3Detector::p_abnormal`]: one entry per record,
-    /// `None` where the scalar path errors. Bit-identical to the scalar
-    /// path; grouping mirrors the context → pooled fallback.
-    pub fn p_abnormal_batch(&self, recs: &[FeatureRecord], out: &mut Vec<Option<f64>>) {
-        let base = out.len();
-        out.resize(base + recs.len(), None);
-        // Dense-LUT routing + counting-sort grouping, deterministic by
-        // construction — see `Ad3Detector::p_abnormal_batch`.
-        let mut slots: Vec<u16> = Vec::with_capacity(recs.len());
-        for rec in recs {
-            slots.push(self.router.slot(rec.road_type, TimeBucket::of(rec.hour)));
-        }
-        let mut starts: Vec<u32> = Vec::new();
-        let mut grouped: Vec<u32> = Vec::new();
-        group_by_slot(&slots, self.router.n_slots(), &mut starts, &mut grouped);
-        let mut batch = FeatureBatch::new(4);
-        let mut p1 = Vec::new();
-        let mut proba = Vec::new();
-        for slot in 1..=self.router.n_slots() as u16 {
-            let idxs = &grouped
-                [starts[usize::from(slot)] as usize..starts[usize::from(slot) + 1] as usize];
-            if idxs.is_empty() {
-                continue;
-            }
-            let plan = self.router.plan(slot);
-            batch.clear();
-            for &i in idxs {
-                // Schema validation is vacuous for these rows — see
-                // `Ad3Detector::p_abnormal_batch` — and the width always
-                // matches, so `push_row` cannot fail either.
-                let _ = batch.push_row(&nb_feature_array(&recs[i as usize]));
-            }
-            let n = batch.n_rows();
-            p1.clear();
-            p1.resize(n, 0.0);
-            proba.clear();
-            proba.resize(2 * n, 0.0);
-            if plan.predict_proba_into(&batch, &mut p1, &mut proba).is_err() {
-                continue;
-            }
-            for (k, &i) in idxs.iter().enumerate() {
-                // proba is row-major [P(0), P(1)]; class 0 is abnormal.
-                out[base + i as usize] = Some(proba[k * 2]);
-            }
-        }
-    }
 }
 
 impl Detector for LogisticAd3Detector {
@@ -152,16 +103,11 @@ impl Detector for LogisticAd3Detector {
         observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
         out: &mut Vec<Option<Detection>>,
     ) {
-        let mut p_abn: Vec<Option<f64>> = Vec::with_capacity(recs.len());
-        self.p_abnormal_batch(recs, &mut p_abn);
-        for (i, p) in p_abn.iter().enumerate() {
-            let Some(p) = *p else {
-                out.push(None);
-                continue;
-            };
-            let _ = observe(i, p);
-            out.push(Some(Detection::from_p_abnormal(p)));
-        }
+        with_scratch(|s| {
+            s.p1.clear();
+            self.router.p_abnormal_into(recs, &mut s.sweep, &mut s.p1);
+            single_stage(&s.p1, observe, out);
+        });
     }
 }
 

@@ -20,8 +20,12 @@ pub use trainer::{train_all, TrainedModels};
 
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
-use cad3_ml::{DecisionTreeParams, FeatureKind, Schema};
+use cad3_data::TimeBucket;
+use cad3_ml::{
+    DecisionTreeParams, FeatureBatch, FeatureKind, LrBatchPlan, MlError, NbBatchPlan, Schema,
+};
 use cad3_types::{FeatureRecord, Label};
+use std::cell::RefCell;
 
 /// Output of a detector for one record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,7 +127,10 @@ pub trait Detector: Send + Sync {
     ///
     /// The default implementation is the scalar loop; the built-in
     /// detectors override it with column-major batch plans whose outputs
-    /// are bit-identical to the scalar path (see `cad3_ml::batch`).
+    /// are bit-identical to the scalar path (see `cad3_ml::batch`). They
+    /// sweep through buffers their thread keeps between calls, so a call no
+    /// wider than one the thread has made allocates nothing; an `observe`
+    /// that itself calls `detect_batch` gets fresh buffers for that call.
     fn detect_batch(
         &self,
         recs: &[FeatureRecord],
@@ -191,7 +198,6 @@ impl<P> PlanRouter<P> {
         mut ctx_plan: impl FnMut(cad3_types::RoadType, cad3_data::TimeBucket) -> Option<P>,
         mut pooled_plan: impl FnMut(cad3_types::RoadType) -> Option<P>,
     ) -> Self {
-        use cad3_data::TimeBucket;
         let mut plans = Vec::new();
         let mut lut = [0u16; cad3_types::RoadType::ALL.len() * N_BUCKETS];
         for road in cad3_types::RoadType::ALL {
@@ -233,14 +239,121 @@ impl<P> PlanRouter<P> {
     }
 }
 
+impl<P: RoutedPlan> PlanRouter<P> {
+    /// The routed plans' abnormal-class probability for every record,
+    /// pushed onto `out` (`None` where no model covers the record's
+    /// context, or its plan rejects the sweep).
+    ///
+    /// Every record is routed with one LUT index (no per-record hashing),
+    /// the batch is split into per-plan groups with one counting-sort pass,
+    /// and each group is evaluated through its plan in one column-major
+    /// sweep. Slot order is fixed at training time, so evaluation order is
+    /// deterministic. Bit-identical to the scalar path.
+    pub(crate) fn p_abnormal_into(
+        &self,
+        recs: &[FeatureRecord],
+        sweep: &mut SweepScratch,
+        out: &mut Vec<Option<f64>>,
+    ) {
+        let base = out.len();
+        out.resize(base + recs.len(), None);
+        let SweepScratch { slots, starts, cursor, grouped, batch, scratch, proba } = sweep;
+        slots.clear();
+        slots.extend(recs.iter().map(|rec| self.slot(rec.road_type, TimeBucket::of(rec.hour))));
+        group_by_slot(slots, self.n_slots(), starts, cursor, grouped);
+        for slot in 1..=self.n_slots() as u16 {
+            let idxs = &grouped
+                [starts[usize::from(slot)] as usize..starts[usize::from(slot) + 1] as usize];
+            if idxs.is_empty() {
+                continue; // slot 0 (no model) stays None: NoModelForRoadType
+            }
+            let plan = self.plan(slot);
+            batch.clear();
+            for &i in idxs {
+                // Schema validation is vacuous for these rows, so the
+                // scalar path's `validate` check is skipped rather than
+                // mirrored: `nb_feature_array` rows are valid by type
+                // construction (`HourOfDay` is 0..24, `RoadType::code` is
+                // 0..10, continuous columns are never checked), and the
+                // width always matches, so `push_row` cannot fail either.
+                let _ = batch.push_row(&nb_feature_array(&recs[i as usize]));
+            }
+            let n = batch.n_rows();
+            scratch.clear();
+            scratch.resize(plan.scratch_len(n), 0.0);
+            proba.clear();
+            proba.resize(plan.n_classes() * n, 0.0);
+            if plan.proba_into(batch, scratch, proba).is_err() {
+                continue;
+            }
+            for (k, &i) in idxs.iter().enumerate() {
+                // Class 0 is abnormal in the paper's convention.
+                out[base + i as usize] = Some(proba[k * plan.n_classes()]);
+            }
+        }
+    }
+}
+
+/// A batch plan a [`PlanRouter`] routes records to: row-major class
+/// probabilities over a [`FeatureBatch`], through one scratch buffer.
+pub(crate) trait RoutedPlan {
+    /// Number of classes (the stride of the probability rows).
+    fn n_classes(&self) -> usize;
+    /// Length of the scratch buffer a sweep over `rows` rows needs.
+    fn scratch_len(&self, rows: usize) -> usize;
+    /// Row-major class probabilities of every row of `batch`.
+    fn proba_into(
+        &self,
+        batch: &FeatureBatch,
+        scratch: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), MlError>;
+}
+
+impl RoutedPlan for NbBatchPlan {
+    fn n_classes(&self) -> usize {
+        NbBatchPlan::n_classes(self)
+    }
+    fn scratch_len(&self, rows: usize) -> usize {
+        NbBatchPlan::n_classes(self) * rows
+    }
+    fn proba_into(
+        &self,
+        batch: &FeatureBatch,
+        scratch: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), MlError> {
+        self.predict_proba_into(batch, scratch, out)
+    }
+}
+
+impl RoutedPlan for LrBatchPlan {
+    fn n_classes(&self) -> usize {
+        2
+    }
+    fn scratch_len(&self, rows: usize) -> usize {
+        rows
+    }
+    fn proba_into(
+        &self,
+        batch: &FeatureBatch,
+        scratch: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), MlError> {
+        self.predict_proba_into(batch, scratch, out)
+    }
+}
+
 /// Splits a record batch into per-plan groups with one counting-sort
 /// pass: `slots[i]` is record *i*'s routing slot, and on return
 /// `grouped[starts[s] as usize..starts[s + 1] as usize]` lists the
-/// records of slot `s` in record order. No hashing, no tree nodes.
-pub(crate) fn group_by_slot(
+/// records of slot `s` in record order. `cursor` is the pass's write
+/// position per slot. No hashing, no tree nodes.
+fn group_by_slot(
     slots: &[u16],
     n_slots: usize,
     starts: &mut Vec<u32>,
+    cursor: &mut Vec<u32>,
     grouped: &mut Vec<u32>,
 ) {
     starts.clear();
@@ -253,12 +366,113 @@ pub(crate) fn group_by_slot(
     }
     grouped.clear();
     grouped.resize(slots.len(), 0);
-    let mut cursor = starts.clone();
+    cursor.clone_from(starts);
     for (i, &s) in slots.iter().enumerate() {
         let c = &mut cursor[usize::from(s)];
         grouped[*c as usize] = i as u32;
         *c += 1;
     }
+}
+
+/// The buffers of one routed stage-1 sweep ([`PlanRouter::p_abnormal_into`],
+/// or the centralized model's single plan).
+#[derive(Debug)]
+pub(crate) struct SweepScratch {
+    /// Routing slot per record.
+    slots: Vec<u16>,
+    /// Group bounds per slot, and the grouping pass's write cursor.
+    starts: Vec<u32>,
+    cursor: Vec<u32>,
+    /// Record indices grouped by slot.
+    grouped: Vec<u32>,
+    /// One group's `[InstSpeed, accel, Hour, RdType]` rows.
+    pub(crate) batch: FeatureBatch,
+    /// The plan's own scratch (NB log-likelihoods, LR class-1 probabilities).
+    pub(crate) scratch: Vec<f64>,
+    /// Row-major class probabilities of the group.
+    pub(crate) proba: Vec<f64>,
+}
+
+/// The buffers of CAD3's stage-2 tree sweep.
+#[derive(Debug)]
+pub(crate) struct TreeScratch {
+    /// The fused `[Hour, P_X, Class_NB]` rows.
+    pub(crate) batch: FeatureBatch,
+    /// The `out` index each fused row fills.
+    pub(crate) rows: Vec<usize>,
+    /// The plan's quantized features and per-row node cursor.
+    pub(crate) keys: Vec<u64>,
+    pub(crate) cur: Vec<u32>,
+    /// Row-major leaf distributions.
+    pub(crate) proba: Vec<f64>,
+}
+
+/// Every sweep buffer of a built-in [`Detector::detect_batch`], kept per
+/// thread and reused call after call: each call clears and resizes what it
+/// uses, so once a thread has run a batch as wide, a call allocates
+/// nothing. Per thread rather than per call site because the trait's
+/// three-argument `detect_batch` has no place to pass it in.
+#[derive(Debug)]
+pub(crate) struct DetectScratch {
+    /// Stage-1 probability per record.
+    pub(crate) p1: Vec<Option<f64>>,
+    pub(crate) sweep: SweepScratch,
+    pub(crate) tree: TreeScratch,
+}
+
+impl DetectScratch {
+    fn new() -> Self {
+        DetectScratch {
+            p1: Vec::new(),
+            sweep: SweepScratch {
+                slots: Vec::new(),
+                starts: Vec::new(),
+                cursor: Vec::new(),
+                grouped: Vec::new(),
+                batch: FeatureBatch::new(4),
+                scratch: Vec::new(),
+                proba: Vec::new(),
+            },
+            tree: TreeScratch {
+                batch: FeatureBatch::new(3),
+                rows: Vec::new(),
+                keys: Vec::new(),
+                cur: Vec::new(),
+                proba: Vec::new(),
+            },
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's [`DetectScratch`].
+    static SCRATCH: RefCell<DetectScratch> = RefCell::new(DetectScratch::new());
+}
+
+/// Runs `f` on this thread's [`DetectScratch`]. A re-entrant call — an
+/// `observe` hook that itself runs `detect_batch` while the outer call
+/// holds the scratch — gets fresh buffers instead.
+pub(crate) fn with_scratch(f: impl FnOnce(&mut DetectScratch)) {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut DetectScratch::new()),
+    })
+}
+
+/// The single-stage detectors' collaboration loop: observes every record
+/// with a stage-1 probability, in record order, and pushes its detection
+/// (`None` where stage 1 failed). The summary is ignored, but the tracker
+/// must still record the prediction.
+pub(crate) fn single_stage(
+    p1: &[Option<f64>],
+    observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
+    out: &mut Vec<Option<Detection>>,
+) {
+    out.extend(p1.iter().enumerate().map(|(i, p)| {
+        let p = (*p)?;
+        let _ = observe(i, p);
+        Some(Detection::from_p_abnormal(p))
+    }));
 }
 
 /// The Naïve Bayes feature schema shared by AD3 and the centralized model:

@@ -1,6 +1,6 @@
 use crate::collaboration::{SummaryTracker, VehicleSummary};
 use crate::config::ProcessingCostModel;
-use crate::detector::Detector;
+use crate::detector::{Detection, Detector};
 use crate::CoreError;
 use bytes::Bytes;
 use cad3_engine::Executor;
@@ -9,8 +9,8 @@ use cad3_stream::{
     TOPIC_OUT_DATA,
 };
 use cad3_types::{
-    RsuId, SimDuration, SimTime, SummaryMessage, VehicleStatus, WarningKind, WarningMessage,
-    WireDecode, WireEncode,
+    FeatureRecord, RsuId, SimDuration, SimTime, SummaryMessage, VehicleStatus, WarningKind,
+    WarningMessage, WireDecode, WireEncode,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -67,6 +67,13 @@ pub struct RsuNode {
     /// registry lock).
     lag_gauge: cad3_obs::Handle<cad3_obs::Gauge>,
     road_stats: crate::OnlineRoadStats,
+    /// Each shard's batch buffers, indexed by shard. A batch fills the
+    /// buckets, moves the non-empty jobs out to the detect stage and puts
+    /// them back when the stage returns them, so the buffers outlive the
+    /// batch and stop allocating once warm.
+    jobs: Vec<ShardJob>,
+    /// The detect stage's input vector, kept for its capacity.
+    dispatch: Vec<ShardJob>,
     records_processed: u64,
     warnings_produced: u64,
     batches: u64,
@@ -96,6 +103,34 @@ struct ShardRow {
     arrived_ns: u64,
     trace: Option<cad3_obs::TraceContext>,
     value: Bytes,
+}
+
+/// What a warning and a detect span need of a decoded record beside its
+/// feature row: `(sent_at, seq, span_base, trace)`.
+type Side = (SimTime, u32, u64, Option<cad3_obs::TraceContext>);
+
+/// One shard's buffers for a batch. The [`RsuNode`] owns one per shard; the
+/// detect stage takes it with its bucket and hands it back with `rows`,
+/// `feats`, `sides` and `detections` emptied and `out` filled, which the
+/// merge drains.
+#[derive(Default)]
+struct ShardJob {
+    /// The tracker shard every record of `rows` keys to.
+    shard: usize,
+    /// The bucket: this shard's records of the batch, in arrival order.
+    rows: Vec<ShardRow>,
+    /// Decoded records as feature rows, and what rides beside each.
+    feats: Vec<FeatureRecord>,
+    sides: Vec<Side>,
+    /// One detection per feature row.
+    detections: Vec<Option<Detection>>,
+    out: ShardOutput,
+}
+
+impl ShardJob {
+    fn new(shard: usize) -> Self {
+        ShardJob { shard, ..ShardJob::default() }
+    }
 }
 
 /// One shard's share of a [`BatchResult`], each vector in the shard's
@@ -156,6 +191,7 @@ impl RsuNode {
             Consumer::new(Arc::clone(&broker), "collaboration", OffsetReset::Earliest);
         co_consumer.subscribe(&[TOPIC_CO_DATA]).expect("topic just created");
         let shards = (0..executor.workers()).map(|_| Mutex::new(SummaryTracker::new())).collect();
+        let jobs = (0..executor.workers()).map(ShardJob::new).collect();
         let lag_gauge =
             cad3_obs::registry().gauge(&format!("{}.{name}", cad3_obs::names::RSU_LAG_PREFIX));
         RsuNode {
@@ -172,6 +208,8 @@ impl RsuNode {
             cost_model,
             lag_gauge,
             road_stats: crate::OnlineRoadStats::new(),
+            jobs,
+            dispatch: Vec::new(),
             records_processed: 0,
             warnings_produced: 0,
             batches: 0,
@@ -272,9 +310,7 @@ impl RsuNode {
         let processing = self.cost_model.batch_time(records);
         let detected_at = now + processing;
 
-        let per_shard = records.div_ceil(self.shards.len());
-        let mut buckets: Vec<Vec<ShardRow>> =
-            (0..self.shards.len()).map(|_| Vec::with_capacity(per_shard)).collect();
+        let n_shards = self.jobs.len();
         for rec in batch {
             // Kafka keys our status records with the vehicle id; the worker
             // drops a record whose payload names a different vehicle.
@@ -288,8 +324,8 @@ impl RsuNode {
             // workers emit with these pre-assigned ids, so trace artifacts
             // never depend on worker schedule (0 = untraced, unused).
             let span_base = if rec.trace.is_some() { cad3_obs::trace::reserve_ids(2) } else { 0 };
-            // hotpath-exempt(panic): one bucket per shard; `shard_of` is below that count.
-            buckets[shard_of(vehicle, self.shards.len())].push(ShardRow {
+            // hotpath-exempt(panic): one job per shard; `shard_of` is below that count.
+            self.jobs[shard_of(vehicle, n_shards)].rows.push(ShardRow {
                 vehicle,
                 span_base,
                 arrived_ns: rec.timestamp,
@@ -299,8 +335,14 @@ impl RsuNode {
         }
         // An empty bucket's output is empty and the merge below only appends,
         // so only the buckets that hold records are dispatched (a batch with
-        // none or one of them runs inline on this thread).
-        buckets.retain(|bucket| !bucket.is_empty());
+        // none or one of them runs inline on this thread). A dispatched job
+        // leaves an empty one of its shard behind until it comes back.
+        let mut dispatch = std::mem::take(&mut self.dispatch);
+        dispatch.extend(
+            (self.jobs.iter_mut())
+                .filter(|job| !job.rows.is_empty())
+                .map(|job| std::mem::replace(job, ShardJob::new(job.shard))),
+        );
         drop(ingest_span);
         let detect_span = cad3_obs::span!("rsu.detect", cad3_types::len_u64(records));
 
@@ -309,23 +351,19 @@ impl RsuNode {
         let detector = Arc::clone(&self.detector);
         let shards = Arc::clone(&self.shards);
         let node = self.id.raw();
-        let outputs = Executor::run(&self.executor, buckets, move |part: Vec<ShardRow>| {
-            let mut out = ShardOutput::default();
-            let Some(first) = part.first() else { return out };
+        let mut outputs = Executor::run(&self.executor, dispatch, move |mut job: ShardJob| {
+            let ShardJob { shard, rows, feats, sides, detections, out } = &mut job;
             let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
             // Every record of the bucket keys to this one shard.
-            // hotpath-exempt(panic): `shard_of` is below `shards.len()`.
-            let mut tracker = shards[shard_of(first.vehicle, shards.len())].lock();
+            // hotpath-exempt(panic): a job's `shard` is below `shards.len()`.
+            let mut tracker = shards[*shard].lock();
 
             // Phase 1: decode and emit the queue spans in input order,
             // compacting decodable records into a contiguous feature slice
             // for the batched detect sweep. Beside each feature row rides
-            // what only its warning and detect span need of the record:
-            // `(sent_at, seq, span_base, trace)`.
-            out.queuing.reserve(part.len());
-            let mut feats = Vec::with_capacity(part.len());
-            let mut sides = Vec::with_capacity(part.len());
-            for mut row in part {
+            // what only its warning and detect span need of the record.
+            out.queuing.reserve(rows.len());
+            for mut row in rows.drain(..) {
                 out.queuing.push(now.saturating_since(SimTime::from_nanos(row.arrived_ns)));
                 // A sampled record's broker wait becomes an `rsu.queue`
                 // span (arrival at the log to batch start), emitted on
@@ -359,15 +397,15 @@ impl RsuNode {
             // record order through the hook, so a vehicle's later
             // records see exactly the summary state the scalar loop
             // would have produced.
-            let mut detections = Vec::with_capacity(feats.len());
+            let feats: &[FeatureRecord] = feats;
             {
                 // Profile-only stage (no recorder write): safe inside
                 // worker threads where span records would race the ring.
                 let _sweep = cad3_obs::profile_span!("ml.nb.sweep");
                 detector.detect_batch(
-                    &feats,
+                    feats,
                     &mut |i, p1| feats.get(i).and_then(|f| tracker.observe(f.vehicle, f.road, p1)),
-                    &mut detections,
+                    detections,
                 );
             }
 
@@ -375,7 +413,7 @@ impl RsuNode {
             // pre-reserved ids, warnings for abnormal records, road-speed
             // observations. A record without a detection was not processed.
             for ((feat, (sent_at, seq, span_base, trace)), detection) in
-                feats.iter().zip(sides).zip(detections)
+                feats.iter().zip(sides.drain(..)).zip(detections.drain(..))
             {
                 let Some(detection) = detection else { continue };
                 out.processed += 1;
@@ -412,24 +450,48 @@ impl RsuNode {
                 }
                 out.observations.push((feat.road, feat.speed_kmh));
             }
-            out
+            job.feats.clear();
+            job
         });
         drop(detect_span);
 
         // Shard by shard, each in arrival order.
-        let mut queuing = Vec::with_capacity(records);
-        let mut warnings = Vec::new();
-        let mut warning_traces = Vec::new();
-        for shard in outputs {
-            queuing.extend(shard.queuing);
-            self.records_processed += shard.processed;
-            warnings.extend(shard.warnings);
-            warning_traces.extend(shard.warning_traces);
-            for (road, speed) in shard.observations {
+        for job in &outputs {
+            for &(road, speed) in &job.out.observations {
                 // Maintain the road's recent speed context (Section III-A).
                 self.road_stats.observe(road, now, speed);
             }
         }
+        let (queuing, warnings, warning_traces) = match outputs.as_mut_slice() {
+            // One shard's vectors are the batch's: moved, not copied.
+            [job] => (
+                std::mem::take(&mut job.out.queuing),
+                std::mem::take(&mut job.out.warnings),
+                std::mem::take(&mut job.out.warning_traces),
+            ),
+            jobs => {
+                let n_warnings = jobs.iter().map(|job| job.out.warnings.len()).sum();
+                let mut queuing = Vec::with_capacity(records);
+                let mut warnings = Vec::with_capacity(n_warnings);
+                let mut warning_traces = Vec::with_capacity(n_warnings);
+                // `Vec::append` by path: the analyzer resolves a bare
+                // `.append(..)` to `SharedTopic::append` as well.
+                for ShardJob { out, .. } in jobs {
+                    Vec::append(&mut queuing, &mut out.queuing);
+                    Vec::append(&mut warnings, &mut out.warnings);
+                    Vec::append(&mut warning_traces, &mut out.warning_traces);
+                }
+                (queuing, warnings, warning_traces)
+            }
+        };
+        for mut job in outputs.drain(..) {
+            self.records_processed += std::mem::take(&mut job.out.processed);
+            job.out.observations.clear();
+            if let Some(slot) = self.jobs.get_mut(job.shard) {
+                *slot = job;
+            }
+        }
+        self.dispatch = outputs;
         self.warnings_produced += warnings.len() as u64;
         cad3_obs::counter!("rsu.records").add(cad3_types::len_u64(records));
         cad3_obs::counter!("rsu.warnings").add(cad3_types::len_u64(warnings.len()));

@@ -13,13 +13,13 @@ use cad3::detector::{
 use cad3::{SummaryTracker, VehicleSummary};
 use cad3_data::{DatasetConfig, SyntheticDataset};
 use cad3_ml::LogisticParams;
-use cad3_types::{FeatureRecord, RoadType, RsuId, SimTime};
+use cad3_types::{FeatureRecord, Label, RoadType, RsuId, SimTime};
 
 /// Delegates everything except `detect_batch`, so the trait's default
 /// scalar loop runs against the same underlying model.
-struct ScalarRef<'a, D: Detector>(&'a D);
+struct ScalarRef<'a, D: Detector + ?Sized>(&'a D);
 
-impl<D: Detector> Detector for ScalarRef<'_, D> {
+impl<D: Detector + ?Sized> Detector for ScalarRef<'_, D> {
     fn name(&self) -> &'static str {
         self.0.name()
     }
@@ -107,6 +107,80 @@ fn assert_equivalent(fast: &dyn Detector, scalar: &dyn Detector, records: &[Feat
     }
 }
 
+/// A detection as comparable bits.
+fn bits(out: &[Option<Detection>]) -> Vec<Option<(Label, u64)>> {
+    out.iter().map(|d| d.map(|d| (d.label, d.p_abnormal.to_bits()))).collect()
+}
+
+/// Widths a thread's sweep scratch is put through back to back: wide, then
+/// narrower than every buffer, odd, empty, wider than ever, and narrow again.
+const SCRATCH_WIDTHS: [usize; 6] = [1024, 1, 97, 0, 2048, 3];
+
+/// Runs `det` over consecutive `records` (cycled) at [`SCRATCH_WIDTHS`] on
+/// one thread and one tracker, appending every call to an `out` that starts
+/// non-empty.
+fn run_widths(det: &dyn Detector, records: &[FeatureRecord]) -> Vec<Option<Detection>> {
+    let mut tracker = det.new_tracker();
+    let mut out = vec![Some(Detection::from_p_abnormal(0.25)), None];
+    let mut recs = records.iter().copied().cycle();
+    for width in SCRATCH_WIDTHS {
+        let batch: Vec<FeatureRecord> = recs.by_ref().take(width).collect();
+        det.detect_batch(
+            &batch,
+            &mut |i, p1| tracker.observe(batch[i].vehicle, batch[i].road, p1),
+            &mut out,
+        );
+    }
+    out
+}
+
+/// Runs `det` over `outer` with a hook that, every 16th record, runs
+/// `det.detect_batch` over `inner` on its own tracker while the outer call
+/// is mid-sweep. Returns the outer detections and every inner run's.
+fn run_reentrant(
+    det: &dyn Detector,
+    outer: &[FeatureRecord],
+    inner: &[FeatureRecord],
+) -> (Vec<Option<Detection>>, Vec<Option<Detection>>) {
+    let mut tracker = det.new_tracker();
+    let mut inner_tracker = det.new_tracker();
+    let (mut out, mut inner_out) = (Vec::new(), Vec::new());
+    det.detect_batch(
+        outer,
+        &mut |i, p1| {
+            if i % 16 == 0 {
+                det.detect_batch(
+                    inner,
+                    &mut |j, p| inner_tracker.observe(inner[j].vehicle, inner[j].road, p),
+                    &mut inner_out,
+                );
+            }
+            tracker.observe(outer[i].vehicle, outer[i].road, p1)
+        },
+        &mut out,
+    );
+    (out, inner_out)
+}
+
+/// The thread's reused sweep scratch leaks nothing from one call into the
+/// next, whatever the widths, and a re-entrant call neither panics nor
+/// disturbs the call it interrupts.
+fn assert_scratch_is_clean(fast: &dyn Detector, scalar: &dyn Detector, records: &[FeatureRecord]) {
+    let total: usize = SCRATCH_WIDTHS.iter().sum();
+    assert!(records.len() * 2 > total, "fixture: the widths cycle the records at most twice");
+    let (got, want) = (run_widths(fast, records), run_widths(scalar, records));
+    assert_eq!(got.len(), 2 + total);
+    assert_eq!(bits(&got), bits(&want), "{}: widths {SCRATCH_WIDTHS:?}", fast.name());
+
+    let (outer, inner) = records.split_at(300);
+    let inner = &inner[..40];
+    let (got, got_inner) = run_reentrant(fast, outer, inner);
+    let (want, want_inner) = run_reentrant(scalar, outer, inner);
+    assert_eq!(got_inner.len(), 40 * outer.len().div_ceil(16), "{}: inner runs", fast.name());
+    assert_eq!(bits(&got), bits(&want), "{}: outer call", fast.name());
+    assert_eq!(bits(&got_inner), bits(&want_inner), "{}: re-entrant calls", fast.name());
+}
+
 fn corpus() -> SyntheticDataset {
     SyntheticDataset::generate(&DatasetConfig::small(7))
 }
@@ -117,6 +191,7 @@ fn ad3_batch_matches_scalar() {
     let cut = ds.features.len() * 8 / 10;
     let det = Ad3Detector::train(&ds.features[..cut]).unwrap();
     assert_equivalent(&det, &ScalarRef(&det), &ds.features[cut..]);
+    assert_scratch_is_clean(&det, &ScalarRef(&det), &ds.features[cut..]);
 }
 
 #[test]
@@ -126,6 +201,7 @@ fn cad3_batch_matches_scalar() {
     let cfg = DetectionConfig::default();
     let det = Cad3Detector::train(&ds.features[..cut], cfg.dt_params, cfg.fusion_weight).unwrap();
     assert_equivalent(&det, &ScalarRef(&det), &ds.features[cut..]);
+    assert_scratch_is_clean(&det, &ScalarRef(&det), &ds.features[cut..]);
 }
 
 #[test]
@@ -134,6 +210,7 @@ fn centralized_batch_matches_scalar() {
     let cut = ds.features.len() * 8 / 10;
     let det = CentralizedDetector::train(&ds.features[..cut]).unwrap();
     assert_equivalent(&det, &ScalarRef(&det), &ds.features[cut..]);
+    assert_scratch_is_clean(&det, &ScalarRef(&det), &ds.features[cut..]);
 }
 
 #[test]
@@ -142,6 +219,33 @@ fn logistic_batch_matches_scalar() {
     let cut = ds.features.len() * 8 / 10;
     let det = LogisticAd3Detector::train(&ds.features[..cut], LogisticParams::default()).unwrap();
     assert_equivalent(&det, &ScalarRef(&det), &ds.features[cut..]);
+    assert_scratch_is_clean(&det, &ScalarRef(&det), &ds.features[cut..]);
+}
+
+#[test]
+fn every_detector_shares_one_threads_scratch_cleanly() {
+    // All four built-in detectors, back to back on this one thread: each
+    // call's sweep buffers hold the previous detector's rows and widths.
+    let ds = corpus();
+    let cut = ds.features.len() * 8 / 10;
+    let (train, test) = ds.features.split_at(cut);
+    let cfg = DetectionConfig::default();
+    let detectors: Vec<Box<dyn Detector>> = vec![
+        Box::new(Cad3Detector::train(train, cfg.dt_params, cfg.fusion_weight).unwrap()),
+        Box::new(Ad3Detector::train(train).unwrap()),
+        Box::new(LogisticAd3Detector::train(train, LogisticParams::default()).unwrap()),
+        Box::new(CentralizedDetector::train(train).unwrap()),
+    ];
+    for _ in 0..2 {
+        for det in &detectors {
+            assert_eq!(
+                bits(&run_widths(det.as_ref(), test)),
+                bits(&run_widths(&ScalarRef(det.as_ref()), test)),
+                "{}",
+                det.name()
+            );
+        }
+    }
 }
 
 #[test]

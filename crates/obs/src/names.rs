@@ -27,6 +27,9 @@ pub const STREAM_PRODUCER_BYTES: &str = "stream.producer.bytes";
 pub const STREAM_CONSUMER_POLLS: &str = "stream.consumer.polls";
 /// Records delivered by `Consumer::poll` (counter).
 pub const STREAM_CONSUMER_RECORDS: &str = "stream.consumer.records";
+/// Records `Consumer::poll` never delivered because retention dropped them
+/// before the consumer reached them (counter).
+pub const STREAM_CONSUMER_SKIPPED: &str = "stream.consumer.skipped";
 
 /// Wall-clock micro-batch time, nanoseconds (histogram; exporter-gated).
 pub const ENGINE_BATCH_WALL_NS: &str = "engine.batch.wall_ns";
@@ -142,6 +145,7 @@ pub const ALL: &[&str] = &[
     STREAM_PRODUCER_BYTES,
     STREAM_CONSUMER_POLLS,
     STREAM_CONSUMER_RECORDS,
+    STREAM_CONSUMER_SKIPPED,
     ENGINE_BATCH_WALL_NS,
     ENGINE_TICK_JITTER_NS,
     RSU_MICRO_BATCH,
@@ -207,6 +211,7 @@ pub const HELP: &[(&str, &str)] = &[
     (STREAM_PRODUCER_BYTES, "Bytes published by Producer::send."),
     (STREAM_CONSUMER_POLLS, "Consumer::poll calls."),
     (STREAM_CONSUMER_RECORDS, "Records delivered by Consumer::poll."),
+    (STREAM_CONSUMER_SKIPPED, "Records retention dropped before Consumer::poll reached them."),
     (ENGINE_BATCH_WALL_NS, "Wall-clock micro-batch time in nanoseconds."),
     (ENGINE_TICK_JITTER_NS, "Scheduler tick start minus planned instant in nanoseconds."),
     (RSU_MICRO_BATCH, "Duration of one RSU micro-batch in nanoseconds."),

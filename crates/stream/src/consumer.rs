@@ -116,7 +116,13 @@ impl Consumer {
             let batch = match topic.fetch(partition, cursor.position, room) {
                 Ok(b) => b,
                 Err(StreamError::OffsetOutOfRange { earliest, .. }) => {
-                    // Retention overtook us; resume from the horizon.
+                    // Retention overtook us: the records between our
+                    // position and the horizon are gone unread. Count them,
+                    // then resume from the horizon.
+                    if cad3_obs::enabled() {
+                        cad3_obs::counter!("stream.consumer.skipped")
+                            .add(earliest.saturating_sub(cursor.position));
+                    }
                     cursor.position = earliest;
                     topic.fetch(partition, earliest, room)?
                 }
@@ -165,6 +171,32 @@ mod tests {
     use super::*;
     use crate::Producer;
     use bytes::Bytes;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serialises the tests of this binary that flip the process-wide obs
+    /// gate.
+    static OBS_GATE: Mutex<()> = Mutex::new(());
+
+    /// The obs gate held on, under [`OBS_GATE`], until dropped: a failed
+    /// assert unwinds through the drop and cannot leave obs on for the
+    /// tests that run after it.
+    struct ObsOn {
+        _serial: MutexGuard<'static, ()>,
+    }
+
+    impl ObsOn {
+        fn new() -> Self {
+            let serial = OBS_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+            cad3_obs::set_enabled(true);
+            ObsOn { _serial: serial }
+        }
+    }
+
+    impl Drop for ObsOn {
+        fn drop(&mut self) {
+            cad3_obs::set_enabled(false);
+        }
+    }
 
     fn setup() -> (Arc<Broker>, Producer) {
         let broker = Arc::new(Broker::new("rsu"));
@@ -315,6 +347,30 @@ mod tests {
         assert!(c.poll(100).unwrap().is_empty());
         c.seek_to_beginning();
         assert_eq!(c.poll(100).unwrap().len(), 5);
+    }
+
+    #[test]
+    fn records_retention_overtook_are_counted_as_skipped() {
+        // A reader of a retention-2 partition at offset 0 after 5 appends:
+        // offsets 0..3 are gone, 3 and 4 are still there.
+        let topic = Arc::new(SharedTopic::with_retention("IN-DATA", 1, 2).unwrap());
+        for i in 0..5u64 {
+            topic.append(Some(0), None, Bytes::from(i.to_string()), i).unwrap();
+        }
+        let (broker, _) = setup();
+        let mut c = Consumer::new(broker, "behind", OffsetReset::Earliest);
+        c.cursors.push(Cursor { topic, partition: 0, position: 0 });
+        c.subscribed = true;
+
+        let skipped = || cad3_obs::registry().snapshot().counter("stream.consumer.skipped");
+        let obs_on = ObsOn::new();
+        let before = skipped();
+        let recs = c.poll(100).unwrap();
+        let after = skipped();
+        drop(obs_on);
+        let offsets: Vec<u64> = recs.iter().map(|r| r.offset).collect();
+        assert_eq!(offsets, vec![3, 4], "the poll resumes from the horizon");
+        assert_eq!(after - before, 3, "and counts the three records it never saw");
     }
 
     #[test]
