@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the substrate hot paths: broker
 //! produce/fetch, wire codec, MAC airtime, HTB shaping, DSRC send, geo math.
 
+use bytes::Bytes;
 use cad3_net::{DsrcChannel, HtbShaper, MacModel, Mcs};
 use cad3_sim::SimRng;
-use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
+use cad3_stream::{Broker, Consumer, OffsetReset};
 use cad3_types::{
     DayOfWeek, GeoPoint, HourOfDay, Label, RoadId, RoadType, SimDuration, SimTime, TripId,
     VehicleId, VehicleStatus, WireDecode, WireEncode,
@@ -52,26 +53,22 @@ fn bench_broker(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
     let broker = Arc::new(Broker::new("bench"));
     broker.create_topic("IN-DATA", 3).expect("fresh broker");
-    let producer = Producer::new(Arc::clone(&broker));
     let payload = status().encode_to_bytes();
     group.bench_function("produce", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            producer
-                .send("IN-DATA", Some(&i.to_be_bytes()), payload.clone(), i)
-                .expect("topic exists")
+            let key = Bytes::copy_from_slice(&i.to_be_bytes());
+            broker.produce("IN-DATA", None, Some(key), payload.clone(), i).expect("topic exists")
         });
     });
 
     // Fetch a pre-filled log through the consumer path.
     let broker2 = Arc::new(Broker::new("bench2"));
     broker2.create_topic("IN-DATA", 3).expect("fresh broker");
-    let producer2 = Producer::new(Arc::clone(&broker2));
     for i in 0..10_000u64 {
-        producer2
-            .send("IN-DATA", Some(&i.to_be_bytes()), payload.clone(), i)
-            .expect("topic exists");
+        let key = Bytes::copy_from_slice(&i.to_be_bytes());
+        broker2.produce("IN-DATA", None, Some(key), payload.clone(), i).expect("topic exists");
     }
     group.throughput(Throughput::Elements(128));
     group.bench_function("poll_128", |b| {

@@ -22,13 +22,14 @@
 //! monotonic clock read point (the `no-wallclock` lint bans `Instant::now`
 //! here). Observability stays detached so the numbers are the raw path.
 
+use bytes::Bytes;
 use cad3_bench::json::Json;
-use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
+use cad3_stream::{Broker, Consumer, OffsetReset};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Producer thread counts measured for the scaling curve.
+/// Appending thread counts measured for the scaling curve.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Partitions of the benchmark topic: enough for 8 producers to spread.
 const PARTITIONS: u32 = 8;
@@ -53,8 +54,8 @@ fn fail(msg: &str) -> ! {
 }
 
 /// 64-byte stand-in for an encoded `VehicleStatus` payload.
-fn payload() -> bytes::Bytes {
-    bytes::Bytes::from_static(&[0u8; 64])
+fn payload() -> Bytes {
+    Bytes::from_static(&[0u8; 64])
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -80,12 +81,11 @@ fn produce_once(threads: usize, total: u64) -> f64 {
         let broker = Arc::clone(&broker);
         let value = value.clone();
         handles.push(std::thread::spawn(move || {
-            let producer = Producer::new(broker);
             for i in 0..per_thread {
                 // Distinct keys per thread spread records over all
                 // partitions by FNV hash, like distinct vehicle ids.
-                let key = ((tid << 48) | i).to_be_bytes();
-                if producer.send("BENCH", Some(&key), value.clone(), i).is_err() {
+                let key = Bytes::copy_from_slice(&((tid << 48) | i).to_be_bytes());
+                if broker.produce("BENCH", None, Some(key), value.clone(), i).is_err() {
                     fail("send failed mid-benchmark");
                 }
             }
@@ -107,10 +107,10 @@ fn poll128_once(prefill: u64, polls: usize) -> f64 {
     if broker.create_topic("BENCH", 3).is_err() {
         fail("create_topic failed on a fresh broker");
     }
-    let producer = Producer::new(Arc::clone(&broker));
     let value = payload();
     for i in 0..prefill {
-        if producer.send("BENCH", Some(&i.to_be_bytes()), value.clone(), i).is_err() {
+        let key = Bytes::copy_from_slice(&i.to_be_bytes());
+        if broker.produce("BENCH", None, Some(key), value.clone(), i).is_err() {
             fail("prefill send failed");
         }
     }

@@ -57,7 +57,8 @@ fn main() {
     if live {
         // Replay at the contract cadence: a 100 ms tick becomes a 100 ms
         // redraw, so the animation runs at the speed the pipeline ran.
-        let mut pacer = cad3_engine::WallClockPacer::new(std::time::Duration::from_nanos(tick_ns));
+        let mut pacer =
+            cad3_obs::clock::WallClockPacer::new(std::time::Duration::from_nanos(tick_ns));
         for frame in frames.iter() {
             print!("\x1b[2J\x1b[H{frame}");
             let _ = io::stdout().flush();

@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod accidents;
-mod alerts;
 mod collaboration;
 mod config;
 pub mod detector;
@@ -56,7 +55,6 @@ pub mod scenario;
 mod testbed;
 mod vehicle;
 
-pub use alerts::AlertThrottle;
 pub use collaboration::{lineage_context, lineage_of, SummaryTracker, VehicleSummary};
 pub use testbed::{MigrationSpec, Observer, RsuReport, RsuSpec, ScenarioSpec};
 

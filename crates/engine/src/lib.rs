@@ -8,39 +8,35 @@
 //! * [`Executor`] — a fixed pool of long-lived worker threads executing
 //!   per-partition tasks in parallel (the "6 worker nodes"): started once by
 //!   [`Executor::new`], woken per stage, joined when the last handle drops.
-//! * [`PartitionedDataset`] — an RDD-like partitioned collection with
-//!   `map` / `filter` / `flat_map` / `reduce` / `group_by_key` operators
-//!   that run on an executor. An operator consumes its dataset: each
-//!   partition moves, owned, into the job that processes it — on a worker
-//!   or on the calling thread — and the closure must be `'static`: share
-//!   state with it through an `Arc`, keep an input by cloning it first.
-//! * [`RealtimeScheduler`] — a wall-clock ticker that calls a micro-batch
-//!   closure once per interval, reporting [`BatchMetrics`] per tick.
+//!   A stage consumes its inputs: each chunk moves, owned, into the job that
+//!   processes it — on a worker or on the calling thread — and the closure
+//!   must be `'static`: share state with it through an `Arc`.
+//! * [`SlidingWindow`] / [`KeyedWindows`] — the windowed aggregates behind
+//!   the RSU's per-road speed statistics.
+//! * [`PartitionedDataset`] — one partitioned collection with a single
+//!   per-partition stage, [`PartitionedDataset::map_partitions`].
 //!
 //! The micro-batch loop itself is not here: the RSU job
 //! (`cad3::RsuNode::run_batch`) *is* the loop — it polls `IN-DATA`, shards
-//! the batch into a [`PartitionedDataset`] and runs detection on the
-//! [`Executor`]. The virtual-time testbed calls it every 50 simulated
-//! milliseconds; [`RealtimeScheduler`] calls it from a real thread.
+//! the batch and runs detection on the [`Executor`]. The virtual-time
+//! testbed calls it every 50 simulated milliseconds; the live integration
+//! test calls it from a real thread every 20 wall-clock milliseconds.
 //!
 //! # Example
 //!
 //! ```
-//! use cad3_engine::{Executor, PartitionedDataset};
-//!
+//! use cad3_engine::Executor;
 //! use std::sync::Arc;
 //!
 //! let exec = Executor::new(6);
-//! let ds = PartitionedDataset::from_vec((0..100).collect::<Vec<i64>>(), 4);
-//! // `map` takes the dataset and hands each element to `f` by value.
-//! let doubled = ds.map(&exec, |x| x * 2);
-//! assert_eq!(doubled.count(), 100);
+//! // `run` takes its inputs and hands each one to `f` by value; the
+//! // outputs come back in input order.
+//! let doubled = exec.run((0..100).collect(), |x: i64| x * 2);
+//! assert_eq!(doubled.iter().sum::<i64>(), 9900);
 //! // State a stage shares with its workers travels in an `Arc`.
 //! let offset = Arc::new(1i64);
-//! let shifted = doubled.clone().map(&exec, move |x| x + *offset);
-//! assert_eq!(shifted.reduce(&exec, 0i64, |a, b| a + b), 10_000);
-//! // `doubled` was cloned above, so it is still here to consume.
-//! assert_eq!(doubled.reduce(&exec, 0i64, |a, b| a + b), 9900);
+//! let shifted = exec.run(doubled, move |x| x + *offset);
+//! assert_eq!(shifted.iter().sum::<i64>(), 10_000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,13 +44,11 @@
 
 mod dataset;
 mod executor;
-mod realtime;
 mod sync;
 mod window;
 
 pub use dataset::PartitionedDataset;
 pub use executor::Executor;
-pub use realtime::{BatchMetrics, RealtimeScheduler, WallClockPacer};
 pub use window::{KeyedWindows, SlidingWindow};
 
 /// Spark worker count in the paper's testbed.

@@ -1,8 +1,8 @@
 //! The one wall-clock read point of the observability substrate.
 //!
 //! Instrumented crates must not touch `Instant::now` themselves (the
-//! workspace `no-wallclock` lint confines clock reads to this file and the
-//! real-time scheduler); they call [`now_nanos`], which reports monotonic
+//! workspace `no-wallclock` lint confines clock reads and sleeps to this
+//! file); they call [`now_nanos`], which reports monotonic
 //! nanoseconds since the first observation in this process. Keeping the
 //! anchor process-local makes timestamps small, monotone and serialisable
 //! as `u64` without committing to any epoch.
@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 static VIRTUAL_MODE: AtomicBool = AtomicBool::new(false);
 static VIRTUAL_NOW: AtomicU64 = AtomicU64::new(0);
@@ -74,6 +74,35 @@ pub fn set_virtual_nanos(ns: u64) {
 pub fn is_virtual() -> bool {
     // ordering: Relaxed — advisory flag, see [`set_virtual_nanos`].
     VIRTUAL_MODE.load(Ordering::Relaxed)
+}
+
+/// A fixed-rate wall-clock pacer for interactive tools (the `cad3_top`
+/// console). Lives here because this file is the workspace's one sanctioned
+/// wall-clock site (the `no-wallclock` lint allowance): binaries pace
+/// through it instead of calling `Instant::now`/`sleep` directly.
+#[derive(Debug)]
+pub struct WallClockPacer {
+    next: Instant,
+    interval: Duration,
+}
+
+impl WallClockPacer {
+    /// Creates a pacer whose first tick is one `interval` from now.
+    pub fn new(interval: Duration) -> Self {
+        WallClockPacer { next: Instant::now() + interval, interval }
+    }
+
+    /// Sleeps until the next tick boundary. A pacer that has fallen behind
+    /// re-anchors to the present rather than bursting to catch up.
+    pub fn wait(&mut self) {
+        let now = Instant::now();
+        if self.next > now {
+            std::thread::sleep(self.next - now);
+        } else {
+            self.next = now;
+        }
+        self.next += self.interval;
+    }
 }
 
 #[cfg(test)]

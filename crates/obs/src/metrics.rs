@@ -10,12 +10,11 @@
 //! # Ordering policy
 //!
 //! Every cell is an independent monotone statistic that no code uses to
-//! synchronise other memory (the same policy as `cad3_stream::Producer`'s
-//! counters). All accesses are `Relaxed`; a merged snapshot taken during
-//! concurrent writes may lag in-flight updates and its `sum`/`max` need not
-//! be mutually consistent with the bucket totals at any instant, but once
-//! writers are quiescent (e.g. after a thread join) the merge is exact —
-//! the property model-checked in `tests/loom_obs.rs`.
+//! synchronise other memory. All accesses are `Relaxed`; a merged snapshot
+//! taken during concurrent writes may lag in-flight updates and its
+//! `sum`/`max` need not be mutually consistent with the bucket totals at any
+//! instant, but once writers are quiescent (e.g. after a thread join) the
+//! merge is exact — the property model-checked in `tests/loom_obs.rs`.
 
 use crate::sync::{AtomicU64, Ordering};
 

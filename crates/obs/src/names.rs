@@ -19,10 +19,6 @@ pub const STREAM_BROKER_FETCH_RECORDS: &str = "stream.broker.fetch.records";
 pub const STREAM_BROKER_PRODUCE_NS: &str = "stream.broker.produce_ns";
 /// `Broker::fetch` latency, nanoseconds (histogram; exporter-gated).
 pub const STREAM_BROKER_FETCH_NS: &str = "stream.broker.fetch_ns";
-/// Records published by `Producer::send*` (counter).
-pub const STREAM_PRODUCER_RECORDS: &str = "stream.producer.records";
-/// Bytes published by `Producer::send*` (counter).
-pub const STREAM_PRODUCER_BYTES: &str = "stream.producer.bytes";
 /// `Consumer::poll` calls (counter).
 pub const STREAM_CONSUMER_POLLS: &str = "stream.consumer.polls";
 /// Records delivered by `Consumer::poll` (counter).
@@ -30,12 +26,6 @@ pub const STREAM_CONSUMER_RECORDS: &str = "stream.consumer.records";
 /// Records `Consumer::poll` never delivered because retention dropped them
 /// before the consumer reached them (counter).
 pub const STREAM_CONSUMER_SKIPPED: &str = "stream.consumer.skipped";
-
-/// Wall-clock micro-batch time, nanoseconds (histogram; exporter-gated).
-pub const ENGINE_BATCH_WALL_NS: &str = "engine.batch.wall_ns";
-/// Scheduler tick start minus its planned instant, nanoseconds
-/// (histogram; exporter-gated).
-pub const ENGINE_TICK_JITTER_NS: &str = "engine.scheduler.tick_jitter_ns";
 
 /// One RSU micro-batch (span; enter value = record count).
 pub const RSU_MICRO_BATCH: &str = "rsu.micro_batch";
@@ -91,11 +81,6 @@ pub const OBS_RECORDER_DROPPED: &str = "obs.recorder.dropped";
 /// Trace events rejected by the bounded trace sink (gauge).
 pub const OBS_TRACE_DROPPED: &str = "obs.trace.dropped";
 
-/// Warnings that reached a driver through `AlertThrottle` (counter).
-pub const ALERTS_SENT: &str = "alerts.sent";
-/// Warnings suppressed by the alert hold-off window (counter).
-pub const ALERTS_SUPPRESSED: &str = "alerts.suppressed";
-
 /// Bytes carried by wired RSU-interconnect links (counter).
 pub const NET_LINK_BYTES: &str = "net.link.bytes";
 /// Frames carried by wired RSU-interconnect links (counter).
@@ -141,13 +126,9 @@ pub const ALL: &[&str] = &[
     STREAM_BROKER_FETCH_RECORDS,
     STREAM_BROKER_PRODUCE_NS,
     STREAM_BROKER_FETCH_NS,
-    STREAM_PRODUCER_RECORDS,
-    STREAM_PRODUCER_BYTES,
     STREAM_CONSUMER_POLLS,
     STREAM_CONSUMER_RECORDS,
     STREAM_CONSUMER_SKIPPED,
-    ENGINE_BATCH_WALL_NS,
-    ENGINE_TICK_JITTER_NS,
     RSU_MICRO_BATCH,
     RSU_HANDOVER_FUSE,
     RSU_INGEST,
@@ -170,8 +151,6 @@ pub const ALL: &[&str] = &[
     RSU_DISSEMINATE,
     OBS_RECORDER_DROPPED,
     OBS_TRACE_DROPPED,
-    ALERTS_SENT,
-    ALERTS_SUPPRESSED,
     NET_LINK_BYTES,
     NET_LINK_FRAMES,
     BENCH_RESULTS_WRITTEN,
@@ -207,13 +186,9 @@ pub const HELP: &[(&str, &str)] = &[
     (STREAM_BROKER_FETCH_RECORDS, "Records returned by Broker::fetch."),
     (STREAM_BROKER_PRODUCE_NS, "Append latency of head-sampled records, nanoseconds."),
     (STREAM_BROKER_FETCH_NS, "Broker::fetch latency in nanoseconds."),
-    (STREAM_PRODUCER_RECORDS, "Records published by Producer::send."),
-    (STREAM_PRODUCER_BYTES, "Bytes published by Producer::send."),
     (STREAM_CONSUMER_POLLS, "Consumer::poll calls."),
     (STREAM_CONSUMER_RECORDS, "Records delivered by Consumer::poll."),
     (STREAM_CONSUMER_SKIPPED, "Records retention dropped before Consumer::poll reached them."),
-    (ENGINE_BATCH_WALL_NS, "Wall-clock micro-batch time in nanoseconds."),
-    (ENGINE_TICK_JITTER_NS, "Scheduler tick start minus planned instant in nanoseconds."),
     (RSU_MICRO_BATCH, "Duration of one RSU micro-batch in nanoseconds."),
     (RSU_HANDOVER_FUSE, "Duration of the CO-DATA ingest and fuse stage in nanoseconds."),
     (RSU_INGEST, "Duration of the IN-DATA ingest stage in nanoseconds."),
@@ -236,8 +211,6 @@ pub const HELP: &[(&str, &str)] = &[
     (RSU_DISSEMINATE, "Warning publish to driver delivery in nanoseconds."),
     (OBS_RECORDER_DROPPED, "Flight-recorder events lost to ring wrap."),
     (OBS_TRACE_DROPPED, "Trace events rejected by the bounded trace sink."),
-    (ALERTS_SENT, "Warnings that reached a driver through AlertThrottle."),
-    (ALERTS_SUPPRESSED, "Warnings suppressed by the alert hold-off window."),
     (NET_LINK_BYTES, "Bytes carried by wired RSU-interconnect links."),
     (NET_LINK_FRAMES, "Frames carried by wired RSU-interconnect links."),
     (BENCH_RESULTS_WRITTEN, "Result artefacts written by the bench harness."),

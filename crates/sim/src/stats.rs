@@ -177,7 +177,13 @@ impl SampleSet {
         }
     }
 
-    /// The `p`-th percentile (`0.0..=100.0`) by nearest-rank on a sorted copy.
+    /// The `p`-th percentile (`0.0..=100.0`) of a sorted copy: the sample at
+    /// index `round(p / 100 · (n − 1))`, the nearest sample to the linearly
+    /// interpolated rank.
+    ///
+    /// This is not nearest-rank (`ceil(p / 100 · n)`, what
+    /// `cad3_obs::trace::percentile` computes): on `1..=100` its p50 is 51
+    /// where nearest-rank gives 50; at p95 both give 95.
     ///
     /// Returns 0 when the set is empty.
     ///
@@ -336,6 +342,15 @@ mod tests {
         assert!((median - 50.0).abs() <= 1.0, "median {median}");
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 100.0);
+    }
+
+    #[test]
+    fn percentile_rounds_the_interpolated_index() {
+        let s: SampleSet = (1..=100).map(|x| x as f64).collect();
+        // round(0.5 · 99) = 50 → the 51st sample; nearest-rank would say 50.
+        assert_eq!(s.percentile(50.0), 51.0);
+        // round(0.95 · 99) = 94 → 95, where nearest-rank agrees.
+        assert_eq!(s.percentile(95.0), 95.0);
     }
 
     #[test]

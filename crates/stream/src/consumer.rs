@@ -169,7 +169,6 @@ impl Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Producer;
     use bytes::Bytes;
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -198,24 +197,31 @@ mod tests {
         }
     }
 
-    fn setup() -> (Arc<Broker>, Producer) {
+    fn setup() -> Arc<Broker> {
         let broker = Arc::new(Broker::new("rsu"));
         broker.create_topic("IN-DATA", 3).unwrap();
-        let producer = Producer::new(Arc::clone(&broker));
-        (broker, producer)
+        broker
+    }
+
+    /// Appends one record to `IN-DATA`, routed by its key.
+    fn send(broker: &Broker, key: Option<&[u8]>, value: impl Into<Bytes>, timestamp: u64) {
+        let key = key.map(Bytes::copy_from_slice);
+        broker.produce("IN-DATA", None, key, value.into(), timestamp).unwrap();
     }
 
     #[test]
     fn trace_header_survives_produce_and_poll() {
         use cad3_obs::TraceContext;
-        let (broker, producer) = setup();
+        let broker = setup();
         // Mix traced, untraced and hopped records.
         let ctx = TraceContext::from_parts(77, 5, 1);
-        producer.send_traced("IN-DATA", Some(b"veh-1"), &b"a"[..], 0, Some(ctx)).unwrap();
-        producer.send("IN-DATA", Some(b"veh-2"), &b"b"[..], 1).unwrap();
-        producer
-            .send_traced("IN-DATA", Some(b"veh-3"), &b"c"[..], 2, Some(ctx.next_hop(9)))
-            .unwrap();
+        let traced = |key: &'static [u8], value: &'static [u8], ts, trace| {
+            let key = Some(Bytes::from_static(key));
+            broker.produce_traced("IN-DATA", None, key, Bytes::from_static(value), ts, trace)
+        };
+        traced(b"veh-1", b"a", 0, Some(ctx)).unwrap();
+        send(&broker, Some(b"veh-2"), &b"b"[..], 1);
+        traced(b"veh-3", b"c", 2, Some(ctx.next_hop(9))).unwrap();
         let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
         c.subscribe(&["IN-DATA"]).unwrap();
         let mut recs = c.poll(100).unwrap();
@@ -229,16 +235,16 @@ mod tests {
 
     #[test]
     fn poll_before_subscribe_errors() {
-        let (broker, _) = setup();
+        let broker = setup();
         let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
         assert_eq!(c.poll(10).unwrap_err(), StreamError::NotSubscribed);
     }
 
     #[test]
     fn earliest_reset_sees_history() {
-        let (broker, producer) = setup();
+        let broker = setup();
         for i in 0..10u64 {
-            producer.send("IN-DATA", Some(format!("v{i}").as_bytes()), &b"x"[..], i).unwrap();
+            send(&broker, Some(format!("v{i}").as_bytes()), &b"x"[..], i);
         }
         let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
         c.subscribe(&["IN-DATA"]).unwrap();
@@ -248,12 +254,12 @@ mod tests {
 
     #[test]
     fn latest_reset_sees_only_new() {
-        let (broker, producer) = setup();
-        producer.send("IN-DATA", None, &b"old"[..], 0).unwrap();
+        let broker = setup();
+        send(&broker, None, &b"old"[..], 0);
         let mut c = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Latest);
         c.subscribe(&["IN-DATA"]).unwrap();
         assert!(c.poll(100).unwrap().is_empty());
-        producer.send("IN-DATA", None, &b"new"[..], 1).unwrap();
+        send(&broker, None, &b"new"[..], 1);
         let recs = c.poll(100).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(&recs[0].value[..], b"new");
@@ -261,11 +267,11 @@ mod tests {
 
     #[test]
     fn poll_advances_without_duplicates() {
-        let (broker, producer) = setup();
-        let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
+        let broker = setup();
+        let mut c = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
         c.subscribe(&["IN-DATA"]).unwrap();
         for i in 0..5u64 {
-            producer.send("IN-DATA", None, Bytes::from(i.to_string()), i).unwrap();
+            send(&broker, None, Bytes::from(i.to_string()), i);
         }
         let first = c.poll(100).unwrap();
         let second = c.poll(100).unwrap();
@@ -275,11 +281,11 @@ mod tests {
 
     #[test]
     fn poll_returns_each_partition_once_in_offset_order() {
-        let (broker, producer) = setup();
-        let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
+        let broker = setup();
+        let mut c = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
         c.subscribe(&["IN-DATA"]).unwrap();
         for i in 0..60u64 {
-            producer.send("IN-DATA", Some(format!("veh-{i}").as_bytes()), &b"x"[..], i).unwrap();
+            send(&broker, Some(format!("veh-{i}").as_bytes()), &b"x"[..], i);
         }
         let recs = c.poll(1000).unwrap();
         assert_eq!(recs.len(), 60);
@@ -303,11 +309,11 @@ mod tests {
 
     #[test]
     fn per_vehicle_order_is_preserved() {
-        let (broker, producer) = setup();
-        let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
+        let broker = setup();
+        let mut c = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
         c.subscribe(&["IN-DATA"]).unwrap();
         for i in 0..20u64 {
-            producer.send("IN-DATA", Some(b"veh-9"), Bytes::from(i.to_string()), i).unwrap();
+            send(&broker, Some(b"veh-9"), Bytes::from(i.to_string()), i);
         }
         let recs = c.poll(100).unwrap();
         let values: Vec<u64> =
@@ -317,13 +323,13 @@ mod tests {
 
     #[test]
     fn consumers_are_independent_readers() {
-        let (broker, producer) = setup();
+        let broker = setup();
         let mut a = Consumer::new(Arc::clone(&broker), "fleet", OffsetReset::Earliest);
         let mut b = Consumer::new(Arc::clone(&broker), "probe", OffsetReset::Earliest);
         a.subscribe(&["IN-DATA"]).unwrap();
         b.subscribe(&["IN-DATA"]).unwrap();
         for i in 0..60u64 {
-            producer.send("IN-DATA", Some(format!("veh-{i}").as_bytes()), &b"x"[..], i).unwrap();
+            send(&broker, Some(format!("veh-{i}").as_bytes()), &b"x"[..], i);
         }
         let offsets = |recs: Vec<FetchedRecord>| -> Vec<(u32, u64)> {
             recs.iter().map(|r| (r.partition, r.offset)).collect()
@@ -337,9 +343,9 @@ mod tests {
 
     #[test]
     fn seek_to_end_skips_history() {
-        let (broker, producer) = setup();
+        let broker = setup();
         for i in 0..5u64 {
-            producer.send("IN-DATA", None, &b"x"[..], i).unwrap();
+            send(&broker, None, &b"x"[..], i);
         }
         let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
         c.subscribe(&["IN-DATA"]).unwrap();
@@ -357,7 +363,7 @@ mod tests {
         for i in 0..5u64 {
             topic.append(Some(0), None, Bytes::from(i.to_string()), i).unwrap();
         }
-        let (broker, _) = setup();
+        let broker = setup();
         let mut c = Consumer::new(broker, "behind", OffsetReset::Earliest);
         c.cursors.push(Cursor { topic, partition: 0, position: 0 });
         c.subscribed = true;
@@ -375,7 +381,7 @@ mod tests {
 
     #[test]
     fn subscribe_to_missing_topic_fails() {
-        let (broker, _) = setup();
+        let broker = setup();
         let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
         assert!(matches!(c.subscribe(&["NOPE"]), Err(StreamError::UnknownTopic(_))));
     }

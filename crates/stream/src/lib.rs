@@ -13,24 +13,26 @@
 //!   count: immutable metadata plus one mutex per partition, so appends and
 //!   fetches to different partitions never contend. (Its single-threaded
 //!   reference semantics live in `tests/support/` as the proptest oracle.)
-//! * [`Broker`] — thread-safe topic registry with by-name produce/fetch.
-//!   Its locks form two ranks: the registry (20), then one partition (30).
-//! * [`Producer`] — the vehicle-side publisher: a thin, cloneable front for
-//!   the broker's by-name produce, with shared send counters.
+//! * [`Broker`] — thread-safe topic registry with by-name produce/fetch;
+//!   every vehicle uplink (the paper's Kafka producers) appends through
+//!   [`Broker::produce_traced`]. Its locks form two ranks: the registry
+//!   (20), then one partition (30).
 //! * [`Consumer`] — an independent reader: its own position in every
 //!   partition of the topics it subscribes to, `poll` and seek.
 //!
 //! # Example
 //!
 //! ```
-//! use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
+//! use bytes::Bytes;
+//! use cad3_stream::{Broker, Consumer, OffsetReset};
 //! use std::sync::Arc;
 //!
 //! let broker = Arc::new(Broker::new("rsu-motorway"));
 //! broker.create_topic("IN-DATA", 3)?;
 //!
-//! let producer = Producer::new(Arc::clone(&broker));
-//! producer.send("IN-DATA", Some(b"veh-1"), b"hello".to_vec(), 0)?;
+//! // A vehicle publishes by name; the key picks the partition.
+//! let key = Bytes::from_static(b"veh-1");
+//! broker.produce("IN-DATA", None, Some(key), Bytes::from_static(b"hello"), 0)?;
 //!
 //! let mut consumer = Consumer::new(Arc::clone(&broker), "detector", OffsetReset::Earliest);
 //! consumer.subscribe(&["IN-DATA"])?;
@@ -47,7 +49,6 @@ mod broker;
 mod consumer;
 mod error;
 mod partition;
-mod producer;
 mod record;
 mod shard;
 mod sync;
@@ -56,7 +57,6 @@ pub use broker::Broker;
 pub use consumer::{Consumer, OffsetReset};
 pub use error::StreamError;
 pub use partition::PartitionLog;
-pub use producer::Producer;
 pub use record::{FetchedRecord, Record, TopicName};
 pub use shard::SharedTopic;
 

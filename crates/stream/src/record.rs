@@ -19,7 +19,7 @@ pub struct Record {
     pub key: Option<Bytes>,
     /// Payload.
     pub value: Bytes,
-    /// Producer-supplied timestamp (virtual nanoseconds in the simulation).
+    /// Timestamp the writer supplied (virtual nanoseconds in the simulation).
     pub timestamp: u64,
     /// Distributed-trace header slot. `Copy` and `None` for every untraced
     /// record, so the unsampled path allocates nothing. The partition log
@@ -52,7 +52,7 @@ pub struct FetchedRecord {
     pub key: Option<Bytes>,
     /// Payload.
     pub value: Bytes,
-    /// Producer-supplied timestamp.
+    /// Timestamp the writer supplied.
     pub timestamp: u64,
     /// Distributed-trace header carried through from the stored
     /// [`Record`].

@@ -16,7 +16,7 @@
 //! (chunk capacities and lengths) runs on every explored schedule.
 #![cfg(loom)]
 
-use cad3_stream::{Broker, Producer};
+use cad3_stream::Broker;
 use loom::sync::Arc;
 use loom::thread;
 
@@ -31,10 +31,9 @@ fn concurrent_produce_and_fetch_preserve_log_integrity() {
             .map(|part| {
                 let broker = Arc::clone(&broker);
                 thread::spawn(move || {
-                    let producer = Producer::new(broker);
                     for i in 0..3u64 {
-                        producer
-                            .send_to_partition("IN-DATA", part, None, vec![part as u8], i)
+                        broker
+                            .produce("IN-DATA", Some(part), None, vec![part as u8].into(), i)
                             .expect("send succeeds");
                     }
                 })

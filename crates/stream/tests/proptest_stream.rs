@@ -1,7 +1,7 @@
 //! Property-based tests of the streaming substrate's core invariants.
 
 use bytes::Bytes;
-use cad3_stream::{Broker, Consumer, OffsetReset, PartitionLog, Producer};
+use cad3_stream::{Broker, Consumer, OffsetReset, PartitionLog};
 use proptest::prelude::*;
 use std::sync::Arc;
 use support::Topic;
@@ -66,15 +66,13 @@ proptest! {
     ) {
         let broker = Arc::new(Broker::new("b"));
         broker.create_topic("T", 3).unwrap();
-        let producer = Producer::new(Arc::clone(&broker));
         let mut consumer = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
         consumer.subscribe(&["T"]).unwrap();
 
         let mut seen: Vec<(u8, u16)> = Vec::new();
         for (i, (key, val)) in sends.iter().enumerate() {
-            producer
-                .send("T", Some(&[*key]), Bytes::copy_from_slice(&val.to_be_bytes()), i as u64)
-                .unwrap();
+            let value = Bytes::copy_from_slice(&val.to_be_bytes());
+            broker.produce("T", None, Some(Bytes::copy_from_slice(&[*key])), value, i as u64).unwrap();
             if i % poll_every == 0 {
                 for rec in consumer.poll(usize::MAX).unwrap() {
                     let k = rec.key.as_ref().unwrap()[0];

@@ -13,7 +13,7 @@
 //! the hierarchy in `lockranks.toml` on a real (not model-checked) schedule.
 
 use bytes::Bytes;
-use cad3_stream::{Broker, Consumer, OffsetReset, Producer};
+use cad3_stream::{Broker, Consumer, OffsetReset};
 use std::sync::Arc;
 
 const TOPICS: [&str; 3] = ["IN-DATA", "OUT-RESULT", "GLOBAL-ABNORMAL"];
@@ -39,18 +39,19 @@ fn stress_sharded_broker_under_lockrank_witness() {
     for _ in 0..PRODUCERS {
         let broker = Arc::clone(&broker);
         handles.push(std::thread::spawn(move || {
-            let producer = Producer::new(broker);
+            let mut sent = 0u64;
             for i in 0..RECORDS_PER_PRODUCER {
                 let topic = TOPICS[(i % 3) as usize];
                 let value = Bytes::copy_from_slice(&i.to_be_bytes());
-                let sent = match i % 3 {
-                    0 => producer.send(topic, Some(b"veh-7"), value, i),
-                    1 => producer.send(topic, None, value, i),
-                    _ => producer.send_to_partition(topic, (i % 3) as u32, None, value, i),
+                let (partition, key) = match i % 3 {
+                    0 => (None, Some(Bytes::from_static(b"veh-7"))),
+                    1 => (None, None),
+                    _ => (Some((i % 3) as u32), None),
                 };
-                sent.expect("send succeeds");
+                broker.produce(topic, partition, key, value, i).expect("send succeeds");
+                sent += 1;
             }
-            producer.records_sent()
+            sent
         }));
     }
 

@@ -995,7 +995,7 @@ pub(crate) struct SymbolTable {
     by_name: HashMap<String, Vec<usize>>,
     /// Like `by_name`, but only functions with a `self` receiver — the
     /// candidate set for `recv.name()` method calls. An associated function
-    /// (`RealtimeScheduler::start`) never unions with a same-named method
+    /// (the executor's `Pool::start`) never unions with a same-named method
     /// (`Road::start`): it cannot be the target of a dot call.
     method_by_name: HashMap<String, Vec<usize>>,
     free_by_crate: HashMap<(String, String), Vec<usize>>,
@@ -1041,9 +1041,8 @@ impl SymbolTable {
                 unique(self.by_qualified.get(&(ty.clone(), name.clone())))
             }
             // The same stoplist as the may-resolution below: the workspace's
-            // one `map` (`PartitionedDataset::map`, which runs a stage and so
-            // takes the executor's locks) is not what an iterator's `.map(`
-            // under a guard calls.
+            // `SharedTopic::len` (which takes every partition lock) is not
+            // what a `Vec`'s `.len()` under a guard calls.
             CallKey::Method(name) if STD_METHODS.contains(&name.as_str()) => None,
             CallKey::Method(name) => unique(self.method_by_name.get(name)),
             CallKey::Bare(name) => unique(
@@ -1658,7 +1657,7 @@ pub fn analyze(sources: &[SourceInput<'_>], ranks: &BTreeMap<String, u64>) -> An
 
 /// Struct-literal shorthand merges in one body: `Type { field, .. }` and
 /// `Type { field: local, .. }` tie the local name to the field's lock site
-/// (the `RealtimeScheduler::start` construction pattern).
+/// (the `Latch { state, .. }` construction in `Executor::run`).
 fn struct_literal_merges(
     body: &[Token],
     struct_fields: &HashMap<String, HashMap<String, (String, Shape)>>,

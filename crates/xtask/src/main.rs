@@ -213,9 +213,13 @@ fn lint(update_baseline: bool) -> std::io::Result<bool> {
     let sources = collect_sources(&root)?;
 
     let mut violations = Vec::new();
+    let mut library = Vec::new();
     for (path, rel, kind) in &sources {
-        let text = std::fs::read_to_string(path)?;
-        violations.extend(rules::check_file(rel, &lexer::lex(&text), *kind));
+        let file = lexer::lex(&std::fs::read_to_string(path)?);
+        violations.extend(rules::check_file(rel, &file, *kind));
+        if *kind == FileKind::Library {
+            library.push((rel.as_str(), file));
+        }
     }
     // The SLO contract is not a Rust source, but its metric references are
     // linted against the same catalogue the span rules use.
@@ -228,6 +232,8 @@ fn lint(update_baseline: bool) -> std::io::Result<bool> {
     // source; their well-formedness is checked against the compiled-in
     // catalogue here.
     violations.extend(rules::check_profile_catalogue());
+    // Every catalogued name needs an emitter somewhere in library code.
+    violations.extend(rules::check_name_emitters(&library));
 
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for v in &violations {

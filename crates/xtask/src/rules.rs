@@ -51,10 +51,10 @@ pub enum FileKind {
 /// Crates whose hot paths reject bare `as` casts.
 const AS_CAST_CRATES: [&str; 3] = ["crates/stream/", "crates/engine/", "crates/net/"];
 
-/// The files allowed to touch the wall clock: the real-time batch driver
-/// and the observability clock (the single `Instant` anchor every span and
-/// latency histogram reads through).
-const WALLCLOCK_ALLOWED: [&str; 2] = ["crates/engine/src/realtime.rs", "crates/obs/src/clock.rs"];
+/// The one file allowed to touch the wall clock: the observability clock
+/// (the single `Instant` anchor every span and latency histogram reads
+/// through, and the pacer interactive tools sleep on).
+const WALLCLOCK_ALLOWED: [&str; 1] = ["crates/obs/src/clock.rs"];
 
 /// The crate whose CLI output *is* its purpose; `no-bare-print` would
 /// outlaw the lint report itself.
@@ -170,8 +170,8 @@ fn no_as_cast(rel_path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Rule 4: wall-clock reads and sleeps are confined to the real-time driver
-/// and the observability clock module.
+/// Rule 4: wall-clock reads and sleeps are confined to the observability
+/// clock module.
 fn no_wallclock(rel_path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
     if WALLCLOCK_ALLOWED.contains(&rel_path) {
         return;
@@ -290,21 +290,35 @@ fn obs_names(rel_path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
 /// accepts on the next build.
 const NAMES_SOURCE: &str = include_str!("../../obs/src/names.rs");
 
+/// One `pub const NAME: &str = "...";` of a names source.
+struct Catalogued {
+    /// 1-based line of the declaration.
+    line: usize,
+    /// The constant's identifier (`RSU_DETECT`).
+    constant: String,
+    /// Its string value (`rsu.detect`).
+    name: String,
+}
+
+/// Every `pub const NAME: &str = "...";` declaration in `source`.
+fn parse_catalogue(source: &str) -> Vec<Catalogued> {
+    source
+        .lines()
+        .enumerate()
+        .filter_map(|(idx, line)| {
+            let rest = line.trim().strip_prefix("pub const ")?;
+            let (constant, value) = rest.split_once(": &str = \"")?;
+            let (name, _) = value.split_once('"')?;
+            Some(Catalogued { line: idx + 1, constant: constant.to_owned(), name: name.to_owned() })
+        })
+        .collect()
+}
+
 /// String values of every `pub const NAME: &str = "...";` in
 /// [`NAMES_SOURCE`], parsed once.
 fn name_catalogue() -> &'static [String] {
     static CATALOGUE: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
-    CATALOGUE.get_or_init(|| {
-        NAMES_SOURCE
-            .lines()
-            .filter_map(|line| {
-                let rest = line.trim().strip_prefix("pub const ")?;
-                let (_, value) = rest.split_once(": &str = \"")?;
-                let (name, _) = value.split_once('"')?;
-                Some(name.to_owned())
-            })
-            .collect()
-    })
+    CATALOGUE.get_or_init(|| parse_catalogue(NAMES_SOURCE).into_iter().map(|c| c.name).collect())
 }
 
 /// Rule 7: span names are a closed set. The name handed to `span!` /
@@ -504,6 +518,52 @@ pub fn check_profile_catalogue() -> Vec<Violation> {
     out
 }
 
+/// The workspace-level half of `obs-names`: every catalogued name needs an
+/// emitter. A name counts as emitted when its string literal, or its
+/// constant as `names::NAME`, appears in the non-test code of a library
+/// file (`files`: the lexed `src/` trees) other than the names source
+/// itself. A name nobody emits is a dashboard row and a `# HELP` line that stay
+/// empty forever — what is left behind when an emitter is deleted without
+/// its name. Invoked directly by `lint`, like [`check_profile_catalogue`],
+/// since the findings anchor to the names source.
+pub fn check_name_emitters(files: &[(&str, SourceFile)]) -> Vec<Violation> {
+    unemitted_names(NAMES_SOURCE, files)
+}
+
+/// [`check_name_emitters`] over an explicit names source.
+fn unemitted_names(names_source: &str, files: &[(&str, SourceFile)]) -> Vec<Violation> {
+    const NAMES_REL: &str = "crates/obs/src/names.rs";
+    let mut literals = std::collections::HashSet::new();
+    let mut constants = std::collections::HashSet::new();
+    for (rel_path, file) in files {
+        if *rel_path == NAMES_REL {
+            continue;
+        }
+        for line in file.lines.iter().filter(|l| !l.in_test) {
+            literals.extend(line.strings.iter().map(String::as_str));
+            for (pos, _) in line.code.match_indices("names::") {
+                let rest = &line.code[pos + "names::".len()..];
+                let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+                constants.insert(&rest[..end.unwrap_or(rest.len())]);
+            }
+        }
+    }
+    parse_catalogue(names_source)
+        .into_iter()
+        .filter(|c| !literals.contains(c.name.as_str()) && !constants.contains(c.constant.as_str()))
+        .map(|c| Violation {
+            rule: "obs-names",
+            file: NAMES_REL.to_owned(),
+            line: c.line,
+            message: format!(
+                "catalogued name {:?} ({}) has no emitter: neither the literal nor \
+                 `names::{}` appears in non-test library code",
+                c.name, c.constant, c.constant
+            ),
+        })
+        .collect()
+}
+
 /// Rule 8: the SLO contract must stay anchored to the metric catalogue.
 /// Every `metric = "..."` in the root `slos.toml` must name an entry of
 /// `cad3_obs::names` — either verbatim or as a span's derived `<name>_ns`
@@ -671,10 +731,10 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_flagged_outside_realtime() {
+    fn wallclock_flagged_outside_the_obs_clock() {
         let src = "fn f() { let t = Instant::now(); }\n";
-        assert_eq!(violations_of("no-wallclock", "crates/engine/src/batch.rs", src).len(), 1);
-        assert!(violations_of("no-wallclock", "crates/engine/src/realtime.rs", src).is_empty());
+        assert_eq!(violations_of("no-wallclock", "crates/engine/src/executor.rs", src).len(), 1);
+        assert!(violations_of("no-wallclock", "crates/obs/src/clock.rs", src).is_empty());
     }
 
     #[test]
@@ -848,9 +908,29 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_allowed_in_obs_clock() {
-        let src = "fn f() { let t = Instant::now(); }\n";
-        assert!(violations_of("no-wallclock", "crates/obs/src/clock.rs", src).is_empty());
+    fn a_catalogued_name_without_an_emitter_is_flagged() {
+        let names = "pub const A: &str = \"a.counted\";\n\
+                     pub const B: &str = \"b.gauged\";\n\
+                     pub const ORPHAN: &str = \"c.orphaned\";\n";
+        let by_literal = lex("fn f() { cad3_obs::counter!(\"a.counted\").inc(); }\n");
+        let by_constant = lex("fn g() { registry().gauge(cad3_obs::names::B).set(1); }\n");
+        // Neither test code nor the names source itself is an emitter.
+        let in_test =
+            lex("#[cfg(test)]\nmod tests {\n    fn t() { counter!(\"c.orphaned\"); }\n}\n");
+        let names_file = lex(names);
+        let files = [
+            ("crates/core/src/rsu.rs", by_literal),
+            ("crates/obs/src/health.rs", by_constant),
+            ("crates/core/src/testbed.rs", in_test),
+            ("crates/obs/src/names.rs", names_file),
+        ];
+        let v = unemitted_names(names, &files);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(
+            (v[0].rule, v[0].file.as_str(), v[0].line),
+            ("obs-names", "crates/obs/src/names.rs", 3)
+        );
+        assert!(v[0].message.contains("c.orphaned"), "{}", v[0].message);
     }
 
     #[test]
