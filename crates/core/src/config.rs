@@ -33,8 +33,9 @@ impl ProcessingCostModel {
     }
 }
 
-/// Configuration of the CAD3 system: intervals, payloads and fusion
-/// parameters, defaulting to the paper's values.
+/// Configuration of the CAD3 system: intervals, payloads and the compute
+/// and fetch models, defaulting to the paper's values. (Eq. 1's fusion
+/// weight is a detector parameter: `DetectionConfig::fusion_weight`.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Micro-batch interval (50 ms in the paper).
@@ -45,9 +46,6 @@ pub struct SystemConfig {
     pub update_period: SimDuration,
     /// Status payload size in bytes (~200 B in the paper).
     pub payload_bytes: usize,
-    /// Weight of the collaborative summary in Eq. 1
-    /// (`P_X = w · P̄_prevs + (1 − w) · P_NB`; 0.5 in the paper).
-    pub fusion_weight: f64,
     /// Per-batch compute model.
     pub cost_model: ProcessingCostModel,
     /// Mean of the consumer-fetch latency added to each dissemination
@@ -64,7 +62,6 @@ impl Default for SystemConfig {
             poll_interval: SimDuration::from_millis(10),
             update_period: SimDuration::from_millis(100),
             payload_bytes: cad3_types::STATUS_WIRE_LEN,
-            fusion_weight: 0.5,
             cost_model: ProcessingCostModel::default(),
             fetch_latency_mean: SimDuration::from_micros(7_200),
             fetch_latency_std: SimDuration::from_micros(4_400),
@@ -77,10 +74,8 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the fusion weight is outside `[0, 1]` or any interval is
-    /// zero.
+    /// Panics if any interval is zero.
     pub fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.fusion_weight), "fusion weight must be within [0, 1]");
         assert!(self.batch_interval > SimDuration::ZERO, "batch interval must be positive");
         assert!(self.poll_interval > SimDuration::ZERO, "poll interval must be positive");
         assert!(self.update_period > SimDuration::ZERO, "update period must be positive");
@@ -109,13 +104,6 @@ mod tests {
         assert_eq!(c.poll_interval, SimDuration::from_millis(10));
         assert_eq!(c.update_period, SimDuration::from_millis(100));
         assert_eq!(c.payload_bytes, 200);
-        assert_eq!(c.fusion_weight, 0.5);
         c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "fusion weight")]
-    fn bad_fusion_weight_panics() {
-        SystemConfig { fusion_weight: 1.5, ..SystemConfig::default() }.validate();
     }
 }

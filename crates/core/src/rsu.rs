@@ -190,7 +190,9 @@ impl RsuNode {
         let mut co_consumer =
             Consumer::new(Arc::clone(&broker), "collaboration", OffsetReset::Earliest);
         co_consumer.subscribe(&[TOPIC_CO_DATA]).expect("topic just created");
-        let shards = (0..executor.workers()).map(|_| Mutex::new(SummaryTracker::new())).collect();
+        // Each shard's tracker is configured the way the detector was
+        // trained (CAD3's summary road depth).
+        let shards = (0..executor.workers()).map(|_| Mutex::new(detector.new_tracker())).collect();
         let jobs = (0..executor.workers()).map(ShardJob::new).collect();
         let lag_gauge =
             cad3_obs::registry().gauge(&format!("{}.{name}", cad3_obs::names::RSU_LAG_PREFIX));
@@ -815,6 +817,36 @@ mod tests {
             rsu.export_summaries(SimTime::from_millis(60)).is_empty(),
             "nor observed on the shard its key routed it to"
         );
+    }
+
+    /// The RSU's trackers keep the summary depth the detector was trained
+    /// with: a depth-1 CAD3 forgets all but the last finished road.
+    #[test]
+    fn shard_trackers_keep_the_detectors_summary_depth() {
+        let ds = SyntheticDataset::generate(&DatasetConfig::small(51));
+        let config = DetectionConfig { summary_road_depth: Some(1), ..DetectionConfig::default() };
+        let models = train_all(&ds.features, &config).unwrap();
+        let mut rsu = RsuNode::with_executor(
+            RsuId(1),
+            "rsu-depth",
+            Arc::new(models.cad3),
+            ProcessingCostModel::default(),
+            Executor::new(1),
+        );
+        // Two records on each of three roads.
+        let roads = [7, 7, 8, 8, 9, 9].map(cad3_types::RoadId);
+        let trip = roads.map(|road| cad3_types::FeatureRecord { road, ..ds.features[0] });
+        let mut agent = VehicleAgent::new(VehicleId(77), trip.to_vec());
+        for step in 0..trip.len() as u64 {
+            let s = agent.next_status(SimTime::from_millis(step * 10));
+            push_status(&rsu, &s, SimTime::from_millis(step * 10 + 1));
+        }
+        assert_eq!(rsu.run_batch(SimTime::from_millis(100)).unwrap().records, 6);
+        let exported = rsu.export_summaries(SimTime::from_millis(110));
+        let mine = exported.iter().find(|m| m.vehicle == VehicleId(77)).unwrap();
+        // Road 8 (the one remembered road) plus road 9 in progress; an
+        // unbounded tracker would also count road 7's two records.
+        assert_eq!(mine.count, 4);
     }
 
     #[test]

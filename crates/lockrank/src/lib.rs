@@ -23,6 +23,50 @@
 //! (Shown as text, not a doctest: the macro body is selected by the *calling*
 //! crate's `debug_assertions`, and doctests can build with a different
 //! profile than the library they link against.)
+//!
+//! [`parse`] is the one reader of `lockranks.toml`: the witness compiles the
+//! file in through it, and `cargo xtask analyze` reads it through it, so the
+//! two layers cannot disagree on what the file says.
+
+use std::collections::BTreeMap;
+
+/// Parses the text of `lockranks.toml`: `"crate::Type::field" = rank` lines,
+/// with blank lines, `#` comments and the `[ranks]` header skipped. Returns
+/// every site with its rank, or the first malformed line as
+/// `"<line>: <what>"` (1-based), so a caller can prefix the file name.
+///
+/// A site declared twice is an error, not a silent override: the later line
+/// would otherwise decide the rank while the earlier one still reads as the
+/// declaration.
+///
+/// # Errors
+///
+/// A line that is not `key = rank`, an empty site, a rank that is not a
+/// `u32`, or a duplicate site.
+pub fn parse(text: &str) -> Result<BTreeMap<&str, u32>, String> {
+    let mut ranks = BTreeMap::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') || line.starts_with('[') {
+            continue;
+        }
+        let at = idx + 1;
+        let Some((key, value)) = line.split_once('=') else {
+            return Err(format!("{at}: malformed line: {raw}"));
+        };
+        let site = key.trim().trim_matches('"');
+        if site.is_empty() {
+            return Err(format!("{at}: malformed line: {raw}"));
+        }
+        let Ok(rank) = value.trim().parse::<u32>() else {
+            return Err(format!("{at}: bad rank for {site}: {raw}"));
+        };
+        if ranks.insert(site, rank).is_some() {
+            return Err(format!("{at}: duplicate site {site}"));
+        }
+    }
+    Ok(ranks)
+}
 
 /// Marks the start of a lock-guard scope for the named site.
 ///
@@ -45,35 +89,22 @@ macro_rules! rank_scope {
 #[cfg(all(not(loom), any(debug_assertions, cad3_lockrank)))]
 mod imp {
     use std::cell::RefCell;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use std::sync::OnceLock;
 
     /// The checked-in rank declarations, compiled into the witness so the
     /// runtime check can never drift from the file the analyzer verifies.
     const RANKS_TOML: &str = include_str!("../../../lockranks.toml");
 
-    fn ranks() -> &'static HashMap<&'static str, u32> {
-        static TABLE: OnceLock<HashMap<&'static str, u32>> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut map = HashMap::new();
-            for raw in RANKS_TOML.lines() {
-                let line = raw.trim();
-                if line.is_empty() || line.starts_with('#') || line.starts_with('[') {
-                    continue;
-                }
-                let Some((key, value)) = line.split_once('=') else {
-                    panic!("lockranks.toml: malformed line: {raw}");
-                };
-                let site = key.trim().trim_matches('"');
-                let Ok(rank) = value.trim().parse::<u32>() else {
-                    panic!("lockranks.toml: bad rank for {site}: {raw}");
-                };
-                if map.insert(site, rank).is_some() {
-                    panic!("lockranks.toml: duplicate site {site}");
-                }
-            }
-            map
-        })
+    fn ranks() -> &'static BTreeMap<&'static str, u32> {
+        static TABLE: OnceLock<BTreeMap<&'static str, u32>> = OnceLock::new();
+        TABLE.get_or_init(|| table(RANKS_TOML))
+    }
+
+    /// The witness's rank table for a `lockranks.toml` text; panics on any
+    /// line [`crate::parse`] rejects.
+    pub(crate) fn table(text: &'static str) -> BTreeMap<&'static str, u32> {
+        crate::parse(text).unwrap_or_else(|e| panic!("lockranks.toml:{e}"))
     }
 
     thread_local! {
@@ -177,6 +208,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "lockranks.toml:3: duplicate site a::B::c")]
+    fn duplicated_site_line_panics() {
+        crate::imp::table("[ranks]\n\"a::B::c\" = 10\n\"a::B::c\" = 20\n");
+    }
+
+    #[test]
     fn stacks_are_per_thread() {
         let _shards = crate::rank_scope!("cad3::RsuNode::shards");
         // A fresh thread starts with an empty stack, so a lower rank is fine.
@@ -186,5 +223,30 @@ mod tests {
         })
         .join()
         .expect("witness thread");
+    }
+}
+
+#[cfg(test)]
+mod parse_tests {
+    use super::parse;
+
+    #[test]
+    fn reads_the_checked_in_table() {
+        let ranks = parse(include_str!("../../../lockranks.toml")).expect("lockranks.toml");
+        assert_eq!(ranks.get("cad3_stream::Broker::topics"), Some(&20));
+        assert_eq!(ranks.get("cad3::RsuNode::shards"), Some(&50));
+    }
+
+    #[test]
+    fn rejects_malformed_lines_with_their_line_number() {
+        assert_eq!(parse("[ranks]\n# c\n\n\"a::B::c\" = 7\n").unwrap().len(), 1);
+        for (text, err) in [
+            ("just words", "1: malformed line: just words"),
+            ("= 5", "1: malformed line: = 5"),
+            ("\n\"a::B::c\" = -1", "2: bad rank for a::B::c: \"a::B::c\" = -1"),
+            ("\"a::B::c\" = 1\n\"a::B::c\" = 1", "2: duplicate site a::B::c"),
+        ] {
+            assert_eq!(parse(text).unwrap_err(), err, "{text:?}");
+        }
     }
 }

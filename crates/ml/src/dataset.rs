@@ -175,20 +175,6 @@ impl Dataset {
         }
         counts
     }
-
-    /// Builds a dataset containing the rows at `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            schema: self.schema.clone(),
-            rows: indices.iter().map(|&i| self.rows[i].clone()).collect(),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-            n_classes: self.n_classes,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -246,18 +232,6 @@ mod tests {
             ds.push(vec![x, 0.0], l).unwrap();
         }
         assert_eq!(ds.class_counts(), vec![1, 2, 1]);
-    }
-
-    #[test]
-    fn subset_selects_rows() {
-        let mut ds = Dataset::new(schema(), 2);
-        for i in 0..5 {
-            ds.push(vec![i as f64, 0.0], i % 2).unwrap();
-        }
-        let sub = ds.subset(&[0, 2, 4]);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.row(1), &[2.0, 0.0]);
-        assert_eq!(sub.label(2), 0);
     }
 
     #[test]

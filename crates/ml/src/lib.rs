@@ -13,7 +13,6 @@
 //! * [`NaiveBayes`] — hybrid Gaussian/categorical NB with Laplace smoothing.
 //! * [`DecisionTree`] — CART with Gini impurity.
 //! * [`ConfusionMatrix`] — binary metrics.
-//! * [`train_test_split`] — the paper's 80/20 split.
 //!
 //! # Example
 //!
@@ -40,20 +39,16 @@ pub mod batch;
 mod dataset;
 mod decision_tree;
 mod error;
-mod kfold;
 mod logistic;
 mod metrics;
 mod naive_bayes;
-mod split;
 mod stats;
 
 pub use batch::{FeatureBatch, LrBatchPlan, NbBatchPlan, TreeBatchPlan};
 pub use dataset::{Dataset, FeatureKind, Schema};
 pub use decision_tree::{DecisionTree, DecisionTreeParams};
 pub use error::MlError;
-pub use kfold::{cross_validate, kfold_indices};
 pub use logistic::{LogisticParams, LogisticRegression};
 pub use metrics::ConfusionMatrix;
 pub use naive_bayes::NaiveBayes;
-pub use split::{train_test_split, SplitRng};
 pub use stats::{gaussian_log_pdf, GaussianStats};

@@ -4,9 +4,9 @@
 //!
 //! - [`SloContract`]: a declarative set of objectives parsed from the root
 //!   `slos.toml` (hand-rolled restricted TOML — the workspace vendors no
-//!   parser crate). Each [`SloSpec`] names a catalogued metric, the signal
-//!   derived from it (a window quantile, rate, delta or gauge ceiling) and
-//!   a bound.
+//!   parser crate), and that file's only reader. Each [`SloSpec`] names a
+//!   catalogued metric, the signal derived from it (a window p99, a counter
+//!   delta or a gauge ceiling) and an upper bound.
 //! - Multi-window burn-rate evaluation in the spirit of SRE alerting: a
 //!   *fast* window catches acute breaches, a *slow* window confirms they
 //!   are sustained; an alert fires only when **both** windows burn past
@@ -44,47 +44,22 @@ const EVENT_LOG_CAP: usize = 1024;
 /// How a scalar signal is derived from the window for one SLO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignalKind {
-    /// Median of a histogram's in-window observations.
-    P50,
-    /// 95th percentile of a histogram's in-window observations.
-    P95,
-    /// 99th percentile of a histogram's in-window observations.
+    /// 99th percentile of a histogram's in-window observations (`p99`).
     P99,
-    /// Mean of a histogram's in-window observations.
-    Mean,
-    /// Per-second rate of a counter over the window.
-    Rate,
-    /// Counter increase over the window.
+    /// Counter increase over the window (`delta`).
     Delta,
-    /// Worst (maximum) gauge reading across the window's samples.
+    /// Worst (maximum) gauge reading across the window's samples (`value`).
     Value,
 }
 
 impl SignalKind {
     fn parse(s: &str) -> Option<SignalKind> {
         Some(match s {
-            "p50" => SignalKind::P50,
-            "p95" => SignalKind::P95,
             "p99" => SignalKind::P99,
-            "mean" => SignalKind::Mean,
-            "rate" => SignalKind::Rate,
             "delta" => SignalKind::Delta,
             "value" => SignalKind::Value,
             _ => return None,
         })
-    }
-
-    /// The keyword form used in `slos.toml`.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SignalKind::P50 => "p50",
-            SignalKind::P95 => "p95",
-            SignalKind::P99 => "p99",
-            SignalKind::Mean => "mean",
-            SignalKind::Rate => "rate",
-            SignalKind::Delta => "delta",
-            SignalKind::Value => "value",
-        }
     }
 }
 
@@ -112,18 +87,16 @@ impl Severity {
 pub struct SloSpec {
     /// Lowercase-dotted alert name (the `[slo.<name>]` section header).
     pub name: String,
-    /// Catalogued metric the signal is derived from; for `per_member`
-    /// families this is the family prefix (e.g. `rsu.lag`).
+    /// Catalogued metric the signal is derived from: a name in
+    /// [`names::ALL`] or a catalogued span's `<name>_ns` histogram; for
+    /// `per_member` families this is the family prefix (e.g. `rsu.lag`).
     pub metric: String,
     /// Evaluate one alert per `<metric>.<member>` in the latest snapshot.
     pub per_member: bool,
     /// Signal derivation.
     pub signal: SignalKind,
-    /// Upper bound (exclusive of burn threshold scaling); `max` and `min`
-    /// are mutually exclusive.
-    pub max: Option<f64>,
-    /// Lower bound.
-    pub min: Option<f64>,
+    /// Upper bound (exclusive of burn threshold scaling); required.
+    pub max: f64,
     /// Fast (acute) window, nanoseconds.
     pub fast_window_ns: u64,
     /// Slow (sustained) window, nanoseconds.
@@ -194,8 +167,9 @@ impl SloContract {
                         metric: String::new(),
                         per_member: false,
                         signal: SignalKind::Value,
-                        max: None,
-                        min: None,
+                        // NaN until a `max` line sets it; `validate`
+                        // rejects a spec still holding NaN.
+                        max: f64::NAN,
                         fast_window_ns: 500_000_000,
                         slow_window_ns: 2_000_000_000,
                         burn_threshold: 1.0,
@@ -247,12 +221,7 @@ impl SloContract {
                             slo.signal = SignalKind::parse(s)
                                 .ok_or_else(|| at(format!("unknown signal `{s}`")))?;
                         }
-                        "max" => {
-                            slo.max = Some(parse_f64(value).ok_or_else(|| at(bad(key, value)))?)
-                        }
-                        "min" => {
-                            slo.min = Some(parse_f64(value).ok_or_else(|| at(bad(key, value)))?)
-                        }
+                        "max" => slo.max = parse_f64(value).ok_or_else(|| at(bad(key, value)))?,
                         "fast_window_ms" => {
                             slo.fast_window_ns =
                                 parse_ms(value).ok_or_else(|| at(bad(key, value)))?
@@ -302,14 +271,18 @@ impl SloContract {
             if slo.metric.is_empty() {
                 return Err(format!("slo `{name}`: missing `metric`"));
             }
-            if !names::is_valid_name(&slo.metric) {
+            // An objective over a metric nobody emits would evaluate to "no
+            // data" forever and silently never fire.
+            let catalogued = |m: &str| names::ALL.contains(&m);
+            if !catalogued(&slo.metric) && !slo.metric.strip_suffix("_ns").is_some_and(catalogued) {
                 return Err(format!(
-                    "slo `{name}`: metric `{}` is not lowercase-dotted",
+                    "slo `{name}`: metric `{}` is not in the cad3_obs::names catalogue \
+                     (nor a catalogued span's `_ns` histogram)",
                     slo.metric
                 ));
             }
-            if slo.max.is_some() == slo.min.is_some() {
-                return Err(format!("slo `{name}`: exactly one of `max`/`min` required"));
+            if slo.max.is_nan() {
+                return Err(format!("slo `{name}`: missing `max`"));
             }
             if slo.fast_window_ns == 0 || slo.fast_window_ns > slo.slow_window_ns {
                 return Err(format!("slo `{name}`: need 0 < fast_window <= slow_window"));
@@ -458,7 +431,7 @@ pub struct SloRow {
     pub fast_burn: Option<f64>,
     /// Slow-window burn multiple.
     pub slow_burn: Option<f64>,
-    /// The configured budget (max or min).
+    /// The configured budget (`max`).
     pub budget: f64,
     /// Whether the alert is currently firing.
     pub firing: bool,
@@ -619,7 +592,7 @@ impl HealthMonitor {
                     fast_value: fast,
                     fast_burn,
                     slow_burn,
-                    budget: slo.max.or(slo.min).unwrap_or(0.0),
+                    budget: slo.max,
                     firing,
                     severity: slo.severity,
                 });
@@ -742,45 +715,23 @@ fn family_members(ring: &SnapshotRing, family: &str) -> Vec<String> {
 /// data for the metric yet (absence never violates).
 fn signal_value(ring: &SnapshotRing, key: &str, signal: SignalKind, window_ns: u64) -> Option<f64> {
     match signal {
-        SignalKind::P50 | SignalKind::P95 | SignalKind::P99 | SignalKind::Mean => {
+        SignalKind::P99 => {
             let h = ring.histogram_window(key, window_ns)?;
-            if h.count == 0 {
-                return None;
-            }
-            Some(match signal {
-                SignalKind::P50 => h.p50() as f64,
-                SignalKind::P95 => h.p95() as f64,
-                SignalKind::P99 => h.p99() as f64,
-                _ => h.mean(),
-            })
+            (h.count > 0).then(|| h.p99() as f64)
         }
-        SignalKind::Rate => ring.counter_rate(key, window_ns),
         SignalKind::Delta => ring.counter_delta(key, window_ns).map(|d| d as f64),
         SignalKind::Value => ring.gauge_max(key, window_ns).map(|v| v as f64),
     }
 }
 
-/// Burn multiple: how many times over budget the signal is. For an upper
-/// bound this is `value / max`; for a lower bound, `min / value`. A zero
-/// budget burns infinitely as soon as the signal leaves zero, which is how
-/// "must stay zero" objectives (`max = 0`) are expressed.
+/// Burn multiple: how many times over budget the signal is, `value / max`.
+/// A zero budget burns infinitely as soon as the signal leaves zero, which
+/// is how "must stay zero" objectives (`max = 0`) are expressed.
 fn burn(slo: &SloSpec, value: f64) -> f64 {
-    if let Some(max) = slo.max {
-        if max > 0.0 {
-            value / max
-        } else if value > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    } else if let Some(min) = slo.min {
-        if value > 0.0 {
-            min / value
-        } else if min > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
+    if slo.max > 0.0 {
+        value / slo.max
+    } else if value > 0.0 {
+        f64::INFINITY
     } else {
         0.0
     }
@@ -855,25 +806,48 @@ mod tests {
         assert_eq!(s.metric, "rsu.lag");
         assert!(s.per_member);
         assert_eq!(s.signal, SignalKind::Value);
-        assert_eq!(s.max, Some(100.0));
+        assert_eq!(s.max, 100.0);
         assert_eq!(s.fast_window_ns, 200_000_000);
         assert_eq!(s.severity, Severity::Overloaded);
     }
 
+    /// Each case differs from a valid contract in one way and fails for
+    /// the reason paired with it.
     #[test]
     fn parser_rejects_drift() {
-        for bad in [
-            "[slo.Bad-Name]\nmetric = \"a\"\nmax = 1",
-            "[health]\nunknown_key = 1",
-            "[slo.a.b]\nmetric = \"a\"\nmax = 1\nmin = 0",
-            "[slo.a.b]\nmetric = \"a\"",
-            "[slo.a.b]\nmetric = \"a\"\nmax = 1\nsignal = \"p98\"",
-            "[mystery]\nx = 1",
-            "stray = 1",
-            "[slo.a.b]\nmetric = \"a\"\nmax = 1\nfast_window_ms = 900\nslow_window_ms = 300",
+        const OK: &str = "[slo.a.b]\nmetric = \"rsu.total_us\"\nmax = 1";
+        assert!(SloContract::parse(OK).is_ok());
+        for (bad, why) in [
+            ("[slo.Bad-Name]\nmetric = \"rsu.total_us\"\nmax = 1", "lowercase-dotted"),
+            ("[health]\nunknown_key = 1", "unknown [health] key"),
+            ("[slo.a.b]\nmetric = \"rsu.total_us\"\nmax = 1\nmin = 0", "unknown [slo] key `min`"),
+            ("[slo.a.b]\nmetric = \"rsu.total_us\"", "missing `max`"),
+            ("[slo.a.b]\nmax = 1", "missing `metric`"),
+            ("[slo.a.b]\nmetric = \"no.such.metric\"\nmax = 1", "not in the cad3_obs::names"),
+            ("[slo.a.b]\nmetric = \"rsu.total_us\"\nmax = 1\nsignal = \"p98\"", "unknown signal"),
+            ("[slo.a.b]\nmetric = \"rsu.total_us\"\nmax = 1\nsignal = \"mean\"", "unknown signal"),
+            ("[mystery]\nx = 1", "unknown section"),
+            ("stray = 1", "outside any section"),
+            (
+                "[slo.a.b]\nmetric = \"rsu.total_us\"\nmax = 1\n\
+                 fast_window_ms = 900\nslow_window_ms = 300",
+                "fast_window <= slow_window",
+            ),
         ] {
-            assert!(SloContract::parse(bad).is_err(), "should reject: {bad}");
+            let err = SloContract::parse(bad).expect_err(bad);
+            assert!(err.contains(why), "{bad:?} failed for another reason: {err}");
         }
+    }
+
+    /// The checked-in contract parses, so every `metric` in it is
+    /// catalogued: `SloContract` is the one reader of `slos.toml`.
+    #[test]
+    fn checked_in_contract_is_anchored_to_the_catalogue() {
+        let c = contract(include_str!("../../../slos.toml"));
+        assert!(!c.slos.is_empty());
+        // A catalogued span's `_ns` duration histogram is a metric too.
+        let span = "[slo.a.b]\nmetric = \"rsu.micro_batch_ns\"\nmax = 1";
+        assert_eq!(contract(span).slos[0].metric, "rsu.micro_batch_ns");
     }
 
     #[test]
@@ -987,8 +961,7 @@ mod tests {
             metric: "m".to_owned(),
             per_member: false,
             signal: SignalKind::Value,
-            max: Some(0.0),
-            min: None,
+            max: 0.0,
             fast_window_ns: 1,
             slow_window_ns: 1,
             burn_threshold: 1.0,

@@ -376,15 +376,6 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Mean of the observed values (0 for an empty histogram).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 #[cfg(all(test, not(loom)))]
@@ -469,7 +460,7 @@ mod tests {
         assert_eq!(s.p50(), 511);
         assert_eq!(s.p99(), 1023);
         assert_eq!(s.max, 1000);
-        assert!((s.mean() - 500.5).abs() < 1e-9);
+        assert_eq!(s.sum, 500_500);
     }
 
     #[test]
@@ -477,7 +468,6 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!(s.count, 0);
         assert_eq!(s.p50(), 0);
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]

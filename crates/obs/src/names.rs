@@ -230,15 +230,14 @@ pub const HELP: &[(&str, &str)] = &[
 /// Histograms created with per-bucket tail exemplar slots: observations on
 /// these names may carry a trace id (`observe_with_exemplar`), letting any
 /// tail bucket above p95 expand into a full assembled trace waterfall.
-/// Kept as one literal array line so `cargo xtask lint`'s `profile-names`
-/// rule can parse it without name resolution; every entry must also be a
-/// catalogued name (enforced in tests).
+/// Every entry must also be a catalogued name (enforced in tests).
 pub const EXEMPLAR_HISTOGRAMS: &[&str] = &["rsu.detect_us", "rsu.total_us"];
 
 /// The thread-class vocabulary of the continuous profiler
 /// (`cad3_obs::profile::set_thread_class`): path roots in folded stacks.
-/// One literal array line for the `profile-names` lint, like
-/// [`EXEMPLAR_HISTOGRAMS`].
+/// Kept as one literal array line so `cargo xtask lint`'s `profile-names`
+/// rule can parse it without name resolution; every entry is a lowercase
+/// identifier, `[a-z_]+` (enforced in tests).
 pub const THREAD_CLASSES: &[&str] = &["main", "worker"];
 
 /// Looks up the help text for a catalogued name, resolving `<span>_ns`
@@ -309,7 +308,9 @@ mod tests {
         }
         assert_eq!(EXEMPLAR_HISTOGRAMS, &[RSU_DETECT_US, RSU_TOTAL_US]);
         for class in THREAD_CLASSES {
-            assert!(is_valid_name(class), "bad thread class {class}");
+            let ident =
+                !class.is_empty() && class.bytes().all(|b| b.is_ascii_lowercase() || b == b'_');
+            assert!(ident, "thread class {class:?} is not a lowercase identifier [a-z_]+");
         }
         let mut seen = std::collections::BTreeSet::new();
         for class in THREAD_CLASSES {

@@ -4,7 +4,7 @@
 //! start, which answers "how much ever" but not "how fast right now". This
 //! module adds the missing axis: a fixed-capacity ring of timestamped
 //! [`MetricsSnapshot`]s pushed by a periodic sampling tick, from which
-//! deltas, rates and quantiles *over a trailing window* are derived by
+//! deltas, gauge maxima and quantiles *over a trailing window* are derived by
 //! subtracting the youngest sample at least `window` old from the newest
 //! one. Histogram subtraction is exact because the log2 bucket layout is
 //! cumulative per bucket: the windowed histogram is the element-wise
@@ -46,16 +46,6 @@ impl SnapshotRing {
         self.buf.push_back((t_ns, snapshot));
     }
 
-    /// Number of samples currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no samples yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The newest sample.
     pub fn latest(&self) -> Option<&(u64, MetricsSnapshot)> {
         self.buf.back()
@@ -74,30 +64,12 @@ impl SnapshotRing {
         self.buf.iter().rev().skip(1).find(|(t, _)| *t <= cutoff).or(self.buf.front())
     }
 
-    /// Nanoseconds actually spanned by the `window_ns` lookback (shorter
-    /// than requested while warming up, a little longer between ticks).
-    pub fn window_span_ns(&self, window_ns: u64) -> Option<u64> {
-        let (newest, _) = self.buf.back()?;
-        let (base, _) = self.baseline(window_ns)?;
-        Some(newest.saturating_sub(*base))
-    }
-
     /// Increase of counter `name` over the window. Saturates at zero if the
     /// counter disappeared or reset (it never does in-process).
     pub fn counter_delta(&self, name: &str, window_ns: u64) -> Option<u64> {
         let (_, newest) = self.buf.back()?;
         let (_, base) = self.baseline(window_ns)?;
         Some(newest.counter(name).saturating_sub(base.counter(name)))
-    }
-
-    /// Per-second rate of counter `name` over the window.
-    pub fn counter_rate(&self, name: &str, window_ns: u64) -> Option<f64> {
-        let delta = self.counter_delta(name, window_ns)?;
-        let span = self.window_span_ns(window_ns)?;
-        if span == 0 {
-            return None;
-        }
-        Some(delta as f64 * 1e9 / span as f64)
     }
 
     /// Maximum value gauge `name` held across the window's samples
@@ -163,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_and_rate_pick_the_window_baseline() {
+    fn delta_picks_the_window_baseline() {
         let mut ring = SnapshotRing::new(8);
         for i in 0..5u64 {
             // One sample per second, counter grows by 10 each.
@@ -171,8 +143,6 @@ mod tests {
         }
         // 2 s window at t=4 s: baseline is the t=2 s sample.
         assert_eq!(ring.counter_delta("c", 2_000_000_000), Some(20));
-        let rate = ring.counter_rate("c", 2_000_000_000).unwrap();
-        assert!((rate - 10.0).abs() < 1e-9, "{rate}");
         // A window wider than history falls back to the oldest sample.
         assert_eq!(ring.counter_delta("c", 60_000_000_000), Some(40));
     }
@@ -183,7 +153,6 @@ mod tests {
         for i in 0..10u64 {
             ring.push(i, snap(&[("c", i)], &[]));
         }
-        assert_eq!(ring.len(), 3);
         // Oldest held is t=7, so the widest delta is 9-7.
         assert_eq!(ring.counter_delta("c", u64::MAX), Some(2));
     }

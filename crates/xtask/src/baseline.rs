@@ -8,7 +8,10 @@
 //!
 //! The file is a restricted TOML subset written and parsed by hand (the
 //! workspace intentionally has no TOML dependency): a `[violations]` table
-//! of `"rule:path" = count` entries, sorted by key.
+//! of `"rule:path" = count` entries, sorted by key. It is the only ratchet:
+//! the contract analyses (`analyze --hotpaths`, `--determinism`) have their
+//! contract file as the one allowlist, and `lockranks.toml` is read by
+//! `cad3_lockrank::parse`.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -28,9 +31,7 @@ pub fn parse(text: &str, origin: &str) -> io::Result<BTreeMap<String, u64>> {
     let mut map = BTreeMap::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
-        // Section headers are skipped, not interpreted: the same restricted
-        // format serves both `[violations]` (baseline) and `[ranks]`
-        // (lockranks.toml), each file holding exactly one table.
+        // The one `[violations]` header is skipped, not interpreted.
         if line.is_empty() || line.starts_with('#') || line.starts_with('[') {
             continue;
         }
@@ -50,23 +51,11 @@ pub fn parse(text: &str, origin: &str) -> io::Result<BTreeMap<String, u64>> {
 
 /// Writes the baseline, sorted, with a regeneration header.
 pub fn save(path: &Path, counts: &BTreeMap<String, u64>) -> io::Result<()> {
-    save_with_header(
-        path,
-        counts,
+    let mut out = String::from(
         "# Violation baseline for `cargo xtask lint` — a ratchet, not an allowlist.\n\
          # CI fails on counts above these; regenerate with `cargo xtask lint --update-baseline`\n\
          # after reducing debt so the ratchet only ever tightens.\n",
-    )
-}
-
-/// [`save`] with a caller-supplied comment header (the contract baselines
-/// share the format but regenerate through different commands).
-pub fn save_with_header(
-    path: &Path,
-    counts: &BTreeMap<String, u64>,
-    header: &str,
-) -> io::Result<()> {
-    let mut out = String::from(header);
+    );
     out.push_str("\n[violations]\n");
     for (key, count) in counts {
         if *count > 0 {

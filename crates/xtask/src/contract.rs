@@ -18,11 +18,10 @@
 //! suppresses only the listed atoms, so a comment shielding one atom cannot
 //! hide another on the same line; a class name covers its members (`lock`
 //! covers every `lock:<rank>`). An exemption that covers no matching site is
-//! itself a finding, so stale escapes rot loudly.
+//! itself a finding, so stale escapes rot loudly. The contract file is the
+//! one allowlist and the exemption comment the one per-site escape: there
+//! is no count ratchet beside them.
 //!
-//! Violation counts ratchet through `crates/xtask/<table>_baseline.toml`
-//! like the lint baseline: a count above its baselined value fails, one
-//! below fails until regenerated with `--update-<table>-baseline`.
 //! `--emit-<table>` prints the observed atom sets as a fresh contract.
 //! Reports come in the three formats of the lock-graph analysis.
 
@@ -38,14 +37,13 @@ pub struct Pass {
     /// Heading of the human report.
     pub title: &'static str,
     /// Contract file stem, table name and flag stem: `<table>.toml`,
-    /// `[<table>]`, `--<table>`, `crates/xtask/<table>_baseline.toml`.
+    /// `[<table>]`, `--<table>`.
     pub table: &'static str,
-    /// Baseline-key and exemption stem: `<stem>:<entry>:<atom>`,
-    /// `// <stem>-exempt:`.
+    /// Exemption stem: `// <stem>-exempt:`.
     pub stem: &'static str,
     /// Check ids with their SARIF descriptions, in this order: violation,
-    /// stale entry, unknown atom, stale exemption, stale baseline.
-    pub checks: [(&'static str, &'static str); 5],
+    /// stale entry, unknown atom, stale exemption.
+    pub checks: [(&'static str, &'static str); 4],
     /// The atom vocabulary; `class:<rank>` admits every `class:<digits>`.
     pub atoms: &'static [&'static str],
     /// Comment header of the regenerated contract.
@@ -74,8 +72,6 @@ pub struct Nouns {
     pub clean: &'static str,
     /// What a missing contract file should declare.
     pub entries: &'static str,
-    /// Title of the baseline file's header.
-    pub baseline: &'static str,
 }
 
 /// One declared entry: function key, declared atoms, declaration line.
@@ -128,9 +124,6 @@ pub struct Outcome {
     pub findings: Vec<Finding>,
     /// Functions scanned (the whole workspace, not just reachable ones).
     pub fns: usize,
-    /// Current per-`<stem>:<entry>:<atom>` violation counts (for the
-    /// baseline ratchet; declared atoms are not violations).
-    pub violation_counts: BTreeMap<String, u64>,
 }
 
 impl Pass {
@@ -147,23 +140,6 @@ impl Pass {
     /// Repo-relative path of the contract file.
     pub fn contract_file(&self) -> String {
         format!("{}.toml", self.table)
-    }
-
-    /// Repo-relative path of the ratchet file.
-    pub fn baseline_file(&self) -> String {
-        format!("crates/xtask/{}_baseline.toml", self.table)
-    }
-
-    /// Comment header of a regenerated ratchet file.
-    pub fn baseline_header(&self) -> String {
-        let Pass { table, stem, .. } = self;
-        format!(
-            "# {} baseline — a ratchet, not an allowlist.\n\
-             # Keys are `{stem}:<entry>:<atom>` from `cargo xtask analyze --{table}`;\n\
-             # counts above these fail CI, counts below fail until regenerated with\n\
-             # `cargo xtask analyze --{table} --update-{table}-baseline`.\n",
-            self.nouns.baseline
-        )
     }
 }
 
@@ -198,8 +174,8 @@ pub fn parse(pass: &Pass, text: &str, origin: &str) -> io::Result<Vec<Entry>> {
     Ok(out)
 }
 
-/// Loads the contract from the workspace root. Unlike the baseline, a
-/// missing contract is an error: a check without entries proves nothing.
+/// Loads the contract from the workspace root. A missing contract is an
+/// error: a check without entries proves nothing.
 pub fn load(pass: &Pass, root: &Path) -> io::Result<Vec<Entry>> {
     let path = root.join(pass.contract_file());
     let text = std::fs::read_to_string(&path).map_err(|e| {
@@ -220,22 +196,19 @@ fn covers(filter: &[String], atom: &str) -> bool {
             .any(|a| a == atom || atom.strip_prefix(a.as_str()).is_some_and(|r| r.starts_with(':')))
 }
 
-/// Runs the check: extract, scan, propagate, compare against the contract
-/// and the baseline.
+/// Runs the check: extract, scan, propagate, compare against the contract.
 pub fn analyze(
     pass: &Pass,
     sources: &[SourceInput<'_>],
     config: &[Entry],
     ranks: &BTreeMap<String, u64>,
-    baselined: &BTreeMap<String, u64>,
 ) -> Outcome {
     let ex = crate::lockgraph::extract(sources);
     let symbols = SymbolTable::new(&ex.facts);
     let cx = Scan { symbols: &symbols, ex: &ex, ranks };
     let mut out = Outcome { fns: ex.fns, ..Outcome::default() };
-    let [violation, stale_entry, unknown_atom, stale_exempt, stale_baseline] =
-        pass.checks.map(|(id, _)| id);
-    let Pass { table, stem, nouns, .. } = pass;
+    let [violation, stale_entry, unknown_atom, stale_exempt] = pass.checks.map(|(id, _)| id);
+    let Pass { stem, nouns, .. } = pass;
 
     // Per-function sites, exemptions applied: an exemption covers a site on
     // its own line or up to 3 lines below (the comment sits above the
@@ -336,30 +309,24 @@ pub fn analyze(
             if e.atoms.iter().any(|a| a == atom) {
                 continue;
             }
-            let count = found.len() as u64;
-            let key = format!("{stem}:{}:{atom}", e.key);
-            let allowed = baselined.get(&key).copied().unwrap_or(0);
-            out.violation_counts.insert(key, count);
-            if count > allowed {
-                let (idx, first) = found[0];
-                let file = &ex.facts[idx].file;
-                out.findings.push(Finding {
-                    check: violation,
-                    file: file.clone(),
-                    line: first.line,
-                    message: format!(
-                        "{}: {} `{atom}` outside {} [{}]: {count} site(s) \
-                         ({allowed} baselined), e.g. {} at {file}:{} via {}",
-                        e.key,
-                        nouns.site,
-                        nouns.declared,
-                        e.atoms.join(", "),
-                        first.what,
-                        first.line,
-                        chain_to(idx),
-                    ),
-                });
-            }
+            let (idx, first) = found[0];
+            let file = &ex.facts[idx].file;
+            out.findings.push(Finding {
+                check: violation,
+                file: file.clone(),
+                line: first.line,
+                message: format!(
+                    "{}: {} `{atom}` outside {} [{}]: {} site(s), e.g. {} at {file}:{} via {}",
+                    e.key,
+                    nouns.site,
+                    nouns.declared,
+                    e.atoms.join(", "),
+                    found.len(),
+                    first.what,
+                    first.line,
+                    chain_to(idx),
+                ),
+            });
         }
 
         out.entries.push(EntryReport {
@@ -383,22 +350,6 @@ pub fn analyze(
                     "{stem}-exempt comment covers no matching {} site within 3 lines — \
                      remove it or move it to the {}",
                     nouns.site, nouns.exempt_target
-                ),
-            });
-        }
-    }
-
-    // Baseline ratchet, downward direction: slack fails until regenerated.
-    for (key, &allowed) in baselined {
-        let current = out.violation_counts.get(key).copied().unwrap_or(0);
-        if current < allowed {
-            out.findings.push(Finding {
-                check: stale_baseline,
-                file: pass.baseline_file(),
-                line: 0,
-                message: format!(
-                    "{key}: {allowed} baselined, {current} remain — run \
-                     `cargo xtask analyze --{table} --update-{table}-baseline`"
                 ),
             });
         }
@@ -510,7 +461,6 @@ pub(crate) mod tests {
         srcs: &[Src<'_>],
         config: &[(&str, &[&str])],
         ranks: &[(&str, u64)],
-        baselined: &[(&str, u64)],
     ) -> Outcome {
         let config: Vec<Entry> = config
             .iter()
@@ -521,7 +471,7 @@ pub(crate) mod tests {
                 line: i + 1,
             })
             .collect();
-        analyze(pass, &inputs(srcs), &config, &counts(ranks), &counts(baselined))
+        analyze(pass, &inputs(srcs), &config, &counts(ranks))
     }
 
     pub(crate) fn findings<'a>(o: &'a Outcome, check: &str) -> Vec<&'a Finding> {
@@ -529,7 +479,7 @@ pub(crate) mod tests {
     }
 
     /// What the machinery tests know about one pass: its canonical seeded
-    /// violation and a contract that raises all five finding kinds.
+    /// violation and a contract that raises all four finding kinds.
     struct Fixture {
         pass: &'static Pass,
         /// Two crates: `entry` reaches an `atom` site in another crate.
@@ -543,13 +493,12 @@ pub(crate) mod tests {
         golden: Golden,
     }
 
-    /// The all-five-findings input and its four renderings, captured from
-    /// the per-pass renderers this module replaced (`tests/golden/`).
+    /// The all-four-findings input and its four renderings
+    /// (`tests/golden/`).
     struct Golden {
         srcs: [Src<'static>; 2],
         contract: &'static str,
         ranks: &'static [(&'static str, u64)],
-        baseline: &'static [(&'static str, u64)],
         human: &'static str,
         json: &'static str,
         sarif: &'static str,
@@ -559,8 +508,7 @@ pub(crate) mod tests {
     impl Golden {
         fn outcome(&self, pass: &Pass) -> Outcome {
             let config = parse(pass, self.contract, &pass.contract_file()).unwrap();
-            let (ranks, baseline) = (counts(self.ranks), counts(self.baseline));
-            analyze(pass, &inputs(&self.srcs), &config, &ranks, &baseline)
+            analyze(pass, &inputs(&self.srcs), &config, &counts(self.ranks))
         }
     }
 
@@ -577,7 +525,6 @@ pub(crate) mod tests {
                     srcs: HOT_SRCS,
                     contract: HOT_CONTRACT,
                     ranks: &[("stream::Consumer::parts", 30)],
-                    baseline: &[("hotpath:util::first:panic", 2)],
                     human: include_str!("../tests/golden/hotpaths.human.txt"),
                     json: include_str!("../tests/golden/hotpaths.json"),
                     sarif: include_str!("../tests/golden/hotpaths.sarif"),
@@ -595,7 +542,6 @@ pub(crate) mod tests {
                     srcs: DET_SRCS,
                     contract: DET_CONTRACT,
                     ranks: &[],
-                    baseline: &[("determinism:core::Registry::total:map-iter", 2)],
                     human: include_str!("../tests/golden/determinism.human.txt"),
                     json: include_str!("../tests/golden/determinism.json"),
                     sarif: include_str!("../tests/golden/determinism.sarif"),
@@ -698,7 +644,7 @@ pub(crate) mod tests {
     #[test]
     fn violation_chain_lands_in_sarif() {
         for fx in fixtures() {
-            let o = check(fx.pass, &fx.pipeline, &[(fx.entry, &[])], &[], &[]);
+            let o = check(fx.pass, &fx.pipeline, &[(fx.entry, &[])], &[]);
             let text = sarif(fx.pass, &o);
             assert!(text.contains(&format!("\"{}\"", fx.pass.checks[0].0)), "{text}");
             assert!(text.contains(fx.leaf.0), "{text}");
@@ -718,7 +664,7 @@ pub(crate) mod tests {
                 ",
                 fx.pass.stem
             );
-            let o = check(fx.pass, &[("fx", "fx/src/lib.rs", &text)], &[], &[], &[]);
+            let o = check(fx.pass, &[("fx", "fx/src/lib.rs", &text)], &[], &[]);
             let v = findings(&o, "stale-exempt");
             assert_eq!(v.len(), 1, "{:?}", o.findings);
             assert_eq!(v[0].file, "fx/src/lib.rs");
@@ -738,25 +684,9 @@ pub(crate) mod tests {
         for fx in fixtures() {
             let srcs = [("fx", "fx/src/lib.rs", "pub fn f() {}")];
             let config: [(&str, &[&str]); 2] = [("fx::gone", &[fx.atom]), ("fx::f", &["chaos"])];
-            let o = check(fx.pass, &srcs, &config, &[], &[]);
+            let o = check(fx.pass, &srcs, &config, &[]);
             assert_eq!(findings(&o, "stale-entry").len(), 1, "{:?}", o.findings);
             assert_eq!(findings(&o, fx.pass.checks[2].0).len(), 1, "{:?}", o.findings);
-        }
-    }
-
-    #[test]
-    fn baseline_tolerates_exact_count_and_flags_slack() {
-        for fx in fixtures() {
-            let key = format!("{}:{}:{}", fx.pass.stem, fx.entry, fx.atom);
-            let o = check(fx.pass, &fx.pipeline, &[(fx.entry, &[])], &[], &[(&key, 1)]);
-            assert!(o.findings.is_empty(), "{:?}", o.findings);
-            assert_eq!(o.violation_counts.get(&key), Some(&1));
-
-            let o = check(fx.pass, &fx.pipeline, &[(fx.entry, &[])], &[], &[(&key, 2)]);
-            let v = findings(&o, fx.pass.checks[4].0);
-            assert_eq!(v.len(), 1, "{:?}", o.findings);
-            let flag = format!("--update-{}-baseline", fx.pass.table);
-            assert!(v[0].message.contains(&flag), "{}", v[0].message);
         }
     }
 
@@ -794,20 +724,20 @@ pub(crate) mod tests {
     #[test]
     fn emit_renders_observed_contract() {
         for fx in fixtures() {
-            let o = check(fx.pass, &fx.pipeline, &[(fx.entry, &[])], &[], &[]);
+            let o = check(fx.pass, &fx.pipeline, &[(fx.entry, &[])], &[]);
             let emitted = emit(fx.pass, &o);
             let row = format!("\"{}\" = [\"{}\"]", fx.entry, fx.atom);
             assert!(emitted.contains(&row), "{emitted}");
         }
     }
 
-    /// Every rendering of the all-five-findings fixture, byte for byte.
+    /// Every rendering of the all-four-findings fixture, byte for byte.
     #[test]
     fn golden_fixture_renders_byte_identically() {
         for fx in fixtures() {
             let o = fx.golden.outcome(fx.pass);
             let kinds: BTreeSet<&str> = o.findings.iter().map(|f| f.check).collect();
-            assert_eq!(kinds, fx.pass.checks.iter().map(|(id, _)| *id).collect(), "all five kinds");
+            assert_eq!(kinds, fx.pass.checks.iter().map(|(id, _)| *id).collect(), "all four kinds");
             assert_eq!(human(fx.pass, &o), fx.golden.human);
             assert_eq!(json(fx.pass, &o), fx.golden.json);
             assert_eq!(sarif(fx.pass, &o), fx.golden.sarif);
@@ -820,7 +750,7 @@ pub(crate) mod tests {
     #[test]
     fn emitted_contract_parses_back() {
         for fx in fixtures() {
-            let seeded = check(fx.pass, &fx.pipeline, &[(fx.entry, &[])], &[], &[]);
+            let seeded = check(fx.pass, &fx.pipeline, &[(fx.entry, &[])], &[]);
             for o in [seeded, fx.golden.outcome(fx.pass)] {
                 let back = parse(fx.pass, &emit(fx.pass, &o), "emitted").unwrap();
                 let read: Vec<(&str, Vec<&str>)> = back
@@ -837,9 +767,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// Arbitrary input through both table readers returns `Ok` or `Err`,
-    /// never a panic: 4 096 generated lines, half arbitrary bytes, half
-    /// valid rows with one character dropped or a trailing comma added.
+    /// Arbitrary input through the table readers — the contract parser,
+    /// the lint baseline's and `cad3_lockrank::parse` (`lockranks.toml`) —
+    /// returns `Ok` or `Err`, never a panic: 4 096 generated lines, half
+    /// arbitrary bytes, half valid rows with one character dropped or a
+    /// trailing comma added.
     #[test]
     fn readers_never_panic_on_generated_lines() {
         let mut state = 0xCAD3_u64;
@@ -854,11 +786,14 @@ pub(crate) mod tests {
         let valid = [
             "\"cad3::RsuNode::run_batch\" = [\"alloc\", \"lock:30\"]",
             "\"a::free\" = []",
-            "\"hotpath:a::B::c:panic\" = 27",
+            "\"no-panic:crates/core/src/lib.rs\" = 27",
             "[violations]",
+            "\"cad3::RsuNode::shards\" = 50",
+            "[ranks]",
             "# a comment",
         ];
         let (mut accepted, mut rejected) = (0usize, 0usize);
+        let mut text = String::new();
         for case in 0..4096 {
             let line = if case % 2 == 0 {
                 let bytes: Vec<u8> = (0..next() % 48).map(|_| next() as u8).collect();
@@ -888,6 +823,25 @@ pub(crate) mod tests {
             match baseline::parse(&line, "fuzz") {
                 Ok(_) => accepted += 1,
                 Err(_) => rejected += 1,
+            }
+            // `lockranks.toml` is also read whole: every 8 lines go through
+            // as one text, so duplicate sites and later-line errors occur.
+            text.push_str(&line);
+            text.push('\n');
+            let lockrank_inputs =
+                if case % 8 == 7 { vec![line, text.split_off(0)] } else { vec![line] };
+            for input in &lockrank_inputs {
+                match cad3_lockrank::parse(input) {
+                    Ok(ranks) => {
+                        accepted += 1;
+                        assert!(ranks.keys().all(|site| !site.is_empty()));
+                    }
+                    Err(e) => {
+                        rejected += 1;
+                        let at = e.split_once(": ").map(|(n, _)| n.parse::<usize>());
+                        assert!(matches!(at, Some(Ok(n)) if n >= 1), "{e}");
+                    }
+                }
             }
         }
         assert!(accepted > 100 && rejected > 100, "{accepted} accepted, {rejected} rejected");

@@ -4,7 +4,7 @@
 //! must replay bit-identically (the sim event loop, handover fusion, the
 //! detect path, the RNG-seeded generators) and, per entry, the
 //! *nondeterminism allowance* the path may use. The check itself — contract
-//! format, exemptions, reachability, ratchet, reports — is
+//! format, exemptions, reachability, reports — is
 //! [`crate::contract`]; this module supplies the nondeterminism lattice and
 //! the scanner that finds its sources.
 //!
@@ -45,12 +45,11 @@ use crate::tokens::{skip_group, Tok, Token};
 use std::collections::BTreeSet;
 
 /// Check ids and the descriptions backing their SARIF rule metadata.
-const CHECKS: [(&str, &str); 5] = [
+const CHECKS: [(&str, &str); 4] = [
     ("determinism-violation", "A declared-deterministic entry can reach a nondeterminism source outside its allowance in determinism.toml."),
     ("stale-entry", "determinism.toml declares an entry function that no longer exists in the workspace."),
     ("unknown-atom", "determinism.toml allows an atom that is not a nondeterminism source (map-iter, hash-state, wallclock, thread, unseeded-rng, ptr-order)."),
     ("stale-exempt", "A determinism-exempt comment no longer covers any nondeterminism site and should be removed."),
-    ("stale-determinism-baseline", "The determinism baseline records more violations than currently exist; regenerate to tighten the ratchet."),
 ];
 
 /// The determinism contract.
@@ -76,7 +75,6 @@ pub static PASS: Pass = Pass {
         found_key: "sources",
         clean: "replay-deterministic",
         entries: "deterministic entry points",
-        baseline: "Determinism",
     },
 };
 
@@ -562,7 +560,7 @@ pub(crate) mod tests {
     use crate::contract::Outcome;
 
     fn det(srcs: &[(&str, &str, &str)], config: &[(&str, &[&str])]) -> Outcome {
-        check(&PASS, srcs, config, &[], &[])
+        check(&PASS, srcs, config, &[])
     }
 
     /// Two crates: a sim step whose helper (in another crate) iterates a
@@ -623,7 +621,6 @@ pub(crate) mod tests {
         assert!(d.findings.is_empty(), "{:?}", d.findings);
         assert_eq!(d.entries.len(), 1);
         assert_eq!(d.entries[0].found.get("map-iter"), Some(&1));
-        assert!(d.violation_counts.is_empty(), "allowed atoms are not violations");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The root `hotpaths.toml` declares the latency-critical entry functions
 //! (produce, poll, detect, transmit) and, per entry, the *capability set*
 //! the path is allowed to use. The check itself — contract format,
-//! exemptions, reachability, ratchet, reports — is [`crate::contract`]; this
+//! exemptions, reachability, reports — is [`crate::contract`]; this
 //! module supplies the effect lattice and the scanner that finds its sites.
 //!
 //! Effect atoms form a flat lattice:
@@ -26,12 +26,11 @@ use crate::tokens::{call_paren, skip_group, Tok};
 use std::collections::BTreeSet;
 
 /// Check ids and the descriptions backing their SARIF rule metadata.
-const CHECKS: [(&str, &str); 5] = [
+const CHECKS: [(&str, &str); 4] = [
     ("hotpath-violation", "A hot-path entry can reach an effect outside its declared capability set in hotpaths.toml."),
     ("stale-entry", "hotpaths.toml declares an entry function that no longer exists in the workspace."),
     ("unknown-capability", "hotpaths.toml declares a capability that is not an effect atom (alloc, panic, block, wallclock, lock:<rank>)."),
     ("stale-exempt", "A hotpath-exempt comment no longer covers any effect site and should be removed."),
-    ("stale-hotpath-baseline", "The hot-path baseline records more violations than currently exist; regenerate to tighten the ratchet."),
 ];
 
 /// The hot-path purity contract.
@@ -56,7 +55,6 @@ pub static PASS: Pass = Pass {
         found_key: "effects",
         clean: "pure",
         entries: "hot-path entries",
-        baseline: "Hot-path purity",
     },
 };
 
@@ -207,7 +205,7 @@ pub(crate) mod tests {
         config: &[(&str, &[&str])],
         ranks: &[(&str, u64)],
     ) -> Outcome {
-        check(&PASS, srcs, config, ranks, &[])
+        check(&PASS, srcs, config, ranks)
     }
 
     /// Two crates: a poll entry whose helper (in another crate) formats a
@@ -258,7 +256,6 @@ pub(crate) mod tests {
         assert!(h.findings.is_empty(), "{:?}", h.findings);
         assert_eq!(h.entries.len(), 1);
         assert_eq!(h.entries[0].found.get("alloc"), Some(&1));
-        assert!(h.violation_counts.is_empty(), "covered atoms are not violations");
     }
 
     #[test]

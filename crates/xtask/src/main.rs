@@ -17,9 +17,13 @@
 //! every workspace crate (`lexer` → `tokens` → `parser`) and extracts one
 //! set of per-function facts (`lockgraph::extract`). The lock-graph analysis
 //! checks the acquisition graph for cycles and violations of the hierarchy
-//! in `lockranks.toml`; the two contract analyses are one check (`contract`)
-//! over two scanners (`hotpaths`, `determinism`), each taking
-//! `--<table>`, `--emit-<table>` and `--update-<table>-baseline`.
+//! in `lockranks.toml` (read through `cad3_lockrank::parse`, the runtime
+//! witness's own reader); the two contract analyses are one check
+//! (`contract`) over two scanners (`hotpaths`, `determinism`), each taking
+//! `--<table>` and `--emit-<table>`. The contract file is the one allowlist
+//! and a `// <stem>-exempt:` comment the one per-site escape. `slos.toml`
+//! is not read here: `cad3_obs::SloContract` is its one reader, and
+//! `cad3-obs`'s unit tests check the checked-in file.
 //! See `DESIGN.md` §"Verification strategy".
 
 mod baseline;
@@ -47,16 +51,13 @@ commands:
   analyze [--format human|json|sarif] [--emit-lockranks]
       whole-workspace lock-graph deadlock and lock-rank analysis
   analyze --hotpaths [--format human|json|sarif] [--emit-hotpaths]
-          [--update-hotpaths-baseline]
       hot-path purity: prove the entries in hotpaths.toml stay within
       their declared effect capabilities (alloc, panic, block, wallclock,
-      lock:<rank>), ratcheted via crates/xtask/hotpaths_baseline.toml
+      lock:<rank>)
   analyze --determinism [--format human|json|sarif] [--emit-determinism]
-          [--update-determinism-baseline]
       determinism contract: prove the entries in determinism.toml reach no
       nondeterminism source (map-iter, hash-state, wallclock, thread,
-      unseeded-rng, ptr-order) outside their declared allowance,
-      ratcheted via crates/xtask/determinism_baseline.toml";
+      unseeded-rng, ptr-order) outside their declared allowance";
 
 /// The contract analyses `analyze` can run, each behind its own flags.
 const PASSES: [&Pass; 2] = [&hotpaths::PASS, &determinism::PASS];
@@ -75,7 +76,7 @@ fn main() -> ExitCode {
             let mut format = "human".to_owned();
             let mut emit_lockranks = false;
             let mut pass: Option<&Pass> = None;
-            let (mut emit, mut update_baseline) = (false, false);
+            let mut emit = false;
             let mut rest = args[1..].iter();
             while let Some(a) = rest.next() {
                 match a.as_str() {
@@ -87,11 +88,7 @@ fn main() -> ExitCode {
                     flag => {
                         let hit = PASSES.iter().find_map(|p| {
                             let t = p.table;
-                            let flags = [
-                                format!("--{t}"),
-                                format!("--emit-{t}"),
-                                format!("--update-{t}-baseline"),
-                            ];
+                            let flags = [format!("--{t}"), format!("--emit-{t}")];
                             Some((*p, flags.iter().position(|f| f == flag)?))
                         });
                         match hit {
@@ -99,7 +96,6 @@ fn main() -> ExitCode {
                             Some((p, at)) if pass.is_none_or(|chosen| chosen.table == p.table) => {
                                 pass = Some(p);
                                 emit |= at == 1;
-                                update_baseline |= at == 2;
                             }
                             _ => return usage(),
                         }
@@ -109,9 +105,7 @@ fn main() -> ExitCode {
             match pass {
                 // A lock-graph-only flag next to a contract pass.
                 Some(_) if emit_lockranks => usage(),
-                Some(pass) => {
-                    exit_of(analyze_contract(pass, &format, emit, update_baseline), "analyze")
-                }
+                Some(pass) => exit_of(analyze_contract(pass, &format, emit), "analyze"),
                 None => exit_of(analyze(&format, emit_lockranks), "analyze"),
             }
         }
@@ -221,17 +215,6 @@ fn lint(update_baseline: bool) -> std::io::Result<bool> {
             library.push((rel.as_str(), file));
         }
     }
-    // The SLO contract is not a Rust source, but its metric references are
-    // linted against the same catalogue the span rules use.
-    let slos_path = root.join("slos.toml");
-    if slos_path.is_file() {
-        let text = std::fs::read_to_string(&slos_path)?;
-        violations.extend(rules::check_slos("slos.toml", &text));
-    }
-    // The profile vocabulary arrays live in the (per-file-exempt) names
-    // source; their well-formedness is checked against the compiled-in
-    // catalogue here.
-    violations.extend(rules::check_profile_catalogue());
     // Every catalogued name needs an emitter somewhere in library code.
     violations.extend(rules::check_name_emitters(&library));
 
@@ -359,12 +342,27 @@ fn inputs(sources: &[(String, String, String)]) -> Vec<lockgraph::SourceInput<'_
         .collect()
 }
 
+/// Reads `lockranks.toml` through the runtime witness's parser: lock site →
+/// rank.
+fn load_ranks(root: &Path) -> std::io::Result<BTreeMap<String, u64>> {
+    let text = std::fs::read_to_string(root.join("lockranks.toml"))?;
+    parse_ranks(&text)
+}
+
+/// [`load_ranks`] over the file's text.
+fn parse_ranks(text: &str) -> std::io::Result<BTreeMap<String, u64>> {
+    let ranks = cad3_lockrank::parse(text).map_err(|e| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("lockranks.toml:{e}"))
+    })?;
+    Ok(ranks.into_iter().map(|(site, rank)| (site.to_owned(), u64::from(rank))).collect())
+}
+
 /// Runs the lock-graph analysis; returns `Ok(true)` when there are no
 /// findings. With `emit_lockranks`, prints a regenerated table instead
 /// (redirect into `lockranks.toml` to accept it) and always succeeds.
 fn analyze(format: &str, emit_lockranks: bool) -> std::io::Result<bool> {
     let root = workspace_root();
-    let ranks = baseline::load(&root.join("lockranks.toml"))?;
+    let ranks = load_ranks(&root)?;
     let sources = collect_analyze_sources(&root)?;
     let analysis = lockgraph::analyze(&inputs(&sources), &ranks);
 
@@ -380,45 +378,23 @@ fn analyze(format: &str, emit_lockranks: bool) -> std::io::Result<bool> {
     Ok(analysis.findings.is_empty())
 }
 
-/// Checks the workspace against `pass`'s checked-in contract and baseline.
+/// Checks the workspace against `pass`'s checked-in contract.
 fn check_contract(pass: &Pass, root: &Path) -> std::io::Result<Outcome> {
-    let ranks = baseline::load(&root.join("lockranks.toml"))?;
+    let ranks = load_ranks(root)?;
     let config = contract::load(pass, root)?;
-    let baselined = baseline::load(&root.join(pass.baseline_file()))?;
     let sources = collect_analyze_sources(root)?;
-    Ok(contract::analyze(pass, &inputs(&sources), &config, &ranks, &baselined))
+    Ok(contract::analyze(pass, &inputs(&sources), &config, &ranks))
 }
 
 /// Runs one contract analysis; returns `Ok(true)` when every entry of the
-/// pass's contract stays within its declared atoms (modulo the ratcheted
-/// baseline). With `emit`, prints a regenerated contract; with
-/// `update_baseline`, rewrites the ratchet to current reality.
-fn analyze_contract(
-    pass: &Pass,
-    format: &str,
-    emit: bool,
-    update_baseline: bool,
-) -> std::io::Result<bool> {
+/// pass's contract stays within its declared atoms. With `emit`, prints a
+/// regenerated contract instead.
+fn analyze_contract(pass: &Pass, format: &str, emit: bool) -> std::io::Result<bool> {
     let root = workspace_root();
     let outcome = check_contract(pass, &root)?;
 
     if emit {
         print!("{}", contract::emit(pass, &outcome));
-        return Ok(true);
-    }
-    if update_baseline {
-        let baseline_path = root.join(pass.baseline_file());
-        baseline::save_with_header(
-            &baseline_path,
-            &outcome.violation_counts,
-            &pass.baseline_header(),
-        )?;
-        println!(
-            "{} baseline regenerated: {} ({} violation key(s))",
-            pass.table,
-            baseline_path.display(),
-            outcome.violation_counts.values().filter(|&&c| c > 0).count(),
-        );
         return Ok(true);
     }
     match format {
@@ -438,7 +414,7 @@ mod main_tests {
     #[test]
     fn real_workspace_analysis_is_clean() {
         let root = workspace_root();
-        let ranks = baseline::load(&root.join("lockranks.toml")).expect("lockranks.toml");
+        let ranks = load_ranks(&root).expect("lockranks.toml");
         assert!(!ranks.is_empty(), "rank table must not be empty");
         let sources = collect_analyze_sources(&root).expect("workspace sources");
         let analysis = lockgraph::analyze(&inputs(&sources), &ranks);
@@ -457,13 +433,17 @@ mod main_tests {
         }
     }
 
-    /// End-to-end: the checked-in SLO contract references only catalogued
-    /// metrics, so no objective can silently evaluate to "no data" forever.
+    /// A site declared twice fails the analyzer before any analysis runs,
+    /// as it fails the runtime witness (`cad3_lockrank`'s
+    /// `duplicated_site_line_panics`): both read the file through one parser.
     #[test]
-    fn real_slo_contract_is_anchored_to_the_catalogue() {
-        let text = std::fs::read_to_string(workspace_root().join("slos.toml")).expect("slos.toml");
-        let v = rules::check_slos("slos.toml", &text);
-        assert!(v.is_empty(), "slos.toml lint findings: {v:?}");
+    fn duplicated_rank_site_is_rejected() {
+        let text = "[ranks]\n\"a::B::c\" = 10\n\"a::B::d\" = 20\n\"a::B::c\" = 30\n";
+        let err = parse_ranks(text).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "lockranks.toml:4: duplicate site a::B::c");
+        let ranks = parse_ranks("\"a::B::c\" = 10\n").unwrap();
+        assert_eq!(ranks.get("a::B::c"), Some(&10));
     }
 
     #[test]
@@ -475,7 +455,7 @@ mod main_tests {
 
     /// End-to-end: a checked-in contract must hold on the real workspace —
     /// it declares entries, every entry resolves, nothing escapes its
-    /// declared atoms, no exemption is stale, the baseline carries no slack.
+    /// declared atoms, no exemption is stale.
     fn clean_outcome(pass: &Pass) -> Outcome {
         let outcome = check_contract(pass, &workspace_root()).expect("workspace check");
         assert!(

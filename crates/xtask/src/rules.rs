@@ -25,7 +25,7 @@ pub struct Violation {
 }
 
 /// Rule names, in reporting order.
-pub const RULE_NAMES: [&str; 9] = [
+pub const RULE_NAMES: [&str; 8] = [
     "ordering-comment",
     "no-panic",
     "no-as-cast",
@@ -33,7 +33,6 @@ pub const RULE_NAMES: [&str; 9] = [
     "no-bare-print",
     "obs-names",
     "span-names",
-    "slo-names",
     "profile-names",
 ];
 
@@ -388,20 +387,17 @@ fn span_names(rel_path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
 }
 
 /// String entries of a single-line `pub const NAME: &[&str] = &["..."];`
-/// array in [`NAMES_SOURCE`], with the array's 1-based line. The profile
-/// vocabulary arrays are kept as one-line literal lists precisely so this
-/// parse stays trivial (the catalogue's own unit test holds the same).
-fn names_array(array: &str) -> Option<(usize, Vec<String>)> {
+/// array in [`NAMES_SOURCE`]. `THREAD_CLASSES` is kept as a one-line
+/// literal list precisely so this parse stays trivial.
+fn names_array(array: &str) -> Option<Vec<String>> {
     let prefix = format!("pub const {array}: &[&str] = &[");
-    for (idx, line) in NAMES_SOURCE.lines().enumerate() {
-        let Some(rest) = line.trim().strip_prefix(&prefix) else { continue };
-        let entries = rest.split('"').skip(1).step_by(2).map(str::to_owned).collect();
-        return Some((idx + 1, entries));
-    }
-    None
+    NAMES_SOURCE.lines().find_map(|line| {
+        let rest = line.trim().strip_prefix(&prefix)?;
+        Some(rest.split('"').skip(1).step_by(2).map(str::to_owned).collect())
+    })
 }
 
-/// Rule 9: the continuous profiler's vocabulary is a closed set, like the
+/// Rule 8: the continuous profiler's vocabulary is a closed set, like the
 /// span names it extends. Three call shapes are anchored when their
 /// argument is a string literal:
 ///
@@ -420,7 +416,7 @@ fn profile_names(rel_path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
         return;
     }
     let catalogue = name_catalogue();
-    let classes = names_array("THREAD_CLASSES").map(|(_, v)| v).unwrap_or_default();
+    let classes = names_array("THREAD_CLASSES").unwrap_or_default();
     for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test {
             continue;
@@ -458,74 +454,14 @@ fn profile_names(rel_path: &str, file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// The catalogue-level half of `profile-names`: the exemplar-histogram
-/// and thread-class vocabulary arrays in `cad3_obs::names` must themselves
-/// be well-formed — every `EXEMPLAR_HISTOGRAMS` entry a catalogued metric
-/// name (an exemplar slot on a histogram nobody exports is dead weight)
-/// and every `THREAD_CLASSES` entry a lowercase identifier. Invoked
-/// directly by `lint` (like [`check_slos`]) since the findings anchor to
-/// the names source itself, which the per-file rule exempts.
-pub fn check_profile_catalogue() -> Vec<Violation> {
-    const NAMES_REL: &str = "crates/obs/src/names.rs";
-    let catalogue = name_catalogue();
-    let mut out = Vec::new();
-    match names_array("EXEMPLAR_HISTOGRAMS") {
-        Some((line, entries)) => {
-            for name in entries {
-                if !catalogue.iter().any(|c| c == &name) {
-                    out.push(Violation {
-                        rule: "profile-names",
-                        file: NAMES_REL.to_owned(),
-                        line,
-                        message: format!(
-                            "EXEMPLAR_HISTOGRAMS entry {name:?} is not in the names catalogue"
-                        ),
-                    });
-                }
-            }
-        }
-        None => out.push(Violation {
-            rule: "profile-names",
-            file: NAMES_REL.to_owned(),
-            line: 1,
-            message: "EXEMPLAR_HISTOGRAMS single-line literal array not found".to_owned(),
-        }),
-    }
-    match names_array("THREAD_CLASSES") {
-        Some((line, entries)) => {
-            for class in entries {
-                let ok =
-                    !class.is_empty() && class.chars().all(|c| c.is_ascii_lowercase() || c == '_');
-                if !ok {
-                    out.push(Violation {
-                        rule: "profile-names",
-                        file: NAMES_REL.to_owned(),
-                        line,
-                        message: format!(
-                            "THREAD_CLASSES entry {class:?} is not a lowercase identifier"
-                        ),
-                    });
-                }
-            }
-        }
-        None => out.push(Violation {
-            rule: "profile-names",
-            file: NAMES_REL.to_owned(),
-            line: 1,
-            message: "THREAD_CLASSES single-line literal array not found".to_owned(),
-        }),
-    }
-    out
-}
-
 /// The workspace-level half of `obs-names`: every catalogued name needs an
 /// emitter. A name counts as emitted when its string literal, or its
 /// constant as `names::NAME`, appears in the non-test code of a library
 /// file (`files`: the lexed `src/` trees) other than the names source
 /// itself. A name nobody emits is a dashboard row and a `# HELP` line that stay
 /// empty forever — what is left behind when an emitter is deleted without
-/// its name. Invoked directly by `lint`, like [`check_profile_catalogue`],
-/// since the findings anchor to the names source.
+/// its name. Invoked directly by `lint`, not per file, since the findings
+/// anchor to the names source.
 pub fn check_name_emitters(files: &[(&str, SourceFile)]) -> Vec<Violation> {
     unemitted_names(NAMES_SOURCE, files)
 }
@@ -564,83 +500,6 @@ fn unemitted_names(names_source: &str, files: &[(&str, SourceFile)]) -> Vec<Viol
         .collect()
 }
 
-/// Rule 8: the SLO contract must stay anchored to the metric catalogue.
-/// Every `metric = "..."` in the root `slos.toml` must name an entry of
-/// `cad3_obs::names` — either verbatim or as a span's derived `<name>_ns`
-/// latency histogram — and every `[slo.<name>]` section header must follow
-/// the lowercase dotted convention. This is the contract-level counterpart
-/// of `span-names`: an objective over a metric nobody emits would
-/// evaluate to "no data" forever and silently never fire.
-///
-/// `slos.toml` is not a Rust source, so this rule is invoked directly by
-/// `lint` on the file's text rather than through [`check_file`].
-pub fn check_slos(rel_path: &str, text: &str) -> Vec<Violation> {
-    let catalogue = name_catalogue();
-    let catalogued = |name: &str| {
-        catalogue.iter().any(|c| c == name)
-            || name.strip_suffix("_ns").is_some_and(|base| catalogue.iter().any(|c| c == base))
-    };
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        // `#` starts a comment; metric values are quoted, so a quote-aware
-        // strip keeps `#` inside names intact (names never carry one, but
-        // the parser this mirrors is quote-aware too).
-        let mut code = raw;
-        let mut in_quote = false;
-        for (i, c) in raw.char_indices() {
-            match c {
-                '"' => in_quote = !in_quote,
-                '#' if !in_quote => {
-                    code = &raw[..i];
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let line = code.trim();
-        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            if let Some(name) = header.strip_prefix("slo.") {
-                if !is_metric_name(name) {
-                    out.push(Violation {
-                        rule: "slo-names",
-                        file: rel_path.to_owned(),
-                        line: idx + 1,
-                        message: format!(
-                            "SLO name {name:?} breaks the lowercase dotted convention"
-                        ),
-                    });
-                }
-            }
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else { continue };
-        if key.trim() != "metric" {
-            continue;
-        }
-        let Some(name) = value.trim().strip_prefix('"').and_then(|v| v.strip_suffix('"')) else {
-            out.push(Violation {
-                rule: "slo-names",
-                file: rel_path.to_owned(),
-                line: idx + 1,
-                message: format!("`metric` value `{}` is not a quoted string", value.trim()),
-            });
-            continue;
-        };
-        if !catalogued(name) {
-            out.push(Violation {
-                rule: "slo-names",
-                file: rel_path.to_owned(),
-                line: idx + 1,
-                message: format!(
-                    "metric {name:?} is not in the cad3_obs::names catalogue \
-                     (nor a catalogued span's `_ns` histogram)"
-                ),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,31 +510,6 @@ mod tests {
             .into_iter()
             .filter(|v| v.rule == rule)
             .collect()
-    }
-
-    #[test]
-    fn slo_contract_names_checked_against_catalogue() {
-        let good = "[health]\ntick_ms = 100\n\n[slo.rsu.latency.total]\n\
-                    metric = \"rsu.total_us\" # catalogued\nmax = 1\n";
-        assert!(check_slos("slos.toml", good).is_empty());
-        // A catalogued span's derived `_ns` histogram is accepted too.
-        let derived = "[slo.x.y]\nmetric = \"rsu.micro_batch_ns\"\n";
-        assert!(check_slos("slos.toml", derived).is_empty());
-
-        let bad_name = "[slo.Bad-Name]\nmetric = \"rsu.total_us\"\n";
-        let v = check_slos("slos.toml", bad_name);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("lowercase dotted"), "{}", v[0].message);
-
-        let bad_metric = "[slo.a.b]\nmetric = \"no.such.metric\"\n";
-        let v = check_slos("slos.toml", bad_metric);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("catalogue"), "{}", v[0].message);
-
-        let unquoted = "[slo.a.b]\nmetric = rsu.total_us\n";
-        let v = check_slos("slos.toml", unquoted);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("quoted"), "{}", v[0].message);
     }
 
     #[test]
@@ -896,13 +730,8 @@ mod tests {
     }
 
     #[test]
-    fn profile_catalogue_arrays_are_well_formed() {
-        // The real names source must pass its own vocabulary check…
-        assert!(check_profile_catalogue().is_empty(), "{:?}", check_profile_catalogue());
-        // …and the parser actually sees both arrays.
-        let (_, exemplars) = names_array("EXEMPLAR_HISTOGRAMS").expect("exemplar array");
-        assert_eq!(exemplars, ["rsu.detect_us", "rsu.total_us"]);
-        let (_, classes) = names_array("THREAD_CLASSES").expect("class array");
+    fn thread_class_array_is_parsed_from_the_names_source() {
+        let classes = names_array("THREAD_CLASSES").expect("class array");
         assert_eq!(classes, ["main", "worker"]);
         assert!(names_array("NOT_AN_ARRAY").is_none());
     }
