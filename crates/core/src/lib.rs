@@ -66,7 +66,7 @@ pub use config::{ProcessingCostModel, SystemConfig};
 pub use error::CoreError;
 pub use latency::{LatencyBreakdown, LatencyStats};
 pub use roadstats::OnlineRoadStats;
-pub use rsu::{BatchResult, RsuNode};
+pub use rsu::{BatchResult, RsuNode, WARNING_DEADLINE};
 pub use testbed::{Testbed, TestbedReport};
 pub use vehicle::VehicleAgent;
 

@@ -15,6 +15,17 @@ use cad3_types::{
 use parking_lot::Mutex;
 use std::sync::Arc;
 
+/// How long a warning stays on an RSU's `OUT-DATA`: an append drops the
+/// warnings stamped more than this before it.
+///
+/// A warning older than a collaborative system's hard deadline is of no use
+/// to a driver (the 100 ms of SNIPPETS.md's Snippet 1, and the vehicles'
+/// 100 ms update period). A fleet that polls more often than this — the
+/// testbed's vehicles every 10 ms, the poll-interval ablation at most every
+/// 50 ms — reads every warning before it goes; a reader that falls further
+/// behind counts what it missed in `stream.consumer.skipped`.
+pub const WARNING_DEADLINE: SimDuration = SimDuration::from_millis(100);
+
 /// Outcome of one RSU micro-batch.
 #[derive(Debug)]
 pub struct BatchResult {
@@ -44,7 +55,11 @@ pub struct BatchResult {
 /// (3) classify them as a parallel stage over the worker pool (the paper's
 /// six-worker Spark cluster), partitioned by vehicle so each vehicle's
 /// records stay ordered against its collaboration state, (4) emit warnings
-/// for abnormal records.
+/// for abnormal records, (5) commit the two polls, so the next append to
+/// each `IN-DATA` and `CO-DATA` partition frees what the batch read.
+/// `OUT-DATA` keeps one [`WARNING_DEADLINE`] of warnings. The node is the
+/// only committing reader of its `IN-DATA` and `CO-DATA`: another reader
+/// of them must poll between a batch and the next append.
 pub struct RsuNode {
     id: RsuId,
     name: String,
@@ -178,13 +193,16 @@ impl RsuNode {
         let name = name.into();
         let broker = Arc::new(Broker::new(name.clone()));
         // The paper's three topics; warnings and summaries are appended
-        // through the handles of `OUT-DATA` and `CO-DATA`.
+        // through the handles of `OUT-DATA` and `CO-DATA`. `IN-DATA` and
+        // `CO-DATA` are freed by this node's commits, `OUT-DATA`, which the
+        // vehicles read, by the warning deadline.
         let [_, out_topic, co_topic] =
             [TOPIC_IN_DATA, TOPIC_OUT_DATA, TOPIC_CO_DATA].map(|topic| {
                 (broker.create_topic(topic, PAPER_PARTITIONS))
                     .and_then(|()| broker.topic_handle(topic))
                     .expect("fresh broker has no topics")
             });
+        out_topic.set_horizon(WARNING_DEADLINE.as_nanos());
         let mut in_consumer = Consumer::new(Arc::clone(&broker), "detector", OffsetReset::Earliest);
         in_consumer.subscribe(&[TOPIC_IN_DATA]).expect("topic just created");
         let mut co_consumer =
@@ -494,6 +512,10 @@ impl RsuNode {
             }
         }
         self.dispatch = outputs;
+        // The batch is processed: commit both polls (Kafka's at-least-once
+        // commit), so the next append to each partition frees what they read.
+        self.in_consumer.commit()?;
+        self.co_consumer.commit()?;
         self.warnings_produced += warnings.len() as u64;
         cad3_obs::counter!("rsu.records").add(cad3_types::len_u64(records));
         cad3_obs::counter!("rsu.warnings").add(cad3_types::len_u64(warnings.len()));

@@ -1,5 +1,6 @@
 use crate::sync::Arc;
-use crate::{Broker, FetchedRecord, SharedTopic, StreamError, TopicName};
+use crate::{Broker, FetchedRecord, SharedTopic, StreamError};
+use cad3_types::len_u64;
 
 /// Where a consumer starts reading a partition it subscribes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,38 +114,49 @@ impl Consumer {
                 break;
             }
             let (topic, partition) = (&cursor.topic, cursor.partition);
-            let batch = match topic.fetch(partition, cursor.position, room) {
-                Ok(b) => b,
+            let fetched = match topic.fetch_into(partition, cursor.position, room, &mut out) {
+                Ok(n) => n,
                 Err(StreamError::OffsetOutOfRange { earliest, .. }) => {
-                    // Retention overtook us: the records between our
-                    // position and the horizon are gone unread. Count them,
-                    // then resume from the horizon.
+                    // A trim overtook us: the records between our position
+                    // and the earliest retained one are gone unread. Count
+                    // them, then resume from there.
                     if cad3_obs::enabled() {
                         cad3_obs::counter!("stream.consumer.skipped")
                             .add(earliest.saturating_sub(cursor.position));
                     }
                     cursor.position = earliest;
-                    topic.fetch(partition, earliest, room)?
+                    topic.fetch_into(partition, earliest, room, &mut out)?
                 }
                 Err(e) => return Err(e),
             };
-            let Some(last) = batch.last() else { continue };
-            cursor.position = last.offset + 1;
-            out.extend(batch.into_iter().map(|r| FetchedRecord {
-                topic: TopicName::clone(topic.name()),
-                partition,
-                offset: r.offset,
-                key: r.key,
-                value: r.value,
-                timestamp: r.timestamp,
-                trace: r.trace,
-            }));
+            cursor.position += len_u64(fetched);
         }
         if cad3_obs::enabled() {
             cad3_obs::counter!("stream.consumer.polls").inc();
-            cad3_obs::counter!("stream.consumer.records").add(cad3_types::len_u64(out.len()));
+            cad3_obs::counter!("stream.consumer.records").add(len_u64(out.len()));
         }
         Ok(out)
+    }
+
+    /// Commits every cursor's position as its partition's floor: the
+    /// partition's next append frees the records this consumer has polled
+    /// (see [`crate::PartitionLog::commit`]). Call it once the polled
+    /// records are processed — Kafka's at-least-once commit. Each partition
+    /// takes its own mutex in turn, and no other lock.
+    ///
+    /// A partition has one floor, so only its one reader should commit:
+    /// another reader behind the floor is overtaken at the next append and
+    /// counts what it missed in `stream.consumer.skipped`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StreamError::UnknownPartition`], which a subscribed
+    /// cursor does not meet.
+    pub fn commit(&self) -> Result<(), StreamError> {
+        for c in &self.cursors {
+            c.topic.commit(c.partition, c.position)?;
+        }
+        Ok(())
     }
 
     /// Seeks every subscribed partition to the log end (skip history).
@@ -297,7 +309,6 @@ mod tests {
             seen_partitions.push(run[0].partition);
             for (i, r) in run.iter().enumerate() {
                 assert_eq!(r.offset, cad3_types::len_u64(i), "offsets dense within a partition");
-                assert_eq!(&*r.topic, "IN-DATA");
             }
         }
         seen_partitions.sort_unstable();
@@ -356,10 +367,12 @@ mod tests {
     }
 
     #[test]
-    fn records_retention_overtook_are_counted_as_skipped() {
-        // A reader of a retention-2 partition at offset 0 after 5 appends:
-        // offsets 0..3 are gone, 3 and 4 are still there.
-        let topic = Arc::new(SharedTopic::with_retention("IN-DATA", 1, 2).unwrap());
+    fn records_a_trim_overtook_are_counted_as_skipped() {
+        // A reader at offset 0 of a partition with a horizon of 1 after 5
+        // appends stamped 0..5: offsets 0..3 are gone, 3 and 4 are still
+        // there.
+        let topic = Arc::new(SharedTopic::new("IN-DATA", 1).unwrap());
+        topic.set_horizon(1);
         for i in 0..5u64 {
             topic.append(Some(0), None, Bytes::from(i.to_string()), i).unwrap();
         }
@@ -375,8 +388,31 @@ mod tests {
         let after = skipped();
         drop(obs_on);
         let offsets: Vec<u64> = recs.iter().map(|r| r.offset).collect();
-        assert_eq!(offsets, vec![3, 4], "the poll resumes from the horizon");
+        assert_eq!(offsets, vec![3, 4], "the poll resumes from the earliest retained record");
         assert_eq!(after - before, 3, "and counts the three records it never saw");
+    }
+
+    #[test]
+    fn commit_frees_what_was_polled_at_the_next_append() {
+        let broker = setup();
+        let mut c = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
+        c.subscribe(&["IN-DATA"]).unwrap();
+        for i in 0..30u64 {
+            send(&broker, Some(format!("veh-{i}").as_bytes()), &b"x"[..], i);
+        }
+        assert_eq!(c.poll(20).unwrap().len(), 20);
+        c.commit().unwrap();
+        assert_eq!(broker.topic_len("IN-DATA").unwrap(), 30, "a commit frees nothing by itself");
+        // One append to each partition trims it to this reader's position.
+        for p in 0..3 {
+            broker.produce("IN-DATA", Some(p), None, Bytes::from_static(b"y"), 30).unwrap();
+        }
+        assert_eq!(broker.topic_len("IN-DATA").unwrap(), 10 + 3);
+        let rest = c.poll(100).unwrap();
+        assert_eq!(rest.len(), 13, "the reader loses nothing it had not polled");
+        c.commit().unwrap();
+        c.seek_to_beginning();
+        assert_eq!(c.poll(100).unwrap().len(), 13, "nothing is freed before the next append");
     }
 
     #[test]

@@ -15,7 +15,8 @@ pub enum StreamError {
     },
     /// A topic with this name already exists.
     TopicExists(String),
-    /// The requested offset is below the log's retention horizon.
+    /// The requested offset is below the earliest one the log retains: a
+    /// commit or the time horizon has trimmed it.
     OffsetOutOfRange {
         /// Requested offset.
         requested: u64,

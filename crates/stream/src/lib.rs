@@ -7,8 +7,10 @@
 //! partitions. This crate implements the semantics the paper's pipeline
 //! relies on, from scratch:
 //!
-//! * [`PartitionLog`] — append-only offset-addressed logs with retention,
-//!   stored in fixed-capacity chunks so growth never re-copies a record.
+//! * [`PartitionLog`] — append-only offset-addressed logs in
+//!   fixed-capacity chunks, so growth never re-copies a record; an append
+//!   frees the records below the reader's committed floor and, on a topic
+//!   with a time horizon, those stamped more than it before the append.
 //! * [`SharedTopic`] — key-hash partitioning across a fixed partition
 //!   count: immutable metadata plus one mutex per partition, so appends and
 //!   fetches to different partitions never contend. (Its single-threaded
@@ -18,7 +20,7 @@
 //!   [`Broker::produce_traced`]. Its locks form two ranks: the registry
 //!   (20), then one partition (30).
 //! * [`Consumer`] — an independent reader: its own position in every
-//!   partition of the topics it subscribes to, `poll` and seek.
+//!   partition of the topics it subscribes to, `poll`, `commit` and seek.
 //!
 //! # Example
 //!

@@ -1,16 +1,19 @@
-use crate::{Record, StreamError};
+use crate::{FetchedRecord, Record, StreamError};
 use bytes::Bytes;
+use cad3_obs::TraceContext;
 use cad3_types::{index_usize, len_u64};
 use std::collections::VecDeque;
 
-/// Records per chunk of a [`PartitionLog`]: 32 768 × 72 B ≈ 2.3 MiB.
+/// Records per chunk of a [`PartitionLog`]: 4 096 × 72 B = 288 KiB.
 ///
-/// Chosen by measuring `dense_4096v`'s 2 048-record poll, which the chunk size
-/// moves through the allocator (glibc sets its dynamic mmap threshold from the
-/// blocks it frees): at this size the poll stays within a few per cent of an
-/// unchunked log without tuning the allocator, where 4 096-record chunks read
-/// slower (DESIGN.md, "Chunk size is set by the poll, through the allocator").
-const CHUNK_RECORDS: usize = 32_768;
+/// The chunk size sets a bounded log's resident floor: a warm RSU partition
+/// cycles its records through one chunk, so an RSU's nine partitions keep
+/// about nine chunks resident. Measured on `bench_e2e`, 4 096 records gave
+/// the lowest `peak_rss_mb` of the sizes tried (4 096 to 32 768) on every
+/// workload, and the fastest `dense_4096v` poll: its 2 048-record steps fit
+/// a ring that stays in cache (DESIGN.md, "Chunk size sets the resident
+/// floor").
+const CHUNK_RECORDS: usize = 4_096;
 
 /// The in-log record representation, 72 bytes. A record's offset is its
 /// position (see [`PartitionLog::locate`]), so it is not stored, and the
@@ -26,40 +29,66 @@ struct StoredRecord {
 
 /// An append-only, offset-addressed log — one partition of a topic.
 ///
-/// Offsets are dense and monotonically increasing. An optional retention
-/// limit bounds memory: old records are dropped from the head but offsets
+/// Offsets are dense and monotonically increasing. Two bounds free the
+/// head, both applied by [`PartitionLog::append_traced`] before it stores
+/// its record, so a fetch never pays for them:
+///
+/// * the **floor** ([`PartitionLog::commit`]): records below the offset a
+///   reader has committed are dropped, Kafka's at-least-once commit after
+///   processing;
+/// * the **horizon** ([`PartitionLog::set_horizon`]): records stamped more
+///   than the horizon before the appended record are dropped.
+///
+/// The append pops from the front while the oldest record is below the
+/// floor or past the horizon, so it drops the longest such prefix; offsets
 /// keep counting, exactly like a Kafka log after segment deletion.
 ///
 /// Records live in chunks of `CHUNK_RECORDS`, each allocated once at that
 /// capacity, so an append never moves a stored record: the log grows by a
 /// chunk, never by re-copying itself. Every chunk between the front and the
-/// back is full; the front holds what retention has left of its chunk, the
-/// back what has been appended to its chunk so far.
+/// back is full; the front holds what the trim has left of its chunk, the
+/// back what has been appended to its chunk so far. A chunk the trim
+/// empties is kept as the next back chunk, so a log the bounds hold under
+/// one chunk allocates nothing once warm.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionLog {
     /// Oldest chunk first. Never holds an empty chunk unless it is the only
-    /// one, which a retention of zero records leaves in place for reuse.
+    /// one, which a trim that empties the log leaves in place for reuse.
     chunks: VecDeque<VecDeque<StoredRecord>>,
+    /// An emptied chunk, kept at its capacity for the next append that
+    /// needs a chunk. At most one: a burst's further chunks are freed.
+    spare: Option<VecDeque<StoredRecord>>,
     /// Retained records, summed over `chunks`.
     len: usize,
     /// `(offset, context)` of traced records only, ascending by offset.
     /// Empty for the lifetime of an untraced run, so the hot paths pay one
     /// branch: `is_some()` at append, `is_empty()` at fetch.
-    traces: VecDeque<(u64, cad3_obs::TraceContext)>,
+    traces: VecDeque<(u64, TraceContext)>,
     base_offset: u64,
-    retention_records: Option<usize>,
+    /// The committed offset: the next append drops every record below it.
+    floor: u64,
+    /// Nanoseconds of timestamp an append keeps behind its own record;
+    /// `None` keeps every record the floor keeps.
+    horizon_ns: Option<u64>,
     total_bytes: u64,
 }
 
 impl PartitionLog {
-    /// Creates an empty log with unbounded retention.
+    /// Creates an empty log that keeps every record until a commit.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty log that retains at most `max_records`.
-    pub fn with_retention(max_records: usize) -> Self {
-        PartitionLog { retention_records: Some(max_records), ..Self::default() }
+    /// Sets the log's time horizon: from the next append on, a record
+    /// stamped more than `horizon_ns` before an appended one is dropped.
+    pub fn set_horizon(&mut self, horizon_ns: u64) {
+        self.horizon_ns = Some(horizon_ns);
+    }
+
+    /// Commits `offset` as the log's floor: the next append drops every
+    /// record below it. Nothing is freed here, so a commit costs one store.
+    pub fn commit(&mut self, offset: u64) {
+        self.floor = offset;
     }
 
     /// Appends an untraced record, returning its assigned offset.
@@ -68,25 +97,29 @@ impl PartitionLog {
     }
 
     /// Appends a record carrying an optional distributed-trace header,
-    /// returning its assigned offset.
+    /// returning its assigned offset. First drops, from the front, every
+    /// record below the floor or stamped more than the horizon before
+    /// `timestamp` (see the type docs).
     ///
     /// Debug builds check the chunk layout after every append: full chunks
     /// between the front and the back, none beyond capacity, lengths summing
-    /// to [`PartitionLog::len`].
+    /// to [`PartitionLog::len`], the spare empty.
     pub fn append_traced(
         &mut self,
         key: Option<Bytes>,
         value: Bytes,
         timestamp: u64,
-        trace: Option<cad3_obs::TraceContext>,
+        trace: Option<TraceContext>,
     ) -> u64 {
+        self.trim(timestamp);
         let offset = self.next_offset();
         self.total_bytes += len_u64(value.len());
         let record = StoredRecord { key, value, timestamp };
         match self.chunks.back_mut() {
             Some(chunk) if chunk.len() < CHUNK_RECORDS => chunk.push_back(record),
             _ => {
-                let mut chunk = VecDeque::with_capacity(CHUNK_RECORDS);
+                let mut chunk =
+                    self.spare.take().unwrap_or_else(|| VecDeque::with_capacity(CHUNK_RECORDS));
                 chunk.push_back(record);
                 self.chunks.push_back(chunk);
             }
@@ -95,35 +128,38 @@ impl PartitionLog {
         if let Some(ctx) = trace {
             self.traces.push_back((offset, ctx));
         }
-        if let Some(max) = self.retention_records {
-            while self.len > max {
-                self.drop_oldest();
-            }
-            while self.traces.front().is_some_and(|&(o, _)| o < self.base_offset) {
-                self.traces.pop_front();
-            }
-        }
         self.debug_assert_layout();
         offset
     }
 
-    /// Drops the earliest retained record, freeing its chunk once empty.
-    fn drop_oldest(&mut self) {
-        let Some(front) = self.chunks.front_mut() else { return };
-        if front.pop_front().is_none() {
-            return;
+    /// Pops the oldest record while it is below the floor or stamped more
+    /// than the horizon before `now`. An emptied chunk that is not the last
+    /// one is dropped from the deque and kept as the spare if there is none.
+    fn trim(&mut self, now: u64) {
+        while let Some(front) = self.chunks.front_mut() {
+            let expired = |r: &StoredRecord| {
+                self.horizon_ns.is_some_and(|h| now.saturating_sub(r.timestamp) > h)
+            };
+            match front.front() {
+                Some(oldest) if self.base_offset < self.floor || expired(oldest) => {}
+                _ => break,
+            }
+            front.pop_front();
+            self.len -= 1;
+            self.base_offset += 1;
+            if front.is_empty() && self.chunks.len() > 1 {
+                let emptied = self.chunks.pop_front();
+                self.spare = self.spare.take().or(emptied);
+            }
         }
-        let emptied = front.is_empty();
-        self.len -= 1;
-        self.base_offset += 1;
-        if emptied && self.chunks.len() > 1 {
-            self.chunks.pop_front();
+        while self.traces.front().is_some_and(|&(o, _)| o < self.base_offset) {
+            self.traces.pop_front();
         }
     }
 
     /// Debug-only invariant: every chunk but the front and the back is
     /// full, none holds more than its capacity, only a lone chunk is empty,
-    /// and the chunk lengths sum to `len`.
+    /// the chunk lengths sum to `len`, and the spare holds nothing.
     fn debug_assert_layout(&self) {
         #[cfg(debug_assertions)]
         {
@@ -136,6 +172,10 @@ impl PartitionLog {
                 total += chunk.len();
             }
             debug_assert_eq!(total, self.len, "chunk lengths must sum to the log length");
+            debug_assert!(
+                self.spare.as_ref().is_none_or(VecDeque::is_empty),
+                "spare holds records"
+            );
         }
     }
 
@@ -171,12 +211,13 @@ impl PartitionLog {
         self.len == 0
     }
 
-    /// Total payload bytes ever appended (not reduced by retention).
+    /// Total payload bytes ever appended (not reduced by the trim).
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
 
-    /// Reads up to `max` records starting at `offset`.
+    /// Reads up to `max` records starting at `offset`: the by-name fetch's
+    /// copy of [`PartitionLog::fetch_into`]'s window.
     ///
     /// An `offset` at or past the log end returns an empty batch (a caught-up
     /// consumer), matching Kafka fetch semantics.
@@ -184,8 +225,28 @@ impl PartitionLog {
     /// # Errors
     ///
     /// Returns [`StreamError::OffsetOutOfRange`] if `offset` has been
-    /// truncated by retention.
+    /// trimmed.
     pub fn fetch(&self, offset: u64, max: usize) -> Result<Vec<Record>, StreamError> {
+        let mut out = Vec::new();
+        self.fetch_into(0, offset, max, &mut out)?;
+        Ok(out.into_iter().map(Record::from).collect())
+    }
+
+    /// Appends up to `max` records starting at `offset` to a poll's output,
+    /// as [`FetchedRecord`]s of `partition`, reserving once; returns how
+    /// many it appended. Past the log end it appends none.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StreamError::OffsetOutOfRange`] if `offset` has been
+    /// trimmed; `out` is then untouched.
+    pub fn fetch_into(
+        &self,
+        partition: u32,
+        offset: u64,
+        max: usize,
+        out: &mut Vec<FetchedRecord>,
+    ) -> Result<usize, StreamError> {
         if offset < self.base_offset {
             return Err(StreamError::OffsetOutOfRange {
                 requested: offset,
@@ -194,23 +255,26 @@ impl PartitionLog {
         }
         let start = index_usize(offset - self.base_offset);
         if start >= self.len {
-            return Ok(Vec::new());
+            return Ok(0);
         }
         let count = max.min(self.len - start);
+        let record = |offset, s: &StoredRecord, trace| FetchedRecord {
+            partition,
+            offset,
+            key: s.key.clone(),
+            value: s.value.clone(),
+            timestamp: s.timestamp,
+            trace,
+        };
         if self.traces.is_empty() {
             // Untraced run: no per-record trace work at all on the hot path.
-            return Ok(self.window(start, count, |offset, s| Record {
-                offset,
-                key: s.key.clone(),
-                value: s.value.clone(),
-                timestamp: s.timestamp,
-                trace: None,
-            }));
+            self.window(start, count, out, |offset, s| record(offset, s, None));
+            return Ok(count);
         }
         // Merge-join the side deque: one binary search to position a cursor,
         // then a compare-and-advance per record (both sides ascend by offset).
         let mut next_trace = self.traces.partition_point(|&(o, _)| o < offset);
-        Ok(self.window(start, count, |offset, s| {
+        self.window(start, count, out, |offset, s| {
             let trace = match self.traces.get(next_trace) {
                 Some(&(o, ctx)) if o == offset => {
                     next_trace += 1;
@@ -218,40 +282,38 @@ impl PartitionLog {
                 }
                 _ => None,
             };
-            Record {
-                offset,
-                key: s.key.clone(),
-                value: s.value.clone(),
-                timestamp: s.timestamp,
-                trace,
-            }
-        }))
+            record(offset, s, trace)
+        });
+        Ok(count)
     }
 
-    /// The `count` records from `start` (an index from the earliest retained
-    /// record; `start + count <= len`), each with its offset, mapped through
-    /// `record` into one exact-size vector, a chunk's contiguous run at a time.
+    /// Appends the `count` records from `start` (an index from the earliest
+    /// retained record; `start + count <= len`), each with its offset,
+    /// mapped through `record` to `out` after one reservation, a chunk's
+    /// contiguous run at a time.
     fn window(
         &self,
         start: usize,
         count: usize,
-        mut record: impl FnMut(u64, &StoredRecord) -> Record,
-    ) -> Vec<Record> {
-        let mut out = Vec::with_capacity(count);
+        out: &mut Vec<FetchedRecord>,
+        mut record: impl FnMut(u64, &StoredRecord) -> FetchedRecord,
+    ) {
+        out.reserve(count);
+        let mut left = count;
         let mut offset = self.base_offset + len_u64(start);
         let (first, mut position) = self.locate(start);
         for chunk in self.chunks.range(first..) {
-            let take = (count - out.len()).min(chunk.len() - position);
+            let take = left.min(chunk.len() - position);
             out.extend(chunk.range(position..position + take).map(|s| {
                 offset += 1;
                 record(offset - 1, s)
             }));
-            if out.len() == count {
+            left -= take;
+            if left == 0 {
                 break;
             }
             position = 0;
         }
-        out
     }
 }
 
@@ -293,6 +355,29 @@ mod tests {
     }
 
     #[test]
+    fn fetch_into_appends_its_window_tagged_with_its_partition() {
+        let mut log = PartitionLog::new();
+        for i in 0..10u64 {
+            log.append(Some(val("k")), val(&i.to_string()), i);
+        }
+        let mut out = Vec::new();
+        assert_eq!(log.fetch_into(2, 3, 4, &mut out), Ok(4));
+        assert_eq!(log.fetch_into(2, 9, 4, &mut out), Ok(1), "appends after what is there");
+        assert_eq!(log.fetch_into(2, 10, 4, &mut out), Ok(0));
+        let got: Vec<(u32, u64, u64, &[u8])> =
+            out.iter().map(|r| (r.partition, r.offset, r.timestamp, &r.value[..])).collect();
+        let want: Vec<(u32, u64, u64, &[u8])> = vec![
+            (2, 3, 3, b"3"),
+            (2, 4, 4, b"4"),
+            (2, 5, 5, b"5"),
+            (2, 6, 6, b"6"),
+            (2, 9, 9, b"9"),
+        ];
+        assert_eq!(got, want);
+        assert!(out.iter().all(|r| r.key.as_deref() == Some(&b"k"[..]) && r.trace.is_none()));
+    }
+
+    #[test]
     fn fetch_past_end_is_empty_not_error() {
         let mut log = PartitionLog::new();
         log.append(None, val("a"), 0);
@@ -301,44 +386,74 @@ mod tests {
     }
 
     #[test]
-    fn retention_drops_head_but_offsets_continue() {
-        let mut log = PartitionLog::with_retention(3);
+    fn commit_frees_the_head_at_the_next_append_and_offsets_continue() {
+        let mut log = PartitionLog::new();
         for i in 0..10u64 {
             log.append(None, val("x"), i);
         }
-        assert_eq!(log.len(), 3);
+        log.commit(7);
+        assert_eq!(log.len(), 10, "a commit frees nothing by itself");
+        assert_eq!(log.append(None, val("x"), 10), 10);
+        assert_eq!(log.len(), 4);
         assert_eq!(log.earliest_offset(), 7);
-        assert_eq!(log.next_offset(), 10);
+        assert_eq!(log.next_offset(), 11);
         let err = log.fetch(2, 5).unwrap_err();
         assert_eq!(err, StreamError::OffsetOutOfRange { requested: 2, earliest: 7 });
         let batch = log.fetch(7, 5).unwrap();
-        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.len(), 4);
         assert_eq!(batch[0].offset, 7);
     }
 
     #[test]
+    fn horizon_drops_the_prefix_stamped_more_than_it_before_the_append() {
+        let mut log = PartitionLog::new();
+        log.set_horizon(5);
+        for ts in 0..10u64 {
+            log.append(None, val("x"), ts);
+        }
+        // The append stamped 9 dropped 0..=3; 4 is exactly the horizon old.
+        assert_eq!((log.earliest_offset(), log.len()), (4, 6));
+
+        // The trim stops at the first record it keeps: a late stamp behind
+        // a fresh one survives until the fresh one goes.
+        let mut log = PartitionLog::new();
+        log.set_horizon(50);
+        for ts in [10, 100, 20, 120] {
+            log.append(None, val("x"), ts);
+        }
+        // The append stamped 100 dropped 10; 20 is 100 old but behind 100.
+        assert_eq!(log.earliest_offset(), 1);
+        let stamps: Vec<u64> = log.fetch(1, 10).unwrap().iter().map(|r| r.timestamp).collect();
+        assert_eq!(stamps, vec![100, 20, 120]);
+        log.append(None, val("x"), 151);
+        assert_eq!(log.earliest_offset(), 3, "100, then the stale 20 behind it, go together");
+    }
+
+    #[test]
     fn total_bytes_accumulates() {
-        let mut log = PartitionLog::with_retention(1);
+        let mut log = PartitionLog::new();
         log.append(None, val("aaaa"), 0);
+        log.commit(1);
         log.append(None, val("bb"), 1);
         assert_eq!(log.total_bytes(), 6);
         assert_eq!(log.len(), 1);
     }
 
     #[test]
-    fn trace_headers_ride_out_of_band_and_respect_retention() {
-        let mut log = PartitionLog::with_retention(2);
+    fn trace_headers_ride_out_of_band_and_leave_with_their_record() {
+        let mut log = PartitionLog::new();
         let ctx = cad3_obs::TraceContext::from_parts(9, 3, 1);
         log.append(None, val("a"), 0);
         log.append_traced(None, val("b"), 1, Some(ctx));
         let batch = log.fetch(0, 10).unwrap();
         assert_eq!(batch[0].trace, None, "untraced records fetch without a header");
         assert_eq!(batch[1].trace, Some(ctx), "the header joins back in at fetch");
-        // Retention evicts the header together with its record.
+        // The trim drops the header together with its record.
+        log.commit(2);
         log.append(None, val("c"), 2);
         log.append(None, val("d"), 3);
         assert_eq!(log.earliest_offset(), 2);
-        assert!(log.traces.is_empty(), "evicted record's header must be trimmed");
+        assert!(log.traces.is_empty(), "a trimmed record's header must be trimmed");
         assert!(log.fetch(2, 10).unwrap().iter().all(|r| r.trace.is_none()));
     }
 
@@ -352,27 +467,38 @@ mod tests {
     }
 
     #[test]
-    fn zero_retention_keeps_nothing_and_reuses_its_chunk() {
-        let mut log = PartitionLog::with_retention(0);
+    fn a_log_trimmed_to_its_newest_record_keeps_one_chunk() {
+        let mut log = PartitionLog::new();
         for i in 0..3u64 {
+            log.commit(log.next_offset());
             assert_eq!(log.append(None, val("x"), i), i);
         }
-        assert!(log.is_empty());
-        assert_eq!((log.earliest_offset(), log.next_offset()), (3, 3));
-        assert_eq!(log.chunks.len(), 1, "the lone emptied chunk is kept for reuse");
+        assert_eq!(log.len(), 1);
+        assert_eq!((log.earliest_offset(), log.next_offset()), (2, 3));
+        assert_eq!(log.chunks.len(), 1, "the lone chunk is kept in place");
+        assert!(log.spare.is_none(), "and never becomes the spare");
         assert!(log.fetch(3, 10).unwrap().is_empty());
-        assert!(matches!(log.fetch(2, 1), Err(StreamError::OffsetOutOfRange { .. })));
+        assert!(matches!(log.fetch(1, 1), Err(StreamError::OffsetOutOfRange { .. })));
     }
 
     /// Chunk boundaries, against an arithmetic model of the log: the record
-    /// at offset `o` has value `o` (big-endian) and timestamp `o`, carries a
-    /// trace header iff `traced(o)`, and is retained iff `o` is among the
-    /// last `retention` appended. Appends run to `4C + 13` (`C` the chunk
-    /// capacity), so an unbounded log crosses four boundaries; retentions
-    /// of 1, `C − 1`, `C`, `C + 1` and `3C + 7` each sit differently against
-    /// them, and the larger ones free whole chunks.
+    /// at offset `o` has value `o` (big-endian) and timestamp `o`, and
+    /// carries a trace header iff `traced(o)`. Appends run to `4C + 13` (`C`
+    /// the chunk capacity), so an unbounded log crosses four boundaries.
+    /// Floors at `C − 1`, `C`, `C + 1` and `3C + 7`, committed before the
+    /// last append, and horizons of 1 and `C` each sit differently against
+    /// them; the larger ones free whole chunks. Then every bound commits
+    /// the whole log and appends `2C + 5` more: the first of those appends
+    /// empties every chunk, the lone one stays in place and the first
+    /// emptied one is reused when the log next needs a chunk.
     #[test]
     fn fetch_windows_match_the_model_across_chunk_boundaries() {
+        #[derive(Debug, Clone, Copy)]
+        enum Bound {
+            None,
+            Floor(u64),
+            Horizon(u64),
+        }
         const C: usize = CHUNK_RECORDS;
         let c = len_u64(C);
         let end = 4 * c + 13;
@@ -384,18 +510,16 @@ mod tests {
             key: None,
             value: Bytes::copy_from_slice(&o.to_be_bytes()),
             timestamp: o,
-            trace: traced(o).then(|| cad3_obs::TraceContext::from_parts(o + 1, o, 0)),
+            trace: traced(o).then(|| TraceContext::from_parts(o + 1, o, 0)),
         };
-        for retention in [None, Some(1), Some(C - 1), Some(C), Some(C + 1), Some(3 * C + 7)] {
-            let mut log = retention.map_or_else(PartitionLog::new, PartitionLog::with_retention);
-            for o in 0..end {
-                let value = Bytes::copy_from_slice(&o.to_be_bytes());
-                let trace = expected(o).trace;
-                assert_eq!(log.append_traced(None, value, o, trace), o);
-            }
-            let earliest = retention.map_or(0, |r| end.saturating_sub(len_u64(r)));
-            assert_eq!((log.earliest_offset(), log.next_offset()), (earliest, end));
-            assert_eq!(log.len(), index_usize(end - earliest));
+        let append = |log: &mut PartitionLog, o: u64| {
+            let value = Bytes::copy_from_slice(&o.to_be_bytes());
+            assert_eq!(log.append_traced(None, value, o, expected(o).trace), o);
+        };
+        // Every window around the ends and the log's actual chunk boundaries.
+        let check = |log: &PartitionLog, earliest: u64, end: u64, label: &str| {
+            assert_eq!((log.earliest_offset(), log.next_offset()), (earliest, end), "{label}");
+            assert_eq!(log.len(), index_usize(end - earliest), "{label}");
             let expect_window = |start: u64, max: usize| -> Result<Vec<Record>, StreamError> {
                 if start < earliest {
                     return Err(StreamError::OffsetOutOfRange { requested: start, earliest });
@@ -405,8 +529,11 @@ mod tests {
             };
             let mut starts = vec![0, 1, earliest.saturating_sub(1), earliest, earliest + 1];
             starts.extend([end - 2, end - 1, end, end + 1]);
-            for b in &boundaries {
-                starts.extend([b - 2, b - 1, *b, b + 1]);
+            let mut boundary = earliest;
+            for chunk in &log.chunks {
+                boundary += len_u64(chunk.len());
+                starts.extend([boundary.saturating_sub(2), boundary.saturating_sub(1)]);
+                starts.extend([boundary, boundary + 1]);
             }
             starts.sort_unstable();
             starts.dedup();
@@ -415,10 +542,60 @@ mod tests {
                     assert_eq!(
                         log.fetch(start, max),
                         expect_window(start, max),
-                        "retention {retention:?}, fetch({start}, {max})"
+                        "{label}: fetch({start}, {max})"
                     );
                 }
             }
+        };
+        let bounds = [
+            Bound::None,
+            Bound::Floor(c - 1),
+            Bound::Floor(c),
+            Bound::Floor(c + 1),
+            Bound::Floor(3 * c + 7),
+            Bound::Horizon(1),
+            Bound::Horizon(c),
+        ];
+        for bound in bounds {
+            let mut log = PartitionLog::new();
+            let horizon = match bound {
+                Bound::Horizon(h) => Some(h),
+                _ => None,
+            };
+            if let Some(h) = horizon {
+                log.set_horizon(h);
+            }
+            for o in 0..end - 1 {
+                append(&mut log, o);
+            }
+            if let Bound::Floor(f) = bound {
+                log.commit(f);
+            }
+            append(&mut log, end - 1);
+            let kept_by_horizon = |end: u64| horizon.map_or(0, |h| (end - 1).saturating_sub(h));
+            let earliest = match bound {
+                Bound::Floor(f) => f,
+                _ => kept_by_horizon(end),
+            };
+            check(&log, earliest, end, &format!("{bound:?}"));
+
+            // Reuse: commit everything, then grow past two chunks again.
+            let chunks_before = log.chunks.len();
+            log.commit(end);
+            append(&mut log, end);
+            assert_eq!(log.chunks.len(), 1, "{bound:?}: the first append empties the log");
+            assert_eq!(log.spare.is_some(), chunks_before > 1, "{bound:?}: one emptied chunk kept");
+            let end2 = end + 2 * c + 5;
+            for o in end + 1..end2 {
+                let spare = log.spare.is_some();
+                let chunks = log.chunks.len();
+                append(&mut log, o);
+                if log.chunks.len() > chunks && spare {
+                    assert!(log.spare.is_none(), "{bound:?}: a new back chunk takes the spare");
+                }
+            }
+            let earliest2 = end.max(kept_by_horizon(end2));
+            check(&log, earliest2, end2, &format!("{bound:?} after reuse"));
         }
     }
 }

@@ -3,11 +3,9 @@ use cad3_obs::TraceContext;
 
 /// An interned topic name.
 ///
-/// Topic names are interned once (at topic creation / handle lookup) and
-/// shared by reference everywhere after, so the poll→batch hot path clones
-/// a pointer instead of allocating a `String` per record. Plain
-/// `std::sync::Arc` even under loom: the payload is immutable data, never
-/// used for synchronisation.
+/// Topic names are interned once, at topic creation, and shared by
+/// reference by every handle after. Plain `std::sync::Arc` even under loom:
+/// the payload is immutable data, never used for synchronisation.
 pub type TopicName = std::sync::Arc<str>;
 
 /// A record stored in a partition log.
@@ -39,11 +37,14 @@ impl Record {
 }
 
 /// A record returned by [`crate::Consumer::poll`], annotated with its
-/// topic and partition.
+/// partition.
+///
+/// The partition log's window walk builds it in place in the poll's output
+/// ([`crate::PartitionLog::fetch_into`]), so a polled record costs two
+/// refcount increments (key and value) and nothing else. It names no topic:
+/// every consumer in the pipeline subscribes to one, so its caller knows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetchedRecord {
-    /// Topic the record came from (interned; cloning is refcount-only).
-    pub topic: TopicName,
     /// Partition index within the topic.
     pub partition: u32,
     /// Offset within the partition.
@@ -57,6 +58,19 @@ pub struct FetchedRecord {
     /// Distributed-trace header carried through from the stored
     /// [`Record`].
     pub trace: Option<TraceContext>,
+}
+
+impl From<FetchedRecord> for Record {
+    /// Drops the partition: what the by-name fetch returns.
+    fn from(r: FetchedRecord) -> Self {
+        Record {
+            offset: r.offset,
+            key: r.key,
+            value: r.value,
+            timestamp: r.timestamp,
+            trace: r.trace,
+        }
+    }
 }
 
 #[cfg(test)]

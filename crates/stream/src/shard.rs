@@ -22,7 +22,7 @@
 //! nothing is acquired under one.
 
 use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
-use crate::{PartitionLog, Record, StreamError, TopicName};
+use crate::{FetchedRecord, PartitionLog, Record, StreamError, TopicName};
 use bytes::Bytes;
 use cad3_types::{index_usize, len_u32, len_u64, partition_u32};
 
@@ -49,48 +49,48 @@ pub struct SharedTopic {
 }
 
 impl SharedTopic {
-    /// Creates a topic with `partitions` partitions.
+    /// Creates a topic with `partitions` partitions, each keeping every
+    /// record until a commit.
     ///
     /// # Errors
     ///
     /// Returns [`StreamError::InvalidPartitionCount`] if `partitions == 0`.
     pub fn new(name: impl Into<TopicName>, partitions: u32) -> Result<Self, StreamError> {
-        Self::build(name, partitions, None)
-    }
-
-    /// Creates a topic whose partitions each retain at most `max_records`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::InvalidPartitionCount`] if `partitions == 0`.
-    pub fn with_retention(
-        name: impl Into<TopicName>,
-        partitions: u32,
-        max_records: usize,
-    ) -> Result<Self, StreamError> {
-        Self::build(name, partitions, Some(max_records))
-    }
-
-    fn build(
-        name: impl Into<TopicName>,
-        partitions: u32,
-        retention: Option<usize>,
-    ) -> Result<Self, StreamError> {
         if partitions == 0 {
             return Err(StreamError::InvalidPartitionCount);
         }
         Ok(SharedTopic {
             name: name.into(),
             partitions: (0..partitions)
-                .map(|_| {
-                    Arc::new(Mutex::new(match retention {
-                        Some(max) => PartitionLog::with_retention(max),
-                        None => PartitionLog::new(),
-                    }))
-                })
+                .map(|_| Arc::new(Mutex::new(PartitionLog::new())))
                 .collect(),
             round_robin: AtomicU64::new(0),
         })
+    }
+
+    /// Gives every partition a time horizon of `horizon_ns`: from the next
+    /// append on, a record stamped more than that before an appended one
+    /// is dropped (see [`PartitionLog::set_horizon`]).
+    pub fn set_horizon(&self, horizon_ns: u64) {
+        for log in &self.partitions {
+            let _held = cad3_lockrank::rank_scope!("cad3_stream::SharedTopic::partitions");
+            log.lock().set_horizon(horizon_ns);
+        }
+    }
+
+    /// Commits `offset` as a partition's floor: the partition's next append
+    /// drops every record below it (see [`PartitionLog::commit`]). Takes
+    /// that partition's mutex and no other lock.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StreamError::UnknownPartition`] for an invalid index.
+    pub fn commit(&self, partition: u32, offset: u64) -> Result<(), StreamError> {
+        let idx = self.index(partition)?;
+        let _held = cad3_lockrank::rank_scope!("cad3_stream::SharedTopic::partitions");
+        // hotpath-exempt(panic): idx was bounds-checked by self.index(partition).
+        self.partitions[idx].lock().commit(offset);
+        Ok(())
     }
 
     /// The interned topic name.
@@ -207,25 +207,45 @@ impl SharedTopic {
         offset: u64,
         max: usize,
     ) -> Result<Vec<Record>, StreamError> {
+        let mut out = Vec::new();
+        self.fetch_into(partition, offset, max, &mut out)?;
+        Ok(out.into_iter().map(Record::from).collect())
+    }
+
+    /// Appends up to `max` records from a partition starting at `offset` to
+    /// a poll's output (see [`PartitionLog::fetch_into`]) and returns how
+    /// many, touching only that partition's mutex.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StreamError::UnknownPartition`] or
+    /// [`StreamError::OffsetOutOfRange`]; `out` is then untouched.
+    pub fn fetch_into(
+        &self,
+        partition: u32,
+        offset: u64,
+        max: usize,
+        out: &mut Vec<FetchedRecord>,
+    ) -> Result<usize, StreamError> {
         // Same gating as `append`: with no exporter attached the fetch path
         // pays one relaxed load.
         let observing = cad3_obs::enabled();
         let start_ns = if observing { cad3_obs::clock::now_nanos() } else { 0 };
         let idx = self.index(partition)?;
-        let out = {
+        let fetched = {
             let _held = cad3_lockrank::rank_scope!("cad3_stream::SharedTopic::partitions");
             // hotpath-exempt(panic): idx was bounds-checked by self.index(partition)
             // just above.
-            self.partitions[idx].lock().fetch(offset, max)
+            self.partitions[idx].lock().fetch_into(partition, offset, max, out)
         };
         if observing {
-            if let Ok(records) = &out {
-                cad3_obs::counter!("stream.broker.fetch.records").add(len_u64(records.len()));
+            if let Ok(n) = fetched {
+                cad3_obs::counter!("stream.broker.fetch.records").add(len_u64(n));
                 cad3_obs::histogram!("stream.broker.fetch_ns")
                     .observe(cad3_obs::clock::now_nanos().saturating_sub(start_ns));
             }
         }
-        out
+        fetched
     }
 
     /// Next offset of a partition (the "end" position).
@@ -327,16 +347,33 @@ mod tests {
     }
 
     #[test]
-    fn retention_truncates_like_partition_log() {
-        let t = SharedTopic::with_retention("t", 1, 3).unwrap();
+    fn commit_truncates_like_partition_log() {
+        let t = SharedTopic::new("t", 2).unwrap();
         for i in 0..10u64 {
             t.append(Some(0), None, val("x"), i).unwrap();
         }
+        t.commit(0, 7).unwrap();
+        assert_eq!(t.len(), 10, "a commit frees nothing by itself");
+        t.append(Some(0), None, val("x"), 10).unwrap();
         assert_eq!(t.earliest_offset(0).unwrap(), 7);
-        assert_eq!(t.end_offset(0).unwrap(), 10);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.end_offset(0).unwrap(), 11);
+        assert_eq!(t.len(), 4);
         let err = t.fetch(0, 2, 5).unwrap_err();
         assert_eq!(err, StreamError::OffsetOutOfRange { requested: 2, earliest: 7 });
+        assert!(matches!(t.commit(2, 0), Err(StreamError::UnknownPartition { partition: 2, .. })));
+    }
+
+    #[test]
+    fn horizon_applies_to_every_partition() {
+        let t = SharedTopic::new("t", 2).unwrap();
+        t.set_horizon(3);
+        for i in 0..10u64 {
+            t.append(Some(0), None, val("x"), i).unwrap();
+            t.append(Some(1), None, val("x"), 2 * i).unwrap();
+        }
+        // Stamps 6..=9 stay on partition 0, and 16 and 18 on partition 1.
+        assert_eq!((t.earliest_offset(0).unwrap(), t.earliest_offset(1).unwrap()), (6, 8));
+        assert_eq!(t.len(), 4 + 2);
     }
 
     #[test]

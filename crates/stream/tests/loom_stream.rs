@@ -10,13 +10,15 @@
 //! re-executes the body across many perturbed schedules (see
 //! `vendor/loom`). The scenarios target the concurrency the paper's
 //! pipeline depends on: per-partition log integrity under concurrent
-//! producers, sibling partitions appended and fetched at once, and a topic
-//! created while a by-name produce holds the registry. The crate is
-//! compiled with `debug_assertions`, so the partition log's layout check
-//! (chunk capacities and lengths) runs on every explored schedule.
+//! producers, sibling partitions appended and fetched at once, a topic
+//! created while a by-name produce holds the registry, and a commit-driven
+//! trim on append racing a fetch. The crate is compiled with
+//! `debug_assertions`, so the partition log's layout check (chunk
+//! capacities and lengths, the spare empty) runs after every append of
+//! every explored schedule.
 #![cfg(loom)]
 
-use cad3_stream::Broker;
+use cad3_stream::{Broker, StreamError};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -123,5 +125,52 @@ fn topic_creation_races_by_name_produce() {
         assert_eq!(records.len(), 1, "the record lands exactly once");
         assert_eq!((records[0].offset, records[0].trace), (0, Some(ctx)));
         assert_eq!(broker.topic_names(), ["A", "B"], "names are complete after join");
+    });
+}
+
+/// The trim against a reader: a commit of offset 2 on a three-record
+/// partition, then one thread appends (the append trims offsets 0 and 1)
+/// while a second commits offset 3 and a third fetches from offset 0. In
+/// every schedule the fetch either returns the dense window from 0 that
+/// was there before the append, or `OffsetOutOfRange` naming the earliest
+/// offset the log then held, and the log ends holding exactly what the last
+/// append's floor left: offsets 2 and 3 if it ran before the second commit,
+/// 3 alone if after.
+#[test]
+fn commit_driven_trim_races_a_fetch() {
+    loom::model(|| {
+        let topic = Arc::new(cad3_stream::SharedTopic::new("IN-DATA", 1).expect("fresh topic"));
+        for i in 0..3u64 {
+            topic.append(Some(0), None, vec![0u8].into(), i).expect("append");
+        }
+        topic.commit(0, 2).expect("partition 0 exists");
+        let appender = {
+            let topic = Arc::clone(&topic);
+            thread::spawn(move || topic.append(Some(0), None, vec![1u8].into(), 3).expect("append"))
+        };
+        let committer = {
+            let topic = Arc::clone(&topic);
+            thread::spawn(move || topic.commit(0, 3).expect("partition 0 exists"))
+        };
+        let fetched = topic.fetch(0, 0, 16);
+        assert_eq!(appender.join().expect("appender thread"), (0, 3));
+        committer.join().expect("committer thread");
+        match fetched {
+            Ok(records) => {
+                let offsets: Vec<u64> = records.iter().map(|r| r.offset).collect();
+                // The append that stores offset 3 trims offset 0 first, so
+                // a fetch that found 0 ran before it.
+                assert_eq!(offsets, [0, 1, 2], "an untrimmed fetch is the dense window");
+            }
+            Err(e) => {
+                let earliest = topic.earliest_offset(0).expect("partition 0 exists");
+                assert_eq!(e, StreamError::OffsetOutOfRange { requested: 0, earliest });
+            }
+        }
+        let earliest = topic.earliest_offset(0).expect("partition 0 exists");
+        assert!(earliest == 2 || earliest == 3, "the floor the append read: {earliest}");
+        assert_eq!(topic.end_offset(0).expect("partition 0 exists"), 4);
+        let rest = topic.fetch(0, earliest, 16).expect("fetch from the earliest offset");
+        assert_eq!(rest.len() as u64, 4 - earliest, "the survivors are dense to the end");
     });
 }

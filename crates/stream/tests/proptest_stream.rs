@@ -24,23 +24,31 @@ proptest! {
         }
     }
 
-    /// Retention never changes the identity of surviving records.
+    /// The floor and the horizon never change the identity of surviving
+    /// records: an append stamped `i` after a commit of `floor` keeps
+    /// exactly the newest records from `max(floor, i - horizon)` on.
     #[test]
-    fn retention_keeps_a_suffix(
+    fn the_trim_keeps_a_suffix(
         n in 1usize..300,
-        retention in 1usize..50,
+        floor in 0usize..320,
+        horizon in 0usize..60,
     ) {
-        let mut log = PartitionLog::with_retention(retention);
+        let mut log = PartitionLog::new();
+        log.set_horizon(horizon as u64);
+        let last = n - 1;
         for i in 0..n {
+            if i == last {
+                log.commit(floor as u64);
+            }
             log.append(None, Bytes::from(i.to_string()), i as u64);
         }
-        let kept = log.len();
-        prop_assert_eq!(kept, n.min(retention));
-        let earliest = log.earliest_offset();
-        let recs = log.fetch(earliest, kept).unwrap();
+        let earliest = floor.min(last).max(last.saturating_sub(horizon));
+        prop_assert_eq!(log.earliest_offset(), earliest as u64);
+        prop_assert_eq!(log.len(), n - earliest);
+        let recs = log.fetch(earliest as u64, n).unwrap();
+        prop_assert_eq!(recs.len(), n - earliest);
         for (j, rec) in recs.iter().enumerate() {
-            // Surviving records are exactly the newest `kept`, in order.
-            let expected = n - kept + j;
+            let expected = earliest + j;
             let expected_bytes = expected.to_string();
             prop_assert_eq!(&rec.value[..], expected_bytes.as_bytes());
             prop_assert_eq!(rec.offset, expected as u64);
@@ -57,8 +65,10 @@ proptest! {
         prop_assert!(p1 < parts);
     }
 
-    /// Across any produce schedule, a single consumer group sees every
-    /// record exactly once, with per-key order preserved.
+    /// Across any produce schedule, a consumer that commits after every
+    /// poll sees every record exactly once, with per-key order preserved;
+    /// once it has committed the lot, one more append to each partition
+    /// leaves nothing else behind.
     #[test]
     fn consumer_sees_everything_exactly_once(
         sends in prop::collection::vec((0u8..6, any::<u16>()), 1..300),
@@ -79,6 +89,7 @@ proptest! {
                     let v = u16::from_be_bytes([rec.value[0], rec.value[1]]);
                     seen.push((k, v));
                 }
+                consumer.commit().unwrap();
             }
         }
         for rec in consumer.poll(usize::MAX).unwrap() {
@@ -95,5 +106,10 @@ proptest! {
                 seen.iter().filter(|(k, _)| *k == key).map(|(_, v)| *v).collect();
             prop_assert_eq!(sent, got, "key {}", key);
         }
+        consumer.commit().unwrap();
+        for p in 0..3 {
+            broker.produce("T", Some(p), None, Bytes::from_static(b"end"), 0).unwrap();
+        }
+        prop_assert_eq!(broker.topic_len("T").unwrap(), 3);
     }
 }

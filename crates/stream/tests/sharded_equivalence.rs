@@ -3,10 +3,11 @@
 //! The sharded topic replaced the single-mutex `Topic` on the broker's hot
 //! path (see `DESIGN.md`, "Hot path and sharding"). Its contract is that the
 //! *public semantics are bit-identical*: the same append sequence routes to
-//! the same partitions, yields the same offsets, survives retention the same
-//! way, and every fetch window — including error cases — returns the same
-//! answer. This property test drives both implementations through identical
-//! operation schedules and compares every observable result.
+//! the same partitions, yields the same offsets, is trimmed to the same
+//! committed floors and time horizon, and every fetch window — including
+//! error cases — returns the same answer. This property test drives both
+//! implementations through identical operation schedules and compares every
+//! observable result.
 
 use bytes::Bytes;
 use cad3_stream::{SharedTopic, StreamError};
@@ -16,17 +17,23 @@ use support::Topic;
 mod support;
 
 /// One step of an interleaved schedule: appends routed each of the three
-/// ways the producer can route, plus reads of every observable surface.
+/// ways the producer can route, commits, plus reads of every observable
+/// surface. An append is stamped `step + jitter`: mostly ascending, as
+/// arrivals are, with late stamps mixed in so that the horizon's trim
+/// meets a fresh record in front of a stale one.
 #[derive(Debug, Clone)]
 enum Op {
     /// Keyless append — exercises the round-robin counter.
-    AppendRoundRobin { value: u8 },
+    AppendRoundRobin { value: u8, jitter: u64 },
     /// Keyed append — exercises the FNV-1a partitioner.
-    AppendKeyed { key: u8, value: u8 },
+    AppendKeyed { key: u8, value: u8, jitter: u64 },
     /// Explicit-partition append; the partition is taken modulo a range a
     /// little wider than the partition count so out-of-range errors are
     /// exercised too.
-    AppendExplicit { partition: u32, value: u8 },
+    AppendExplicit { partition: u32, value: u8, jitter: u64 },
+    /// Commit a floor — anywhere from below the earliest retained offset
+    /// to past the end, on a possibly invalid partition.
+    Commit { partition: u32, offset: u64 },
     /// Fetch a window; offset and partition both range past the valid end
     /// so `UnknownPartition` and `OffsetOutOfRange` are compared as well.
     Fetch { partition: u32, offset: u64, max: usize },
@@ -39,43 +46,42 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     // A weighted selector drawn alongside every operand the variants need;
     // the map picks the variant (the vendored proptest has no `prop_oneof!`).
-    (0u32..13, 0u8..8, any::<u8>(), 0u32..6, 0u64..40, 0usize..16).prop_map(
-        |(select, key, value, partition, offset, max)| match select {
-            0..=2 => Op::AppendRoundRobin { value },
-            3..=5 => Op::AppendKeyed { key, value },
-            6..=7 => Op::AppendExplicit { partition, value },
-            8..=10 => Op::Fetch { partition, offset, max },
-            11 => Op::EndOffset { partition },
+    (0u32..15, 0u8..8, any::<u8>(), 0u32..6, 0u64..40, 0usize..16, 0u64..12).prop_map(
+        |(select, key, value, partition, offset, max, jitter)| match select {
+            0..=2 => Op::AppendRoundRobin { value, jitter },
+            3..=5 => Op::AppendKeyed { key, value, jitter },
+            6..=7 => Op::AppendExplicit { partition, value, jitter },
+            8..=9 => Op::Commit { partition, offset },
+            10..=12 => Op::Fetch { partition, offset, max },
+            13 => Op::EndOffset { partition },
             _ => Op::EarliestOffset { partition },
         },
     )
 }
 
-/// Normalises an error for comparison. `UnknownPartition` carries the topic
-/// name, which differs in type (`String` vs interned) but must agree in
-/// content, so errors are compared directly — both sides name their topic
-/// identically.
-fn run_schedule(ops: &[Op], partitions: u32, retention: Option<usize>) {
-    let mut reference = match retention {
-        Some(max) => Topic::with_retention("IN-DATA", partitions, max).expect("reference topic"),
-        None => Topic::new("IN-DATA", partitions).expect("reference topic"),
-    };
-    let sharded = match retention {
-        Some(max) => SharedTopic::with_retention("IN-DATA", partitions, max).expect("sharded"),
-        None => SharedTopic::new("IN-DATA", partitions).expect("sharded"),
-    };
+/// Runs `ops` against both topics. Errors are compared directly: both
+/// sides name their topic identically, so `UnknownPartition` payloads must
+/// agree in content too.
+fn run_schedule(ops: &[Op], partitions: u32, horizon: Option<u64>) {
+    let mut reference = Topic::new("IN-DATA", partitions).expect("reference topic");
+    let sharded = SharedTopic::new("IN-DATA", partitions).expect("sharded");
+    if let Some(h) = horizon {
+        reference.set_horizon(h);
+        sharded.set_horizon(h);
+    }
 
     assert_eq!(reference.partition_count(), sharded.partition_count());
 
     for (step, op) in ops.iter().enumerate() {
+        let stamp = |jitter: &u64| step as u64 + jitter;
         match op {
-            Op::AppendRoundRobin { value } => {
+            Op::AppendRoundRobin { value, jitter } => {
                 let v = Bytes::copy_from_slice(&[*value]);
-                let a = reference.append(None, None, v.clone(), step as u64);
-                let b = sharded.append(None, None, v, step as u64);
+                let a = reference.append(None, None, v.clone(), stamp(jitter));
+                let b = sharded.append(None, None, v, stamp(jitter));
                 assert_eq!(a, b, "round-robin append diverged at step {step}");
             }
-            Op::AppendKeyed { key, value } => {
+            Op::AppendKeyed { key, value, jitter } => {
                 let k = Bytes::copy_from_slice(&[*key]);
                 let v = Bytes::copy_from_slice(&[*value]);
                 assert_eq!(
@@ -83,15 +89,20 @@ fn run_schedule(ops: &[Op], partitions: u32, retention: Option<usize>) {
                     sharded.partition_for_key(&[*key]),
                     "partitioner diverged for key {key}"
                 );
-                let a = reference.append(None, Some(k.clone()), v.clone(), step as u64);
-                let b = sharded.append(None, Some(k), v, step as u64);
+                let a = reference.append(None, Some(k.clone()), v.clone(), stamp(jitter));
+                let b = sharded.append(None, Some(k), v, stamp(jitter));
                 assert_eq!(a, b, "keyed append diverged at step {step}");
             }
-            Op::AppendExplicit { partition, value } => {
+            Op::AppendExplicit { partition, value, jitter } => {
                 let v = Bytes::copy_from_slice(&[*value]);
-                let a = reference.append(Some(*partition), None, v.clone(), step as u64);
-                let b = sharded.append(Some(*partition), None, v, step as u64);
+                let a = reference.append(Some(*partition), None, v.clone(), stamp(jitter));
+                let b = sharded.append(Some(*partition), None, v, stamp(jitter));
                 assert_eq!(a, b, "explicit append diverged at step {step}");
+            }
+            Op::Commit { partition, offset } => {
+                let a = reference.commit(*partition, *offset);
+                let b = sharded.commit(*partition, *offset);
+                assert_eq!(a, b, "commit diverged at step {step}");
             }
             Op::Fetch { partition, offset, max } => {
                 let a = reference.fetch(*partition, *offset, *max);
@@ -127,8 +138,9 @@ fn run_schedule(ops: &[Op], partitions: u32, retention: Option<usize>) {
 }
 
 proptest! {
-    /// Any interleaving of keyed, keyless, and explicit appends with reads
-    /// is observationally identical between `Topic` and `SharedTopic`.
+    /// Any interleaving of keyed, keyless, and explicit appends with
+    /// commits and reads is observationally identical between `Topic` and
+    /// `SharedTopic`.
     #[test]
     fn sharded_topic_matches_reference(
         ops in prop::collection::vec(op_strategy(), 1..120),
@@ -137,15 +149,16 @@ proptest! {
         run_schedule(&ops, partitions, None);
     }
 
-    /// Equivalence holds under retention truncation: earliest offsets,
-    /// out-of-range fetch errors, and surviving records all agree.
+    /// Equivalence holds under a time horizon as well as the commits:
+    /// earliest offsets, out-of-range fetch errors, and surviving records
+    /// all agree.
     #[test]
-    fn sharded_topic_matches_reference_with_retention(
+    fn sharded_topic_matches_reference_with_a_horizon(
         ops in prop::collection::vec(op_strategy(), 1..120),
         partitions in 1u32..=4,
-        retention in 1usize..10,
+        horizon in 0u64..20,
     ) {
-        run_schedule(&ops, partitions, Some(retention));
+        run_schedule(&ops, partitions, Some(horizon));
     }
 
     /// `StreamError` values for invalid partitions carry the same topic

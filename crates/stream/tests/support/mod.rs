@@ -28,36 +28,49 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// An append-only, offset-addressed log in one flat `VecDeque`, each record
 /// stored with its offset: `PartitionLog`'s semantics in the simplest
-/// layout, sharing none of its chunk indexing. No trace side-deque — the
-/// oracle's appends are untraced.
+/// layout, sharing none of its chunk indexing. An append first pops the
+/// front while it is below the committed floor or stamped more than the
+/// horizon before the appended record, then stores the record. No trace
+/// side-deque — the oracle's appends are untraced.
 #[derive(Debug, Default)]
 pub struct FlatLog {
     records: VecDeque<Record>,
     base_offset: u64,
-    retention_records: Option<usize>,
+    floor: u64,
+    horizon: Option<u64>,
 }
 
 impl FlatLog {
-    /// Creates an empty log with unbounded retention.
+    /// Creates an empty log that keeps every record until a commit.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty log that retains at most `max_records`.
-    pub fn with_retention(max_records: usize) -> Self {
-        FlatLog { retention_records: Some(max_records), ..Self::default() }
+    /// From the next append on, drop records stamped more than `horizon`
+    /// before the appended one.
+    pub fn set_horizon(&mut self, horizon: u64) {
+        self.horizon = Some(horizon);
+    }
+
+    /// The next append drops every record below `offset`.
+    pub fn commit(&mut self, offset: u64) {
+        self.floor = offset;
     }
 
     /// Appends a record, returning its assigned offset.
     pub fn append(&mut self, key: Option<Bytes>, value: Bytes, timestamp: u64) -> u64 {
+        while let Some(front) = self.records.front() {
+            let below_floor = front.offset < self.floor;
+            let expired =
+                self.horizon.is_some_and(|h| timestamp.saturating_sub(front.timestamp) > h);
+            if !below_floor && !expired {
+                break;
+            }
+            self.records.pop_front();
+            self.base_offset += 1;
+        }
         let offset = self.next_offset();
         self.records.push_back(Record { offset, key, value, timestamp, trace: None });
-        if let Some(max) = self.retention_records {
-            while self.records.len() > max {
-                self.records.pop_front();
-                self.base_offset += 1;
-            }
-        }
         offset
     }
 
@@ -123,24 +136,22 @@ impl Topic {
         })
     }
 
-    /// Creates a topic whose partitions each retain at most `max_records`.
+    /// Gives every partition a time horizon.
+    pub fn set_horizon(&mut self, horizon: u64) {
+        self.partitions.iter_mut().for_each(|log| log.set_horizon(horizon));
+    }
+
+    /// Commits `offset` as a partition's floor.
     ///
     /// # Errors
     ///
-    /// Returns [`StreamError::InvalidPartitionCount`] if `partitions == 0`.
-    pub fn with_retention(
-        name: impl Into<String>,
-        partitions: u32,
-        max_records: usize,
-    ) -> Result<Self, StreamError> {
-        if partitions == 0 {
-            return Err(StreamError::InvalidPartitionCount);
-        }
-        Ok(Topic {
-            name: name.into(),
-            partitions: (0..partitions).map(|_| FlatLog::with_retention(max_records)).collect(),
-            round_robin: 0,
-        })
+    /// Returns [`StreamError::UnknownPartition`] for an invalid index.
+    pub fn commit(&mut self, partition: u32, offset: u64) -> Result<(), StreamError> {
+        let name = &self.name;
+        self.partitions
+            .get_mut(partition as usize)
+            .map(|log| log.commit(offset))
+            .ok_or_else(|| StreamError::UnknownPartition { topic: name.clone(), partition })
     }
 
     /// Topic name.

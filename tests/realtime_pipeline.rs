@@ -1,14 +1,14 @@
 //! Live wall-clock integration test: the same `RsuNode::run_batch` loop the
 //! virtual-time testbed drives, but on real threads — producers pushing
 //! status packets into the RSU's broker while the test's own thread runs
-//! the micro-batch every 20 ms and publishes its warnings, as on the
-//! paper's physical testbed.
+//! the micro-batch every 20 ms and publishes its warnings, and a vehicle
+//! fleet polls `OUT-DATA` every tick, as on the paper's physical testbed.
 
 use bytes::Bytes;
 use cad3_repro::core::detector::{train_all, DetectionConfig};
-use cad3_repro::core::{ProcessingCostModel, RsuNode};
+use cad3_repro::core::{ProcessingCostModel, RsuNode, WARNING_DEADLINE};
 use cad3_repro::data::{DatasetConfig, SyntheticDataset};
-use cad3_repro::stream::{Consumer, OffsetReset};
+use cad3_repro::stream::{Consumer, FetchedRecord, OffsetReset};
 use cad3_repro::types::{
     RsuId, SimDuration, SimTime, VehicleId, WarningMessage, WireDecode, WireEncode,
 };
@@ -22,9 +22,11 @@ fn realtime_rsu_detects_and_disseminates() {
     let models = train_all(&ds.features, &DetectionConfig::default()).unwrap();
 
     // The RSU: broker with the paper's topics plus the micro-batch loop,
-    // run every 20 ms of wall clock (and of the virtual clock it stamps
-    // detections with).
+    // run every 20 ms of wall clock. The virtual clock it stamps detections
+    // with advances by the paper's 50 ms batch interval a tick, so the
+    // producers' ≥ 100 ms of sends span more than one warning deadline.
     const TICK_MS: u64 = 20;
+    const BATCH_MS: u64 = 50;
     let mut rsu =
         RsuNode::new(RsuId(1), "rsu-live", Arc::new(models.ad3), ProcessingCostModel::default());
     let broker = rsu.broker();
@@ -54,6 +56,12 @@ fn realtime_rsu_detects_and_disseminates() {
         }));
     }
 
+    // A vehicle-side consumer, subscribed before the loop and polling every
+    // tick, as the fleet does.
+    let mut fleet = Consumer::new(Arc::clone(&broker), "fleet", OffsetReset::Earliest);
+    fleet.subscribe(&["OUT-DATA"]).unwrap();
+    let mut delivered: Vec<FetchedRecord> = Vec::new();
+
     // The micro-batch loop, racing the producers until every status is in.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut next_tick = Instant::now() + Duration::from_millis(TICK_MS);
@@ -62,12 +70,13 @@ fn realtime_rsu_detects_and_disseminates() {
     while rsu.records_processed() < 400 && Instant::now() < deadline {
         std::thread::sleep(next_tick.saturating_duration_since(Instant::now()));
         next_tick += Duration::from_millis(TICK_MS);
-        now += SimDuration::from_millis(TICK_MS);
+        now += SimDuration::from_millis(BATCH_MS);
         let batch = rsu.run_batch(now).unwrap();
         for warning in &batch.warnings {
             rsu.publish_warning(warning).unwrap();
         }
         batched += batch.records;
+        delivered.extend(fleet.poll(usize::MAX).unwrap());
     }
     for h in handles {
         h.join().unwrap();
@@ -75,14 +84,30 @@ fn realtime_rsu_detects_and_disseminates() {
     assert_eq!(rsu.records_processed(), 400, "every status processed exactly once");
     assert_eq!(batched, 400);
 
-    // A vehicle-side consumer sees the warnings.
-    let mut fleet = Consumer::new(broker, "fleet", OffsetReset::Earliest);
-    fleet.subscribe(&["OUT-DATA"]).unwrap();
-    let warnings = fleet.poll(100_000).unwrap();
-    assert!(!warnings.is_empty(), "abnormal traffic produced warnings");
-    for w in warnings.iter().take(5) {
-        let mut buf = w.value.clone();
-        let decoded = WarningMessage::decode(&mut buf).unwrap();
-        assert!((0.0..=1.0).contains(&decoded.probability));
+    // The polling fleet receives every warning, once.
+    assert!(!delivered.is_empty(), "abnormal traffic produced warnings");
+    assert_eq!(delivered.len() as u64, rsu.warnings_produced(), "every warning, exactly once");
+    let decode = |r: &FetchedRecord| WarningMessage::decode(&mut r.value.clone()).unwrap();
+    for w in &delivered {
+        assert!((0.0..=1.0).contains(&decode(w).probability));
+    }
+
+    // A late subscriber sees only what the warning deadline kept: in each
+    // partition, the warnings stamped within one deadline of its newest.
+    let mut late = Consumer::new(broker, "late", OffsetReset::Earliest);
+    late.subscribe(&["OUT-DATA"]).unwrap();
+    let seen: Vec<(u32, u64)> =
+        late.poll(usize::MAX).unwrap().iter().map(|r| (r.partition, r.offset)).collect();
+    let newest = |p: u32| delivered.iter().filter(|r| r.partition == p).map(|r| r.timestamp).max();
+    let mut kept: Vec<(u32, u64)> = (delivered.iter())
+        .filter(|r| newest(r.partition).unwrap() - r.timestamp <= WARNING_DEADLINE.as_nanos())
+        .map(|r| (r.partition, r.offset))
+        .collect();
+    kept.sort_unstable();
+    assert!(!seen.is_empty(), "the newest warnings are still there");
+    assert!(seen.len() < delivered.len(), "the oldest are gone");
+    assert_eq!(seen, kept, "the late subscriber sees exactly the last deadline's warnings");
+    for r in &delivered {
+        assert_eq!(r.timestamp, decode(r).detected_at.as_nanos(), "stamped at detection");
     }
 }
