@@ -18,8 +18,6 @@
 
 pub mod console;
 pub mod experiments;
-pub mod history;
-pub mod json;
 pub mod paper;
 pub mod tables;
 

@@ -10,21 +10,26 @@
 //! `obs-names` rule can check them without name resolution); this module is
 //! the registry those literals must match, enforced by [`ALL`] in tests.
 
-/// Records appended through `Broker::produce` (counter).
+/// Records appended to a topic by `SharedTopic::append_traced`, which
+/// every append path ends in, `Broker::produce` included (counter).
 pub const STREAM_BROKER_PRODUCE: &str = "stream.broker.produce";
-/// Records returned by `Broker::fetch` (counter).
+/// Records read from a partition by `SharedTopic::fetch_into`, which every
+/// `Consumer::poll` and `Broker::fetch` ends in (counter).
 pub const STREAM_BROKER_FETCH_RECORDS: &str = "stream.broker.fetch.records";
 /// Append latency of head-sampled records, nanoseconds (histogram;
 /// exporter-gated, and observed only for a record carrying a trace context).
 pub const STREAM_BROKER_PRODUCE_NS: &str = "stream.broker.produce_ns";
-/// `Broker::fetch` latency, nanoseconds (histogram; exporter-gated).
+/// Latency of one partition read by `SharedTopic::fetch_into` (every
+/// `Consumer::poll` and `Broker::fetch`), nanoseconds (histogram;
+/// exporter-gated).
 pub const STREAM_BROKER_FETCH_NS: &str = "stream.broker.fetch_ns";
 /// `Consumer::poll` calls (counter).
 pub const STREAM_CONSUMER_POLLS: &str = "stream.consumer.polls";
 /// Records delivered by `Consumer::poll` (counter).
 pub const STREAM_CONSUMER_RECORDS: &str = "stream.consumer.records";
-/// Records `Consumer::poll` never delivered because retention dropped them
-/// before the consumer reached them (counter).
+/// Records `Consumer::poll` never delivered because a trim freed them
+/// before the consumer reached them: another reader's commit floor or the
+/// topic's horizon (counter).
 pub const STREAM_CONSUMER_SKIPPED: &str = "stream.consumer.skipped";
 
 /// One RSU micro-batch (span; enter value = record count).
@@ -182,13 +187,16 @@ pub const DYNAMIC_FAMILIES: &[&str] =
 /// names describe their `<name>_ns` duration histogram; dynamic family
 /// prefixes describe every member.
 pub const HELP: &[(&str, &str)] = &[
-    (STREAM_BROKER_PRODUCE, "Records appended through Broker::produce."),
-    (STREAM_BROKER_FETCH_RECORDS, "Records returned by Broker::fetch."),
+    (STREAM_BROKER_PRODUCE, "Records appended to topic partitions."),
+    (STREAM_BROKER_FETCH_RECORDS, "Records read from topic partitions by polls and fetches."),
     (STREAM_BROKER_PRODUCE_NS, "Append latency of head-sampled records, nanoseconds."),
-    (STREAM_BROKER_FETCH_NS, "Broker::fetch latency in nanoseconds."),
+    (STREAM_BROKER_FETCH_NS, "Latency of one partition read by a poll or fetch, nanoseconds."),
     (STREAM_CONSUMER_POLLS, "Consumer::poll calls."),
     (STREAM_CONSUMER_RECORDS, "Records delivered by Consumer::poll."),
-    (STREAM_CONSUMER_SKIPPED, "Records retention dropped before Consumer::poll reached them."),
+    (
+        STREAM_CONSUMER_SKIPPED,
+        "Records a commit-floor or horizon trim freed before a poll reached them.",
+    ),
     (RSU_MICRO_BATCH, "Duration of one RSU micro-batch in nanoseconds."),
     (RSU_HANDOVER_FUSE, "Duration of the CO-DATA ingest and fuse stage in nanoseconds."),
     (RSU_INGEST, "Duration of the IN-DATA ingest stage in nanoseconds."),

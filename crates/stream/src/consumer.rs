@@ -97,12 +97,15 @@ impl Consumer {
     ///
     /// Records come back partition by partition, in subscribe order and
     /// offset order within a partition; partitions with nothing to fetch
-    /// contribute nothing.
+    /// contribute nothing. Records a trim freed before the poll reached them
+    /// are skipped and counted in `stream.consumer.skipped`, never returned
+    /// as an error.
     ///
     /// # Errors
     ///
     /// Returns [`StreamError::NotSubscribed`] before [`Consumer::subscribe`]
-    /// and propagates fetch errors.
+    /// and propagates any other fetch error, which a subscribed cursor does
+    /// not meet.
     pub fn poll(&mut self, max_records: usize) -> Result<Vec<FetchedRecord>, StreamError> {
         if !self.subscribed {
             return Err(StreamError::NotSubscribed);
@@ -114,20 +117,25 @@ impl Consumer {
                 break;
             }
             let (topic, partition) = (&cursor.topic, cursor.partition);
-            let fetched = match topic.fetch_into(partition, cursor.position, room, &mut out) {
-                Ok(n) => n,
-                Err(StreamError::OffsetOutOfRange { earliest, .. }) => {
-                    // A trim overtook us: the records between our position
-                    // and the earliest retained one are gone unread. Count
-                    // them, then resume from there.
-                    if cad3_obs::enabled() {
-                        cad3_obs::counter!("stream.consumer.skipped")
-                            .add(earliest.saturating_sub(cursor.position));
+            let fetched = loop {
+                match topic.fetch_into(partition, cursor.position, room, &mut out) {
+                    Ok(n) => break n,
+                    Err(StreamError::OffsetOutOfRange { earliest, .. }) => {
+                        // A trim overtook us: the records between our
+                        // position and the earliest retained one are gone
+                        // unread. Count them and resume from there. Another
+                        // append may trim again before the retry takes the
+                        // lock, so retry until a fetch lands rather than
+                        // drop what `out` already holds; each retry moves
+                        // the position strictly forward.
+                        if cad3_obs::enabled() {
+                            cad3_obs::counter!("stream.consumer.skipped")
+                                .add(earliest.saturating_sub(cursor.position));
+                        }
+                        cursor.position = earliest;
                     }
-                    cursor.position = earliest;
-                    topic.fetch_into(partition, earliest, room, &mut out)?
+                    Err(e) => return Err(e),
                 }
-                Err(e) => return Err(e),
             };
             cursor.position += len_u64(fetched);
         }

@@ -376,6 +376,32 @@ mod tests {
         assert_eq!(t.len(), 4 + 2);
     }
 
+    /// Partition independence, the sharded topic's reason to exist: with
+    /// partition 0's mutex held, an append to partition 1 and a fetch from
+    /// it both complete. A change that serialised the append behind one
+    /// lock (a topic-wide mutex, or partition 0's) hangs the other thread
+    /// until the guard drops, and the wait times out.
+    #[cfg(not(loom))]
+    #[test]
+    fn a_held_partition_does_not_block_its_sibling() {
+        let t = std::sync::Arc::new(SharedTopic::new("t", 2).unwrap());
+        let held = t.partitions[0].lock();
+        let (done, finished) = std::sync::mpsc::channel();
+        let sibling = {
+            let t = std::sync::Arc::clone(&t);
+            std::thread::spawn(move || {
+                let appended = t.append(Some(1), None, val("x"), 0).unwrap();
+                let mut out = Vec::new();
+                let fetched = t.fetch_into(1, 0, 16, &mut out).unwrap();
+                done.send((appended, fetched)).unwrap();
+            })
+        };
+        let outcome = finished.recv_timeout(std::time::Duration::from_secs(5));
+        drop(held);
+        sibling.join().unwrap();
+        assert_eq!(outcome, Ok(((1, 0), 1)), "partition 1 waited on partition 0's mutex");
+    }
+
     #[test]
     fn concurrent_appends_to_disjoint_partitions_stay_dense() {
         let t = std::sync::Arc::new(SharedTopic::new("t", 4).unwrap());

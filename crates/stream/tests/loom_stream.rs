@@ -11,14 +11,15 @@
 //! `vendor/loom`). The scenarios target the concurrency the paper's
 //! pipeline depends on: per-partition log integrity under concurrent
 //! producers, sibling partitions appended and fetched at once, a topic
-//! created while a by-name produce holds the registry, and a commit-driven
-//! trim on append racing a fetch. The crate is compiled with
+//! created while a by-name produce holds the registry, a commit-driven
+//! trim on append racing a fetch, and a horizon trim racing a poll's
+//! retry. The crate is compiled with
 //! `debug_assertions`, so the partition log's layout check (chunk
 //! capacities and lengths, the spare empty) runs after every append of
 //! every explored schedule.
 #![cfg(loom)]
 
-use cad3_stream::{Broker, StreamError};
+use cad3_stream::{Broker, Consumer, OffsetReset, StreamError};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -172,5 +173,65 @@ fn commit_driven_trim_races_a_fetch() {
         assert_eq!(topic.end_offset(0).expect("partition 0 exists"), 4);
         let rest = topic.fetch(0, earliest, 16).expect("fetch from the earliest offset");
         assert_eq!(rest.len() as u64, 4 - earliest, "the survivors are dense to the end");
+    });
+}
+
+/// A poll against a horizon trim that keeps overtaking it. Partitions 0
+/// and 1 of a topic whose horizon keeps one timestamp hold a record each;
+/// one thread appends to partition 1 again and again, each append freeing
+/// the one before, while a fleet consumer polls until the appender is done
+/// and once more. A poll reads partition 0 first, so partition 0's record
+/// is already in the poll's output when partition 1's fetch is overtaken,
+/// and another append can land between that fetch and its retry. In every
+/// schedule no poll fails, no record arrives twice, and every record of
+/// either partition is delivered or counted in `stream.consumer.skipped`.
+#[test]
+fn poll_survives_trims_racing_its_retry() {
+    const TRIMMING_APPENDS: u64 = 6;
+    loom::model(|| {
+        // Left on: no other model in this binary depends on the obs gate.
+        cad3_obs::set_enabled(true);
+        let skipped = || cad3_obs::registry().counter("stream.consumer.skipped").value();
+        let broker = Arc::new(Broker::new("rsu"));
+        broker.create_topic("OUT-DATA", 2).expect("fresh topic");
+        let topic = broker.topic_handle("OUT-DATA").expect("topic exists");
+        topic.set_horizon(0);
+        for part in 0..2u32 {
+            topic.append(Some(part), None, vec![0u8].into(), 0).expect("append");
+        }
+        let mut fleet = Consumer::new(Arc::clone(&broker), "fleet", OffsetReset::Earliest);
+        fleet.subscribe(&["OUT-DATA"]).expect("topic exists");
+        let skipped_before = skipped();
+        let appender = {
+            let topic = Arc::clone(&topic);
+            thread::spawn(move || {
+                for ts in 1..=TRIMMING_APPENDS {
+                    topic.append(Some(1), None, vec![1u8].into(), ts).expect("append");
+                }
+            })
+        };
+        let mut delivered = Vec::new();
+        let mut poll = || {
+            let records = fleet.poll(16).expect("a trim never fails a poll");
+            delivered.extend(records.iter().map(|r| (r.partition, r.offset)));
+        };
+        while !appender.is_finished() {
+            poll();
+        }
+        appender.join().expect("appender thread");
+        poll();
+
+        let mut unique = delivered.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), delivered.len(), "a record arrived twice: {delivered:?}");
+        assert!(delivered.contains(&(0, 0)), "partition 0's record is delivered: {delivered:?}");
+        let appended = 2 + TRIMMING_APPENDS;
+        let lost = skipped() - skipped_before;
+        assert_eq!(
+            delivered.len() as u64 + lost,
+            appended,
+            "every record is delivered or counted as skipped: {delivered:?}, {lost} skipped"
+        );
     });
 }
