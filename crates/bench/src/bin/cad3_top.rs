@@ -8,9 +8,9 @@
 //! alert log as it happened.
 //!
 //! Because the frames come from the deterministic run, the console shows
-//! exactly what `health_report` gates on, just animated. With `--once`
-//! (or when stdout is not a terminal) it skips the animation and prints
-//! the final frame, so piping `cad3_top` into a file is still useful.
+//! exactly what `obs_report --check` gates on, just animated. When stdout
+//! is not a terminal it skips the animation and prints the final frame, so
+//! piping `cad3_top` into a file is still useful.
 
 use cad3::Observer;
 use cad3_bench::{console, handover_monitor, handover_run};
@@ -20,8 +20,6 @@ use std::io::{self, IsTerminal, Write as _};
 use std::rc::Rc;
 
 fn main() {
-    let once = std::env::args().any(|a| a == "--once");
-
     cad3_obs::set_enabled(true);
 
     let monitor = handover_monitor().unwrap_or_else(|e| {
@@ -53,8 +51,7 @@ fn main() {
     });
 
     let frames = frames.borrow();
-    let live = !once && io::stdout().is_terminal();
-    if live {
+    if io::stdout().is_terminal() {
         // Replay at the contract cadence: a 100 ms tick becomes a 100 ms
         // redraw, so the animation runs at the speed the pipeline ran.
         let mut pacer =

@@ -1,5 +1,5 @@
 //! Frame rendering for the health console (`cad3_top`) and the
-//! `health_report` end-of-run summary.
+//! `obs_report` end-of-run health summary.
 //!
 //! Everything here is a pure string builder over a [`HealthMonitor`]'s
 //! latest tick — no I/O, no clocks — so the two binaries (one live and

@@ -10,8 +10,10 @@
 //! cargo run -p cad3-bench --release --bin exp_all
 //! ```
 //!
-//! The obs tools (`trace_report`, `health_report`, `profile_report`,
-//! `cad3_top`) share one seeded workload, [`handover_run`].
+//! The two obs tools share one seeded workload, [`handover_run`]:
+//! `obs_report` runs it once with every obs signal on and writes the
+//! trace, health and profile reports plus the flight-recorder and metrics
+//! dumps; `cad3_top` replays its health frames as a live console.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

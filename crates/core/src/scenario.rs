@@ -92,7 +92,7 @@ pub fn multi_rsu(
 /// migrate to the link RSU, switch to the link sub-dataset, and their
 /// prediction summaries follow them over the backhaul. `observers` are
 /// periodic hooks riding the simulation clock — how the health monitor
-/// ticks during the run (`health_report`, the `health-e2e` CI job).
+/// ticks during the run (`obs_report`, the `obs-e2e` CI job).
 #[allow(clippy::too_many_arguments)] // mirrors the scenario's natural parameter list
 pub fn handover_migration(
     config: SystemConfig,

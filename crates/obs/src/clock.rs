@@ -11,8 +11,10 @@
 //! mode ([`set_virtual_nanos`]): the driver advances the reading from sim
 //! time, so every timestamped artifact — JSONL span events, trace reports,
 //! latency histograms — becomes a pure function of the seed and two
-//! identical runs produce byte-identical files (the `determinism-e2e` CI
-//! job holds this by running the replay example twice and `cmp`-ing).
+//! identical runs produce byte-identical files. Two CI jobs hold this by
+//! running twice and `cmp`-ing: `determinism-e2e` the replay example, and
+//! `obs-e2e` `obs_report --virtual`, whose profile self-times collapse to
+//! zero under this mode.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -4,8 +4,8 @@
 //! the virtual-time substrate we substitute for wall-clock time: an event
 //! queue with a deterministic tie-break order ([`Simulation`]), a seedable
 //! random source with the distributions the models need ([`SimRng`]), and the
-//! statistics helpers used to aggregate latency/bandwidth measurements
-//! ([`Welford`], [`SampleSet`], [`Histogram`]).
+//! sample set used to aggregate latency/bandwidth measurements
+//! ([`SampleSet`]).
 //!
 //! # Example
 //!
@@ -36,4 +36,4 @@ mod stats;
 
 pub use rng::SimRng;
 pub use sim::Simulation;
-pub use stats::{Histogram, SampleSet, Welford};
+pub use stats::SampleSet;

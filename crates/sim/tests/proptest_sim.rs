@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation kernel.
 
-use cad3_sim::{SampleSet, SimRng, Simulation, Welford};
+use cad3_sim::{SampleSet, SimRng, Simulation};
 use cad3_types::SimTime;
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -50,28 +50,6 @@ proptest! {
         prop_assert!(sim.now() >= SimTime::from_nanos(deadline));
         let expected = times.iter().filter(|&&t| t <= deadline).count();
         prop_assert_eq!(fired.borrow().len(), expected);
-    }
-
-    /// Welford matches the two-pass computation on arbitrary data.
-    #[test]
-    fn welford_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 2..500)) {
-        let w: Welford = xs.iter().copied().collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        prop_assert!((w.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((w.sample_variance() - var).abs() <= 1e-5 * (1.0 + var.abs()));
-    }
-
-    /// Welford merge is associative with sequential accumulation.
-    #[test]
-    fn welford_merge_any_split(xs in prop::collection::vec(-1e3f64..1e3, 2..200), split in 0usize..200) {
-        let split = split.min(xs.len());
-        let mut a: Welford = xs[..split].iter().copied().collect();
-        let b: Welford = xs[split..].iter().copied().collect();
-        a.merge(&b);
-        let all: Welford = xs.iter().copied().collect();
-        prop_assert_eq!(a.count(), all.count());
-        prop_assert!((a.mean() - all.mean()).abs() < 1e-9 * (1.0 + all.mean().abs()));
     }
 
     /// Percentiles are order statistics: within [min, max] and monotone.
