@@ -8,10 +8,10 @@
 //!
 //! The file is a restricted TOML subset written and parsed by hand (the
 //! workspace intentionally has no TOML dependency): a `[violations]` table
-//! of `"rule:path" = count` entries, sorted by key. It is the only ratchet:
-//! the contract analyses (`analyze --hotpaths`, `--determinism`) have their
-//! contract file as the one allowlist, and `lockranks.toml` is read by
-//! `cad3_lockrank::parse`.
+//! of `"rule:path" = count` entries, sorted by key; a key given twice is an
+//! error, not a silent overwrite. It is the only ratchet: the contract
+//! checks of `cargo xtask analyze` have their contract file as the one
+//! allowlist, and `lockranks.toml` is read by `cad3_lockrank::parse`.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -35,16 +35,16 @@ pub fn parse(text: &str, origin: &str) -> io::Result<BTreeMap<String, u64>> {
         if line.is_empty() || line.starts_with('#') || line.starts_with('[') {
             continue;
         }
-        let parse_err = || {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{origin}:{}: malformed baseline line: {raw}", idx + 1),
-            )
+        let err = |what: String| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{origin}:{}: {what}", idx + 1))
         };
+        let parse_err = || err(format!("malformed baseline line: {raw}"));
         let (key, value) = line.split_once('=').ok_or_else(parse_err)?;
         let key = key.trim().trim_matches('"');
         let count: u64 = value.trim().parse().map_err(|_| parse_err())?;
-        map.insert(key.to_owned(), count);
+        if map.insert(key.to_owned(), count).is_some() {
+            return Err(err(format!("duplicate key {key}")));
+        }
     }
     Ok(map)
 }
@@ -90,6 +90,17 @@ mod tests {
     fn missing_file_is_empty() {
         let loaded = load(Path::new("/nonexistent/baseline.toml")).unwrap();
         assert!(loaded.is_empty());
+    }
+
+    /// A key given twice is rejected, as `lockranks.toml` rejects a site
+    /// given twice: neither count may silently win.
+    #[test]
+    fn duplicate_key_is_an_error() {
+        let text =
+            "[violations]\n\"no-panic:a.rs\" = 3\n\"no-as-cast:a.rs\" = 1\n\"no-panic:a.rs\" = 5\n";
+        let err = parse(text, "baseline.toml").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "baseline.toml:4: duplicate key no-panic:a.rs");
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The contract check behind `cargo xtask analyze --hotpaths` and
-//! `--determinism`: one harness, the checked property a plug-in [`Pass`].
+//! The contract check behind the hot-path purity and determinism reports of
+//! `cargo xtask analyze`: one harness, the checked property a plug-in
+//! [`Pass`].
 //!
 //! A contract is a root-level `<table>.toml` holding one `[<table>]` table
 //! of `"crate::Type::fn" = ["atom", ...]` entries (restricted TOML subset —
 //! the workspace carries no TOML dependency). Each entry names a function
 //! and the atoms its whole reachable call graph may use. The check rides the
-//! lock-graph extraction ([`crate::lockgraph::extract`]): the pass's scanner
-//! reads every workspace function's token stream for atom sites, the sites
-//! are propagated over the cross-crate call graph (may-resolution:
-//! trait-method calls follow every implementor, function references are
-//! followed too), and an entry whose reachable atom set exceeds its
-//! declaration is a finding — with the call chain that witnesses the leak.
+//! lock graph's extraction and call graph ([`crate::lockgraph::CallGraph`]):
+//! the pass's scanner reads every workspace function's token stream for atom
+//! sites, an entry reaches every target of every call (trait-method calls
+//! follow every implementor, function references are followed too), and an
+//! entry whose reachable atom set exceeds its declaration is a finding —
+//! with the call chain that witnesses the leak.
 //!
 //! A deliberate site is opted out with a `// <stem>-exempt: why` comment on
 //! its line or up to three lines above (the window the lint's `ordering:`
@@ -25,7 +26,7 @@
 //! `--emit-<table>` prints the observed atom sets as a fresh contract.
 //! Reports come in the three formats of the lock-graph analysis.
 
-use crate::lockgraph::{CallKey, Exempt, Extraction, Finding, FnFacts, SourceInput, SymbolTable};
+use crate::lockgraph::{CallGraph, CallKey, Exempt, Extraction, Finding, FnFacts, SymbolTable};
 use crate::report;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -37,7 +38,7 @@ pub struct Pass {
     /// Heading of the human report.
     pub title: &'static str,
     /// Contract file stem, table name and flag stem: `<table>.toml`,
-    /// `[<table>]`, `--<table>`.
+    /// `[<table>]`, `--emit-<table>`.
     pub table: &'static str,
     /// Exemption stem: `// <stem>-exempt:`.
     pub stem: &'static str,
@@ -196,17 +197,16 @@ fn covers(filter: &[String], atom: &str) -> bool {
             .any(|a| a == atom || atom.strip_prefix(a.as_str()).is_some_and(|r| r.starts_with(':')))
 }
 
-/// Runs the check: extract, scan, propagate, compare against the contract.
+/// Runs the check: scan, reach, compare against the contract.
 pub fn analyze(
     pass: &Pass,
-    sources: &[SourceInput<'_>],
+    ex: &Extraction,
+    graph: &CallGraph<'_>,
     config: &[Entry],
     ranks: &BTreeMap<String, u64>,
 ) -> Outcome {
-    let ex = crate::lockgraph::extract(sources);
-    let symbols = SymbolTable::new(&ex.facts);
-    let cx = Scan { symbols: &symbols, ex: &ex, ranks };
-    let mut out = Outcome { fns: ex.fns, ..Outcome::default() };
+    let cx = Scan { symbols: &graph.symbols, ex, ranks };
+    let mut out = Outcome { fns: ex.facts.len(), ..Outcome::default() };
     let [violation, stale_entry, unknown_atom, stale_exempt] = pass.checks.map(|(id, _)| id);
     let Pass { stem, nouns, .. } = pass;
 
@@ -263,40 +263,17 @@ pub fn analyze(
         }
     }
 
-    // Per-entry reachability (a walk with parent pointers for call chains).
+    // Per-entry reachability over every target of every call.
     for e in config {
         let Some(&entry_idx) = by_key.get(e.key.as_str()) else {
             continue;
         };
-        let mut parent: HashMap<usize, usize> = HashMap::new();
-        let mut visited: BTreeSet<usize> = BTreeSet::new();
-        visited.insert(entry_idx);
-        let mut queue = vec![entry_idx];
-        while let Some(cur) = queue.pop() {
-            for c in &ex.facts[cur].calls {
-                for callee in symbols.resolve_all(&c.key, &ex.facts[cur].crate_name, c.is_ref) {
-                    if visited.insert(callee) {
-                        parent.insert(callee, cur);
-                        queue.push(callee);
-                    }
-                }
-            }
-        }
-        let chain_to = |idx: usize| -> String {
-            let mut keys = vec![ex.facts[idx].key.as_str()];
-            let mut cur = idx;
-            while let Some(&p) = parent.get(&cur) {
-                keys.push(ex.facts[p].key.as_str());
-                cur = p;
-            }
-            keys.reverse();
-            keys.join(" → ")
-        };
+        let reach = graph.reach(entry_idx, |_, _| true);
 
         // Union the reachable sites per atom, as (function, site) in file
         // and line order.
         let mut by_atom: BTreeMap<&str, Vec<(usize, &Site)>> = BTreeMap::new();
-        for &idx in &visited {
+        for &idx in &reach.visited {
             for site in &sites[idx] {
                 by_atom.entry(site.atom.as_str()).or_default().push((idx, site));
             }
@@ -324,7 +301,7 @@ pub fn analyze(
                     found.len(),
                     first.what,
                     first.line,
-                    chain_to(idx),
+                    reach.chain(&ex.facts, idx),
                 ),
             });
         }
@@ -332,7 +309,7 @@ pub fn analyze(
         out.entries.push(EntryReport {
             key: e.key.clone(),
             atoms: e.atoms.clone(),
-            reachable: visited.len(),
+            reachable: reach.visited.len(),
             found: by_atom.iter().map(|(a, s)| ((*a).to_owned(), s.len())).collect(),
         });
     }
@@ -434,20 +411,25 @@ pub fn json(pass: &Pass, outcome: &Outcome) -> String {
     out
 }
 
-/// Renders the SARIF 2.1.0 log for code-scanning upload.
-pub fn sarif(pass: &Pass, outcome: &Outcome) -> String {
-    report::sarif_log(&format!("cad3-xtask-{}", pass.table), &pass.checks, &outcome.findings)
+/// Renders the pass's run of a SARIF log.
+pub fn sarif_run(pass: &Pass, outcome: &Outcome) -> String {
+    report::sarif_run(&format!("cad3-xtask-{}", pass.table), &pass.checks, &outcome.findings)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::lockgraph::{extract, SourceInput};
     use crate::{baseline, determinism, hotpaths};
 
     type Src<'a> = (&'a str, &'a str, &'a str);
 
-    fn inputs<'a>(srcs: &'a [Src<'a>]) -> Vec<SourceInput<'a>> {
-        srcs.iter().map(|(c, p, t)| SourceInput { crate_name: c, path: p, text: t }).collect()
+    /// Extracts in-memory sources and runs `pass` over them.
+    fn run(pass: &Pass, srcs: &[Src<'_>], config: &[Entry], ranks: &[(&str, u64)]) -> Outcome {
+        let inputs: Vec<SourceInput<'_>> =
+            srcs.iter().map(|(c, p, t)| SourceInput { crate_name: c, path: p, text: t }).collect();
+        let ex = extract(&inputs);
+        analyze(pass, &ex, &CallGraph::new(&ex.facts), config, &counts(ranks))
     }
 
     fn counts(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
@@ -471,7 +453,11 @@ pub(crate) mod tests {
                 line: i + 1,
             })
             .collect();
-        analyze(pass, &inputs(srcs), &config, &counts(ranks))
+        run(pass, srcs, &config, ranks)
+    }
+
+    fn sarif(pass: &Pass, outcome: &Outcome) -> String {
+        report::sarif_log(&[sarif_run(pass, outcome)])
     }
 
     pub(crate) fn findings<'a>(o: &'a Outcome, check: &str) -> Vec<&'a Finding> {
@@ -508,7 +494,7 @@ pub(crate) mod tests {
     impl Golden {
         fn outcome(&self, pass: &Pass) -> Outcome {
             let config = parse(pass, self.contract, &pass.contract_file()).unwrap();
-            analyze(pass, &inputs(&self.srcs), &config, &counts(self.ranks))
+            run(pass, &self.srcs, &config, self.ranks)
         }
     }
 

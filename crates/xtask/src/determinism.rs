@@ -1,4 +1,5 @@
-//! Determinism contract analysis (`cargo xtask analyze --determinism`).
+//! Determinism contract analysis, one of the three checks of
+//! `cargo xtask analyze`.
 //!
 //! The root `determinism.toml` declares the entry functions a seeded run
 //! must replay bit-identically (the sim event loop, handover fusion, the
@@ -59,12 +60,12 @@ pub static PASS: Pass = Pass {
     stem: "determinism",
     checks: CHECKS,
     atoms: &["map-iter", "hash-state", "wallclock", "thread", "unseeded-rng", "ptr-order"],
-    header: "# Determinism contract for `cargo xtask analyze --determinism`.\n\
+    header: "# Determinism contract for `cargo xtask analyze`.\n\
              # Each entry names a replay-deterministic function and the nondeterminism\n\
              # atoms its whole reachable call graph may use (map-iter, hash-state,\n\
              # wallclock, thread, unseeded-rng, ptr-order). Anything beyond the list\n\
-             # fails CI. Regenerate with `cargo xtask analyze --determinism\n\
-             # --emit-determinism` after a deliberate change.\n",
+             # fails CI. Regenerate with `cargo xtask analyze --emit-determinism`\n\
+             # after a deliberate change.\n",
     scan: scan_nondet,
     nouns: Nouns {
         site: "nondeterminism",

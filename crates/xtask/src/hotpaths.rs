@@ -1,4 +1,4 @@
-//! Hot-path purity analysis (`cargo xtask analyze --hotpaths`).
+//! Hot-path purity analysis, one of the three checks of `cargo xtask analyze`.
 //!
 //! The root `hotpaths.toml` declares the latency-critical entry functions
 //! (produce, poll, detect, transmit) and, per entry, the *capability set*
@@ -40,11 +40,11 @@ pub static PASS: Pass = Pass {
     stem: "hotpath",
     checks: CHECKS,
     atoms: &["alloc", "panic", "block", "wallclock", "lock:<rank>"],
-    header: "# Hot-path purity contract for `cargo xtask analyze --hotpaths`.\n\
+    header: "# Hot-path purity contract for `cargo xtask analyze`.\n\
              # Each entry names a latency-critical function and the effect atoms its\n\
              # whole reachable call graph may use (alloc, panic, block, wallclock,\n\
              # lock:<rank>). Anything beyond the list fails CI. Regenerate with\n\
-             # `cargo xtask analyze --hotpaths --emit-hotpaths` after a deliberate change.\n",
+             # `cargo xtask analyze --emit-hotpaths` after a deliberate change.\n",
     scan: scan_effects,
     nouns: Nouns {
         site: "effect",

@@ -3,11 +3,12 @@
 //! The extractor walks every parsed function body and recovers, per
 //! function: which lock sites it acquires directly (and whether the guard is
 //! statement-scoped or `let`-bound), and which workspace functions it calls
-//! while guards are live. Call targets are resolved cross-crate through a
-//! symbol table; a fixpoint then closes each function's acquisition set over
-//! its callees, and every `B acquired while A held` observation becomes an
-//! edge `A → B` in the site graph. Tarjan's SCC algorithm finds true
-//! lock-order cycles, and the observed edges are additionally checked
+//! while guards are live. Call targets are resolved cross-crate, once, into
+//! a [`CallGraph`]; a function's acquisition set is the union of the direct
+//! acquisitions of everything it [reaches](CallGraph::reach) over calls with
+//! exactly one target, and every `B acquired while A held` observation
+//! becomes an edge `A → B` in the site graph. Tarjan's SCC algorithm finds
+//! true lock-order cycles, and the observed edges are additionally checked
 //! against the declared ranks in `lockranks.toml`, which catches
 //! *single-sided* hierarchy inversions long before the reverse edge exists.
 //!
@@ -27,8 +28,8 @@
 //!
 //! The analysis is syntactic and intentionally over- and under-approximates
 //! in documented ways (see DESIGN.md): calls through trait objects, function
-//! pointers and closure parameters are not resolved; a method call is only
-//! followed when its name resolves to exactly one workspace function;
+//! pointers and closure parameters are not resolved; a call is only
+//! followed when it resolves to exactly one workspace function;
 //! `#[cfg(test)]` code is skipped. Acquisitions it *does* see are tracked
 //! through guard scopes, statement temporaries, aliases, collection
 //! iteration and closure parameters.
@@ -70,10 +71,11 @@ pub struct Analysis {
     pub fns: usize,
     /// Call sites recorded (function references excluded).
     pub calls_total: usize,
-    /// Calls resolved to exactly one workspace function and followed.
+    /// Calls resolved to exactly one workspace function, which the lock
+    /// propagation follows.
     pub calls_resolved: usize,
     /// Calls matching more than one workspace function (not followed by the
-    /// lock fixpoint; may-analyses follow all candidates).
+    /// lock propagation; the contracts follow every candidate).
     pub calls_ambiguous: usize,
 }
 
@@ -145,7 +147,7 @@ fn classify(ty: &[Tok]) -> Option<Shape> {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum CallKey {
-    /// `receiver.name(..)` — resolved only if the name is workspace-unique.
+    /// `receiver.name(..)` — resolved by name among receiver-taking functions.
     Method(String),
     /// `Type::name(..)` or `self.name(..)` (self type known).
     Qualified(String, String),
@@ -162,8 +164,8 @@ pub(crate) struct Call {
     pub(crate) line: usize,
     /// A function *reference* passed as an argument (`.map(fnv1a)`,
     /// `Executor::run(.., job)`) rather than an invocation. Followed only
-    /// by may-analyses (hotpaths); the lock fixpoint ignores these, since a
-    /// plain variable argument can shadow a free function's name.
+    /// by the contracts; the lock propagation ignores these, since a plain
+    /// variable argument can shadow a free function's name.
     pub(crate) is_ref: bool,
 }
 
@@ -823,8 +825,8 @@ impl Walker<'_> {
     /// Scans a call's argument list for function *references* passed by
     /// name — `exec.run(parts, fnv1a)` or `.map(Record::size)` — and records
     /// them as `is_ref` calls. Whether a bare name is a function or a local
-    /// variable is decided at resolution time, so these only feed
-    /// may-analyses (the lock fixpoint skips them).
+    /// variable is decided at resolution time, so only the contracts follow
+    /// them (the lock propagation skips them).
     fn ref_args(&mut self, paren: usize, line: usize) {
         let mut j = paren + 1;
         let mut depth = 1i32;
@@ -971,8 +973,6 @@ pub(crate) struct Extraction {
     /// anywhere (`RwLock<HashMap<..>>` counts), for hash-receiver typing in
     /// the determinism scan.
     pub(crate) hash_fields: HashMap<String, BTreeSet<String>>,
-    /// Non-test functions walked.
-    pub(crate) fns: usize,
 }
 
 /// One `// <stem>-exempt: reason` (all atoms) or
@@ -992,11 +992,10 @@ pub(crate) struct Exempt {
 /// Cross-crate call-resolution symbol table over extracted functions.
 pub(crate) struct SymbolTable {
     by_qualified: HashMap<(String, String), Vec<usize>>,
-    by_name: HashMap<String, Vec<usize>>,
-    /// Like `by_name`, but only functions with a `self` receiver — the
-    /// candidate set for `recv.name()` method calls. An associated function
-    /// (the executor's `Pool::start`) never unions with a same-named method
-    /// (`Road::start`): it cannot be the target of a dot call.
+    /// Functions with a `self` receiver, by name — the candidate set for
+    /// `recv.name()` method calls. An associated function (the executor's
+    /// `Pool::start`) never unions with a same-named method (`Road::start`):
+    /// it cannot be the target of a dot call.
     method_by_name: HashMap<String, Vec<usize>>,
     free_by_crate: HashMap<(String, String), Vec<usize>>,
     free_by_name: HashMap<String, Vec<usize>>,
@@ -1006,7 +1005,6 @@ impl SymbolTable {
     pub(crate) fn new(facts: &[FnFacts]) -> SymbolTable {
         let mut t = SymbolTable {
             by_qualified: HashMap::new(),
-            by_name: HashMap::new(),
             method_by_name: HashMap::new(),
             free_by_crate: HashMap::new(),
             free_by_name: HashMap::new(),
@@ -1015,7 +1013,6 @@ impl SymbolTable {
             let mut parts = f.key.rsplitn(2, "::");
             let name = parts.next().unwrap_or_default().to_owned();
             let qualifier = parts.next().unwrap_or_default();
-            t.by_name.entry(name.clone()).or_default().push(idx);
             if f.has_self {
                 t.method_by_name.entry(name.clone()).or_default().push(idx);
             }
@@ -1029,34 +1026,10 @@ impl SymbolTable {
         t
     }
 
-    /// Unique-only (must) resolution — what the lock fixpoint follows. A
-    /// name matching more than one workspace function is not followed.
-    pub(crate) fn resolve_unique(&self, key: &CallKey, crate_name: &str) -> Option<usize> {
-        let unique = |v: Option<&Vec<usize>>| match v {
-            Some(v) if v.len() == 1 => Some(v[0]),
-            _ => None,
-        };
-        match key {
-            CallKey::Qualified(ty, name) => {
-                unique(self.by_qualified.get(&(ty.clone(), name.clone())))
-            }
-            // The same stoplist as the may-resolution below: the workspace's
-            // `SharedTopic::len` (which takes every partition lock) is not
-            // what a `Vec`'s `.len()` under a guard calls.
-            CallKey::Method(name) if STD_METHODS.contains(&name.as_str()) => None,
-            CallKey::Method(name) => unique(self.method_by_name.get(name)),
-            CallKey::Bare(name) => unique(
-                self.free_by_crate
-                    .get(&(crate_name.to_owned(), name.clone()))
-                    .or_else(|| self.by_name.get(name)),
-            ),
-        }
-    }
-
-    /// Union (may) resolution — every workspace function the call could
-    /// reach, covering trait-method dispatch across implementors. Bare
-    /// function *references* resolve against free functions only (a method
-    /// name can coincide with a local variable passed by value), and
+    /// Every workspace function the call could reach, covering trait-method
+    /// dispatch across implementors. Bare function *references* resolve
+    /// against free functions only (a method name can coincide with a local
+    /// variable passed by value), and
     /// [`STD_METHODS`] names are never cross-linked: a `.load(..)` is an
     /// atomic read, not whatever free `load` some crate exports.
     pub(crate) fn resolve_all(&self, key: &CallKey, crate_name: &str, is_ref: bool) -> Vec<usize> {
@@ -1375,7 +1348,6 @@ pub(crate) fn extract(sources: &[SourceInput<'_>]) -> Extraction {
             if f.in_test {
                 continue;
             }
-            ex.fns += 1;
             let key = match &f.self_ty {
                 Some(ty) => format!("{}::{}::{}", src.crate_name, ty, f.name),
                 None => format!("{}::{}", src.crate_name, f.name),
@@ -1428,75 +1400,110 @@ pub(crate) fn extract(sources: &[SourceInput<'_>]) -> Extraction {
     ex
 }
 
-/// Runs the lock-graph checks over extracted facts.
-pub fn analyze(sources: &[SourceInput<'_>], ranks: &BTreeMap<String, u64>) -> Analysis {
-    let Extraction { facts: all_facts, mut edges, site_decls, fns, .. } = extract(sources);
-    let symbols = SymbolTable::new(&all_facts);
-    let mut analysis = Analysis { fns, ..Analysis::default() };
+/// The workspace call graph: every recorded call of every extracted
+/// function resolved once, to every workspace function it may reach.
+pub(crate) struct CallGraph<'a> {
+    facts: &'a [FnFacts],
+    pub(crate) symbols: SymbolTable,
+    /// `callees[f][i]`: the targets of `facts[f].calls[i]`.
+    callees: Vec<Vec<Vec<usize>>>,
+}
 
-    // Call-resolution statistics for the report summary (fn-reference
-    // operands are not call sites; they are counted by the may-analyses
-    // that follow them).
-    for f in &all_facts {
-        for c in &f.calls {
+/// What one [`CallGraph::reach`] walk visited.
+pub(crate) struct Reach {
+    /// Every function reached, the start included.
+    pub(crate) visited: BTreeSet<usize>,
+    /// The caller each function was first reached from.
+    parent: HashMap<usize, usize>,
+}
+
+impl Reach {
+    /// The call chain from the walk's start to `idx`, as function keys.
+    pub(crate) fn chain(&self, facts: &[FnFacts], idx: usize) -> String {
+        let mut keys = vec![facts[idx].key.as_str()];
+        let mut cur = idx;
+        while let Some(&p) = self.parent.get(&cur) {
+            keys.push(facts[p].key.as_str());
+            cur = p;
+        }
+        keys.reverse();
+        keys.join(" → ")
+    }
+}
+
+impl<'a> CallGraph<'a> {
+    pub(crate) fn new(facts: &'a [FnFacts]) -> CallGraph<'a> {
+        let symbols = SymbolTable::new(facts);
+        let resolve = |f: &FnFacts| -> Vec<Vec<usize>> {
+            f.calls.iter().map(|c| symbols.resolve_all(&c.key, &f.crate_name, c.is_ref)).collect()
+        };
+        let callees = facts.iter().map(resolve).collect();
+        CallGraph { facts, symbols, callees }
+    }
+
+    /// Walks depth-first from `from` over every call that `follow` accepts,
+    /// given the call and its targets.
+    pub(crate) fn reach(&self, from: usize, follow: impl Fn(&Call, &[usize]) -> bool) -> Reach {
+        let mut r = Reach { visited: BTreeSet::from([from]), parent: HashMap::new() };
+        let mut stack = vec![from];
+        while let Some(cur) = stack.pop() {
+            for (c, to) in self.facts[cur].calls.iter().zip(&self.callees[cur]) {
+                if !follow(c, to) {
+                    continue;
+                }
+                for &callee in to {
+                    if r.visited.insert(callee) {
+                        r.parent.insert(callee, cur);
+                        stack.push(callee);
+                    }
+                }
+            }
+        }
+        r
+    }
+}
+
+/// Runs the lock-graph checks over extracted facts.
+pub fn analyze(ex: &Extraction, graph: &CallGraph<'_>, ranks: &BTreeMap<String, u64>) -> Analysis {
+    let Extraction { facts, site_decls, .. } = ex;
+    let mut edges = ex.edges.clone();
+    let mut analysis = Analysis { fns: facts.len(), ..Analysis::default() };
+    // The propagation follows a call, not a function reference, when it
+    // resolves to exactly one workspace function.
+    let unique_call = |c: &Call, to: &[usize]| !c.is_ref && to.len() == 1;
+
+    // Interprocedural edges: sites a uniquely resolved callee (transitively)
+    // acquires while the caller holds a guard. Fn-reference operands are not
+    // call sites, so the summary's counts skip them too.
+    for (f, callees) in facts.iter().zip(&graph.callees) {
+        for (c, to) in f.calls.iter().zip(callees) {
             if c.is_ref {
                 continue;
             }
             analysis.calls_total += 1;
-            match symbols.resolve_all(&c.key, &f.crate_name, false).len() {
+            match to.len() {
                 0 => {}
                 1 => analysis.calls_resolved += 1,
                 _ => analysis.calls_ambiguous += 1,
             }
-        }
-    }
-
-    // Transitive acquisition sets (fixpoint over the call graph).
-    let mut star: Vec<BTreeSet<String>> =
-        all_facts.iter().map(|f| f.direct.iter().map(|(s, _)| s.clone()).collect()).collect();
-    loop {
-        let mut changed = false;
-        for idx in 0..all_facts.len() {
-            for c in &all_facts[idx].calls {
-                if c.is_ref {
-                    continue;
-                }
-                if let Some(callee) = symbols.resolve_unique(&c.key, &all_facts[idx].crate_name) {
-                    if callee == idx {
-                        continue;
-                    }
-                    let add: Vec<String> =
-                        star[callee].iter().filter(|s| !star[idx].contains(*s)).cloned().collect();
-                    if !add.is_empty() {
-                        star[idx].extend(add);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Interprocedural edges: sites a callee (transitively) acquires while
-    // the caller holds a guard.
-    for f in &all_facts {
-        for c in &f.calls {
-            if c.is_ref || c.held.is_empty() {
+            if c.held.is_empty() || !unique_call(c, to) {
                 continue;
             }
-            if let Some(callee) = symbols.resolve_unique(&c.key, &f.crate_name) {
-                for to in &star[callee] {
-                    for from in &c.held {
-                        edges.push(Edge {
-                            from: from.clone(),
-                            to: to.clone(),
-                            file: f.file.clone(),
-                            line: c.line,
-                            via: format!("{} → {}", f.key, all_facts[callee].key),
-                        });
-                    }
+            let acquired: BTreeSet<&String> = graph
+                .reach(to[0], unique_call)
+                .visited
+                .iter()
+                .flat_map(|&g| facts[g].direct.iter().map(|(s, _)| s))
+                .collect();
+            for to_site in acquired {
+                for from in &c.held {
+                    edges.push(Edge {
+                        from: from.clone(),
+                        to: to_site.clone(),
+                        file: f.file.clone(),
+                        line: c.line,
+                        via: format!("{} → {}", f.key, facts[to[0]].key),
+                    });
                 }
             }
         }
@@ -1504,7 +1511,7 @@ pub fn analyze(sources: &[SourceInput<'_>], ranks: &BTreeMap<String, u64>) -> An
 
     // Site registry: declared fields plus every acquired site.
     let mut sites: BTreeSet<String> = site_decls.keys().cloned().collect();
-    for f in &all_facts {
+    for f in facts {
         sites.extend(f.direct.iter().map(|(s, _)| s.clone()));
     }
     for e in &edges {
@@ -1608,7 +1615,7 @@ pub fn analyze(sources: &[SourceInput<'_>], ranks: &BTreeMap<String, u64>) -> An
 
     // 5. Witness annotation audit: every `rank_scope!` names a ranked site,
     // and every function that acquires a ranked site carries its witness.
-    for f in &all_facts {
+    for f in facts {
         let annotated: BTreeSet<&String> = f.annotations.iter().map(|(s, _)| s).collect();
         for (site, line) in &f.annotations {
             if !ranks.contains_key(site) {
@@ -1863,7 +1870,8 @@ mod tests {
     fn run(srcs: &[(&str, &str, &str)], ranks: &BTreeMap<String, u64>) -> Analysis {
         let inputs: Vec<SourceInput<'_>> =
             srcs.iter().map(|(c, p, t)| SourceInput { crate_name: c, path: p, text: t }).collect();
-        analyze(&inputs, ranks)
+        let ex = extract(&inputs);
+        analyze(&ex, &CallGraph::new(&ex.facts), ranks)
     }
 
     fn checks<'a>(a: &'a Analysis, check: &str) -> Vec<&'a Finding> {
@@ -1946,6 +1954,31 @@ mod tests {
             "interprocedural edge missing: {:?}",
             a.edges
         );
+    }
+
+    #[test]
+    fn bare_call_never_reaches_a_method() {
+        // `grab()` names a free function; the workspace's only `grab` is a
+        // method, which a bare call cannot invoke.
+        let c1 = "
+            pub struct P { a: Mutex<u32> }
+            impl P {
+                fn fwd(&self) {
+                    let g = self.a.lock();
+                    grab();
+                }
+            }
+        ";
+        let c2 = "
+            pub struct H { b: Mutex<u32> }
+            impl H {
+                pub fn grab(&self) { let g = self.b.lock(); }
+            }
+        ";
+        let a =
+            run(&[("one", "one/src/lib.rs", c1), ("two", "two/src/lib.rs", c2)], &BTreeMap::new());
+        assert!(a.edges.is_empty(), "no edge through a bare call: {:?}", a.edges);
+        assert_eq!(a.calls_resolved, 0);
     }
 
     #[test]
@@ -2410,5 +2443,70 @@ mod tests {
         );
         assert_eq!(a.calls_total, 1);
         assert_eq!(a.calls_resolved, 1);
+    }
+
+    const GOLDEN_SRCS: [(&str, &str, &str); 2] = [
+        (
+            "one",
+            "crates/one/src/lib.rs",
+            r#"
+            pub struct P { a: Mutex<u32>, b: Mutex<u32> }
+            impl P {
+                pub fn ab(&self, h: &H) {
+                    let _wa = cad3_lockrank::rank_scope!("one::P::a");
+                    let ga = self.a.lock();
+                    let gb = self.b.lock();
+                    H::grab(h);
+                }
+                pub fn ba(&self) {
+                    let _wb = cad3_lockrank::rank_scope!("one::P::b");
+                    let gb = self.b.lock();
+                    let _wa = cad3_lockrank::rank_scope!("one::P::a");
+                    let ga = self.a.lock();
+                }
+                fn phantom(&self) {
+                    let _held = cad3_lockrank::rank_scope!("one::P::nope");
+                }
+            }
+            "#,
+        ),
+        (
+            "two",
+            "crates/two/src/lib.rs",
+            r#"
+            pub struct H { c: Mutex<u32>, d: Mutex<u32> }
+            impl H {
+                pub fn grab(&self) {
+                    let g = self.c.lock();
+                    H::deep(self);
+                }
+                fn deep(&self) {
+                    let h = self.d.lock();
+                }
+                pub fn emit(&self) {}
+            }
+            pub struct K;
+            impl K { pub fn emit(&self) {} }
+            pub fn go(h: &H) { h.emit(); }
+            "#,
+        ),
+    ];
+
+    /// The fixture that raises all eight lock checks — a two-hop
+    /// interprocedural chain, an ambiguous call, a cycle and every rank and
+    /// witness finding — and its four renderings (`tests/golden/`), byte
+    /// for byte.
+    #[test]
+    fn golden_fixture_renders_byte_identically() {
+        let r =
+            ranks(&[("one::P::a", 10), ("one::P::b", 20), ("two::H::c", 5), ("two::H::gone", 20)]);
+        let a = run(&GOLDEN_SRCS, &r);
+        let kinds: BTreeSet<&str> = a.findings.iter().map(|f| f.check).collect();
+        assert_eq!(kinds, crate::report::CHECKS.iter().map(|(id, _)| *id).collect(), "all eight");
+        assert_eq!(crate::report::human(&a), include_str!("../tests/golden/lockranks.human.txt"));
+        assert_eq!(crate::report::json(&a), include_str!("../tests/golden/lockranks.json"));
+        let sarif = crate::report::sarif_log(&[crate::report::lock_sarif_run(&a)]);
+        assert_eq!(sarif, include_str!("../tests/golden/lockranks.sarif"));
+        assert_eq!(emit_lockranks(&a, &r), include_str!("../tests/golden/lockranks.emit.toml"));
     }
 }

@@ -4,8 +4,9 @@
 //! for scripting, and `sarif` (SARIF 2.1.0) for code-scanning UIs. The JSON
 //! is emitted by hand — the workspace intentionally carries no serde — so
 //! the renderers stick to the small, flat subset the consumers need. The
-//! findings blocks and the SARIF log are shared with the contract reports
-//! ([`crate::contract`]), which differ only in what precedes the findings.
+//! findings blocks and the SARIF run are shared with the contract reports
+//! ([`crate::contract`]), which differ only in what precedes the findings;
+//! [`json_object`] and [`sarif_log`] join the three reports of one run.
 
 use crate::lockgraph::{Analysis, Finding};
 use std::fmt::Write as _;
@@ -141,19 +142,37 @@ pub fn findings_json(out: &mut String, findings: &[Finding]) {
     out.push_str(if findings.is_empty() { "]\n" } else { "\n  ]\n" });
 }
 
-/// Renders a SARIF 2.1.0 log for code-scanning upload.
-pub fn sarif(analysis: &Analysis) -> String {
-    sarif_log("cad3-xtask-analyze", &CHECKS, &analysis.findings)
+/// Joins rendered JSON reports into one object, one member per report.
+pub fn json_object(members: &[(&str, String)]) -> String {
+    let mut out = String::from("{\n");
+    for (i, (key, value)) in members.iter().enumerate() {
+        let sep = if i + 1 == members.len() { "" } else { "," };
+        let value = value.trim_end().replace('\n', "\n  ");
+        let _ = writeln!(out, "  \"{}\": {value}{sep}", esc(key));
+    }
+    out.push_str("}\n");
+    out
 }
 
-/// Renders a SARIF 2.1.0 log from any finding list — the analyses differ
-/// only in tool name and rule table.
-pub fn sarif_log(tool: &str, checks: &[(&str, &str)], findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "{\n  \"version\": \"2.1.0\",\n  \
+/// Renders the lock graph's run of a SARIF log.
+pub fn lock_sarif_run(analysis: &Analysis) -> String {
+    sarif_run("cad3-xtask-analyze", &CHECKS, &analysis.findings)
+}
+
+/// Renders a SARIF 2.1.0 log holding `runs`, for code-scanning upload.
+pub fn sarif_log(runs: &[String]) -> String {
+    format!(
+        "{{\n  \"version\": \"2.1.0\",\n  \
          \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-         \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n          ",
-    );
+         \"runs\": [\n{}\n  ]\n}}\n",
+        runs.join(",\n")
+    )
+}
+
+/// Renders one SARIF run from any finding list — the analyses differ only
+/// in tool name and rule table.
+pub fn sarif_run(tool: &str, checks: &[(&str, &str)], findings: &[Finding]) -> String {
+    let mut out = String::from("    {\n      \"tool\": {\n        \"driver\": {\n          ");
     let _ = write!(
         out,
         "\"name\": \"{}\",\n          \
@@ -177,7 +196,7 @@ pub fn sarif_log(tool: &str, checks: &[(&str, &str)], findings: &[Finding]) -> S
         out.push_str(sep);
         out.push('\n');
     }
-    out.push_str("      ]\n    }\n  ]\n}\n");
+    out.push_str("      ]\n    }");
     out
 }
 
@@ -208,6 +227,10 @@ mod tests {
     use super::*;
     use crate::lockgraph::Edge;
     use std::collections::BTreeSet;
+
+    fn sarif(analysis: &Analysis) -> String {
+        sarif_log(&[lock_sarif_run(analysis)])
+    }
 
     fn sample() -> Analysis {
         let mut sites = BTreeSet::new();

@@ -6,8 +6,8 @@
 //! measure *virtual* nanoseconds — two identical invocations produce
 //! byte-identical files. The CI `determinism-e2e` job runs this binary
 //! twice and `cmp`s every artifact; the static side of the same contract
-//! is `cargo xtask analyze --determinism` (see DESIGN.md "Determinism
-//! contract").
+//! is the determinism check of `cargo xtask analyze` (see DESIGN.md
+//! "Determinism contract").
 //!
 //! Run with:
 //! ```text
