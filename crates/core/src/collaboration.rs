@@ -1,5 +1,5 @@
-use cad3_types::{RoadId, RsuId, SimTime, SummaryMessage, TraceLineage, VehicleId};
-use std::collections::BTreeMap;
+use cad3_types::{IdBuildHasher, RoadId, RsuId, SimTime, SummaryMessage, TraceLineage, VehicleId};
+use std::collections::HashMap;
 
 /// Converts a live trace context into the wire-portable lineage a
 /// `CO-DATA` summary carries across a handover.
@@ -81,9 +81,10 @@ impl VehicleState {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SummaryTracker {
-    // BTreeMap, not HashMap: `vehicles()` and summary export iterate this
-    // map on the handover-fusion path, so its order must survive reseeding.
-    vehicles: BTreeMap<VehicleId, VehicleState>,
+    // Looked up once a record by `observe`, so hashed, not ordered. The
+    // hasher is keyed per process: only `vehicles()` walks the map, and it
+    // sorts what it collects.
+    vehicles: HashMap<VehicleId, VehicleState, IdBuildHasher>,
     /// How many previous *roads* of history to retain per vehicle;
     /// `None` keeps everything (the paper's behaviour).
     road_depth: Option<usize>,
@@ -105,7 +106,7 @@ impl SummaryTracker {
     /// use a plain AD3 detector instead).
     pub fn with_road_depth(depth: usize) -> Self {
         assert!(depth > 0, "road depth must be at least one");
-        SummaryTracker { vehicles: BTreeMap::new(), road_depth: Some(depth) }
+        SummaryTracker { vehicles: HashMap::default(), road_depth: Some(depth) }
     }
 
     /// The configured road depth (`None` = unbounded).
@@ -213,9 +214,12 @@ impl SummaryTracker {
         self.vehicles.remove(&vehicle);
     }
 
-    /// The tracked vehicles, sorted by id (the map is ordered).
+    /// The tracked vehicles, sorted by id.
     pub fn vehicles(&self) -> Vec<VehicleId> {
-        self.vehicles.keys().copied().collect()
+        // determinism-exempt(map-iter): the keys are sorted before they leave.
+        let mut vehicles: Vec<VehicleId> = self.vehicles.keys().copied().collect();
+        vehicles.sort_unstable();
+        vehicles
     }
 }
 

@@ -89,6 +89,9 @@ pub struct RsuNode {
     jobs: Vec<ShardJob>,
     /// The detect stage's input vector, kept for its capacity.
     dispatch: Vec<ShardJob>,
+    /// The `CO-DATA` summaries a batch decoded, with their arrival stamps;
+    /// emptied by the batch, kept for its capacity.
+    summaries: Vec<(SummaryMessage, u64)>,
     records_processed: u64,
     warnings_produced: u64,
     batches: u64,
@@ -230,6 +233,7 @@ impl RsuNode {
             road_stats: crate::OnlineRoadStats::new(),
             jobs,
             dispatch: Vec::new(),
+            summaries: Vec::new(),
             records_processed: 0,
             warnings_produced: 0,
             batches: 0,
@@ -277,67 +281,58 @@ impl RsuNode {
         self.batches += 1;
         let _batch_span = cad3_obs::span!("rsu.micro_batch", self.batches);
 
-        // 1. Collaboration input.
-        let mut summaries_received = 0;
-        {
-            let _fuse_span = cad3_obs::span!("rsu.handover.fuse");
-            for rec in self.co_consumer.poll(usize::MAX)? {
-                let arrival_ns = rec.timestamp;
-                let mut buf: Bytes = rec.value;
-                if let Ok(msg) = SummaryMessage::decode(&mut buf) {
-                    let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
-                    let shard = shard_of(msg.vehicle.raw(), self.shards.len());
-                    // hotpath-exempt(panic): `shard_of` is below `shards.len()`.
-                    let mut tracker = self.shards[shard].lock();
-                    tracker.seed(msg.vehicle, VehicleSummary::from_message(&msg));
-                    if let Some(lineage) = &msg.trace {
-                        // The fusion span covers the summary's wait in
-                        // CO-DATA up to this batch and links back to the
-                        // previous RSU's spans through the carried
-                        // lineage; the continuation becomes the vehicle's
-                        // lineage on *this* RSU.
-                        let ctx = crate::collaboration::lineage_context(lineage);
-                        let span = cad3_obs::trace_span!(
-                            "rsu.handover.fuse",
-                            &ctx,
-                            arrival_ns,
-                            now.as_nanos(),
-                            self.id.raw()
-                        );
-                        tracker.set_lineage(
-                            msg.vehicle,
-                            crate::collaboration::lineage_of(&ctx.next_hop(span)),
-                        );
-                    }
-                    summaries_received += 1;
-                }
+        // 1. Collaboration input. The poll's visitor runs under a partition
+        //    lock, so it only decodes; the shard locks are taken after it.
+        let summaries = &mut self.summaries;
+        let fuse_span = cad3_obs::span!("rsu.handover.fuse");
+        self.co_consumer.poll_each(usize::MAX, |rec| {
+            let mut buf = rec.value.clone();
+            if let Ok(msg) = SummaryMessage::decode(&mut buf) {
+                summaries.push((msg, rec.timestamp));
+            }
+        })?;
+        let summaries_received = self.summaries.len();
+        for (msg, arrival_ns) in self.summaries.drain(..) {
+            let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
+            let shard = shard_of(msg.vehicle.raw(), self.shards.len());
+            // hotpath-exempt(panic): `shard_of` is below `shards.len()`.
+            let mut tracker = self.shards[shard].lock();
+            tracker.seed(msg.vehicle, VehicleSummary::from_message(&msg));
+            if let Some(lineage) = &msg.trace {
+                // The fusion span covers the summary's wait in CO-DATA up to
+                // this batch and links back to the previous RSU's spans
+                // through the carried lineage; the continuation becomes the
+                // vehicle's lineage on *this* RSU.
+                let ctx = crate::collaboration::lineage_context(lineage);
+                let span = cad3_obs::trace_span!(
+                    "rsu.handover.fuse",
+                    &ctx,
+                    arrival_ns,
+                    now.as_nanos(),
+                    self.id.raw()
+                );
+                tracker.set_lineage(
+                    msg.vehicle,
+                    crate::collaboration::lineage_of(&ctx.next_hop(span)),
+                );
             }
         }
+        drop(fuse_span);
         cad3_obs::counter!("rsu.handover.summaries_in")
             .add(cad3_types::len_u64(summaries_received));
 
-        // 2. Ingest the micro-batch and shard it by vehicle (the keyed
-        //    partitioning the paper gets from Kafka's partitioner).
+        // 2. Ingest the micro-batch straight into the shard buckets, by
+        //    vehicle (the keyed partitioning the paper gets from Kafka's
+        //    partitioner).
         let ingest_span = cad3_obs::span!("rsu.ingest");
-        let batch = self.in_consumer.poll(usize::MAX)?;
-        let records = batch.len();
-        if cad3_obs::enabled() {
-            // The poll drained IN-DATA, so what it returned is the backlog
-            // that accumulated since the previous batch — the health
-            // engine's per-RSU lag signal.
-            self.lag_gauge.set(cad3_types::len_u64(records));
-        }
-        let processing = self.cost_model.batch_time(records);
-        let detected_at = now + processing;
-
         let n_shards = self.jobs.len();
-        for rec in batch {
+        let jobs = &mut self.jobs;
+        let records = self.in_consumer.poll_each(usize::MAX, |rec| {
             // Kafka keys our status records with the vehicle id; the worker
             // drops a record whose payload names a different vehicle.
             let vehicle = rec
                 .key
-                .as_deref()
-                .and_then(|k| <[u8; 8]>::try_from(k).ok())
+                .and_then(|k| <[u8; 8]>::try_from(k.as_ref()).ok())
                 .map_or(0, u64::from_be_bytes);
             // A traced record's two span ids (rsu.queue, rsu.detect) are
             // reserved here, in input order on the batch thread; the
@@ -345,14 +340,23 @@ impl RsuNode {
             // never depend on worker schedule (0 = untraced, unused).
             let span_base = if rec.trace.is_some() { cad3_obs::trace::reserve_ids(2) } else { 0 };
             // hotpath-exempt(panic): one job per shard; `shard_of` is below that count.
-            self.jobs[shard_of(vehicle, n_shards)].rows.push(ShardRow {
+            jobs[shard_of(vehicle, n_shards)].rows.push(ShardRow {
                 vehicle,
                 span_base,
                 arrived_ns: rec.timestamp,
                 trace: rec.trace,
-                value: rec.value,
+                value: rec.value.clone(),
             });
+        })?;
+        if cad3_obs::enabled() {
+            // The poll drained IN-DATA, so what it visited is the backlog
+            // that accumulated since the previous batch — the health
+            // engine's per-RSU lag signal.
+            self.lag_gauge.set(cad3_types::len_u64(records));
         }
+        let processing = self.cost_model.batch_time(records);
+        let detected_at = now + processing;
+
         // An empty bucket's output is empty and the merge below only appends,
         // so only the buckets that hold records are dispatched (a batch with
         // none or one of them runs inline on this thread). A dispatched job
@@ -552,11 +556,13 @@ impl RsuNode {
         warning: &WarningMessage,
         trace: Option<cad3_obs::TraceContext>,
     ) -> Result<(), CoreError> {
-        let key = warning.vehicle.raw().to_be_bytes();
+        // The encoding opens with the big-endian vehicle id: the key shares
+        // the value's allocation.
+        let value = warning.encode_to_bytes();
         self.out_topic.append_traced(
             None,
-            Some(Bytes::copy_from_slice(&key)),
-            warning.encode_to_bytes(),
+            Some(value.slice(..8)),
+            value,
             warning.detected_at.as_nanos(),
             trace,
         )?;
@@ -602,13 +608,10 @@ impl RsuNode {
     ///
     /// Propagates stream errors.
     pub fn receive_summary_at(&self, msg: &SummaryMessage, at: SimTime) -> Result<(), CoreError> {
-        let key = msg.vehicle.raw().to_be_bytes();
-        self.co_topic.append(
-            None,
-            Some(Bytes::copy_from_slice(&key)),
-            msg.encode_to_bytes(),
-            at.as_nanos(),
-        )?;
+        // The encoding opens with the big-endian vehicle id: the key shares
+        // the value's allocation.
+        let value = msg.encode_to_bytes();
+        self.co_topic.append(None, Some(value.slice(..8)), value, at.as_nanos())?;
         Ok(())
     }
 }

@@ -3,7 +3,7 @@
 //! accurate timely decision making" (the paper's Section II): RSUs keep
 //! per-road speed statistics over a recent window rather than all history.
 
-use cad3_types::count_f64;
+use cad3_types::{count_f64, IdBuildHasher};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
@@ -75,11 +75,14 @@ impl SlidingWindow {
 }
 
 /// Per-key sliding windows (e.g. one per road).
+///
+/// Keys hash with [`cad3_types::IdHasher`], keyed per process; nothing walks
+/// the map, so no output depends on those keys.
 #[derive(Debug, Clone)]
 pub struct KeyedWindows<K> {
     window_ns: u64,
     bucket_ns: u64,
-    map: HashMap<K, SlidingWindow>,
+    map: HashMap<K, SlidingWindow, IdBuildHasher>,
 }
 
 impl<K: Eq + Hash + Clone> KeyedWindows<K> {
@@ -90,7 +93,7 @@ impl<K: Eq + Hash + Clone> KeyedWindows<K> {
     /// Panics unless `0 < bucket_ns <= window_ns`.
     pub fn new(window_ns: u64, bucket_ns: u64) -> Self {
         assert!(bucket_ns > 0 && bucket_ns <= window_ns, "invalid window/bucket sizes");
-        KeyedWindows { window_ns, bucket_ns, map: HashMap::new() }
+        KeyedWindows { window_ns, bucket_ns, map: HashMap::default() }
     }
 
     /// Records a value for `key` at `t_ns`.

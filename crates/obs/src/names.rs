@@ -13,21 +13,21 @@
 /// Records appended to a topic by `SharedTopic::append_traced`, which
 /// every append path ends in, `Broker::produce` included (counter).
 pub const STREAM_BROKER_PRODUCE: &str = "stream.broker.produce";
-/// Records read from a partition by `SharedTopic::fetch_into`, which every
-/// `Consumer::poll` and `Broker::fetch` ends in (counter).
+/// Records read from a partition by `SharedTopic::fetch_each`, which every
+/// `Consumer::poll_each` and `Broker::fetch` ends in (counter).
 pub const STREAM_BROKER_FETCH_RECORDS: &str = "stream.broker.fetch.records";
 /// Append latency of head-sampled records, nanoseconds (histogram;
 /// exporter-gated, and observed only for a record carrying a trace context).
 pub const STREAM_BROKER_PRODUCE_NS: &str = "stream.broker.produce_ns";
-/// Latency of one partition read by `SharedTopic::fetch_into` (every
-/// `Consumer::poll` and `Broker::fetch`), nanoseconds (histogram;
-/// exporter-gated).
+/// Latency of one partition read by `SharedTopic::fetch_each` (every
+/// `Consumer::poll_each` and `Broker::fetch`), visitor included,
+/// nanoseconds (histogram; exporter-gated).
 pub const STREAM_BROKER_FETCH_NS: &str = "stream.broker.fetch_ns";
-/// `Consumer::poll` calls (counter).
+/// `Consumer::poll_each` calls, `Consumer::poll`'s included (counter).
 pub const STREAM_CONSUMER_POLLS: &str = "stream.consumer.polls";
-/// Records delivered by `Consumer::poll` (counter).
+/// Records visited by `Consumer::poll_each` (counter).
 pub const STREAM_CONSUMER_RECORDS: &str = "stream.consumer.records";
-/// Records `Consumer::poll` never delivered because a trim freed them
+/// Records `Consumer::poll_each` never visited because a trim freed them
 /// before the consumer reached them: another reader's commit floor or the
 /// topic's horizon (counter).
 pub const STREAM_CONSUMER_SKIPPED: &str = "stream.consumer.skipped";

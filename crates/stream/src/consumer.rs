@@ -1,5 +1,5 @@
 use crate::sync::Arc;
-use crate::{Broker, FetchedRecord, SharedTopic, StreamError};
+use crate::{Broker, FetchedRecord, RecordView, SharedTopic, StreamError};
 use cad3_types::len_u64;
 
 /// Where a consumer starts reading a partition it subscribes to.
@@ -13,7 +13,8 @@ pub enum OffsetReset {
 }
 
 /// An independent reader: a position in every partition of the topics it
-/// subscribes to, advanced by [`Consumer::poll`] and moved by the seeks.
+/// subscribes to, advanced by [`Consumer::poll_each`] (and [`Consumer::poll`],
+/// which collects what it visits) and moved by the seeks.
 ///
 /// In the reproduction, each RSU's detection pipeline reads `IN-DATA` and
 /// `CO-DATA` through its own consumers, and each vehicle reads `OUT-DATA`
@@ -30,7 +31,7 @@ pub struct Consumer {
     reset: OffsetReset,
     subscribed: bool,
     /// Every partition of every subscribed topic, in subscribe order and
-    /// then partition order — the order [`Consumer::poll`] reads them in.
+    /// then partition order — the order [`Consumer::poll_each`] reads them in.
     cursors: Vec<Cursor>,
 }
 
@@ -93,32 +94,53 @@ impl Consumer {
     }
 
     /// Polls up to `max_records` across the subscribed partitions, advancing
-    /// the consumer's positions.
+    /// the consumer's positions: [`Consumer::poll_each`] collecting each
+    /// record into an owned [`FetchedRecord`].
     ///
-    /// Records come back partition by partition, in subscribe order and
-    /// offset order within a partition; partitions with nothing to fetch
+    /// # Errors
+    ///
+    /// As [`Consumer::poll_each`].
+    pub fn poll(&mut self, max_records: usize) -> Result<Vec<FetchedRecord>, StreamError> {
+        let mut out = Vec::new();
+        self.poll_each(max_records, |rec| out.push(rec.to_fetched()))?;
+        Ok(out)
+    }
+
+    /// Visits up to `max_records` across the subscribed partitions in place,
+    /// advancing the consumer's positions, and returns how many it visited.
+    ///
+    /// Records come partition by partition, in subscribe order and offset
+    /// order within a partition; partitions with nothing to fetch
     /// contribute nothing. Records a trim freed before the poll reached them
-    /// are skipped and counted in `stream.consumer.skipped`, never returned
+    /// are skipped and counted in `stream.consumer.skipped`, never reported
     /// as an error.
+    ///
+    /// `visit` sees each record borrowed from its log, under that
+    /// partition's lock: it copies out what it keeps, and must not block or
+    /// take a lock (DESIGN.md, "Poll straight into the batch").
     ///
     /// # Errors
     ///
     /// Returns [`StreamError::NotSubscribed`] before [`Consumer::subscribe`]
     /// and propagates any other fetch error, which a subscribed cursor does
     /// not meet.
-    pub fn poll(&mut self, max_records: usize) -> Result<Vec<FetchedRecord>, StreamError> {
+    pub fn poll_each(
+        &mut self,
+        max_records: usize,
+        mut visit: impl FnMut(RecordView<'_>),
+    ) -> Result<usize, StreamError> {
         if !self.subscribed {
             return Err(StreamError::NotSubscribed);
         }
-        let mut out: Vec<FetchedRecord> = Vec::new();
+        let mut visited = 0;
         for cursor in &mut self.cursors {
-            let room = max_records.saturating_sub(out.len());
+            let room = max_records.saturating_sub(visited);
             if room == 0 {
                 break;
             }
             let (topic, partition) = (&cursor.topic, cursor.partition);
             let fetched = loop {
-                match topic.fetch_into(partition, cursor.position, room, &mut out) {
+                match topic.fetch_each(partition, cursor.position, room, &mut visit) {
                     Ok(n) => break n,
                     Err(StreamError::OffsetOutOfRange { earliest, .. }) => {
                         // A trim overtook us: the records between our
@@ -126,8 +148,8 @@ impl Consumer {
                         // unread. Count them and resume from there. Another
                         // append may trim again before the retry takes the
                         // lock, so retry until a fetch lands rather than
-                        // drop what `out` already holds; each retry moves
-                        // the position strictly forward.
+                        // give up on what was already visited; each retry
+                        // moves the position strictly forward.
                         if cad3_obs::enabled() {
                             cad3_obs::counter!("stream.consumer.skipped")
                                 .add(earliest.saturating_sub(cursor.position));
@@ -138,12 +160,13 @@ impl Consumer {
                 }
             };
             cursor.position += len_u64(fetched);
+            visited += fetched;
         }
         if cad3_obs::enabled() {
             cad3_obs::counter!("stream.consumer.polls").inc();
-            cad3_obs::counter!("stream.consumer.records").add(len_u64(out.len()));
+            cad3_obs::counter!("stream.consumer.records").add(len_u64(visited));
         }
-        Ok(out)
+        Ok(visited)
     }
 
     /// Commits every cursor's position as its partition's floor: the

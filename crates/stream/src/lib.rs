@@ -59,7 +59,7 @@ pub use broker::Broker;
 pub use consumer::{Consumer, OffsetReset};
 pub use error::StreamError;
 pub use partition::PartitionLog;
-pub use record::{FetchedRecord, Record, TopicName};
+pub use record::{FetchedRecord, Record, RecordView, TopicName};
 pub use shard::SharedTopic;
 
 /// Topic name for vehicle status ingestion (the paper's `IN-DATA`).

@@ -1,4 +1,4 @@
-use crate::{FetchedRecord, Record, StreamError};
+use crate::{Record, RecordView, StreamError};
 use bytes::Bytes;
 use cad3_obs::TraceContext;
 use cad3_types::{index_usize, len_u64};
@@ -216,8 +216,8 @@ impl PartitionLog {
         self.total_bytes
     }
 
-    /// Reads up to `max` records starting at `offset`: the by-name fetch's
-    /// copy of [`PartitionLog::fetch_into`]'s window.
+    /// Reads up to `max` records starting at `offset`: the by-name fetch,
+    /// [`PartitionLog::fetch_each`] collecting owned [`Record`]s.
     ///
     /// An `offset` at or past the log end returns an empty batch (a caught-up
     /// consumer), matching Kafka fetch semantics.
@@ -228,24 +228,28 @@ impl PartitionLog {
     /// trimmed.
     pub fn fetch(&self, offset: u64, max: usize) -> Result<Vec<Record>, StreamError> {
         let mut out = Vec::new();
-        self.fetch_into(0, offset, max, &mut out)?;
-        Ok(out.into_iter().map(Record::from).collect())
+        self.fetch_each(0, offset, max, |r| out.push(Record::from(r)))?;
+        Ok(out)
     }
 
-    /// Appends up to `max` records starting at `offset` to a poll's output,
-    /// as [`FetchedRecord`]s of `partition`, reserving once; returns how
-    /// many it appended. Past the log end it appends none.
+    /// Visits up to `max` records starting at `offset`, in offset order, as
+    /// [`RecordView`]s of `partition` borrowed from the log; returns how
+    /// many it visited. Past the log end it visits none.
+    ///
+    /// The walk copies nothing: a chunk's contiguous run at a time, each
+    /// record with its offset and, on a traced log, its header merge-joined
+    /// from the side deque.
     ///
     /// # Errors
     ///
     /// Returns [`StreamError::OffsetOutOfRange`] if `offset` has been
-    /// trimmed; `out` is then untouched.
-    pub fn fetch_into(
+    /// trimmed; nothing is then visited.
+    pub fn fetch_each(
         &self,
         partition: u32,
         offset: u64,
         max: usize,
-        out: &mut Vec<FetchedRecord>,
+        mut visit: impl FnMut(RecordView<'_>),
     ) -> Result<usize, StreamError> {
         if offset < self.base_offset {
             return Err(StreamError::OffsetOutOfRange {
@@ -258,62 +262,40 @@ impl PartitionLog {
             return Ok(0);
         }
         let count = max.min(self.len - start);
-        let record = |offset, s: &StoredRecord, trace| FetchedRecord {
-            partition,
-            offset,
-            key: s.key.clone(),
-            value: s.value.clone(),
-            timestamp: s.timestamp,
-            trace,
-        };
-        if self.traces.is_empty() {
-            // Untraced run: no per-record trace work at all on the hot path.
-            self.window(start, count, out, |offset, s| record(offset, s, None));
-            return Ok(count);
-        }
-        // Merge-join the side deque: one binary search to position a cursor,
-        // then a compare-and-advance per record (both sides ascend by offset).
+        // Both sides ascend by offset: one binary search positions the
+        // trace cursor, then a compare-and-advance per record. An untraced
+        // log's cursor sits at the end of an empty deque.
         let mut next_trace = self.traces.partition_point(|&(o, _)| o < offset);
-        self.window(start, count, out, |offset, s| {
-            let trace = match self.traces.get(next_trace) {
-                Some(&(o, ctx)) if o == offset => {
-                    next_trace += 1;
-                    Some(ctx)
-                }
-                _ => None,
-            };
-            record(offset, s, trace)
-        });
-        Ok(count)
-    }
-
-    /// Appends the `count` records from `start` (an index from the earliest
-    /// retained record; `start + count <= len`), each with its offset,
-    /// mapped through `record` to `out` after one reservation, a chunk's
-    /// contiguous run at a time.
-    fn window(
-        &self,
-        start: usize,
-        count: usize,
-        out: &mut Vec<FetchedRecord>,
-        mut record: impl FnMut(u64, &StoredRecord) -> FetchedRecord,
-    ) {
-        out.reserve(count);
+        let mut offset = offset;
         let mut left = count;
-        let mut offset = self.base_offset + len_u64(start);
         let (first, mut position) = self.locate(start);
         for chunk in self.chunks.range(first..) {
             let take = left.min(chunk.len() - position);
-            out.extend(chunk.range(position..position + take).map(|s| {
+            for s in chunk.range(position..position + take) {
+                let trace = match self.traces.get(next_trace) {
+                    Some(&(o, ctx)) if o == offset => {
+                        next_trace += 1;
+                        Some(ctx)
+                    }
+                    _ => None,
+                };
+                visit(RecordView {
+                    partition,
+                    offset,
+                    key: s.key.as_ref(),
+                    value: &s.value,
+                    timestamp: s.timestamp,
+                    trace,
+                });
                 offset += 1;
-                record(offset - 1, s)
-            }));
+            }
             left -= take;
             if left == 0 {
                 break;
             }
             position = 0;
         }
+        Ok(count)
     }
 }
 
@@ -355,15 +337,16 @@ mod tests {
     }
 
     #[test]
-    fn fetch_into_appends_its_window_tagged_with_its_partition() {
+    fn fetch_each_visits_its_window_tagged_with_its_partition() {
         let mut log = PartitionLog::new();
         for i in 0..10u64 {
             log.append(Some(val("k")), val(&i.to_string()), i);
         }
         let mut out = Vec::new();
-        assert_eq!(log.fetch_into(2, 3, 4, &mut out), Ok(4));
-        assert_eq!(log.fetch_into(2, 9, 4, &mut out), Ok(1), "appends after what is there");
-        assert_eq!(log.fetch_into(2, 10, 4, &mut out), Ok(0));
+        let mut visit = |r: RecordView<'_>| out.push(r.to_fetched());
+        assert_eq!(log.fetch_each(2, 3, 4, &mut visit), Ok(4));
+        assert_eq!(log.fetch_each(2, 9, 4, &mut visit), Ok(1), "visits from the offset asked");
+        assert_eq!(log.fetch_each(2, 10, 4, &mut visit), Ok(0));
         let got: Vec<(u32, u64, u64, &[u8])> =
             out.iter().map(|r| (r.partition, r.offset, r.timestamp, &r.value[..])).collect();
         let want: Vec<(u32, u64, u64, &[u8])> = vec![

@@ -36,13 +36,45 @@ impl Record {
     }
 }
 
-/// A record returned by [`crate::Consumer::poll`], annotated with its
-/// partition.
+/// A record visited in place by [`crate::Consumer::poll_each`]: borrowed
+/// from its partition log, under the partition's lock, for one call of the
+/// visitor.
 ///
-/// The partition log's window walk builds it in place in the poll's output
-/// ([`crate::PartitionLog::fetch_into`]), so a polled record costs two
-/// refcount increments (key and value) and nothing else. It names no topic:
-/// every consumer in the pipeline subscribes to one, so its caller knows.
+/// It names no topic: every consumer in the pipeline subscribes to one, so
+/// its caller knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    /// Partition index within the topic.
+    pub partition: u32,
+    /// Offset within the partition.
+    pub offset: u64,
+    /// Optional partitioning key.
+    pub key: Option<&'a Bytes>,
+    /// Payload.
+    pub value: &'a Bytes,
+    /// Timestamp the writer supplied.
+    pub timestamp: u64,
+    /// Distributed-trace header, joined back in from the log's side deque.
+    pub trace: Option<TraceContext>,
+}
+
+impl RecordView<'_> {
+    /// The owned record: one refcount increment each for key and value.
+    pub fn to_fetched(&self) -> FetchedRecord {
+        FetchedRecord {
+            partition: self.partition,
+            offset: self.offset,
+            key: self.key.cloned(),
+            value: self.value.clone(),
+            timestamp: self.timestamp,
+            trace: self.trace,
+        }
+    }
+}
+
+/// A record returned by [`crate::Consumer::poll`], annotated with its
+/// partition: a [`RecordView`] made owned, so a polled record costs two
+/// refcount increments (key and value) and nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetchedRecord {
     /// Partition index within the topic.
@@ -60,13 +92,13 @@ pub struct FetchedRecord {
     pub trace: Option<TraceContext>,
 }
 
-impl From<FetchedRecord> for Record {
+impl From<RecordView<'_>> for Record {
     /// Drops the partition: what the by-name fetch returns.
-    fn from(r: FetchedRecord) -> Self {
+    fn from(r: RecordView<'_>) -> Self {
         Record {
             offset: r.offset,
-            key: r.key,
-            value: r.value,
+            key: r.key.cloned(),
+            value: r.value.clone(),
             timestamp: r.timestamp,
             trace: r.trace,
         }

@@ -22,7 +22,7 @@
 //! nothing is acquired under one.
 
 use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
-use crate::{FetchedRecord, PartitionLog, Record, StreamError, TopicName};
+use crate::{PartitionLog, Record, RecordView, StreamError, TopicName};
 use bytes::Bytes;
 use cad3_types::{index_usize, len_u32, len_u64, partition_u32};
 
@@ -208,24 +208,25 @@ impl SharedTopic {
         max: usize,
     ) -> Result<Vec<Record>, StreamError> {
         let mut out = Vec::new();
-        self.fetch_into(partition, offset, max, &mut out)?;
-        Ok(out.into_iter().map(Record::from).collect())
+        self.fetch_each(partition, offset, max, |r| out.push(Record::from(r)))?;
+        Ok(out)
     }
 
-    /// Appends up to `max` records from a partition starting at `offset` to
-    /// a poll's output (see [`PartitionLog::fetch_into`]) and returns how
-    /// many, touching only that partition's mutex.
+    /// Visits up to `max` records of a partition from `offset` in place
+    /// (see [`PartitionLog::fetch_each`]) and returns how many, touching
+    /// only that partition's mutex. `visit` runs under it: it must not
+    /// block or take a lock.
     ///
     /// # Errors
     ///
     /// Returns [`StreamError::UnknownPartition`] or
-    /// [`StreamError::OffsetOutOfRange`]; `out` is then untouched.
-    pub fn fetch_into(
+    /// [`StreamError::OffsetOutOfRange`]; nothing is then visited.
+    pub fn fetch_each(
         &self,
         partition: u32,
         offset: u64,
         max: usize,
-        out: &mut Vec<FetchedRecord>,
+        visit: impl FnMut(RecordView<'_>),
     ) -> Result<usize, StreamError> {
         // Same gating as `append`: with no exporter attached the fetch path
         // pays one relaxed load.
@@ -236,7 +237,7 @@ impl SharedTopic {
             let _held = cad3_lockrank::rank_scope!("cad3_stream::SharedTopic::partitions");
             // hotpath-exempt(panic): idx was bounds-checked by self.index(partition)
             // just above.
-            self.partitions[idx].lock().fetch_into(partition, offset, max, out)
+            self.partitions[idx].lock().fetch_each(partition, offset, max, visit)
         };
         if observing {
             if let Ok(n) = fetched {
@@ -391,8 +392,7 @@ mod tests {
             let t = std::sync::Arc::clone(&t);
             std::thread::spawn(move || {
                 let appended = t.append(Some(1), None, val("x"), 0).unwrap();
-                let mut out = Vec::new();
-                let fetched = t.fetch_into(1, 0, 16, &mut out).unwrap();
+                let fetched = t.fetch(1, 0, 16).unwrap().len();
                 done.send((appended, fetched)).unwrap();
             })
         };

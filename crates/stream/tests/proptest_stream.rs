@@ -1,12 +1,37 @@
 //! Property-based tests of the streaming substrate's core invariants.
 
 use bytes::Bytes;
-use cad3_stream::{Broker, Consumer, OffsetReset, PartitionLog};
+use cad3_obs::TraceContext;
+use cad3_stream::{Broker, Consumer, OffsetReset, PartitionLog, RecordView};
 use proptest::prelude::*;
 use std::sync::Arc;
 use support::Topic;
 
 mod support;
+
+/// Everything a poll hands out of one record, owned.
+type Seen = (u32, u64, Option<Vec<u8>>, Vec<u8>, u64, Option<TraceContext>);
+
+fn seen(r: RecordView<'_>) -> Seen {
+    (r.partition, r.offset, r.key.map(|k| k.to_vec()), r.value.to_vec(), r.timestamp, r.trace)
+}
+
+/// `stream.consumer.skipped` so far. Only the visiting-poll property
+/// overtakes a reader in this binary, so a delta around one of its polls
+/// is that poll's.
+fn skipped() -> u64 {
+    cad3_obs::registry().counter("stream.consumer.skipped").value()
+}
+
+/// A broker with one three-partition topic `T` and an earliest-reset
+/// consumer of it.
+fn reader() -> (Arc<Broker>, Consumer) {
+    let broker = Arc::new(Broker::new("b"));
+    broker.create_topic("T", 3).unwrap();
+    let mut consumer = Consumer::new(Arc::clone(&broker), "g", OffsetReset::Earliest);
+    consumer.subscribe(&["T"]).unwrap();
+    (broker, consumer)
+}
 
 proptest! {
     /// Appending any sequence yields dense offsets and a faithful replay.
@@ -111,5 +136,77 @@ proptest! {
             broker.produce("T", Some(p), None, Bytes::from_static(b"end"), 0).unwrap();
         }
         prop_assert_eq!(broker.topic_len("T").unwrap(), 3);
+    }
+
+    /// `poll_each` visits exactly what `poll` returns — partition, offset,
+    /// key, value, timestamp and trace, in order — and both count the same
+    /// `stream.consumer.skipped`, across any schedule of keyed and traced
+    /// appends, commits, horizons and poll sizes. Two brokers take the same
+    /// schedule: one is read by `poll`, the other by `poll_each`.
+    #[test]
+    fn poll_each_visits_what_poll_returns(
+        ops in prop::collection::vec(
+            (0u8..6, 0u32..3, 0u64..8, 0u64..24, 1usize..24, any::<bool>()),
+            1..200,
+        ),
+    ) {
+        // Left on: counters are all obs-on changes, and no other test in
+        // this binary reads one.
+        cad3_obs::set_enabled(true);
+        let (by_poll, mut polled) = reader();
+        let (by_visit, mut visited) = reader();
+        let mut now = 0u64;
+        for (i, (op, partition, step, horizon, max, traced)) in ops.into_iter().enumerate() {
+            match op {
+                // Appends, half of the schedule: two in three keyed, some
+                // traced, stamps ascending by a random step so horizons trim.
+                0..=2 => {
+                    now += step;
+                    let key = (op != 2).then(|| Bytes::copy_from_slice(&i.to_be_bytes()));
+                    let value = Bytes::from(format!("v{i}"));
+                    let trace = traced.then(|| TraceContext::from_parts(i as u64 + 1, now, 0));
+                    for broker in [&by_poll, &by_visit] {
+                        let (key, value) = (key.clone(), value.clone());
+                        broker.produce_traced("T", Some(partition), key, value, now, trace).unwrap();
+                    }
+                }
+                3 => {
+                    polled.commit().unwrap();
+                    visited.commit().unwrap();
+                }
+                4 => {
+                    for broker in [&by_poll, &by_visit] {
+                        broker.topic_handle("T").unwrap().set_horizon(horizon);
+                    }
+                }
+                _ => {
+                    let before = skipped();
+                    let want: Vec<Seen> = polled
+                        .poll(max)
+                        .unwrap()
+                        .iter()
+                        .map(|r| {
+                            let (key, trace) = (r.key.as_ref(), r.trace);
+                            seen(RecordView {
+                                partition: r.partition,
+                                offset: r.offset,
+                                key,
+                                value: &r.value,
+                                timestamp: r.timestamp,
+                                trace,
+                            })
+                        })
+                        .collect();
+                    let poll_skipped = skipped() - before;
+                    let before = skipped();
+                    let mut got: Vec<Seen> = Vec::new();
+                    let n = visited.poll_each(max, |r| got.push(seen(r))).unwrap();
+                    let visit_skipped = skipped() - before;
+                    prop_assert_eq!(n, got.len());
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(visit_skipped, poll_skipped);
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,8 @@
 //! ([`TrajectoryPoint`], [`TripRecord`], [`FeatureRecord`]) and the wire
 //! messages exchanged between vehicles and RSUs ([`VehicleStatus`],
 //! [`WarningMessage`], [`SummaryMessage`]) together with a compact binary
-//! codec ([`WireEncode`]/[`WireDecode`]).
+//! codec ([`WireEncode`]/[`WireDecode`]), and the keyed hasher
+//! ([`IdHasher`]) behind the RSU's per-vehicle and per-road maps.
 //!
 //! # Example
 //!
@@ -29,6 +30,7 @@
 mod convert;
 mod error;
 mod geo;
+mod hash;
 mod ids;
 mod messages;
 mod records;
@@ -38,6 +40,7 @@ mod time;
 pub use convert::{count_f64, index_usize, len_u32, len_u64, partition_u32};
 pub use error::CodecError;
 pub use geo::{GeoPoint, EARTH_RADIUS_M};
+pub use hash::{IdBuildHasher, IdHasher};
 pub use ids::{RsuId, TripId, VehicleId};
 pub use messages::{
     SummaryMessage, TraceLineage, VehicleStatus, WarningKind, WarningMessage, WireDecode,

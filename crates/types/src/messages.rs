@@ -11,6 +11,7 @@ use crate::{
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Exact on-wire size of an encoded [`VehicleStatus`], in bytes.
 ///
@@ -23,11 +24,19 @@ pub trait WireEncode {
     /// Appends the encoded representation to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
-    /// Encodes into a fresh buffer.
+    /// Encodes into a fresh buffer, allocating once: the message is encoded
+    /// into the thread's scratch buffer and copied out into the returned
+    /// `Bytes` (the vendored `BytesMut::freeze` would copy into a second
+    /// allocation).
     fn encode_to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode(&mut buf);
-        buf.freeze()
+        thread_local! {
+            static SCRATCH: RefCell<BytesMut> = RefCell::new(BytesMut::new());
+        }
+        SCRATCH.with_borrow_mut(|buf| {
+            buf.truncate(0);
+            self.encode(buf);
+            Bytes::copy_from_slice(buf)
+        })
     }
 
     /// Number of bytes [`WireEncode::encode`] will append.

@@ -197,6 +197,8 @@ proptest! {
             source_seq: seq,
         };
         let mut buf = w.encode_to_bytes();
+        // `RsuNode` keys the OUT-DATA record with the first eight bytes.
+        prop_assert_eq!(&buf[..8], &veh.to_be_bytes()[..], "opens with the big-endian vehicle id");
         prop_assert_eq!(WarningMessage::decode(&mut buf).unwrap(), w);
         prop_assert!(buf.is_empty());
     }
@@ -229,6 +231,8 @@ proptest! {
         };
         let mut buf = s.encode_to_bytes();
         prop_assert_eq!(buf.len(), s.encoded_len());
+        // `RsuNode` keys the CO-DATA record with the first eight bytes.
+        prop_assert_eq!(&buf[..8], &veh.to_be_bytes()[..], "opens with the big-endian vehicle id");
         prop_assert_eq!(SummaryMessage::decode(&mut buf).unwrap(), s);
         prop_assert!(buf.is_empty());
     }
