@@ -49,7 +49,6 @@ mod config;
 pub mod detector;
 mod error;
 mod latency;
-mod roadstats;
 mod rsu;
 pub mod scenario;
 mod testbed;
@@ -65,7 +64,6 @@ pub(crate) const fn shenzhen_center() -> cad3_types::GeoPoint {
 pub use config::{ProcessingCostModel, SystemConfig};
 pub use error::CoreError;
 pub use latency::{LatencyBreakdown, LatencyStats};
-pub use roadstats::OnlineRoadStats;
 pub use rsu::{BatchResult, RsuNode, WARNING_DEADLINE};
 pub use testbed::{Testbed, TestbedReport};
 pub use vehicle::VehicleAgent;

@@ -33,8 +33,6 @@ pub struct BatchResult {
     pub records: usize,
     /// Modelled detection compute time.
     pub processing: SimDuration,
-    /// Per-record wait between broker arrival and batch start.
-    pub queuing: Vec<SimDuration>,
     /// Warnings produced, stamped `detected_at = batch start + processing`.
     /// The caller publishes them to `OUT-DATA` at that instant.
     pub warnings: Vec<WarningMessage>,
@@ -81,7 +79,6 @@ pub struct RsuNode {
     /// from the batch path is a single atomic store (no name formatting, no
     /// registry lock).
     lag_gauge: cad3_obs::Handle<cad3_obs::Gauge>,
-    road_stats: crate::OnlineRoadStats,
     /// Each shard's batch buffers, indexed by shard. A batch fills the
     /// buckets, moves the non-empty jobs out to the detect stage and puts
     /// them back when the stage returns them, so the buffers outlive the
@@ -155,15 +152,11 @@ impl ShardJob {
 /// arrival order.
 #[derive(Default)]
 struct ShardOutput {
-    /// One wait per record of the shard, processed or not.
-    queuing: Vec<SimDuration>,
     /// Records that decoded, matched their key and got a detection.
     processed: u64,
     warnings: Vec<WarningMessage>,
     /// Aligned index-for-index with `warnings`.
     warning_traces: Vec<Option<cad3_obs::TraceContext>>,
-    /// `(road, speed)` of every processed record, for the road context.
-    observations: Vec<(cad3_types::RoadId, f64)>,
 }
 
 /// Index of the tracker shard (and detect bucket) owning `vehicle`, always
@@ -230,7 +223,6 @@ impl RsuNode {
             co_topic,
             cost_model,
             lag_gauge,
-            road_stats: crate::OnlineRoadStats::new(),
             jobs,
             dispatch: Vec::new(),
             summaries: Vec::new(),
@@ -386,9 +378,7 @@ impl RsuNode {
             // compacting decodable records into a contiguous feature slice
             // for the batched detect sweep. Beside each feature row rides
             // what only its warning and detect span need of the record.
-            out.queuing.reserve(rows.len());
             for mut row in rows.drain(..) {
-                out.queuing.push(now.saturating_since(SimTime::from_nanos(row.arrived_ns)));
                 // A sampled record's broker wait becomes an `rsu.queue`
                 // span (arrival at the log to batch start), emitted on
                 // the first of the record's pre-reserved ids.
@@ -434,8 +424,8 @@ impl RsuNode {
             }
 
             // Phase 3: the verdicts in input order — detect spans on the
-            // pre-reserved ids, warnings for abnormal records, road-speed
-            // observations. A record without a detection was not processed.
+            // pre-reserved ids, warnings for abnormal records. A record
+            // without a detection was not processed.
             for ((feat, (sent_at, seq, span_base, trace)), detection) in
                 feats.iter().zip(sides.drain(..)).zip(detections.drain(..))
             {
@@ -472,7 +462,6 @@ impl RsuNode {
                     });
                     out.warning_traces.push(trace);
                 }
-                out.observations.push((feat.road, feat.speed_kmh));
             }
             job.feats.clear();
             job
@@ -480,37 +469,26 @@ impl RsuNode {
         drop(detect_span);
 
         // Shard by shard, each in arrival order.
-        for job in &outputs {
-            for &(road, speed) in &job.out.observations {
-                // Maintain the road's recent speed context (Section III-A).
-                self.road_stats.observe(road, now, speed);
-            }
-        }
-        let (queuing, warnings, warning_traces) = match outputs.as_mut_slice() {
+        let (warnings, warning_traces) = match outputs.as_mut_slice() {
             // One shard's vectors are the batch's: moved, not copied.
-            [job] => (
-                std::mem::take(&mut job.out.queuing),
-                std::mem::take(&mut job.out.warnings),
-                std::mem::take(&mut job.out.warning_traces),
-            ),
+            [job] => {
+                (std::mem::take(&mut job.out.warnings), std::mem::take(&mut job.out.warning_traces))
+            }
             jobs => {
                 let n_warnings = jobs.iter().map(|job| job.out.warnings.len()).sum();
-                let mut queuing = Vec::with_capacity(records);
                 let mut warnings = Vec::with_capacity(n_warnings);
                 let mut warning_traces = Vec::with_capacity(n_warnings);
                 // `Vec::append` by path: the analyzer resolves a bare
                 // `.append(..)` to `SharedTopic::append` as well.
                 for ShardJob { out, .. } in jobs {
-                    Vec::append(&mut queuing, &mut out.queuing);
                     Vec::append(&mut warnings, &mut out.warnings);
                     Vec::append(&mut warning_traces, &mut out.warning_traces);
                 }
-                (queuing, warnings, warning_traces)
+                (warnings, warning_traces)
             }
         };
         for mut job in outputs.drain(..) {
             self.records_processed += std::mem::take(&mut job.out.processed);
-            job.out.observations.clear();
             if let Some(slot) = self.jobs.get_mut(job.shard) {
                 *slot = job;
             }
@@ -523,14 +501,7 @@ impl RsuNode {
         self.warnings_produced += warnings.len() as u64;
         cad3_obs::counter!("rsu.records").add(cad3_types::len_u64(records));
         cad3_obs::counter!("rsu.warnings").add(cad3_types::len_u64(warnings.len()));
-        Ok(BatchResult {
-            records,
-            processing,
-            queuing,
-            warnings,
-            warning_traces,
-            summaries_received,
-        })
+        Ok(BatchResult { records, processing, warnings, warning_traces, summaries_received })
     }
 
     /// Publishes a warning to this RSU's `OUT-DATA` topic (done by the
@@ -583,12 +554,6 @@ impl RsuNode {
         out.sort_by_key(|m| m.vehicle);
         cad3_obs::counter!("rsu.handover.summaries_out").add(cad3_types::len_u64(out.len()));
         out
-    }
-
-    /// The RSU's live per-road speed context (the windowed norm it has
-    /// learned from recent traffic).
-    pub fn road_stats_mut(&mut self) -> &mut crate::OnlineRoadStats {
-        &mut self.road_stats
     }
 
     /// Accepts a summary message into this RSU's `CO-DATA` topic.
@@ -675,8 +640,6 @@ mod tests {
         }
         let r1 = rsu.run_batch(SimTime::from_millis(50)).unwrap();
         assert_eq!(r1.records, 4);
-        assert_eq!(r1.queuing.len(), 4);
-        assert!((r1.queuing[0].as_millis_f64() - 39.0).abs() < 1e-6);
         // Processing follows the calibrated cost model.
         assert!((r1.processing.as_millis_f64() - 7.29).abs() < 0.05);
         let r2 = rsu.run_batch(SimTime::from_millis(100)).unwrap();

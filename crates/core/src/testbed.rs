@@ -457,7 +457,7 @@ fn schedule_send(
 fn schedule_batch(sim: &mut Simulation, world: Rc<RefCell<World>>, rsu_idx: usize, at: SimTime) {
     sim.schedule_at(at, move |sim| {
         let now = sim.now();
-        let (warnings, warning_traces, queuing, processing, interval, end) = {
+        let (warnings, warning_traces, processing, interval, end) = {
             let mut w = world.borrow_mut();
             if cad3_obs::enabled() {
                 // Windowed offered load on this RSU's DSRC medium, sampled
@@ -469,7 +469,6 @@ fn schedule_batch(sim: &mut Simulation, world: Rc<RefCell<World>>, rsu_idx: usiz
             (
                 result.warnings,
                 result.warning_traces,
-                result.queuing,
                 result.processing,
                 w.config.batch_interval,
                 w.end,
@@ -487,7 +486,6 @@ fn schedule_batch(sim: &mut Simulation, world: Rc<RefCell<World>>, rsu_idx: usiz
                     entry.2 = processing;
                 }
             }
-            let _ = queuing;
         }
         // Publish each warning at its detection-complete instant.
         for (warning, trace) in warnings.into_iter().zip(warning_traces) {
@@ -578,6 +576,9 @@ fn schedule_migration(sim: &mut Simulation, world: Rc<RefCell<World>>, m: Migrat
             let fleet_size = w.fleets[m.from].len();
             let count = ((fleet_size as f64) * m.fraction.clamp(0.0, 1.0)).round() as usize;
             let mut moved = 0u32;
+            // One export per migration event, taken on the first move: each
+            // moved vehicle's summary is then looked up in it.
+            let mut exported: Option<Vec<cad3_types::SummaryMessage>> = None;
             for veh_idx in 0..count.min(fleet_size) {
                 if w.home[m.from][veh_idx] != m.from {
                     continue; // already migrated
@@ -588,9 +589,10 @@ fn schedule_migration(sim: &mut Simulation, world: Rc<RefCell<World>>, m: Migrat
                 moved += 1;
                 // The former RSU hands the vehicle's prediction summary to
                 // the next RSU over the wired backhaul (Fig. 3, step 2).
-                if let Some(msg) =
-                    w.rsus[m.from].export_summaries(now).into_iter().find(|s| s.vehicle == vehicle)
-                {
+                // The export is sorted by vehicle.
+                let exported = exported.get_or_insert_with(|| w.rsus[m.from].export_summaries(now));
+                let found = exported.binary_search_by_key(&vehicle, |s| s.vehicle).ok();
+                if let Some(&msg) = found.and_then(|i| exported.get(i)) {
                     let bytes = msg.encoded_len() + w.wire_overhead;
                     let link = w.links.get_mut(&(m.from, m.to)).expect("link created at setup");
                     let (msg, arrival) = transmit_summary(link, now, bytes, msg);

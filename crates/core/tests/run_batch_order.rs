@@ -1,9 +1,9 @@
 //! Pins the order of everything `RsuNode::run_batch` hands back.
 //!
 //! The shard workers each return vectors that the batch thread concatenates,
-//! so the order of `queuing`, `warnings`, `warning_traces` and of the
-//! `road_stats.observe` calls is a property of that merge: shard by shard
-//! (keyed vehicle id modulo the worker count), arrival order within a shard.
+//! so the order of `warnings` and `warning_traces` is a property of that
+//! merge: shard by shard (keyed vehicle id modulo the worker count), arrival
+//! order within a shard.
 //! The reference here is the straight-line loop over the same records —
 //! `stage1_p_abnormal` → `SummaryTracker::observe` → `detect` — in exactly
 //! that order, on one worker and on six — and, on six, for two sparse batches
@@ -15,14 +15,14 @@
 
 use bytes::Bytes;
 use cad3::detector::{train_all, DetectionConfig, Detector};
-use cad3::{OnlineRoadStats, ProcessingCostModel, RsuNode, SummaryTracker};
+use cad3::{ProcessingCostModel, RsuNode, SummaryTracker};
 use cad3_data::{DatasetConfig, SyntheticDataset};
 use cad3_engine::Executor;
 use cad3_obs::TraceContext;
 use cad3_stream::{Consumer, FetchedRecord, OffsetReset, TOPIC_IN_DATA};
 use cad3_types::{
-    FeatureRecord, GeoPoint, RoadId, RoadType, RsuId, SimDuration, SimTime, VehicleId,
-    VehicleStatus, WarningKind, WarningMessage, WireDecode, WireEncode,
+    FeatureRecord, GeoPoint, RoadType, RsuId, SimTime, VehicleId, VehicleStatus, WarningKind,
+    WarningMessage, WireDecode, WireEncode,
 };
 use std::sync::Arc;
 
@@ -118,13 +118,10 @@ fn inputs(det: &dyn Detector, trained: &[FeatureRecord], untrained: &FeatureReco
 
 /// What `run_batch` must return for `batch`, by the straight-line loop.
 struct Expected {
-    queuing: Vec<SimDuration>,
     warnings: Vec<WarningMessage>,
     /// Trace id behind each warning, aligned with `warnings`.
     warning_trace_ids: Vec<Option<u64>>,
     processed: u64,
-    road_stats: OnlineRoadStats,
-    roads: Vec<RoadId>,
 }
 
 fn keyed_vehicle(rec: &FetchedRecord) -> u64 {
@@ -138,17 +135,9 @@ fn reference(
     detected_at: SimTime,
 ) -> Expected {
     let mut tracker = SummaryTracker::new();
-    let mut exp = Expected {
-        queuing: Vec::new(),
-        warnings: Vec::new(),
-        warning_trace_ids: Vec::new(),
-        processed: 0,
-        road_stats: OnlineRoadStats::new(),
-        roads: Vec::new(),
-    };
+    let mut exp = Expected { warnings: Vec::new(), warning_trace_ids: Vec::new(), processed: 0 };
     for shard in 0..shards {
         for rec in batch.iter().filter(|r| keyed_vehicle(r) % shards == shard) {
-            exp.queuing.push(NOW.saturating_since(SimTime::from_nanos(rec.timestamp)));
             let Ok(st) = VehicleStatus::decode(&mut rec.value.clone()) else { continue };
             if st.vehicle.raw() != keyed_vehicle(rec) {
                 continue;
@@ -170,22 +159,19 @@ fn reference(
                 });
                 exp.warning_trace_ids.push(rec.trace.map(|ctx| ctx.trace_id()));
             }
-            exp.road_stats.observe(st.road, NOW, st.speed_kmh);
-            exp.roads.push(st.road);
         }
     }
     exp
 }
 
 /// Runs `inputs` as one batch on a fresh RSU with `workers` workers and holds
-/// everything it hands back against the reference. Returns the reference and
-/// how many roads reported a mean.
+/// everything it hands back against the reference. Returns the reference.
 fn run_against_reference(
     det: &Arc<dyn Detector>,
     workers: usize,
     case: &str,
     inputs: &[Input],
-) -> (Expected, usize) {
+) -> Expected {
     let mut rsu = RsuNode::with_executor(
         RsuId(1),
         format!("order-{case}"),
@@ -213,27 +199,16 @@ fn run_against_reference(
     assert_eq!(batch.len(), inputs.len());
 
     let result = rsu.run_batch(NOW).unwrap();
-    let mut exp = reference(&**det, &batch, workers as u64, NOW + result.processing);
+    let exp = reference(&**det, &batch, workers as u64, NOW + result.processing);
 
     assert_eq!(result.records, inputs.len(), "{case}");
-    assert_eq!(result.queuing, exp.queuing, "{case}: queuing value and order");
     assert_eq!(result.warnings, exp.warnings, "{case}: warnings and their order");
     let trace_ids: Vec<Option<u64>> =
         result.warning_traces.iter().map(|t| t.map(|ctx| ctx.trace_id())).collect();
     assert_eq!(trace_ids, exp.warning_trace_ids, "{case}: trace alignment");
     assert_eq!(rsu.records_processed(), exp.processed, "{case}");
     assert_eq!(rsu.warnings_produced(), exp.warnings.len() as u64, "{case}");
-
-    // The observe sequence: a windowed mean is a float sum in call order.
-    let mut reported = 0;
-    for &road in &exp.roads {
-        let got = rsu.road_stats_mut().road_speed_kmh(road, NOW);
-        let want = exp.road_stats.road_speed_kmh(road, NOW);
-        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{case}: {road:?}");
-        reported += usize::from(want.is_some());
-    }
-    assert_eq!(rsu.road_stats_mut().roads_tracked(), exp.road_stats.roads_tracked(), "{case}");
-    (exp, reported)
+    exp
 }
 
 #[test]
@@ -248,14 +223,12 @@ fn merged_shard_outputs_keep_shard_then_arrival_order() {
     let inputs = inputs(&*det, &trained, &untrained);
 
     for workers in [1usize, 6] {
-        let (exp, reported) =
-            run_against_reference(&det, workers, &format!("{workers}-workers"), &inputs);
+        let exp = run_against_reference(&det, workers, &format!("{workers}-workers"), &inputs);
         // The fixture reaches every branch it claims to.
         assert_eq!(exp.processed, 3 * VEHICLES, "the four odd records are not processed");
         assert!(!exp.warnings.is_empty() && exp.warnings.len() < exp.processed as usize);
         assert!(exp.warning_trace_ids.iter().any(Option::is_some), "a traced record warned");
         assert!(exp.warning_trace_ids.iter().any(Option::is_none));
-        assert!(reported > 0, "fixture: some road gathers enough samples to report a mean");
     }
 
     // Sparse batches on six workers, where only the buckets that hold records
@@ -271,8 +244,8 @@ fn merged_shard_outputs_keep_shard_then_arrival_order() {
             trace: None,
         })
         .collect();
-    let (exp, _) = run_against_reference(&det, 6, "sparse", &sparse);
+    let exp = run_against_reference(&det, 6, "sparse", &sparse);
     assert_eq!(exp.processed, 4, "fixture: every sparse record is processed");
-    let (exp, _) = run_against_reference(&det, 6, "empty", &[]);
-    assert_eq!((exp.processed, exp.queuing.len()), (0, 0));
+    let exp = run_against_reference(&det, 6, "empty", &[]);
+    assert_eq!(exp.processed, 0);
 }

@@ -22,8 +22,9 @@ fn motorway_pool(ds: &SyntheticDataset) -> Vec<FeatureRecord> {
 #[test]
 fn single_rsu_latency_stays_under_50ms() {
     let (ds, models) = corpus_and_models();
+    let config = SystemConfig::default();
     let report = single_rsu_scaling(
-        SystemConfig::default(),
+        config,
         1,
         Arc::new(models.ad3),
         motorway_pool(&ds),
@@ -42,6 +43,16 @@ fn single_rsu_latency_stays_under_50ms() {
     assert!(rsu.latency.dissemination_ms.mean() > 5.0);
     assert!(rsu.latency.dissemination_ms.mean() < 25.0);
     assert!(rsu.latency.tx_ms.mean() < 5.0);
+    // Queuing is batch start − broker arrival: a delivered warning's record
+    // waited at least nothing and at most one batch interval.
+    let interval = config.batch_interval.as_millis_f64();
+    let queuing = &rsu.latency.queuing_ms;
+    assert!(
+        queuing.iter().all(|q| (0.0..=interval).contains(q)),
+        "queuing outside [0, {interval}] ms: min {} max {}",
+        queuing.min(),
+        queuing.max()
+    );
 }
 
 #[test]

@@ -15,6 +15,9 @@ use cad3_obs::{names, trace};
 use cad3_types::{RoadType, SimDuration};
 use std::sync::Arc;
 
+/// RSU A's fleet; RSU B's is a quarter of it and forwards nowhere.
+const VEHICLES: u32 = 8;
+
 #[test]
 fn handover_traces_span_both_rsus_with_no_missing_spans() {
     cad3_obs::set_enabled(true);
@@ -29,12 +32,22 @@ fn handover_traces_span_both_rsus_with_no_missing_spans() {
         Arc::new(models.cad3),
         ds.features_of_type(RoadType::Motorway),
         ds.features_of_type(RoadType::MotorwayLink),
-        8,
+        VEHICLES,
         0.5,
         SimDuration::from_secs(4),
         Vec::new(),
     );
     trace::set_sample_rate(0.0);
+
+    // RSU A exports twice in the 4 s run: the periodic export at 2 s and the
+    // migration at 2 s. Each export event sends at most one summary per
+    // vehicle RSU A tracks, however many vehicles the migration moves.
+    let export_events = 2;
+    let summaries_out = cad3_obs::registry().counter(names::RSU_SUMMARIES_OUT).value();
+    assert!(
+        summaries_out <= u64::from(VEHICLES) * export_events,
+        "{summaries_out} summaries exported in {export_events} export events of {VEHICLES} vehicles"
+    );
 
     let events = trace::sink().drain();
     assert_eq!(trace::sink().dropped(), 0, "sink must not drop at this scale");

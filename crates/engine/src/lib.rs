@@ -11,8 +11,6 @@
 //!   A stage consumes its inputs: each chunk moves, owned, into the job that
 //!   processes it — on a worker or on the calling thread — and the closure
 //!   must be `'static`: share state with it through an `Arc`.
-//! * [`SlidingWindow`] / [`KeyedWindows`] — the windowed aggregates behind
-//!   the RSU's per-road speed statistics.
 //! * [`PartitionedDataset`] — one partitioned collection with a single
 //!   per-partition stage, [`PartitionedDataset::map_partitions`].
 //!
@@ -45,11 +43,9 @@
 mod dataset;
 mod executor;
 mod sync;
-mod window;
 
 pub use dataset::PartitionedDataset;
 pub use executor::Executor;
-pub use window::{KeyedWindows, SlidingWindow};
 
 /// Spark worker count in the paper's testbed.
 pub const PAPER_WORKERS: usize = 6;

@@ -86,7 +86,6 @@ impl TokenBucket {
 #[derive(Debug)]
 pub struct HtbShaper {
     root: TokenBucket,
-    total_bytes: u64,
 }
 
 impl HtbShaper {
@@ -98,7 +97,7 @@ impl HtbShaper {
     /// Panics if the ceiling is not strictly positive.
     pub fn new(ceiling_bps: f64) -> Self {
         let burst = (ceiling_bps * 0.02).max(1500.0 * 8.0);
-        HtbShaper { root: TokenBucket::new(ceiling_bps, burst), total_bytes: 0 }
+        HtbShaper { root: TokenBucket::new(ceiling_bps, burst) }
     }
 
     /// The paper's configuration: a 27 Mb/s ceiling.
@@ -106,15 +105,9 @@ impl HtbShaper {
         HtbShaper::new(crate::DSRC_BANDWIDTH_BPS)
     }
 
-    /// Total bytes shaped so far.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
     /// Shapes a `bytes`-sized packet arriving at `now`; returns its
     /// departure time.
     pub fn depart(&mut self, now: SimTime, bytes: usize) -> SimTime {
-        self.total_bytes += len_u64(bytes);
         self.root.depart(now, bytes)
     }
 }
@@ -206,7 +199,6 @@ mod tests {
             }
         }
         assert_eq!(delayed, 0, "paper's nominal load must pass unshaped");
-        assert_eq!(htb.total_bytes(), 50 * 256 * 200);
     }
 
     #[test]

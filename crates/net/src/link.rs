@@ -19,7 +19,6 @@ pub struct WiredLink {
     bandwidth_bps: f64,
     propagation: SimDuration,
     next_free: SimTime,
-    bytes_carried: u64,
 }
 
 impl WiredLink {
@@ -30,7 +29,7 @@ impl WiredLink {
     /// Panics if `bandwidth_bps` is not strictly positive.
     pub fn new(bandwidth_bps: f64, propagation: SimDuration) -> Self {
         assert!(bandwidth_bps > 0.0, "link bandwidth must be positive");
-        WiredLink { bandwidth_bps, propagation, next_free: SimTime::ZERO, bytes_carried: 0 }
+        WiredLink { bandwidth_bps, propagation, next_free: SimTime::ZERO }
     }
 
     /// The testbed's RSU interconnect: 1 Gb/s with 100 µs propagation.
@@ -54,11 +53,6 @@ impl WiredLink {
         self.propagation
     }
 
-    /// Total bytes carried so far.
-    pub fn bytes_carried(&self) -> u64 {
-        self.bytes_carried
-    }
-
     /// Enqueues a `bytes`-sized frame at `now` and returns its arrival time
     /// at the far end (serialization behind earlier frames + propagation).
     pub fn transmit(&mut self, now: SimTime, bytes: usize) -> SimTime {
@@ -67,7 +61,6 @@ impl WiredLink {
         // arrival time instead of a panic on the transmit path.
         let ser = SimDuration::saturating_from_secs_f64(bytes as f64 * 8.0 / self.bandwidth_bps);
         self.next_free = start + ser;
-        self.bytes_carried += bytes as u64;
         if cad3_obs::enabled() {
             cad3_obs::counter!("net.link.bytes").add(cad3_types::len_u64(bytes));
             cad3_obs::counter!("net.link.frames").inc();
@@ -141,7 +134,6 @@ mod tests {
         let arrival = link.transmit(SimTime::ZERO, 200);
         // 1.6 kb at 1 Gb/s = 1.6 µs + 100 µs propagation.
         assert!(arrival.as_millis_f64() < 0.110, "{arrival}");
-        assert_eq!(link.bytes_carried(), 200);
     }
 
     #[test]

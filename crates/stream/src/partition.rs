@@ -70,7 +70,6 @@ pub struct PartitionLog {
     /// Nanoseconds of timestamp an append keeps behind its own record;
     /// `None` keeps every record the floor keeps.
     horizon_ns: Option<u64>,
-    total_bytes: u64,
 }
 
 impl PartitionLog {
@@ -113,7 +112,6 @@ impl PartitionLog {
     ) -> u64 {
         self.trim(timestamp);
         let offset = self.next_offset();
-        self.total_bytes += len_u64(value.len());
         let record = StoredRecord { key, value, timestamp };
         match self.chunks.back_mut() {
             Some(chunk) if chunk.len() < CHUNK_RECORDS => chunk.push_back(record),
@@ -209,11 +207,6 @@ impl PartitionLog {
     /// Whether the log retains no records.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total payload bytes ever appended (not reduced by the trim).
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
     }
 
     /// Reads up to `max` records starting at `offset`: the by-name fetch,
@@ -410,16 +403,6 @@ mod tests {
         assert_eq!(stamps, vec![100, 20, 120]);
         log.append(None, val("x"), 151);
         assert_eq!(log.earliest_offset(), 3, "100, then the stale 20 behind it, go together");
-    }
-
-    #[test]
-    fn total_bytes_accumulates() {
-        let mut log = PartitionLog::new();
-        log.append(None, val("aaaa"), 0);
-        log.commit(1);
-        log.append(None, val("bb"), 1);
-        assert_eq!(log.total_bytes(), 6);
-        assert_eq!(log.len(), 1);
     }
 
     #[test]

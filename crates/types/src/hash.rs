@@ -1,13 +1,13 @@
-//! The hasher behind the RSU's per-vehicle and per-road maps.
+//! The hasher behind the RSU's per-vehicle map.
 //!
-//! `cad3::SummaryTracker` looks a vehicle up, and `cad3_engine::KeyedWindows`
-//! a road, once per record of every micro-batch. Both keys are one `u64`, so
-//! the standard library's SipHash-1-3 is most of a lookup. [`IdHasher`] is
-//! one folded 64 × 64 → 128-bit multiply per word instead.
+//! `cad3::SummaryTracker` looks a vehicle up once per record of every
+//! micro-batch. The key is one `u64`, so the standard library's SipHash-1-3
+//! is most of a lookup. [`IdHasher`] is one folded 64 × 64 → 128-bit
+//! multiply per word instead.
 //!
 //! It is keyed. Both keys are drawn once per process from the standard
-//! library's `RandomState`, so a sender cannot pick vehicle or road ids that
-//! collide in every RSU (HashDoS). The keys differ from run to run, so a map
+//! library's `RandomState`, so a sender cannot pick vehicle ids that collide
+//! in every RSU (HashDoS). The keys differ from run to run, so a map
 //! built on it must not be iterated where order reaches an output: look up,
 //! insert and remove, or sort what is collected.
 

@@ -8,7 +8,7 @@
 //! messages exchanged between vehicles and RSUs ([`VehicleStatus`],
 //! [`WarningMessage`], [`SummaryMessage`]) together with a compact binary
 //! codec ([`WireEncode`]/[`WireDecode`]), and the keyed hasher
-//! ([`IdHasher`]) behind the RSU's per-vehicle and per-road maps.
+//! ([`IdHasher`]) behind the RSU's per-vehicle map.
 //!
 //! # Example
 //!
