@@ -508,7 +508,7 @@ fn seed_stability(quick: bool) {
         holds(SeedRow::cad3_fn_lowest)
     );
     println!(
-        "CAD3 F1 ≥ AD3 (within noise):             {}/{n} seeds",
+        "CAD3 F1 ≥ AD3:                            {}/{n} seeds",
         holds(SeedRow::cad3_f1_holds)
     );
     write_json("seed_stability", &rows);

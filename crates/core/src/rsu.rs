@@ -41,6 +41,10 @@ pub struct BatchResult {
     /// passes it to [`RsuNode::publish_warning_traced`] so the
     /// dissemination leg joins the record's end-to-end trace.
     pub warning_traces: Vec<Option<cad3_obs::TraceContext>>,
+    /// Broker arrival of each warning's record (its `IN-DATA` timestamp),
+    /// aligned index-for-index with `warnings`; not on the wire. It splits
+    /// the path up to the batch into Fig. 6a's transmission and queuing.
+    pub warning_arrivals: Vec<SimTime>,
     /// `CO-DATA` summaries consumed this batch.
     pub summaries_received: usize,
 }
@@ -121,8 +125,8 @@ struct ShardRow {
 }
 
 /// What a warning and a detect span need of a decoded record beside its
-/// feature row: `(sent_at, seq, span_base, trace)`.
-type Side = (SimTime, u32, u64, Option<cad3_obs::TraceContext>);
+/// feature row: `(sent_at, arrival, seq, span_base, trace)`.
+type Side = (SimTime, SimTime, u32, u64, Option<cad3_obs::TraceContext>);
 
 /// One shard's buffers for a batch. The [`RsuNode`] owns one per shard; the
 /// detect stage takes it with its bucket and hands it back with `rows`,
@@ -155,8 +159,9 @@ struct ShardOutput {
     /// Records that decoded, matched their key and got a detection.
     processed: u64,
     warnings: Vec<WarningMessage>,
-    /// Aligned index-for-index with `warnings`.
+    /// Both aligned index-for-index with `warnings`.
     warning_traces: Vec<Option<cad3_obs::TraceContext>>,
+    warning_arrivals: Vec<SimTime>,
 }
 
 /// Index of the tracker shard (and detect bucket) owning `vehicle`, always
@@ -400,7 +405,8 @@ impl RsuNode {
                     // its CO-DATA seeds land on. Dropped like a malformed one.
                     Ok(status) if status.vehicle.raw() == row.vehicle => {
                         feats.push(status.to_feature());
-                        sides.push((status.sent_at, status.seq, row.span_base, trace));
+                        let arrival = SimTime::from_nanos(row.arrived_ns);
+                        sides.push((status.sent_at, arrival, status.seq, row.span_base, trace));
                     }
                     _ => {}
                 }
@@ -426,7 +432,7 @@ impl RsuNode {
             // Phase 3: the verdicts in input order — detect spans on the
             // pre-reserved ids, warnings for abnormal records. A record
             // without a detection was not processed.
-            for ((feat, (sent_at, seq, span_base, trace)), detection) in
+            for ((feat, (sent_at, arrival, seq, span_base, trace)), detection) in
                 feats.iter().zip(sides.drain(..)).zip(detections.drain(..))
             {
                 let Some(detection) = detection else { continue };
@@ -461,6 +467,7 @@ impl RsuNode {
                         source_seq: seq,
                     });
                     out.warning_traces.push(trace);
+                    out.warning_arrivals.push(arrival);
                 }
             }
             job.feats.clear();
@@ -469,22 +476,26 @@ impl RsuNode {
         drop(detect_span);
 
         // Shard by shard, each in arrival order.
-        let (warnings, warning_traces) = match outputs.as_mut_slice() {
+        let (warnings, warning_traces, warning_arrivals) = match outputs.as_mut_slice() {
             // One shard's vectors are the batch's: moved, not copied.
-            [job] => {
-                (std::mem::take(&mut job.out.warnings), std::mem::take(&mut job.out.warning_traces))
-            }
+            [ShardJob { out, .. }] => (
+                std::mem::take(&mut out.warnings),
+                std::mem::take(&mut out.warning_traces),
+                std::mem::take(&mut out.warning_arrivals),
+            ),
             jobs => {
                 let n_warnings = jobs.iter().map(|job| job.out.warnings.len()).sum();
                 let mut warnings = Vec::with_capacity(n_warnings);
                 let mut warning_traces = Vec::with_capacity(n_warnings);
+                let mut warning_arrivals = Vec::with_capacity(n_warnings);
                 // `Vec::append` by path: the analyzer resolves a bare
                 // `.append(..)` to `SharedTopic::append` as well.
                 for ShardJob { out, .. } in jobs {
                     Vec::append(&mut warnings, &mut out.warnings);
                     Vec::append(&mut warning_traces, &mut out.warning_traces);
+                    Vec::append(&mut warning_arrivals, &mut out.warning_arrivals);
                 }
-                (warnings, warning_traces)
+                (warnings, warning_traces, warning_arrivals)
             }
         };
         for mut job in outputs.drain(..) {
@@ -501,7 +512,14 @@ impl RsuNode {
         self.warnings_produced += warnings.len() as u64;
         cad3_obs::counter!("rsu.records").add(cad3_types::len_u64(records));
         cad3_obs::counter!("rsu.warnings").add(cad3_types::len_u64(warnings.len()));
-        Ok(BatchResult { records, processing, warnings, warning_traces, summaries_received })
+        Ok(BatchResult {
+            records,
+            processing,
+            warnings,
+            warning_traces,
+            warning_arrivals,
+            summaries_received,
+        })
     }
 
     /// Publishes a warning to this RSU's `OUT-DATA` topic (done by the

@@ -18,11 +18,11 @@ use cad3_net::{DsrcChannel, HtbShaper, MacModel, Mcs, WiredLink};
 use cad3_sim::{SimRng, Simulation};
 use cad3_stream::{Consumer, OffsetReset, TOPIC_IN_DATA, TOPIC_OUT_DATA};
 use cad3_types::{
-    FeatureRecord, GeoPoint, RsuId, SimDuration, SimTime, VehicleId, WarningMessage, WireDecode,
-    WireEncode,
+    FeatureRecord, GeoPoint, RsuId, SimDuration, SimTime, SummaryMessage, VehicleId,
+    WarningMessage, WireDecode, WireEncode,
 };
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -164,8 +164,11 @@ struct World {
     out_consumers: Vec<Consumer>,
     /// Wired links keyed by (from, to) RSU index.
     links: HashMap<(usize, usize), WiredLink>,
-    /// In-flight warning-path components keyed by (vehicle, seq).
-    pending: HashMap<(u64, u32), (SimDuration, SimDuration, SimDuration)>,
+    /// Per RSU, each warning published to its `OUT-DATA` and not yet read by
+    /// its delivery poll, keyed by (vehicle, seq): the Fig. 6a breakdown its
+    /// batch took from the [`crate::BatchResult`], dissemination still zero
+    /// (the poll adds it). Every poll empties its RSU's map.
+    pending: Vec<HashMap<(u64, u32), LatencyBreakdown>>,
     /// Pre-created `net.dsrc.offered_bps.<rsu>` gauges, indexed like
     /// `channels`; published from the batch path as a single atomic store.
     offered_gauges: Vec<cad3_obs::Handle<cad3_obs::Gauge>>,
@@ -243,15 +246,7 @@ impl Testbed {
                 cad3_obs::names::NET_DSRC_OFFERED_BPS_PREFIX,
                 r.name
             )));
-            // Group the pool by its original driver so each agent replays a
-            // behaviourally coherent stream (summaries would otherwise see
-            // one "vehicle" flip personality every record).
-            let mut by_driver: std::collections::BTreeMap<VehicleId, Vec<FeatureRecord>> =
-                std::collections::BTreeMap::new();
-            for rec in &r.records {
-                by_driver.entry(rec.vehicle).or_default().push(*rec);
-            }
-            let pools: Vec<Vec<FeatureRecord>> = by_driver.into_values().collect();
+            let pools = driver_pools(&r.records);
             let fleet: Vec<crate::VehicleAgent> = (0..r.vehicles)
                 .map(|v| {
                     let pool = pools[v as usize % pools.len()].clone();
@@ -283,7 +278,7 @@ impl Testbed {
             backhauls,
             out_consumers,
             links,
-            pending: HashMap::new(),
+            pending: vec![HashMap::new(); n_rsus],
             offered_gauges,
             latency,
             co_bytes: vec![0; n_rsus],
@@ -413,11 +408,6 @@ fn schedule_send(
                 );
                 ctx.next_hop(span)
             });
-            let tx = arrival.saturating_since(status.sent_at);
-            w.pending.insert(
-                (status.vehicle.raw(), status.seq),
-                (tx, SimDuration::ZERO, SimDuration::ZERO),
-            );
             (
                 target,
                 arrival,
@@ -457,7 +447,7 @@ fn schedule_send(
 fn schedule_batch(sim: &mut Simulation, world: Rc<RefCell<World>>, rsu_idx: usize, at: SimTime) {
     sim.schedule_at(at, move |sim| {
         let now = sim.now();
-        let (warnings, warning_traces, processing, interval, end) = {
+        let (result, interval, end) = {
             let mut w = world.borrow_mut();
             if cad3_obs::enabled() {
                 // Windowed offered load on this RSU's DSRC medium, sampled
@@ -466,33 +456,24 @@ fn schedule_batch(sim: &mut Simulation, world: Rc<RefCell<World>>, rsu_idx: usiz
                 w.offered_gauges[rsu_idx].set(bps as u64);
             }
             let result = w.rsus[rsu_idx].run_batch(now).expect("batch never fails in-sim");
-            (
-                result.warnings,
-                result.warning_traces,
-                result.processing,
-                w.config.batch_interval,
-                w.end,
-            )
+            (result, w.config.batch_interval, w.end)
         };
-        {
-            let mut w = world.borrow_mut();
-            // Attach queuing + processing to pending warning paths:
-            // queuing = batch start − broker arrival, where arrival is the
-            // send time plus the stored tx component.
-            for warning in &warnings {
-                if let Some(entry) = w.pending.get_mut(&(warning.vehicle.raw(), warning.source_seq))
-                {
-                    entry.1 = now.saturating_since(warning.source_sent_at).saturating_sub(entry.0);
-                    entry.2 = processing;
-                }
-            }
-        }
-        // Publish each warning at its detection-complete instant.
-        for (warning, trace) in warnings.into_iter().zip(warning_traces) {
+        // Publish each warning at its detection-complete instant, with the
+        // first three Fig. 6a components of its path: send to broker
+        // arrival, arrival to this batch's start, and the batch's compute.
+        let warnings = result.warnings.into_iter().zip(result.warning_traces);
+        for ((warning, trace), arrival) in warnings.zip(result.warning_arrivals) {
+            let latency = LatencyBreakdown {
+                tx: arrival.saturating_since(warning.source_sent_at),
+                queuing: now.saturating_since(arrival),
+                processing: result.processing,
+                dissemination: SimDuration::ZERO,
+            };
             let world2 = Rc::clone(&world);
             sim.schedule_at(warning.detected_at, move |_| {
-                let w = world2.borrow();
+                let w = &mut *world2.borrow_mut();
                 let _ = w.rsus[rsu_idx].publish_warning_traced(&warning, trace);
+                w.pending[rsu_idx].insert((warning.vehicle.raw(), warning.source_seq), latency);
             });
         }
         if now + interval < end {
@@ -522,21 +503,22 @@ fn schedule_poll(sim: &mut Simulation, world: Rc<RefCell<World>>, rsu_idx: usize
                 let poll_s = w.config.poll_interval.as_secs_f64();
                 let poll_wait = SimDuration::from_secs_f64(w.rng.uniform(0.0, poll_s));
                 let delivery = warning.detected_at + poll_wait + fetch + w.backhauls[rsu_idx];
+                let key = (warning.vehicle.raw(), warning.source_seq);
+                let Some(mut latency) = w.pending[rsu_idx].remove(&key) else { continue };
                 if delivery < w.warmup {
                     continue;
                 }
-                let key = (warning.vehicle.raw(), warning.source_seq);
-                if let Some((tx, queuing, processing)) = w.pending.remove(&key) {
-                    let dissemination = delivery.saturating_since(warning.detected_at);
-                    w.latency[rsu_idx].record_traced(
-                        &LatencyBreakdown { tx, queuing, processing, dissemination },
-                        rec.trace.as_ref(),
-                        rsu_idx as u32,
-                        warning.detected_at.as_nanos(),
-                        delivery.as_nanos(),
-                    );
-                }
+                latency.dissemination = delivery.saturating_since(warning.detected_at);
+                w.latency[rsu_idx].record_traced(
+                    &latency,
+                    rec.trace.as_ref(),
+                    rsu_idx as u32,
+                    warning.detected_at.as_nanos(),
+                    delivery.as_nanos(),
+                );
             }
+            // The poll read every warning published so far.
+            debug_assert!(w.pending[rsu_idx].is_empty(), "a published warning went unread");
             (w.config.poll_interval, w.end)
         };
         if now + interval < end {
@@ -545,18 +527,22 @@ fn schedule_poll(sim: &mut Simulation, world: Rc<RefCell<World>>, rsu_idx: usize
     });
 }
 
+/// Groups a record pool by its original driver, in driver order, so each
+/// agent replays a behaviourally coherent stream (summaries would otherwise
+/// see one "vehicle" flip personality every record).
+fn driver_pools(records: &[FeatureRecord]) -> Vec<Vec<FeatureRecord>> {
+    let mut by_driver: BTreeMap<VehicleId, Vec<FeatureRecord>> = BTreeMap::new();
+    for rec in records {
+        by_driver.entry(rec.vehicle).or_default().push(*rec);
+    }
+    by_driver.into_values().collect()
+}
+
 fn schedule_migration(sim: &mut Simulation, world: Rc<RefCell<World>>, m: MigrationSpec) {
+    let pools = driver_pools(&m.new_records);
     sim.schedule_at(SimTime::ZERO + m.at, move |sim| {
         let now = sim.now();
-        // Group the new pool by driver for behaviourally coherent replay.
-        let mut by_driver: std::collections::BTreeMap<VehicleId, Vec<FeatureRecord>> =
-            std::collections::BTreeMap::new();
-        for rec in &m.new_records {
-            by_driver.entry(rec.vehicle).or_default().push(*rec);
-        }
-        let pools: Vec<Vec<FeatureRecord>> = by_driver.into_values().collect();
-
-        let mut handed_over: Vec<(cad3_types::SummaryMessage, SimTime)> = Vec::new();
+        let mut handed_over: Vec<SummaryMessage> = Vec::new();
         {
             let w = &mut *world.borrow_mut();
             if cad3_obs::enabled() {
@@ -578,7 +564,7 @@ fn schedule_migration(sim: &mut Simulation, world: Rc<RefCell<World>>, m: Migrat
             let mut moved = 0u32;
             // One export per migration event, taken on the first move: each
             // moved vehicle's summary is then looked up in it.
-            let mut exported: Option<Vec<cad3_types::SummaryMessage>> = None;
+            let mut exported: Option<Vec<SummaryMessage>> = None;
             for veh_idx in 0..count.min(fleet_size) {
                 if w.home[m.from][veh_idx] != m.from {
                     continue; // already migrated
@@ -592,13 +578,7 @@ fn schedule_migration(sim: &mut Simulation, world: Rc<RefCell<World>>, m: Migrat
                 // The export is sorted by vehicle.
                 let exported = exported.get_or_insert_with(|| w.rsus[m.from].export_summaries(now));
                 let found = exported.binary_search_by_key(&vehicle, |s| s.vehicle).ok();
-                if let Some(&msg) = found.and_then(|i| exported.get(i)) {
-                    let bytes = msg.encoded_len() + w.wire_overhead;
-                    let link = w.links.get_mut(&(m.from, m.to)).expect("link created at setup");
-                    let (msg, arrival) = transmit_summary(link, now, bytes, msg);
-                    w.co_bytes[m.to] += bytes as u64;
-                    handed_over.push((msg, arrival));
-                }
+                handed_over.extend(found.and_then(|i| exported.get(i)).copied());
             }
             // The shared media see the new contender counts immediately.
             let from_contenders = w.channels[m.from].contenders().saturating_sub(moved);
@@ -606,30 +586,39 @@ fn schedule_migration(sim: &mut Simulation, world: Rc<RefCell<World>>, m: Migrat
             w.channels[m.from].set_contenders(from_contenders.max(1));
             w.channels[m.to].set_contenders(to_contenders);
         }
-        for (msg, arrival) in handed_over {
-            let world2 = Rc::clone(&world);
-            sim.schedule_at(arrival, move |_| {
-                let w = world2.borrow();
-                let _ = w.rsus[m.to].receive_summary_at(&msg, arrival);
-            });
+        for msg in handed_over {
+            forward_summary(sim, &world, m.from, m.to, now, msg);
         }
     });
 }
 
-/// Sends an exported summary over an inter-RSU link, threading its trace
-/// lineage through the link's `net.link.tx` span, and returns the message
-/// (lineage re-parented under the link span) with its arrival time at the
-/// far RSU.
-fn transmit_summary(
-    link: &mut WiredLink,
+/// Sends a summary exported at `from` to RSU `to` over their wired link,
+/// threading its trace lineage through the link's `net.link.tx` span. At
+/// its arrival `to` receives it (lineage re-parented under the link span)
+/// and its on-air bytes count toward `to`'s `CO-DATA` bandwidth.
+fn forward_summary(
+    sim: &mut Simulation,
+    world: &Rc<RefCell<World>>,
+    from: usize,
+    to: usize,
     now: SimTime,
-    bytes: usize,
-    msg: cad3_types::SummaryMessage,
-) -> (cad3_types::SummaryMessage, SimTime) {
-    let ctx = msg.trace.map(|l| crate::collaboration::lineage_context(&l));
-    let (arrival, continued) = link.transmit_traced(now, bytes, ctx);
-    let trace = continued.map(|c| crate::collaboration::lineage_of(&c));
-    (cad3_types::SummaryMessage { trace, ..msg }, arrival)
+    msg: SummaryMessage,
+) {
+    let (msg, arrival, bytes) = {
+        let w = &mut *world.borrow_mut();
+        let bytes = msg.encoded_len() + w.wire_overhead;
+        let link = w.links.get_mut(&(from, to)).expect("link created at setup");
+        let ctx = msg.trace.map(|l| crate::collaboration::lineage_context(&l));
+        let (arrival, continued) = link.transmit_traced(now, bytes, ctx);
+        let trace = continued.map(|c| crate::collaboration::lineage_of(&c));
+        (SummaryMessage { trace, ..msg }, arrival, bytes)
+    };
+    let world = Rc::clone(world);
+    sim.schedule_at(arrival, move |_| {
+        let mut w = world.borrow_mut();
+        w.co_bytes[to] += bytes as u64;
+        let _ = w.rsus[to].receive_summary_at(&msg, arrival);
+    });
 }
 
 fn schedule_summary(
@@ -647,19 +636,7 @@ fn schedule_summary(
             (w.rsus[from].export_summaries(now), w.end)
         };
         for msg in messages {
-            let (msg, arrival, bytes) = {
-                let mut w = world.borrow_mut();
-                let bytes = msg.encoded_len() + w.wire_overhead;
-                let link = w.links.get_mut(&(from, to)).expect("link exists");
-                let (msg, arrival) = transmit_summary(link, now, bytes, msg);
-                (msg, arrival, bytes)
-            };
-            let world2 = Rc::clone(&world);
-            sim.schedule_at(arrival, move |_| {
-                let mut w = world2.borrow_mut();
-                w.co_bytes[to] += bytes as u64;
-                let _ = w.rsus[to].receive_summary_at(&msg, arrival);
-            });
+            forward_summary(sim, &world, from, to, now, msg);
         }
         if now + interval < end {
             schedule_summary(sim, world, from, to, now + interval, interval);

@@ -1,9 +1,10 @@
 //! Pins the order of everything `RsuNode::run_batch` hands back.
 //!
 //! The shard workers each return vectors that the batch thread concatenates,
-//! so the order of `warnings` and `warning_traces` is a property of that
-//! merge: shard by shard (keyed vehicle id modulo the worker count), arrival
-//! order within a shard.
+//! so the order of `warnings`, `warning_traces` and `warning_arrivals` (each
+//! warning's record's produce stamp) is a property of that merge: shard by
+//! shard (keyed vehicle id modulo the worker count), arrival order within a
+//! shard.
 //! The reference here is the straight-line loop over the same records —
 //! `stage1_p_abnormal` → `SummaryTracker::observe` → `detect` — in exactly
 //! that order, on one worker and on six — and, on six, for two sparse batches
@@ -121,6 +122,8 @@ struct Expected {
     warnings: Vec<WarningMessage>,
     /// Trace id behind each warning, aligned with `warnings`.
     warning_trace_ids: Vec<Option<u64>>,
+    /// Produce stamp of each warning's record, aligned with `warnings`.
+    warning_arrivals: Vec<SimTime>,
     processed: u64,
 }
 
@@ -135,7 +138,12 @@ fn reference(
     detected_at: SimTime,
 ) -> Expected {
     let mut tracker = SummaryTracker::new();
-    let mut exp = Expected { warnings: Vec::new(), warning_trace_ids: Vec::new(), processed: 0 };
+    let mut exp = Expected {
+        warnings: Vec::new(),
+        warning_trace_ids: Vec::new(),
+        warning_arrivals: Vec::new(),
+        processed: 0,
+    };
     for shard in 0..shards {
         for rec in batch.iter().filter(|r| keyed_vehicle(r) % shards == shard) {
             let Ok(st) = VehicleStatus::decode(&mut rec.value.clone()) else { continue };
@@ -158,6 +166,7 @@ fn reference(
                     source_seq: st.seq,
                 });
                 exp.warning_trace_ids.push(rec.trace.map(|ctx| ctx.trace_id()));
+                exp.warning_arrivals.push(SimTime::from_nanos(rec.timestamp));
             }
         }
     }
@@ -206,6 +215,8 @@ fn run_against_reference(
     let trace_ids: Vec<Option<u64>> =
         result.warning_traces.iter().map(|t| t.map(|ctx| ctx.trace_id())).collect();
     assert_eq!(trace_ids, exp.warning_trace_ids, "{case}: trace alignment");
+    assert_eq!(result.warning_arrivals.len(), result.warnings.len(), "{case}");
+    assert_eq!(result.warning_arrivals, exp.warning_arrivals, "{case}: arrival alignment");
     assert_eq!(rsu.records_processed(), exp.processed, "{case}");
     assert_eq!(rsu.warnings_produced(), exp.warnings.len() as u64, "{case}");
     exp
