@@ -523,19 +523,10 @@ impl RsuNode {
     }
 
     /// Publishes a warning to this RSU's `OUT-DATA` topic (done by the
-    /// testbed at the warning's `detected_at` instant).
-    ///
-    /// # Errors
-    ///
-    /// Propagates stream errors.
-    pub fn publish_warning(&self, warning: &WarningMessage) -> Result<(), CoreError> {
-        self.publish_warning_traced(warning, None)
-    }
-
-    /// [`RsuNode::publish_warning`] with the warning's trace context (from
-    /// [`BatchResult::warning_traces`]) attached to the `OUT-DATA` record,
-    /// so the dissemination poll can attribute delivery latency to the
-    /// originating trace.
+    /// testbed at the warning's `detected_at` instant), with its trace
+    /// context (from [`BatchResult::warning_traces`]; `None` for an
+    /// untraced warning) attached to the record, so the dissemination poll
+    /// can attribute delivery latency to the originating trace.
     ///
     /// # Errors
     ///
@@ -548,7 +539,7 @@ impl RsuNode {
         // The encoding opens with the big-endian vehicle id: the key shares
         // the value's allocation.
         let value = warning.encode_to_bytes();
-        self.out_topic.append_traced(
+        self.out_topic.append(
             None,
             Some(value.slice(..8)),
             value,
@@ -574,18 +565,10 @@ impl RsuNode {
         out
     }
 
-    /// Accepts a summary message into this RSU's `CO-DATA` topic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stream errors.
-    pub fn receive_summary(&self, msg: &SummaryMessage) -> Result<(), CoreError> {
-        self.receive_summary_at(msg, msg.sent_at)
-    }
-
-    /// [`RsuNode::receive_summary`] with an explicit arrival time `at`
-    /// (after link delay), so the fusion trace span measures the summary's
-    /// wait in `CO-DATA` from actual arrival rather than from send.
+    /// Accepts a summary message into this RSU's `CO-DATA` topic at its
+    /// arrival time `at` (after link delay), so the fusion trace span
+    /// measures the summary's wait in `CO-DATA` from actual arrival rather
+    /// than from send.
     ///
     /// # Errors
     ///
@@ -594,7 +577,7 @@ impl RsuNode {
         // The encoding opens with the big-endian vehicle id: the key shares
         // the value's allocation.
         let value = msg.encode_to_bytes();
-        self.co_topic.append(None, Some(value.slice(..8)), value, at.as_nanos())?;
+        self.co_topic.append(None, Some(value.slice(..8)), value, at.as_nanos(), None)?;
         Ok(())
     }
 }
@@ -630,12 +613,13 @@ mod tests {
     fn push_status(rsu: &RsuNode, status: &VehicleStatus, arrival: SimTime) {
         let key = status.vehicle.raw().to_be_bytes();
         rsu.broker()
-            .produce(
+            .produce_traced(
                 TOPIC_IN_DATA,
                 None,
                 Some(Bytes::copy_from_slice(&key)),
                 status.encode_to_bytes(),
                 arrival.as_nanos(),
+                None,
             )
             .unwrap();
     }
@@ -680,7 +664,7 @@ mod tests {
             assert_eq!(w.vehicle, VehicleId(999));
             assert_eq!(w.source_sent_at, SimTime::from_millis(5));
             assert_eq!(w.detected_at, now + result.processing);
-            rsu.publish_warning(w).unwrap();
+            rsu.publish_warning_traced(w, None).unwrap();
             assert_eq!(rsu.broker().topic_len(TOPIC_OUT_DATA).unwrap(), 1);
         }
     }
@@ -689,7 +673,7 @@ mod tests {
     fn co_data_summaries_seed_the_tracker() {
         let (mut rsu, mut vehicles, _) = rsu_with_vehicles();
         let v = vehicles[0].id();
-        rsu.receive_summary(&SummaryMessage {
+        let msg = SummaryMessage {
             vehicle: v,
             from_rsu: RsuId(9),
             count: 30,
@@ -697,8 +681,8 @@ mod tests {
             last_class: 0,
             sent_at: SimTime::from_millis(1),
             trace: None,
-        })
-        .unwrap();
+        };
+        rsu.receive_summary_at(&msg, msg.sent_at).unwrap();
         let s = vehicles[0].next_status(SimTime::from_millis(10));
         push_status(&rsu, &s, SimTime::from_millis(12));
         let result = rsu.run_batch(SimTime::from_millis(50)).unwrap();
@@ -801,7 +785,8 @@ mod tests {
     #[test]
     fn malformed_messages_are_skipped_not_fatal() {
         let (mut rsu, _, _) = rsu_with_vehicles();
-        rsu.broker().produce(TOPIC_IN_DATA, None, None, Bytes::from_static(b"garbage"), 0).unwrap();
+        let garbage = Bytes::from_static(b"garbage");
+        rsu.broker().produce_traced(TOPIC_IN_DATA, None, None, garbage, 0, None).unwrap();
         let result = rsu.run_batch(SimTime::from_millis(50)).unwrap();
         assert_eq!(result.records, 1, "the record is consumed");
         assert!(result.warnings.is_empty(), "but produces nothing");
@@ -814,7 +799,8 @@ mod tests {
         let status = vehicles[0].next_status(SimTime::from_millis(10));
         let wrong_key = (status.vehicle.raw() + 1).to_be_bytes();
         for key in [None, Some(Bytes::copy_from_slice(&wrong_key))] {
-            rsu.broker().produce(TOPIC_IN_DATA, None, key, status.encode_to_bytes(), 0).unwrap();
+            let value = status.encode_to_bytes();
+            rsu.broker().produce_traced(TOPIC_IN_DATA, None, key, value, 0, None).unwrap();
         }
         let result = rsu.run_batch(SimTime::from_millis(50)).unwrap();
         assert_eq!(result.records, 2, "both records are consumed");

@@ -26,7 +26,7 @@ pub fn single_rsu_scaling(
     vehicles: u32,
     duration: SimDuration,
 ) -> TestbedReport {
-    Testbed::new(config, seed).run(ScenarioSpec {
+    let spec = ScenarioSpec {
         rsus: vec![RsuSpec {
             name: format!("rsu-{vehicles}v"),
             detector,
@@ -39,7 +39,8 @@ pub fn single_rsu_scaling(
         warmup: SimDuration::from_millis(500),
         summary_interval: SimDuration::from_millis(500),
         migration: None,
-    })
+    };
+    Testbed::new(config, seed).run(spec, Vec::new())
 }
 
 /// Runs the Fig. 6b/6d scenario: four motorway RSUs forwarding `CO-DATA`
@@ -74,7 +75,7 @@ pub fn multi_rsu(
             backhaul: None,
         });
     }
-    Testbed::new(config, seed).run(ScenarioSpec {
+    let spec = ScenarioSpec {
         rsus,
         duration,
         warmup: SimDuration::from_millis(500),
@@ -84,7 +85,8 @@ pub fn multi_rsu(
         // higher" in Fig. 6d).
         summary_interval: SimDuration::from_secs(2),
         migration: None,
-    })
+    };
+    Testbed::new(config, seed).run(spec, Vec::new())
 }
 
 /// Runs the paper's handover emulation: two RSUs (motorway and motorway
@@ -106,7 +108,7 @@ pub fn handover_migration(
     observers: Vec<crate::Observer>,
 ) -> TestbedReport {
     let half = SimDuration::from_secs_f64(duration.as_secs_f64() / 2.0);
-    Testbed::new(config, seed).run_observed(
+    Testbed::new(config, seed).run(
         ScenarioSpec {
             rsus: vec![
                 RsuSpec {
@@ -156,7 +158,7 @@ pub fn edge_vs_cloud(
     duration: SimDuration,
 ) -> (TestbedReport, TestbedReport) {
     let run = |backhaul: Option<SimDuration>, name: &str| {
-        Testbed::new(config, seed).run(ScenarioSpec {
+        let spec = ScenarioSpec {
             rsus: vec![RsuSpec {
                 name: name.to_owned(),
                 detector: Arc::clone(&detector),
@@ -169,7 +171,8 @@ pub fn edge_vs_cloud(
             warmup: SimDuration::from_millis(500),
             summary_interval: SimDuration::from_secs(2),
             migration: None,
-        })
+        };
+        Testbed::new(config, seed).run(spec, Vec::new())
     };
     (run(None, "edge-rsu"), run(Some(backhaul_one_way), "cloud-node"))
 }

@@ -187,25 +187,16 @@ impl Testbed {
 
     /// Runs a scenario to completion and reports per-RSU measurements.
     ///
-    /// # Panics
-    ///
-    /// Panics if the scenario has no RSUs or an RSU has no vehicles or
-    /// records.
-    pub fn run(&self, spec: ScenarioSpec) -> TestbedReport {
-        self.run_observed(spec, Vec::new())
-    }
-
-    /// [`Testbed::run`] with periodic [`Observer`] hooks riding the
-    /// simulation clock — the health monitor's sampling tick, mid-run
-    /// snapshot capture. Observers are ordinary simulation events, so an
-    /// observed run interleaves them deterministically; an empty observer
-    /// list reproduces [`Testbed::run`] exactly.
+    /// `observers` are periodic hooks riding the simulation clock — the
+    /// health monitor's sampling tick, mid-run snapshot capture; pass
+    /// `Vec::new()` for none. Observers are ordinary simulation events, so
+    /// an observed run interleaves them deterministically.
     ///
     /// # Panics
     ///
     /// Panics if the scenario has no RSUs or an RSU has no vehicles or
     /// records.
-    pub fn run_observed(&self, spec: ScenarioSpec, observers: Vec<Observer>) -> TestbedReport {
+    pub fn run(&self, spec: ScenarioSpec, observers: Vec<Observer>) -> TestbedReport {
         assert!(!spec.rsus.is_empty(), "scenario needs at least one RSU");
         let mut rng = SimRng::seed_from(self.seed);
         let config = self.config;

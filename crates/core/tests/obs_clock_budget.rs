@@ -132,12 +132,13 @@ fn rsu_lag_is_each_rsus_own_backlog() {
             let status = agent.next_status(SimTime::from_millis(i));
             let key = status.vehicle.raw().to_be_bytes();
             rsu.broker()
-                .produce(
+                .produce_traced(
                     TOPIC_IN_DATA,
                     None,
                     Some(Bytes::copy_from_slice(&key)),
                     status.encode_to_bytes(),
                     SimTime::from_millis(i + 1).as_nanos(),
+                    None,
                 )
                 .expect("IN-DATA exists");
         }

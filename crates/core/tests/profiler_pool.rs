@@ -32,12 +32,13 @@ fn a_thousand_batches_attribute_every_sweep_under_detect() {
             let status = agent.next_status(sent);
             let key = status.vehicle.raw().to_be_bytes();
             rsu.broker()
-                .produce(
+                .produce_traced(
                     TOPIC_IN_DATA,
                     None,
                     Some(Bytes::copy_from_slice(&key)),
                     status.encode_to_bytes(),
                     sent.as_nanos() + 1,
+                    None,
                 )
                 .expect("IN-DATA exists");
         }

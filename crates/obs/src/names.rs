@@ -10,18 +10,18 @@
 //! `obs-names` rule can check them without name resolution); this module is
 //! the registry those literals must match, enforced by [`ALL`] in tests.
 
-/// Records appended to a topic by `SharedTopic::append_traced`, which
-/// every append path ends in, `Broker::produce` included (counter).
+/// Records appended to a topic by `SharedTopic::append`, which every
+/// append path ends in, `Broker::produce_traced` included (counter).
 pub const STREAM_BROKER_PRODUCE: &str = "stream.broker.produce";
 /// Records read from a partition by `SharedTopic::fetch_each`, which every
-/// `Consumer::poll_each` and `Broker::fetch` ends in (counter).
+/// `Consumer::poll_each` ends in (counter).
 pub const STREAM_BROKER_FETCH_RECORDS: &str = "stream.broker.fetch.records";
 /// Append latency of head-sampled records, nanoseconds (histogram;
 /// exporter-gated, and observed only for a record carrying a trace context).
 pub const STREAM_BROKER_PRODUCE_NS: &str = "stream.broker.produce_ns";
 /// Latency of one partition read by `SharedTopic::fetch_each` (every
-/// `Consumer::poll_each` and `Broker::fetch`), visitor included,
-/// nanoseconds (histogram; exporter-gated).
+/// `Consumer::poll_each`), visitor included, nanoseconds (histogram;
+/// exporter-gated).
 pub const STREAM_BROKER_FETCH_NS: &str = "stream.broker.fetch_ns";
 /// `Consumer::poll_each` calls, `Consumer::poll`'s included (counter).
 pub const STREAM_CONSUMER_POLLS: &str = "stream.consumer.polls";

@@ -1,5 +1,5 @@
 use crate::sync::{Arc, RwLock};
-use crate::{Record, SharedTopic, StreamError};
+use crate::{SharedTopic, StreamError};
 use bytes::Bytes;
 
 /// A message broker: a registry of topics.
@@ -12,15 +12,18 @@ use bytes::Bytes;
 /// positions.
 ///
 /// Topics are [`SharedTopic`]s in a small registry — an RSU has three —
-/// searched by name compare. The by-name methods (`produce`,
-/// `produce_traced`, `fetch`, ...) use the topic under the registry's read
-/// guard and clone nothing, so a by-name produce costs one uncontended read
-/// lock and a short string compare on top of the partition append.
-/// [`Broker::topic_handle`] still hands out `Arc` handles for callers that
-/// keep one (the consumer, the RSU's `OUT-DATA` and `CO-DATA` legs). The
-/// by-name methods call [`SharedTopic`] by path so that `cargo xtask
-/// analyze`, which follows only calls it can resolve to one function, sees
-/// the registry → partition nesting.
+/// searched by name compare. A partition has one way in and one way out:
+/// records go in through [`SharedTopic::append`], by name with
+/// [`Broker::produce_traced`] or on a kept handle, and come out through a
+/// [`crate::Consumer`], whose poll walks [`SharedTopic::fetch_each`]. The
+/// by-name methods ([`Broker::produce_traced`], [`Broker::topic_len`]) use
+/// the topic under the registry's read guard and clone nothing, so a
+/// by-name produce costs one uncontended read lock and a short string
+/// compare on top of the partition append. [`Broker::topic_handle`] hands
+/// out `Arc` handles for callers that keep one (the consumer, the RSU's
+/// `OUT-DATA` and `CO-DATA` legs). The by-name methods call [`SharedTopic`]
+/// by path so that `cargo xtask analyze`, which follows only calls it can
+/// resolve to one function, sees the registry → partition nesting.
 ///
 /// # Lock hierarchy
 ///
@@ -102,46 +105,15 @@ impl Broker {
         find(&topics, topic).map(Arc::clone)
     }
 
-    /// Partition count of a topic.
+    /// Appends a record, carrying an optional distributed-trace header, to
+    /// a topic by name. Returns `(partition, offset)`. The context rides the
+    /// record through the log and back out of `Consumer::poll*` unchanged.
     ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::UnknownTopic`] if the topic does not exist.
-    pub fn partition_count(&self, topic: &str) -> Result<u32, StreamError> {
-        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
-        let topics = self.topics.read();
-        Ok(SharedTopic::partition_count(find(&topics, topic)?))
-    }
-
-    /// Appends a record to a topic. Returns `(partition, offset)`.
-    ///
-    /// Runs [`SharedTopic::append`], which is where the produce metrics
-    /// live, under the registry's read guard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::UnknownTopic`] or
-    /// [`StreamError::UnknownPartition`].
-    pub fn produce(
-        &self,
-        topic: &str,
-        partition: Option<u32>,
-        key: Option<Bytes>,
-        value: Bytes,
-        timestamp: u64,
-    ) -> Result<(u32, u64), StreamError> {
-        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
-        let topics = self.topics.read();
-        SharedTopic::append(find(&topics, topic)?, partition, key, value, timestamp)
-    }
-
-    /// [`Broker::produce`] with an optional distributed-trace header: the
-    /// context rides the record through the log and back out of
-    /// `Consumer::poll*` unchanged.
-    ///
-    /// This is the ingest path (one call per vehicle status record), so it
-    /// neither hashes the name nor touches a reference count: the topic is
-    /// found by compare and appended to while the read guard is held.
+    /// Runs [`SharedTopic::append`], which routes the record and is where
+    /// the produce metrics live, under the registry's read guard. This is
+    /// the ingest path (one call per vehicle status record), so it neither
+    /// hashes the name nor touches a reference count: the topic is found by
+    /// compare and appended to while the read guard is held.
     ///
     /// # Errors
     ///
@@ -158,50 +130,7 @@ impl Broker {
     ) -> Result<(u32, u64), StreamError> {
         let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
         let topics = self.topics.read();
-        SharedTopic::append_traced(find(&topics, topic)?, partition, key, value, timestamp, trace)
-    }
-
-    /// Fetches up to `max` records from `topic`/`partition` at `offset`.
-    ///
-    /// Runs [`SharedTopic::fetch`], which is where the fetch metrics live,
-    /// under the registry's read guard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::UnknownTopic`], [`StreamError::UnknownPartition`]
-    /// or [`StreamError::OffsetOutOfRange`].
-    pub fn fetch(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max: usize,
-    ) -> Result<Vec<Record>, StreamError> {
-        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
-        let topics = self.topics.read();
-        SharedTopic::fetch(find(&topics, topic)?, partition, offset, max)
-    }
-
-    /// The end (next-produced) offset of a partition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::UnknownTopic`] or [`StreamError::UnknownPartition`].
-    pub fn end_offset(&self, topic: &str, partition: u32) -> Result<u64, StreamError> {
-        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
-        let topics = self.topics.read();
-        SharedTopic::end_offset(find(&topics, topic)?, partition)
-    }
-
-    /// The earliest retained offset of a partition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::UnknownTopic`] or [`StreamError::UnknownPartition`].
-    pub fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64, StreamError> {
-        let _held = cad3_lockrank::rank_scope!("cad3_stream::Broker::topics");
-        let topics = self.topics.read();
-        SharedTopic::earliest_offset(find(&topics, topic)?, partition)
+        SharedTopic::append(find(&topics, topic)?, partition, key, value, timestamp, trace)
     }
 
     /// Total retained records in a topic.
@@ -219,18 +148,27 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Consumer, FetchedRecord, OffsetReset};
 
     fn val(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// Everything a fresh earliest-reset consumer of `topic` polls.
+    fn read_all(b: &Arc<Broker>, topic: &str) -> Vec<FetchedRecord> {
+        let mut c = Consumer::new(Arc::clone(b), "reader", OffsetReset::Earliest);
+        c.subscribe(&[topic]).unwrap();
+        c.poll(usize::MAX).unwrap()
+    }
+
     #[test]
     fn create_produce_fetch_round_trip() {
-        let b = Broker::new("rsu-1");
+        let b = Arc::new(Broker::new("rsu-1"));
         b.create_topic("IN-DATA", 3).unwrap();
-        let (p, o) = b.produce("IN-DATA", None, Some(val("k")), val("v"), 7).unwrap();
-        let recs = b.fetch("IN-DATA", p, o, 10).unwrap();
+        let (p, o) = b.produce_traced("IN-DATA", None, Some(val("k")), val("v"), 7, None).unwrap();
+        let recs = read_all(&b, "IN-DATA");
         assert_eq!(recs.len(), 1);
+        assert_eq!((recs[0].partition, recs[0].offset), (p, o));
         assert_eq!(recs[0].value, val("v"));
         assert_eq!(recs[0].timestamp, 7);
     }
@@ -246,10 +184,10 @@ mod tests {
     fn unknown_topic_errors() {
         let b = Broker::new("rsu-1");
         assert!(matches!(
-            b.produce("nope", None, None, val("v"), 0),
+            b.produce_traced("nope", None, None, val("v"), 0, None),
             Err(StreamError::UnknownTopic(_))
         ));
-        assert!(matches!(b.fetch("nope", 0, 0, 1), Err(StreamError::UnknownTopic(_))));
+        assert!(matches!(b.topic_len("nope"), Err(StreamError::UnknownTopic(_))));
         assert!(matches!(b.topic_handle("nope"), Err(StreamError::UnknownTopic(_))));
     }
 
@@ -264,19 +202,19 @@ mod tests {
 
     #[test]
     fn topic_handle_bypasses_registry() {
-        let b = Broker::new("rsu-1");
+        let b = Arc::new(Broker::new("rsu-1"));
         b.create_topic("T", 2).unwrap();
         let h = b.topic_handle("T").unwrap();
         assert_eq!(&**h.name(), "T");
-        let (p, o) = h.append(None, None, val("v"), 1).unwrap();
+        let (p, o) = h.append(None, None, val("v"), 1, None).unwrap();
         // The handle and the registry see the same log.
-        assert_eq!(b.fetch("T", p, o, 1).unwrap().len(), 1);
-        assert_eq!(b.end_offset("T", p).unwrap(), o + 1);
+        let recs = read_all(&b, "T");
+        assert_eq!(recs.iter().map(|r| (r.partition, r.offset)).collect::<Vec<_>>(), [(p, o)]);
+        assert_eq!(b.topic_len("T").unwrap(), 1);
     }
 
     #[test]
     fn broker_is_shareable_across_threads() {
-        use std::sync::Arc;
         let b = Arc::new(Broker::new("rsu-1"));
         b.create_topic("T", 4).unwrap();
         let mut handles = Vec::new();
@@ -284,7 +222,8 @@ mod tests {
             let b = Arc::clone(&b);
             handles.push(std::thread::spawn(move || {
                 for i in 0..100u64 {
-                    b.produce("T", Some(t as u32), None, val(&i.to_string()), i).unwrap();
+                    b.produce_traced("T", Some(t as u32), None, val(&i.to_string()), i, None)
+                        .unwrap();
                 }
             }));
         }
@@ -292,13 +231,11 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(b.topic_len("T").unwrap(), 400);
-        for p in 0..4 {
-            // Per-partition offsets are dense: every fetch sees 100 in order.
-            let recs = b.fetch("T", p, 0, 1000).unwrap();
-            assert_eq!(recs.len(), 100);
-            for (i, r) in recs.iter().enumerate() {
-                assert_eq!(r.offset, i as u64);
-            }
+        // Per-partition offsets are dense: each partition polls 100 in order.
+        let recs = read_all(&b, "T");
+        assert_eq!(recs.len(), 400);
+        for (i, r) in recs.iter().enumerate() {
+            assert_eq!((r.partition, r.offset), ((i / 100) as u32, (i % 100) as u64));
         }
     }
 }

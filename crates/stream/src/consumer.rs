@@ -14,7 +14,7 @@ pub enum OffsetReset {
 
 /// An independent reader: a position in every partition of the topics it
 /// subscribes to, advanced by [`Consumer::poll_each`] (and [`Consumer::poll`],
-/// which collects what it visits) and moved by the seeks.
+/// which collects what it visits).
 ///
 /// In the reproduction, each RSU's detection pipeline reads `IN-DATA` and
 /// `CO-DATA` through its own consumers, and each vehicle reads `OUT-DATA`
@@ -189,24 +189,6 @@ impl Consumer {
         }
         Ok(())
     }
-
-    /// Seeks every subscribed partition to the log end (skip history).
-    pub fn seek_to_end(&mut self) {
-        for c in &mut self.cursors {
-            if let Ok(end) = c.topic.end_offset(c.partition) {
-                c.position = end;
-            }
-        }
-    }
-
-    /// Seeks every subscribed partition to the earliest retained offset.
-    pub fn seek_to_beginning(&mut self) {
-        for c in &mut self.cursors {
-            if let Ok(earliest) = c.topic.earliest_offset(c.partition) {
-                c.position = earliest;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +231,7 @@ mod tests {
     /// Appends one record to `IN-DATA`, routed by its key.
     fn send(broker: &Broker, key: Option<&[u8]>, value: impl Into<Bytes>, timestamp: u64) {
         let key = key.map(Bytes::copy_from_slice);
-        broker.produce("IN-DATA", None, key, value.into(), timestamp).unwrap();
+        broker.produce_traced("IN-DATA", None, key, value.into(), timestamp, None).unwrap();
     }
 
     #[test]
@@ -384,20 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn seek_to_end_skips_history() {
-        let broker = setup();
-        for i in 0..5u64 {
-            send(&broker, None, &b"x"[..], i);
-        }
-        let mut c = Consumer::new(broker, "g", OffsetReset::Earliest);
-        c.subscribe(&["IN-DATA"]).unwrap();
-        c.seek_to_end();
-        assert!(c.poll(100).unwrap().is_empty());
-        c.seek_to_beginning();
-        assert_eq!(c.poll(100).unwrap().len(), 5);
-    }
-
-    #[test]
     fn records_a_trim_overtook_are_counted_as_skipped() {
         // A reader at offset 0 of a partition with a horizon of 1 after 5
         // appends stamped 0..5: offsets 0..3 are gone, 3 and 4 are still
@@ -405,7 +373,7 @@ mod tests {
         let topic = Arc::new(SharedTopic::new("IN-DATA", 1).unwrap());
         topic.set_horizon(1);
         for i in 0..5u64 {
-            topic.append(Some(0), None, Bytes::from(i.to_string()), i).unwrap();
+            topic.append(Some(0), None, Bytes::from(i.to_string()), i, None).unwrap();
         }
         let broker = setup();
         let mut c = Consumer::new(broker, "behind", OffsetReset::Earliest);
@@ -436,14 +404,16 @@ mod tests {
         assert_eq!(broker.topic_len("IN-DATA").unwrap(), 30, "a commit frees nothing by itself");
         // One append to each partition trims it to this reader's position.
         for p in 0..3 {
-            broker.produce("IN-DATA", Some(p), None, Bytes::from_static(b"y"), 30).unwrap();
+            let y = Bytes::from_static(b"y");
+            broker.produce_traced("IN-DATA", Some(p), None, y, 30, None).unwrap();
         }
         assert_eq!(broker.topic_len("IN-DATA").unwrap(), 10 + 3);
         let rest = c.poll(100).unwrap();
         assert_eq!(rest.len(), 13, "the reader loses nothing it had not polled");
         c.commit().unwrap();
-        c.seek_to_beginning();
-        assert_eq!(c.poll(100).unwrap().len(), 13, "nothing is freed before the next append");
+        let mut fresh = Consumer::new(Arc::clone(&broker), "fresh", OffsetReset::Earliest);
+        fresh.subscribe(&["IN-DATA"]).unwrap();
+        assert_eq!(fresh.poll(100).unwrap().len(), 13, "nothing is freed before the next append");
     }
 
     #[test]

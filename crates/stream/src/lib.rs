@@ -15,12 +15,19 @@
 //!   count: immutable metadata plus one mutex per partition, so appends and
 //!   fetches to different partitions never contend. (Its single-threaded
 //!   reference semantics live in `tests/support/` as the proptest oracle.)
-//! * [`Broker`] — thread-safe topic registry with by-name produce/fetch;
-//!   every vehicle uplink (the paper's Kafka producers) appends through
+//! * [`Broker`] — thread-safe topic registry; every vehicle uplink (the
+//!   paper's Kafka producers) appends by name through
 //!   [`Broker::produce_traced`]. Its locks form two ranks: the registry
 //!   (20), then one partition (30).
 //! * [`Consumer`] — an independent reader: its own position in every
-//!   partition of the topics it subscribes to, `poll`, `commit` and seek.
+//!   partition of the topics it subscribes to, `poll` and `commit`.
+//!
+//! A partition has one way in and one way out: [`SharedTopic::append`]
+//! (which [`Broker::produce_traced`] runs by name) writes, and
+//! [`SharedTopic::fetch_each`] (which [`Consumer::poll_each`] walks, and
+//! [`Consumer::poll`] collects into [`FetchedRecord`]s) reads. A record is
+//! either a [`RecordView`] borrowed from its log or a [`FetchedRecord`]
+//! made owned from one.
 //!
 //! # Example
 //!
@@ -32,9 +39,10 @@
 //! let broker = Arc::new(Broker::new("rsu-motorway"));
 //! broker.create_topic("IN-DATA", 3)?;
 //!
-//! // A vehicle publishes by name; the key picks the partition.
-//! let key = Bytes::from_static(b"veh-1");
-//! broker.produce("IN-DATA", None, Some(key), Bytes::from_static(b"hello"), 0)?;
+//! // A vehicle publishes by name; the key picks the partition. This record
+//! // carries no trace header.
+//! let (key, value) = (Bytes::from_static(b"veh-1"), Bytes::from_static(b"hello"));
+//! broker.produce_traced("IN-DATA", None, Some(key), value, 0, None)?;
 //!
 //! let mut consumer = Consumer::new(Arc::clone(&broker), "detector", OffsetReset::Earliest);
 //! consumer.subscribe(&["IN-DATA"])?;
@@ -59,7 +67,7 @@ pub use broker::Broker;
 pub use consumer::{Consumer, OffsetReset};
 pub use error::StreamError;
 pub use partition::PartitionLog;
-pub use record::{FetchedRecord, Record, RecordView, TopicName};
+pub use record::{FetchedRecord, RecordView, TopicName};
 pub use shard::SharedTopic;
 
 /// Topic name for vehicle status ingestion (the paper's `IN-DATA`).

@@ -1,4 +1,4 @@
-use crate::{Record, RecordView, StreamError};
+use crate::{RecordView, StreamError};
 use bytes::Bytes;
 use cad3_obs::TraceContext;
 use cad3_types::{index_usize, len_u64};
@@ -30,7 +30,7 @@ struct StoredRecord {
 /// An append-only, offset-addressed log — one partition of a topic.
 ///
 /// Offsets are dense and monotonically increasing. Two bounds free the
-/// head, both applied by [`PartitionLog::append_traced`] before it stores
+/// head, both applied by [`PartitionLog::append`] before it stores
 /// its record, so a fetch never pays for them:
 ///
 /// * the **floor** ([`PartitionLog::commit`]): records below the offset a
@@ -90,11 +90,6 @@ impl PartitionLog {
         self.floor = offset;
     }
 
-    /// Appends an untraced record, returning its assigned offset.
-    pub fn append(&mut self, key: Option<Bytes>, value: Bytes, timestamp: u64) -> u64 {
-        self.append_traced(key, value, timestamp, None)
-    }
-
     /// Appends a record carrying an optional distributed-trace header,
     /// returning its assigned offset. First drops, from the front, every
     /// record below the floor or stamped more than the horizon before
@@ -103,7 +98,7 @@ impl PartitionLog {
     /// Debug builds check the chunk layout after every append: full chunks
     /// between the front and the back, none beyond capacity, lengths summing
     /// to [`PartitionLog::len`], the spare empty.
-    pub fn append_traced(
+    pub fn append(
         &mut self,
         key: Option<Bytes>,
         value: Bytes,
@@ -209,25 +204,10 @@ impl PartitionLog {
         self.len == 0
     }
 
-    /// Reads up to `max` records starting at `offset`: the by-name fetch,
-    /// [`PartitionLog::fetch_each`] collecting owned [`Record`]s.
-    ///
-    /// An `offset` at or past the log end returns an empty batch (a caught-up
-    /// consumer), matching Kafka fetch semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::OffsetOutOfRange`] if `offset` has been
-    /// trimmed.
-    pub fn fetch(&self, offset: u64, max: usize) -> Result<Vec<Record>, StreamError> {
-        let mut out = Vec::new();
-        self.fetch_each(0, offset, max, |r| out.push(Record::from(r)))?;
-        Ok(out)
-    }
-
     /// Visits up to `max` records starting at `offset`, in offset order, as
     /// [`RecordView`]s of `partition` borrowed from the log; returns how
-    /// many it visited. Past the log end it visits none.
+    /// many it visited. Past the log end it visits none (a caught-up
+    /// reader), matching Kafka fetch semantics.
     ///
     /// The walk copies nothing: a chunk's contiguous run at a time, each
     /// record with its offset and, on a traced log, its header merge-joined
@@ -295,9 +275,22 @@ impl PartitionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FetchedRecord;
 
     fn val(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    /// Up to `max` records from `offset`, read as `Consumer::poll` reads
+    /// them: [`PartitionLog::fetch_each`], each view made owned.
+    fn window(
+        log: &PartitionLog,
+        offset: u64,
+        max: usize,
+    ) -> Result<Vec<FetchedRecord>, StreamError> {
+        let mut out = Vec::new();
+        log.fetch_each(0, offset, max, |r| out.push(r.to_fetched()))?;
+        Ok(out)
     }
 
     #[test]
@@ -309,7 +302,7 @@ mod tests {
     fn offsets_are_dense_from_zero() {
         let mut log = PartitionLog::new();
         for i in 0..5u64 {
-            assert_eq!(log.append(None, val("x"), i), i);
+            assert_eq!(log.append(None, val("x"), i, None), i);
         }
         assert_eq!(log.next_offset(), 5);
         assert_eq!(log.earliest_offset(), 0);
@@ -320,9 +313,9 @@ mod tests {
     fn fetch_returns_requested_window() {
         let mut log = PartitionLog::new();
         for i in 0..10u64 {
-            log.append(None, val(&i.to_string()), i);
+            log.append(None, val(&i.to_string()), i, None);
         }
-        let batch = log.fetch(3, 4).unwrap();
+        let batch = window(&log, 3, 4).unwrap();
         assert_eq!(batch.len(), 4);
         assert_eq!(batch[0].offset, 3);
         assert_eq!(batch[3].offset, 6);
@@ -333,7 +326,7 @@ mod tests {
     fn fetch_each_visits_its_window_tagged_with_its_partition() {
         let mut log = PartitionLog::new();
         for i in 0..10u64 {
-            log.append(Some(val("k")), val(&i.to_string()), i);
+            log.append(Some(val("k")), val(&i.to_string()), i, None);
         }
         let mut out = Vec::new();
         let mut visit = |r: RecordView<'_>| out.push(r.to_fetched());
@@ -356,26 +349,26 @@ mod tests {
     #[test]
     fn fetch_past_end_is_empty_not_error() {
         let mut log = PartitionLog::new();
-        log.append(None, val("a"), 0);
-        assert!(log.fetch(1, 10).unwrap().is_empty());
-        assert!(log.fetch(100, 10).unwrap().is_empty());
+        log.append(None, val("a"), 0, None);
+        assert!(window(&log, 1, 10).unwrap().is_empty());
+        assert!(window(&log, 100, 10).unwrap().is_empty());
     }
 
     #[test]
     fn commit_frees_the_head_at_the_next_append_and_offsets_continue() {
         let mut log = PartitionLog::new();
         for i in 0..10u64 {
-            log.append(None, val("x"), i);
+            log.append(None, val("x"), i, None);
         }
         log.commit(7);
         assert_eq!(log.len(), 10, "a commit frees nothing by itself");
-        assert_eq!(log.append(None, val("x"), 10), 10);
+        assert_eq!(log.append(None, val("x"), 10, None), 10);
         assert_eq!(log.len(), 4);
         assert_eq!(log.earliest_offset(), 7);
         assert_eq!(log.next_offset(), 11);
-        let err = log.fetch(2, 5).unwrap_err();
+        let err = window(&log, 2, 5).unwrap_err();
         assert_eq!(err, StreamError::OffsetOutOfRange { requested: 2, earliest: 7 });
-        let batch = log.fetch(7, 5).unwrap();
+        let batch = window(&log, 7, 5).unwrap();
         assert_eq!(batch.len(), 4);
         assert_eq!(batch[0].offset, 7);
     }
@@ -385,7 +378,7 @@ mod tests {
         let mut log = PartitionLog::new();
         log.set_horizon(5);
         for ts in 0..10u64 {
-            log.append(None, val("x"), ts);
+            log.append(None, val("x"), ts, None);
         }
         // The append stamped 9 dropped 0..=3; 4 is exactly the horizon old.
         assert_eq!((log.earliest_offset(), log.len()), (4, 6));
@@ -395,13 +388,13 @@ mod tests {
         let mut log = PartitionLog::new();
         log.set_horizon(50);
         for ts in [10, 100, 20, 120] {
-            log.append(None, val("x"), ts);
+            log.append(None, val("x"), ts, None);
         }
         // The append stamped 100 dropped 10; 20 is 100 old but behind 100.
         assert_eq!(log.earliest_offset(), 1);
-        let stamps: Vec<u64> = log.fetch(1, 10).unwrap().iter().map(|r| r.timestamp).collect();
+        let stamps: Vec<u64> = window(&log, 1, 10).unwrap().iter().map(|r| r.timestamp).collect();
         assert_eq!(stamps, vec![100, 20, 120]);
-        log.append(None, val("x"), 151);
+        log.append(None, val("x"), 151, None);
         assert_eq!(log.earliest_offset(), 3, "100, then the stale 20 behind it, go together");
     }
 
@@ -409,25 +402,25 @@ mod tests {
     fn trace_headers_ride_out_of_band_and_leave_with_their_record() {
         let mut log = PartitionLog::new();
         let ctx = cad3_obs::TraceContext::from_parts(9, 3, 1);
-        log.append(None, val("a"), 0);
-        log.append_traced(None, val("b"), 1, Some(ctx));
-        let batch = log.fetch(0, 10).unwrap();
+        log.append(None, val("a"), 0, None);
+        log.append(None, val("b"), 1, Some(ctx));
+        let batch = window(&log, 0, 10).unwrap();
         assert_eq!(batch[0].trace, None, "untraced records fetch without a header");
         assert_eq!(batch[1].trace, Some(ctx), "the header joins back in at fetch");
         // The trim drops the header together with its record.
         log.commit(2);
-        log.append(None, val("c"), 2);
-        log.append(None, val("d"), 3);
+        log.append(None, val("c"), 2, None);
+        log.append(None, val("d"), 3, None);
         assert_eq!(log.earliest_offset(), 2);
         assert!(log.traces.is_empty(), "a trimmed record's header must be trimmed");
-        assert!(log.fetch(2, 10).unwrap().iter().all(|r| r.trace.is_none()));
+        assert!(window(&log, 2, 10).unwrap().iter().all(|r| r.trace.is_none()));
     }
 
     #[test]
     fn preserves_keys_and_timestamps() {
         let mut log = PartitionLog::new();
-        log.append(Some(val("k")), val("v"), 42);
-        let r = &log.fetch(0, 1).unwrap()[0];
+        log.append(Some(val("k")), val("v"), 42, None);
+        let r = &window(&log, 0, 1).unwrap()[0];
         assert_eq!(r.key.as_ref().unwrap(), &val("k"));
         assert_eq!(r.timestamp, 42);
     }
@@ -437,14 +430,14 @@ mod tests {
         let mut log = PartitionLog::new();
         for i in 0..3u64 {
             log.commit(log.next_offset());
-            assert_eq!(log.append(None, val("x"), i), i);
+            assert_eq!(log.append(None, val("x"), i, None), i);
         }
         assert_eq!(log.len(), 1);
         assert_eq!((log.earliest_offset(), log.next_offset()), (2, 3));
         assert_eq!(log.chunks.len(), 1, "the lone chunk is kept in place");
         assert!(log.spare.is_none(), "and never becomes the spare");
-        assert!(log.fetch(3, 10).unwrap().is_empty());
-        assert!(matches!(log.fetch(1, 1), Err(StreamError::OffsetOutOfRange { .. })));
+        assert!(window(&log, 3, 10).unwrap().is_empty());
+        assert!(matches!(window(&log, 1, 1), Err(StreamError::OffsetOutOfRange { .. })));
     }
 
     /// Chunk boundaries, against an arithmetic model of the log: the record
@@ -471,7 +464,8 @@ mod tests {
         let boundaries: Vec<u64> = (1..=4).map(|k| k * c).collect();
         // Headers on both sides of every boundary, and a sparse sprinkling.
         let traced = |o: u64| boundaries.iter().any(|&b| o + 2 >= b && o <= b + 1) || o % 997 == 5;
-        let expected = |o: u64| Record {
+        let expected = |o: u64| FetchedRecord {
+            partition: 0,
             offset: o,
             key: None,
             value: Bytes::copy_from_slice(&o.to_be_bytes()),
@@ -480,19 +474,20 @@ mod tests {
         };
         let append = |log: &mut PartitionLog, o: u64| {
             let value = Bytes::copy_from_slice(&o.to_be_bytes());
-            assert_eq!(log.append_traced(None, value, o, expected(o).trace), o);
+            assert_eq!(log.append(None, value, o, expected(o).trace), o);
         };
         // Every window around the ends and the log's actual chunk boundaries.
         let check = |log: &PartitionLog, earliest: u64, end: u64, label: &str| {
             assert_eq!((log.earliest_offset(), log.next_offset()), (earliest, end), "{label}");
             assert_eq!(log.len(), index_usize(end - earliest), "{label}");
-            let expect_window = |start: u64, max: usize| -> Result<Vec<Record>, StreamError> {
-                if start < earliest {
-                    return Err(StreamError::OffsetOutOfRange { requested: start, earliest });
-                }
-                let stop = end.min(start.saturating_add(len_u64(max)));
-                Ok((start..stop.max(start)).map(expected).collect())
-            };
+            let expect_window =
+                |start: u64, max: usize| -> Result<Vec<FetchedRecord>, StreamError> {
+                    if start < earliest {
+                        return Err(StreamError::OffsetOutOfRange { requested: start, earliest });
+                    }
+                    let stop = end.min(start.saturating_add(len_u64(max)));
+                    Ok((start..stop.max(start)).map(expected).collect())
+                };
             let mut starts = vec![0, 1, earliest.saturating_sub(1), earliest, earliest + 1];
             starts.extend([end - 2, end - 1, end, end + 1]);
             let mut boundary = earliest;
@@ -506,7 +501,7 @@ mod tests {
             for &start in &starts {
                 for max in [0, 1, 2, 3, C, usize::MAX] {
                     assert_eq!(
-                        log.fetch(start, max),
+                        window(log, start, max),
                         expect_window(start, max),
                         "{label}: fetch({start}, {max})"
                     );

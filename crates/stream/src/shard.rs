@@ -22,7 +22,7 @@
 //! nothing is acquired under one.
 
 use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
-use crate::{PartitionLog, Record, RecordView, StreamError, TopicName};
+use crate::{PartitionLog, RecordView, StreamError, TopicName};
 use bytes::Bytes;
 use cad3_types::{index_usize, len_u32, len_u64, partition_u32};
 
@@ -108,22 +108,6 @@ impl SharedTopic {
         partition_u32(fnv1a(key) % len_u64(self.partitions.len()))
     }
 
-    /// Appends an untraced record — see [`SharedTopic::append_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::UnknownPartition`] for an explicit partition
-    /// out of range.
-    pub fn append(
-        &self,
-        partition: Option<u32>,
-        key: Option<Bytes>,
-        value: Bytes,
-        timestamp: u64,
-    ) -> Result<(u32, u64), StreamError> {
-        self.append_traced(partition, key, value, timestamp, None)
-    }
-
     /// Appends a record carrying an optional distributed-trace header,
     /// routing by `partition` if given, else by key hash, else round-robin.
     /// Returns `(partition, offset)`.
@@ -140,7 +124,7 @@ impl SharedTopic {
     ///
     /// Returns [`StreamError::UnknownPartition`] for an explicit partition
     /// out of range.
-    pub fn append_traced(
+    pub fn append(
         &self,
         partition: Option<u32>,
         key: Option<Bytes>,
@@ -180,9 +164,7 @@ impl SharedTopic {
             let _held = cad3_lockrank::rank_scope!("cad3_stream::SharedTopic::partitions");
             // hotpath-exempt(panic): p comes from partition_for_key / round-robin,
             // both reduced modulo partitions.len().
-            self.partitions[index_usize(u64::from(p))]
-                .lock()
-                .append_traced(key, value, timestamp, trace)
+            self.partitions[index_usize(u64::from(p))].lock().append(key, value, timestamp, trace)
         };
         if observing {
             cad3_obs::counter!("stream.broker.produce").inc();
@@ -192,24 +174,6 @@ impl SharedTopic {
                 .observe(cad3_obs::clock::now_nanos().saturating_sub(start_ns));
         }
         Ok((p, offset))
-    }
-
-    /// Fetches up to `max` records from a partition starting at `offset`,
-    /// touching only that partition's mutex.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::UnknownPartition`] or
-    /// [`StreamError::OffsetOutOfRange`].
-    pub fn fetch(
-        &self,
-        partition: u32,
-        offset: u64,
-        max: usize,
-    ) -> Result<Vec<Record>, StreamError> {
-        let mut out = Vec::new();
-        self.fetch_each(partition, offset, max, |r| out.push(Record::from(r)))?;
-        Ok(out)
     }
 
     /// Visits up to `max` records of a partition from `offset` in place
@@ -314,6 +278,20 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// Up to `max` records of a partition from `offset`, read as
+    /// `Consumer::poll` reads them: [`SharedTopic::fetch_each`], each view
+    /// made owned.
+    fn window(
+        t: &SharedTopic,
+        partition: u32,
+        offset: u64,
+        max: usize,
+    ) -> Result<Vec<crate::FetchedRecord>, StreamError> {
+        let mut out = Vec::new();
+        t.fetch_each(partition, offset, max, |r| out.push(r.to_fetched()))?;
+        Ok(out)
+    }
+
     #[test]
     fn zero_partitions_rejected() {
         assert_eq!(SharedTopic::new("t", 0).unwrap_err(), StreamError::InvalidPartitionCount);
@@ -322,7 +300,8 @@ mod tests {
     #[test]
     fn keyless_round_robin_matches_reference_sequence() {
         let t = SharedTopic::new("t", 3).unwrap();
-        let ps: Vec<u32> = (0..6).map(|i| t.append(None, None, val("x"), i).unwrap().0).collect();
+        let ps: Vec<u32> =
+            (0..6).map(|i| t.append(None, None, val("x"), i, None).unwrap().0).collect();
         assert_eq!(ps, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -331,7 +310,7 @@ mod tests {
         let t = SharedTopic::new("IN-DATA", 3).unwrap();
         let mut partitions = std::collections::HashSet::new();
         for i in 0..20u64 {
-            let (p, _) = t.append(None, Some(val("veh-7")), val(&i.to_string()), i).unwrap();
+            let (p, _) = t.append(None, Some(val("veh-7")), val(&i.to_string()), i, None).unwrap();
             partitions.insert(p);
         }
         assert_eq!(partitions.len(), 1, "same key must map to same partition");
@@ -340,26 +319,26 @@ mod tests {
     #[test]
     fn explicit_partition_respected_and_validated() {
         let t = SharedTopic::new("t", 2).unwrap();
-        let (p, o) = t.append(Some(1), None, val("x"), 0).unwrap();
+        let (p, o) = t.append(Some(1), None, val("x"), 0, None).unwrap();
         assert_eq!((p, o), (1, 0));
-        let err = t.append(Some(5), None, val("x"), 0).unwrap_err();
+        let err = t.append(Some(5), None, val("x"), 0, None).unwrap_err();
         assert!(matches!(err, StreamError::UnknownPartition { partition: 5, .. }));
-        assert!(matches!(t.fetch(9, 0, 1), Err(StreamError::UnknownPartition { .. })));
+        assert!(matches!(window(&t, 9, 0, 1), Err(StreamError::UnknownPartition { .. })));
     }
 
     #[test]
     fn commit_truncates_like_partition_log() {
         let t = SharedTopic::new("t", 2).unwrap();
         for i in 0..10u64 {
-            t.append(Some(0), None, val("x"), i).unwrap();
+            t.append(Some(0), None, val("x"), i, None).unwrap();
         }
         t.commit(0, 7).unwrap();
         assert_eq!(t.len(), 10, "a commit frees nothing by itself");
-        t.append(Some(0), None, val("x"), 10).unwrap();
+        t.append(Some(0), None, val("x"), 10, None).unwrap();
         assert_eq!(t.earliest_offset(0).unwrap(), 7);
         assert_eq!(t.end_offset(0).unwrap(), 11);
         assert_eq!(t.len(), 4);
-        let err = t.fetch(0, 2, 5).unwrap_err();
+        let err = window(&t, 0, 2, 5).unwrap_err();
         assert_eq!(err, StreamError::OffsetOutOfRange { requested: 2, earliest: 7 });
         assert!(matches!(t.commit(2, 0), Err(StreamError::UnknownPartition { partition: 2, .. })));
     }
@@ -369,8 +348,8 @@ mod tests {
         let t = SharedTopic::new("t", 2).unwrap();
         t.set_horizon(3);
         for i in 0..10u64 {
-            t.append(Some(0), None, val("x"), i).unwrap();
-            t.append(Some(1), None, val("x"), 2 * i).unwrap();
+            t.append(Some(0), None, val("x"), i, None).unwrap();
+            t.append(Some(1), None, val("x"), 2 * i, None).unwrap();
         }
         // Stamps 6..=9 stay on partition 0, and 16 and 18 on partition 1.
         assert_eq!((t.earliest_offset(0).unwrap(), t.earliest_offset(1).unwrap()), (6, 8));
@@ -391,8 +370,8 @@ mod tests {
         let sibling = {
             let t = std::sync::Arc::clone(&t);
             std::thread::spawn(move || {
-                let appended = t.append(Some(1), None, val("x"), 0).unwrap();
-                let fetched = t.fetch(1, 0, 16).unwrap().len();
+                let appended = t.append(Some(1), None, val("x"), 0, None).unwrap();
+                let fetched = window(&t, 1, 0, 16).unwrap().len();
                 done.send((appended, fetched)).unwrap();
             })
         };
@@ -410,7 +389,7 @@ mod tests {
             let t = std::sync::Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
-                    t.append(Some(p), None, val(&i.to_string()), i).unwrap();
+                    t.append(Some(p), None, val(&i.to_string()), i, None).unwrap();
                 }
             }));
         }
@@ -418,7 +397,7 @@ mod tests {
             h.join().unwrap();
         }
         for p in 0..4u32 {
-            let recs = t.fetch(p, 0, 1000).unwrap();
+            let recs = window(&t, p, 0, 1000).unwrap();
             assert_eq!(recs.len(), 200);
             for (i, r) in recs.iter().enumerate() {
                 assert_eq!(r.offset, cad3_types::len_u64(i));

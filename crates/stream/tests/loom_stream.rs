@@ -16,12 +16,17 @@
 //! retry. The crate is compiled with
 //! `debug_assertions`, so the partition log's layout check (chunk
 //! capacities and lengths, the spare empty) runs after every append of
-//! every explored schedule.
+//! every explored schedule. Every read goes through
+//! `SharedTopic::fetch_each`, the walk `Consumer::poll_each` runs (through
+//! `support::window`, or a `Consumer` itself).
 #![cfg(loom)]
 
 use cad3_stream::{Broker, Consumer, OffsetReset, StreamError};
 use loom::sync::Arc;
 use loom::thread;
+use support::window;
+
+mod support;
 
 /// Two producers appending concurrently: every partition log stays dense
 /// and a reader sees each record exactly once.
@@ -35,8 +40,9 @@ fn concurrent_produce_and_fetch_preserve_log_integrity() {
                 let broker = Arc::clone(&broker);
                 thread::spawn(move || {
                     for i in 0..3u64 {
+                        let value = vec![part as u8].into();
                         broker
-                            .produce("IN-DATA", Some(part), None, vec![part as u8].into(), i)
+                            .produce_traced("IN-DATA", Some(part), None, value, i, None)
                             .expect("send succeeds");
                     }
                 })
@@ -45,8 +51,9 @@ fn concurrent_produce_and_fetch_preserve_log_integrity() {
         for h in handles {
             h.join().expect("producer thread");
         }
+        let topic = broker.topic_handle("IN-DATA").expect("topic exists");
         for part in 0..2u32 {
-            let records = broker.fetch("IN-DATA", part, 0, 16).expect("fetch succeeds");
+            let records = window(&topic, part, 0, 16).expect("fetch succeeds");
             assert_eq!(records.len(), 3, "partition {part} lost or duplicated records");
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(r.offset, i as u64, "offsets must be dense");
@@ -68,16 +75,16 @@ fn sharded_partitions_interleave_without_losing_records() {
             let topic = Arc::clone(&topic);
             thread::spawn(move || {
                 for i in 0..2u64 {
-                    topic.append(Some(1), None, vec![1u8].into(), i).expect("sibling append");
+                    topic.append(Some(1), None, vec![1u8].into(), i, None).expect("sibling append");
                 }
             })
         };
         let reader = {
             let topic = Arc::clone(&topic);
-            thread::spawn(move || topic.fetch(0, 0, 16).expect("fetch succeeds"))
+            thread::spawn(move || window(&topic, 0, 0, 16).expect("fetch succeeds"))
         };
         for i in 0..2u64 {
-            topic.append(Some(0), None, vec![0u8].into(), i).expect("append");
+            topic.append(Some(0), None, vec![0u8].into(), i, None).expect("append");
         }
         let snapshot = reader.join().expect("reader thread");
         sibling.join().expect("sibling thread");
@@ -87,7 +94,7 @@ fn sharded_partitions_interleave_without_losing_records() {
             assert_eq!(r.offset, i as u64, "fetched prefix must be dense from 0");
         }
         for part in 0..2u32 {
-            let records = topic.fetch(part, 0, 16).expect("final fetch");
+            let records = window(&topic, part, 0, 16).expect("final fetch");
             assert_eq!(records.len(), 2, "partition {part} lost or duplicated records");
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(r.offset, i as u64, "offsets must be dense");
@@ -122,7 +129,8 @@ fn topic_creation_races_by_name_produce() {
         let listed = lister.join().expect("lister thread");
         assert_eq!(landed, (0, 0), "the record lands at partition 0, offset 0");
         assert!(listed == ["A"] || listed == ["A", "B"], "torn topic listing: {listed:?}");
-        let records = broker.fetch("A", 0, 0, 16).expect("fetch succeeds");
+        let topic = broker.topic_handle("A").expect("topic exists");
+        let records = window(&topic, 0, 0, 16).expect("fetch succeeds");
         assert_eq!(records.len(), 1, "the record lands exactly once");
         assert_eq!((records[0].offset, records[0].trace), (0, Some(ctx)));
         assert_eq!(broker.topic_names(), ["A", "B"], "names are complete after join");
@@ -142,18 +150,20 @@ fn commit_driven_trim_races_a_fetch() {
     loom::model(|| {
         let topic = Arc::new(cad3_stream::SharedTopic::new("IN-DATA", 1).expect("fresh topic"));
         for i in 0..3u64 {
-            topic.append(Some(0), None, vec![0u8].into(), i).expect("append");
+            topic.append(Some(0), None, vec![0u8].into(), i, None).expect("append");
         }
         topic.commit(0, 2).expect("partition 0 exists");
         let appender = {
             let topic = Arc::clone(&topic);
-            thread::spawn(move || topic.append(Some(0), None, vec![1u8].into(), 3).expect("append"))
+            thread::spawn(move || {
+                topic.append(Some(0), None, vec![1u8].into(), 3, None).expect("append")
+            })
         };
         let committer = {
             let topic = Arc::clone(&topic);
             thread::spawn(move || topic.commit(0, 3).expect("partition 0 exists"))
         };
-        let fetched = topic.fetch(0, 0, 16);
+        let fetched = window(&topic, 0, 0, 16);
         assert_eq!(appender.join().expect("appender thread"), (0, 3));
         committer.join().expect("committer thread");
         match fetched {
@@ -171,7 +181,7 @@ fn commit_driven_trim_races_a_fetch() {
         let earliest = topic.earliest_offset(0).expect("partition 0 exists");
         assert!(earliest == 2 || earliest == 3, "the floor the append read: {earliest}");
         assert_eq!(topic.end_offset(0).expect("partition 0 exists"), 4);
-        let rest = topic.fetch(0, earliest, 16).expect("fetch from the earliest offset");
+        let rest = window(&topic, 0, earliest, 16).expect("fetch from the earliest offset");
         assert_eq!(rest.len() as u64, 4 - earliest, "the survivors are dense to the end");
     });
 }
@@ -197,7 +207,7 @@ fn poll_survives_trims_racing_its_retry() {
         let topic = broker.topic_handle("OUT-DATA").expect("topic exists");
         topic.set_horizon(0);
         for part in 0..2u32 {
-            topic.append(Some(part), None, vec![0u8].into(), 0).expect("append");
+            topic.append(Some(part), None, vec![0u8].into(), 0, None).expect("append");
         }
         let mut fleet = Consumer::new(Arc::clone(&broker), "fleet", OffsetReset::Earliest);
         fleet.subscribe(&["OUT-DATA"]).expect("topic exists");
@@ -206,7 +216,7 @@ fn poll_survives_trims_racing_its_retry() {
             let topic = Arc::clone(&topic);
             thread::spawn(move || {
                 for ts in 1..=TRIMMING_APPENDS {
-                    topic.append(Some(1), None, vec![1u8].into(), ts).expect("append");
+                    topic.append(Some(1), None, vec![1u8].into(), ts, None).expect("append");
                 }
             })
         };

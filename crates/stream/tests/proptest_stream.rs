@@ -5,7 +5,7 @@ use cad3_obs::TraceContext;
 use cad3_stream::{Broker, Consumer, OffsetReset, PartitionLog, RecordView};
 use proptest::prelude::*;
 use std::sync::Arc;
-use support::Topic;
+use support::{log_window, Topic};
 
 mod support;
 
@@ -39,10 +39,10 @@ proptest! {
     fn log_replay_is_faithful(values in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..200)) {
         let mut log = PartitionLog::new();
         for (i, v) in values.iter().enumerate() {
-            let off = log.append(None, Bytes::copy_from_slice(v), i as u64);
+            let off = log.append(None, Bytes::copy_from_slice(v), i as u64, None);
             prop_assert_eq!(off, i as u64);
         }
-        let fetched = log.fetch(0, values.len()).unwrap();
+        let fetched = log_window(&log, 0, values.len()).unwrap();
         prop_assert_eq!(fetched.len(), values.len());
         for (rec, v) in fetched.iter().zip(&values) {
             prop_assert_eq!(&rec.value[..], &v[..]);
@@ -65,12 +65,12 @@ proptest! {
             if i == last {
                 log.commit(floor as u64);
             }
-            log.append(None, Bytes::from(i.to_string()), i as u64);
+            log.append(None, Bytes::from(i.to_string()), i as u64, None);
         }
         let earliest = floor.min(last).max(last.saturating_sub(horizon));
         prop_assert_eq!(log.earliest_offset(), earliest as u64);
         prop_assert_eq!(log.len(), n - earliest);
-        let recs = log.fetch(earliest as u64, n).unwrap();
+        let recs = log_window(&log, earliest as u64, n).unwrap();
         prop_assert_eq!(recs.len(), n - earliest);
         for (j, rec) in recs.iter().enumerate() {
             let expected = earliest + j;
@@ -107,7 +107,8 @@ proptest! {
         let mut seen: Vec<(u8, u16)> = Vec::new();
         for (i, (key, val)) in sends.iter().enumerate() {
             let value = Bytes::copy_from_slice(&val.to_be_bytes());
-            broker.produce("T", None, Some(Bytes::copy_from_slice(&[*key])), value, i as u64).unwrap();
+            let key = Some(Bytes::copy_from_slice(&[*key]));
+            broker.produce_traced("T", None, key, value, i as u64, None).unwrap();
             if i % poll_every == 0 {
                 for rec in consumer.poll(usize::MAX).unwrap() {
                     let k = rec.key.as_ref().unwrap()[0];
@@ -133,7 +134,7 @@ proptest! {
         }
         consumer.commit().unwrap();
         for p in 0..3 {
-            broker.produce("T", Some(p), None, Bytes::from_static(b"end"), 0).unwrap();
+            broker.produce_traced("T", Some(p), None, Bytes::from_static(b"end"), 0, None).unwrap();
         }
         prop_assert_eq!(broker.topic_len("T").unwrap(), 3);
     }

@@ -7,14 +7,34 @@
 //! committed floors and time horizon, and every fetch window — including
 //! error cases — returns the same answer. This property test drives both
 //! implementations through identical operation schedules and compares every
-//! observable result.
+//! observable result. The sharded side is read through
+//! [`SharedTopic::fetch_each`], the walk `Consumer::poll_each` runs.
 
 use bytes::Bytes;
 use cad3_stream::{SharedTopic, StreamError};
 use proptest::prelude::*;
-use support::Topic;
+use support::{window, OracleRecord, Topic};
 
 mod support;
+
+/// The sharded topic's window in the oracle's record type: every record
+/// must carry the partition it was read from and no trace header, since
+/// the schedules append untraced.
+fn sharded_fetch(
+    topic: &SharedTopic,
+    partition: u32,
+    offset: u64,
+    max: usize,
+) -> Result<Vec<OracleRecord>, StreamError> {
+    let records = window(topic, partition, offset, max)?;
+    Ok(records
+        .into_iter()
+        .map(|r| {
+            assert_eq!((r.partition, r.trace), (partition, None), "record {}", r.offset);
+            OracleRecord { offset: r.offset, key: r.key, value: r.value, timestamp: r.timestamp }
+        })
+        .collect())
+}
 
 /// One step of an interleaved schedule: appends routed each of the three
 /// ways the producer can route, commits, plus reads of every observable
@@ -78,7 +98,7 @@ fn run_schedule(ops: &[Op], partitions: u32, horizon: Option<u64>) {
             Op::AppendRoundRobin { value, jitter } => {
                 let v = Bytes::copy_from_slice(&[*value]);
                 let a = reference.append(None, None, v.clone(), stamp(jitter));
-                let b = sharded.append(None, None, v, stamp(jitter));
+                let b = sharded.append(None, None, v, stamp(jitter), None);
                 assert_eq!(a, b, "round-robin append diverged at step {step}");
             }
             Op::AppendKeyed { key, value, jitter } => {
@@ -90,13 +110,13 @@ fn run_schedule(ops: &[Op], partitions: u32, horizon: Option<u64>) {
                     "partitioner diverged for key {key}"
                 );
                 let a = reference.append(None, Some(k.clone()), v.clone(), stamp(jitter));
-                let b = sharded.append(None, Some(k), v, stamp(jitter));
+                let b = sharded.append(None, Some(k), v, stamp(jitter), None);
                 assert_eq!(a, b, "keyed append diverged at step {step}");
             }
             Op::AppendExplicit { partition, value, jitter } => {
                 let v = Bytes::copy_from_slice(&[*value]);
                 let a = reference.append(Some(*partition), None, v.clone(), stamp(jitter));
-                let b = sharded.append(Some(*partition), None, v, stamp(jitter));
+                let b = sharded.append(Some(*partition), None, v, stamp(jitter), None);
                 assert_eq!(a, b, "explicit append diverged at step {step}");
             }
             Op::Commit { partition, offset } => {
@@ -105,8 +125,8 @@ fn run_schedule(ops: &[Op], partitions: u32, horizon: Option<u64>) {
                 assert_eq!(a, b, "commit diverged at step {step}");
             }
             Op::Fetch { partition, offset, max } => {
-                let a = reference.fetch(*partition, *offset, *max);
-                let b = sharded.fetch(*partition, *offset, *max);
+                let a = reference.read(*partition, *offset, *max);
+                let b = sharded_fetch(&sharded, *partition, *offset, *max);
                 assert_eq!(a, b, "fetch diverged at step {step}");
             }
             Op::EndOffset { partition } => {
@@ -131,8 +151,8 @@ fn run_schedule(ops: &[Op], partitions: u32, horizon: Option<u64>) {
     assert_eq!(reference.is_empty(), sharded.is_empty());
     for p in 0..partitions {
         let earliest = reference.earliest_offset(p).expect("valid partition");
-        let a = reference.fetch(p, earliest, usize::MAX);
-        let b = sharded.fetch(p, earliest, usize::MAX);
+        let a = reference.read(p, earliest, usize::MAX);
+        let b = sharded_fetch(&sharded, p, earliest, usize::MAX);
         assert_eq!(a, b, "terminal replay of partition {p} diverged");
     }
 }
@@ -167,8 +187,8 @@ proptest! {
     fn error_payloads_agree(partitions in 1u32..=4, bad in 4u32..9) {
         let reference = Topic::new("OUT-RESULT", partitions).unwrap();
         let sharded = SharedTopic::new("OUT-RESULT", partitions).unwrap();
-        let a = reference.fetch(bad + partitions, 0, 1).unwrap_err();
-        let b = sharded.fetch(bad + partitions, 0, 1).unwrap_err();
+        let a = reference.read(bad + partitions, 0, 1).unwrap_err();
+        let b = sharded_fetch(&sharded, bad + partitions, 0, 1).unwrap_err();
         prop_assert_eq!(&a, &b);
         prop_assert!(matches!(
             a,

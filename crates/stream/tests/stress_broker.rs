@@ -8,13 +8,16 @@
 //! ```
 //!
 //! where the `rank_scope!` witness is compiled in, so every acquisition the
-//! stress mix performs — by-name produces and fetches (a per-partition lock
-//! under the registry's read guard) and consumer polls — is checked against
-//! the hierarchy in `lockranks.toml` on a real (not model-checked) schedule.
+//! stress mix performs — by-name produces (a per-partition lock under the
+//! registry's read guard) and consumer polls — is checked against the
+//! hierarchy in `lockranks.toml` on a real (not model-checked) schedule.
 
 use bytes::Bytes;
 use cad3_stream::{Broker, Consumer, OffsetReset};
 use std::sync::Arc;
+use support::window;
+
+mod support;
 
 const TOPICS: [&str; 3] = ["IN-DATA", "OUT-RESULT", "GLOBAL-ABNORMAL"];
 const RECORDS_PER_PRODUCER: u64 = 5_001;
@@ -48,7 +51,9 @@ fn stress_sharded_broker_under_lockrank_witness() {
                     1 => (None, None),
                     _ => (Some((i % 3) as u32), None),
                 };
-                broker.produce(topic, partition, key, value, i).expect("send succeeds");
+                broker
+                    .produce_traced(topic, partition, key, value, i, None)
+                    .expect("send succeeds");
                 sent += 1;
             }
             sent
@@ -97,11 +102,11 @@ fn stress_sharded_broker_under_lockrank_witness() {
     for topic in TOPICS {
         let expected = PRODUCERS * (RECORDS_PER_PRODUCER as usize / 3);
         assert_eq!(broker.topic_len(topic).expect("topic exists"), expected);
+        let handle = broker.topic_handle(topic).expect("topic exists");
         let mut total = 0usize;
-        for partition in 0..broker.partition_count(topic).expect("topic exists") {
-            let end = broker.end_offset(topic, partition).expect("partition exists");
-            let records =
-                broker.fetch(topic, partition, 0, usize::MAX).expect("full fetch succeeds");
+        for partition in 0..handle.partition_count() {
+            let end = handle.end_offset(partition).expect("partition exists");
+            let records = window(&handle, partition, 0, usize::MAX).expect("full fetch succeeds");
             assert_eq!(records.len() as u64, end, "offsets must be dense to the end");
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(r.offset, i as u64, "offsets must be dense from 0");

@@ -1,18 +1,68 @@
 //! The single-threaded reference implementation of topic semantics, shared
 //! by `proptest_stream.rs` and `sharded_equivalence.rs` as the oracle the
-//! broker's sharded `SharedTopic` is held equal to.
+//! broker's sharded `SharedTopic` is held equal to, and [`window`] (with
+//! [`log_window`] for a bare log), the one way the stream tests read a
+//! partition.
 //!
-//! The oracle shares no storage code with the crate either: [`Topic`] sits
-//! on [`FlatLog`], one flat `VecDeque` of records that carry their own
-//! offsets, so a chunk-indexing bug in `PartitionLog` shows up as a
-//! divergence instead of being reproduced on both sides.
+//! The oracle shares no code with the crate: [`Topic`] sits on [`FlatLog`],
+//! one flat `VecDeque` of its own [`OracleRecord`]s that carry their own
+//! offsets, so a chunk-indexing bug in `PartitionLog` or a field dropped by
+//! the crate's record types shows up as a divergence instead of being
+//! reproduced on both sides.
 
 // Each test binary uses a subset of the reference API.
 #![allow(dead_code)]
 
 use bytes::Bytes;
-use cad3_stream::{Record, StreamError};
+use cad3_stream::{FetchedRecord, PartitionLog, SharedTopic, StreamError};
 use std::collections::VecDeque;
+
+/// Up to `max` records of `partition` from `offset`, read the way
+/// `Consumer::poll` reads them: [`SharedTopic::fetch_each`], each view made
+/// owned by `RecordView::to_fetched`.
+///
+/// # Errors
+///
+/// As [`SharedTopic::fetch_each`].
+pub fn window(
+    topic: &SharedTopic,
+    partition: u32,
+    offset: u64,
+    max: usize,
+) -> Result<Vec<FetchedRecord>, StreamError> {
+    let mut out = Vec::new();
+    topic.fetch_each(partition, offset, max, |r| out.push(r.to_fetched()))?;
+    Ok(out)
+}
+
+/// [`window`] over one bare log, whose records it tags as partition 0.
+///
+/// # Errors
+///
+/// As [`PartitionLog::fetch_each`].
+pub fn log_window(
+    log: &PartitionLog,
+    offset: u64,
+    max: usize,
+) -> Result<Vec<FetchedRecord>, StreamError> {
+    let mut out = Vec::new();
+    log.fetch_each(0, offset, max, |r| out.push(r.to_fetched()))?;
+    Ok(out)
+}
+
+/// A record as the oracle stores and returns it: untraced, and tagged with
+/// no partition, since a [`FlatLog`] does not know which one it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OracleRecord {
+    /// Offset within the partition, assigned at append.
+    pub offset: u64,
+    /// Optional partitioning key.
+    pub key: Option<Bytes>,
+    /// Payload.
+    pub value: Bytes,
+    /// Timestamp the writer supplied.
+    pub timestamp: u64,
+}
 
 /// FNV-1a hash, the stable key-partitioner hash. Deliberately its own copy
 /// rather than the crate's: the oracle must not share the routing code it
@@ -34,7 +84,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// side-deque — the oracle's appends are untraced.
 #[derive(Debug, Default)]
 pub struct FlatLog {
-    records: VecDeque<Record>,
+    records: VecDeque<OracleRecord>,
     base_offset: u64,
     floor: u64,
     horizon: Option<u64>,
@@ -70,7 +120,7 @@ impl FlatLog {
             self.base_offset += 1;
         }
         let offset = self.next_offset();
-        self.records.push_back(Record { offset, key, value, timestamp, trace: None });
+        self.records.push_back(OracleRecord { offset, key, value, timestamp });
         offset
     }
 
@@ -91,7 +141,7 @@ impl FlatLog {
 
     /// Reads up to `max` records starting at `offset`; past the end is an
     /// empty batch, before the earliest retained offset an error.
-    pub fn fetch(&self, offset: u64, max: usize) -> Result<Vec<Record>, StreamError> {
+    pub fn read(&self, offset: u64, max: usize) -> Result<Vec<OracleRecord>, StreamError> {
         if offset < self.base_offset {
             return Err(StreamError::OffsetOutOfRange {
                 requested: offset,
@@ -210,17 +260,17 @@ impl Topic {
     ///
     /// Returns [`StreamError::UnknownPartition`] or
     /// [`StreamError::OffsetOutOfRange`].
-    pub fn fetch(
+    pub fn read(
         &self,
         partition: u32,
         offset: u64,
         max: usize,
-    ) -> Result<Vec<Record>, StreamError> {
+    ) -> Result<Vec<OracleRecord>, StreamError> {
         let log = self
             .partitions
             .get(partition as usize)
             .ok_or_else(|| StreamError::UnknownPartition { topic: self.name.clone(), partition })?;
-        log.fetch(offset, max)
+        log.read(offset, max)
     }
 
     /// Next offset of a partition (the "end" position).
@@ -327,8 +377,8 @@ mod tests {
         for i in 0..5u64 {
             t.append(None, None, val(&i.to_string()), i).unwrap();
         }
-        let batch = t.fetch(0, 2, 10).unwrap();
+        let batch = t.read(0, 2, 10).unwrap();
         assert_eq!(batch.len(), 3);
-        assert!(t.fetch(9, 0, 1).is_err());
+        assert!(t.read(9, 0, 1).is_err());
     }
 }

@@ -62,12 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let status =
             VehicleStatus::from_feature(rec, ds.network.road(rec.road).unwrap().start(), now, seq);
         let target = if rec.road_type == RoadType::Motorway { &motorway_rsu } else { &link_rsu };
-        target.broker().produce(
+        target.broker().produce_traced(
             TOPIC_IN_DATA,
             None,
             Some(bytes_of(vehicle.raw())),
             status.encode_to_bytes(),
             now.as_nanos(),
+            None,
         )?;
 
         // Run micro-batches every 5 records and forward summaries on the
@@ -80,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 batch.warnings.len()
             };
             for summary in motorway_rsu.export_summaries(now) {
-                link_rsu.receive_summary(&summary)?;
+                link_rsu.receive_summary_at(&summary, summary.sent_at)?;
             }
         }
     }

@@ -67,12 +67,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let status =
             VehicleStatus::from_feature(rec, ds.network.road(rec.road).unwrap().start(), now, seq);
         let target = if rec.road_type == RoadType::Motorway { &motorway_rsu } else { &link_rsu };
-        target.broker().produce(
+        target.broker().produce_traced(
             TOPIC_IN_DATA,
             None,
             Some(bytes_of(rec.vehicle.raw())),
             status.encode_to_bytes(),
             now.as_nanos(),
+            None,
         )?;
 
         if seq.is_multiple_of(32) {
@@ -80,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             warnings[1] += link_rsu.run_batch(now)?.warnings.len();
             for summary in motorway_rsu.export_summaries(now) {
                 summaries += 1;
-                link_rsu.receive_summary(&summary)?;
+                link_rsu.receive_summary_at(&summary, summary.sent_at)?;
             }
         }
     }

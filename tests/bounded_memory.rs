@@ -88,7 +88,10 @@ fn drive(ticks: u64) -> [u64; 3] {
             let status = agent.next_status(now);
             let key = Bytes::copy_from_slice(&status.vehicle.raw().to_be_bytes());
             let value = status.encode_to_bytes();
-            broker.produce(TOPIC_IN_DATA, None, Some(key), value, now.as_nanos()).expect("IN-DATA");
+            let at = now.as_nanos();
+            broker
+                .produce_traced(TOPIC_IN_DATA, None, Some(key), value, at, None)
+                .expect("IN-DATA");
         }
         if tick % BATCH_TICKS == 0 {
             let batch = rsu.run_batch(now).expect("batch runs");
@@ -103,7 +106,7 @@ fn drive(ticks: u64) -> [u64; 3] {
         let (due, later): (Vec<_>, Vec<_>) = pending.drain(..).partition(|w| w.detected_at <= now);
         pending = later;
         for warning in &due {
-            rsu.publish_warning(warning).expect("OUT-DATA exists");
+            rsu.publish_warning_traced(warning, None).expect("OUT-DATA exists");
         }
         delivered += fleet.poll(usize::MAX).expect("fleet polls").len() as u64;
 

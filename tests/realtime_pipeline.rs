@@ -50,7 +50,8 @@ fn realtime_rsu_detects_and_disseminates() {
             for i in 0..50u64 {
                 let status = agent.next_status(SimTime::from_millis(i * 10));
                 let key = Bytes::copy_from_slice(&status.vehicle.raw().to_be_bytes());
-                broker.produce("IN-DATA", None, Some(key), status.encode_to_bytes(), i).unwrap();
+                let value = status.encode_to_bytes();
+                broker.produce_traced("IN-DATA", None, Some(key), value, i, None).unwrap();
                 std::thread::sleep(Duration::from_millis(2));
             }
         }));
@@ -73,7 +74,7 @@ fn realtime_rsu_detects_and_disseminates() {
         now += SimDuration::from_millis(BATCH_MS);
         let batch = rsu.run_batch(now).unwrap();
         for warning in &batch.warnings {
-            rsu.publish_warning(warning).unwrap();
+            rsu.publish_warning_traced(warning, None).unwrap();
         }
         batched += batch.records;
         delivered.extend(fleet.poll(usize::MAX).unwrap());
