@@ -59,8 +59,26 @@ impl Cad3Detector {
         fusion_weight: f64,
         summary_road_depth: Option<usize>,
     ) -> Result<Self, CoreError> {
-        assert!((0.0..=1.0).contains(&fusion_weight), "fusion weight must be within [0, 1]");
         let nb = Ad3Detector::train(records)?;
+        Self::with_stage1(nb, records, dt_params, fusion_weight, summary_road_depth)
+    }
+
+    /// Trains stage 2 on top of `nb`, a stage 1 already trained on
+    /// `records`, so [`super::train_all`] fits the Naïve Bayes once for
+    /// AD3 and CAD3. Arguments as for [`Cad3Detector::train_with_depth`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InsufficientTrainingData`] when no record is
+    /// usable for stage 2.
+    pub fn with_stage1(
+        nb: Ad3Detector,
+        records: &[FeatureRecord],
+        dt_params: DecisionTreeParams,
+        fusion_weight: f64,
+        summary_road_depth: Option<usize>,
+    ) -> Result<Self, CoreError> {
+        assert!((0.0..=1.0).contains(&fusion_weight), "fusion weight must be within [0, 1]");
 
         // Replay the corpus through the summary tracker to build the DT's
         // training set exactly as the online pipeline would see it.
@@ -315,6 +333,53 @@ mod tests {
         assert!((0.0..=1.0).contains(&d.p_abnormal));
         assert_eq!(det.name(), "cad3");
         assert_eq!(det.fusion_weight(), 0.5);
+    }
+
+    /// The seed-42 tree `bench_e2e` and the examples deploy, pinned split
+    /// by split: a change to the split search, its candidates or its
+    /// Gini arithmetic moves a threshold bit here.
+    #[test]
+    fn the_seed_42_tree_is_pinned() {
+        use serde::Serialize;
+        /// Preorder `(feature, threshold bits)` of the splits under `node`.
+        fn splits(node: &serde::Value, out: &mut Vec<(u64, u64)>) {
+            let serde::Value::Object(variant) = node else { return };
+            let Some((tag, serde::Value::Object(fields))) = variant.first() else { return };
+            if tag != "Split" {
+                return;
+            }
+            let field = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+            if let (Some(serde::Value::UInt(f)), Some(serde::Value::Float(t))) =
+                (field("feature"), field("threshold"))
+            {
+                out.push((*f, t.to_bits()));
+            }
+            for side in ["left", "right"] {
+                if let Some(child) = field(side) {
+                    splits(child, out);
+                }
+            }
+        }
+        let ds = SyntheticDataset::generate(&DatasetConfig::small(42));
+        let models = crate::detector::train_all(&ds.features, &Default::default()).unwrap();
+        let tree = &models.cad3.tree;
+        let serde::Value::Object(fields) = tree.to_value() else { panic!("tree is an object") };
+        let root = &fields.iter().find(|(k, _)| k == "root").expect("tree has a root").1;
+        let mut preorder = Vec::new();
+        splits(root, &mut preorder);
+        let digest = preorder.iter().fold(0xcbf2_9ce4_8422_2325u64, |d, &(f, t)| {
+            [f, t]
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .fold(d, |d, b| (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+        });
+        assert_eq!((tree.depth(), tree.leaf_count(), preorder.len()), (6, 56, 55));
+        // The root splits on Class_NB at 0.5, then both sides on P_X.
+        assert_eq!(
+            preorder[..3],
+            [(2, 0.5f64.to_bits()), (1, 0x3fe3_0b28_8817_2259), (1, 0x3fdd_e840_eae4_c936)]
+        );
+        assert_eq!(digest, 0x858a_6abc_bfe0_2a08, "a split's feature or threshold moved");
     }
 
     #[test]

@@ -36,14 +36,16 @@ pub fn train_all(
     records: &[FeatureRecord],
     config: &DetectionConfig,
 ) -> Result<TrainedModels, CoreError> {
+    let ad3 = Ad3Detector::train(records)?;
     Ok(TrainedModels {
-        ad3: Ad3Detector::train(records)?,
-        cad3: Cad3Detector::train_with_depth(
+        cad3: Cad3Detector::with_stage1(
+            ad3.clone(),
             records,
             config.dt_params,
             config.fusion_weight,
             config.summary_road_depth,
         )?,
+        ad3,
         centralized: CentralizedDetector::train(records)?,
     })
 }
@@ -66,6 +68,22 @@ mod tests {
         ] {
             assert!((0.0..=1.0).contains(&d.p_abnormal));
         }
+    }
+
+    #[test]
+    fn cad3_runs_on_the_ad3_stage_1_and_equals_its_own_two_stage_fit() {
+        let ds = SyntheticDataset::generate(&DatasetConfig::small(41));
+        let config = DetectionConfig::default();
+        let models = train_all(&ds.features, &config).unwrap();
+        assert!(models.cad3.naive_bayes() == &models.ad3);
+        let separately = Cad3Detector::train_with_depth(
+            &ds.features,
+            config.dt_params,
+            config.fusion_weight,
+            config.summary_road_depth,
+        )
+        .unwrap();
+        assert!(models.cad3 == separately, "one stage-1 fit must not move the model");
     }
 
     #[test]

@@ -70,12 +70,9 @@ fn gini(counts: &[usize], total: usize) -> f64 {
     1.0 - counts.iter().map(|&c| (c as f64 / t).powi(2)).sum::<f64>()
 }
 
-fn class_counts(data: &Dataset, idx: &[usize]) -> Vec<usize> {
-    let mut counts = vec![0usize; data.n_classes()];
-    for &i in idx {
-        counts[data.label(i)] += 1;
-    }
-    counts
+fn leaf(counts: &[usize], n: usize) -> Node {
+    let total = n.max(1) as f64;
+    Node::Leaf { probs: counts.iter().map(|&c| c as f64 / total).collect() }
 }
 
 struct BestSplit {
@@ -84,97 +81,141 @@ struct BestSplit {
     impurity: f64,
 }
 
-impl DecisionTree {
-    /// Fits a tree on the dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::EmptyDataset`] for an empty dataset.
-    pub fn fit(data: &Dataset, params: DecisionTreeParams) -> Result<DecisionTree, MlError> {
-        if data.is_empty() {
-            return Err(MlError::EmptyDataset);
+/// The training set laid out for the split search: one column per feature
+/// and, per feature, every row in ascending value order.
+///
+/// A node owns the same range `lo..hi` of every `order[f]`: its rows,
+/// sorted by feature `f`. An accepted split stable-partitions that range
+/// of every feature into the left rows then the right rows, so each child
+/// is sorted again and a node scores all of a feature's candidate
+/// thresholds in one sweep of its range.
+struct Presorted<'p> {
+    params: &'p DecisionTreeParams,
+    n_classes: usize,
+    cols: Vec<Vec<f64>>,
+    labels: Vec<usize>,
+    order: Vec<Vec<usize>>,
+    /// Per row, whether the split being applied sends it left.
+    goes_left: Vec<bool>,
+    /// Scratch reused by every node: the right rows of a partition, a
+    /// range's distinct values and one candidate's left/right counts.
+    spill: Vec<usize>,
+    values: Vec<f64>,
+    left: Vec<usize>,
+    right: Vec<usize>,
+}
+
+impl<'p> Presorted<'p> {
+    fn new(data: &Dataset, params: &'p DecisionTreeParams) -> Self {
+        let n_features = data.schema().len();
+        let mut cols = vec![Vec::with_capacity(data.len()); n_features];
+        let mut labels = Vec::with_capacity(data.len());
+        for (row, label) in data.iter() {
+            for (col, &x) in cols.iter_mut().zip(row) {
+                col.push(x);
+            }
+            labels.push(label);
         }
-        let indices: Vec<usize> = (0..data.len()).collect();
-        let root = Self::build(data, &indices, 0, &params);
-        Ok(DecisionTree {
-            schema: data.schema().clone(),
-            n_classes: data.n_classes(),
+        // `total_cmp` agrees with `<` on every non-NaN pair but orders -0.0
+        // before 0.0; both compare equal under `<=` and dedup to one value,
+        // and either one plus a non-zero neighbour gives the same midpoint.
+        let order = cols
+            .iter()
+            .map(|col| {
+                let mut rows: Vec<usize> = (0..col.len()).collect();
+                rows.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
+                rows
+            })
+            .collect();
+        let n_classes = data.n_classes();
+        Presorted {
             params,
-            root,
-        })
-    }
-
-    fn leaf(data: &Dataset, idx: &[usize]) -> Node {
-        let counts = class_counts(data, idx);
-        let total = idx.len().max(1) as f64;
-        Node::Leaf { probs: counts.iter().map(|&c| c as f64 / total).collect() }
-    }
-
-    fn build(data: &Dataset, idx: &[usize], depth: usize, params: &DecisionTreeParams) -> Node {
-        let counts = class_counts(data, idx);
-        let node_gini = gini(&counts, idx.len());
-        if depth >= params.max_depth || idx.len() < params.min_samples_split || node_gini == 0.0 {
-            return Self::leaf(data, idx);
+            n_classes,
+            cols,
+            labels,
+            order,
+            goes_left: vec![false; data.len()],
+            spill: Vec::new(),
+            values: Vec::new(),
+            left: vec![0; n_classes],
+            right: vec![0; n_classes],
         }
-        let Some(best) = Self::best_split(data, idx, node_gini, params) else {
-            return Self::leaf(data, idx);
+    }
+
+    /// Grows the subtree of the node owning `lo..hi`, whose per-class row
+    /// counts are `counts`.
+    fn build(&mut self, lo: usize, hi: usize, counts: Vec<usize>, depth: usize) -> Node {
+        let n = hi - lo;
+        let node_gini = gini(&counts, n);
+        if depth >= self.params.max_depth || n < self.params.min_samples_split || node_gini == 0.0 {
+            return leaf(&counts, n);
+        }
+        let Some(best) = self.best_split(lo, hi, &counts, node_gini) else {
+            return leaf(&counts, n);
         };
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            idx.iter().partition(|&&i| data.row(i)[best.feature] <= best.threshold);
-        if left_idx.len() < params.min_samples_leaf || right_idx.len() < params.min_samples_leaf {
-            return Self::leaf(data, idx);
+        let left_counts = self.mark_left(lo, hi, &best);
+        let nl: usize = left_counts.iter().sum();
+        if nl < self.params.min_samples_leaf || n - nl < self.params.min_samples_leaf {
+            return leaf(&counts, n);
         }
+        self.partition(lo, hi, nl);
+        let right_counts = counts.iter().zip(&left_counts).map(|(&c, &l)| c - l).collect();
         Node::Split {
             feature: best.feature,
             threshold: best.threshold,
-            left: Box::new(Self::build(data, &left_idx, depth + 1, params)),
-            right: Box::new(Self::build(data, &right_idx, depth + 1, params)),
+            left: Box::new(self.build(lo, lo + nl, left_counts, depth + 1)),
+            right: Box::new(self.build(lo + nl, hi, right_counts, depth + 1)),
         }
     }
 
+    /// The lowest-impurity split of the node owning `lo..hi`. Candidates
+    /// are the midpoints between the node's distinct values of a feature,
+    /// quantile-sampled down to `max_thresholds` when there are more; ties
+    /// go to the first feature, then the lowest threshold.
     fn best_split(
-        data: &Dataset,
-        idx: &[usize],
+        &mut self,
+        lo: usize,
+        hi: usize,
+        counts: &[usize],
         node_gini: f64,
-        params: &DecisionTreeParams,
     ) -> Option<BestSplit> {
+        let n = hi - lo;
+        let max_thresholds = self.params.max_thresholds;
         let mut best: Option<BestSplit> = None;
-        for f in 0..data.schema().len() {
-            let mut values: Vec<f64> = idx.iter().map(|&i| data.row(i)[f]).collect();
-            values.sort_by(|a, b| a.partial_cmp(b).expect("features are not NaN"));
-            values.dedup();
+        for (f, (col, order)) in self.cols.iter().zip(&self.order).enumerate() {
+            let rows = &order[lo..hi];
+            self.values.clear();
+            self.values.extend(rows.iter().map(|&r| col[r]));
+            self.values.dedup();
+            let values = &self.values;
             if values.len() < 2 {
                 continue;
             }
-            let candidates: Vec<f64> = if values.len() - 1 <= params.max_thresholds {
-                values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
-            } else {
-                // Quantile-sample boundaries.
-                (1..=params.max_thresholds)
-                    .map(|k| {
-                        let pos = k * (values.len() - 1) / (params.max_thresholds + 1);
-                        (values[pos] + values[pos + 1]) / 2.0
-                    })
-                    .collect()
-            };
-            for &thr in &candidates {
-                let mut left = vec![0usize; data.n_classes()];
-                let mut right = vec![0usize; data.n_classes()];
-                let mut nl = 0usize;
-                for &i in idx {
-                    if data.row(i)[f] <= thr {
-                        left[data.label(i)] += 1;
-                        nl += 1;
-                    } else {
-                        right[data.label(i)] += 1;
-                    }
+            let gaps = values.len() - 1;
+            let sampled = gaps > max_thresholds;
+            self.left.fill(0);
+            let mut nl = 0usize;
+            for k in 0..gaps.min(max_thresholds) {
+                // Quantile-sample boundaries when there are more gaps than
+                // thresholds.
+                let i = if sampled { (k + 1) * gaps / (max_thresholds + 1) } else { k };
+                let thr = (values[i] + values[i + 1]) / 2.0;
+                // Candidates ascend, so the rows `<= thr` extend the
+                // previous candidate's left side.
+                while let Some(&r) = rows.get(nl).filter(|&&r| col[r] <= thr) {
+                    self.left[self.labels[r]] += 1;
+                    nl += 1;
                 }
-                let nr = idx.len() - nl;
+                let nr = n - nl;
                 if nl == 0 || nr == 0 {
                     continue;
                 }
-                let weighted =
-                    (nl as f64 * gini(&left, nl) + nr as f64 * gini(&right, nr)) / idx.len() as f64;
+                for ((r, &c), &l) in self.right.iter_mut().zip(counts).zip(&self.left) {
+                    *r = c - l;
+                }
+                let weighted = (nl as f64 * gini(&self.left, nl)
+                    + nr as f64 * gini(&self.right, nr))
+                    / n as f64;
                 // Allow zero-gain splits (like sklearn's CART): XOR-shaped
                 // data has no first-split gain but becomes separable one
                 // level deeper. Termination is still guaranteed by the
@@ -187,6 +228,64 @@ impl DecisionTree {
             }
         }
         best
+    }
+
+    /// Marks which of the node's rows `split` sends left (`<=`) and returns
+    /// their per-class counts.
+    fn mark_left(&mut self, lo: usize, hi: usize, split: &BestSplit) -> Vec<usize> {
+        let col = &self.cols[split.feature];
+        let mut counts = vec![0; self.n_classes];
+        for &r in &self.order[split.feature][lo..hi] {
+            let left = col[r] <= split.threshold;
+            self.goes_left[r] = left;
+            counts[self.labels[r]] += usize::from(left);
+        }
+        counts
+    }
+
+    /// Stable-partitions `lo..hi` of every feature's order into the `nl`
+    /// marked rows, then the rest; both halves stay sorted.
+    fn partition(&mut self, lo: usize, hi: usize, nl: usize) {
+        for order in &mut self.order {
+            let rows = &mut order[lo..hi];
+            self.spill.clear();
+            let mut w = 0;
+            for i in 0..rows.len() {
+                let r = rows[i];
+                if self.goes_left[r] {
+                    rows[w] = r;
+                    w += 1;
+                } else {
+                    self.spill.push(r);
+                }
+            }
+            debug_assert_eq!(w, nl, "every feature's order holds the node's rows");
+            rows[w..].copy_from_slice(&self.spill);
+        }
+    }
+}
+
+impl DecisionTree {
+    /// Fits a tree on the dataset.
+    ///
+    /// Each feature is sorted once; a node then scores every candidate
+    /// threshold of a feature in one sweep of its rows in that order
+    /// (DESIGN.md, "Training").
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::EmptyDataset`] for an empty dataset.
+    pub fn fit(data: &Dataset, params: DecisionTreeParams) -> Result<DecisionTree, MlError> {
+        if data.is_empty() {
+            return Err(MlError::EmptyDataset);
+        }
+        let root = Presorted::new(data, &params).build(0, data.len(), data.class_counts(), 0);
+        Ok(DecisionTree {
+            schema: data.schema().clone(),
+            n_classes: data.n_classes(),
+            params,
+            root,
+        })
     }
 
     /// Number of classes.

@@ -126,8 +126,9 @@ impl PartitionLog {
     }
 
     /// Pops the oldest record while it is below the floor or stamped more
-    /// than the horizon before `now`. An emptied chunk that is not the last
-    /// one is dropped from the deque and kept as the spare if there is none.
+    /// than the horizon before `now`. An emptied chunk restarts at its first
+    /// slot; if it is not the last one it is dropped from the deque and kept
+    /// as the spare if there is none.
     fn trim(&mut self, now: u64) {
         while let Some(front) = self.chunks.front_mut() {
             let expired = |r: &StoredRecord| {
@@ -140,9 +141,15 @@ impl PartitionLog {
             front.pop_front();
             self.len -= 1;
             self.base_offset += 1;
-            if front.is_empty() && self.chunks.len() > 1 {
-                let emptied = self.chunks.pop_front();
-                self.spare = self.spare.take().or(emptied);
+            if front.is_empty() {
+                // Restart the ring at slot 0: a log its reader empties on
+                // every commit then refills the same warm lines instead of
+                // walking the whole chunk.
+                front.clear();
+                if self.chunks.len() > 1 {
+                    let emptied = self.chunks.pop_front();
+                    self.spare = self.spare.take().or(emptied);
+                }
             }
         }
         while self.traces.front().is_some_and(|&(o, _)| o < self.base_offset) {

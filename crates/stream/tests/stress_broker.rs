@@ -1,7 +1,7 @@
 //! Threaded stress test of the sharded broker under the lock-rank witness.
 //!
-//! Ignored by default (it spins real threads for a few seconds); CI runs it
-//! explicitly in the `lockrank` job with
+//! Ignored by default (it spins seven real threads for a fraction of a
+//! second); CI runs it explicitly in the `lockrank` job with
 //!
 //! ```sh
 //! cargo test -p cad3-stream --test stress_broker -- --ignored
@@ -11,10 +11,15 @@
 //! stress mix performs — by-name produces (a per-partition lock under the
 //! registry's read guard) and consumer polls — is checked against the
 //! hierarchy in `lockranks.toml` on a real (not model-checked) schedule.
+//! The producers and consumers overlap by construction, not by luck: all
+//! start behind one barrier, and every [`CHECKPOINT`] records a producer
+//! waits until each consumer has polled again.
 
 use bytes::Bytes;
 use cad3_stream::{Broker, Consumer, OffsetReset};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 use support::window;
 
 mod support;
@@ -22,11 +27,13 @@ mod support;
 const TOPICS: [&str; 3] = ["IN-DATA", "OUT-RESULT", "GLOBAL-ABNORMAL"];
 const RECORDS_PER_PRODUCER: u64 = 5_001;
 const PRODUCERS: usize = 4;
+/// Records a producer sends between two waits for every consumer's poll.
+const CHECKPOINT: u64 = 500;
 
 /// Four producers and three polling consumers all hammer one broker.
 /// Afterwards every topic must hold exactly the records sent to it, with
 /// dense offsets, and each consumer must have seen every record of its
-/// topic exactly once.
+/// topic exactly once, at least ten polls of it while producers still ran.
 #[test]
 #[ignore = "threaded stress mix; run explicitly via -- --ignored (lockrank CI job)"]
 fn stress_sharded_broker_under_lockrank_witness() {
@@ -34,6 +41,10 @@ fn stress_sharded_broker_under_lockrank_witness() {
     for topic in TOPICS {
         broker.create_topic(topic, 3).expect("fresh topic");
     }
+    let start = Arc::new(Barrier::new(PRODUCERS + TOPICS.len()));
+    // Per consumer, the polls it has made.
+    let polls: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
+    let producers_running = Arc::new(AtomicUsize::new(PRODUCERS));
 
     let mut handles = Vec::new();
 
@@ -41,9 +52,27 @@ fn stress_sharded_broker_under_lockrank_witness() {
     // explicit-partition sends so every routing path crosses threads.
     for _ in 0..PRODUCERS {
         let broker = Arc::clone(&broker);
+        let start = Arc::clone(&start);
+        let polls = Arc::clone(&polls);
+        let producers_running = Arc::clone(&producers_running);
         handles.push(std::thread::spawn(move || {
+            start.wait();
             let mut sent = 0u64;
             for i in 0..RECORDS_PER_PRODUCER {
+                if i > 0 && i % CHECKPOINT == 0 {
+                    // Every consumer polls at least once after the records
+                    // sent so far are in the log.
+                    // ordering: SeqCst — a count read here is one a later poll bumps.
+                    let seen: Vec<u64> = polls.iter().map(|p| p.load(Ordering::SeqCst)).collect();
+                    // A consumer that gave up fails the test instead of
+                    // hanging it.
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    // ordering: SeqCst — the bump follows that poll's records.
+                    while polls.iter().zip(&seen).any(|(p, &s)| p.load(Ordering::SeqCst) == s) {
+                        assert!(Instant::now() < deadline, "a consumer stopped polling");
+                        std::thread::yield_now();
+                    }
+                }
                 let topic = TOPICS[(i % 3) as usize];
                 let value = Bytes::copy_from_slice(&i.to_be_bytes());
                 let (partition, key) = match i % 3 {
@@ -56,35 +85,53 @@ fn stress_sharded_broker_under_lockrank_witness() {
                     .expect("send succeeds");
                 sent += 1;
             }
+            // ordering: SeqCst — after the producer's last send.
+            producers_running.fetch_sub(1, Ordering::SeqCst);
             sent
         }));
     }
 
-    // Consumers: one per topic drains everything.
+    // Consumers: one per topic drains everything, and keeps polling until
+    // the last producer is done, since producers wait on its polls.
     let mut consumers = Vec::new();
-    for topic in TOPICS {
+    for (c, topic) in TOPICS.into_iter().enumerate() {
         let broker = Arc::clone(&broker);
+        let start = Arc::clone(&start);
+        let polls = Arc::clone(&polls);
+        let producers_running = Arc::clone(&producers_running);
         consumers.push(std::thread::spawn(move || {
             let mut consumer = Consumer::new(broker, topic, OffsetReset::Earliest);
             consumer.subscribe(&[topic]).expect("subscribe succeeds");
+            start.wait();
             let mut seen = 0usize;
+            let mut overlapped = 0usize;
             let mut idle_rounds = 0u32;
             // Producers send RECORDS_PER_PRODUCER / 3 records to each topic
             // (the cycle length divides the count evenly).
             let expected = PRODUCERS * (RECORDS_PER_PRODUCER as usize / 3);
             // An empty poll is cheap, so an idle round waits a little: the
             // consumer gives up only after about a second without progress.
-            while seen < expected && idle_rounds < 10_000 {
+            // ordering: SeqCst — pairs with the producers' `fetch_sub`.
+            while (seen < expected || producers_running.load(Ordering::SeqCst) > 0)
+                && idle_rounds < 10_000
+            {
                 let got = consumer.poll(256).expect("poll succeeds").len();
                 seen += got;
+                // ordering: SeqCst — read before this poll's bump below, so a
+                // producer waiting on the bump is still counted as running.
+                if got > 0 && producers_running.load(Ordering::SeqCst) > 0 {
+                    overlapped += 1;
+                }
+                // ordering: SeqCst — published after the poll it counts.
+                polls[c].fetch_add(1, Ordering::SeqCst);
                 if got == 0 {
                     idle_rounds += 1;
-                    std::thread::sleep(std::time::Duration::from_micros(100));
+                    std::thread::sleep(Duration::from_micros(100));
                 } else {
                     idle_rounds = 0;
                 }
             }
-            (seen, expected)
+            (seen, expected, overlapped)
         }));
     }
 
@@ -94,8 +141,12 @@ fn stress_sharded_broker_under_lockrank_witness() {
     }
     assert_eq!(produced_total, PRODUCERS as u64 * RECORDS_PER_PRODUCER);
     for c in consumers {
-        let (seen, expected) = c.join().expect("consumer thread");
+        let (seen, expected, overlapped) = c.join().expect("consumer thread");
         assert_eq!(seen, expected, "consumer saw every record exactly once");
+        // Each of a producer's ten checkpoints is followed by a poll that
+        // finds the records sent since the one before, or comes after a
+        // poll that did.
+        assert!(overlapped >= 10, "only {overlapped} non-empty polls while producers ran");
     }
 
     // Terminal integrity sweep: per-topic totals and dense per-partition logs.
