@@ -27,6 +27,12 @@ fn train(features: &[FeatureRecord]) -> TrainedModels {
     train_all(features, &DetectionConfig::default()).expect("corpus is trainable")
 }
 
+/// Trains the standalone AD3 detector alone, for the experiments that
+/// deploy only it.
+fn train_ad3(features: &[FeatureRecord]) -> Ad3Detector {
+    Ad3Detector::train(features).expect("corpus is trainable")
+}
+
 /// [`detection_comparison`] on a corpus the experiments generated, which is
 /// always trainable. Rows are in `[centralized, ad3, cad3]` order.
 fn compare(ds: &SyntheticDataset, config: &DetectionConfig, seed: u64) -> Vec<ModelComparison> {
@@ -107,7 +113,7 @@ pub fn scaling_sweep(seed: u64, quick: bool) -> ScalingResult {
     let counts: &[u32] = if quick { &[8, 32, 128] } else { &[8, 16, 32, 64, 128, 256] };
     let duration = SimDuration::from_secs(if quick { 5 } else { 15 });
     let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
-    let detector = Arc::new(train(&ds.features).ad3);
+    let detector = Arc::new(train_ad3(&ds.features));
     let pool = ds.features_of_type(RoadType::Motorway);
 
     let rows = counts
@@ -677,7 +683,7 @@ pub fn ablation(seed: u64, quick: bool) -> AblationResult {
         .collect();
 
     // Latency sweeps share a trained detector.
-    let detector = Arc::new(train(&ds.features).ad3);
+    let detector = Arc::new(train_ad3(&ds.features));
     let pool = ds.features_of_type(RoadType::Motorway);
     let duration = SimDuration::from_secs(if quick { 4 } else { 10 });
     let vehicles = 64;
@@ -765,7 +771,7 @@ pub fn cloud_vs_edge(seed: u64, quick: bool) -> Vec<DeploymentRow> {
     let (edge, cloud) = edge_vs_cloud(
         SystemConfig::default(),
         seed,
-        Arc::new(train(&ds.features).ad3),
+        Arc::new(train_ad3(&ds.features)),
         ds.features_of_type(RoadType::Motorway),
         if quick { 32 } else { 128 },
         SimDuration::from_millis(60),
@@ -822,7 +828,7 @@ pub fn future_models(seed: u64) -> Vec<StageOneRow> {
     let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
     let cut = ds.features.len() * 8 / 10;
     let (training, test) = ds.features.split_at(cut);
-    let nb = Ad3Detector::train(training).expect("corpus is trainable");
+    let nb = train_ad3(training);
     let lr = LogisticAd3Detector::train(training, LogisticParams::default())
         .expect("corpus is trainable");
     vec![evaluate("naive-bayes (paper)", &nb, test), evaluate("logistic (quadratic)", &lr, test)]

@@ -1,10 +1,8 @@
-use super::{nb_features, nb_schema, single_stage, with_scratch, Detection, Detector, PlanRouter};
+use super::{single_stage, with_scratch, Detection, Detector, PlanRouter};
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
-use cad3_data::TimeBucket;
-use cad3_ml::{Dataset, NaiveBayes, NbBatchPlan};
+use cad3_ml::{NaiveBayes, NbBatchPlan};
 use cad3_types::{FeatureRecord, RoadType};
-use std::collections::HashMap;
 
 /// The distributed standalone detector (the paper's AD3): one Naïve Bayes
 /// model per spatio-temporal context — road type × time-of-day regime.
@@ -16,13 +14,10 @@ use std::collections::HashMap;
 /// city-wide centralized baseline lacks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ad3Detector {
-    models: HashMap<(RoadType, TimeBucket), NaiveBayes>,
-    /// Hour-pooled per-road-type models used when a record's exact time
-    /// regime had too little training data.
-    pooled: HashMap<RoadType, NaiveBayes>,
-    /// Column-major batch plans behind a dense (road, bucket) routing
-    /// table, precomputed at training time for the RSU detect path; CAD3's
-    /// stage 1 sweeps it too.
+    /// Each context's model, as a batch plan behind a dense (road, bucket)
+    /// routing table built at training time: a context without a model of
+    /// its own routes to its road type's hour-pooled model. Both detect
+    /// paths go through it, and CAD3's stage 1 too.
     pub(super) router: PlanRouter<NbBatchPlan>,
 }
 
@@ -39,72 +34,23 @@ impl Ad3Detector {
     /// Returns [`CoreError::InsufficientTrainingData`] when no context is
     /// trainable at all.
     pub fn train(records: &[FeatureRecord]) -> Result<Self, CoreError> {
-        /// Minimum records a context needs for its own model; sparser
-        /// contexts use the hour-pooled road-type model instead.
-        const MIN_CONTEXT_RECORDS: usize = 200;
-
-        let mut by_context: HashMap<(RoadType, TimeBucket), Dataset> = HashMap::new();
-        let mut by_type: HashMap<RoadType, Dataset> = HashMap::new();
-        for rec in records {
-            by_context
-                .entry((rec.road_type, TimeBucket::of(rec.hour)))
-                .or_insert_with(|| Dataset::new(nb_schema(), 2))
-                .push(nb_features(rec), rec.label.class() as usize)?;
-            by_type
-                .entry(rec.road_type)
-                .or_insert_with(|| Dataset::new(nb_schema(), 2))
-                .push(nb_features(rec), rec.label.class() as usize)?;
-        }
-        let mut models = HashMap::new();
-        for (key, ds) in by_context {
-            if ds.len() >= MIN_CONTEXT_RECORDS && ds.class_counts().iter().all(|&c| c > 0) {
-                models.insert(key, NaiveBayes::fit(&ds)?);
-            }
-        }
-        let mut pooled = HashMap::new();
-        for (rt, ds) in by_type {
-            if ds.class_counts().iter().all(|&c| c > 0) {
-                pooled.insert(rt, NaiveBayes::fit(&ds)?);
-            }
-        }
-        if models.is_empty() && pooled.is_empty() {
-            return Err(CoreError::InsufficientTrainingData {
-                what: "no (road type, time regime) context had examples of both classes".to_owned(),
-            });
-        }
-        let router = PlanRouter::build(
-            |road, bucket| models.get(&(road, bucket)).map(NaiveBayes::batch_plan),
-            |road| pooled.get(&road).map(NaiveBayes::batch_plan),
-        );
-        Ok(Ad3Detector { models, pooled, router })
+        let router = PlanRouter::train(records, |ds| Ok(NaiveBayes::fit(ds)?.batch_plan()))?;
+        Ok(Ad3Detector { router })
     }
 
     /// Road types with at least one trained model.
     pub fn road_types(&self) -> Vec<RoadType> {
-        let mut v: Vec<RoadType> =
-            self.models.keys().map(|(rt, _)| *rt).chain(self.pooled.keys().copied()).collect();
-        v.sort();
-        v.dedup();
-        v
+        self.router.road_types()
     }
 
-    fn model_for(&self, rec: &FeatureRecord) -> Result<&NaiveBayes, CoreError> {
-        let bucket = TimeBucket::of(rec.hour);
-        if let Some(m) = self.models.get(&(rec.road_type, bucket)) {
-            return Ok(m);
-        }
-        // Sparse context: the hour-pooled model of the same road type.
-        self.pooled.get(&rec.road_type).ok_or(CoreError::NoModelForRoadType(rec.road_type))
-    }
-
-    /// The abnormal-class probability for a record.
+    /// The abnormal-class probability for a record: one allocation-free row
+    /// through the routed plan, bit for bit what `detect_batch` sweeps.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NoModelForRoadType`] for untrained road types.
     pub fn p_abnormal(&self, rec: &FeatureRecord) -> Result<f64, CoreError> {
-        let proba = self.model_for(rec)?.predict_proba(&nb_features(rec))?;
-        Ok(proba[0])
+        self.router.p_abnormal(rec)
     }
 }
 
@@ -138,7 +84,7 @@ impl Detector for Ad3Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cad3_data::{DatasetConfig, SyntheticDataset};
+    use cad3_data::{DatasetConfig, SyntheticDataset, TimeBucket};
     use cad3_ml::ConfusionMatrix;
     use cad3_types::Label;
 

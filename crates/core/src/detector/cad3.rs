@@ -4,7 +4,7 @@ use super::{
 };
 use crate::collaboration::{SummaryTracker, VehicleSummary};
 use crate::CoreError;
-use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, TreeBatchPlan};
+use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, MlError, TreeBatchPlan};
 use cad3_types::FeatureRecord;
 
 /// The collaborative detector (the paper's CAD3, Fig. 4).
@@ -18,8 +18,8 @@ use cad3_types::FeatureRecord;
 pub struct Cad3Detector {
     nb: Ad3Detector,
     tree: DecisionTree,
-    /// Flattened branchless plan for `tree`, precomputed at training time
-    /// for the RSU batch detect path.
+    /// Flattened branchless plan for `tree`, precomputed at training time;
+    /// both detect paths go through it.
     tree_plan: TreeBatchPlan,
     fusion_weight: f64,
     summary_road_depth: Option<usize>,
@@ -104,10 +104,7 @@ impl Cad3Detector {
             };
             let p_x = fuse_probability(p_nb, Some(&summary), fusion_weight);
             let class_nb = u8::from(p_nb < 0.5); // 1 = normal, 0 = abnormal
-            ds.push(
-                vec![dt_hour_code(rec.hour), p_x, class_nb as f64],
-                rec.label.class() as usize,
-            )?;
+            ds.push(&[dt_hour_code(rec.hour), p_x, class_nb as f64], rec.label.class() as usize)?;
             usable += 1;
         }
         if usable == 0 {
@@ -132,6 +129,10 @@ impl Cad3Detector {
 
     /// Full detection detail: `(p_nb, p_x, detection)`.
     ///
+    /// Both stages run one allocation-free row through the plans the batch
+    /// path sweeps (the stage-1 router, then the tree plan), so this is bit
+    /// for bit what [`Detector::detect_batch`] gives the same record.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::NoModelForRoadType`] for untrained road types
@@ -149,8 +150,14 @@ impl Cad3Detector {
         };
         let p_x = fuse_probability(p_nb, Some(summary), self.fusion_weight);
         let class_nb = u8::from(p_nb < 0.5);
-        let proba = self.tree.predict_proba(&[dt_hour_code(rec.hour), p_x, class_nb as f64])?;
-        Ok((p_nb, p_x, Detection::from_p_abnormal(proba[0])))
+        let leaf =
+            self.tree_plan.predict_proba_row(&[dt_hour_code(rec.hour), p_x, class_nb as f64])?;
+        // Class 0 is abnormal in the paper's convention.
+        let p_abnormal = leaf.first().copied().ok_or(MlError::DimensionMismatch {
+            expected: self.tree_plan.n_classes(),
+            got: leaf.len(),
+        })?;
+        Ok((p_nb, p_x, Detection::from_p_abnormal(p_abnormal)))
     }
 }
 

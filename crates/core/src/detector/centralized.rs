@@ -1,6 +1,5 @@
 use super::{
-    nb_feature_array, nb_features, nb_schema, single_stage, with_scratch, Detection, Detector,
-    SweepScratch,
+    nb_features, nb_schema, single_stage, with_scratch, Detection, Detector, SweepScratch,
 };
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
@@ -15,8 +14,8 @@ use cad3_types::FeatureRecord;
 /// context the paper blames for the baseline's poor FN rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CentralizedDetector {
-    model: NaiveBayes,
-    /// Column-major batch plan for `model`, precomputed at training time.
+    /// The city-wide model as a batch plan, built at training time; both
+    /// detect paths go through it.
     plan: NbBatchPlan,
 }
 
@@ -30,20 +29,23 @@ impl CentralizedDetector {
     pub fn train(records: &[FeatureRecord]) -> Result<Self, CoreError> {
         let mut ds = Dataset::new(nb_schema(), 2);
         for rec in records {
-            ds.push(nb_features(rec), rec.label.class() as usize)?;
+            ds.push(&nb_features(rec), rec.label.class() as usize)?;
         }
-        let model = NaiveBayes::fit(&ds)?;
-        let plan = model.batch_plan();
-        Ok(CentralizedDetector { model, plan })
+        Ok(CentralizedDetector { plan: NaiveBayes::fit(&ds)?.batch_plan() })
     }
 
-    /// The abnormal-class probability for a record.
+    /// The abnormal-class probability for a record: one allocation-free row
+    /// through the plan, bit for bit what the batch sweep gives it.
     ///
     /// # Errors
     ///
     /// Propagates model errors for malformed feature vectors.
     pub fn p_abnormal(&self, rec: &FeatureRecord) -> Result<f64, CoreError> {
-        Ok(self.model.predict_proba(&nb_features(rec))?[0])
+        let mut proba = [0.0; 2];
+        self.plan.predict_proba_row(&nb_features(rec), &mut proba)?;
+        // Class 0 is abnormal in the paper's convention.
+        let [p_abnormal, _] = proba;
+        Ok(p_abnormal)
     }
 }
 
@@ -74,7 +76,7 @@ impl Detector for CentralizedDetector {
                 // Schema validation is vacuous for these rows — see
                 // `PlanRouter::p_abnormal_into` — and the width always
                 // matches, so `push_row` cannot fail either.
-                let _ = batch.push_row(&nb_feature_array(rec));
+                let _ = batch.push_row(&nb_features(rec));
             }
             let n_classes = self.plan.n_classes();
             scratch.clear();

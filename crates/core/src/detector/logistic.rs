@@ -1,10 +1,8 @@
-use super::{nb_features, nb_schema, single_stage, with_scratch, Detection, Detector, PlanRouter};
+use super::{single_stage, with_scratch, Detection, Detector, PlanRouter};
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
-use cad3_data::TimeBucket;
-use cad3_ml::{Dataset, LogisticParams, LogisticRegression, LrBatchPlan};
-use cad3_types::{FeatureRecord, RoadType};
-use std::collections::HashMap;
+use cad3_ml::{LogisticParams, LogisticRegression, LrBatchPlan};
+use cad3_types::FeatureRecord;
 
 /// A logistic-regression variant of the standalone edge detector — the
 /// "more complex anomaly detection algorithms" the paper leaves as future
@@ -13,10 +11,9 @@ use std::collections::HashMap;
 /// RSU, the testbed and the collaboration flow).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogisticAd3Detector {
-    models: HashMap<(RoadType, TimeBucket), LogisticRegression>,
-    pooled: HashMap<RoadType, LogisticRegression>,
-    /// Column-major batch plans behind a dense (road, bucket) routing
-    /// table, precomputed at training time for the RSU detect path.
+    /// Each context's model, as a batch plan behind a dense (road, bucket)
+    /// routing table built at training time; both detect paths go through
+    /// it.
     router: PlanRouter<LrBatchPlan>,
 }
 
@@ -30,57 +27,19 @@ impl LogisticAd3Detector {
     /// Returns [`CoreError::InsufficientTrainingData`] when no context is
     /// trainable.
     pub fn train(records: &[FeatureRecord], params: LogisticParams) -> Result<Self, CoreError> {
-        const MIN_CONTEXT_RECORDS: usize = 200;
-        let mut by_context: HashMap<(RoadType, TimeBucket), Dataset> = HashMap::new();
-        let mut by_type: HashMap<RoadType, Dataset> = HashMap::new();
-        for rec in records {
-            by_context
-                .entry((rec.road_type, TimeBucket::of(rec.hour)))
-                .or_insert_with(|| Dataset::new(nb_schema(), 2))
-                .push(nb_features(rec), rec.label.class() as usize)?;
-            by_type
-                .entry(rec.road_type)
-                .or_insert_with(|| Dataset::new(nb_schema(), 2))
-                .push(nb_features(rec), rec.label.class() as usize)?;
-        }
-        let mut models = HashMap::new();
-        for (key, ds) in by_context {
-            if ds.len() >= MIN_CONTEXT_RECORDS && ds.class_counts().iter().all(|&c| c > 0) {
-                models.insert(key, LogisticRegression::fit(&ds, params)?);
-            }
-        }
-        let mut pooled = HashMap::new();
-        for (rt, ds) in by_type {
-            if ds.class_counts().iter().all(|&c| c > 0) {
-                pooled.insert(rt, LogisticRegression::fit(&ds, params)?);
-            }
-        }
-        if models.is_empty() && pooled.is_empty() {
-            return Err(CoreError::InsufficientTrainingData {
-                what: "no context had examples of both classes".to_owned(),
-            });
-        }
-        let router = PlanRouter::build(
-            |road, bucket| models.get(&(road, bucket)).map(LogisticRegression::batch_plan),
-            |road| pooled.get(&road).map(LogisticRegression::batch_plan),
-        );
-        Ok(LogisticAd3Detector { models, pooled, router })
+        let router =
+            PlanRouter::train(records, |ds| Ok(LogisticRegression::fit(ds, params)?.batch_plan()))?;
+        Ok(LogisticAd3Detector { router })
     }
 
-    /// The abnormal-class probability for a record.
+    /// The abnormal-class probability for a record: one allocation-free row
+    /// through the routed plan, bit for bit what `detect_batch` sweeps.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NoModelForRoadType`] for untrained road types.
     pub fn p_abnormal(&self, rec: &FeatureRecord) -> Result<f64, CoreError> {
-        let bucket = TimeBucket::of(rec.hour);
-        let model = self
-            .models
-            .get(&(rec.road_type, bucket))
-            .or_else(|| self.pooled.get(&rec.road_type))
-            .ok_or(CoreError::NoModelForRoadType(rec.road_type))?;
-        // Class 0 is abnormal in the paper's convention.
-        Ok(model.predict_proba(&nb_features(rec))?[0])
+        self.router.p_abnormal(rec)
     }
 }
 

@@ -22,7 +22,8 @@ use crate::collaboration::VehicleSummary;
 use crate::CoreError;
 use cad3_data::TimeBucket;
 use cad3_ml::{
-    DecisionTreeParams, FeatureBatch, FeatureKind, LrBatchPlan, MlError, NbBatchPlan, Schema,
+    Dataset, DecisionTreeParams, FeatureBatch, FeatureKind, LrBatchPlan, MlError, NbBatchPlan,
+    Schema,
 };
 use cad3_types::{FeatureRecord, Label};
 use std::cell::RefCell;
@@ -166,13 +167,25 @@ fn scalar_detect_batch<D: Detector + ?Sized>(
 /// Time-of-day regimes a routing table distinguishes.
 pub(crate) const N_BUCKETS: usize = 3;
 
-/// Dense index of a time bucket for the routing LUT.
-pub(crate) fn bucket_index(bucket: cad3_data::TimeBucket) -> usize {
-    match bucket {
-        cad3_data::TimeBucket::Night => 0,
-        cad3_data::TimeBucket::Rush => 1,
-        cad3_data::TimeBucket::Normal => 2,
-    }
+/// Minimum records a (road type, time regime) context needs for a model of
+/// its own; sparser contexts use the hour-pooled road-type model instead.
+const MIN_CONTEXT_RECORDS: usize = 200;
+
+/// The time buckets, in routing-table order.
+const BUCKETS: [TimeBucket; N_BUCKETS] = [TimeBucket::Night, TimeBucket::Rush, TimeBucket::Normal];
+
+/// Number of (road type, time bucket) contexts a routing table holds.
+pub(crate) const N_CONTEXTS: usize = cad3_types::RoadType::ALL.len() * N_BUCKETS;
+
+/// Dense index of a (road type, time bucket) context: its routing-table
+/// entry, and the training corpus's per-context group.
+pub(crate) fn context_index(road: cad3_types::RoadType, bucket: TimeBucket) -> usize {
+    let bucket = match bucket {
+        TimeBucket::Night => 0,
+        TimeBucket::Rush => 1,
+        TimeBucket::Normal => 2,
+    };
+    usize::from(road.code()) * N_BUCKETS + bucket
 }
 
 /// Resolves the context/pooled model-fallback routing of the AD3-style
@@ -187,10 +200,58 @@ pub(crate) fn bucket_index(bucket: cad3_data::TimeBucket) -> usize {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlanRouter<P> {
     plans: Vec<P>,
-    lut: [u16; cad3_types::RoadType::ALL.len() * N_BUCKETS],
+    lut: [u16; N_CONTEXTS],
 }
 
 impl<P> PlanRouter<P> {
+    /// Fits one plan per (road type, time regime) context of `records` with
+    /// at least [`MIN_CONTEXT_RECORDS`] rows of both classes, and one
+    /// hour-pooled plan per road type with rows of both classes, then
+    /// routes them as [`PlanRouter::build`] does.
+    ///
+    /// Rows are grouped by [`context_index`] and by road type into flat
+    /// datasets held in arrays, each in record order, so a fit's sums run
+    /// over its rows in corpus order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `fit`'s errors and returns
+    /// [`CoreError::InsufficientTrainingData`] when no context and no road
+    /// type is trainable.
+    pub(crate) fn train(
+        records: &[FeatureRecord],
+        mut fit: impl FnMut(&Dataset) -> Result<P, CoreError>,
+    ) -> Result<Self, CoreError> {
+        let mut by_context = vec![Dataset::new(nb_schema(), 2); N_CONTEXTS];
+        let mut by_type = vec![Dataset::new(nb_schema(), 2); cad3_types::RoadType::ALL.len()];
+        for rec in records {
+            let (row, label) = (nb_features(rec), rec.label.class() as usize);
+            by_context[context_index(rec.road_type, TimeBucket::of(rec.hour))].push(&row, label)?;
+            by_type[usize::from(rec.road_type.code())].push(&row, label)?;
+        }
+        let mut fit_if = |ds: &Dataset, min_rows: usize| -> Result<Option<P>, CoreError> {
+            let trainable = ds.len() >= min_rows && ds.class_counts().iter().all(|&c| c > 0);
+            trainable.then(|| fit(ds)).transpose()
+        };
+        let mut contexts = Vec::with_capacity(N_CONTEXTS);
+        for ds in &by_context {
+            contexts.push(fit_if(ds, MIN_CONTEXT_RECORDS)?);
+        }
+        let mut pooled = Vec::with_capacity(by_type.len());
+        for ds in &by_type {
+            pooled.push(fit_if(ds, 0)?);
+        }
+        if contexts.iter().chain(&pooled).all(Option::is_none) {
+            return Err(CoreError::InsufficientTrainingData {
+                what: "no (road type, time regime) context had examples of both classes".to_owned(),
+            });
+        }
+        Ok(Self::build(
+            |road, bucket| contexts[context_index(road, bucket)].take(),
+            |road| pooled[usize::from(road.code())].take(),
+        ))
+    }
+
     /// Builds the table from the per-context and pooled plan sources,
     /// mirroring the scalar fallback: a context plan where one was
     /// trained, else the road type's hour-pooled plan, else no model.
@@ -199,10 +260,10 @@ impl<P> PlanRouter<P> {
         mut pooled_plan: impl FnMut(cad3_types::RoadType) -> Option<P>,
     ) -> Self {
         let mut plans = Vec::new();
-        let mut lut = [0u16; cad3_types::RoadType::ALL.len() * N_BUCKETS];
+        let mut lut = [0u16; N_CONTEXTS];
         for road in cad3_types::RoadType::ALL {
             let mut pooled_slot = 0u16;
-            for bucket in [TimeBucket::Night, TimeBucket::Rush, TimeBucket::Normal] {
+            for bucket in BUCKETS {
                 let slot = if let Some(p) = ctx_plan(road, bucket) {
                     plans.push(p);
                     plans.len() as u16
@@ -215,7 +276,7 @@ impl<P> PlanRouter<P> {
                 } else {
                     0
                 };
-                lut[road.code() as usize * N_BUCKETS + bucket_index(bucket)] = slot;
+                lut[context_index(road, bucket)] = slot;
             }
         }
         PlanRouter { plans, lut }
@@ -223,8 +284,8 @@ impl<P> PlanRouter<P> {
 
     /// The plan slot for a record's context (0 = no model).
     #[inline]
-    pub(crate) fn slot(&self, road: cad3_types::RoadType, bucket: cad3_data::TimeBucket) -> u16 {
-        self.lut[road.code() as usize * N_BUCKETS + bucket_index(bucket)]
+    pub(crate) fn slot(&self, road: cad3_types::RoadType, bucket: TimeBucket) -> u16 {
+        self.lut.get(context_index(road, bucket)).copied().unwrap_or(0)
     }
 
     /// Number of assigned plan slots (valid slots are `1..=n_slots()`).
@@ -232,14 +293,43 @@ impl<P> PlanRouter<P> {
         self.plans.len()
     }
 
-    /// The plan behind a non-zero slot.
+    /// The plan behind a slot (`None` for slot 0, "no model").
     #[inline]
-    pub(crate) fn plan(&self, slot: u16) -> &P {
-        &self.plans[usize::from(slot) - 1]
+    pub(crate) fn plan(&self, slot: u16) -> Option<&P> {
+        usize::from(slot).checked_sub(1).and_then(|i| self.plans.get(i))
+    }
+
+    /// Road types with a plan in at least one time bucket, in
+    /// [`cad3_types::RoadType::ALL`] order.
+    pub(crate) fn road_types(&self) -> Vec<cad3_types::RoadType> {
+        cad3_types::RoadType::ALL
+            .into_iter()
+            .filter(|&road| BUCKETS.iter().any(|&bucket| self.slot(road, bucket) != 0))
+            .collect()
     }
 }
 
 impl<P: RoutedPlan> PlanRouter<P> {
+    /// The routed plan's abnormal-class probability for one record: the
+    /// scalar detect path. One LUT index and one allocation-free row through
+    /// the plan, so it returns the bits [`PlanRouter::p_abnormal_into`]
+    /// sweeps for the same record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NoModelForRoadType`] where no model covers the
+    /// record's context, and [`CoreError::Ml`] if the plan rejects the row.
+    pub(crate) fn p_abnormal(&self, rec: &FeatureRecord) -> Result<f64, CoreError> {
+        let plan = self
+            .plan(self.slot(rec.road_type, TimeBucket::of(rec.hour)))
+            .ok_or(CoreError::NoModelForRoadType(rec.road_type))?;
+        let mut proba = [0.0; 2];
+        plan.proba_row(&nb_features(rec), &mut proba)?;
+        // Class 0 is abnormal in the paper's convention.
+        let [p_abnormal, _] = proba;
+        Ok(p_abnormal)
+    }
+
     /// The routed plans' abnormal-class probability for every record,
     /// pushed onto `out` (`None` where no model covers the record's
     /// context, or its plan rejects the sweep).
@@ -267,16 +357,15 @@ impl<P: RoutedPlan> PlanRouter<P> {
             if idxs.is_empty() {
                 continue; // slot 0 (no model) stays None: NoModelForRoadType
             }
-            let plan = self.plan(slot);
+            let Some(plan) = self.plan(slot) else { continue };
             batch.clear();
             for &i in idxs {
-                // Schema validation is vacuous for these rows, so the
-                // scalar path's `validate` check is skipped rather than
-                // mirrored: `nb_feature_array` rows are valid by type
-                // construction (`HourOfDay` is 0..24, `RoadType::code` is
-                // 0..10, continuous columns are never checked), and the
-                // width always matches, so `push_row` cannot fail either.
-                let _ = batch.push_row(&nb_feature_array(&recs[i as usize]));
+                // Schema validation is vacuous for these rows, so it is
+                // skipped: `nb_features` rows are valid by type construction
+                // (`HourOfDay` is 0..24, `RoadType::code` is 0..10,
+                // continuous columns are never checked), and the width
+                // always matches, so `push_row` cannot fail either.
+                let _ = batch.push_row(&nb_features(&recs[i as usize]));
             }
             let n = batch.n_rows();
             scratch.clear();
@@ -295,10 +384,13 @@ impl<P: RoutedPlan> PlanRouter<P> {
 }
 
 /// A batch plan a [`PlanRouter`] routes records to: row-major class
-/// probabilities over a [`FeatureBatch`], through one scratch buffer.
+/// probabilities over a [`FeatureBatch`], through one scratch buffer, and
+/// the same probabilities for one row.
 pub(crate) trait RoutedPlan {
     /// Number of classes (the stride of the probability rows).
     fn n_classes(&self) -> usize;
+    /// Class probabilities of one row, bit for bit those of the sweep.
+    fn proba_row(&self, row: &[f64], out: &mut [f64]) -> Result<(), MlError>;
     /// Length of the scratch buffer a sweep over `rows` rows needs.
     fn scratch_len(&self, rows: usize) -> usize;
     /// Row-major class probabilities of every row of `batch`.
@@ -313,6 +405,9 @@ pub(crate) trait RoutedPlan {
 impl RoutedPlan for NbBatchPlan {
     fn n_classes(&self) -> usize {
         NbBatchPlan::n_classes(self)
+    }
+    fn proba_row(&self, row: &[f64], out: &mut [f64]) -> Result<(), MlError> {
+        self.predict_proba_row(row, out)
     }
     fn scratch_len(&self, rows: usize) -> usize {
         NbBatchPlan::n_classes(self) * rows
@@ -330,6 +425,9 @@ impl RoutedPlan for NbBatchPlan {
 impl RoutedPlan for LrBatchPlan {
     fn n_classes(&self) -> usize {
         2
+    }
+    fn proba_row(&self, row: &[f64], out: &mut [f64]) -> Result<(), MlError> {
+        self.predict_proba_row(row, out)
     }
     fn scratch_len(&self, rows: usize) -> usize {
         rows
@@ -486,13 +584,8 @@ pub(crate) fn nb_schema() -> Schema {
     ])
 }
 
-/// Encodes a record into the NB feature vector.
-pub(crate) fn nb_features(rec: &FeatureRecord) -> Vec<f64> {
-    vec![rec.speed_kmh, rec.accel_mps2, rec.hour.get() as f64, rec.road_type.code() as f64]
-}
-
-/// Allocation-free variant of [`nb_features`] for the batch detect path.
-pub(crate) fn nb_feature_array(rec: &FeatureRecord) -> [f64; 4] {
+/// Encodes a record into the NB feature row.
+pub(crate) fn nb_features(rec: &FeatureRecord) -> [f64; 4] {
     [rec.speed_kmh, rec.accel_mps2, rec.hour.get() as f64, rec.road_type.code() as f64]
 }
 
@@ -550,7 +643,7 @@ mod tests {
     #[test]
     fn nb_features_encode_paper_columns() {
         let f = nb_features(&rec());
-        assert_eq!(f, vec![88.0, -0.5, 17.0, 0.0]);
+        assert_eq!(f, [88.0, -0.5, 17.0, 0.0]);
         nb_schema().validate(&f).unwrap();
     }
 

@@ -1,4 +1,5 @@
-//! A warm `detect_batch` allocates nothing.
+//! A warm `detect_batch` allocates nothing, and a scalar `detect` nothing
+//! at all.
 //!
 //! Every built-in detector takes its sweep buffers from a per-thread scratch
 //! that keeps its capacity between calls. This binary counts the heap
@@ -6,6 +7,7 @@
 //! call no wider than one it has already run, with the collaboration hook
 //! live: the tracker knows every vehicle already, on the road it is on, and
 //! each carries a `CO-DATA` summary, so CAD3's stage-2 tree sweep runs too.
+//! The scalar path runs one row through the same plans, with no scratch.
 
 use cad3::detector::{
     Ad3Detector, Cad3Detector, CentralizedDetector, DetectionConfig, Detector, LogisticAd3Detector,
@@ -141,5 +143,33 @@ fn warm_detect_batch_allocates_nothing() {
     ];
     for det in &detectors {
         assert_warm_call_allocates_nothing(det.as_ref(), &recs, &calls);
+    }
+}
+
+#[test]
+fn scalar_detect_allocates_nothing() {
+    let ds = SyntheticDataset::generate(&DatasetConfig::small(7));
+    let cut = ds.features.len() * 8 / 10;
+    let (train, test) = ds.features.split_at(cut);
+    let cfg = DetectionConfig::default();
+    let detectors: [Box<dyn Detector>; 4] = [
+        Box::new(Cad3Detector::train(train, cfg.dt_params, cfg.fusion_weight).unwrap()),
+        Box::new(Ad3Detector::train(train).unwrap()),
+        Box::new(LogisticAd3Detector::train(train, LogisticParams::default()).unwrap()),
+        Box::new(CentralizedDetector::train(train).unwrap()),
+    ];
+    let summary = VehicleSummary { mean_probability: 0.6, count: 4, last_class: 0 };
+    for det in &detectors {
+        let mut detected = 0usize;
+        let n = allocations_in(|| {
+            for rec in &test[..512] {
+                let p1 = det.stage1_p_abnormal(rec);
+                let alone = det.detect(rec, None);
+                let fused = det.detect(rec, Some(&summary));
+                detected += usize::from(p1.is_ok() && alone.is_ok() && fused.is_ok());
+            }
+        });
+        assert_eq!(detected, 512, "{}: every record detected", det.name());
+        assert_eq!(n, 0, "{}: the scalar path allocated", det.name());
     }
 }

@@ -131,12 +131,12 @@ impl SyntheticDataset {
                     &route,
                 );
                 trip_counter += 1;
+                if config.keep_trajectories {
+                    trajectories.extend(trip.points(&network));
+                }
                 trips.push(trip.record);
                 features.extend(trip.features);
                 true_kinematics.extend(trip.true_kinematics);
-                if config.keep_trajectories {
-                    trajectories.extend(trip.points);
-                }
             }
         }
 

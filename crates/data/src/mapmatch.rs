@@ -24,8 +24,9 @@ use cad3_types::{RoadId, TrajectoryPoint};
 ///     DriverProfile::Typical, DayOfWeek::Monday, 0.0, &route);
 ///
 /// let matcher = HmmMapMatcher::new(&net);
-/// let matched = matcher.match_trajectory(&trip.points);
-/// assert_eq!(matched.len(), trip.points.len());
+/// let points = trip.points(&net);
+/// let matched = matcher.match_trajectory(&points);
+/// assert_eq!(matched.len(), points.len());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct HmmMapMatcher<'a> {
@@ -188,7 +189,8 @@ mod tests {
             12.0 * 3600.0,
             &route,
         );
-        (net, trip.points, trip.true_roads)
+        let (points, true_roads) = (trip.points(&net), trip.true_roads());
+        (net, points, true_roads)
     }
 
     #[test]

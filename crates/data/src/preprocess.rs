@@ -187,14 +187,15 @@ mod tests {
             9.5 * 3600.0,
             &route,
         );
+        let points = trip.points(&net);
         let recs = to_feature_records(
             &net,
-            &trip.points,
-            &trip.true_roads,
+            &points,
+            &trip.true_roads(),
             DayOfWeek::Thursday,
             &FilterConfig::default(),
         );
-        assert!(recs.len() > trip.points.len() / 2, "most points survive preprocessing");
+        assert!(recs.len() > points.len() / 2, "most points survive preprocessing");
         // Derived speeds track the generator's ground-truth speeds.
         let derived_mean = recs.iter().map(|r| r.speed_kmh).sum::<f64>() / recs.len() as f64;
         let truth_mean =
@@ -224,11 +225,12 @@ mod tests {
             12.0 * 3600.0,
             &route,
         );
+        let (points, true_roads) = (trip.points(&net), trip.true_roads());
         let accel_spread = |window: usize| {
             let recs = to_feature_records(
                 &net,
-                &trip.points,
-                &trip.true_roads,
+                &points,
+                &true_roads,
                 DayOfWeek::Monday,
                 &FilterConfig { smoothing_window: window, ..FilterConfig::default() },
             );

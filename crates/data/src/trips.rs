@@ -1,21 +1,51 @@
 use crate::{RoadNetwork, SpeedProfile};
 use cad3_sim::SimRng;
 use cad3_types::{
-    DayOfWeek, DriverProfile, FeatureRecord, GeoPoint, HourOfDay, Label, RoadId, TrajectoryPoint,
-    TripId, TripRecord, VehicleId,
+    DayOfWeek, DriverProfile, FeatureRecord, GeoPoint, HourOfDay, Label, RoadId, RoadSegment,
+    TrajectoryPoint, TripId, TripRecord, VehicleId,
 };
 
-/// A generated trip: the Table I trip row, its 1 Hz GPS trajectory, the
-/// ground-truth road of every fix, and the preprocessed Table II records.
+/// Where one 1 Hz GPS fix of a [`GeneratedTrip`] was taken: everything that
+/// places the point, without placing it.
+///
+/// The fix is the point `along_m` metres along `road`, moved `jitter_m`
+/// metres on the bearing `bearing_deg` (the GPS noise). Placing it walks
+/// the road's polyline and costs eight trig calls, so the generator only
+/// records these draws and [`GeneratedTrip::points`] places the fixes for
+/// the callers that read them.
+#[derive(Debug, Clone, Copy)]
+struct GpsSample {
+    road: RoadId,
+    along_m: f64,
+    bearing_deg: f64,
+    jitter_m: f64,
+    gps_time_s: f64,
+    ac_mileage_m: f64,
+}
+
+impl GpsSample {
+    /// The fix's noisy GPS position on `network` (`None` if its road is not
+    /// there).
+    fn position(&self, network: &RoadNetwork) -> Option<GeoPoint> {
+        let road = network.road(self.road)?;
+        Some(road.point_at(self.along_m).destination(self.bearing_deg, self.jitter_m))
+    }
+}
+
+/// A generated trip: the Table I trip row, where each of its 1 Hz GPS fixes
+/// was taken, and the preprocessed Table II records.
+///
+/// The trajectory is kept as the draws that place each fix (road, distance
+/// along it, noise bearing and distance), not as positions: the corpus
+/// keeps only the feature records, so the positions are computed by
+/// [`GeneratedTrip::points`] for the callers that ask for them (map
+/// matching, `keep_trajectories`) and are the same bits whenever they are.
 #[derive(Debug, Clone)]
 pub struct GeneratedTrip {
     /// Trip-level record.
     pub record: TripRecord,
-    /// Raw 1 Hz trajectory (with GPS noise).
-    pub points: Vec<TrajectoryPoint>,
-    /// Ground-truth road of each trajectory point (for map-matcher
-    /// validation).
-    pub true_roads: Vec<RoadId>,
+    /// Where each fix was taken, in time order.
+    samples: Vec<GpsSample>,
     /// Preprocessed per-point analysis records carrying the *measured*
     /// kinematics (GPS-derived speed with sensor noise). Labels are
     /// [`Label::Normal`] placeholders until the offline labelling stage
@@ -28,6 +58,34 @@ pub struct GeneratedTrip {
     pub true_kinematics: Vec<(f64, f64)>,
     /// The driver's behavioural profile.
     pub profile: DriverProfile,
+}
+
+impl GeneratedTrip {
+    /// The raw 1 Hz trajectory (with GPS noise), aligned with `features`.
+    ///
+    /// `network` must be the one the trip was generated on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a road of the trip is not in `network`.
+    pub fn points(&self, network: &RoadNetwork) -> Vec<TrajectoryPoint> {
+        self.samples
+            .iter()
+            .map(|s| TrajectoryPoint {
+                vehicle: self.record.vehicle,
+                trip: self.record.trip,
+                position: s.position(network).expect("trip roads belong to the network"),
+                gps_time_s: s.gps_time_s,
+                ac_mileage_m: s.ac_mileage_m,
+            })
+            .collect()
+    }
+
+    /// Ground-truth road of each trajectory point (for map-matcher
+    /// validation).
+    pub fn true_roads(&self) -> Vec<RoadId> {
+        self.samples.iter().map(|s| s.road).collect()
+    }
 }
 
 /// Generates trips and trajectories over a road network.
@@ -131,8 +189,7 @@ impl<'a> TripGenerator<'a> {
     ) -> GeneratedTrip {
         assert!(!route.is_empty(), "trip route must not be empty");
         let dt = 1.0; // 1 Hz GPS, like the paper's dataset
-        let mut points = Vec::new();
-        let mut true_roads = Vec::new();
+        let mut samples = Vec::new();
         let mut features = Vec::new();
         let mut true_kinematics = Vec::new();
 
@@ -143,10 +200,12 @@ impl<'a> TripGenerator<'a> {
         let mut erratic_high = rng.chance(0.5);
         let mut erratic_countdown: usize = 3 + rng.index(5);
 
-        let start_pos = self.network.road(route[0]).expect("route road exists").start();
+        let roads: Vec<&RoadSegment> =
+            route.iter().map(|&id| self.network.road(id).expect("route road exists")).collect();
+        let start_pos = roads[0].start();
 
-        for &road_id in route {
-            let road = self.network.road(road_id).expect("route road exists").clone();
+        for road in roads {
+            let road_id = road.id;
             let sp = SpeedProfile::for_road_type(road.road_type);
             let mut dist_on_road = 0.0;
             // Initialise speed near the context's norm.
@@ -182,16 +241,18 @@ impl<'a> TripGenerator<'a> {
                 t += dt;
                 mileage += v / 3.6 * dt;
 
-                let true_pos = road.point_at(dist_on_road.min(road.length_m));
-                let gps_pos = self.jitter(rng, true_pos);
-                points.push(TrajectoryPoint {
-                    vehicle,
-                    trip,
-                    position: gps_pos,
+                // The GPS noise is drawn here, in stream order, and the fix
+                // placed only when asked for (`GeneratedTrip::points`).
+                let bearing_deg = rng.uniform(0.0, 360.0);
+                let jitter_m = rng.normal(0.0, self.gps_noise_m).abs();
+                samples.push(GpsSample {
+                    road: road_id,
+                    along_m: dist_on_road.min(road.length_m),
+                    bearing_deg,
+                    jitter_m,
                     gps_time_s: t,
                     ac_mileage_m: mileage,
                 });
-                true_roads.push(road_id);
                 // Detectors see measured kinematics; the labelling ground
                 // truth keeps the noise-free values.
                 let measured_speed = (v + rng.normal(0.0, self.speed_noise_kmh)).max(0.0);
@@ -213,7 +274,7 @@ impl<'a> TripGenerator<'a> {
             }
         }
 
-        let stop_pos = points.last().map_or(start_pos, |p| p.position);
+        let stop_pos = samples.last().and_then(|s| s.position(self.network)).unwrap_or(start_pos);
         let record = TripRecord {
             vehicle,
             trip,
@@ -225,13 +286,7 @@ impl<'a> TripGenerator<'a> {
             day,
             roads: route.to_vec(),
         };
-        GeneratedTrip { record, points, true_roads, features, true_kinematics, profile }
-    }
-
-    fn jitter(&self, rng: &mut SimRng, p: GeoPoint) -> GeoPoint {
-        let bearing = rng.uniform(0.0, 360.0);
-        let dist = rng.normal(0.0, self.gps_noise_m).abs();
-        p.destination(bearing, dist)
+        GeneratedTrip { record, samples, features, true_kinematics, profile }
     }
 }
 
@@ -244,12 +299,12 @@ mod tests {
         RoadNetwork::generate(&RoadNetworkConfig::scaled(3, 0.02))
     }
 
-    fn trip(profile: DriverProfile, seed: u64) -> GeneratedTrip {
+    fn trip(profile: DriverProfile, seed: u64) -> (RoadNetwork, GeneratedTrip) {
         let net = network();
         let gen = TripGenerator::new(&net);
         let mut rng = SimRng::seed_from(seed);
         let route = gen.microscopic_route(&mut rng);
-        gen.generate_trip(
+        let trip = gen.generate_trip(
             &mut rng,
             VehicleId(1),
             TripId(1),
@@ -257,34 +312,42 @@ mod tests {
             DayOfWeek::Tuesday,
             10.0 * 3600.0,
             &route,
-        )
+        );
+        (net, trip)
     }
 
     #[test]
     fn trip_covers_route_in_order() {
-        let t = trip(DriverProfile::Typical, 1);
+        let (_, t) = trip(DriverProfile::Typical, 1);
         assert_eq!(t.record.roads.len(), 2);
         // true_roads is a non-decreasing walk through the route.
+        let true_roads = t.true_roads();
         let first_link_idx =
-            t.true_roads.iter().position(|r| *r == t.record.roads[1]).expect("reaches link");
-        assert!(t.true_roads[..first_link_idx].iter().all(|r| *r == t.record.roads[0]));
-        assert!(t.true_roads[first_link_idx..].iter().all(|r| *r == t.record.roads[1]));
+            true_roads.iter().position(|r| *r == t.record.roads[1]).expect("reaches link");
+        assert!(true_roads[..first_link_idx].iter().all(|r| *r == t.record.roads[0]));
+        assert!(true_roads[first_link_idx..].iter().all(|r| *r == t.record.roads[1]));
     }
 
     #[test]
     fn streams_are_aligned_and_timed_at_1hz() {
-        let t = trip(DriverProfile::Typical, 2);
-        assert_eq!(t.points.len(), t.features.len());
-        assert_eq!(t.points.len(), t.true_roads.len());
-        for w in t.points.windows(2) {
+        let (net, t) = trip(DriverProfile::Typical, 2);
+        let points = t.points(&net);
+        assert_eq!(points.len(), t.features.len());
+        assert_eq!(points.len(), t.true_roads().len());
+        for w in points.windows(2) {
             assert!((w[1].gps_time_s - w[0].gps_time_s - 1.0).abs() < 1e-9);
         }
-        assert!(t.record.period_s() >= t.points.len() as f64 - 1.0);
+        assert!(t.record.period_s() >= points.len() as f64 - 1.0);
+        assert_eq!(
+            t.record.stop,
+            points.last().unwrap().position,
+            "the trip stops at its last fix"
+        );
     }
 
     #[test]
     fn typical_driver_stays_near_profile() {
-        let t = trip(DriverProfile::Typical, 3);
+        let (_, t) = trip(DriverProfile::Typical, 3);
         // On the motorway stretch, speed should hover near the mean.
         let mw_speeds: Vec<f64> = t
             .features
@@ -302,7 +365,7 @@ mod tests {
 
     #[test]
     fn aggressive_driver_speeds_on_every_road() {
-        let t = trip(DriverProfile::Aggressive, 4);
+        let (_, t) = trip(DriverProfile::Aggressive, 4);
         for road in &t.record.roads {
             let speeds: Vec<&FeatureRecord> =
                 t.features.iter().filter(|f| f.road == *road).collect();
@@ -316,15 +379,15 @@ mod tests {
 
     #[test]
     fn sluggish_driver_crawls() {
-        let t = trip(DriverProfile::Sluggish, 5);
+        let (_, t) = trip(DriverProfile::Sluggish, 5);
         let under = t.features.iter().filter(|f| f.speed_kmh < f.road_speed_kmh).count();
         assert!(under as f64 / t.features.len() as f64 > 0.8);
     }
 
     #[test]
     fn erratic_driver_has_violent_acceleration() {
-        let te = trip(DriverProfile::Erratic, 6);
-        let tt = trip(DriverProfile::Typical, 6);
+        let (_, te) = trip(DriverProfile::Erratic, 6);
+        let (_, tt) = trip(DriverProfile::Typical, 6);
         let max_abs = |t: &GeneratedTrip| {
             t.features.iter().map(|f| f.accel_mps2.abs()).fold(0.0f64, f64::max)
         };
@@ -333,11 +396,12 @@ mod tests {
 
     #[test]
     fn mileage_accumulates_monotonically() {
-        let t = trip(DriverProfile::Typical, 7);
-        for w in t.points.windows(2) {
+        let (net, t) = trip(DriverProfile::Typical, 7);
+        let points = t.points(&net);
+        for w in points.windows(2) {
             assert!(w[1].ac_mileage_m >= w[0].ac_mileage_m);
         }
-        assert!((t.record.mileage_m - t.points.last().unwrap().ac_mileage_m).abs() < 1e-9);
+        assert!((t.record.mileage_m - points.last().unwrap().ac_mileage_m).abs() < 1e-9);
     }
 
     #[test]
@@ -355,7 +419,7 @@ mod tests {
             0.0,
             &route,
         );
-        for (p, road_id) in t.points.iter().zip(&t.true_roads) {
+        for (p, road_id) in t.points(&net).iter().zip(&t.true_roads()) {
             let road = net.road(*road_id).unwrap();
             assert!(road.distance_to(&p.position) < 60.0, "fix too far from its road");
         }

@@ -31,17 +31,18 @@ proptest! {
             start_hour as f64 * 3600.0,
             &route,
         );
-        prop_assert_eq!(trip.points.len(), trip.features.len());
-        prop_assert_eq!(trip.points.len(), trip.true_roads.len());
-        prop_assert_eq!(trip.points.len(), trip.true_kinematics.len());
-        prop_assert!(!trip.points.is_empty());
-        for w in trip.points.windows(2) {
+        let points = trip.points(&net);
+        prop_assert_eq!(points.len(), trip.features.len());
+        prop_assert_eq!(points.len(), trip.true_roads().len());
+        prop_assert_eq!(points.len(), trip.true_kinematics.len());
+        prop_assert!(!points.is_empty());
+        for w in points.windows(2) {
             prop_assert!((w[1].gps_time_s - w[0].gps_time_s - 1.0).abs() < 1e-9);
             prop_assert!(w[1].ac_mileage_m >= w[0].ac_mileage_m);
         }
         // Roads appear in route order without revisits.
         let mut route_cursor = 0usize;
-        for road in &trip.true_roads {
+        for road in &trip.true_roads() {
             while route_cursor < route.len() && route[route_cursor] != *road {
                 route_cursor += 1;
             }

@@ -6,7 +6,9 @@
 //! and then evaluated over a [`FeatureBatch`] holding one contiguous column
 //! per feature. Evaluation writes into caller-provided slices and performs
 //! no heap allocation; all allocation happens at plan construction, which is
-//! what the `hotpaths.toml` contract enforces.
+//! what the `hotpaths.toml` contract enforces. Each plan also has a per-row
+//! entry (`predict_proba_row`) for the scalar detect path: one row of the
+//! sweep's operations, in the sweep's order, with no scratch at all.
 //!
 //! Every plan is *bit-identical* to its scalar counterpart: the per-row
 //! floating-point operations are replicated in the exact order the scalar
@@ -307,6 +309,63 @@ impl NbBatchPlan {
         }
         Ok(())
     }
+
+    /// Posterior class probabilities of one row, into `out` (one entry per
+    /// class): the per-row entry of the scalar detect path.
+    ///
+    /// Each class performs exactly the operations of one cell of
+    /// [`NbBatchPlan::log_likelihoods_into`] and one row of
+    /// [`NbBatchPlan::predict_proba_into`], in the same order: the terms
+    /// accumulate from `0.0` in feature order, then `lp + acc`, then the
+    /// max-fold, the exponentials and the divide. So it returns the sweep's
+    /// bits, with no scratch and no allocation. Rows must satisfy the plan's
+    /// schema, as for the sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] when `row` is not as wide as
+    /// the schema or `out` is not `n_classes` long.
+    pub fn predict_proba_row(&self, row: &[f64], out: &mut [f64]) -> Result<(), MlError> {
+        if row.len() != self.cols.len() {
+            return Err(MlError::DimensionMismatch { expected: self.cols.len(), got: row.len() });
+        }
+        if out.len() != self.log_priors.len() {
+            return Err(MlError::DimensionMismatch {
+                expected: self.log_priors.len(),
+                got: out.len(),
+            });
+        }
+        for (c, (ll, &lp)) in out.iter_mut().zip(&self.log_priors).enumerate() {
+            let mut acc = 0.0;
+            for (col, &x) in self.cols.iter().zip(row) {
+                match col {
+                    NbPlanCol::Gaussian { per_class } => {
+                        if let Some(&(mean, var, ln_2pi_var)) = per_class.get(c) {
+                            let d = x - mean;
+                            acc += -0.5 * (ln_2pi_var + d * d / var);
+                        }
+                    }
+                    NbPlanCol::Categorical { cardinality, log_probs } => {
+                        let i = (x as usize).min(cardinality - 1);
+                        if let Some(&term) = log_probs.get(c * cardinality + i) {
+                            acc += term;
+                        }
+                    }
+                }
+            }
+            *ll = lp + acc;
+        }
+        let max = out.iter().fold(f64::NEG_INFINITY, |max, &ll| f64::max(max, ll));
+        let mut sum = 0.0;
+        for e in out.iter_mut() {
+            *e = (*e - max).exp();
+            sum += *e;
+        }
+        for e in out.iter_mut() {
+            *e /= sum;
+        }
+        Ok(())
+    }
 }
 
 /// Precomputed flattened-array evaluation plan for a
@@ -446,6 +505,38 @@ impl TreeBatchPlan {
         Ok(())
     }
 
+    /// The leaf class distribution of one row, by reference: the per-row
+    /// entry of the scalar detect path. It walks the same `depth` levels as
+    /// the sweep, comparing the same [`ord_key`] keys, so it lands on the
+    /// leaf [`TreeBatchPlan::predict_proba_into`] copies out, with no
+    /// scratch and no allocation. Rows must satisfy the schema, as for the
+    /// sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] when `row` is not as wide as
+    /// the schema.
+    pub fn predict_proba_row(&self, row: &[f64]) -> Result<&[f64], MlError> {
+        if row.len() != self.schema.len() {
+            return Err(MlError::DimensionMismatch { expected: self.schema.len(), got: row.len() });
+        }
+        let mut node = 0usize;
+        for _ in 0..self.depth {
+            let (Some(&feat), Some(&tkey)) = (self.feat.get(node), self.tkey.get(node)) else {
+                break;
+            };
+            let Some(&x) = row.get(feat as usize) else { break };
+            let go_right = usize::from(ord_key(x) > tkey);
+            let Some(&child) = self.children.get(2 * node + go_right) else { break };
+            node = child as usize;
+        }
+        let start = node * self.n_classes;
+        self.probs.get(start..start + self.n_classes).ok_or(MlError::DimensionMismatch {
+            expected: start + self.n_classes,
+            got: self.probs.len(),
+        })
+    }
+
     fn check_sizes(&self, batch: &FeatureBatch, keys: &[u64], cur: &[u32]) -> Result<(), MlError> {
         let rows = batch.n_rows();
         if batch.n_features() != self.schema.len() {
@@ -549,6 +640,53 @@ impl LrBatchPlan {
         Ok(())
     }
 
+    /// Class probabilities `[P(0), P(1)]` of one row, into `out`: the
+    /// per-row entry of the scalar detect path. It performs the operations
+    /// of one row of [`LrBatchPlan::predict_proba_into`] in the same order
+    /// (terms from `0.0` in feature order, then `bias + acc`, the sigmoid,
+    /// then `1 − p`), so it returns the sweep's bits, with no allocation.
+    /// Rows must satisfy the schema, as for the sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] when `row` is not as wide as
+    /// the schema or `out` is not two long.
+    pub fn predict_proba_row(&self, row: &[f64], out: &mut [f64]) -> Result<(), MlError> {
+        if row.len() != self.schema.len() {
+            return Err(MlError::DimensionMismatch { expected: self.schema.len(), got: row.len() });
+        }
+        let [p0, p1] = out else {
+            return Err(MlError::DimensionMismatch { expected: 2, got: out.len() });
+        };
+        let mut acc = 0.0;
+        for (((kind, &x), &(mean, std)), &off) in
+            self.schema.kinds().zip(row).zip(&self.standardise).zip(&self.offsets)
+        {
+            match kind {
+                crate::FeatureKind::Continuous => {
+                    let (Some(&w0), Some(&w1)) = (self.weights.get(off), self.weights.get(off + 1))
+                    else {
+                        continue;
+                    };
+                    let z = (x - mean) / std;
+                    acc += w0 * z;
+                    acc += w1 * (z * z);
+                }
+                crate::FeatureKind::Categorical { cardinality } => {
+                    let i = (x as usize).min(cardinality - 1);
+                    if let Some(&w) = self.weights.get(off + i) {
+                        acc += w * 1.0;
+                    }
+                }
+            }
+        }
+        let z = self.bias + acc;
+        let p = 1.0 / (1.0 + (-z).exp());
+        *p0 = 1.0 - p;
+        *p1 = p;
+        Ok(())
+    }
+
     /// Class probabilities per row, row-major `[P(0), P(1)]` — the scalar
     /// `vec![1.0 - p1, p1]` replicated. `p1` is scratch sized `n_rows`.
     ///
@@ -614,8 +752,8 @@ mod tests {
         let mut ds = Dataset::new(schema, 2);
         for i in 0..120 {
             let jitter = (i % 13) as f64 * 0.17;
-            ds.push(vec![jitter, -jitter * 0.5, (i % 3) as f64], 0).unwrap();
-            ds.push(vec![9.0 + jitter, 4.0 - jitter, ((i + 1) % 3) as f64], 1).unwrap();
+            ds.push(&[jitter, -jitter * 0.5, (i % 3) as f64], 0).unwrap();
+            ds.push(&[9.0 + jitter, 4.0 - jitter, ((i + 1) % 3) as f64], 1).unwrap();
         }
         ds
     }
@@ -729,7 +867,7 @@ mod tests {
         let schema = Schema::new(vec![FeatureKind::Continuous]);
         let mut ds = Dataset::new(schema, 2);
         for i in 0..10 {
-            ds.push(vec![i as f64], 1).unwrap();
+            ds.push(&[i as f64], 1).unwrap();
         }
         let tree = DecisionTree::fit(&ds, DecisionTreeParams::default()).unwrap();
         let plan = tree.batch_plan();

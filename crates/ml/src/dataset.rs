@@ -88,11 +88,13 @@ impl Schema {
     }
 }
 
-/// A labelled feature matrix.
+/// A labelled feature matrix, stored flat: row `i` is
+/// `values[i * width..(i + 1) * width]`, where `width` is the schema's
+/// column count, so a pushed row costs no allocation of its own.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
     schema: Schema,
-    rows: Vec<Vec<f64>>,
+    values: Vec<f64>,
     labels: Vec<usize>,
     n_classes: usize,
 }
@@ -105,21 +107,22 @@ impl Dataset {
     /// Panics if `n_classes == 0`.
     pub fn new(schema: Schema, n_classes: usize) -> Self {
         assert!(n_classes > 0, "dataset needs at least one class");
-        Dataset { schema, rows: Vec::new(), labels: Vec::new(), n_classes }
+        Dataset { schema, values: Vec::new(), labels: Vec::new(), n_classes }
     }
 
-    /// Appends one labelled row.
+    /// Appends one labelled row. The row and the label are checked before
+    /// anything is stored, so a rejected push leaves the dataset unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::DimensionMismatch`], [`MlError::InvalidCategory`]
     /// or [`MlError::InvalidLabel`].
-    pub fn push(&mut self, row: Vec<f64>, label: usize) -> Result<(), MlError> {
-        self.schema.validate(&row)?;
+    pub fn push(&mut self, row: &[f64], label: usize) -> Result<(), MlError> {
+        self.schema.validate(row)?;
         if label >= self.n_classes {
             return Err(MlError::InvalidLabel { label, n_classes: self.n_classes });
         }
-        self.rows.push(row);
+        self.values.extend_from_slice(row);
         self.labels.push(label);
         Ok(())
     }
@@ -131,12 +134,12 @@ impl Dataset {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.labels.len()
     }
 
     /// Whether the dataset has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.labels.is_empty()
     }
 
     /// Number of classes.
@@ -150,7 +153,8 @@ impl Dataset {
     ///
     /// Panics if `i` is out of range.
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.rows[i]
+        let width = self.schema.len();
+        &self.values[i * width..(i + 1) * width]
     }
 
     /// Label of row `i`.
@@ -164,7 +168,7 @@ impl Dataset {
 
     /// Iterates over `(row, label)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], usize)> {
-        self.rows.iter().map(Vec::as_slice).zip(self.labels.iter().copied())
+        self.values.chunks_exact(self.schema.len()).zip(self.labels.iter().copied())
     }
 
     /// Per-class row counts.
@@ -188,7 +192,7 @@ mod tests {
     #[test]
     fn push_and_read_back() {
         let mut ds = Dataset::new(schema(), 2);
-        ds.push(vec![1.5, 8.0], 1).unwrap();
+        ds.push(&[1.5, 8.0], 1).unwrap();
         assert_eq!(ds.len(), 1);
         assert_eq!(ds.row(0), &[1.5, 8.0]);
         assert_eq!(ds.label(0), 1);
@@ -198,7 +202,7 @@ mod tests {
     #[test]
     fn dimension_mismatch_rejected() {
         let mut ds = Dataset::new(schema(), 2);
-        let err = ds.push(vec![1.0], 0).unwrap_err();
+        let err = ds.push(&[1.0], 0).unwrap_err();
         assert_eq!(err, MlError::DimensionMismatch { expected: 2, got: 1 });
     }
 
@@ -206,21 +210,18 @@ mod tests {
     fn invalid_category_rejected() {
         let mut ds = Dataset::new(schema(), 2);
         assert!(matches!(
-            ds.push(vec![1.0, 24.0], 0).unwrap_err(),
+            ds.push(&[1.0, 24.0], 0).unwrap_err(),
             MlError::InvalidCategory { feature: 1, .. }
         ));
-        assert!(matches!(ds.push(vec![1.0, 3.5], 0).unwrap_err(), MlError::InvalidCategory { .. }));
-        assert!(matches!(
-            ds.push(vec![1.0, -1.0], 0).unwrap_err(),
-            MlError::InvalidCategory { .. }
-        ));
+        assert!(matches!(ds.push(&[1.0, 3.5], 0).unwrap_err(), MlError::InvalidCategory { .. }));
+        assert!(matches!(ds.push(&[1.0, -1.0], 0).unwrap_err(), MlError::InvalidCategory { .. }));
     }
 
     #[test]
     fn invalid_label_rejected() {
         let mut ds = Dataset::new(schema(), 2);
         assert_eq!(
-            ds.push(vec![1.0, 0.0], 2).unwrap_err(),
+            ds.push(&[1.0, 0.0], 2).unwrap_err(),
             MlError::InvalidLabel { label: 2, n_classes: 2 }
         );
     }
@@ -229,7 +230,7 @@ mod tests {
     fn class_counts() {
         let mut ds = Dataset::new(schema(), 3);
         for (x, l) in [(0.0, 0), (1.0, 1), (2.0, 1), (3.0, 2)] {
-            ds.push(vec![x, 0.0], l).unwrap();
+            ds.push(&[x, 0.0], l).unwrap();
         }
         assert_eq!(ds.class_counts(), vec![1, 2, 1]);
     }

@@ -47,7 +47,7 @@ enum Node {
 /// let schema = Schema::new(vec![FeatureKind::Continuous]);
 /// let mut ds = Dataset::new(schema, 2);
 /// for i in 0..20 {
-///     ds.push(vec![i as f64], usize::from(i >= 10))?;
+///     ds.push(&[i as f64], usize::from(i >= 10))?;
 /// }
 /// let tree = DecisionTree::fit(&ds, DecisionTreeParams::default())?;
 /// assert_eq!(tree.predict(&[3.0])?, 0);
@@ -381,17 +381,19 @@ impl DecisionTree {
         }
     }
 
-    /// Class distribution at the leaf `row` falls into.
+    /// Class distribution at the leaf `row` falls into, by reference: the
+    /// one walk behind [`DecisionTree::predict_proba`] and
+    /// [`DecisionTree::predict`].
     ///
     /// # Errors
     ///
     /// Returns [`MlError::DimensionMismatch`] or [`MlError::InvalidCategory`].
-    pub fn predict_proba(&self, row: &[f64]) -> Result<Vec<f64>, MlError> {
+    pub fn leaf_proba(&self, row: &[f64]) -> Result<&[f64], MlError> {
         self.schema.validate(row)?;
         let mut node = &self.root;
         loop {
             match node {
-                Node::Leaf { probs } => return Ok(probs.clone()),
+                Node::Leaf { probs } => return Ok(probs),
                 Node::Split { feature, threshold, left, right } => {
                     // hotpath-exempt(panic): split features come from the fitted schema
                     // and the row passed Schema::validate above.
@@ -401,13 +403,22 @@ impl DecisionTree {
         }
     }
 
+    /// Class distribution at the leaf `row` falls into.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] or [`MlError::InvalidCategory`].
+    pub fn predict_proba(&self, row: &[f64]) -> Result<Vec<f64>, MlError> {
+        self.leaf_proba(row).map(<[f64]>::to_vec)
+    }
+
     /// The most probable class.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::DimensionMismatch`] or [`MlError::InvalidCategory`].
     pub fn predict(&self, row: &[f64]) -> Result<usize, MlError> {
-        let p = self.predict_proba(row)?;
+        let p = self.leaf_proba(row)?;
         // Manual argmax: total and panic-free even for empty or NaN inputs
         // (NaN comparisons are simply never `>`, so the running best stands).
         let mut best = 0usize;
@@ -436,10 +447,10 @@ mod tests {
         ]);
         let mut ds = Dataset::new(schema, 2);
         for _ in 0..25 {
-            ds.push(vec![0.0, 0.0], 0).unwrap();
-            ds.push(vec![0.0, 1.0], 1).unwrap();
-            ds.push(vec![1.0, 0.0], 1).unwrap();
-            ds.push(vec![1.0, 1.0], 0).unwrap();
+            ds.push(&[0.0, 0.0], 0).unwrap();
+            ds.push(&[0.0, 1.0], 1).unwrap();
+            ds.push(&[1.0, 0.0], 1).unwrap();
+            ds.push(&[1.0, 1.0], 0).unwrap();
         }
         ds
     }
@@ -459,7 +470,7 @@ mod tests {
         let schema = Schema::new(vec![FeatureKind::Continuous]);
         let mut ds = Dataset::new(schema, 2);
         for i in 0..10 {
-            ds.push(vec![i as f64], 1).unwrap();
+            ds.push(&[i as f64], 1).unwrap();
         }
         let tree = DecisionTree::fit(&ds, DecisionTreeParams::default()).unwrap();
         assert_eq!(tree.leaf_count(), 1);
@@ -472,7 +483,7 @@ mod tests {
         let schema = Schema::new(vec![FeatureKind::Continuous]);
         let mut ds = Dataset::new(schema, 2);
         for i in 0..30 {
-            ds.push(vec![i as f64], usize::from(i >= 10)).unwrap();
+            ds.push(&[i as f64], usize::from(i >= 10)).unwrap();
         }
         let tree = DecisionTree::fit(
             &ds,
@@ -498,9 +509,9 @@ mod tests {
         let mut ds = Dataset::new(schema, 2);
         // One outlier of class 1 among class 0.
         for i in 0..50 {
-            ds.push(vec![i as f64], 0).unwrap();
+            ds.push(&[i as f64], 0).unwrap();
         }
-        ds.push(vec![25.5], 1).unwrap();
+        ds.push(&[25.5], 1).unwrap();
         let tree = DecisionTree::fit(
             &ds,
             DecisionTreeParams { min_samples_leaf: 5, ..DecisionTreeParams::default() },
@@ -520,7 +531,7 @@ mod tests {
         let schema = Schema::new(vec![FeatureKind::Continuous]);
         let mut ds = Dataset::new(schema, 2);
         for i in 0..1000 {
-            ds.push(vec![i as f64 / 3.0], usize::from(i >= 500)).unwrap();
+            ds.push(&[i as f64 / 3.0], usize::from(i >= 500)).unwrap();
         }
         let tree = DecisionTree::fit(
             &ds,
@@ -562,10 +573,10 @@ mod tests {
         for i in 0..200 {
             let hour = (i % 24) as f64;
             // Normal drivers: low abnormal-probability, NB said normal.
-            ds.push(vec![hour, 0.1 + (i % 5) as f64 * 0.02, 1.0], 1).unwrap();
+            ds.push(&[hour, 0.1 + (i % 5) as f64 * 0.02, 1.0], 1).unwrap();
             // Abnormal drivers: high fused probability, NB sometimes wrong.
             let nb_class = if i % 4 == 0 { 1.0 } else { 0.0 };
-            ds.push(vec![hour, 0.8 + (i % 5) as f64 * 0.02, nb_class], 0).unwrap();
+            ds.push(&[hour, 0.8 + (i % 5) as f64 * 0.02, nb_class], 0).unwrap();
         }
         let tree = DecisionTree::fit(&ds, DecisionTreeParams::default()).unwrap();
         // Even when NB said "normal", the fused probability rescues the

@@ -23,8 +23,8 @@
 //! let schema = Schema::new(vec![FeatureKind::Continuous]);
 //! let mut ds = Dataset::new(schema, 2);
 //! for i in 0..50 {
-//!     ds.push(vec![i as f64 * 0.01], 0)?;
-//!     ds.push(vec![10.0 + i as f64 * 0.01], 1)?;
+//!     ds.push(&[i as f64 * 0.01], 0)?;
+//!     ds.push(&[10.0 + i as f64 * 0.01], 1)?;
 //! }
 //! let nb = NaiveBayes::fit(&ds)?;
 //! assert_eq!(nb.predict(&[0.2])?, 0);

@@ -39,7 +39,7 @@ impl Default for LogisticParams {
 /// let schema = Schema::new(vec![FeatureKind::Continuous]);
 /// let mut ds = Dataset::new(schema, 2);
 /// for i in 0..40 {
-///     ds.push(vec![i as f64], usize::from(i >= 20))?;
+///     ds.push(&[i as f64], usize::from(i >= 20))?;
 /// }
 /// let lr = LogisticRegression::fit(&ds, LogisticParams::default())?;
 /// assert_eq!(lr.predict(&[5.0])?, 0);
@@ -214,7 +214,7 @@ mod tests {
         for i in 0..120 {
             let x = (i % 60) as f64;
             let label = usize::from(x >= 30.0);
-            ds.push(vec![x, (i % 3) as f64], label).unwrap();
+            ds.push(&[x, (i % 3) as f64], label).unwrap();
         }
         ds
     }
@@ -237,7 +237,7 @@ mod tests {
         let mut ds = Dataset::new(schema, 2);
         for i in 0..100 {
             let cat = i % 2;
-            ds.push(vec![(i % 10) as f64, cat as f64], cat).unwrap();
+            ds.push(&[(i % 10) as f64, cat as f64], cat).unwrap();
         }
         let lr = LogisticRegression::fit(&ds, LogisticParams::default()).unwrap();
         assert_eq!(lr.predict(&[4.0, 0.0]).unwrap(), 0);
@@ -253,15 +253,15 @@ mod tests {
             MlError::EmptyDataset
         );
         let mut one_sided = Dataset::new(schema.clone(), 2);
-        one_sided.push(vec![1.0], 0).unwrap();
+        one_sided.push(&[1.0], 0).unwrap();
         assert_eq!(
             LogisticRegression::fit(&one_sided, LogisticParams::default()).unwrap_err(),
             MlError::MissingClass { class: 1 }
         );
         let mut three = Dataset::new(schema, 3);
-        three.push(vec![1.0], 0).unwrap();
-        three.push(vec![2.0], 1).unwrap();
-        three.push(vec![3.0], 2).unwrap();
+        three.push(&[1.0], 0).unwrap();
+        three.push(&[2.0], 1).unwrap();
+        three.push(&[3.0], 2).unwrap();
         assert!(LogisticRegression::fit(&three, LogisticParams::default()).is_err());
     }
 
@@ -278,7 +278,7 @@ mod tests {
         let schema = Schema::new(vec![FeatureKind::Continuous]);
         let mut ds = Dataset::new(schema, 2);
         for i in 0..100 {
-            ds.push(vec![10_000.0 + i as f64 * 100.0], usize::from(i >= 50)).unwrap();
+            ds.push(&[10_000.0 + i as f64 * 100.0], usize::from(i >= 50)).unwrap();
         }
         let lr = LogisticRegression::fit(&ds, LogisticParams::default()).unwrap();
         assert_eq!(lr.predict(&[10_100.0]).unwrap(), 0);

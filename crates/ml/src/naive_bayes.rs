@@ -234,8 +234,8 @@ mod tests {
         let mut ds = Dataset::new(schema, 2);
         for i in 0..100 {
             let jitter = (i % 10) as f64 * 0.1;
-            ds.push(vec![jitter, -jitter, (i % 2) as f64], 0).unwrap();
-            ds.push(vec![10.0 + jitter, 5.0 - jitter, 2.0], 1).unwrap();
+            ds.push(&[jitter, -jitter, (i % 2) as f64], 0).unwrap();
+            ds.push(&[10.0 + jitter, 5.0 - jitter, 2.0], 1).unwrap();
         }
         ds
     }
@@ -262,10 +262,10 @@ mod tests {
         // Identical feature distributions, 9:1 class imbalance -> posterior
         // follows the prior.
         for i in 0..90 {
-            ds.push(vec![(i % 10) as f64], 0).unwrap();
+            ds.push(&[(i % 10) as f64], 0).unwrap();
         }
         for i in 0..10 {
-            ds.push(vec![(i % 10) as f64], 1).unwrap();
+            ds.push(&[(i % 10) as f64], 1).unwrap();
         }
         let nb = NaiveBayes::fit(&ds).unwrap();
         let p = nb.predict_proba(&[5.0]).unwrap();
@@ -277,8 +277,8 @@ mod tests {
         let schema = Schema::new(vec![FeatureKind::Categorical { cardinality: 4 }]);
         let mut ds = Dataset::new(schema, 2);
         for _ in 0..10 {
-            ds.push(vec![0.0], 0).unwrap();
-            ds.push(vec![1.0], 1).unwrap();
+            ds.push(&[0.0], 0).unwrap();
+            ds.push(&[1.0], 1).unwrap();
         }
         let nb = NaiveBayes::fit(&ds).unwrap();
         // Category 3 was never seen; probabilities stay finite and uniform.
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn missing_class_rejected() {
         let mut ds = Dataset::new(Schema::new(vec![FeatureKind::Continuous]), 2);
-        ds.push(vec![1.0], 0).unwrap();
+        ds.push(&[1.0], 0).unwrap();
         assert_eq!(NaiveBayes::fit(&ds).unwrap_err(), MlError::MissingClass { class: 1 });
     }
 
@@ -314,13 +314,13 @@ mod tests {
         let mut ds = Dataset::new(schema, 2);
         for i in 0..200 {
             let x = 30.0 + ((i % 21) as f64 - 10.0) / 2.0;
-            ds.push(vec![x], 1).unwrap(); // class 1 = normal
+            ds.push(&[x], 1).unwrap(); // class 1 = normal
         }
         for i in 0..50 {
-            ds.push(vec![80.0 + (i % 10) as f64], 0).unwrap(); // speeding
+            ds.push(&[80.0 + (i % 10) as f64], 0).unwrap(); // speeding
         }
         for i in 0..50 {
-            ds.push(vec![2.0 + (i % 5) as f64], 0).unwrap(); // crawling
+            ds.push(&[2.0 + (i % 5) as f64], 0).unwrap(); // crawling
         }
         let nb = NaiveBayes::fit(&ds).unwrap();
         // A driver at 90 km/h where most drive ~30 is classified abnormal,

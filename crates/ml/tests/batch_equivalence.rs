@@ -1,8 +1,9 @@
 //! Property-based bit-identity of the batch plans against the scalar
 //! per-record paths: for random models and random feature batches, every
-//! `*_into` output must match the scalar `predict`/`predict_proba` bit for
-//! bit. This is what keeps the byte-stable `results/` artifacts safe when
-//! the RSU detect loop runs through the plans.
+//! `*_into` output and every per-row `*_row` entry must match the scalar
+//! `predict`/`predict_proba` bit for bit. This is what keeps the
+//! byte-stable `results/` artifacts safe when the RSU detect loop and the
+//! scalar detectors run through the plans.
 
 use cad3_ml::{
     Dataset, DecisionTree, DecisionTreeParams, FeatureBatch, FeatureKind, LogisticParams,
@@ -31,7 +32,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
                 } else {
                     *label
                 };
-                ds.push(vec![*a, *b, *c as f64], label).unwrap();
+                ds.push(&[*a, *b, *c as f64], label).unwrap();
             }
             ds
         },
@@ -131,6 +132,72 @@ proptest! {
             prop_assert_eq!(s_proba[1].to_bits(), proba[r * 2 + 1].to_bits());
             prop_assert_eq!(lr.predict(row).unwrap() as u32, classes[r]);
         }
+    }
+
+    /// The NB plan's per-row entry is bit-identical to the scalar model.
+    #[test]
+    fn nb_row_is_bit_identical(ds in arb_dataset(), rows in arb_rows()) {
+        let nb = NaiveBayes::fit(&ds).unwrap();
+        let plan = nb.batch_plan();
+        for row in &rows {
+            let mut proba = [0.0; 2];
+            plan.predict_proba_row(row, &mut proba).unwrap();
+            let s_proba = nb.predict_proba(row).unwrap();
+            prop_assert_eq!(s_proba[0].to_bits(), proba[0].to_bits());
+            prop_assert_eq!(s_proba[1].to_bits(), proba[1].to_bits());
+        }
+        let mut one = [0.0; 1];
+        prop_assert!(plan.predict_proba_row(&rows[0], &mut one).is_err());
+        prop_assert!(plan.predict_proba_row(&rows[0][..2], &mut [0.0; 2]).is_err());
+    }
+
+    /// The tree plan's per-row entry lands on the scalar walk's leaf, and
+    /// the tree's by-reference leaf is `predict_proba`'s distribution.
+    #[test]
+    fn tree_row_is_bit_identical(
+        ds in arb_dataset(),
+        rows in arb_rows(),
+        max_depth in 0usize..10,
+        max_thresholds in 2usize..40,
+    ) {
+        let params = DecisionTreeParams {
+            max_depth,
+            min_samples_split: 2,
+            min_samples_leaf: 1,
+            max_thresholds,
+        };
+        let tree = DecisionTree::fit(&ds, params).unwrap();
+        let plan = tree.batch_plan();
+        for row in &rows {
+            let s_proba = tree.predict_proba(row).unwrap();
+            let leaf = tree.leaf_proba(row).unwrap();
+            let planned = plan.predict_proba_row(row).unwrap();
+            prop_assert_eq!(leaf.len(), 2);
+            prop_assert_eq!(planned.len(), 2);
+            for c in 0..2 {
+                prop_assert_eq!(s_proba[c].to_bits(), leaf[c].to_bits());
+                prop_assert_eq!(s_proba[c].to_bits(), planned[c].to_bits());
+            }
+        }
+        prop_assert!(plan.predict_proba_row(&rows[0][..2]).is_err());
+    }
+
+    /// The logistic plan's per-row entry is bit-identical to the scalar
+    /// model.
+    #[test]
+    fn lr_row_is_bit_identical(ds in arb_dataset(), rows in arb_rows()) {
+        let lr = LogisticRegression::fit(&ds, LogisticParams::default()).unwrap();
+        let plan = lr.batch_plan();
+        for row in &rows {
+            let mut proba = [0.0; 2];
+            plan.predict_proba_row(row, &mut proba).unwrap();
+            prop_assert_eq!(lr.predict_proba_one(row).unwrap().to_bits(), proba[1].to_bits());
+            let s_proba = lr.predict_proba(row).unwrap();
+            prop_assert_eq!(s_proba[0].to_bits(), proba[0].to_bits());
+            prop_assert_eq!(s_proba[1].to_bits(), proba[1].to_bits());
+        }
+        prop_assert!(plan.predict_proba_row(&rows[0], &mut [0.0; 3]).is_err());
+        prop_assert!(plan.predict_proba_row(&rows[0][..2], &mut [0.0; 2]).is_err());
     }
 
     /// The ordinal threshold key used by the tree plan decides `x <= t`

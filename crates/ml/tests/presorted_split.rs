@@ -134,7 +134,7 @@ fn dataset(rows: &[(u8, f64, u8, usize)], n_classes: usize) -> Dataset {
     ]);
     let mut ds = Dataset::new(schema, n_classes);
     for &(a, b, c, label) in rows {
-        ds.push(vec![TIED[usize::from(a)], b, f64::from(c)], label % n_classes).unwrap();
+        ds.push(&[TIED[usize::from(a)], b, f64::from(c)], label % n_classes).unwrap();
     }
     ds
 }

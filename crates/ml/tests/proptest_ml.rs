@@ -25,7 +25,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
                 } else {
                     *label
                 };
-                ds.push(vec![*a, *b, *c as f64], label).unwrap();
+                ds.push(&[*a, *b, *c as f64], label).unwrap();
             }
             ds
         },
@@ -33,6 +33,50 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 }
 
 proptest! {
+    /// Rows come back from the flat store exactly as they were pushed, and
+    /// a push the schema or the class count rejects leaves the dataset as
+    /// it was: widths 2 and 4 miss the schema, category 5 and the
+    /// fractional one are out of range, label 2 has no class.
+    #[test]
+    fn dataset_keeps_what_it_accepts_and_only_that(
+        pushes in prop::collection::vec(
+            (-100.0f64..100.0, -10.0f64..10.0, 0u8..7, 0usize..3, 0u8..6),
+            0..60,
+        ),
+    ) {
+        let schema = Schema::new(vec![
+            FeatureKind::Continuous,
+            FeatureKind::Continuous,
+            FeatureKind::Categorical { cardinality: 5 },
+        ]);
+        let mut ds = Dataset::new(schema, 2);
+        let mut kept: Vec<(Vec<f64>, usize)> = Vec::new();
+        for (a, b, c, label, shape) in pushes {
+            let row = match shape {
+                0 => vec![a, b],
+                1 => vec![a, b, f64::from(c), 1.0],
+                2 => vec![a, b, f64::from(c) + 0.5],
+                _ => vec![a, b, f64::from(c)],
+            };
+            let valid = row.len() == 3 && row[2].fract() == 0.0 && row[2] < 5.0 && label < 2;
+            let before = ds.clone();
+            let pushed = ds.push(&row, label);
+            prop_assert_eq!(pushed.is_ok(), valid, "row {:?} label {}", row, label);
+            if valid {
+                kept.push((row, label));
+            } else {
+                prop_assert!(ds == before, "a rejected push changed the dataset");
+            }
+        }
+        prop_assert_eq!(ds.len(), kept.len());
+        for (i, (row, label)) in kept.iter().enumerate() {
+            prop_assert_eq!(ds.row(i), &row[..]);
+            prop_assert_eq!(ds.label(i), *label);
+        }
+        let iterated: Vec<(Vec<f64>, usize)> = ds.iter().map(|(r, l)| (r.to_vec(), l)).collect();
+        prop_assert_eq!(iterated, kept);
+    }
+
     /// NB posteriors are a probability distribution for every valid row.
     #[test]
     fn nb_posteriors_are_distributions(ds in arb_dataset(), a in -200.0f64..200.0, b in -20.0f64..20.0, c in 0u8..5) {

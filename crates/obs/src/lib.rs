@@ -28,7 +28,8 @@
 //!   the per-record counters on the broker/producer/consumer/link paths all
 //!   reduce to one relaxed load + untaken branch when disabled. Even a
 //!   sharded relaxed `fetch_add` is measurable at ~300 ns/op
-//!   (EXPERIMENTS.md), so nothing per-record runs unconditionally.
+//!   (`results/campaigns/observability-overhead.md`), so nothing
+//!   per-record runs unconditionally.
 //! * **With obs on, a record that is not head-sampled costs no wall-clock
 //!   read.** Timing is per batch, per fetch, or per *traced* record — the
 //!   decision [`trace::mint`] already made once for the whole trace — never
@@ -49,7 +50,8 @@
 //! instrument. With the exporter detached the gate is one relaxed load per
 //! call site, which every `steady_256v` number already pays. With obs on
 //! at 1 % head sampling, `steady_256v_obs` stays within 5 % of
-//! `steady_256v`'s `records_per_s` (−3.7 % at PR 16, EXPERIMENTS.md), and
+//! `steady_256v`'s `records_per_s` (−3.7 % when per-record timing moved
+//! behind the sampling decision; see `results/campaigns/`), and
 //! CI's `obs-e2e` job fails if its `obs.overhead_share` exceeds 0.12.
 //!
 //! # Example

@@ -33,7 +33,7 @@ pub const BUCKETS: usize = 65;
 /// The cache is a const-initialized `Cell` rather than a lazily-computed
 /// `thread_local!` value: const TLS compiles to a direct slot access with
 /// no per-call init flag or destructor check, which matters on the broker
-/// append path (see EXPERIMENTS.md "Observability overhead").
+/// append path (see `results/campaigns/observability-overhead.md`).
 pub(crate) fn shard_index() -> usize {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering as StdOrdering};

@@ -20,6 +20,12 @@ use std::cell::RefCell;
 pub const STATUS_WIRE_LEN: usize = 200;
 
 /// Types that can be encoded into a binary wire representation.
+///
+/// The fixed-size messages ([`VehicleStatus`], [`WarningMessage`]) build
+/// their whole encoding once, into a stack array that is the one definition
+/// of their layout: `encode` appends it and `encode_to_bytes` copies it into
+/// the returned `Bytes`. A variable-length message ([`SummaryMessage`])
+/// writes its fields into `buf` and keeps the default `encode_to_bytes`.
 pub trait WireEncode {
     /// Appends the encoded representation to `buf`.
     fn encode(&self, buf: &mut BytesMut);
@@ -74,6 +80,18 @@ fn field<const N: usize>(body: &mut &[u8]) -> Result<[u8; N], CodecError> {
     let (head, rest) = split_body::<N>(body)?;
     *body = rest;
     Ok(*head)
+}
+
+/// Writes the next field of a wire image: the encoding twin of [`field`].
+/// `image` is what is left of the image after the fields before; a field
+/// that would not fit is dropped, which no fixed layout here reaches (each
+/// image's length is the sum of its fields and its padding).
+#[inline]
+fn put<const N: usize>(image: &mut &mut [u8], bytes: [u8; N]) {
+    if let Some((head, rest)) = std::mem::take(image).split_first_chunk_mut::<N>() {
+        *head = bytes;
+        *image = rest;
+    }
 }
 
 /// The status packet a vehicle pushes to the `IN-DATA` topic of its RSU.
@@ -153,27 +171,36 @@ impl VehicleStatus {
     }
 }
 
+impl VehicleStatus {
+    /// The status's wire image, the one definition of its layout: 80 bytes
+    /// of big-endian fields, then zeros up to the paper's 200-byte packet.
+    fn wire_image(&self) -> [u8; STATUS_WIRE_LEN] {
+        let mut image = [0u8; STATUS_WIRE_LEN];
+        let mut rest: &mut [u8] = &mut image;
+        put(&mut rest, self.vehicle.raw().to_be_bytes());
+        put(&mut rest, self.trip.raw().to_be_bytes());
+        put(&mut rest, self.road.raw().to_be_bytes());
+        put(&mut rest, self.speed_kmh.to_be_bytes());
+        put(&mut rest, self.accel_mps2.to_be_bytes());
+        put(&mut rest, [self.hour.get(), self.day.index(), self.road_type.code()]);
+        put(&mut rest, [self.truth.class()]);
+        put(&mut rest, self.road_speed_kmh.to_be_bytes());
+        put(&mut rest, self.position.lon.to_be_bytes());
+        put(&mut rest, self.position.lat.to_be_bytes());
+        put(&mut rest, self.sent_at.as_nanos().to_be_bytes());
+        put(&mut rest, self.seq.to_be_bytes());
+        image
+    }
+}
+
 impl WireEncode for VehicleStatus {
     fn encode(&self, buf: &mut BytesMut) {
-        let start = buf.len();
-        buf.put_u64(self.vehicle.raw());
-        buf.put_u64(self.trip.raw());
-        buf.put_u64(self.road.raw());
-        buf.put_f64(self.speed_kmh);
-        buf.put_f64(self.accel_mps2);
-        buf.put_u8(self.hour.get());
-        buf.put_u8(self.day.index());
-        buf.put_u8(self.road_type.code());
-        buf.put_u8(self.truth.class());
-        buf.put_f64(self.road_speed_kmh);
-        buf.put_f64(self.position.lon);
-        buf.put_f64(self.position.lat);
-        buf.put_u64(self.sent_at.as_nanos());
-        buf.put_u32(self.seq);
-        // Pad to the fixed 200-byte packet size of the paper.
-        let written = buf.len() - start;
-        debug_assert!(written <= STATUS_WIRE_LEN);
-        buf.put_bytes(0, STATUS_WIRE_LEN - written);
+        buf.extend_from_slice(&self.wire_image());
+    }
+
+    /// One copy of the stack image into the returned `Bytes`.
+    fn encode_to_bytes(&self) -> Bytes {
+        Bytes::copy_from_slice(&self.wire_image())
     }
 
     fn encoded_len(&self) -> usize {
@@ -294,15 +321,32 @@ pub struct WarningMessage {
     pub source_seq: u32,
 }
 
+impl WarningMessage {
+    /// The warning's wire image, the one definition of its layout: seven
+    /// big-endian fields, the vehicle id first (`RsuNode` keys the
+    /// `OUT-DATA` record with it).
+    fn wire_image(&self) -> [u8; WARNING_WIRE_LEN] {
+        let mut image = [0u8; WARNING_WIRE_LEN];
+        let mut rest: &mut [u8] = &mut image;
+        put(&mut rest, self.vehicle.raw().to_be_bytes());
+        put(&mut rest, self.road.raw().to_be_bytes());
+        put(&mut rest, [self.kind.code()]);
+        put(&mut rest, self.probability.to_be_bytes());
+        put(&mut rest, self.source_sent_at.as_nanos().to_be_bytes());
+        put(&mut rest, self.detected_at.as_nanos().to_be_bytes());
+        put(&mut rest, self.source_seq.to_be_bytes());
+        image
+    }
+}
+
 impl WireEncode for WarningMessage {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64(self.vehicle.raw());
-        buf.put_u64(self.road.raw());
-        buf.put_u8(self.kind.code());
-        buf.put_f64(self.probability);
-        buf.put_u64(self.source_sent_at.as_nanos());
-        buf.put_u64(self.detected_at.as_nanos());
-        buf.put_u32(self.source_seq);
+        buf.extend_from_slice(&self.wire_image());
+    }
+
+    /// One copy of the stack image into the returned `Bytes`.
+    fn encode_to_bytes(&self) -> Bytes {
+        Bytes::copy_from_slice(&self.wire_image())
     }
 
     fn encoded_len(&self) -> usize {

@@ -1,6 +1,6 @@
 //! Property-based tests for the wire codec and geo math.
 
-use bytes::{Buf, Bytes};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cad3_types::{
     CodecError, DayOfWeek, GeoPoint, HourOfDay, Label, RoadId, RoadType, RsuId, SimTime,
     SummaryMessage, TraceLineage, TripId, VehicleId, VehicleStatus, WarningKind, WarningMessage,
@@ -159,6 +159,93 @@ proptest! {
         let new = VehicleStatus::decode(&mut wire.clone()).map(|s| s.encode_to_bytes());
         let old = decode_status_walking(&mut wire.clone()).map(|s| s.encode_to_bytes());
         prop_assert_eq!(new, old);
+    }
+}
+
+/// The `put_*` sequence `VehicleStatus::encode` wrote before the status had
+/// a fixed wire image, kept as the image's oracle.
+fn encode_status_putting(s: &VehicleStatus, buf: &mut BytesMut) {
+    let start = buf.len();
+    buf.put_u64(s.vehicle.raw());
+    buf.put_u64(s.trip.raw());
+    buf.put_u64(s.road.raw());
+    buf.put_f64(s.speed_kmh);
+    buf.put_f64(s.accel_mps2);
+    buf.put_u8(s.hour.get());
+    buf.put_u8(s.day.index());
+    buf.put_u8(s.road_type.code());
+    buf.put_u8(s.truth.class());
+    buf.put_f64(s.road_speed_kmh);
+    buf.put_f64(s.position.lon);
+    buf.put_f64(s.position.lat);
+    buf.put_u64(s.sent_at.as_nanos());
+    buf.put_u32(s.seq);
+    let written = buf.len() - start;
+    buf.put_bytes(0, STATUS_WIRE_LEN - written);
+}
+
+/// The `put_*` sequence `WarningMessage::encode` wrote before the warning
+/// had a fixed wire image, kept as the image's oracle.
+fn encode_warning_putting(w: &WarningMessage, buf: &mut BytesMut) {
+    buf.put_u64(w.vehicle.raw());
+    buf.put_u64(w.road.raw());
+    buf.put_u8(match w.kind {
+        WarningKind::Speeding => 0,
+        WarningKind::Slowing => 1,
+        WarningKind::SuddenAcceleration => 2,
+    });
+    buf.put_f64(w.probability);
+    buf.put_u64(w.source_sent_at.as_nanos());
+    buf.put_u64(w.detected_at.as_nanos());
+    buf.put_u32(w.source_seq);
+}
+
+fn arb_warning() -> impl Strategy<Value = WarningMessage> {
+    (any::<u64>(), any::<u64>(), 0u8..3, any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>())
+        .prop_map(|(veh, road, kind, p_bits, t1, t2, seq)| WarningMessage {
+            vehicle: VehicleId(veh),
+            road: RoadId(road),
+            kind: match kind {
+                0 => WarningKind::Speeding,
+                1 => WarningKind::Slowing,
+                _ => WarningKind::SuddenAcceleration,
+            },
+            // Any bit pattern, NaNs and infinities included: the image
+            // copies bits, it does not look at the value.
+            probability: f64::from_bits(p_bits),
+            source_sent_at: SimTime::from_nanos(t1),
+            detected_at: SimTime::from_nanos(t2),
+            source_seq: seq,
+        })
+}
+
+proptest! {
+    /// The status's wire image is byte for byte the old `put_*` sequence,
+    /// through `encode_to_bytes` and through `encode` appending to a
+    /// buffer that already holds bytes.
+    #[test]
+    fn status_wire_image_is_the_put_sequence(s in arb_status(), prefix in 0usize..8) {
+        let mut want = BytesMut::new();
+        encode_status_putting(&s, &mut want);
+        prop_assert_eq!(&s.encode_to_bytes()[..], &want[..]);
+        let mut got = BytesMut::new();
+        got.put_bytes(0xAB, prefix);
+        s.encode(&mut got);
+        prop_assert_eq!(got.len(), prefix + STATUS_WIRE_LEN);
+        prop_assert_eq!(&got[prefix..], &want[..]);
+    }
+
+    /// The warning's wire image is byte for byte the old `put_*` sequence.
+    #[test]
+    fn warning_wire_image_is_the_put_sequence(w in arb_warning(), prefix in 0usize..8) {
+        let mut want = BytesMut::new();
+        encode_warning_putting(&w, &mut want);
+        prop_assert_eq!(&w.encode_to_bytes()[..], &want[..]);
+        prop_assert_eq!(want.len(), w.encoded_len());
+        let mut got = BytesMut::new();
+        got.put_bytes(0xAB, prefix);
+        w.encode(&mut got);
+        prop_assert_eq!(&got[prefix..], &want[..]);
     }
 }
 

@@ -395,7 +395,8 @@ impl Parser<'_> {
             has_self = self.toks.get(j).is_some_and(|t| t.tok.is_ident("self"));
         }
         self.skip_group('(', ')');
-        // Return type / where clause: scan to the body `{` or a `;`.
+        // Return type / where clause: scan to the body `{` or a `;`. An
+        // array type's `;` (`-> [u8; N]`) is inside brackets, not the end.
         loop {
             match self.peek() {
                 None => return None,
@@ -405,6 +406,7 @@ impl Parser<'_> {
                 }
                 Some(t) if t.is_punct('{') => break,
                 Some(t) if t.is_punct('<') => self.skip_generics(),
+                Some(t) if t.is_punct('[') => self.skip_group('[', ']'),
                 Some(_) => self.bump(),
             }
         }
@@ -498,6 +500,21 @@ mod tests {
         assert!(p.fns.iter().all(|f| f.self_ty.as_deref() == Some("Broker")));
         assert_eq!(p.fns[1].name, "with_topic");
         assert!(!p.fns[1].body.is_empty());
+    }
+
+    #[test]
+    fn array_return_types_keep_their_body() {
+        let p = parse_src(
+            "impl Status {\n\
+                 fn image(&self) -> [u8; 200] { [0; 200] }\n\
+                 fn pair() -> Result<[u8; N], E> { x }\n\
+             }\n\
+             fn after() {}\n",
+        );
+        let names: Vec<_> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["image", "pair", "after"]);
+        assert!(p.fns[..2].iter().all(|f| !f.body.is_empty()));
+        assert_eq!(p.fns[0].self_ty.as_deref(), Some("Status"));
     }
 
     #[test]
