@@ -1,7 +1,7 @@
-use super::{single_stage, with_scratch, Detection, Detector, PlanRouter};
+use super::{single_stage, with_scratch, Detection, Detector, ModelRouter};
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
-use cad3_ml::{NaiveBayes, NbBatchPlan};
+use cad3_ml::NaiveBayes;
 use cad3_types::{FeatureRecord, RoadType};
 
 /// The distributed standalone detector (the paper's AD3): one Naïve Bayes
@@ -14,11 +14,11 @@ use cad3_types::{FeatureRecord, RoadType};
 /// city-wide centralized baseline lacks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ad3Detector {
-    /// Each context's model, as a batch plan behind a dense (road, bucket)
-    /// routing table built at training time: a context without a model of
-    /// its own routes to its road type's hour-pooled model. Both detect
-    /// paths go through it, and CAD3's stage 1 too.
-    pub(super) router: PlanRouter<NbBatchPlan>,
+    /// Each context's model behind a dense (road, bucket) routing table
+    /// built at training time: a context without a model of its own routes
+    /// to its road type's hour-pooled model. Both detect paths go through
+    /// it, and CAD3's stage 1 too.
+    pub(super) router: ModelRouter<NaiveBayes>,
 }
 
 impl Ad3Detector {
@@ -34,7 +34,7 @@ impl Ad3Detector {
     /// Returns [`CoreError::InsufficientTrainingData`] when no context is
     /// trainable at all.
     pub fn train(records: &[FeatureRecord]) -> Result<Self, CoreError> {
-        let router = PlanRouter::train(records, |ds| Ok(NaiveBayes::fit(ds)?.batch_plan()))?;
+        let router = ModelRouter::train(records, NaiveBayes::fit)?;
         Ok(Ad3Detector { router })
     }
 
@@ -44,7 +44,7 @@ impl Ad3Detector {
     }
 
     /// The abnormal-class probability for a record: one allocation-free row
-    /// through the routed plan, bit for bit what `detect_batch` sweeps.
+    /// through the routed model, bit for bit what `detect_batch` sweeps.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@ use super::{
 };
 use crate::collaboration::{SummaryTracker, VehicleSummary};
 use crate::CoreError;
-use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, MlError, TreeBatchPlan};
+use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, MlError};
 use cad3_types::FeatureRecord;
 
 /// The collaborative detector (the paper's CAD3, Fig. 4).
@@ -17,10 +17,8 @@ use cad3_types::FeatureRecord;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cad3Detector {
     nb: Ad3Detector,
+    /// The stage-2 tree; both detect paths go through it.
     tree: DecisionTree,
-    /// Flattened branchless plan for `tree`, precomputed at training time;
-    /// both detect paths go through it.
-    tree_plan: TreeBatchPlan,
     fusion_weight: f64,
     summary_road_depth: Option<usize>,
 }
@@ -113,8 +111,7 @@ impl Cad3Detector {
             });
         }
         let tree = DecisionTree::fit(&ds, dt_params)?;
-        let tree_plan = tree.batch_plan();
-        Ok(Cad3Detector { nb, tree, tree_plan, fusion_weight, summary_road_depth })
+        Ok(Cad3Detector { nb, tree, fusion_weight, summary_road_depth })
     }
 
     /// The stage-1 (Naïve Bayes) detector.
@@ -129,8 +126,8 @@ impl Cad3Detector {
 
     /// Full detection detail: `(p_nb, p_x, detection)`.
     ///
-    /// Both stages run one allocation-free row through the plans the batch
-    /// path sweeps (the stage-1 router, then the tree plan), so this is bit
+    /// Both stages run one allocation-free row through the models the batch
+    /// path sweeps (the stage-1 router, then the tree), so this is bit
     /// for bit what [`Detector::detect_batch`] gives the same record.
     ///
     /// # Errors
@@ -150,11 +147,10 @@ impl Cad3Detector {
         };
         let p_x = fuse_probability(p_nb, Some(summary), self.fusion_weight);
         let class_nb = u8::from(p_nb < 0.5);
-        let leaf =
-            self.tree_plan.predict_proba_row(&[dt_hour_code(rec.hour), p_x, class_nb as f64])?;
+        let leaf = self.tree.predict_proba_row(&[dt_hour_code(rec.hour), p_x, class_nb as f64])?;
         // Class 0 is abnormal in the paper's convention.
         let p_abnormal = leaf.first().copied().ok_or(MlError::DimensionMismatch {
-            expected: self.tree_plan.n_classes(),
+            expected: self.tree.n_classes(),
             got: leaf.len(),
         })?;
         Ok((p_nb, p_x, Detection::from_p_abnormal(p_abnormal)))
@@ -193,7 +189,7 @@ impl Detector for Cad3Detector {
     ) {
         with_scratch(|s| {
             // Stage 1 once per record (the scalar path recomputes the same
-            // Naïve Bayes inside `detect_detailed`; the batch plan is
+            // Naïve Bayes inside `detect_detailed`; the sweep is
             // bit-identical, so computing it once is exact).
             s.p1.clear();
             self.nb.router.p_abnormal_into(recs, &mut s.sweep, &mut s.p1);
@@ -230,14 +226,14 @@ impl Detector for Cad3Detector {
             // rejected sweep leaves its rows `None`: the scalar path would
             // have errored on the same rows.
             let n = batch.n_rows();
-            let n_classes = self.tree_plan.n_classes();
+            let n_classes = self.tree.n_classes();
             keys.clear();
             keys.resize(3 * n, 0);
             cur.clear();
             cur.resize(n, 0);
             proba.clear();
             proba.resize(n_classes * n, 0.0);
-            if self.tree_plan.predict_proba_into(batch, keys, cur, proba).is_ok() {
+            if self.tree.predict_proba_into(batch, keys, cur, proba).is_ok() {
                 for (&row, p_tree) in rows.iter().zip(proba.iter().step_by(n_classes)) {
                     // hotpath-exempt(panic): `row` was `out.len()` when its slot was pushed.
                     out[row] = Some(Detection::from_p_abnormal(*p_tree));
@@ -343,37 +339,24 @@ mod tests {
     }
 
     /// The seed-42 tree `bench_e2e` and the examples deploy, pinned split
-    /// by split: a change to the split search, its candidates or its
-    /// Gini arithmetic moves a threshold bit here.
+    /// by split on the nodes that detect: a change to the split search, its
+    /// candidates or its Gini arithmetic moves a threshold bit here.
     #[test]
     fn the_seed_42_tree_is_pinned() {
-        use serde::Serialize;
-        /// Preorder `(feature, threshold bits)` of the splits under `node`.
-        fn splits(node: &serde::Value, out: &mut Vec<(u64, u64)>) {
-            let serde::Value::Object(variant) = node else { return };
-            let Some((tag, serde::Value::Object(fields))) = variant.first() else { return };
-            if tag != "Split" {
-                return;
-            }
-            let field = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-            if let (Some(serde::Value::UInt(f)), Some(serde::Value::Float(t))) =
-                (field("feature"), field("threshold"))
-            {
-                out.push((*f, t.to_bits()));
-            }
-            for side in ["left", "right"] {
-                if let Some(child) = field(side) {
-                    splits(child, out);
-                }
-            }
-        }
+        use cad3_ml::TreeNode;
         let ds = SyntheticDataset::generate(&DatasetConfig::small(42));
         let models = crate::detector::train_all(&ds.features, &Default::default()).unwrap();
         let tree = &models.cad3.tree;
-        let serde::Value::Object(fields) = tree.to_value() else { panic!("tree is an object") };
-        let root = &fields.iter().find(|(k, _)| k == "root").expect("tree has a root").1;
-        let mut preorder = Vec::new();
-        splits(root, &mut preorder);
+        // Preorder `(feature, threshold bits)` of the splits.
+        let preorder: Vec<(u64, u64)> = tree
+            .nodes()
+            .filter_map(|node| match node {
+                TreeNode::Split { feature, threshold, .. } => {
+                    Some((feature as u64, threshold.to_bits()))
+                }
+                TreeNode::Leaf { .. } => None,
+            })
+            .collect();
         let digest = preorder.iter().fold(0xcbf2_9ce4_8422_2325u64, |d, &(f, t)| {
             [f, t]
                 .iter()

@@ -3,7 +3,7 @@ use super::{
 };
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
-use cad3_ml::{Dataset, NaiveBayes, NbBatchPlan};
+use cad3_ml::{Dataset, NaiveBayes};
 use cad3_types::FeatureRecord;
 
 /// The centralized baseline: a single Naïve Bayes model trained on *all*
@@ -14,9 +14,8 @@ use cad3_types::FeatureRecord;
 /// context the paper blames for the baseline's poor FN rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CentralizedDetector {
-    /// The city-wide model as a batch plan, built at training time; both
-    /// detect paths go through it.
-    plan: NbBatchPlan,
+    /// The city-wide model; both detect paths go through it.
+    nb: NaiveBayes,
 }
 
 impl CentralizedDetector {
@@ -31,18 +30,18 @@ impl CentralizedDetector {
         for rec in records {
             ds.push(&nb_features(rec), rec.label.class() as usize)?;
         }
-        Ok(CentralizedDetector { plan: NaiveBayes::fit(&ds)?.batch_plan() })
+        Ok(CentralizedDetector { nb: NaiveBayes::fit(&ds)? })
     }
 
     /// The abnormal-class probability for a record: one allocation-free row
-    /// through the plan, bit for bit what the batch sweep gives it.
+    /// through the model, bit for bit what the batch sweep gives it.
     ///
     /// # Errors
     ///
     /// Propagates model errors for malformed feature vectors.
     pub fn p_abnormal(&self, rec: &FeatureRecord) -> Result<f64, CoreError> {
         let mut proba = [0.0; 2];
-        self.plan.predict_proba_row(&nb_features(rec), &mut proba)?;
+        self.nb.predict_proba_row(&nb_features(rec), &mut proba)?;
         // Class 0 is abnormal in the paper's convention.
         let [p_abnormal, _] = proba;
         Ok(p_abnormal)
@@ -68,23 +67,23 @@ impl Detector for CentralizedDetector {
         observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
         out: &mut Vec<Option<Detection>>,
     ) {
-        // One model city-wide: the whole batch is a single plan sweep.
+        // One model city-wide: the whole batch is a single sweep.
         with_scratch(|s| {
             let SweepScratch { batch, scratch, proba, .. } = &mut s.sweep;
             batch.clear();
             for rec in recs {
                 // Schema validation is vacuous for these rows — see
-                // `PlanRouter::p_abnormal_into` — and the width always
+                // `ModelRouter::p_abnormal_into` — and the width always
                 // matches, so `push_row` cannot fail either.
                 let _ = batch.push_row(&nb_features(rec));
             }
-            let n_classes = self.plan.n_classes();
+            let n_classes = self.nb.n_classes();
             scratch.clear();
             scratch.resize(n_classes * recs.len(), 0.0);
             proba.clear();
             proba.resize(n_classes * recs.len(), 0.0);
             s.p1.clear();
-            if self.plan.predict_proba_into(batch, scratch, proba).is_ok() {
+            if self.nb.predict_proba_into(batch, scratch, proba).is_ok() {
                 s.p1.extend(proba.iter().step_by(n_classes.max(1)).map(|&p| Some(p)));
             } else {
                 s.p1.resize(recs.len(), None);

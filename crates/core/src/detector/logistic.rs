@@ -1,7 +1,7 @@
-use super::{single_stage, with_scratch, Detection, Detector, PlanRouter};
+use super::{single_stage, with_scratch, Detection, Detector, ModelRouter};
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
-use cad3_ml::{LogisticParams, LogisticRegression, LrBatchPlan};
+use cad3_ml::{LogisticParams, LogisticRegression};
 use cad3_types::FeatureRecord;
 
 /// A logistic-regression variant of the standalone edge detector — the
@@ -11,10 +11,9 @@ use cad3_types::FeatureRecord;
 /// RSU, the testbed and the collaboration flow).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogisticAd3Detector {
-    /// Each context's model, as a batch plan behind a dense (road, bucket)
-    /// routing table built at training time; both detect paths go through
-    /// it.
-    router: PlanRouter<LrBatchPlan>,
+    /// Each context's model behind a dense (road, bucket) routing table
+    /// built at training time; both detect paths go through it.
+    router: ModelRouter<LogisticRegression>,
 }
 
 impl LogisticAd3Detector {
@@ -27,13 +26,12 @@ impl LogisticAd3Detector {
     /// Returns [`CoreError::InsufficientTrainingData`] when no context is
     /// trainable.
     pub fn train(records: &[FeatureRecord], params: LogisticParams) -> Result<Self, CoreError> {
-        let router =
-            PlanRouter::train(records, |ds| Ok(LogisticRegression::fit(ds, params)?.batch_plan()))?;
+        let router = ModelRouter::train(records, |ds| LogisticRegression::fit(ds, params))?;
         Ok(LogisticAd3Detector { router })
     }
 
     /// The abnormal-class probability for a record: one allocation-free row
-    /// through the routed plan, bit for bit what `detect_batch` sweeps.
+    /// through the routed model, bit for bit what `detect_batch` sweeps.
     ///
     /// # Errors
     ///

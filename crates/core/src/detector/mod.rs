@@ -22,8 +22,8 @@ use crate::collaboration::VehicleSummary;
 use crate::CoreError;
 use cad3_data::TimeBucket;
 use cad3_ml::{
-    Dataset, DecisionTreeParams, FeatureBatch, FeatureKind, LrBatchPlan, MlError, NbBatchPlan,
-    Schema,
+    Dataset, DecisionTreeParams, FeatureBatch, FeatureKind, LogisticRegression, MlError,
+    NaiveBayes, Schema,
 };
 use cad3_types::{FeatureRecord, Label};
 use std::cell::RefCell;
@@ -117,7 +117,8 @@ pub trait Detector: Send + Sync {
     }
 
     /// Classifies a micro-batch of records, pushing one entry per record
-    /// onto `out` (`None` where the scalar path would return an error).
+    /// onto `out` (`None` where [`Detector::detect`] would return an
+    /// error).
     ///
     /// `observe` is the per-record collaboration hook: it is called exactly
     /// once, **in record order**, for every record whose stage-1 probability
@@ -126,42 +127,19 @@ pub trait Detector: Send + Sync {
     /// interleaves `stage1_p_abnormal`, `SummaryTracker::observe` and
     /// [`Detector::detect`]. Records whose stage 1 fails are *not* observed.
     ///
-    /// The default implementation is the scalar loop; the built-in
-    /// detectors override it with column-major batch plans whose outputs
-    /// are bit-identical to the scalar path (see `cad3_ml::batch`). They
-    /// sweep through buffers their thread keeps between calls, so a call no
-    /// wider than one the thread has made allocates nothing; an `observe`
-    /// that itself calls `detect_batch` gets fresh buffers for that call.
+    /// The built-in detectors sweep their models column by column (see
+    /// `cad3_ml::batch`), with outputs bit-identical to the per-record
+    /// path, which `crates/core/tests/batch_equivalence.rs` checks against a
+    /// scalar loop. They sweep through buffers their thread keeps between
+    /// calls, so a call no wider than one the thread has made allocates
+    /// nothing; an `observe` that itself calls `detect_batch` gets fresh
+    /// buffers for that call.
     fn detect_batch(
         &self,
         recs: &[FeatureRecord],
         observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
         out: &mut Vec<Option<Detection>>,
-    ) {
-        scalar_detect_batch(self, recs, observe, out);
-    }
-}
-
-/// The scalar reference loop behind [`Detector::detect_batch`]'s default:
-/// per-record stage 1, observation, then classification, in record order.
-///
-/// The built-in detectors never route here — their batch plans take every
-/// width, down to one record and the empty slice. It stays as the reference
-/// the `batch_equivalence` proptests hold those plans bit-identical to.
-fn scalar_detect_batch<D: Detector + ?Sized>(
-    det: &D,
-    recs: &[FeatureRecord],
-    observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
-    out: &mut Vec<Option<Detection>>,
-) {
-    for (i, rec) in recs.iter().enumerate() {
-        let Ok(p1) = det.stage1_p_abnormal(rec) else {
-            out.push(None);
-            continue;
-        };
-        let summary = observe(i, p1);
-        out.push(det.detect(rec, summary.as_ref()).ok());
-    }
+    );
 }
 
 /// Time-of-day regimes a routing table distinguishes.
@@ -194,20 +172,20 @@ pub(crate) fn context_index(road: cad3_types::RoadType, bucket: TimeBucket) -> u
 /// hashing `(RoadType, TimeBucket)` per record.
 ///
 /// Slot 0 means "no model" (the scalar path's `NoModelForRoadType`);
-/// slot `s >= 1` indexes `plans[s - 1]`. Slots are assigned scanning
+/// slot `s >= 1` indexes `models[s - 1]`. Slots are assigned scanning
 /// `RoadType::ALL` × bucket order, so the derived evaluation order is
 /// deterministic by construction — no map iteration anywhere.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PlanRouter<P> {
-    plans: Vec<P>,
+pub(crate) struct ModelRouter<M> {
+    models: Vec<M>,
     lut: [u16; N_CONTEXTS],
 }
 
-impl<P> PlanRouter<P> {
-    /// Fits one plan per (road type, time regime) context of `records` with
+impl<M> ModelRouter<M> {
+    /// Fits one model per (road type, time regime) context of `records` with
     /// at least [`MIN_CONTEXT_RECORDS`] rows of both classes, and one
-    /// hour-pooled plan per road type with rows of both classes, then
-    /// routes them as [`PlanRouter::build`] does.
+    /// hour-pooled model per road type with rows of both classes, then
+    /// routes them as [`ModelRouter::build`] does.
     ///
     /// Rows are grouped by [`context_index`] and by road type into flat
     /// datasets held in arrays, each in record order, so a fit's sums run
@@ -220,7 +198,7 @@ impl<P> PlanRouter<P> {
     /// type is trainable.
     pub(crate) fn train(
         records: &[FeatureRecord],
-        mut fit: impl FnMut(&Dataset) -> Result<P, CoreError>,
+        mut fit: impl FnMut(&Dataset) -> Result<M, MlError>,
     ) -> Result<Self, CoreError> {
         let mut by_context = vec![Dataset::new(nb_schema(), 2); N_CONTEXTS];
         let mut by_type = vec![Dataset::new(nb_schema(), 2); cad3_types::RoadType::ALL.len()];
@@ -229,9 +207,9 @@ impl<P> PlanRouter<P> {
             by_context[context_index(rec.road_type, TimeBucket::of(rec.hour))].push(&row, label)?;
             by_type[usize::from(rec.road_type.code())].push(&row, label)?;
         }
-        let mut fit_if = |ds: &Dataset, min_rows: usize| -> Result<Option<P>, CoreError> {
+        let mut fit_if = |ds: &Dataset, min_rows: usize| -> Result<Option<M>, CoreError> {
             let trainable = ds.len() >= min_rows && ds.class_counts().iter().all(|&c| c > 0);
-            trainable.then(|| fit(ds)).transpose()
+            Ok(trainable.then(|| fit(ds)).transpose()?)
         };
         let mut contexts = Vec::with_capacity(N_CONTEXTS);
         for ds in &by_context {
@@ -252,26 +230,26 @@ impl<P> PlanRouter<P> {
         ))
     }
 
-    /// Builds the table from the per-context and pooled plan sources,
-    /// mirroring the scalar fallback: a context plan where one was
-    /// trained, else the road type's hour-pooled plan, else no model.
-    pub(crate) fn build(
-        mut ctx_plan: impl FnMut(cad3_types::RoadType, cad3_data::TimeBucket) -> Option<P>,
-        mut pooled_plan: impl FnMut(cad3_types::RoadType) -> Option<P>,
+    /// Builds the table from the per-context and pooled model sources,
+    /// mirroring the scalar fallback: a context model where one was
+    /// trained, else the road type's hour-pooled model, else no model.
+    fn build(
+        mut ctx_model: impl FnMut(cad3_types::RoadType, cad3_data::TimeBucket) -> Option<M>,
+        mut pooled_model: impl FnMut(cad3_types::RoadType) -> Option<M>,
     ) -> Self {
-        let mut plans = Vec::new();
+        let mut models = Vec::new();
         let mut lut = [0u16; N_CONTEXTS];
         for road in cad3_types::RoadType::ALL {
             let mut pooled_slot = 0u16;
             for bucket in BUCKETS {
-                let slot = if let Some(p) = ctx_plan(road, bucket) {
-                    plans.push(p);
-                    plans.len() as u16
+                let slot = if let Some(m) = ctx_model(road, bucket) {
+                    models.push(m);
+                    models.len() as u16
                 } else if pooled_slot != 0 {
                     pooled_slot
-                } else if let Some(p) = pooled_plan(road) {
-                    plans.push(p);
-                    pooled_slot = plans.len() as u16;
+                } else if let Some(m) = pooled_model(road) {
+                    models.push(m);
+                    pooled_slot = models.len() as u16;
                     pooled_slot
                 } else {
                     0
@@ -279,27 +257,27 @@ impl<P> PlanRouter<P> {
                 lut[context_index(road, bucket)] = slot;
             }
         }
-        PlanRouter { plans, lut }
+        ModelRouter { models, lut }
     }
 
-    /// The plan slot for a record's context (0 = no model).
+    /// The model slot for a record's context (0 = no model).
     #[inline]
     pub(crate) fn slot(&self, road: cad3_types::RoadType, bucket: TimeBucket) -> u16 {
         self.lut.get(context_index(road, bucket)).copied().unwrap_or(0)
     }
 
-    /// Number of assigned plan slots (valid slots are `1..=n_slots()`).
+    /// Number of assigned model slots (valid slots are `1..=n_slots()`).
     pub(crate) fn n_slots(&self) -> usize {
-        self.plans.len()
+        self.models.len()
     }
 
-    /// The plan behind a slot (`None` for slot 0, "no model").
+    /// The model behind a slot (`None` for slot 0, "no model").
     #[inline]
-    pub(crate) fn plan(&self, slot: u16) -> Option<&P> {
-        usize::from(slot).checked_sub(1).and_then(|i| self.plans.get(i))
+    pub(crate) fn model(&self, slot: u16) -> Option<&M> {
+        usize::from(slot).checked_sub(1).and_then(|i| self.models.get(i))
     }
 
-    /// Road types with a plan in at least one time bucket, in
+    /// Road types with a model in at least one time bucket, in
     /// [`cad3_types::RoadType::ALL`] order.
     pub(crate) fn road_types(&self) -> Vec<cad3_types::RoadType> {
         cad3_types::RoadType::ALL
@@ -309,34 +287,34 @@ impl<P> PlanRouter<P> {
     }
 }
 
-impl<P: RoutedPlan> PlanRouter<P> {
-    /// The routed plan's abnormal-class probability for one record: the
+impl<M: RoutedModel> ModelRouter<M> {
+    /// The routed model's abnormal-class probability for one record: the
     /// scalar detect path. One LUT index and one allocation-free row through
-    /// the plan, so it returns the bits [`PlanRouter::p_abnormal_into`]
+    /// the model, so it returns the bits [`ModelRouter::p_abnormal_into`]
     /// sweeps for the same record.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NoModelForRoadType`] where no model covers the
-    /// record's context, and [`CoreError::Ml`] if the plan rejects the row.
+    /// record's context, and [`CoreError::Ml`] if the model rejects the row.
     pub(crate) fn p_abnormal(&self, rec: &FeatureRecord) -> Result<f64, CoreError> {
-        let plan = self
-            .plan(self.slot(rec.road_type, TimeBucket::of(rec.hour)))
+        let model = self
+            .model(self.slot(rec.road_type, TimeBucket::of(rec.hour)))
             .ok_or(CoreError::NoModelForRoadType(rec.road_type))?;
         let mut proba = [0.0; 2];
-        plan.proba_row(&nb_features(rec), &mut proba)?;
+        model.proba_row(&nb_features(rec), &mut proba)?;
         // Class 0 is abnormal in the paper's convention.
         let [p_abnormal, _] = proba;
         Ok(p_abnormal)
     }
 
-    /// The routed plans' abnormal-class probability for every record,
+    /// The routed models' abnormal-class probability for every record,
     /// pushed onto `out` (`None` where no model covers the record's
-    /// context, or its plan rejects the sweep).
+    /// context, or its model rejects the sweep).
     ///
     /// Every record is routed with one LUT index (no per-record hashing),
-    /// the batch is split into per-plan groups with one counting-sort pass,
-    /// and each group is evaluated through its plan in one column-major
+    /// the batch is split into per-model groups with one counting-sort pass,
+    /// and each group is evaluated through its model in one column-major
     /// sweep. Slot order is fixed at training time, so evaluation order is
     /// deterministic. Bit-identical to the scalar path.
     pub(crate) fn p_abnormal_into(
@@ -357,7 +335,7 @@ impl<P: RoutedPlan> PlanRouter<P> {
             if idxs.is_empty() {
                 continue; // slot 0 (no model) stays None: NoModelForRoadType
             }
-            let Some(plan) = self.plan(slot) else { continue };
+            let Some(model) = self.model(slot) else { continue };
             batch.clear();
             for &i in idxs {
                 // Schema validation is vacuous for these rows, so it is
@@ -369,24 +347,24 @@ impl<P: RoutedPlan> PlanRouter<P> {
             }
             let n = batch.n_rows();
             scratch.clear();
-            scratch.resize(plan.scratch_len(n), 0.0);
+            scratch.resize(model.scratch_len(n), 0.0);
             proba.clear();
-            proba.resize(plan.n_classes() * n, 0.0);
-            if plan.proba_into(batch, scratch, proba).is_err() {
+            proba.resize(model.n_classes() * n, 0.0);
+            if model.proba_into(batch, scratch, proba).is_err() {
                 continue;
             }
             for (k, &i) in idxs.iter().enumerate() {
                 // Class 0 is abnormal in the paper's convention.
-                out[base + i as usize] = Some(proba[k * plan.n_classes()]);
+                out[base + i as usize] = Some(proba[k * model.n_classes()]);
             }
         }
     }
 }
 
-/// A batch plan a [`PlanRouter`] routes records to: row-major class
+/// A model a [`ModelRouter`] routes records to: row-major class
 /// probabilities over a [`FeatureBatch`], through one scratch buffer, and
 /// the same probabilities for one row.
-pub(crate) trait RoutedPlan {
+pub(crate) trait RoutedModel {
     /// Number of classes (the stride of the probability rows).
     fn n_classes(&self) -> usize;
     /// Class probabilities of one row, bit for bit those of the sweep.
@@ -402,15 +380,15 @@ pub(crate) trait RoutedPlan {
     ) -> Result<(), MlError>;
 }
 
-impl RoutedPlan for NbBatchPlan {
+impl RoutedModel for NaiveBayes {
     fn n_classes(&self) -> usize {
-        NbBatchPlan::n_classes(self)
+        NaiveBayes::n_classes(self)
     }
     fn proba_row(&self, row: &[f64], out: &mut [f64]) -> Result<(), MlError> {
         self.predict_proba_row(row, out)
     }
     fn scratch_len(&self, rows: usize) -> usize {
-        NbBatchPlan::n_classes(self) * rows
+        NaiveBayes::n_classes(self) * rows
     }
     fn proba_into(
         &self,
@@ -422,7 +400,7 @@ impl RoutedPlan for NbBatchPlan {
     }
 }
 
-impl RoutedPlan for LrBatchPlan {
+impl RoutedModel for LogisticRegression {
     fn n_classes(&self) -> usize {
         2
     }
@@ -442,7 +420,7 @@ impl RoutedPlan for LrBatchPlan {
     }
 }
 
-/// Splits a record batch into per-plan groups with one counting-sort
+/// Splits a record batch into per-model groups with one counting-sort
 /// pass: `slots[i]` is record *i*'s routing slot, and on return
 /// `grouped[starts[s] as usize..starts[s + 1] as usize]` lists the
 /// records of slot `s` in record order. `cursor` is the pass's write
@@ -472,8 +450,8 @@ fn group_by_slot(
     }
 }
 
-/// The buffers of one routed stage-1 sweep ([`PlanRouter::p_abnormal_into`],
-/// or the centralized model's single plan).
+/// The buffers of one routed stage-1 sweep ([`ModelRouter::p_abnormal_into`],
+/// or the centralized model's single sweep).
 #[derive(Debug)]
 pub(crate) struct SweepScratch {
     /// Routing slot per record.
@@ -485,7 +463,7 @@ pub(crate) struct SweepScratch {
     grouped: Vec<u32>,
     /// One group's `[InstSpeed, accel, Hour, RdType]` rows.
     pub(crate) batch: FeatureBatch,
-    /// The plan's own scratch (NB log-likelihoods, LR class-1 probabilities).
+    /// The model's own scratch (NB log-likelihoods, LR class-1 probabilities).
     pub(crate) scratch: Vec<f64>,
     /// Row-major class probabilities of the group.
     pub(crate) proba: Vec<f64>,
@@ -498,7 +476,7 @@ pub(crate) struct TreeScratch {
     pub(crate) batch: FeatureBatch,
     /// The `out` index each fused row fills.
     pub(crate) rows: Vec<usize>,
-    /// The plan's quantized features and per-row node cursor.
+    /// The tree's quantized features and per-row node cursor.
     pub(crate) keys: Vec<u64>,
     pub(crate) cur: Vec<u32>,
     /// Row-major leaf distributions.

@@ -1,10 +1,11 @@
 //! The batched detect path must be bit-identical to the scalar loop.
 //!
-//! Each built-in detector overrides `Detector::detect_batch` with a
-//! column-major plan sweep; this test runs the same records through the
-//! trait's default (scalar) implementation via a delegating wrapper that
-//! does *not* override the method, and asserts that every detection and
-//! the full collaboration-tracker end state come out bit-for-bit equal.
+//! Each built-in detector implements `Detector::detect_batch` with
+//! column-major sweeps of its models; this test runs the same records
+//! through a delegating wrapper whose `detect_batch` is the per-record
+//! loop over `stage1_p_abnormal`, the observe hook and `detect`, and
+//! asserts that every detection and the full collaboration-tracker end
+//! state come out bit-for-bit equal.
 
 use cad3::detector::{
     Ad3Detector, Cad3Detector, CentralizedDetector, Detection, DetectionConfig, Detector,
@@ -15,8 +16,8 @@ use cad3_data::{DatasetConfig, SyntheticDataset};
 use cad3_ml::LogisticParams;
 use cad3_types::{FeatureRecord, Label, RoadType, RsuId, SimTime};
 
-/// Delegates everything except `detect_batch`, so the trait's default
-/// scalar loop runs against the same underlying model.
+/// Delegates everything except `detect_batch`, which is the scalar
+/// reference loop against the same underlying model.
 struct ScalarRef<'a, D: Detector + ?Sized>(&'a D);
 
 impl<D: Detector + ?Sized> Detector for ScalarRef<'_, D> {
@@ -35,6 +36,23 @@ impl<D: Detector + ?Sized> Detector for ScalarRef<'_, D> {
     }
     fn new_tracker(&self) -> SummaryTracker {
         self.0.new_tracker()
+    }
+    /// Per record, in record order: stage 1, the observation, then
+    /// classification with the summary it returned.
+    fn detect_batch(
+        &self,
+        recs: &[FeatureRecord],
+        observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
+        out: &mut Vec<Option<Detection>>,
+    ) {
+        for (i, rec) in recs.iter().enumerate() {
+            let Ok(p1) = self.stage1_p_abnormal(rec) else {
+                out.push(None);
+                continue;
+            };
+            let summary = observe(i, p1);
+            out.push(self.detect(rec, summary.as_ref()).ok());
+        }
     }
 }
 
@@ -63,7 +81,7 @@ fn assert_equivalent(fast: &dyn Detector, scalar: &dyn Detector, records: &[Feat
     fast.detect_batch(&[], &mut |_, _| panic!("empty batch observed a record"), &mut none);
     assert!(none.is_empty());
     // Widths from a single row up, with odd sizes so batches straddle trip
-    // boundaries; every width reaches the column-major plans.
+    // boundaries; every width reaches the column-major sweeps.
     for chunk in [1usize, 2, 7, 8, 9, 97, 1024] {
         let (batched, t_batched) = run(fast, records, chunk);
         let (expected, t_expected) = run(scalar, records, chunk);

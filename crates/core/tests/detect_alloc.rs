@@ -7,7 +7,7 @@
 //! call no wider than one it has already run, with the collaboration hook
 //! live: the tracker knows every vehicle already, on the road it is on, and
 //! each carries a `CO-DATA` summary, so CAD3's stage-2 tree sweep runs too.
-//! The scalar path runs one row through the same plans, with no scratch.
+//! The scalar path runs one row through the same models, with no scratch.
 
 use cad3::detector::{
     Ad3Detector, Cad3Detector, CentralizedDetector, DetectionConfig, Detector, LogisticAd3Detector,

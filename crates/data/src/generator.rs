@@ -60,6 +60,17 @@ impl DatasetConfig {
     }
 }
 
+/// Start-hour weights of a trip, by hour of day: commuting times weigh
+/// most.
+const START_HOUR_WEIGHTS: [f64; 24] = [
+    0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, // 00–06
+    3.0, 3.0, 3.0, // 07–09
+    1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, // 10–16
+    3.0, 3.0, 3.0, // 17–19
+    1.0, 1.0, 1.0, // 20–22
+    0.3, // 23
+];
+
 /// A fully generated synthetic corpus: the reproduction's replacement for
 /// the paper's proprietary Shenzhen private-car dataset.
 #[derive(Debug, Clone)]
@@ -103,16 +114,7 @@ impl SyntheticDataset {
             profiles.insert(vehicle, profile);
             for _ in 0..config.trips_per_vehicle {
                 let day = DayOfWeek::from_index_wrapping(rng.index(7) as u64);
-                // Start hours weighted toward commuting times.
-                let hour_weights: Vec<f64> = (0..24)
-                    .map(|h| match h {
-                        7..=9 | 17..=19 => 3.0,
-                        10..=16 => 1.5,
-                        20..=22 => 1.0,
-                        _ => 0.3,
-                    })
-                    .collect();
-                let hour = rng.pick_weighted(&hour_weights) as f64;
+                let hour = rng.pick_weighted(&START_HOUR_WEIGHTS) as f64;
                 let start_time_s =
                     day.index() as f64 * 86_400.0 + hour * 3600.0 + rng.uniform(0.0, 3600.0);
 
@@ -143,16 +145,20 @@ impl SyntheticDataset {
         // Offline labelling stage: fit μ±σ cut-offs and assign labels on the
         // *true* kinematics. The detectors only ever see the measured
         // (noisy) values kept in `features` — the latent-truth gap is what
-        // cross-road collaboration recovers.
-        let mut truth_records = features.clone();
-        for (r, &(v, a)) in truth_records.iter_mut().zip(&true_kinematics) {
-            r.speed_kmh = v;
-            r.accel_mps2 = a;
+        // cross-road collaboration recovers. The true values are swapped in
+        // for the fit and the labelling, and the measured ones back after.
+        let swap_kinematics = |features: &mut [FeatureRecord], kinematics: &mut [(f64, f64)]| {
+            for (r, (v, a)) in features.iter_mut().zip(kinematics) {
+                std::mem::swap(&mut r.speed_kmh, v);
+                std::mem::swap(&mut r.accel_mps2, a);
+            }
+        };
+        swap_kinematics(&mut features, &mut true_kinematics);
+        let label_model = LabelModel::fit(features.iter());
+        for f in &mut features {
+            f.label = label_model.label(f);
         }
-        let label_model = LabelModel::fit(truth_records.iter());
-        for (f, t) in features.iter_mut().zip(&truth_records) {
-            f.label = label_model.label(t);
-        }
+        swap_kinematics(&mut features, &mut true_kinematics);
 
         SyntheticDataset {
             config: config.clone(),

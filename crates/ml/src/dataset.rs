@@ -1,8 +1,7 @@
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Kind of a feature column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureKind {
     /// A real-valued feature (speed, acceleration, fused probability).
     Continuous,
@@ -16,7 +15,7 @@ pub enum FeatureKind {
 }
 
 /// Column schema of a feature matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     kinds: Vec<FeatureKind>,
 }
@@ -91,7 +90,7 @@ impl Schema {
 /// A labelled feature matrix, stored flat: row `i` is
 /// `values[i * width..(i + 1) * width]`, where `width` is the schema's
 /// column count, so a pushed row costs no allocation of its own.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     schema: Schema,
     values: Vec<f64>,
@@ -175,7 +174,10 @@ impl Dataset {
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_classes];
         for &l in &self.labels {
-            counts[l] += 1;
+            // `push` keeps every label below `n_classes`.
+            if let Some(c) = counts.get_mut(l) {
+                *c += 1;
+            }
         }
         counts
     }

@@ -1,9 +1,9 @@
+use crate::batch::{ord_key, FeatureBatch};
 use crate::dataset::{Dataset, Schema};
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the CART decision tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecisionTreeParams {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -27,17 +27,18 @@ impl Default for DecisionTreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Leaf { probs: Vec<f64> },
-    Split { feature: usize, threshold: f64, left: Box<Node>, right: Box<Node> },
-}
-
 /// A CART decision tree with Gini impurity — the collaborative classifier
 /// of the paper's Fig. 4, fed the feature vector `[Hour, P_X, Class_NB]`.
 ///
 /// Categorical columns are treated as ordered integer codes, which is exact
 /// for binary codes (`Class_NB`) and a standard approximation otherwise.
+///
+/// The fit writes the tree flat, in preorder, as it grows it: per node the
+/// split feature, the threshold and its [`ord_key`], the `[left, right]`
+/// children (a leaf points to itself) and, for a leaf, its class
+/// distribution. [`DecisionTree::predict_proba_into`] advances a whole
+/// batch `depth` levels with an arithmetic child select;
+/// [`DecisionTree::predict_proba_row`] walks one row the same way.
 ///
 /// # Example
 ///
@@ -50,16 +51,52 @@ enum Node {
 ///     ds.push(&[i as f64], usize::from(i >= 10))?;
 /// }
 /// let tree = DecisionTree::fit(&ds, DecisionTreeParams::default())?;
-/// assert_eq!(tree.predict(&[3.0])?, 0);
-/// assert_eq!(tree.predict(&[15.0])?, 1);
+/// assert_eq!(tree.predict_proba_row(&[3.0])?, &[1.0, 0.0]);
+/// assert_eq!(tree.predict_proba_row(&[15.0])?, &[0.0, 1.0]);
 /// # Ok::<(), cad3_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     schema: Schema,
     n_classes: usize,
-    params: DecisionTreeParams,
-    root: Node,
+    /// Depth of the deepest leaf (a single leaf has depth 0).
+    depth: usize,
+    /// Per node: split feature column (leaves: 0, unused).
+    feat: Vec<u32>,
+    /// Per node: split threshold (leaves: 0.0, unused).
+    threshold: Vec<f64>,
+    /// Per node: [`ord_key`] of the threshold (leaves: 0, unused).
+    tkey: Vec<u64>,
+    /// Interleaved `[left, right]` child indices; leaves point to
+    /// themselves, so rows parked on a leaf stay put for the remaining
+    /// level sweeps.
+    children: Vec<u32>,
+    /// Node-major leaf distributions `probs[node * n_classes + c]`
+    /// (internal nodes hold zeros, never read).
+    probs: Vec<f64>,
+}
+
+/// A node of a fitted [`DecisionTree`], as [`DecisionTree::nodes`] yields
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TreeNode<'t> {
+    /// A leaf and its class distribution.
+    Leaf {
+        /// Probability of each class.
+        probs: &'t [f64],
+    },
+    /// A split: rows with `row[feature] <= threshold` go to node `left`,
+    /// the others to node `right` (preorder indices).
+    Split {
+        /// The feature column compared.
+        feature: usize,
+        /// The threshold it is compared against.
+        threshold: f64,
+        /// Index of the left child.
+        left: usize,
+        /// Index of the right child.
+        right: usize,
+    },
 }
 
 fn gini(counts: &[usize], total: usize) -> f64 {
@@ -68,11 +105,6 @@ fn gini(counts: &[usize], total: usize) -> f64 {
     }
     let t = total as f64;
     1.0 - counts.iter().map(|&c| (c as f64 / t).powi(2)).sum::<f64>()
-}
-
-fn leaf(counts: &[usize], n: usize) -> Node {
-    let total = n.max(1) as f64;
-    Node::Leaf { probs: counts.iter().map(|&c| c as f64 / total).collect() }
 }
 
 struct BestSplit {
@@ -103,6 +135,8 @@ struct Presorted<'p> {
     values: Vec<f64>,
     left: Vec<usize>,
     right: Vec<usize>,
+    /// The tree, written in preorder as the nodes are grown.
+    tree: DecisionTree,
 }
 
 impl<'p> Presorted<'p> {
@@ -139,33 +173,45 @@ impl<'p> Presorted<'p> {
             values: Vec::new(),
             left: vec![0; n_classes],
             right: vec![0; n_classes],
+            tree: DecisionTree {
+                schema: data.schema().clone(),
+                n_classes,
+                depth: 0,
+                feat: Vec::new(),
+                threshold: Vec::new(),
+                tkey: Vec::new(),
+                children: Vec::new(),
+                probs: Vec::new(),
+            },
         }
     }
 
     /// Grows the subtree of the node owning `lo..hi`, whose per-class row
-    /// counts are `counts`.
-    fn build(&mut self, lo: usize, hi: usize, counts: Vec<usize>, depth: usize) -> Node {
+    /// counts are `counts`, at `depth`, and returns its root's index.
+    fn build(&mut self, lo: usize, hi: usize, counts: Vec<usize>, depth: usize) -> u32 {
         let n = hi - lo;
         let node_gini = gini(&counts, n);
         if depth >= self.params.max_depth || n < self.params.min_samples_split || node_gini == 0.0 {
-            return leaf(&counts, n);
+            return self.tree.push_leaf(&counts, n, depth);
         }
         let Some(best) = self.best_split(lo, hi, &counts, node_gini) else {
-            return leaf(&counts, n);
+            return self.tree.push_leaf(&counts, n, depth);
         };
         let left_counts = self.mark_left(lo, hi, &best);
         let nl: usize = left_counts.iter().sum();
         if nl < self.params.min_samples_leaf || n - nl < self.params.min_samples_leaf {
-            return leaf(&counts, n);
+            return self.tree.push_leaf(&counts, n, depth);
         }
         self.partition(lo, hi, nl);
         let right_counts = counts.iter().zip(&left_counts).map(|(&c, &l)| c - l).collect();
-        Node::Split {
-            feature: best.feature,
-            threshold: best.threshold,
-            left: Box::new(self.build(lo, lo + nl, left_counts, depth + 1)),
-            right: Box::new(self.build(lo + nl, hi, right_counts, depth + 1)),
+        let node = self.tree.push_split(best.feature, best.threshold);
+        let left = self.build(lo, lo + nl, left_counts, depth + 1);
+        let right = self.build(lo + nl, hi, right_counts, depth + 1);
+        let at = 2 * node as usize;
+        if let Some([l, r]) = self.tree.children.get_mut(at..at + 2) {
+            (*l, *r) = (left, right);
         }
+        node
     }
 
     /// The lowest-impurity split of the node owning `lo..hi`. Candidates
@@ -270,7 +316,8 @@ impl DecisionTree {
     ///
     /// Each feature is sorted once; a node then scores every candidate
     /// threshold of a feature in one sweep of its rows in that order
-    /// (DESIGN.md, "Training").
+    /// (DESIGN.md, "Training"). Nodes are written in preorder as they are
+    /// grown.
     ///
     /// # Errors
     ///
@@ -279,13 +326,35 @@ impl DecisionTree {
         if data.is_empty() {
             return Err(MlError::EmptyDataset);
         }
-        let root = Presorted::new(data, &params).build(0, data.len(), data.class_counts(), 0);
-        Ok(DecisionTree {
-            schema: data.schema().clone(),
-            n_classes: data.n_classes(),
-            params,
-            root,
-        })
+        let mut presorted = Presorted::new(data, &params);
+        presorted.build(0, data.len(), data.class_counts(), 0);
+        Ok(presorted.tree)
+    }
+
+    /// Appends a leaf holding `counts` of `n` rows, at `depth`.
+    fn push_leaf(&mut self, counts: &[usize], n: usize, depth: usize) -> u32 {
+        let node = self.feat.len() as u32;
+        let total = n.max(1) as f64;
+        self.feat.push(0);
+        self.threshold.push(0.0);
+        self.tkey.push(0);
+        // Self-loop: once a row reaches a leaf it stays there for the
+        // remaining level sweeps.
+        self.children.extend([node, node]);
+        self.probs.extend(counts.iter().map(|&c| c as f64 / total));
+        self.depth = self.depth.max(depth);
+        node
+    }
+
+    /// Appends a split whose children the caller links once grown.
+    fn push_split(&mut self, feature: usize, threshold: f64) -> u32 {
+        let node = self.feat.len() as u32;
+        self.feat.push(feature as u32);
+        self.threshold.push(threshold);
+        self.tkey.push(ord_key(threshold));
+        self.children.extend([0, 0]);
+        self.probs.resize(self.probs.len() + self.n_classes, 0.0);
+        node
     }
 
     /// Number of classes.
@@ -295,141 +364,145 @@ impl DecisionTree {
 
     /// Depth of the fitted tree (a single leaf has depth 0).
     pub fn depth(&self) -> usize {
-        fn d(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + d(left).max(d(right)),
+        self.depth
+    }
+
+    /// The nodes in preorder: the root first, and each split followed by
+    /// its left subtree, then its right.
+    pub fn nodes(&self) -> impl Iterator<Item = TreeNode<'_>> + '_ {
+        let splits = self.feat.iter().zip(&self.threshold).zip(self.children.chunks_exact(2));
+        let leaves = self.probs.chunks_exact(self.n_classes.max(1));
+        splits.zip(leaves).enumerate().map(|(node, (((&feature, &threshold), children), probs))| {
+            match *children {
+                [left, right] if left as usize != node => TreeNode::Split {
+                    feature: feature as usize,
+                    threshold,
+                    left: left as usize,
+                    right: right as usize,
+                },
+                _ => TreeNode::Leaf { probs },
             }
-        }
-        d(&self.root)
+        })
     }
 
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
-        fn c(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => c(left) + c(right),
-            }
-        }
-        c(&self.root)
+        self.nodes().filter(|n| matches!(n, TreeNode::Leaf { .. })).count()
     }
 
-    /// Builds the flattened branchless batch-evaluation plan for this tree.
+    /// Advances every row to its leaf, level by level. `keys` is scratch
+    /// sized `n_features * n_rows` (column-major quantized features), `cur`
+    /// is scratch sized `n_rows`; on return `cur[r]` is row `r`'s leaf.
+    fn descend(&self, batch: &FeatureBatch, keys: &mut [u64], cur: &mut [u32]) {
+        let rows = batch.n_rows();
+        for (f_keys, feat) in keys.chunks_exact_mut(rows.max(1)).zip(0..batch.n_features()) {
+            for (k, &x) in f_keys.iter_mut().zip(batch.col(feat)) {
+                *k = ord_key(x);
+            }
+        }
+        cur.fill(0);
+        for _ in 0..self.depth {
+            for (r, c) in cur.iter_mut().enumerate() {
+                let n = *c as usize;
+                // hotpath-exempt(panic): `n` comes from `children`, whose
+                // entries are < node count by construction.
+                let feat = self.feat[n] as usize;
+                // hotpath-exempt(panic): `feat < n_features`, `r < rows`,
+                // `tkey` is node-indexed — both gathers are in range.
+                let k = keys[feat * rows + r];
+                let go_right = usize::from(k > self.tkey[n]);
+                // hotpath-exempt(panic): `2n + go_right < children.len()`
+                // because `n` is a valid node index.
+                *c = self.children[2 * n + go_right];
+            }
+        }
+    }
+
+    /// Leaf class distribution per row, row-major:
+    /// `out[r * n_classes + c]`, the leaf's `f64`s copied out.
     ///
-    /// Nodes are laid out depth-first into parallel arrays; thresholds are
-    /// quantized into order-preserving [`crate::batch::ord_key`] keys (an
-    /// exact order isomorphism, so no decision can change) and leaves point
-    /// to themselves so every row can be advanced for a fixed `depth()`
-    /// iterations with an arithmetic child select. Outputs are
-    /// bit-identical to the scalar walk — see [`crate::batch`].
-    pub fn batch_plan(&self) -> crate::batch::TreeBatchPlan {
-        struct FlatNode {
-            feat: u32,
-            tkey: u64,
-            left: u32,
-            right: u32,
-        }
-        fn flatten(
-            node: &Node,
-            n_classes: usize,
-            nodes: &mut Vec<FlatNode>,
-            probs: &mut Vec<f64>,
-        ) -> u32 {
-            let idx = nodes.len() as u32;
-            let base = probs.len();
-            match node {
-                Node::Leaf { probs: p } => {
-                    // Self-loop: once a row reaches a leaf it stays there
-                    // for the remaining level sweeps.
-                    nodes.push(FlatNode { feat: 0, tkey: 0, left: idx, right: idx });
-                    probs.extend_from_slice(p);
-                    // Leaf distributions are n_classes long by fit
-                    // construction; pad-or-trim keeps the layout total.
-                    probs.truncate(base + n_classes);
-                    probs.resize(base + n_classes, 0.0);
-                }
-                Node::Split { feature, threshold, left, right } => {
-                    nodes.push(FlatNode {
-                        feat: *feature as u32,
-                        tkey: crate::batch::ord_key(*threshold),
-                        left: 0,
-                        right: 0,
-                    });
-                    probs.resize(base + n_classes, 0.0);
-                    let li = flatten(left, n_classes, nodes, probs);
-                    let ri = flatten(right, n_classes, nodes, probs);
-                    if let Some(n) = nodes.get_mut(idx as usize) {
-                        n.left = li;
-                        n.right = ri;
-                    }
-                }
-            }
-            idx
-        }
-        let mut nodes = Vec::new();
-        let mut probs = Vec::new();
-        flatten(&self.root, self.n_classes, &mut nodes, &mut probs);
-        crate::batch::TreeBatchPlan {
-            schema: self.schema.clone(),
-            n_classes: self.n_classes,
-            depth: self.depth(),
-            feat: nodes.iter().map(|n| n.feat).collect(),
-            tkey: nodes.iter().map(|n| n.tkey).collect(),
-            children: nodes.iter().flat_map(|n| [n.left, n.right]).collect(),
-            probs,
-        }
-    }
-
-    /// Class distribution at the leaf `row` falls into, by reference: the
-    /// one walk behind [`DecisionTree::predict_proba`] and
-    /// [`DecisionTree::predict`].
+    /// `keys` is scratch sized `n_features * n_rows`, `cur` scratch sized
+    /// `n_rows`. Rows must satisfy the tree's schema; the descent is total
+    /// either way.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::DimensionMismatch`] or [`MlError::InvalidCategory`].
-    pub fn leaf_proba(&self, row: &[f64]) -> Result<&[f64], MlError> {
-        self.schema.validate(row)?;
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf { probs } => return Ok(probs),
-                Node::Split { feature, threshold, left, right } => {
-                    // hotpath-exempt(panic): split features come from the fitted schema
-                    // and the row passed Schema::validate above.
-                    node = if row[*feature] <= *threshold { left } else { right };
-                }
-            }
+    /// Returns [`MlError::DimensionMismatch`] on any size mismatch.
+    pub fn predict_proba_into(
+        &self,
+        batch: &FeatureBatch,
+        keys: &mut [u64],
+        cur: &mut [u32],
+        out: &mut [f64],
+    ) -> Result<(), MlError> {
+        let rows = batch.n_rows();
+        self.check_sizes(batch, keys, cur)?;
+        if out.len() != rows * self.n_classes {
+            return Err(MlError::DimensionMismatch {
+                expected: rows * self.n_classes,
+                got: out.len(),
+            });
         }
+        self.descend(batch, keys, cur);
+        for (dst, &n) in out.chunks_exact_mut(self.n_classes.max(1)).zip(cur.iter()) {
+            let start = n as usize * self.n_classes;
+            // hotpath-exempt(panic): `n` is a valid node index (see
+            // descend), and `probs` holds n_classes entries per node.
+            dst.copy_from_slice(&self.probs[start..start + self.n_classes]);
+        }
+        Ok(())
     }
 
-    /// Class distribution at the leaf `row` falls into.
+    /// The leaf class distribution of one row, by reference: the per-row
+    /// entry of the scalar detect path. It walks the same `depth` levels as
+    /// the sweep, comparing the same [`ord_key`] keys, so it lands on the
+    /// leaf [`DecisionTree::predict_proba_into`] copies out, with no
+    /// scratch and no allocation. Rows must satisfy the schema, as for the
+    /// sweep.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::DimensionMismatch`] or [`MlError::InvalidCategory`].
-    pub fn predict_proba(&self, row: &[f64]) -> Result<Vec<f64>, MlError> {
-        self.leaf_proba(row).map(<[f64]>::to_vec)
+    /// Returns [`MlError::DimensionMismatch`] when `row` is not as wide as
+    /// the schema.
+    pub fn predict_proba_row(&self, row: &[f64]) -> Result<&[f64], MlError> {
+        if row.len() != self.schema.len() {
+            return Err(MlError::DimensionMismatch { expected: self.schema.len(), got: row.len() });
+        }
+        let mut node = 0usize;
+        for _ in 0..self.depth {
+            let (Some(&feat), Some(&tkey)) = (self.feat.get(node), self.tkey.get(node)) else {
+                break;
+            };
+            let Some(&x) = row.get(feat as usize) else { break };
+            let go_right = usize::from(ord_key(x) > tkey);
+            let Some(&child) = self.children.get(2 * node + go_right) else { break };
+            node = child as usize;
+        }
+        let start = node * self.n_classes;
+        self.probs.get(start..start + self.n_classes).ok_or(MlError::DimensionMismatch {
+            expected: start + self.n_classes,
+            got: self.probs.len(),
+        })
     }
 
-    /// The most probable class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] or [`MlError::InvalidCategory`].
-    pub fn predict(&self, row: &[f64]) -> Result<usize, MlError> {
-        let p = self.leaf_proba(row)?;
-        // Manual argmax: total and panic-free even for empty or NaN inputs
-        // (NaN comparisons are simply never `>`, so the running best stands).
-        let mut best = 0usize;
-        let mut best_p = f64::NEG_INFINITY;
-        for (i, &x) in p.iter().enumerate() {
-            if x > best_p {
-                best = i;
-                best_p = x;
-            }
+    fn check_sizes(&self, batch: &FeatureBatch, keys: &[u64], cur: &[u32]) -> Result<(), MlError> {
+        let rows = batch.n_rows();
+        if batch.n_features() != self.schema.len() {
+            return Err(MlError::DimensionMismatch {
+                expected: self.schema.len(),
+                got: batch.n_features(),
+            });
         }
-        Ok(best)
+        if keys.len() != self.schema.len() * rows {
+            return Err(MlError::DimensionMismatch {
+                expected: self.schema.len() * rows,
+                got: keys.len(),
+            });
+        }
+        if cur.len() != rows {
+            return Err(MlError::DimensionMismatch { expected: rows, got: cur.len() });
+        }
+        Ok(())
     }
 }
 
@@ -437,6 +510,12 @@ impl DecisionTree {
 mod tests {
     use super::*;
     use crate::dataset::FeatureKind;
+
+    /// The most probable class at `row`'s leaf.
+    fn predict(tree: &DecisionTree, row: &[f64]) -> usize {
+        let p = tree.predict_proba_row(row).unwrap();
+        (0..p.len()).fold(0, |best, c| if p[c] > p[best] { c } else { best })
+    }
 
     fn xor_dataset() -> Dataset {
         // XOR over two binary features: needs depth 2 — a single split
@@ -458,11 +537,19 @@ mod tests {
     #[test]
     fn learns_xor() {
         let tree = DecisionTree::fit(&xor_dataset(), DecisionTreeParams::default()).unwrap();
-        assert_eq!(tree.predict(&[0.0, 0.0]).unwrap(), 0);
-        assert_eq!(tree.predict(&[0.0, 1.0]).unwrap(), 1);
-        assert_eq!(tree.predict(&[1.0, 0.0]).unwrap(), 1);
-        assert_eq!(tree.predict(&[1.0, 1.0]).unwrap(), 0);
+        assert_eq!(predict(&tree, &[0.0, 0.0]), 0);
+        assert_eq!(predict(&tree, &[0.0, 1.0]), 1);
+        assert_eq!(predict(&tree, &[1.0, 0.0]), 1);
+        assert_eq!(predict(&tree, &[1.0, 1.0]), 0);
         assert_eq!(tree.depth(), 2);
+        // Preorder: the root, its left split and two leaves, then its right
+        // split and two leaves.
+        let nodes: Vec<TreeNode<'_>> = tree.nodes().collect();
+        assert_eq!(nodes.len(), 7);
+        assert!(matches!(nodes[0], TreeNode::Split { left: 1, right: 4, .. }));
+        assert!(matches!(nodes[1], TreeNode::Split { left: 2, right: 3, .. }));
+        assert!(matches!(nodes[2], TreeNode::Leaf { .. }));
+        assert_eq!(tree.leaf_count(), 4);
     }
 
     #[test]
@@ -475,7 +562,7 @@ mod tests {
         let tree = DecisionTree::fit(&ds, DecisionTreeParams::default()).unwrap();
         assert_eq!(tree.leaf_count(), 1);
         assert_eq!(tree.depth(), 0);
-        assert_eq!(tree.predict(&[100.0]).unwrap(), 1);
+        assert_eq!(predict(&tree, &[100.0]), 1);
     }
 
     #[test]
@@ -491,15 +578,15 @@ mod tests {
         )
         .unwrap();
         // 20 of 30 are class 1.
-        assert_eq!(tree.predict(&[0.0]).unwrap(), 1);
-        let p = tree.predict_proba(&[0.0]).unwrap();
+        assert_eq!(predict(&tree, &[0.0]), 1);
+        let p = tree.predict_proba_row(&[0.0]).unwrap();
         assert!((p[1] - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn probabilities_sum_to_one() {
         let tree = DecisionTree::fit(&xor_dataset(), DecisionTreeParams::default()).unwrap();
-        let p = tree.predict_proba(&[1.0, 1.0]).unwrap();
+        let p = tree.predict_proba_row(&[1.0, 1.0]).unwrap();
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
@@ -520,7 +607,7 @@ mod tests {
         // With a 5-sample floor, the single outlier cannot be isolated into
         // a pure leaf of its own by a final split.
         for node_leaf in [0.0, 25.5, 49.0] {
-            let p = tree.predict_proba(&[node_leaf]).unwrap();
+            let p = tree.predict_proba_row(&[node_leaf]).unwrap();
             assert!(p[1] < 0.5, "outlier should not dominate any leaf: {p:?}");
         }
     }
@@ -539,7 +626,7 @@ mod tests {
         )
         .unwrap();
         let correct = (0..1000)
-            .filter(|&i| tree.predict(&[i as f64 / 3.0]).unwrap() == usize::from(i >= 500))
+            .filter(|&i| predict(&tree, &[i as f64 / 3.0]) == usize::from(i >= 500))
             .count();
         assert!(correct >= 990, "quantile thresholds should nearly separate: {correct}");
     }
@@ -556,8 +643,8 @@ mod tests {
     #[test]
     fn malformed_row_rejected() {
         let tree = DecisionTree::fit(&xor_dataset(), DecisionTreeParams::default()).unwrap();
-        assert!(tree.predict(&[0.0]).is_err());
-        assert!(tree.predict(&[0.0, 5.0]).is_err());
+        assert!(tree.predict_proba_row(&[0.0]).is_err());
+        assert!(tree.predict_proba_row(&[0.0, 1.0, 0.0]).is_err());
     }
 
     #[test]
@@ -581,7 +668,7 @@ mod tests {
         let tree = DecisionTree::fit(&ds, DecisionTreeParams::default()).unwrap();
         // Even when NB said "normal", the fused probability rescues the
         // detection — the collaborative mechanism in miniature.
-        assert_eq!(tree.predict(&[8.0, 0.85, 1.0]).unwrap(), 0);
-        assert_eq!(tree.predict(&[8.0, 0.12, 1.0]).unwrap(), 1);
+        assert_eq!(predict(&tree, &[8.0, 0.85, 1.0]), 0);
+        assert_eq!(predict(&tree, &[8.0, 0.12, 1.0]), 1);
     }
 }

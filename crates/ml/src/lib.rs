@@ -12,7 +12,14 @@
 //!   type) columns.
 //! * [`NaiveBayes`] — hybrid Gaussian/categorical NB with Laplace smoothing.
 //! * [`DecisionTree`] — CART with Gini impurity.
+//! * [`LogisticRegression`] — the binary logistic model of the future-work
+//!   detector.
 //! * [`ConfusionMatrix`] — binary metrics.
+//!
+//! Each model's `fit` writes the layout its decision function reads, and
+//! the model has two entries to it: `predict_proba_into`, a column-major
+//! sweep over a [`FeatureBatch`] into caller-provided buffers, and
+//! `predict_proba_row`, the same operations on one row (see [`batch`]).
 //!
 //! # Example
 //!
@@ -27,8 +34,11 @@
 //!     ds.push(&[10.0 + i as f64 * 0.01], 1)?;
 //! }
 //! let nb = NaiveBayes::fit(&ds)?;
-//! assert_eq!(nb.predict(&[0.2])?, 0);
-//! assert_eq!(nb.predict(&[10.3])?, 1);
+//! let mut p = [0.0; 2];
+//! nb.predict_proba_row(&[0.2], &mut p)?;
+//! assert!(p[0] > 0.99, "class 0 at 0.2: {p:?}");
+//! nb.predict_proba_row(&[10.3], &mut p)?;
+//! assert!(p[1] > 0.99, "class 1 at 10.3: {p:?}");
 //! # Ok::<(), cad3_ml::MlError>(())
 //! ```
 
@@ -44,9 +54,9 @@ mod metrics;
 mod naive_bayes;
 mod stats;
 
-pub use batch::{FeatureBatch, LrBatchPlan, NbBatchPlan, TreeBatchPlan};
+pub use batch::FeatureBatch;
 pub use dataset::{Dataset, FeatureKind, Schema};
-pub use decision_tree::{DecisionTree, DecisionTreeParams};
+pub use decision_tree::{DecisionTree, DecisionTreeParams, TreeNode};
 pub use error::MlError;
 pub use logistic::{LogisticParams, LogisticRegression};
 pub use metrics::ConfusionMatrix;

@@ -7,12 +7,12 @@
 //! separable on raw speed); categorical features are one-hot encoded.
 //! Training is full-batch gradient descent with L2 regularisation.
 
+use crate::batch::FeatureBatch;
 use crate::dataset::{Dataset, FeatureKind, Schema};
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of logistic-regression training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogisticParams {
     /// Gradient-descent epochs.
     pub epochs: usize,
@@ -31,6 +31,11 @@ impl Default for LogisticParams {
 /// A binary logistic-regression classifier over the same mixed
 /// continuous/categorical rows as [`crate::NaiveBayes`].
 ///
+/// The fit keeps what evaluation reads — standardisation constants, design
+/// offsets, weights and bias — for [`LogisticRegression::predict_proba_into`]
+/// to sweep column by column and [`LogisticRegression::predict_proba_row`]
+/// to read one row at a time.
+///
 /// # Example
 ///
 /// ```
@@ -42,11 +47,14 @@ impl Default for LogisticParams {
 ///     ds.push(&[i as f64], usize::from(i >= 20))?;
 /// }
 /// let lr = LogisticRegression::fit(&ds, LogisticParams::default())?;
-/// assert_eq!(lr.predict(&[5.0])?, 0);
-/// assert_eq!(lr.predict(&[35.0])?, 1);
+/// let mut p = [0.0; 2];
+/// lr.predict_proba_row(&[5.0], &mut p)?;
+/// assert!(p[0] > 0.5, "class 0 at 5: {p:?}");
+/// lr.predict_proba_row(&[35.0], &mut p)?;
+/// assert!(p[1] > 0.5, "class 1 at 35: {p:?}");
 /// # Ok::<(), cad3_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     schema: Schema,
     /// Per input column: mean/std for continuous (one-hot columns use 0/1).
@@ -155,57 +163,146 @@ impl LogisticRegression {
         out
     }
 
-    /// Builds the column-major batch-evaluation plan for this model.
-    ///
-    /// The plan copies the standardisation constants, design offsets and
-    /// weights so evaluation can sweep whole feature columns without the
-    /// per-record sparse design row. Outputs are bit-identical to the
-    /// scalar path — see [`crate::batch`].
-    pub fn batch_plan(&self) -> crate::batch::LrBatchPlan {
-        crate::batch::LrBatchPlan {
-            schema: self.schema.clone(),
-            standardise: self.standardise.clone(),
-            offsets: self.offsets.clone(),
-            weights: self.weights.clone(),
-            bias: self.bias,
+    /// Probability of class 1 per row, the sparse design row's dot product
+    /// term by term: per feature in order, a continuous column contributes
+    /// `w₀·z` then `w₁·z²` (z standardised), a categorical column its
+    /// one-hot weight times `1.0`; the bias is added on the left before the
+    /// sigmoid. Rows must satisfy the schema (out-of-range categories clamp
+    /// deterministically instead of panicking).
+    fn p1_into(&self, batch: &FeatureBatch, out: &mut [f64]) -> Result<(), MlError> {
+        let rows = batch.n_rows();
+        if batch.n_features() != self.schema.len() {
+            return Err(MlError::DimensionMismatch {
+                expected: self.schema.len(),
+                got: batch.n_features(),
+            });
         }
+        if out.len() != rows {
+            return Err(MlError::DimensionMismatch { expected: rows, got: out.len() });
+        }
+        out.fill(0.0);
+        for (feat, kind) in self.schema.kinds().enumerate() {
+            let xs = batch.col(feat);
+            // hotpath-exempt(panic): `standardise` and `offsets` are one
+            // entry per schema column by construction.
+            let (mean, std) = self.standardise[feat];
+            let off = self.offsets[feat];
+            match kind {
+                FeatureKind::Continuous => {
+                    // hotpath-exempt(panic): the design width counts two
+                    // columns per continuous feature starting at `off`.
+                    let w0 = self.weights[off];
+                    let w1 = self.weights[off + 1];
+                    for (a, &x) in out.iter_mut().zip(xs) {
+                        let z = (x - mean) / std;
+                        *a += w0 * z;
+                        *a += w1 * (z * z);
+                    }
+                }
+                FeatureKind::Categorical { cardinality } => {
+                    for (a, &x) in out.iter_mut().zip(xs) {
+                        let i = (x as usize).min(cardinality - 1);
+                        // hotpath-exempt(panic): `off + i` is within the
+                        // design width (cardinality one-hot columns at
+                        // `off`), `i` clamped above.
+                        *a += self.weights[off + i] * 1.0;
+                    }
+                }
+            }
+        }
+        for a in out.iter_mut() {
+            let z = self.bias + *a;
+            *a = 1.0 / (1.0 + (-z).exp());
+        }
+        Ok(())
     }
 
-    /// Probability of class 1.
+    /// Class probabilities `[P(0), P(1)]` of one row, into `out`: the
+    /// per-row entry of the scalar detect path. It performs the operations
+    /// of one row of [`LogisticRegression::predict_proba_into`] in the same
+    /// order (terms from `0.0` in feature order, then `bias + acc`, the
+    /// sigmoid, then `1 − p`), so it returns the sweep's bits, with no
+    /// allocation. Rows must satisfy the schema, as for the sweep.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::DimensionMismatch`] or [`MlError::InvalidCategory`].
-    pub fn predict_proba_one(&self, row: &[f64]) -> Result<f64, MlError> {
-        self.schema.validate(row)?;
-        let z =
-            self.bias + self.design_row(row).iter().map(|(i, x)| self.weights[*i] * x).sum::<f64>();
-        Ok(sigmoid(z))
+    /// Returns [`MlError::DimensionMismatch`] when `row` is not as wide as
+    /// the schema or `out` is not two long.
+    pub fn predict_proba_row(&self, row: &[f64], out: &mut [f64]) -> Result<(), MlError> {
+        if row.len() != self.schema.len() {
+            return Err(MlError::DimensionMismatch { expected: self.schema.len(), got: row.len() });
+        }
+        let [p0, p1] = out else {
+            return Err(MlError::DimensionMismatch { expected: 2, got: out.len() });
+        };
+        let mut acc = 0.0;
+        for (((kind, &x), &(mean, std)), &off) in
+            self.schema.kinds().zip(row).zip(&self.standardise).zip(&self.offsets)
+        {
+            match kind {
+                FeatureKind::Continuous => {
+                    let (Some(&w0), Some(&w1)) = (self.weights.get(off), self.weights.get(off + 1))
+                    else {
+                        continue;
+                    };
+                    let z = (x - mean) / std;
+                    acc += w0 * z;
+                    acc += w1 * (z * z);
+                }
+                FeatureKind::Categorical { cardinality } => {
+                    let i = (x as usize).min(cardinality - 1);
+                    if let Some(&w) = self.weights.get(off + i) {
+                        acc += w * 1.0;
+                    }
+                }
+            }
+        }
+        let z = self.bias + acc;
+        let p = 1.0 / (1.0 + (-z).exp());
+        *p0 = 1.0 - p;
+        *p1 = p;
+        Ok(())
     }
 
-    /// Class probabilities `[P(0), P(1)]`.
+    /// Class probabilities per row, row-major `[1 − p1, p1]`. `p1` is
+    /// scratch sized `n_rows`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`LogisticRegression::predict_proba_one`].
-    pub fn predict_proba(&self, row: &[f64]) -> Result<Vec<f64>, MlError> {
-        let p1 = self.predict_proba_one(row)?;
-        Ok(vec![1.0 - p1, p1])
-    }
-
-    /// The most probable class.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LogisticRegression::predict_proba_one`].
-    pub fn predict(&self, row: &[f64]) -> Result<usize, MlError> {
-        Ok(usize::from(self.predict_proba_one(row)? >= 0.5))
+    /// Returns [`MlError::DimensionMismatch`] on any size mismatch.
+    pub fn predict_proba_into(
+        &self,
+        batch: &FeatureBatch,
+        p1: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), MlError> {
+        self.p1_into(batch, p1)?;
+        if out.len() != p1.len() * 2 {
+            return Err(MlError::DimensionMismatch { expected: p1.len() * 2, got: out.len() });
+        }
+        for (dst, &p) in out.chunks_exact_mut(2).zip(p1.iter()) {
+            // hotpath-exempt(panic): chunks_exact_mut(2) yields 2-slices.
+            dst[0] = 1.0 - p;
+            dst[1] = p;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn proba(lr: &LogisticRegression, row: &[f64]) -> [f64; 2] {
+        let mut p = [0.0; 2];
+        lr.predict_proba_row(row, &mut p).unwrap();
+        p
+    }
+
+    /// The most probable class (`p1 >= 0.5`).
+    fn predict(lr: &LogisticRegression, row: &[f64]) -> usize {
+        usize::from(proba(lr, row)[1] >= 0.5)
+    }
 
     fn separable() -> Dataset {
         let schema =
@@ -222,9 +319,9 @@ mod tests {
     #[test]
     fn separates_linear_data() {
         let lr = LogisticRegression::fit(&separable(), LogisticParams::default()).unwrap();
-        assert_eq!(lr.predict(&[5.0, 0.0]).unwrap(), 0);
-        assert_eq!(lr.predict(&[55.0, 1.0]).unwrap(), 1);
-        let p = lr.predict_proba(&[5.0, 2.0]).unwrap();
+        assert_eq!(predict(&lr, &[5.0, 0.0]), 0);
+        assert_eq!(predict(&lr, &[55.0, 1.0]), 1);
+        let p = proba(&lr, &[5.0, 2.0]);
         assert!((p[0] + p[1] - 1.0).abs() < 1e-12);
         assert!(p[0] > 0.8, "{p:?}");
     }
@@ -240,8 +337,8 @@ mod tests {
             ds.push(&[(i % 10) as f64, cat as f64], cat).unwrap();
         }
         let lr = LogisticRegression::fit(&ds, LogisticParams::default()).unwrap();
-        assert_eq!(lr.predict(&[4.0, 0.0]).unwrap(), 0);
-        assert_eq!(lr.predict(&[4.0, 1.0]).unwrap(), 1);
+        assert_eq!(predict(&lr, &[4.0, 0.0]), 0);
+        assert_eq!(predict(&lr, &[4.0, 1.0]), 1);
     }
 
     #[test]
@@ -268,8 +365,8 @@ mod tests {
     #[test]
     fn malformed_rows_rejected() {
         let lr = LogisticRegression::fit(&separable(), LogisticParams::default()).unwrap();
-        assert!(lr.predict(&[1.0]).is_err());
-        assert!(lr.predict(&[1.0, 9.0]).is_err());
+        assert!(lr.predict_proba_row(&[1.0], &mut [0.0; 2]).is_err());
+        assert!(lr.predict_proba_row(&[1.0, 0.0], &mut [0.0; 3]).is_err());
     }
 
     #[test]
@@ -281,7 +378,7 @@ mod tests {
             ds.push(&[10_000.0 + i as f64 * 100.0], usize::from(i >= 50)).unwrap();
         }
         let lr = LogisticRegression::fit(&ds, LogisticParams::default()).unwrap();
-        assert_eq!(lr.predict(&[10_100.0]).unwrap(), 0);
-        assert_eq!(lr.predict(&[19_900.0]).unwrap(), 1);
+        assert_eq!(predict(&lr, &[10_100.0]), 0);
+        assert_eq!(predict(&lr, &[19_900.0]), 1);
     }
 }

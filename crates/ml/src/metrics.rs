@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A binary confusion matrix with a configurable positive class.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(cm.false_positives(), 1);
 /// assert_eq!(cm.true_negatives(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfusionMatrix {
     tp: u64,
     fp: u64,

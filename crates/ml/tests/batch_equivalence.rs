@@ -1,16 +1,21 @@
-//! Property-based bit-identity of the batch plans against the scalar
-//! per-record paths: for random models and random feature batches, every
-//! `*_into` output and every per-row `*_row` entry must match the scalar
-//! `predict`/`predict_proba` bit for bit. This is what keeps the
-//! byte-stable `results/` artifacts safe when the RSU detect loop and the
-//! scalar detectors run through the plans.
+//! Property-based bit-identity of the models against the per-row
+//! references in `support`: for random training sets and random feature
+//! batches, each model's fit and its two evaluation entries — the
+//! column-major sweep (`predict_proba_into`, and Naïve Bayes'
+//! `log_likelihoods_into`) and the per-row `predict_proba_row` — must give
+//! the reference's log-likelihoods, probabilities and leaf distributions
+//! bit for bit. This is what keeps the byte-stable `results/` artifacts
+//! safe when the RSU detect loop and the scalar detectors run through the
+//! models' evaluation layout.
+
+mod support;
 
 use cad3_ml::{
     Dataset, DecisionTree, DecisionTreeParams, FeatureBatch, FeatureKind, LogisticParams,
     LogisticRegression, NaiveBayes, Schema,
 };
 use proptest::prelude::*;
-
+use support::{Node, RefLogistic, RefNaiveBayes};
 fn schema() -> Schema {
     Schema::new(vec![
         FeatureKind::Continuous,
@@ -55,34 +60,40 @@ fn batch_of(rows: &[Vec<f64>]) -> FeatureBatch {
 }
 
 proptest! {
-    /// NB plan outputs are bit-identical to the scalar path.
+    /// The NB sweep's log-likelihoods and posteriors, and its per-row
+    /// entry, are the reference's bits.
     #[test]
-    fn nb_batch_is_bit_identical(ds in arb_dataset(), rows in arb_rows()) {
+    fn nb_is_bit_identical(ds in arb_dataset(), rows in arb_rows()) {
         let nb = NaiveBayes::fit(&ds).unwrap();
-        let plan = nb.batch_plan();
+        let reference = RefNaiveBayes::fit(&ds);
         let batch = batch_of(&rows);
         let n = rows.len();
         let mut ll = vec![0.0; 2 * n];
         let mut proba = vec![0.0; 2 * n];
-        let mut classes = vec![0u32; n];
-        plan.predict_proba_into(&batch, &mut ll, &mut proba).unwrap();
-        plan.predict_into(&batch, &mut ll, &mut classes).unwrap();
-        plan.log_likelihoods_into(&batch, &mut ll).unwrap();
+        nb.predict_proba_into(&batch, &mut ll, &mut proba).unwrap();
+        let mut ll_only = vec![0.0; 2 * n];
+        nb.log_likelihoods_into(&batch, &mut ll_only).unwrap();
         for (r, row) in rows.iter().enumerate() {
-            let s_ll = nb.log_likelihoods(row).unwrap();
-            let s_proba = nb.predict_proba(row).unwrap();
+            let r_ll = reference.log_likelihoods(row);
+            let r_proba = reference.predict_proba(row);
+            let mut one = [0.0; 2];
+            nb.predict_proba_row(row, &mut one).unwrap();
             for c in 0..2 {
-                prop_assert_eq!(s_ll[c].to_bits(), ll[c * n + r].to_bits());
-                prop_assert_eq!(s_proba[c].to_bits(), proba[r * 2 + c].to_bits());
+                prop_assert_eq!(r_ll[c].to_bits(), ll[c * n + r].to_bits());
+                prop_assert_eq!(r_ll[c].to_bits(), ll_only[c * n + r].to_bits());
+                prop_assert_eq!(r_proba[c].to_bits(), proba[r * 2 + c].to_bits());
+                prop_assert_eq!(r_proba[c].to_bits(), one[c].to_bits());
             }
-            prop_assert_eq!(nb.predict(row).unwrap() as u32, classes[r]);
         }
+        let mut short = [0.0; 1];
+        prop_assert!(nb.predict_proba_row(&rows[0], &mut short).is_err());
+        prop_assert!(nb.predict_proba_row(&rows[0][..2], &mut [0.0; 2]).is_err());
     }
 
-    /// Tree plan outputs are bit-identical to the scalar walk, across
-    /// hyper-parameters that produce both stumpy and deep trees.
+    /// The tree's sweep and its per-row entry land on the reference walk's
+    /// leaf, across hyper-parameters that grow both stumps and deep trees.
     #[test]
-    fn tree_batch_is_bit_identical(
+    fn tree_is_bit_identical(
         ds in arb_dataset(),
         rows in arb_rows(),
         max_depth in 0usize..10,
@@ -95,112 +106,52 @@ proptest! {
             max_thresholds,
         };
         let tree = DecisionTree::fit(&ds, params).unwrap();
-        let plan = tree.batch_plan();
+        let reference = Node::fit(&ds, &params);
         let batch = batch_of(&rows);
         let n = rows.len();
         let mut keys = vec![0u64; 3 * n];
         let mut cur = vec![0u32; n];
         let mut proba = vec![0.0; 2 * n];
-        let mut classes = vec![0u32; n];
-        plan.predict_proba_into(&batch, &mut keys, &mut cur, &mut proba).unwrap();
-        plan.predict_into(&batch, &mut keys, &mut cur, &mut classes).unwrap();
+        tree.predict_proba_into(&batch, &mut keys, &mut cur, &mut proba).unwrap();
         for (r, row) in rows.iter().enumerate() {
-            let s_proba = tree.predict_proba(row).unwrap();
+            let leaf = reference.leaf(row);
+            let one = tree.predict_proba_row(row).unwrap();
+            prop_assert_eq!(leaf.len(), 2);
+            prop_assert_eq!(one.len(), 2);
             for c in 0..2 {
-                prop_assert_eq!(s_proba[c].to_bits(), proba[r * 2 + c].to_bits());
+                prop_assert_eq!(leaf[c].to_bits(), proba[r * 2 + c].to_bits());
+                prop_assert_eq!(leaf[c].to_bits(), one[c].to_bits());
             }
-            prop_assert_eq!(tree.predict(row).unwrap() as u32, classes[r]);
         }
+        prop_assert!(tree.predict_proba_row(&rows[0][..2]).is_err());
     }
 
-    /// Logistic plan outputs are bit-identical to the scalar path.
+    /// The logistic sweep's class-1 probabilities and posteriors, and its
+    /// per-row entry, are the reference's bits.
     #[test]
-    fn lr_batch_is_bit_identical(ds in arb_dataset(), rows in arb_rows()) {
+    fn lr_is_bit_identical(ds in arb_dataset(), rows in arb_rows()) {
         let lr = LogisticRegression::fit(&ds, LogisticParams::default()).unwrap();
-        let plan = lr.batch_plan();
+        let reference = RefLogistic::fit(&ds, LogisticParams::default());
         let batch = batch_of(&rows);
         let n = rows.len();
         let mut p1 = vec![0.0; n];
         let mut proba = vec![0.0; 2 * n];
-        let mut classes = vec![0u32; n];
-        plan.predict_proba_into(&batch, &mut p1, &mut proba).unwrap();
-        plan.predict_into(&batch, &mut p1, &mut classes).unwrap();
+        lr.predict_proba_into(&batch, &mut p1, &mut proba).unwrap();
         for (r, row) in rows.iter().enumerate() {
-            prop_assert_eq!(lr.predict_proba_one(row).unwrap().to_bits(), p1[r].to_bits());
-            let s_proba = lr.predict_proba(row).unwrap();
-            prop_assert_eq!(s_proba[0].to_bits(), proba[r * 2].to_bits());
-            prop_assert_eq!(s_proba[1].to_bits(), proba[r * 2 + 1].to_bits());
-            prop_assert_eq!(lr.predict(row).unwrap() as u32, classes[r]);
-        }
-    }
-
-    /// The NB plan's per-row entry is bit-identical to the scalar model.
-    #[test]
-    fn nb_row_is_bit_identical(ds in arb_dataset(), rows in arb_rows()) {
-        let nb = NaiveBayes::fit(&ds).unwrap();
-        let plan = nb.batch_plan();
-        for row in &rows {
-            let mut proba = [0.0; 2];
-            plan.predict_proba_row(row, &mut proba).unwrap();
-            let s_proba = nb.predict_proba(row).unwrap();
-            prop_assert_eq!(s_proba[0].to_bits(), proba[0].to_bits());
-            prop_assert_eq!(s_proba[1].to_bits(), proba[1].to_bits());
-        }
-        let mut one = [0.0; 1];
-        prop_assert!(plan.predict_proba_row(&rows[0], &mut one).is_err());
-        prop_assert!(plan.predict_proba_row(&rows[0][..2], &mut [0.0; 2]).is_err());
-    }
-
-    /// The tree plan's per-row entry lands on the scalar walk's leaf, and
-    /// the tree's by-reference leaf is `predict_proba`'s distribution.
-    #[test]
-    fn tree_row_is_bit_identical(
-        ds in arb_dataset(),
-        rows in arb_rows(),
-        max_depth in 0usize..10,
-        max_thresholds in 2usize..40,
-    ) {
-        let params = DecisionTreeParams {
-            max_depth,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
-            max_thresholds,
-        };
-        let tree = DecisionTree::fit(&ds, params).unwrap();
-        let plan = tree.batch_plan();
-        for row in &rows {
-            let s_proba = tree.predict_proba(row).unwrap();
-            let leaf = tree.leaf_proba(row).unwrap();
-            let planned = plan.predict_proba_row(row).unwrap();
-            prop_assert_eq!(leaf.len(), 2);
-            prop_assert_eq!(planned.len(), 2);
+            prop_assert_eq!(reference.predict_proba_one(row).to_bits(), p1[r].to_bits());
+            let r_proba = reference.predict_proba(row);
+            let mut one = [0.0; 2];
+            lr.predict_proba_row(row, &mut one).unwrap();
             for c in 0..2 {
-                prop_assert_eq!(s_proba[c].to_bits(), leaf[c].to_bits());
-                prop_assert_eq!(s_proba[c].to_bits(), planned[c].to_bits());
+                prop_assert_eq!(r_proba[c].to_bits(), proba[r * 2 + c].to_bits());
+                prop_assert_eq!(r_proba[c].to_bits(), one[c].to_bits());
             }
         }
-        prop_assert!(plan.predict_proba_row(&rows[0][..2]).is_err());
+        prop_assert!(lr.predict_proba_row(&rows[0], &mut [0.0; 3]).is_err());
+        prop_assert!(lr.predict_proba_row(&rows[0][..2], &mut [0.0; 2]).is_err());
     }
 
-    /// The logistic plan's per-row entry is bit-identical to the scalar
-    /// model.
-    #[test]
-    fn lr_row_is_bit_identical(ds in arb_dataset(), rows in arb_rows()) {
-        let lr = LogisticRegression::fit(&ds, LogisticParams::default()).unwrap();
-        let plan = lr.batch_plan();
-        for row in &rows {
-            let mut proba = [0.0; 2];
-            plan.predict_proba_row(row, &mut proba).unwrap();
-            prop_assert_eq!(lr.predict_proba_one(row).unwrap().to_bits(), proba[1].to_bits());
-            let s_proba = lr.predict_proba(row).unwrap();
-            prop_assert_eq!(s_proba[0].to_bits(), proba[0].to_bits());
-            prop_assert_eq!(s_proba[1].to_bits(), proba[1].to_bits());
-        }
-        prop_assert!(plan.predict_proba_row(&rows[0], &mut [0.0; 3]).is_err());
-        prop_assert!(plan.predict_proba_row(&rows[0][..2], &mut [0.0; 2]).is_err());
-    }
-
-    /// The ordinal threshold key used by the tree plan decides `x <= t`
+    /// The ordinal threshold key the tree compares decides `x <= t`
     /// exactly as the `f64` compare, including signed zeros, infinities
     /// and NaN probe values (thresholds are never NaN in a fitted tree).
     #[test]
@@ -215,4 +166,34 @@ proptest! {
         let batch_left = cad3_ml::batch::ord_key(x) <= cad3_ml::batch::ord_key(t);
         prop_assert_eq!(scalar_left, batch_left, "x={}, t={}", x, t);
     }
+}
+
+#[test]
+fn empty_batches_are_no_ops_and_sizes_are_checked() {
+    let mut ds = Dataset::new(schema(), 2);
+    for i in 0..40 {
+        ds.push(&[f64::from(i), f64::from(i % 7), f64::from(i % 5)], (i % 3 == 0).into()).unwrap();
+    }
+    let nb = NaiveBayes::fit(&ds).unwrap();
+    let tree = DecisionTree::fit(&ds, DecisionTreeParams::default()).unwrap();
+    let lr = LogisticRegression::fit(&ds, LogisticParams::default()).unwrap();
+    let empty = FeatureBatch::new(3);
+    nb.predict_proba_into(&empty, &mut [], &mut []).unwrap();
+    tree.predict_proba_into(&empty, &mut [], &mut [], &mut []).unwrap();
+    lr.predict_proba_into(&empty, &mut [], &mut []).unwrap();
+
+    let batch = batch_of(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 1.0]]);
+    let mut wrong_width = FeatureBatch::new(2);
+    wrong_width.push_row(&[1.0, 2.0]).unwrap();
+    let mut out = [0.0; 4];
+    assert!(nb.log_likelihoods_into(&batch, &mut [0.0; 3]).is_err());
+    assert!(nb.log_likelihoods_into(&wrong_width, &mut [0.0; 2]).is_err());
+    assert!(nb.predict_proba_into(&batch, &mut [0.0; 4], &mut [0.0; 3]).is_err());
+    assert!(tree.predict_proba_into(&batch, &mut [0; 1], &mut [0; 2], &mut out).is_err());
+    assert!(tree.predict_proba_into(&batch, &mut [0; 6], &mut [0; 1], &mut out).is_err());
+    assert!(tree
+        .predict_proba_into(&wrong_width, &mut [0; 2], &mut [0; 1], &mut [0.0; 2])
+        .is_err());
+    assert!(lr.predict_proba_into(&batch, &mut [0.0; 1], &mut out).is_err());
+    assert!(lr.predict_proba_into(&batch, &mut [0.0; 2], &mut [0.0; 3]).is_err());
 }

@@ -469,7 +469,11 @@ mod main_tests {
             hot.entries.iter().find(|e| e.key == key).unwrap_or_else(|| panic!("missing {key}"))
         };
         assert!(entry("cad3_net::WiredLink::transmit").found.is_empty(), "transmit is pure");
-        for key in ["cad3_ml::NaiveBayes::predict", "cad3_ml::DecisionTree::predict"] {
+        for key in [
+            "cad3_ml::NaiveBayes::predict_proba_row",
+            "cad3_ml::DecisionTree::predict_proba_row",
+            "cad3_ml::LogisticRegression::predict_proba_row",
+        ] {
             let effects = &entry(key).found;
             assert!(!effects.contains_key("panic"), "{key} must be panic-free: {effects:?}");
             assert!(
