@@ -3,8 +3,10 @@
 //! measured values beside the paper's and writes its JSON record under
 //! `results/`; `CAD3_QUICK=1` selects the smaller corpora and shorter runs.
 
-use cad3_bench::experiments::{self, MultiRsuResult, ScalingResult, SeedRow};
+use cad3::scenario::Holdout;
+use cad3_bench::experiments::{self, Corpus, MultiRsuResult, ScalingResult, SeedRow};
 use cad3_bench::{paper, quick_mode, tables, write_json, write_metrics, DEFAULT_SEED};
+use cad3_data::DatasetConfig;
 
 fn main() {
     let quick = quick_mode();
@@ -12,26 +14,36 @@ fn main() {
         "Regenerating all CAD3 experiments (mode: {}; set CAD3_QUICK=1 for a fast pass)",
         if quick { "quick" } else { "full" }
     );
+    // Each corpus is generated, split and fitted once. A full run reads
+    // Fig. 7 and seed stability's first row from the 89 k corpus and Tables
+    // III and IV from the 500 k one; a quick run reads them from `small`.
+    let small = Corpus::small(DEFAULT_SEED);
+    let paper_corpus = |full: fn(u64) -> DatasetConfig| {
+        (!quick).then(|| experiments::holdout(&full(DEFAULT_SEED)))
+    };
     fig2();
     // Fig. 6a and 6c are one testbed sweep, Fig. 6b and 6d one five-RSU
     // deployment (§VI): each pair renders from a single run.
-    let scaling = fig6a(quick);
+    let scaling = fig6a(&small, quick);
     fig6c(&scaling);
-    let multi = experiments::multi_rsu_deployment(DEFAULT_SEED, quick);
+    let multi = experiments::multi_rsu_deployment(&small, DEFAULT_SEED, quick);
     fig6b(&multi);
     fig6d(&multi);
-    fig7(quick);
-    fig8();
-    table3(quick);
-    table4(quick);
+    let paper_89k = paper_corpus(DatasetConfig::paper_89k);
+    fig7(paper_89k.as_ref().unwrap_or(&small.holdout));
+    fig8(&small.holdout);
+    let paper_500k = paper_corpus(DatasetConfig::paper_500k);
+    table3(paper_500k.as_ref().unwrap_or(&small.holdout));
+    table4(paper_500k.as_ref().unwrap_or(&small.holdout));
+    drop(paper_500k);
     table5();
     table6(quick);
     fig9(quick);
     mac_analysis();
-    ablation(quick);
-    cloud_vs_edge(quick);
-    future_models();
-    seed_stability(quick);
+    ablation(&small, quick);
+    cloud_vs_edge(&small, quick);
+    future_models(&small);
+    seed_stability(paper_89k.as_ref().unwrap_or(&small.holdout), quick);
     println!("\nAll experiments complete.");
 }
 
@@ -62,10 +74,10 @@ fn fig2() {
 /// Fig. 6a — latency decomposition vs vehicles on one RSU. The sweep runs
 /// with the metrics exporter attached, so it also leaves the decomposition
 /// as `rsu.*_us` histograms in `results/fig6a_metrics.prom`.
-fn fig6a(quick: bool) -> ScalingResult {
+fn fig6a(corpus: &Corpus, quick: bool) -> ScalingResult {
     tables::banner("Figure 6a — end-to-end latency vs vehicles (single RSU)");
     cad3_obs::set_enabled(true);
-    let result = experiments::scaling_sweep(DEFAULT_SEED, quick);
+    let result = experiments::scaling_sweep(corpus, DEFAULT_SEED, quick);
     print_table(
         &["vehicles", "tx ms", "queue ms", "proc ms", "dissem ms", "total ms", "p95 ms", "n"],
         &result.rows,
@@ -176,9 +188,9 @@ fn fig6d(result: &MultiRsuResult) {
 }
 
 /// Fig. 7 — F1 and accuracy: centralized vs AD3 vs CAD3.
-fn fig7(quick: bool) {
+fn fig7(holdout: &Holdout) {
     tables::banner("Figure 7 — detection quality: centralized vs AD3 vs CAD3");
-    let result = experiments::fig7(DEFAULT_SEED, quick);
+    let result = experiments::detection_quality(holdout);
     print_table(&["model", "accuracy", "F1", "precision", "recall"], &result.rows, |r| {
         vec![
             r.model.clone(),
@@ -212,9 +224,9 @@ fn fig7(quick: bool) {
 
 /// Fig. 8 — one abnormally slowing driver's trip: CAD3 detects stably, AD3
 /// fluctuates, centralized is unpredictable.
-fn fig8() {
+fn fig8(holdout: &Holdout) {
     tables::banner("Figure 8 — mesoscopic trip timeline (abnormally slowing driver)");
-    let r = experiments::fig8(DEFAULT_SEED);
+    let r = experiments::fig8(holdout);
     println!("driver profile: {} | points along trip: {}\n", r.profile, r.points);
     let show = |name: &str, strip: &str| {
         let display: String = strip.chars().take(100).collect();
@@ -234,9 +246,9 @@ fn fig8() {
 }
 
 /// Table III — dataset statistics of the synthetic corpus.
-fn table3(quick: bool) {
+fn table3(holdout: &Holdout) {
     tables::banner("Table III — dataset statistics (synthetic Shenzhen-like corpus)");
-    let rows = experiments::table3(DEFAULT_SEED, quick);
+    let rows = experiments::table3(holdout.dataset());
     print_table(&["region", "#cars", "#trips", "mean speed", "#trajectories"], &rows, |r| {
         vec![
             r.region.clone(),
@@ -256,9 +268,9 @@ fn table3(quick: bool) {
 }
 
 /// Table IV — TP rate, FN rate and expected potential accidents E(Λ).
-fn table4(quick: bool) {
+fn table4(holdout: &Holdout) {
     tables::banner("Table IV — TP/FN rates and potential accidents E(Λ)");
-    let result = experiments::table4(DEFAULT_SEED, quick);
+    let result = experiments::detection_quality(holdout);
     let paper_rows = paper::TABLE4_TP_RATES
         .iter()
         .zip(&paper::TABLE4_FN_RATES)
@@ -397,9 +409,9 @@ fn mac_analysis() {
 }
 
 /// Ablations of the design choices DESIGN.md calls out.
-fn ablation(quick: bool) {
+fn ablation(corpus: &Corpus, quick: bool) {
     tables::banner("Ablation — Eq. 1 fusion weight (paper fixes w = 0.5)");
-    let result = experiments::ablation(DEFAULT_SEED, quick);
+    let result = experiments::ablation(corpus, DEFAULT_SEED, quick);
     print_table(&["weight", "CAD3 F1", "CAD3 FN rate"], &result.fusion, |r| {
         vec![tables::f(r.weight, 2), tables::f(r.f1, 4), format!("{:.1} %", r.fn_rate_pct)]
     });
@@ -436,9 +448,9 @@ fn ablation(quick: bool) {
 /// The paper's motivation (Sections II-B, VII-A): a cloud detector pays a
 /// backhaul round trip on every warning. QF-COTE reports > 300 ms; CAD3
 /// stays < 50 ms.
-fn cloud_vs_edge(quick: bool) {
+fn cloud_vs_edge(corpus: &Corpus, quick: bool) {
     tables::banner("Edge vs cloud offload — end-to-end warning latency");
-    let rows = experiments::cloud_vs_edge(DEFAULT_SEED, quick);
+    let rows = experiments::cloud_vs_edge(corpus, DEFAULT_SEED, quick);
     print_table(
         &["deployment", "tx ms", "queue ms", "proc ms", "dissem ms", "total ms"],
         &rows,
@@ -463,9 +475,9 @@ fn cloud_vs_edge(quick: bool) {
 
 /// The paper's future work (Section VII-E): a more complex stage-1 model
 /// hosted by the same pipeline.
-fn future_models() {
+fn future_models(corpus: &Corpus) {
     tables::banner("Future work — hosting a more complex detector in CAD3");
-    let rows = experiments::future_models(DEFAULT_SEED);
+    let rows = experiments::future_models(corpus.holdout.dataset());
     print_table(&["stage-1 model", "accuracy", "F1", "FN rate"], &rows, |r| {
         vec![
             r.model.clone(),
@@ -485,9 +497,9 @@ fn future_models() {
 
 /// The Fig. 7 / Table IV orderings across corpus seeds, not just the
 /// reported one.
-fn seed_stability(quick: bool) {
+fn seed_stability(first: &Holdout, quick: bool) {
     tables::banner("Seed stability — Fig. 7 / Table IV orderings across corpora");
-    let rows = experiments::seed_stability(DEFAULT_SEED, quick);
+    let rows = experiments::seed_stability(first, quick);
     print_table(&["seed", "F1 central", "F1 ad3", "F1 cad3", "FN c/a/k"], &rows, |r| {
         vec![
             r.seed.to_string(),

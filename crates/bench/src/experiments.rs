@@ -2,17 +2,13 @@
 //! experiments. Each returns a serialisable result that `exp_all` renders
 //! and writes under `results/`.
 
-use cad3::detector::{
-    train_all, Ad3Detector, DetectionConfig, Detector, LogisticAd3Detector, TrainedModels,
-};
-use cad3::scenario::{
-    self, detection_comparison, edge_vs_cloud, find_mesoscopic_trip, mesoscopic_trip,
-    ModelComparison,
-};
-use cad3::{RsuReport, SystemConfig};
+use cad3::detector::{Ad3Detector, Cad3Detector, DetectionConfig, Detector, LogisticAd3Detector};
+use cad3::scenario::{self, edge_vs_cloud, find_mesoscopic_trip, Holdout, ModelComparison};
+use cad3::{CoreError, RsuReport, SystemConfig};
 use cad3_data::{
     infrastructure, DatasetConfig, DatasetStats, InfrastructureKind, RoadNetwork,
-    RoadNetworkConfig, RoadTypeSpec, RoadsideInfrastructure, SpeedProfile, SyntheticDataset,
+    RoadNetworkConfig, RoadTypeSpec, RoadsideInfrastructure, SpeedProfile, StatsRow,
+    SyntheticDataset,
 };
 use cad3_ml::{ConfusionMatrix, LogisticParams};
 use cad3_net::{MacModel, Mcs};
@@ -21,22 +17,49 @@ use cad3_types::{DayOfWeek, DriverProfile, FeatureRecord, Label, RoadType, SimDu
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Trains the three models with the default configuration. Every corpus
-/// the experiments generate is trainable.
-fn train(features: &[FeatureRecord]) -> TrainedModels {
-    train_all(features, &DetectionConfig::default()).expect("corpus is trainable")
+/// A fit on a corpus the experiments generated, which is always trainable.
+fn trainable<T>(fit: Result<T, CoreError>) -> T {
+    fit.expect("corpus is trainable")
 }
 
-/// Trains the standalone AD3 detector alone, for the experiments that
-/// deploy only it.
-fn train_ad3(features: &[FeatureRecord]) -> Ad3Detector {
-    Ad3Detector::train(features).expect("corpus is trainable")
+/// Generates the corpus `config` describes and splits it with its own seed.
+pub fn holdout(config: &DatasetConfig) -> Holdout {
+    trainable(Holdout::new(SyntheticDataset::generate(config), config.seed))
 }
 
-/// [`detection_comparison`] on a corpus the experiments generated, which is
-/// always trainable. Rows are in `[centralized, ad3, cad3]` order.
-fn compare(ds: &SyntheticDataset, config: &DetectionConfig, seed: u64) -> Vec<ModelComparison> {
-    detection_comparison(ds, config, seed).expect("corpus is trainable")
+/// The `small(seed)` corpus of a run, built once: its trip holdout, and AD3
+/// fitted once on all of it, the model the testbed experiments deploy.
+#[derive(Debug)]
+pub struct Corpus {
+    /// The corpus and its 80/20 trip split.
+    pub holdout: Holdout,
+    /// AD3 trained on every record of the corpus.
+    pub ad3: Arc<Ad3Detector>,
+}
+
+impl Corpus {
+    /// Builds the `small(seed)` corpus.
+    pub fn small(seed: u64) -> Corpus {
+        let holdout = holdout(&DatasetConfig::small(seed));
+        let ad3 = trainable(Ad3Detector::train(&holdout.dataset().features));
+        Corpus { holdout, ad3: Arc::new(ad3) }
+    }
+
+    /// One single-RSU testbed run of `vehicles` replaying the corpus's
+    /// motorway records, served by its AD3.
+    fn motorway_rsu(
+        &self,
+        config: SystemConfig,
+        seed: u64,
+        vehicles: u32,
+        duration: SimDuration,
+    ) -> RsuReport {
+        let pool = self.holdout.dataset().features_of_type(RoadType::Motorway);
+        let ad3 = self.ad3.clone();
+        scenario::single_rsu_scaling(config, seed, ad3, pool, vehicles, duration)
+            .per_rsu
+            .swap_remove(0)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -108,46 +131,33 @@ pub struct ScalingResult {
     pub rows: Vec<ScalingRow>,
 }
 
-/// Runs the Fig. 6a/6c single-RSU sweep over the given vehicle counts.
-pub fn scaling_sweep(seed: u64, quick: bool) -> ScalingResult {
+/// Runs the Fig. 6a/6c single-RSU sweep over the given vehicle counts,
+/// deploying the corpus's AD3.
+pub fn scaling_sweep(corpus: &Corpus, seed: u64, quick: bool) -> ScalingResult {
     let counts: &[u32] = if quick { &[8, 32, 128] } else { &[8, 16, 32, 64, 128, 256] };
     let duration = SimDuration::from_secs(if quick { 5 } else { 15 });
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
-    let detector = Arc::new(train_ad3(&ds.features));
-    let pool = ds.features_of_type(RoadType::Motorway);
-
-    let rows = counts
-        .iter()
-        .map(|&n| {
-            let report = scenario::single_rsu_scaling(
-                SystemConfig::default(),
-                seed ^ n as u64,
-                detector.clone(),
-                pool.clone(),
-                n,
-                duration,
-            );
-            let r = &report.per_rsu[0];
-            scaling_row(n, r)
-        })
-        .collect();
-    ScalingResult { rows }
-}
-
-fn scaling_row(vehicles: u32, r: &RsuReport) -> ScalingRow {
-    ScalingRow {
-        vehicles,
-        tx_ms: r.latency.tx_ms.mean(),
-        queuing_ms: r.latency.queuing_ms.mean(),
-        processing_ms: r.latency.processing_ms.mean(),
-        dissemination_ms: r.latency.dissemination_ms.mean(),
-        total_ms: r.latency.total_ms.mean(),
-        total_stderr_ms: r.latency.total_ms.std_err(),
-        total_p95_ms: r.latency.total_ms.percentile(95.0),
-        per_vehicle_bps: r.per_vehicle_bps,
-        total_bps: r.uplink_bps,
-        samples: r.latency.len(),
-    }
+    let row = |vehicles: u32| {
+        let r = corpus.motorway_rsu(
+            SystemConfig::default(),
+            seed ^ vehicles as u64,
+            vehicles,
+            duration,
+        );
+        ScalingRow {
+            vehicles,
+            tx_ms: r.latency.tx_ms.mean(),
+            queuing_ms: r.latency.queuing_ms.mean(),
+            processing_ms: r.latency.processing_ms.mean(),
+            dissemination_ms: r.latency.dissemination_ms.mean(),
+            total_ms: r.latency.total_ms.mean(),
+            total_stderr_ms: r.latency.total_ms.std_err(),
+            total_p95_ms: r.latency.total_ms.percentile(95.0),
+            per_vehicle_bps: r.per_vehicle_bps,
+            total_bps: r.uplink_bps,
+            samples: r.latency.len(),
+        }
+    };
+    ScalingResult { rows: counts.iter().map(|&n| row(n)).collect() }
 }
 
 // ---------------------------------------------------------------------
@@ -181,15 +191,24 @@ pub struct MultiRsuResult {
 }
 
 /// Runs the Fig. 6b/6d five-RSU deployment (4 motorway + 1 link,
-/// `vehicles_per_rsu` each; the paper uses 128).
-pub fn multi_rsu_deployment(seed: u64, quick: bool) -> MultiRsuResult {
+/// `vehicles_per_rsu` each; the paper uses 128), deploying CAD3 trained on
+/// the whole corpus over the corpus's AD3.
+pub fn multi_rsu_deployment(corpus: &Corpus, seed: u64, quick: bool) -> MultiRsuResult {
     let vehicles = if quick { 32 } else { 128 };
     let duration = SimDuration::from_secs(if quick { 5 } else { 15 });
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
+    let ds = corpus.holdout.dataset();
+    let config = DetectionConfig::default();
+    let cad3 = trainable(Cad3Detector::with_stage1(
+        Ad3Detector::clone(&corpus.ad3),
+        &ds.features,
+        config.dt_params,
+        config.fusion_weight,
+        config.summary_road_depth,
+    ));
     let report = scenario::multi_rsu(
         SystemConfig::default(),
         seed,
-        Arc::new(train(&ds.features).cad3),
+        Arc::new(cad3),
         ds.features_of_type(RoadType::Motorway),
         ds.features_of_type(RoadType::MotorwayLink),
         vehicles,
@@ -263,24 +282,13 @@ fn detection_row(c: &ModelComparison) -> DetectionRow {
     }
 }
 
-/// Runs the Fig. 7 comparison (the ~89 k-record corpus).
-pub fn fig7(seed: u64, quick: bool) -> DetectionResult {
-    let config = if quick { DatasetConfig::small(seed) } else { DatasetConfig::paper_89k(seed) };
-    detection_experiment(&config, seed)
-}
-
-/// Runs the Table IV evaluation (the ~500 k-record corpus, 35% abnormal).
-pub fn table4(seed: u64, quick: bool) -> DetectionResult {
-    let config = if quick { DatasetConfig::small(seed) } else { DatasetConfig::paper_500k(seed) };
-    detection_experiment(&config, seed)
-}
-
-fn detection_experiment(config: &DatasetConfig, seed: u64) -> DetectionResult {
-    let ds = SyntheticDataset::generate(config);
-    let rows = compare(&ds, &DetectionConfig::default(), seed);
+/// Runs the Fig. 7 comparison (the ~89 k-record corpus) or the Table IV
+/// evaluation (the ~500 k-record corpus, 35% abnormal) on `holdout`.
+pub fn detection_quality(holdout: &Holdout) -> DetectionResult {
+    let rows = trainable(holdout.compare(&DetectionConfig::default()));
     DetectionResult {
         test_records: rows[0].confusion.total(),
-        abnormal_fraction: ds.abnormal_fraction(),
+        abnormal_fraction: holdout.dataset().abnormal_fraction(),
         rows: rows.iter().map(detection_row).collect(),
     }
 }
@@ -316,23 +324,14 @@ pub struct Fig8Result {
 /// Like the paper's figure, this is an illustration: among the held-out
 /// abnormal multi-road trips, it shows the one where the collaborative
 /// model's advantage is most visible (ties broken toward stability).
-pub fn fig8(seed: u64) -> Fig8Result {
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
-    // 80/20 trip split, training once, then scan the held-out trips.
-    let mut rng = cad3_sim::SimRng::seed_from(seed);
-    let mut trip_ids: Vec<cad3_types::TripId> = ds.features.iter().map(|f| f.trip).collect();
-    trip_ids.dedup();
-    rng.shuffle(&mut trip_ids);
-    let cut = (trip_ids.len() * 8 / 10).max(1);
-    let held_out: std::collections::HashSet<_> = trip_ids[cut..].iter().copied().collect();
-    let training: Vec<FeatureRecord> =
-        ds.features.iter().filter(|f| !held_out.contains(&f.trip)).copied().collect();
-    let models = train(&training);
+pub fn fig8(holdout: &Holdout) -> Fig8Result {
+    let ds = holdout.dataset();
+    let models = trainable(holdout.models(&DetectionConfig::default()));
 
     let candidates: Vec<cad3_types::TripId> = ds
         .trips
         .iter()
-        .filter(|t| held_out.contains(&t.trip))
+        .filter(|t| holdout.is_held_out(t.trip))
         .filter(|t| {
             ds.profiles.get(&t.vehicle).copied().map(DriverProfile::is_abnormal) == Some(true)
         })
@@ -341,7 +340,7 @@ pub fn fig8(seed: u64) -> Fig8Result {
         .collect();
     let result = candidates
         .iter()
-        .filter_map(|&t| mesoscopic_trip(&ds, &models, t).ok())
+        .filter_map(|&t| holdout.mesoscopic_trip(&models, t).ok())
         .filter(|r| (50..900).contains(&r.points.len()))
         .max_by(|a, b| {
             let score = |r: &cad3::scenario::MesoscopicResult| {
@@ -352,8 +351,8 @@ pub fn fig8(seed: u64) -> Fig8Result {
             score(a).partial_cmp(&score(b)).expect("scores are not NaN")
         })
         .or_else(|| {
-            let trip = find_mesoscopic_trip(&ds, DriverProfile::Sluggish)?;
-            mesoscopic_trip(&ds, &models, trip).ok()
+            let trip = find_mesoscopic_trip(ds, DriverProfile::Sluggish)?;
+            holdout.mesoscopic_trip(&models, trip).ok()
         })
         .expect("corpus contains an evaluable abnormal trip");
 
@@ -376,36 +375,9 @@ pub fn fig8(seed: u64) -> Fig8Result {
 // Table III — dataset statistics
 // ---------------------------------------------------------------------
 
-/// One Table III row.
-#[derive(Debug, Clone, Serialize)]
-pub struct Table3Row {
-    /// Region / road type.
-    pub region: String,
-    /// Distinct cars.
-    pub cars: usize,
-    /// Trips.
-    pub trips: usize,
-    /// Mean speed, km/h.
-    pub mean_speed_kmh: f64,
-    /// Trajectory records.
-    pub trajectories: usize,
-}
-
 /// Computes the Table III statistics of the synthetic corpus.
-pub fn table3(seed: u64, quick: bool) -> Vec<Table3Row> {
-    let config = if quick { DatasetConfig::small(seed) } else { DatasetConfig::paper_500k(seed) };
-    let ds = SyntheticDataset::generate(&config);
-    DatasetStats::compute(&ds.features, &ds.trips)
-        .rows
-        .into_iter()
-        .map(|r| Table3Row {
-            region: r.region,
-            cars: r.cars,
-            trips: r.trips,
-            mean_speed_kmh: r.mean_speed_kmh,
-            trajectories: r.trajectories,
-        })
-        .collect()
+pub fn table3(ds: &SyntheticDataset) -> Vec<StatsRow> {
+    DatasetStats::compute(&ds.features, &ds.trips).rows
 }
 
 // ---------------------------------------------------------------------
@@ -653,58 +625,42 @@ pub struct AblationResult {
     pub poll: Vec<PollAblationRow>,
 }
 
-/// Runs all ablation sweeps.
-pub fn ablation(seed: u64, quick: bool) -> AblationResult {
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
-
-    // Fusion-weight sweep.
+/// Runs all ablation sweeps: the detection sweeps on the corpus's holdout,
+/// the latency sweeps deploying its AD3.
+pub fn ablation(corpus: &Corpus, seed: u64, quick: bool) -> AblationResult {
+    // CAD3's F1 and FN rate (percent) under one detection config.
+    let cad3 = |config: DetectionConfig| {
+        let rows = trainable(corpus.holdout.compare(&config));
+        (rows[2].f1, rows[2].fn_rate * 100.0)
+    };
     let weights: &[f64] = if quick { &[0.0, 0.5, 1.0] } else { &[0.0, 0.25, 0.5, 0.75, 1.0] };
     let fusion = weights
         .iter()
         .map(|&w| {
-            let config = DetectionConfig { fusion_weight: w, ..DetectionConfig::default() };
-            let rows = compare(&ds, &config, seed);
-            let cad3 = &rows[2];
-            FusionAblationRow { weight: w, f1: cad3.f1, fn_rate_pct: cad3.fn_rate * 100.0 }
+            let config = DetectionConfig { fusion_weight: w, ..Default::default() };
+            let (f1, fn_rate_pct) = cad3(config);
+            FusionAblationRow { weight: w, f1, fn_rate_pct }
         })
         .collect();
-
-    // Summary-depth sweep.
     let depths: &[Option<usize>] =
         if quick { &[Some(1), None] } else { &[Some(1), Some(2), Some(4), None] };
     let depth = depths
         .iter()
         .map(|&d| {
-            let config = DetectionConfig { summary_road_depth: d, ..DetectionConfig::default() };
-            let rows = compare(&ds, &config, seed);
-            let cad3 = &rows[2];
-            DepthAblationRow { depth: d, f1: cad3.f1, fn_rate_pct: cad3.fn_rate * 100.0 }
+            let config = DetectionConfig { summary_road_depth: d, ..Default::default() };
+            let (f1, fn_rate_pct) = cad3(config);
+            DepthAblationRow { depth: d, f1, fn_rate_pct }
         })
         .collect();
 
-    // Latency sweeps share a trained detector.
-    let detector = Arc::new(train_ad3(&ds.features));
-    let pool = ds.features_of_type(RoadType::Motorway);
     let duration = SimDuration::from_secs(if quick { 4 } else { 10 });
-    let vehicles = 64;
-
+    let run = |config: SystemConfig, seed: u64| corpus.motorway_rsu(config, seed, 64, duration);
     let intervals: &[u64] = if quick { &[25, 50, 100] } else { &[10, 25, 50, 100, 200] };
     let batch = intervals
         .iter()
         .map(|&ms| {
-            let config = SystemConfig {
-                batch_interval: SimDuration::from_millis(ms),
-                ..SystemConfig::default()
-            };
-            let report = scenario::single_rsu_scaling(
-                config,
-                seed ^ ms,
-                detector.clone(),
-                pool.clone(),
-                vehicles,
-                duration,
-            );
-            let r = &report.per_rsu[0];
+            let interval = SimDuration::from_millis(ms);
+            let r = run(SystemConfig { batch_interval: interval, ..Default::default() }, seed ^ ms);
             BatchAblationRow {
                 batch_interval_ms: ms,
                 total_ms: r.latency.total_ms.mean(),
@@ -712,24 +668,15 @@ pub fn ablation(seed: u64, quick: bool) -> AblationResult {
             }
         })
         .collect();
-
     let polls: &[u64] = if quick { &[5, 10, 50] } else { &[2, 5, 10, 20, 50] };
     let poll = polls
         .iter()
         .map(|&ms| {
-            let config = SystemConfig {
-                poll_interval: SimDuration::from_millis(ms),
-                ..SystemConfig::default()
-            };
-            let report = scenario::single_rsu_scaling(
-                config,
+            let interval = SimDuration::from_millis(ms);
+            let r = run(
+                SystemConfig { poll_interval: interval, ..Default::default() },
                 seed ^ (ms << 8),
-                detector.clone(),
-                pool.clone(),
-                vehicles,
-                duration,
             );
-            let r = &report.per_rsu[0];
             PollAblationRow {
                 poll_interval_ms: ms,
                 dissemination_ms: r.latency.dissemination_ms.mean(),
@@ -766,13 +713,12 @@ pub struct DeploymentRow {
 /// node behind a metropolitan backhaul (~60 ms one way: access, core and
 /// data-centre ingress — the regime in which QF-COTE-style systems report
 /// 300 ms+ loops). Rows are `[edge, cloud]`.
-pub fn cloud_vs_edge(seed: u64, quick: bool) -> Vec<DeploymentRow> {
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
+pub fn cloud_vs_edge(corpus: &Corpus, seed: u64, quick: bool) -> Vec<DeploymentRow> {
     let (edge, cloud) = edge_vs_cloud(
         SystemConfig::default(),
         seed,
-        Arc::new(train_ad3(&ds.features)),
-        ds.features_of_type(RoadType::Motorway),
+        corpus.ad3.clone(),
+        corpus.holdout.dataset().features_of_type(RoadType::Motorway),
         if quick { 32 } else { 128 },
         SimDuration::from_millis(60),
         SimDuration::from_secs(if quick { 5 } else { 12 }),
@@ -805,10 +751,14 @@ pub struct StageOneRow {
     pub fn_rate_pct: f64,
 }
 
+/// Scores `det` on `test` through its `detect_batch`, with no
+/// collaboration (no summary reaches the model).
 fn evaluate(name: &str, det: &dyn Detector, test: &[FeatureRecord]) -> StageOneRow {
+    let mut verdicts = Vec::with_capacity(test.len());
+    det.detect_batch(test, &mut |_, _| None, &mut verdicts);
     let mut cm = ConfusionMatrix::new();
-    for rec in test {
-        if let Ok(d) = det.detect(rec, None) {
+    for (rec, d) in test.iter().zip(&verdicts) {
+        if let Some(d) = d {
             cm.record(rec.label == Label::Abnormal, d.label == Label::Abnormal);
         }
     }
@@ -824,13 +774,11 @@ fn evaluate(name: &str, det: &dyn Detector, test: &[FeatureRecord]) -> StageOneR
 /// Naïve Bayes ("we will implement complex anomaly detection algorithms to
 /// operate within CAD3") and evaluates both on an 80/20 record split.
 /// Rows are `[naive-bayes, logistic]`.
-pub fn future_models(seed: u64) -> Vec<StageOneRow> {
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
+pub fn future_models(ds: &SyntheticDataset) -> Vec<StageOneRow> {
     let cut = ds.features.len() * 8 / 10;
     let (training, test) = ds.features.split_at(cut);
-    let nb = train_ad3(training);
-    let lr = LogisticAd3Detector::train(training, LogisticParams::default())
-        .expect("corpus is trainable");
+    let nb = trainable(Ad3Detector::train(training));
+    let lr = trainable(LogisticAd3Detector::train(training, LogisticParams::default()));
     vec![evaluate("naive-bayes (paper)", &nb, test), evaluate("logistic (quadratic)", &lr, test)]
 }
 
@@ -874,27 +822,30 @@ impl SeedRow {
     }
 }
 
-/// Runs the Fig. 7 comparison on 3 (quick) or 5 corpora seeded `seed`,
-/// `seed + 1000`, ...
-pub fn seed_stability(seed: u64, quick: bool) -> Vec<SeedRow> {
-    (0..if quick { 3 } else { 5 })
-        .map(|i| {
-            let seed = seed + i * 1000;
-            let config =
-                if quick { DatasetConfig::small(seed) } else { DatasetConfig::paper_89k(seed) };
-            let rows =
-                compare(&SyntheticDataset::generate(&config), &DetectionConfig::default(), seed);
-            SeedRow {
-                seed,
-                f1_centralized: rows[0].f1,
-                f1_ad3: rows[1].f1,
-                f1_cad3: rows[2].f1,
-                fn_pct_centralized: rows[0].fn_rate * 100.0,
-                fn_pct_ad3: rows[1].fn_rate * 100.0,
-                fn_pct_cad3: rows[2].fn_rate * 100.0,
-            }
-        })
-        .collect()
+/// Runs the Fig. 7 comparison on 3 (quick) or 5 corpora: `first`, the
+/// Fig. 7 holdout, then corpora of its kind seeded `seed + 1000`,
+/// `seed + 2000`, ..., where `seed` is `first`'s.
+pub fn seed_stability(first: &Holdout, quick: bool) -> Vec<SeedRow> {
+    let row = |holdout: &Holdout| {
+        let rows = trainable(holdout.compare(&DetectionConfig::default()));
+        SeedRow {
+            seed: holdout.dataset().config.seed,
+            f1_centralized: rows[0].f1,
+            f1_ad3: rows[1].f1,
+            f1_cad3: rows[2].f1,
+            fn_pct_centralized: rows[0].fn_rate * 100.0,
+            fn_pct_ad3: rows[1].fn_rate * 100.0,
+            fn_pct_cad3: rows[2].fn_rate * 100.0,
+        }
+    };
+    let mut rows = vec![row(first)];
+    for i in 1..if quick { 3 } else { 5 } {
+        let seed = first.dataset().config.seed + i * 1000;
+        let config =
+            if quick { DatasetConfig::small(seed) } else { DatasetConfig::paper_89k(seed) };
+        rows.push(row(&holdout(&config)));
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -954,7 +905,7 @@ mod tests {
 
     #[test]
     fn quick_scaling_sweep_stays_under_bound() {
-        let result = scaling_sweep(7, true);
+        let result = scaling_sweep(&Corpus::small(7), 7, true);
         assert_eq!(result.rows.len(), 3);
         for row in &result.rows {
             assert!(row.total_ms < 50.0, "{} vehicles: {} ms", row.vehicles, row.total_ms);
@@ -968,7 +919,7 @@ mod tests {
     #[test]
     fn quick_fig7_reproduces_ordering() {
         // Seed re-picked for the vendored rand stream (see vendor/README.md).
-        let r = fig7(7, true);
+        let r = detection_quality(&holdout(&DatasetConfig::small(7)));
         assert_eq!(r.rows.len(), 3);
         assert!(r.rows[2].f1 > r.rows[0].f1, "cad3 beats centralized");
         assert!(r.rows[1].f1 > r.rows[0].f1, "ad3 beats centralized");
@@ -977,7 +928,10 @@ mod tests {
 
     #[test]
     fn quick_cloud_vs_edge_pays_the_backhaul() {
-        let [edge, cloud] = &cloud_vs_edge(42, true)[..] else { panic!("two deployments") };
+        let corpus = Corpus::small(42);
+        let [edge, cloud] = &cloud_vs_edge(&corpus, 42, true)[..] else {
+            panic!("two deployments")
+        };
         assert!(edge.total_ms < 50.0, "edge total {} ms", edge.total_ms);
         // Two 60 ms backhaul legs; the parent measured 43.4 vs 164.2 ms.
         assert!(cloud.total_ms - edge.total_ms >= 100.0, "{} vs {}", cloud.total_ms, edge.total_ms);
@@ -985,7 +939,7 @@ mod tests {
 
     #[test]
     fn future_models_both_evaluate() {
-        let rows = future_models(42);
+        let rows = future_models(&SyntheticDataset::generate(&DatasetConfig::small(42)));
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.accuracy > 0.5 && r.accuracy < 1.0, "{}: accuracy {}", r.model, r.accuracy);
@@ -994,7 +948,7 @@ mod tests {
 
     #[test]
     fn quick_seed_stability_orderings_hold_on_every_seed() {
-        let rows = seed_stability(42, true);
+        let rows = seed_stability(&holdout(&DatasetConfig::small(42)), true);
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.edge_beats_centralized(), "seed {}: {r:?}", r.seed);
@@ -1004,7 +958,7 @@ mod tests {
 
     #[test]
     fn fig8_produces_aligned_strips() {
-        let r = fig8(13);
+        let r = fig8(&holdout(&DatasetConfig::small(13)));
         assert_eq!(r.truth_strip.len(), r.points);
         assert_eq!(r.cad3_strip.len(), r.points);
         assert!(

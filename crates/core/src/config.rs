@@ -33,9 +33,9 @@ impl ProcessingCostModel {
     }
 }
 
-/// Configuration of the CAD3 system: intervals, payloads and the compute
-/// and fetch models, defaulting to the paper's values. (Eq. 1's fusion
-/// weight is a detector parameter: `DetectionConfig::fusion_weight`.)
+/// Configuration of the CAD3 system: intervals and the compute and fetch
+/// models, defaulting to the paper's values. (Eq. 1's fusion weight is a
+/// detector parameter: `DetectionConfig::fusion_weight`.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Micro-batch interval (50 ms in the paper).
@@ -44,8 +44,6 @@ pub struct SystemConfig {
     pub poll_interval: SimDuration,
     /// Vehicle status update period (10 Hz ⇒ 100 ms).
     pub update_period: SimDuration,
-    /// Status payload size in bytes (~200 B in the paper).
-    pub payload_bytes: usize,
     /// Per-batch compute model.
     pub cost_model: ProcessingCostModel,
     /// Mean of the consumer-fetch latency added to each dissemination
@@ -61,7 +59,6 @@ impl Default for SystemConfig {
             batch_interval: SimDuration::from_millis(50),
             poll_interval: SimDuration::from_millis(10),
             update_period: SimDuration::from_millis(100),
-            payload_bytes: cad3_types::STATUS_WIRE_LEN,
             cost_model: ProcessingCostModel::default(),
             fetch_latency_mean: SimDuration::from_micros(7_200),
             fetch_latency_std: SimDuration::from_micros(4_400),
@@ -103,7 +100,6 @@ mod tests {
         assert_eq!(c.batch_interval, SimDuration::from_millis(50));
         assert_eq!(c.poll_interval, SimDuration::from_millis(10));
         assert_eq!(c.update_period, SimDuration::from_millis(100));
-        assert_eq!(c.payload_bytes, 200);
         c.validate();
     }
 }

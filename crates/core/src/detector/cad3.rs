@@ -24,46 +24,17 @@ pub struct Cad3Detector {
 }
 
 impl Cad3Detector {
-    /// Trains the two stages.
+    /// Trains stage 2 on top of `nb`, a stage 1 already trained on
+    /// `records`, so [`super::train_all`] fits the Naïve Bayes once for
+    /// AD3 and CAD3.
     ///
     /// `records` must be in trip order (records of one trip contiguous and
     /// time-ordered), because the Decision Tree's training features include
     /// the running cross-road summaries that a deployment would receive
-    /// over `CO-DATA`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stage-1 training errors and returns
-    /// [`CoreError::InsufficientTrainingData`] when no record is usable for
-    /// stage 2.
-    pub fn train(
-        records: &[FeatureRecord],
-        dt_params: DecisionTreeParams,
-        fusion_weight: f64,
-    ) -> Result<Self, CoreError> {
-        Self::train_with_depth(records, dt_params, fusion_weight, None)
-    }
-
-    /// Like [`Cad3Detector::train`], with a bounded summary history: the
-    /// collaboration prior averages only the most recent `depth` roads
-    /// (the DESIGN.md summary-depth ablation).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cad3Detector::train`].
-    pub fn train_with_depth(
-        records: &[FeatureRecord],
-        dt_params: DecisionTreeParams,
-        fusion_weight: f64,
-        summary_road_depth: Option<usize>,
-    ) -> Result<Self, CoreError> {
-        let nb = Ad3Detector::train(records)?;
-        Self::with_stage1(nb, records, dt_params, fusion_weight, summary_road_depth)
-    }
-
-    /// Trains stage 2 on top of `nb`, a stage 1 already trained on
-    /// `records`, so [`super::train_all`] fits the Naïve Bayes once for
-    /// AD3 and CAD3. Arguments as for [`Cad3Detector::train_with_depth`].
+    /// over `CO-DATA`. `fusion_weight` is Eq. 1's `w`. `summary_road_depth`
+    /// keeps only that many of the most recent roads in the collaboration
+    /// prior (the DESIGN.md summary-depth ablation); `None` keeps all
+    /// history, the paper's behaviour.
     ///
     /// # Errors
     ///
@@ -258,9 +229,16 @@ mod tests {
         SyntheticDataset::generate(&DatasetConfig::small(7))
     }
 
+    /// Both stages on `records`, with the default tree parameters.
+    fn fit(records: &[FeatureRecord], fusion_weight: f64) -> Cad3Detector {
+        let nb = Ad3Detector::train(records).unwrap();
+        let params = DecisionTreeParams::default();
+        Cad3Detector::with_stage1(nb, records, params, fusion_weight, None).unwrap()
+    }
+
     fn trained(ds: &SyntheticDataset) -> Cad3Detector {
         let cut = ds.features.len() * 8 / 10;
-        Cad3Detector::train(&ds.features[..cut], DecisionTreeParams::default(), 0.5).unwrap()
+        fit(&ds.features[..cut], 0.5)
     }
 
     #[test]
@@ -296,7 +274,7 @@ mod tests {
         let ds = corpus();
         let cut = ds.features.len() * 8 / 10;
         let (train, test) = (&ds.features[..cut], &ds.features[cut..]);
-        let cad3 = Cad3Detector::train(train, DecisionTreeParams::default(), 0.5).unwrap();
+        let cad3 = fit(train, 0.5);
         let ad3 = Ad3Detector::train(train).unwrap();
 
         let mut tracker = SummaryTracker::new();
@@ -376,6 +354,6 @@ mod tests {
     #[should_panic(expected = "fusion weight")]
     fn invalid_fusion_weight_panics() {
         let ds = corpus();
-        let _ = Cad3Detector::train(&ds.features, DecisionTreeParams::default(), 2.0);
+        let _ = fit(&ds.features, 2.0);
     }
 }

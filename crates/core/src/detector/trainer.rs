@@ -14,7 +14,7 @@ pub struct TrainedModels {
 }
 
 /// Trains AD3, CAD3 and the centralized baseline on the same training
-/// records (which must be in trip order; see [`Cad3Detector::train`]).
+/// records (which must be in trip order; see [`Cad3Detector::with_stage1`]).
 ///
 /// # Errors
 ///
@@ -60,6 +60,7 @@ mod tests {
     fn trains_all_three() {
         let ds = SyntheticDataset::generate(&DatasetConfig::small(41));
         let models = train_all(&ds.features, &DetectionConfig::default()).unwrap();
+        assert!(models.cad3.naive_bayes() == &models.ad3, "CAD3 runs on the AD3 stage 1");
         let rec = &ds.features[10];
         for d in [
             models.ad3.detect(rec, None).unwrap(),
@@ -68,22 +69,6 @@ mod tests {
         ] {
             assert!((0.0..=1.0).contains(&d.p_abnormal));
         }
-    }
-
-    #[test]
-    fn cad3_runs_on_the_ad3_stage_1_and_equals_its_own_two_stage_fit() {
-        let ds = SyntheticDataset::generate(&DatasetConfig::small(41));
-        let config = DetectionConfig::default();
-        let models = train_all(&ds.features, &config).unwrap();
-        assert!(models.cad3.naive_bayes() == &models.ad3);
-        let separately = Cad3Detector::train_with_depth(
-            &ds.features,
-            config.dt_params,
-            config.fusion_weight,
-            config.summary_road_depth,
-        )
-        .unwrap();
-        assert!(models.cad3 == separately, "one stage-1 fit must not move the model");
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! and Table IV, and the mesoscopic trip analysis of Fig. 8.
 
 use crate::accidents::{expected_potential_accidents, EvaluatedRecord};
-use crate::detector::{train_all, DetectionConfig, Detector, TrainedModels};
+use crate::detector::{
+    Ad3Detector, Cad3Detector, CentralizedDetector, Detection, DetectionConfig, Detector,
+    TrainedModels,
+};
 use crate::{CoreError, RsuSpec, ScenarioSpec, SystemConfig, Testbed, TestbedReport};
 use cad3_data::SyntheticDataset;
 use cad3_ml::ConfusionMatrix;
@@ -12,6 +15,32 @@ use cad3_sim::SimRng;
 use cad3_types::{DriverProfile, FeatureRecord, Label, RoadType, SimDuration, TripId, VehicleId};
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// An edge RSU serving `vehicles` that replay `records`, forwarding nothing.
+fn rsu(
+    name: impl Into<String>,
+    detector: Arc<dyn Detector>,
+    vehicles: u32,
+    records: Vec<FeatureRecord>,
+) -> RsuSpec {
+    RsuSpec { name: name.into(), detector, vehicles, records, forwards_to: None, backhaul: None }
+}
+
+/// Runs `rsus` for `duration` after the 500 ms warm-up every scenario uses,
+/// exporting summaries every `summary_interval`.
+fn run(
+    config: SystemConfig,
+    seed: u64,
+    rsus: Vec<RsuSpec>,
+    duration: SimDuration,
+    summary_interval: SimDuration,
+    migration: Option<crate::MigrationSpec>,
+    observers: Vec<crate::Observer>,
+) -> TestbedReport {
+    let warmup = SimDuration::from_millis(500);
+    let spec = ScenarioSpec { rsus, duration, warmup, summary_interval, migration };
+    Testbed::new(config, seed).run(spec, observers)
+}
 
 /// Runs the Fig. 6a/6c scenario: one RSU, `vehicles` producers at 10 Hz.
 ///
@@ -26,21 +55,8 @@ pub fn single_rsu_scaling(
     vehicles: u32,
     duration: SimDuration,
 ) -> TestbedReport {
-    let spec = ScenarioSpec {
-        rsus: vec![RsuSpec {
-            name: format!("rsu-{vehicles}v"),
-            detector,
-            vehicles,
-            records,
-            forwards_to: None,
-            backhaul: None,
-        }],
-        duration,
-        warmup: SimDuration::from_millis(500),
-        summary_interval: SimDuration::from_millis(500),
-        migration: None,
-    };
-    Testbed::new(config, seed).run(spec, Vec::new())
+    let rsus = vec![rsu(format!("rsu-{vehicles}v"), detector, vehicles, records)];
+    run(config, seed, rsus, duration, SimDuration::from_millis(500), None, Vec::new())
 }
 
 /// Runs the Fig. 6b/6d scenario: four motorway RSUs forwarding `CO-DATA`
@@ -55,38 +71,18 @@ pub fn multi_rsu(
     vehicles_per_rsu: u32,
     duration: SimDuration,
 ) -> TestbedReport {
-    let mut rsus = Vec::new();
     // Index 0 is the motorway-link RSU; 1..=4 are motorway RSUs feeding it.
-    rsus.push(RsuSpec {
-        name: "Mw Link".to_owned(),
-        detector: Arc::clone(&detector),
-        vehicles: vehicles_per_rsu,
-        records: link_records,
-        forwards_to: None,
-        backhaul: None,
-    });
+    let mut rsus = vec![rsu("Mw Link", Arc::clone(&detector), vehicles_per_rsu, link_records)];
     for i in 1..=4 {
-        rsus.push(RsuSpec {
-            name: format!("Mw R{i}"),
-            detector: Arc::clone(&detector),
-            vehicles: vehicles_per_rsu,
-            records: motorway_records.clone(),
-            forwards_to: Some(0),
-            backhaul: None,
-        });
+        let records = motorway_records.clone();
+        let motorway = rsu(format!("Mw R{i}"), Arc::clone(&detector), vehicles_per_rsu, records);
+        rsus.push(RsuSpec { forwards_to: Some(0), ..motorway });
     }
-    let spec = ScenarioSpec {
-        rsus,
-        duration,
-        warmup: SimDuration::from_millis(500),
-        // Handover summaries are incremental and per-vehicle; a 2 s export
-        // cadence models the paper's gradual producer migration and keeps
-        // CO-DATA a small fraction of the vehicle uplink ("slightly
-        // higher" in Fig. 6d).
-        summary_interval: SimDuration::from_secs(2),
-        migration: None,
-    };
-    Testbed::new(config, seed).run(spec, Vec::new())
+    // Handover summaries are incremental and per-vehicle; a 2 s export
+    // cadence models the paper's gradual producer migration and keeps
+    // CO-DATA a small fraction of the vehicle uplink ("slightly higher" in
+    // Fig. 6d).
+    run(config, seed, rsus, duration, SimDuration::from_secs(2), None, Vec::new())
 }
 
 /// Runs the paper's handover emulation: two RSUs (motorway and motorway
@@ -108,39 +104,14 @@ pub fn handover_migration(
     observers: Vec<crate::Observer>,
 ) -> TestbedReport {
     let half = SimDuration::from_secs_f64(duration.as_secs_f64() / 2.0);
-    Testbed::new(config, seed).run(
-        ScenarioSpec {
-            rsus: vec![
-                RsuSpec {
-                    name: "rsu-motorway".to_owned(),
-                    detector: Arc::clone(&detector),
-                    vehicles,
-                    records: motorway_records,
-                    forwards_to: Some(1),
-                    backhaul: None,
-                },
-                RsuSpec {
-                    name: "rsu-motorway-link".to_owned(),
-                    detector,
-                    vehicles: vehicles / 4,
-                    records: link_records.clone(),
-                    forwards_to: None,
-                    backhaul: None,
-                },
-            ],
-            duration,
-            warmup: SimDuration::from_millis(500),
-            summary_interval: SimDuration::from_secs(2),
-            migration: Some(crate::MigrationSpec {
-                from: 0,
-                to: 1,
-                fraction,
-                at: half,
-                new_records: link_records,
-            }),
-        },
-        observers,
-    )
+    let motorway = rsu("rsu-motorway", Arc::clone(&detector), vehicles, motorway_records);
+    let rsus = vec![
+        RsuSpec { forwards_to: Some(1), ..motorway },
+        rsu("rsu-motorway-link", detector, vehicles / 4, link_records.clone()),
+    ];
+    let migration =
+        crate::MigrationSpec { from: 0, to: 1, fraction, at: half, new_records: link_records };
+    run(config, seed, rsus, duration, SimDuration::from_secs(2), Some(migration), observers)
 }
 
 /// Runs the paper's motivating edge-vs-cloud comparison (Sections II-B and
@@ -157,24 +128,12 @@ pub fn edge_vs_cloud(
     backhaul_one_way: SimDuration,
     duration: SimDuration,
 ) -> (TestbedReport, TestbedReport) {
-    let run = |backhaul: Option<SimDuration>, name: &str| {
-        let spec = ScenarioSpec {
-            rsus: vec![RsuSpec {
-                name: name.to_owned(),
-                detector: Arc::clone(&detector),
-                vehicles,
-                records: records.clone(),
-                forwards_to: None,
-                backhaul,
-            }],
-            duration,
-            warmup: SimDuration::from_millis(500),
-            summary_interval: SimDuration::from_secs(2),
-            migration: None,
-        };
-        Testbed::new(config, seed).run(spec, Vec::new())
+    let deployment = |backhaul: Option<SimDuration>, name: &str| {
+        let node = rsu(name, Arc::clone(&detector), vehicles, records.clone());
+        let rsus = vec![RsuSpec { backhaul, ..node }];
+        run(config, seed, rsus, duration, SimDuration::from_secs(2), None, Vec::new())
     };
-    (run(None, "edge-rsu"), run(Some(backhaul_one_way), "cloud-node"))
+    (deployment(None, "edge-rsu"), deployment(Some(backhaul_one_way), "cloud-node"))
 }
 
 /// Detection-quality metrics of one model (a Fig. 7 / Table IV row).
@@ -196,42 +155,173 @@ pub struct ModelComparison {
     pub expected_accidents: f64,
 }
 
-/// Splits a corpus 80/20 *by trip* (trips stay contiguous so the summary
-/// replay matches the online pipeline) and evaluates the three models —
-/// the paper's Fig. 7 + Table IV procedure.
+/// A corpus split 80/20 *by trip*, the paper's Fig. 7 / Table IV / Fig. 8
+/// procedure, with the models that do not depend on a [`DetectionConfig`]
+/// fitted once on the training trips: AD3 and the centralized baseline.
+/// CAD3 runs on that AD3 as its stage 1 and fits its stage 2 per
+/// configuration, as [`train_all`](crate::detector::train_all) does.
 ///
-/// Returns `[centralized, ad3, cad3]`.
-///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn detection_comparison(
-    dataset: &SyntheticDataset,
-    config: &DetectionConfig,
-    seed: u64,
-) -> Result<Vec<ModelComparison>, CoreError> {
-    let mut rng = SimRng::seed_from(seed);
-    let mut trip_ids: Vec<TripId> = {
-        let mut v: Vec<TripId> = dataset.features.iter().map(|f| f.trip).collect();
-        v.dedup();
-        v
-    };
-    rng.shuffle(&mut trip_ids);
-    let cut = (trip_ids.len() * 8 / 10).max(1);
-    let train_trips: HashSet<TripId> = trip_ids[..cut].iter().copied().collect();
-
-    let train: Vec<FeatureRecord> =
-        dataset.features.iter().filter(|f| train_trips.contains(&f.trip)).copied().collect();
-    let test: Vec<FeatureRecord> =
-        dataset.features.iter().filter(|f| !train_trips.contains(&f.trip)).copied().collect();
-
-    let models = train_all(&train, config)?;
-    Ok(evaluate_models(&models, &test))
+/// Trips stay whole on either side of the split and the records keep the
+/// corpus's trip order, so replaying the test records feeds the summary
+/// tracker what the online pipeline would.
+#[derive(Debug)]
+pub struct Holdout {
+    dataset: SyntheticDataset,
+    train: Vec<FeatureRecord>,
+    test: Vec<FeatureRecord>,
+    ad3: Ad3Detector,
+    centralized: CentralizedDetector,
 }
 
-/// Evaluates already-trained models over a test stream (trip-ordered),
-/// replaying collaborative summaries for CAD3 exactly as the RSU pipeline
-/// would. Returns `[centralized, ad3, cad3]`.
+impl Holdout {
+    /// Shuffles the corpus's trips with `seed`, holds out the last fifth
+    /// and fits AD3 and the centralized model on the rest.
+    ///
+    /// # Errors
+    ///
+    /// Propagates training errors.
+    pub fn new(dataset: SyntheticDataset, seed: u64) -> Result<Self, CoreError> {
+        let mut trips: Vec<TripId> = dataset.features.iter().map(|f| f.trip).collect();
+        trips.dedup();
+        SimRng::seed_from(seed).shuffle(&mut trips);
+        let cut = (trips.len() * 8 / 10).max(1).min(trips.len());
+        let train_trips: HashSet<TripId> = trips[..cut].iter().copied().collect();
+        let (train, test): (Vec<FeatureRecord>, Vec<FeatureRecord>) =
+            dataset.features.iter().partition(|f| train_trips.contains(&f.trip));
+        Ok(Holdout {
+            ad3: Ad3Detector::train(&train)?,
+            centralized: CentralizedDetector::train(&train)?,
+            dataset,
+            train,
+            test,
+        })
+    }
+
+    /// The whole corpus.
+    pub fn dataset(&self) -> &SyntheticDataset {
+        &self.dataset
+    }
+
+    /// The held-out records, in trip order.
+    pub fn test(&self) -> &[FeatureRecord] {
+        &self.test
+    }
+
+    /// Whether `trip` is one of the held-out trips.
+    pub fn is_held_out(&self, trip: TripId) -> bool {
+        !trip_records(&self.test, trip).is_empty()
+    }
+
+    /// The three models under `config`, trained on the training trips.
+    ///
+    /// # Errors
+    ///
+    /// Propagates CAD3's stage-2 training error.
+    pub fn models(&self, config: &DetectionConfig) -> Result<TrainedModels, CoreError> {
+        Ok(TrainedModels {
+            cad3: Cad3Detector::with_stage1(
+                self.ad3.clone(),
+                &self.train,
+                config.dt_params,
+                config.fusion_weight,
+                config.summary_road_depth,
+            )?,
+            ad3: self.ad3.clone(),
+            centralized: self.centralized.clone(),
+        })
+    }
+
+    /// The three models under `config`, scored on the held-out records by
+    /// [`evaluate_models`]. Returns `[centralized, ad3, cad3]`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates CAD3's stage-2 training error.
+    pub fn compare(&self, config: &DetectionConfig) -> Result<Vec<ModelComparison>, CoreError> {
+        Ok(evaluate_models(&self.models(config)?, &self.test))
+    }
+
+    /// Replays one trip of the corpus through `models` (Fig. 8), on a
+    /// tracker of its own: the trip's records, in order, are all the
+    /// tracker sees. A point is kept where all three models classify the
+    /// record. The trip should be a held-out one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InsufficientTrainingData`] if the trip has no
+    /// records usable by the models.
+    pub fn mesoscopic_trip(
+        &self,
+        models: &TrainedModels,
+        trip: TripId,
+    ) -> Result<MesoscopicResult, CoreError> {
+        let records = trip_records(&self.dataset.features, trip);
+        let mut points = Vec::new();
+        replay(models, records, |index, verdicts| {
+            let [Some(c), Some(a), Some(k)] = verdicts else { return };
+            let rec = &records[index];
+            points.push(MesoscopicPoint {
+                index,
+                road_type: rec.road_type,
+                truth: rec.label,
+                centralized: c.label,
+                ad3: a.label,
+                cad3: k.label,
+            });
+        });
+        let Some(vehicle) = records.first().map(|r| r.vehicle).filter(|_| !points.is_empty())
+        else {
+            return Err(CoreError::InsufficientTrainingData {
+                what: format!("trip {trip} has no records usable by the models"),
+            });
+        };
+        let profile =
+            self.dataset.profiles.get(&vehicle).copied().unwrap_or(DriverProfile::Typical);
+        Ok(MesoscopicResult { trip, vehicle, profile, points })
+    }
+}
+
+/// The records of `trip` in `records`, which are in trip order: each trip's
+/// records contiguous and trips by ascending id, as the generator writes
+/// them.
+fn trip_records(records: &[FeatureRecord], trip: TripId) -> &[FeatureRecord] {
+    let start = records.partition_point(|f| f.trip < trip);
+    let end = records.partition_point(|f| f.trip <= trip);
+    &records[start..end]
+}
+
+/// Replays `records` in order through each model's
+/// [`Detector::detect_batch`], the path the RSUs run, with CAD3's observe
+/// hook feeding one summary tracker, and hands `visit` the index of each
+/// record the tracker saw (those whose CAD3 stage 1 succeeded) with its
+/// `[centralized, ad3, cad3]` verdicts, `None` where a model could not
+/// classify it.
+fn replay(
+    models: &TrainedModels,
+    records: &[FeatureRecord],
+    mut visit: impl FnMut(usize, [Option<Detection>; 3]),
+) {
+    let mut tracker = models.cad3.new_tracker();
+    let mut observed = vec![false; records.len()];
+    let [mut central, mut ad3, mut cad3] = [(); 3].map(|()| Vec::with_capacity(records.len()));
+    models.centralized.detect_batch(records, &mut |_, _| None, &mut central);
+    models.ad3.detect_batch(records, &mut |_, _| None, &mut ad3);
+    let mut observe = |i: usize, p1: f64| {
+        let rec = records.get(i)?;
+        observed[i] = true;
+        tracker.observe(rec.vehicle, rec.road, p1)
+    };
+    models.cad3.detect_batch(records, &mut observe, &mut cad3);
+    for (i, seen) in observed.into_iter().enumerate() {
+        if seen {
+            visit(i, [central[i], ad3[i], cad3[i]]);
+        }
+    }
+}
+
+/// Scores already-trained models on a test stream (trip-ordered), replaying
+/// collaborative summaries for CAD3 exactly as the RSU pipeline would.
+/// Returns `[centralized, ad3, cad3]`.
 ///
 /// Metrics are recorded **at the collaboration point**: on records of link
 /// roads (the motorway-link RSU and its siblings), which is where the
@@ -240,38 +330,19 @@ pub fn detection_comparison(
 /// flows through the summary tracker so CAD3 receives the handover context
 /// a deployment would.
 pub fn evaluate_models(models: &TrainedModels, test: &[FeatureRecord]) -> Vec<ModelComparison> {
-    evaluate_models_where(models, test, |rec| rec.road_type.is_link())
-}
-
-/// Like [`evaluate_models`], with an explicit predicate selecting which
-/// records contribute to the metrics (all records still feed the summary
-/// tracker).
-pub fn evaluate_models_where(
-    models: &TrainedModels,
-    test: &[FeatureRecord],
-    count_metric: impl Fn(&FeatureRecord) -> bool,
-) -> Vec<ModelComparison> {
-    let mut tracker = models.cad3.new_tracker();
-    let mut cms = [ConfusionMatrix::new(), ConfusionMatrix::new(), ConfusionMatrix::new()];
-    let mut evaluated: [Vec<EvaluatedRecord>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-
-    for rec in test {
-        let Ok(p_nb) = models.cad3.naive_bayes().p_abnormal(rec) else { continue };
-        let summary = tracker.observe(rec.vehicle, rec.road, p_nb);
-        if !count_metric(rec) {
-            continue;
+    let mut cms = [ConfusionMatrix::new(); 3];
+    let mut evaluated: [Vec<EvaluatedRecord>; 3] = Default::default();
+    replay(models, test, |i, verdicts| {
+        let rec = &test[i];
+        if !rec.road_type.is_link() {
+            return;
         }
-        let preds = [
-            models.centralized.detect(rec, None),
-            models.ad3.detect(rec, None),
-            models.cad3.detect(rec, summary.as_ref()),
-        ];
-        for (i, pred) in preds.into_iter().enumerate() {
-            let Ok(d) = pred else { continue };
-            cms[i].record(rec.label == Label::Abnormal, d.label == Label::Abnormal);
-            evaluated[i].push(EvaluatedRecord::new(rec, d.label));
+        for (m, verdict) in verdicts.into_iter().enumerate() {
+            let Some(d) = verdict else { continue };
+            cms[m].record(rec.label == Label::Abnormal, d.label == Label::Abnormal);
+            evaluated[m].push(EvaluatedRecord::new(rec, d.label));
         }
-    }
+    });
 
     ["centralized", "ad3", "cad3"]
         .iter()
@@ -339,52 +410,6 @@ impl MesoscopicResult {
     }
 }
 
-/// Replays one trip through all three models (Fig. 8). The trip should be
-/// from the test split; its records are taken from the dataset in order.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InsufficientTrainingData`] if the trip has no
-/// records usable by the models.
-pub fn mesoscopic_trip(
-    dataset: &SyntheticDataset,
-    models: &TrainedModels,
-    trip: TripId,
-) -> Result<MesoscopicResult, CoreError> {
-    let records: Vec<FeatureRecord> =
-        dataset.features.iter().filter(|f| f.trip == trip).copied().collect();
-    let mut tracker = models.cad3.new_tracker();
-    let mut points = Vec::new();
-    let mut vehicle = VehicleId(0);
-    for (index, rec) in records.iter().enumerate() {
-        vehicle = rec.vehicle;
-        let Ok(p_nb) = models.cad3.naive_bayes().p_abnormal(rec) else { continue };
-        let summary = tracker.observe(rec.vehicle, rec.road, p_nb);
-        let (Ok(c), Ok(a), Ok(k)) = (
-            models.centralized.detect(rec, None),
-            models.ad3.detect(rec, None),
-            models.cad3.detect(rec, summary.as_ref()),
-        ) else {
-            continue;
-        };
-        points.push(MesoscopicPoint {
-            index,
-            road_type: rec.road_type,
-            truth: rec.label,
-            centralized: c.label,
-            ad3: a.label,
-            cad3: k.label,
-        });
-    }
-    if points.is_empty() {
-        return Err(CoreError::InsufficientTrainingData {
-            what: format!("trip {trip} has no records usable by the models"),
-        });
-    }
-    let profile = dataset.profiles.get(&vehicle).copied().unwrap_or(DriverProfile::Typical);
-    Ok(MesoscopicResult { trip, vehicle, profile, points })
-}
-
 /// Finds a test-set trip by an abnormal driver crossing at least two roads
 /// — the kind of trip Fig. 8 illustrates (a car behaving abnormally while
 /// moving across the network).
@@ -399,7 +424,7 @@ pub fn find_mesoscopic_trip(dataset: &SyntheticDataset, profile: DriverProfile) 
         .filter(|t| dataset.profiles.get(&t.vehicle) == Some(&profile))
         .filter(|t| t.roads.len() >= 2)
         .collect();
-    let points = |trip: TripId| dataset.features.iter().filter(|f| f.trip == trip).count();
+    let points = |trip: TripId| trip_records(&dataset.features, trip).len();
     let microscopic = candidates
         .iter()
         .filter(|t| {
@@ -416,6 +441,7 @@ pub fn find_mesoscopic_trip(dataset: &SyntheticDataset, profile: DriverProfile) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::train_all;
     use cad3_data::DatasetConfig;
 
     fn dataset() -> SyntheticDataset {
@@ -426,8 +452,8 @@ mod tests {
     fn comparison_reproduces_paper_ordering() {
         // Fig. 7 + Table IV: CAD3 ≥ AD3 > centralized on F1; FN rates and
         // expected accidents in the opposite order.
-        let ds = dataset();
-        let rows = detection_comparison(&ds, &DetectionConfig::default(), 5).unwrap();
+        let rows =
+            Holdout::new(dataset(), 5).unwrap().compare(&DetectionConfig::default()).unwrap();
         assert_eq!(rows.len(), 3);
         let (central, ad3, cad3) = (&rows[0], &rows[1], &rows[2]);
         assert_eq!(central.model, "centralized");
@@ -444,16 +470,43 @@ mod tests {
     }
 
     #[test]
-    fn mesoscopic_cad3_is_most_stable() {
+    fn the_split_keeps_trips_whole_and_in_order() {
         let ds = dataset();
+        let holdout = Holdout::new(ds.clone(), 5).unwrap();
+        let (train, test) = (&holdout.train, holdout.test());
+        assert_eq!(train.len() + test.len(), ds.features.len());
+        let mut trips: Vec<TripId> = ds.features.iter().map(|f| f.trip).collect();
+        trips.dedup();
+        let held_out = trips.iter().filter(|&&t| holdout.is_held_out(t)).count();
+        assert_eq!(held_out, trips.len() - trips.len() * 8 / 10);
+        assert!(train.iter().all(|f| !holdout.is_held_out(f.trip)));
+        assert!(test.windows(2).all(|w| w[0].trip <= w[1].trip), "test is in trip order");
+        let trip = test[0].trip;
+        let slice = trip_records(&ds.features, trip);
+        assert_eq!(slice, trip_records(test, trip));
+        assert_eq!(slice.len(), ds.features.iter().filter(|f| f.trip == trip).count());
+    }
+
+    #[test]
+    fn the_holdout_models_are_train_all_on_the_training_trips() {
+        let holdout = Holdout::new(dataset(), 5).unwrap();
+        let config = DetectionConfig { summary_road_depth: Some(2), ..Default::default() };
+        let models = holdout.models(&config).unwrap();
+        assert!(models == train_all(&holdout.train, &config).unwrap());
+    }
+
+    #[test]
+    fn mesoscopic_cad3_is_most_stable() {
+        let holdout = Holdout::new(dataset(), 5).unwrap();
+        let ds = holdout.dataset();
         let mut trips: Vec<TripId> = ds.features.iter().map(|f| f.trip).collect();
         trips.dedup();
         let cut = (trips.len() * 8 / 10).max(1);
         let train: Vec<FeatureRecord> =
             ds.features.iter().filter(|f| trips[..cut].contains(&f.trip)).copied().collect();
         let models = train_all(&train, &DetectionConfig::default()).unwrap();
-        let trip = find_mesoscopic_trip(&ds, DriverProfile::Sluggish).expect("sluggish trip");
-        let result = mesoscopic_trip(&ds, &models, trip).unwrap();
+        let trip = find_mesoscopic_trip(ds, DriverProfile::Sluggish).expect("sluggish trip");
+        let result = holdout.mesoscopic_trip(&models, trip).unwrap();
         assert!(result.points.len() > 20);
         assert_eq!(result.profile, DriverProfile::Sluggish);
         let [acc_c, acc_a, acc_k] = result.accuracies();
@@ -465,10 +518,9 @@ mod tests {
 
     #[test]
     fn mesoscopic_missing_trip_errors() {
-        let ds = dataset();
-        let train: Vec<FeatureRecord> = ds.features[..ds.features.len() / 2].to_vec();
-        let models = train_all(&train, &DetectionConfig::default()).unwrap();
-        assert!(mesoscopic_trip(&ds, &models, TripId(999_999)).is_err());
+        let holdout = Holdout::new(dataset(), 5).unwrap();
+        let models = holdout.models(&DetectionConfig::default()).unwrap();
+        assert!(holdout.mesoscopic_trip(&models, TripId(999_999)).is_err());
     }
 
     #[test]

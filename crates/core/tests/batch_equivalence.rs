@@ -8,7 +8,7 @@
 //! state come out bit-for-bit equal.
 
 use cad3::detector::{
-    Ad3Detector, Cad3Detector, CentralizedDetector, Detection, DetectionConfig, Detector,
+    train_all, Ad3Detector, CentralizedDetector, Detection, DetectionConfig, Detector,
     LogisticAd3Detector,
 };
 use cad3::{SummaryTracker, VehicleSummary};
@@ -217,7 +217,7 @@ fn cad3_batch_matches_scalar() {
     let ds = corpus();
     let cut = ds.features.len() * 8 / 10;
     let cfg = DetectionConfig::default();
-    let det = Cad3Detector::train(&ds.features[..cut], cfg.dt_params, cfg.fusion_weight).unwrap();
+    let det = train_all(&ds.features[..cut], &cfg).unwrap().cad3;
     assert_equivalent(&det, &ScalarRef(&det), &ds.features[cut..]);
     assert_scratch_is_clean(&det, &ScalarRef(&det), &ds.features[cut..]);
 }
@@ -249,7 +249,7 @@ fn every_detector_shares_one_threads_scratch_cleanly() {
     let (train, test) = ds.features.split_at(cut);
     let cfg = DetectionConfig::default();
     let detectors: Vec<Box<dyn Detector>> = vec![
-        Box::new(Cad3Detector::train(train, cfg.dt_params, cfg.fusion_weight).unwrap()),
+        Box::new(train_all(train, &cfg).unwrap().cad3),
         Box::new(Ad3Detector::train(train).unwrap()),
         Box::new(LogisticAd3Detector::train(train, LogisticParams::default()).unwrap()),
         Box::new(CentralizedDetector::train(train).unwrap()),

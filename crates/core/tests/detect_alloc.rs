@@ -10,7 +10,7 @@
 //! The scalar path runs one row through the same models, with no scratch.
 
 use cad3::detector::{
-    Ad3Detector, Cad3Detector, CentralizedDetector, DetectionConfig, Detector, LogisticAd3Detector,
+    train_all, Ad3Detector, CentralizedDetector, DetectionConfig, Detector, LogisticAd3Detector,
 };
 use cad3::{SummaryTracker, VehicleSummary};
 use cad3_data::{DatasetConfig, SyntheticDataset};
@@ -136,7 +136,7 @@ fn warm_detect_batch_allocates_nothing() {
 
     let cfg = DetectionConfig::default();
     let detectors: [Box<dyn Detector>; 4] = [
-        Box::new(Cad3Detector::train(train, cfg.dt_params, cfg.fusion_weight).unwrap()),
+        Box::new(train_all(train, &cfg).unwrap().cad3),
         Box::new(Ad3Detector::train(train).unwrap()),
         Box::new(LogisticAd3Detector::train(train, LogisticParams::default()).unwrap()),
         Box::new(CentralizedDetector::train(train).unwrap()),
@@ -153,7 +153,7 @@ fn scalar_detect_allocates_nothing() {
     let (train, test) = ds.features.split_at(cut);
     let cfg = DetectionConfig::default();
     let detectors: [Box<dyn Detector>; 4] = [
-        Box::new(Cad3Detector::train(train, cfg.dt_params, cfg.fusion_weight).unwrap()),
+        Box::new(train_all(train, &cfg).unwrap().cad3),
         Box::new(Ad3Detector::train(train).unwrap()),
         Box::new(LogisticAd3Detector::train(train, LogisticParams::default()).unwrap()),
         Box::new(CentralizedDetector::train(train).unwrap()),

@@ -63,7 +63,7 @@ pub use mapmatch::HmmMapMatcher;
 pub use profile_mix::ProfileMix;
 pub use roadnet::{RoadNetwork, RoadNetworkConfig, RoadTypeSpec};
 pub use speed_profile::SpeedProfile;
-pub use stats::DatasetStats;
+pub use stats::{DatasetStats, StatsRow};
 pub use trips::{GeneratedTrip, TripGenerator};
 
 /// Approximate centre of Shenzhen, the city the paper's dataset covers.

@@ -1,4 +1,5 @@
 use cad3_types::{FeatureRecord, RoadType, TripRecord};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// Dataset statistics in the format of the paper's Table III: cars, trips,
@@ -10,7 +11,7 @@ pub struct DatasetStats {
 }
 
 /// One row of the Table III layout.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StatsRow {
     /// Row label ("Shenzhen", "Motorway", ...).
     pub region: String,

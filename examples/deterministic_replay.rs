@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = single_rsu_scaling(
         SystemConfig::default(),
         seed,
-        Arc::new(train_all(&ds.features, &DetectionConfig::default())?.ad3),
+        Arc::new(models.ad3),
         ds.features_of_type(RoadType::Motorway),
         16,
         SimDuration::from_secs(2),

@@ -3,7 +3,7 @@
 //! the paper's headline claims.
 
 use cad3_repro::core::detector::{train_all, DetectionConfig};
-use cad3_repro::core::scenario::{detection_comparison, multi_rsu, single_rsu_scaling};
+use cad3_repro::core::scenario::{multi_rsu, single_rsu_scaling, Holdout};
 use cad3_repro::core::SystemConfig;
 use cad3_repro::data::{DatasetConfig, SyntheticDataset};
 use cad3_repro::types::{RoadType, SimDuration};
@@ -31,7 +31,7 @@ fn full_stack_latency_claim_holds() {
 #[test]
 fn full_stack_detection_ordering_holds() {
     let ds = SyntheticDataset::generate(&DatasetConfig::small(103));
-    let rows = detection_comparison(&ds, &DetectionConfig::default(), 103).unwrap();
+    let rows = Holdout::new(ds, 103).unwrap().compare(&DetectionConfig::default()).unwrap();
     let (central, ad3, cad3) = (&rows[0], &rows[1], &rows[2]);
     // The edge models dominate the centralized baseline...
     assert!(ad3.f1 > central.f1 + 0.05);
