@@ -2,15 +2,15 @@
 //! experiments. Each returns a serialisable result that `exp_all` renders
 //! and writes under `results/`.
 
-use cad3::detector::{Ad3Detector, Cad3Detector, DetectionConfig, Detector, LogisticAd3Detector};
-use cad3::scenario::{self, edge_vs_cloud, find_mesoscopic_trip, Holdout, ModelComparison};
+use cad3::detector::{Cad3Detector, DetectionConfig, Detector, RoutedDetector};
+use cad3::scenario::{self, edge_vs_cloud, Holdout, ModelComparison};
 use cad3::{CoreError, RsuReport, SystemConfig};
 use cad3_data::{
     infrastructure, DatasetConfig, DatasetStats, InfrastructureKind, RoadNetwork,
     RoadNetworkConfig, RoadTypeSpec, RoadsideInfrastructure, SpeedProfile, StatsRow,
     SyntheticDataset,
 };
-use cad3_ml::{ConfusionMatrix, LogisticParams};
+use cad3_ml::{ConfusionMatrix, NaiveBayes};
 use cad3_net::{MacModel, Mcs};
 use cad3_sim::SimRng;
 use cad3_types::{DayOfWeek, DriverProfile, FeatureRecord, Label, RoadType, SimDuration};
@@ -34,14 +34,14 @@ pub struct Corpus {
     /// The corpus and its 80/20 trip split.
     pub holdout: Holdout,
     /// AD3 trained on every record of the corpus.
-    pub ad3: Arc<Ad3Detector>,
+    pub ad3: Arc<RoutedDetector<NaiveBayes>>,
 }
 
 impl Corpus {
     /// Builds the `small(seed)` corpus.
     pub fn small(seed: u64) -> Corpus {
         let holdout = holdout(&DatasetConfig::small(seed));
-        let ad3 = trainable(Ad3Detector::train(&holdout.dataset().features));
+        let ad3 = trainable(RoutedDetector::ad3(&holdout.dataset().features));
         Corpus { holdout, ad3: Arc::new(ad3) }
     }
 
@@ -197,14 +197,9 @@ pub fn multi_rsu_deployment(corpus: &Corpus, seed: u64, quick: bool) -> MultiRsu
     let vehicles = if quick { 32 } else { 128 };
     let duration = SimDuration::from_secs(if quick { 5 } else { 15 });
     let ds = corpus.holdout.dataset();
-    let config = DetectionConfig::default();
-    let cad3 = trainable(Cad3Detector::with_stage1(
-        Ad3Detector::clone(&corpus.ad3),
-        &ds.features,
-        config.dt_params,
-        config.fusion_weight,
-        config.summary_road_depth,
-    ));
+    let stage1 = RoutedDetector::clone(&corpus.ad3);
+    let cad3 =
+        trainable(Cad3Detector::with_stage1(stage1, &ds.features, &DetectionConfig::default()));
     let report = scenario::multi_rsu(
         SystemConfig::default(),
         seed,
@@ -351,7 +346,7 @@ pub fn fig8(holdout: &Holdout) -> Fig8Result {
             score(a).partial_cmp(&score(b)).expect("scores are not NaN")
         })
         .or_else(|| {
-            let trip = find_mesoscopic_trip(ds, DriverProfile::Sluggish)?;
+            let trip = holdout.find_mesoscopic_trip(DriverProfile::Sluggish)?;
             holdout.mesoscopic_trip(&models, trip).ok()
         })
         .expect("corpus contains an evaluable abnormal trip");
@@ -777,8 +772,8 @@ fn evaluate(name: &str, det: &dyn Detector, test: &[FeatureRecord]) -> StageOneR
 pub fn future_models(ds: &SyntheticDataset) -> Vec<StageOneRow> {
     let cut = ds.features.len() * 8 / 10;
     let (training, test) = ds.features.split_at(cut);
-    let nb = trainable(Ad3Detector::train(training));
-    let lr = trainable(LogisticAd3Detector::train(training, LogisticParams::default()));
+    let nb = trainable(RoutedDetector::ad3(training));
+    let lr = trainable(RoutedDetector::logistic(training));
     vec![evaluate("naive-bayes (paper)", &nb, test), evaluate("logistic (quadratic)", &lr, test)]
 }
 

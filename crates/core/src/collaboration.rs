@@ -43,8 +43,13 @@ struct VehicleState {
     road_sum: f64,
     road_count: u32,
     road_last_class: u8,
-    /// Per-completed-road `(sum, count)` aggregates, oldest first; bounded
-    /// by the tracker's road depth.
+    /// The previous roads' `(sum, count)` folded together: updated at each
+    /// handover and each `seed`, so a record reads it without a walk.
+    prev_sum: f64,
+    prev_count: u32,
+    /// Under a road depth, the per-completed-road `(sum, count)` aggregates,
+    /// oldest first and at most the depth long, that `prev_*` folds; empty
+    /// (and unused) with unbounded history.
     history: std::collections::VecDeque<(f64, u32)>,
     prev_last_class: u8,
     /// Trace lineage of the vehicle's most recent *sampled* record, so an
@@ -54,8 +59,10 @@ struct VehicleState {
 }
 
 impl VehicleState {
-    fn prev_totals(&self) -> (f64, u32) {
-        self.history.iter().fold((0.0, 0), |(s, c), (hs, hc)| (s + hs, c + hc))
+    /// Re-folds `prev_*` from `history`, oldest road first from `0.0`.
+    fn refold(&mut self) {
+        (self.prev_sum, self.prev_count) =
+            self.history.iter().fold((0.0, 0), |(s, c), (hs, hc)| (s + hs, c + hc));
     }
 }
 
@@ -109,11 +116,6 @@ impl SummaryTracker {
         SummaryTracker { vehicles: HashMap::default(), road_depth: Some(depth) }
     }
 
-    /// The configured road depth (`None` = unbounded).
-    pub fn road_depth(&self) -> Option<usize> {
-        self.road_depth
-    }
-
     /// Number of vehicles tracked.
     pub fn len(&self) -> usize {
         self.vehicles.len()
@@ -137,14 +139,20 @@ impl SummaryTracker {
         let depth = self.road_depth;
         let state = self.vehicles.entry(vehicle).or_default();
         if state.current_road != Some(road) {
-            // Handover: fold the finished road into the history, ageing
-            // out the oldest road beyond the configured depth.
+            // Handover: fold the finished road into the history. Unbounded,
+            // that is one add to the running totals — the adds a re-fold
+            // would make, in the same order. Under a depth, the oldest road
+            // beyond it ages out and the kept roads are re-folded.
             if state.current_road.is_some() && state.road_count > 0 {
-                state.history.push_back((state.road_sum, state.road_count));
                 if let Some(d) = depth {
+                    state.history.push_back((state.road_sum, state.road_count));
                     while state.history.len() > d {
                         state.history.pop_front();
                     }
+                    state.refold();
+                } else {
+                    state.prev_sum += state.road_sum;
+                    state.prev_count += state.road_count;
                 }
                 state.prev_last_class = state.road_last_class;
             }
@@ -152,10 +160,9 @@ impl SummaryTracker {
             state.road_sum = 0.0;
             state.road_count = 0;
         }
-        let (prev_sum, prev_count) = state.prev_totals();
-        let summary = (prev_count > 0).then(|| VehicleSummary {
-            mean_probability: prev_sum / prev_count as f64,
-            count: prev_count,
+        let summary = (state.prev_count > 0).then(|| VehicleSummary {
+            mean_probability: state.prev_sum / state.prev_count as f64,
+            count: state.prev_count,
             last_class: state.prev_last_class,
         });
         state.road_sum += p_abnormal;
@@ -170,7 +177,12 @@ impl SummaryTracker {
     pub fn seed(&mut self, vehicle: VehicleId, summary: VehicleSummary) {
         let state = self.vehicles.entry(vehicle).or_default();
         state.history.clear();
-        state.history.push_back((summary.mean_probability * summary.count as f64, summary.count));
+        let road = (summary.mean_probability * summary.count as f64, summary.count);
+        if self.road_depth.is_some() {
+            state.history.push_back(road);
+        }
+        // The fold of a one-road history, from `0.0` as `refold` starts.
+        (state.prev_sum, state.prev_count) = (0.0 + road.0, road.1);
         state.prev_last_class = summary.last_class;
     }
 
@@ -184,12 +196,11 @@ impl SummaryTracker {
         now: SimTime,
     ) -> Option<SummaryMessage> {
         let s = self.vehicles.get(&vehicle)?;
-        let (prev_sum, prev_count) = s.prev_totals();
-        let count = prev_count + s.road_count;
+        let count = s.prev_count + s.road_count;
         if count == 0 {
             return None;
         }
-        let mean = (prev_sum + s.road_sum) / count as f64;
+        let mean = (s.prev_sum + s.road_sum) / count as f64;
         Some(SummaryMessage {
             vehicle,
             from_rsu,
@@ -277,8 +288,6 @@ mod tests {
         assert_eq!(s_deep.count, 4);
         assert!((s_shallow.mean_probability - 0.0).abs() < 1e-12);
         assert_eq!(s_shallow.count, 2);
-        assert_eq!(deep.road_depth(), None);
-        assert_eq!(shallow.road_depth(), Some(1));
     }
 
     #[test]

@@ -1,26 +1,41 @@
 use super::{
-    dt_hour_code, dt_schema, fuse_probability, with_scratch, Ad3Detector, Detection, Detector,
-    TreeScratch,
+    dt_hour_code, dt_schema, fuse_probability, with_scratch, Detection, DetectionConfig, Detector,
+    RoutedDetector, TreeScratch,
 };
 use crate::collaboration::{SummaryTracker, VehicleSummary};
 use crate::CoreError;
-use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, MlError};
+use cad3_ml::{Dataset, DecisionTree, DecisionTreeParams, MlError, NaiveBayes};
 use cad3_types::FeatureRecord;
+
+/// The stage-2 tree's hyper-parameters. The tree sees only summary-bearing
+/// records (a fraction of the corpus) over a low-dimensional feature space;
+/// it is kept shallow and well-supported so sparse hour cells cannot carve
+/// degenerate leaves.
+const STAGE2_TREE: DecisionTreeParams = DecisionTreeParams {
+    max_depth: 6,
+    min_samples_split: 50,
+    min_samples_leaf: 25,
+    max_thresholds: 32,
+};
+
+/// A summary tracker keeping `road_depth` previous roads (`None` = all).
+fn tracker(road_depth: Option<usize>) -> SummaryTracker {
+    road_depth.map_or_else(SummaryTracker::new, SummaryTracker::with_road_depth)
+}
 
 /// The collaborative detector (the paper's CAD3, Fig. 4).
 ///
-/// Stage 1 is the same per-road-type Naïve Bayes as [`Ad3Detector`],
-/// producing `P_NB` and `Class_NB`. Stage 2 fuses the prediction summary
+/// Stage 1 is AD3 ([`RoutedDetector::ad3`]), producing `P_NB` and
+/// `Class_NB`. Stage 2 fuses the prediction summary
 /// forwarded by the previous RSU through Eq. 1
 /// (`P_X = 0.5 · P̄_prevs + 0.5 · P_NB`) and classifies the vector
 /// `[Hour, P_X, Class_NB]` with a Decision Tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cad3Detector {
-    nb: Ad3Detector,
+    nb: RoutedDetector<NaiveBayes>,
     /// The stage-2 tree; both detect paths go through it.
     tree: DecisionTree,
-    fusion_weight: f64,
-    summary_road_depth: Option<usize>,
+    config: DetectionConfig,
 }
 
 impl Cad3Detector {
@@ -31,22 +46,22 @@ impl Cad3Detector {
     /// `records` must be in trip order (records of one trip contiguous and
     /// time-ordered), because the Decision Tree's training features include
     /// the running cross-road summaries that a deployment would receive
-    /// over `CO-DATA`. `fusion_weight` is Eq. 1's `w`. `summary_road_depth`
-    /// keeps only that many of the most recent roads in the collaboration
-    /// prior (the DESIGN.md summary-depth ablation); `None` keeps all
-    /// history, the paper's behaviour.
+    /// over `CO-DATA`. `config.fusion_weight` is Eq. 1's `w`.
+    /// `config.summary_road_depth` keeps only that many of the most recent
+    /// roads in the collaboration prior (the DESIGN.md summary-depth
+    /// ablation); `None` keeps all history, the paper's behaviour. The tree
+    /// is fitted with the fixed `STAGE2_TREE` hyper-parameters.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InsufficientTrainingData`] when no record is
     /// usable for stage 2.
     pub fn with_stage1(
-        nb: Ad3Detector,
+        nb: RoutedDetector<NaiveBayes>,
         records: &[FeatureRecord],
-        dt_params: DecisionTreeParams,
-        fusion_weight: f64,
-        summary_road_depth: Option<usize>,
+        config: &DetectionConfig,
     ) -> Result<Self, CoreError> {
+        let fusion_weight = config.fusion_weight;
         assert!((0.0..=1.0).contains(&fusion_weight), "fusion weight must be within [0, 1]");
 
         // Replay the corpus through the summary tracker to build the DT's
@@ -60,10 +75,7 @@ impl Cad3Detector {
         // summary exists at inference time, CAD3 falls back to the plain
         // Naïve Bayes decision (which is what the non-collaborating RSU
         // runs anyway).
-        let mut tracker = match summary_road_depth {
-            Some(d) => SummaryTracker::with_road_depth(d),
-            None => SummaryTracker::new(),
-        };
+        let mut tracker = tracker(config.summary_road_depth);
         let mut ds = Dataset::new(dt_schema(), 2);
         let mut usable = 0usize;
         for rec in records {
@@ -81,18 +93,13 @@ impl Cad3Detector {
                 what: "no record carried a collaborative summary for stage 2".to_owned(),
             });
         }
-        let tree = DecisionTree::fit(&ds, dt_params)?;
-        Ok(Cad3Detector { nb, tree, fusion_weight, summary_road_depth })
+        let tree = DecisionTree::fit(&ds, STAGE2_TREE)?;
+        Ok(Cad3Detector { nb, tree, config: config.clone() })
     }
 
     /// The stage-1 (Naïve Bayes) detector.
-    pub fn naive_bayes(&self) -> &Ad3Detector {
+    pub fn naive_bayes(&self) -> &RoutedDetector<NaiveBayes> {
         &self.nb
-    }
-
-    /// The Eq. 1 fusion weight.
-    pub fn fusion_weight(&self) -> f64 {
-        self.fusion_weight
     }
 
     /// Full detection detail: `(p_nb, p_x, detection)`.
@@ -116,7 +123,7 @@ impl Cad3Detector {
             // (the trip's first RSU has nothing to fuse).
             return Ok((p_nb, p_nb, Detection::from_p_abnormal(p_nb)));
         };
-        let p_x = fuse_probability(p_nb, Some(summary), self.fusion_weight);
+        let p_x = fuse_probability(p_nb, Some(summary), self.config.fusion_weight);
         let class_nb = u8::from(p_nb < 0.5);
         let leaf = self.tree.predict_proba_row(&[dt_hour_code(rec.hour), p_x, class_nb as f64])?;
         // Class 0 is abnormal in the paper's convention.
@@ -146,10 +153,7 @@ impl Detector for Cad3Detector {
     }
 
     fn new_tracker(&self) -> SummaryTracker {
-        match self.summary_road_depth {
-            Some(d) => SummaryTracker::with_road_depth(d),
-            None => SummaryTracker::new(),
-        }
+        tracker(self.config.summary_road_depth)
     }
 
     fn detect_batch(
@@ -181,7 +185,7 @@ impl Detector for Cad3Detector {
                     out.push(p1.map(Detection::from_p_abnormal));
                     continue;
                 };
-                let p_x = fuse_probability(p1, Some(&summary), self.fusion_weight);
+                let p_x = fuse_probability(p1, Some(&summary), self.config.fusion_weight);
                 let class_nb = u8::from(p1 < 0.5);
                 // Schema validation is vacuous for these rows, so the scalar
                 // path's `validate` check is skipped rather than mirrored:
@@ -229,11 +233,11 @@ mod tests {
         SyntheticDataset::generate(&DatasetConfig::small(7))
     }
 
-    /// Both stages on `records`, with the default tree parameters.
+    /// Both stages on `records`, with unbounded summaries.
     fn fit(records: &[FeatureRecord], fusion_weight: f64) -> Cad3Detector {
-        let nb = Ad3Detector::train(records).unwrap();
-        let params = DecisionTreeParams::default();
-        Cad3Detector::with_stage1(nb, records, params, fusion_weight, None).unwrap()
+        let nb = RoutedDetector::ad3(records).unwrap();
+        let config = DetectionConfig { fusion_weight, ..DetectionConfig::default() };
+        Cad3Detector::with_stage1(nb, records, &config).unwrap()
     }
 
     fn trained(ds: &SyntheticDataset) -> Cad3Detector {
@@ -275,7 +279,7 @@ mod tests {
         let cut = ds.features.len() * 8 / 10;
         let (train, test) = (&ds.features[..cut], &ds.features[cut..]);
         let cad3 = fit(train, 0.5);
-        let ad3 = Ad3Detector::train(train).unwrap();
+        let ad3 = RoutedDetector::ad3(train).unwrap();
 
         let mut tracker = SummaryTracker::new();
         let mut cm_cad3 = ConfusionMatrix::new();
@@ -313,7 +317,6 @@ mod tests {
         let d = det.detect(&ds.features[0], None).unwrap();
         assert!((0.0..=1.0).contains(&d.p_abnormal));
         assert_eq!(det.name(), "cad3");
-        assert_eq!(det.fusion_weight(), 0.5);
     }
 
     /// The seed-42 tree `bench_e2e` and the examples deploy, pinned split
@@ -348,6 +351,22 @@ mod tests {
             [(2, 0.5f64.to_bits()), (1, 0x3fe3_0b28_8817_2259), (1, 0x3fdd_e840_eae4_c936)]
         );
         assert_eq!(digest, 0x858a_6abc_bfe0_2a08, "a split's feature or threshold moved");
+    }
+
+    /// The stage-2 tree keeps every leaf at 25 training rows or more: the
+    /// one cut that isolates 24 rows is refused, one that isolates 25 taken.
+    #[test]
+    fn stage2_leaves_hold_at_least_25_rows() {
+        let fit = |abnormal: usize| {
+            let mut ds = Dataset::new(dt_schema(), 2);
+            for i in 0..100 {
+                let (p_x, class) = if i < abnormal { (0.9, 0) } else { (0.1, 1) };
+                ds.push(&[1.0, p_x, 1.0], class).unwrap();
+            }
+            DecisionTree::fit(&ds, STAGE2_TREE).unwrap()
+        };
+        assert_eq!(fit(24).leaf_count(), 1);
+        assert_eq!(fit(25).leaf_count(), 2);
     }
 
     #[test]

@@ -1,29 +1,30 @@
 //! The three detection models the paper compares: standalone edge (AD3),
 //! collaborative edge (CAD3) and the centralized baseline.
 //!
-//! All three are binary classifiers over the Table II features with the
+//! AD3 and the centralized baseline are one single-stage type,
+//! [`RoutedDetector`]: a routing table from each (road type, time regime)
+//! context to a model, per context for AD3 and one city-wide model for the
+//! baseline. CAD3 ([`Cad3Detector`]) runs AD3 as its stage 1 and fuses the
+//! collaborative summary in a decision-tree stage 2.
+//!
+//! All are binary classifiers over the Table II features with the
 //! paper's class convention (`1` = normal, `0` = abnormal); internally the
 //! class index equals [`Label::class`], so the abnormal class is index 0
 //! and `p_abnormal = predict_proba(..)[0]`.
 
-mod ad3;
 mod cad3;
-mod centralized;
-mod logistic;
+mod routed;
 mod trainer;
 
-pub use ad3::Ad3Detector;
 pub use cad3::Cad3Detector;
-pub use centralized::CentralizedDetector;
-pub use logistic::LogisticAd3Detector;
+pub use routed::RoutedDetector;
 pub use trainer::{train_all, TrainedModels};
 
 use crate::collaboration::VehicleSummary;
 use crate::CoreError;
 use cad3_data::TimeBucket;
 use cad3_ml::{
-    Dataset, DecisionTreeParams, FeatureBatch, FeatureKind, LogisticRegression, MlError,
-    NaiveBayes, Schema,
+    Dataset, FeatureBatch, FeatureKind, LogisticRegression, MlError, NaiveBayes, Schema,
 };
 use cad3_types::{FeatureRecord, Label};
 use std::cell::RefCell;
@@ -44,11 +45,10 @@ impl Detection {
     }
 }
 
-/// Hyper-parameters of model training.
+/// The detection settings a caller varies: the two knobs of the DESIGN.md
+/// ablations. Both shape CAD3 only; the single-stage models take none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectionConfig {
-    /// Decision-tree hyper-parameters for the collaborative model.
-    pub dt_params: DecisionTreeParams,
     /// Eq. 1 fusion weight (0.5 in the paper).
     pub fusion_weight: f64,
     /// How many previous roads of prediction history the collaboration
@@ -58,32 +58,19 @@ pub struct DetectionConfig {
 
 impl Default for DetectionConfig {
     fn default() -> Self {
-        // The stage-2 tree sees only summary-bearing records (a fraction of
-        // the corpus) over a low-dimensional feature space; keep it shallow
-        // and well-supported so sparse hour cells cannot carve degenerate
-        // leaves.
-        DetectionConfig {
-            dt_params: DecisionTreeParams {
-                max_depth: 6,
-                min_samples_split: 50,
-                min_samples_leaf: 25,
-                max_thresholds: 32,
-            },
-            fusion_weight: 0.5,
-            summary_road_depth: None,
-        }
+        DetectionConfig { fusion_weight: 0.5, summary_road_depth: None }
     }
 }
 
 /// The unified detector interface: every model maps a record (plus the
 /// optional collaborative context) to a [`Detection`].
 ///
-/// AD3 and the centralized baseline ignore the summary; CAD3 fuses it via
+/// The single-stage models ignore the summary; CAD3 fuses it via
 /// Eq. 1. Implementations must be `Send + Sync`: the RSU pipeline shares
 /// one model across its parallel worker pool, exactly as a broadcast model
 /// is shared across Spark executors.
 pub trait Detector: Send + Sync {
-    /// Short model name ("ad3", "cad3", "centralized").
+    /// Short model name ("ad3", "cad3", "centralized", "logistic-ad3").
     fn name(&self) -> &'static str;
 
     /// Classifies a record.
@@ -166,8 +153,8 @@ pub(crate) fn context_index(road: cad3_types::RoadType, bucket: TimeBucket) -> u
     usize::from(road.code()) * N_BUCKETS + bucket
 }
 
-/// Resolves the context/pooled model-fallback routing of the AD3-style
-/// detectors into a dense lookup table at training time, so the batch
+/// Resolves the context/pooled model-fallback routing of a
+/// [`RoutedDetector`] into a dense lookup table at training time, so the batch
 /// detect path routes each record with one array index instead of
 /// hashing `(RoadType, TimeBucket)` per record.
 ///
@@ -230,6 +217,23 @@ impl<M> ModelRouter<M> {
         ))
     }
 
+    /// Fits one model on every row of `records`, in record order, and
+    /// routes every context to it: the centralized baseline's table.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `fit`'s errors.
+    pub(crate) fn pooled(
+        records: &[FeatureRecord],
+        fit: impl FnOnce(&Dataset) -> Result<M, MlError>,
+    ) -> Result<Self, CoreError> {
+        let mut ds = Dataset::new(nb_schema(), 2);
+        for rec in records {
+            ds.push(&nb_features(rec), rec.label.class() as usize)?;
+        }
+        Ok(ModelRouter { models: vec![fit(&ds)?], lut: [1; N_CONTEXTS] })
+    }
+
     /// Builds the table from the per-context and pooled model sources,
     /// mirroring the scalar fallback: a context model where one was
     /// trained, else the road type's hour-pooled model, else no model.
@@ -275,15 +279,6 @@ impl<M> ModelRouter<M> {
     #[inline]
     pub(crate) fn model(&self, slot: u16) -> Option<&M> {
         usize::from(slot).checked_sub(1).and_then(|i| self.models.get(i))
-    }
-
-    /// Road types with a model in at least one time bucket, in
-    /// [`cad3_types::RoadType::ALL`] order.
-    pub(crate) fn road_types(&self) -> Vec<cad3_types::RoadType> {
-        cad3_types::RoadType::ALL
-            .into_iter()
-            .filter(|&road| BUCKETS.iter().any(|&bucket| self.slot(road, bucket) != 0))
-            .collect()
     }
 }
 
@@ -361,10 +356,11 @@ impl<M: RoutedModel> ModelRouter<M> {
     }
 }
 
-/// A model a [`ModelRouter`] routes records to: row-major class
+/// A model family a [`RoutedDetector`] routes records to: row-major class
 /// probabilities over a [`FeatureBatch`], through one scratch buffer, and
-/// the same probabilities for one row.
-pub(crate) trait RoutedModel {
+/// the same probabilities for one row. Implemented by [`NaiveBayes`] and
+/// [`LogisticRegression`].
+pub trait RoutedModel: Send + Sync {
     /// Number of classes (the stride of the probability rows).
     fn n_classes(&self) -> usize;
     /// Class probabilities of one row, bit for bit those of the sweep.
@@ -450,8 +446,7 @@ fn group_by_slot(
     }
 }
 
-/// The buffers of one routed stage-1 sweep ([`ModelRouter::p_abnormal_into`],
-/// or the centralized model's single sweep).
+/// The buffers of one routed stage-1 sweep ([`ModelRouter::p_abnormal_into`]).
 #[derive(Debug)]
 pub(crate) struct SweepScratch {
     /// Routing slot per record.
@@ -462,11 +457,11 @@ pub(crate) struct SweepScratch {
     /// Record indices grouped by slot.
     grouped: Vec<u32>,
     /// One group's `[InstSpeed, accel, Hour, RdType]` rows.
-    pub(crate) batch: FeatureBatch,
+    batch: FeatureBatch,
     /// The model's own scratch (NB log-likelihoods, LR class-1 probabilities).
-    pub(crate) scratch: Vec<f64>,
+    scratch: Vec<f64>,
     /// Row-major class probabilities of the group.
-    pub(crate) proba: Vec<f64>,
+    proba: Vec<f64>,
 }
 
 /// The buffers of CAD3's stage-2 tree sweep.
@@ -535,23 +530,7 @@ pub(crate) fn with_scratch(f: impl FnOnce(&mut DetectScratch)) {
     })
 }
 
-/// The single-stage detectors' collaboration loop: observes every record
-/// with a stage-1 probability, in record order, and pushes its detection
-/// (`None` where stage 1 failed). The summary is ignored, but the tracker
-/// must still record the prediction.
-pub(crate) fn single_stage(
-    p1: &[Option<f64>],
-    observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
-    out: &mut Vec<Option<Detection>>,
-) {
-    out.extend(p1.iter().enumerate().map(|(i, p)| {
-        let p = (*p)?;
-        let _ = observe(i, p);
-        Some(Detection::from_p_abnormal(p))
-    }));
-}
-
-/// The Naïve Bayes feature schema shared by AD3 and the centralized model:
+/// The feature schema of the single-stage models:
 /// `[InstSpeed, accel, Hour, RdType]` (the paper's four features).
 pub(crate) fn nb_schema() -> Schema {
     Schema::new(vec![

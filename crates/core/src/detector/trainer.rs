@@ -1,16 +1,32 @@
-use super::{Ad3Detector, Cad3Detector, CentralizedDetector, DetectionConfig};
+use super::{Cad3Detector, DetectionConfig, RoutedDetector};
 use crate::CoreError;
+use cad3_ml::NaiveBayes;
 use cad3_types::FeatureRecord;
 
 /// All three models of the paper's comparison, trained on one corpus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainedModels {
-    /// Distributed standalone model (per-road-type Naïve Bayes).
-    pub ad3: Ad3Detector,
+    /// Distributed standalone model (per-context Naïve Bayes).
+    pub ad3: RoutedDetector<NaiveBayes>,
     /// Collaborative model (Naïve Bayes + summary-fused Decision Tree).
     pub cad3: Cad3Detector,
     /// Centralized baseline (one city-wide Naïve Bayes).
-    pub centralized: CentralizedDetector,
+    pub centralized: RoutedDetector<NaiveBayes>,
+}
+
+impl TrainedModels {
+    /// The three models around the two single-stage ones, both fitted on
+    /// `records`: CAD3 runs `ad3` as its stage 1 and fits its stage 2 under
+    /// `config` on `records` (see [`Cad3Detector::with_stage1`]).
+    pub(crate) fn around(
+        ad3: RoutedDetector<NaiveBayes>,
+        centralized: RoutedDetector<NaiveBayes>,
+        records: &[FeatureRecord],
+        config: &DetectionConfig,
+    ) -> Result<Self, CoreError> {
+        let cad3 = Cad3Detector::with_stage1(ad3.clone(), records, config)?;
+        Ok(TrainedModels { ad3, cad3, centralized })
+    }
 }
 
 /// Trains AD3, CAD3 and the centralized baseline on the same training
@@ -36,18 +52,8 @@ pub fn train_all(
     records: &[FeatureRecord],
     config: &DetectionConfig,
 ) -> Result<TrainedModels, CoreError> {
-    let ad3 = Ad3Detector::train(records)?;
-    Ok(TrainedModels {
-        cad3: Cad3Detector::with_stage1(
-            ad3.clone(),
-            records,
-            config.dt_params,
-            config.fusion_weight,
-            config.summary_road_depth,
-        )?,
-        ad3,
-        centralized: CentralizedDetector::train(records)?,
-    })
+    let ad3 = RoutedDetector::ad3(records)?;
+    TrainedModels::around(ad3, RoutedDetector::centralized(records)?, records, config)
 }
 
 #[cfg(test)]

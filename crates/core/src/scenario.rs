@@ -4,13 +4,10 @@
 //! and Table IV, and the mesoscopic trip analysis of Fig. 8.
 
 use crate::accidents::{expected_potential_accidents, EvaluatedRecord};
-use crate::detector::{
-    Ad3Detector, Cad3Detector, CentralizedDetector, Detection, DetectionConfig, Detector,
-    TrainedModels,
-};
+use crate::detector::{Detection, DetectionConfig, Detector, RoutedDetector, TrainedModels};
 use crate::{CoreError, RsuSpec, ScenarioSpec, SystemConfig, Testbed, TestbedReport};
 use cad3_data::SyntheticDataset;
-use cad3_ml::ConfusionMatrix;
+use cad3_ml::{ConfusionMatrix, NaiveBayes};
 use cad3_sim::SimRng;
 use cad3_types::{DriverProfile, FeatureRecord, Label, RoadType, SimDuration, TripId, VehicleId};
 use std::collections::HashSet;
@@ -169,8 +166,8 @@ pub struct Holdout {
     dataset: SyntheticDataset,
     train: Vec<FeatureRecord>,
     test: Vec<FeatureRecord>,
-    ad3: Ad3Detector,
-    centralized: CentralizedDetector,
+    ad3: RoutedDetector<NaiveBayes>,
+    centralized: RoutedDetector<NaiveBayes>,
 }
 
 impl Holdout {
@@ -189,8 +186,8 @@ impl Holdout {
         let (train, test): (Vec<FeatureRecord>, Vec<FeatureRecord>) =
             dataset.features.iter().partition(|f| train_trips.contains(&f.trip));
         Ok(Holdout {
-            ad3: Ad3Detector::train(&train)?,
-            centralized: CentralizedDetector::train(&train)?,
+            ad3: RoutedDetector::ad3(&train)?,
+            centralized: RoutedDetector::centralized(&train)?,
             dataset,
             train,
             test,
@@ -218,17 +215,8 @@ impl Holdout {
     ///
     /// Propagates CAD3's stage-2 training error.
     pub fn models(&self, config: &DetectionConfig) -> Result<TrainedModels, CoreError> {
-        Ok(TrainedModels {
-            cad3: Cad3Detector::with_stage1(
-                self.ad3.clone(),
-                &self.train,
-                config.dt_params,
-                config.fusion_weight,
-                config.summary_road_depth,
-            )?,
-            ad3: self.ad3.clone(),
-            centralized: self.centralized.clone(),
-        })
+        let (ad3, centralized) = (self.ad3.clone(), self.centralized.clone());
+        TrainedModels::around(ad3, centralized, &self.train, config)
     }
 
     /// The three models under `config`, scored on the held-out records by
@@ -278,6 +266,35 @@ impl Holdout {
         let profile =
             self.dataset.profiles.get(&vehicle).copied().unwrap_or(DriverProfile::Typical);
         Ok(MesoscopicResult { trip, vehicle, profile, points })
+    }
+
+    /// Finds a held-out trip by a `profile` driver crossing at least two
+    /// roads — the kind of trip Fig. 8 illustrates (a car behaving
+    /// abnormally while moving across the network).
+    ///
+    /// Prefers the paper's microscopic shape — a trip that starts on a
+    /// motorway and hands over to its link — and a moderate length; falls
+    /// back to the longest multi-road trip of the profile.
+    pub fn find_mesoscopic_trip(&self, profile: DriverProfile) -> Option<TripId> {
+        let ds = &self.dataset;
+        let candidates: Vec<_> = ds
+            .trips
+            .iter()
+            .filter(|t| ds.profiles.get(&t.vehicle) == Some(&profile))
+            .filter(|t| t.roads.len() >= 2 && self.is_held_out(t.trip))
+            .collect();
+        let points = |trip: TripId| trip_records(&self.test, trip).len();
+        let microscopic = candidates
+            .iter()
+            .filter(|t| {
+                ds.network.road(t.roads[0]).map(|r| r.road_type) == Some(RoadType::Motorway)
+            })
+            .map(|t| (t.trip, points(t.trip)))
+            .filter(|(_, n)| (80..900).contains(n))
+            .max_by_key(|(_, n)| *n);
+        microscopic
+            .map(|(t, _)| t)
+            .or_else(|| candidates.iter().map(|t| t.trip).max_by_key(|t| points(*t)))
     }
 }
 
@@ -410,34 +427,6 @@ impl MesoscopicResult {
     }
 }
 
-/// Finds a test-set trip by an abnormal driver crossing at least two roads
-/// — the kind of trip Fig. 8 illustrates (a car behaving abnormally while
-/// moving across the network).
-///
-/// Prefers the paper's microscopic shape — a trip that starts on a
-/// motorway and hands over to its link — and a moderate length; falls back
-/// to the longest multi-road trip of the profile.
-pub fn find_mesoscopic_trip(dataset: &SyntheticDataset, profile: DriverProfile) -> Option<TripId> {
-    let candidates: Vec<_> = dataset
-        .trips
-        .iter()
-        .filter(|t| dataset.profiles.get(&t.vehicle) == Some(&profile))
-        .filter(|t| t.roads.len() >= 2)
-        .collect();
-    let points = |trip: TripId| trip_records(&dataset.features, trip).len();
-    let microscopic = candidates
-        .iter()
-        .filter(|t| {
-            dataset.network.road(t.roads[0]).map(|r| r.road_type) == Some(RoadType::Motorway)
-        })
-        .map(|t| (t.trip, points(t.trip)))
-        .filter(|(_, n)| (80..900).contains(n))
-        .max_by_key(|(_, n)| *n);
-    microscopic
-        .map(|(t, _)| t)
-        .or_else(|| candidates.iter().map(|t| t.trip).max_by_key(|t| points(*t)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,14 +487,8 @@ mod tests {
     #[test]
     fn mesoscopic_cad3_is_most_stable() {
         let holdout = Holdout::new(dataset(), 5).unwrap();
-        let ds = holdout.dataset();
-        let mut trips: Vec<TripId> = ds.features.iter().map(|f| f.trip).collect();
-        trips.dedup();
-        let cut = (trips.len() * 8 / 10).max(1);
-        let train: Vec<FeatureRecord> =
-            ds.features.iter().filter(|f| trips[..cut].contains(&f.trip)).copied().collect();
-        let models = train_all(&train, &DetectionConfig::default()).unwrap();
-        let trip = find_mesoscopic_trip(ds, DriverProfile::Sluggish).expect("sluggish trip");
+        let models = holdout.models(&DetectionConfig::default()).unwrap();
+        let trip = holdout.find_mesoscopic_trip(DriverProfile::Sluggish).expect("sluggish trip");
         let result = holdout.mesoscopic_trip(&models, trip).unwrap();
         assert!(result.points.len() > 20);
         assert_eq!(result.profile, DriverProfile::Sluggish);
@@ -514,6 +497,22 @@ mod tests {
         // others on this trip.
         assert!(acc_k + 0.05 >= acc_a, "cad3 {acc_k} vs ad3 {acc_a}");
         assert!(acc_k > acc_c - 0.05, "cad3 {acc_k} vs centralized {acc_c}");
+    }
+
+    #[test]
+    fn mesoscopic_trips_are_held_out() {
+        let mut found = 0;
+        for seed in [42, 5, 1042] {
+            let ds = SyntheticDataset::generate(&DatasetConfig::small(seed));
+            let holdout = Holdout::new(ds, seed).unwrap();
+            for profile in DriverProfile::ALL.into_iter().filter(|p| p.is_abnormal()) {
+                if let Some(trip) = holdout.find_mesoscopic_trip(profile) {
+                    assert!(holdout.is_held_out(trip), "seed {seed}, {profile:?}: trip {trip}");
+                    found += 1;
+                }
+            }
+        }
+        assert!(found > 0, "no corpus had a multi-road abnormal trip held out");
     }
 
     #[test]

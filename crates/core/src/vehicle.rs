@@ -1,6 +1,4 @@
-use cad3_types::{
-    FeatureRecord, GeoPoint, RoadId, SimTime, VehicleId, VehicleStatus, WarningMessage,
-};
+use cad3_types::{FeatureRecord, GeoPoint, SimTime, VehicleId, VehicleStatus};
 
 /// A simulated connected vehicle: replays dataset records as 10 Hz status
 /// packets, the role the paper's Kafka producers play on PC1.
@@ -26,7 +24,6 @@ pub struct VehicleAgent {
     cursor: usize,
     seq: u32,
     position: GeoPoint,
-    current_road: Option<RoadId>,
 }
 
 impl VehicleAgent {
@@ -38,14 +35,7 @@ impl VehicleAgent {
     /// Panics if `records` is empty.
     pub fn new(id: VehicleId, records: Vec<FeatureRecord>) -> Self {
         assert!(!records.is_empty(), "vehicle agent needs at least one record");
-        VehicleAgent {
-            id,
-            records,
-            cursor: 0,
-            seq: 0,
-            position: crate::testbed::DEFAULT_POSITION,
-            current_road: None,
-        }
+        VehicleAgent { id, records, cursor: 0, seq: 0, position: crate::testbed::DEFAULT_POSITION }
     }
 
     /// The agent's vehicle id.
@@ -67,7 +57,6 @@ impl VehicleAgent {
         let rec = self.records[self.cursor % self.records.len()];
         self.cursor += 1;
         self.seq += 1;
-        self.current_road = Some(rec.road);
         let rec = FeatureRecord { vehicle: self.id, ..rec };
         VehicleStatus::from_feature(&rec, self.position, now, self.seq)
     }
@@ -98,19 +87,6 @@ impl VehicleAgent {
             ctx.child(root)
         });
         (status, ctx)
-    }
-
-    /// The road the agent last reported from (`None` before any status).
-    pub fn current_road(&self) -> Option<RoadId> {
-        self.current_road
-    }
-
-    /// Whether a consumed `OUT-DATA` warning matters to this vehicle: it
-    /// concerns *another* vehicle on the road this one is driving — the
-    /// paper's dissemination goal of "informing drivers who are in the
-    /// vicinity of dangerous vehicles".
-    pub fn is_warning_relevant(&self, warning: &WarningMessage) -> bool {
-        warning.vehicle != self.id && Some(warning.road) == self.current_road
     }
 
     /// Switches the replayed pool — the paper's handover emulation, where
@@ -206,28 +182,5 @@ mod tests {
         assert_eq!(root.end_ns, root.start_ns, "emission is instantaneous");
         assert_eq!(ctx.parent_span(), root.span, "context continues under the root");
         assert_eq!(root.value, 77, "span value carries the vehicle id");
-    }
-
-    #[test]
-    fn warning_relevance_requires_same_road_other_vehicle() {
-        use cad3_types::{SimTime, WarningKind, WarningMessage};
-        let mut agent = VehicleAgent::new(VehicleId(5), vec![rec(10.0)]);
-        let warning = |vehicle: u64, road: u64| WarningMessage {
-            vehicle: VehicleId(vehicle),
-            road: cad3_types::RoadId(road),
-            kind: WarningKind::Speeding,
-            probability: 0.9,
-            source_sent_at: SimTime::ZERO,
-            detected_at: SimTime::ZERO,
-            source_seq: 1,
-        };
-        // Before any status the agent has no road context.
-        assert_eq!(agent.current_road(), None);
-        assert!(!agent.is_warning_relevant(&warning(9, 1)));
-        agent.next_status(SimTime::ZERO);
-        assert_eq!(agent.current_road(), Some(cad3_types::RoadId(1)));
-        assert!(agent.is_warning_relevant(&warning(9, 1)), "other vehicle, same road");
-        assert!(!agent.is_warning_relevant(&warning(9, 2)), "different road");
-        assert!(!agent.is_warning_relevant(&warning(5, 1)), "own warning");
     }
 }

@@ -7,13 +7,9 @@
 //! asserts that every detection and the full collaboration-tracker end
 //! state come out bit-for-bit equal.
 
-use cad3::detector::{
-    train_all, Ad3Detector, CentralizedDetector, Detection, DetectionConfig, Detector,
-    LogisticAd3Detector,
-};
+use cad3::detector::{train_all, Detection, DetectionConfig, Detector, RoutedDetector};
 use cad3::{SummaryTracker, VehicleSummary};
 use cad3_data::{DatasetConfig, SyntheticDataset};
-use cad3_ml::LogisticParams;
 use cad3_types::{FeatureRecord, Label, RoadType, RsuId, SimTime};
 
 /// Delegates everything except `detect_batch`, which is the scalar
@@ -207,7 +203,7 @@ fn corpus() -> SyntheticDataset {
 fn ad3_batch_matches_scalar() {
     let ds = corpus();
     let cut = ds.features.len() * 8 / 10;
-    let det = Ad3Detector::train(&ds.features[..cut]).unwrap();
+    let det = RoutedDetector::ad3(&ds.features[..cut]).unwrap();
     assert_equivalent(&det, &ScalarRef(&det), &ds.features[cut..]);
     assert_scratch_is_clean(&det, &ScalarRef(&det), &ds.features[cut..]);
 }
@@ -226,7 +222,7 @@ fn cad3_batch_matches_scalar() {
 fn centralized_batch_matches_scalar() {
     let ds = corpus();
     let cut = ds.features.len() * 8 / 10;
-    let det = CentralizedDetector::train(&ds.features[..cut]).unwrap();
+    let det = RoutedDetector::centralized(&ds.features[..cut]).unwrap();
     assert_equivalent(&det, &ScalarRef(&det), &ds.features[cut..]);
     assert_scratch_is_clean(&det, &ScalarRef(&det), &ds.features[cut..]);
 }
@@ -235,14 +231,14 @@ fn centralized_batch_matches_scalar() {
 fn logistic_batch_matches_scalar() {
     let ds = corpus();
     let cut = ds.features.len() * 8 / 10;
-    let det = LogisticAd3Detector::train(&ds.features[..cut], LogisticParams::default()).unwrap();
+    let det = RoutedDetector::logistic(&ds.features[..cut]).unwrap();
     assert_equivalent(&det, &ScalarRef(&det), &ds.features[cut..]);
     assert_scratch_is_clean(&det, &ScalarRef(&det), &ds.features[cut..]);
 }
 
 #[test]
 fn every_detector_shares_one_threads_scratch_cleanly() {
-    // All four built-in detectors, back to back on this one thread: each
+    // CAD3 and the three single-stage detectors, back to back on this one thread: each
     // call's sweep buffers hold the previous detector's rows and widths.
     let ds = corpus();
     let cut = ds.features.len() * 8 / 10;
@@ -250,9 +246,9 @@ fn every_detector_shares_one_threads_scratch_cleanly() {
     let cfg = DetectionConfig::default();
     let detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(train_all(train, &cfg).unwrap().cad3),
-        Box::new(Ad3Detector::train(train).unwrap()),
-        Box::new(LogisticAd3Detector::train(train, LogisticParams::default()).unwrap()),
-        Box::new(CentralizedDetector::train(train).unwrap()),
+        Box::new(RoutedDetector::ad3(train).unwrap()),
+        Box::new(RoutedDetector::logistic(train).unwrap()),
+        Box::new(RoutedDetector::centralized(train).unwrap()),
     ];
     for _ in 0..2 {
         for det in &detectors {
@@ -273,7 +269,7 @@ fn missing_models_stay_none_in_batch() {
     let ds = corpus();
     let motorway_only: Vec<FeatureRecord> =
         ds.features.iter().filter(|f| f.road_type == RoadType::Motorway).copied().collect();
-    let det = Ad3Detector::train(&motorway_only).unwrap();
+    let det = RoutedDetector::ad3(&motorway_only).unwrap();
     assert_equivalent(&det, &ScalarRef(&det), &ds.features);
     let (out, _) = run(&det, &ds.features, 64);
     let n_links = ds.features.iter().filter(|f| f.road_type != RoadType::Motorway).count();

@@ -8,14 +8,13 @@
 //! live: the tracker knows every vehicle already, on the road it is on, and
 //! each carries a `CO-DATA` summary, so CAD3's stage-2 tree sweep runs too.
 //! The scalar path runs one row through the same models, with no scratch.
+//! The summary tracker's handover keeps running totals, so a vehicle it
+//! already knows changes road without allocating.
 
-use cad3::detector::{
-    train_all, Ad3Detector, CentralizedDetector, DetectionConfig, Detector, LogisticAd3Detector,
-};
+use cad3::detector::{train_all, DetectionConfig, Detector, RoutedDetector};
 use cad3::{SummaryTracker, VehicleSummary};
 use cad3_data::{DatasetConfig, SyntheticDataset};
-use cad3_ml::LogisticParams;
-use cad3_types::{FeatureRecord, VehicleId};
+use cad3_types::{FeatureRecord, RoadId, VehicleId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -137,9 +136,9 @@ fn warm_detect_batch_allocates_nothing() {
     let cfg = DetectionConfig::default();
     let detectors: [Box<dyn Detector>; 4] = [
         Box::new(train_all(train, &cfg).unwrap().cad3),
-        Box::new(Ad3Detector::train(train).unwrap()),
-        Box::new(LogisticAd3Detector::train(train, LogisticParams::default()).unwrap()),
-        Box::new(CentralizedDetector::train(train).unwrap()),
+        Box::new(RoutedDetector::ad3(train).unwrap()),
+        Box::new(RoutedDetector::logistic(train).unwrap()),
+        Box::new(RoutedDetector::centralized(train).unwrap()),
     ];
     for det in &detectors {
         assert_warm_call_allocates_nothing(det.as_ref(), &recs, &calls);
@@ -154,9 +153,9 @@ fn scalar_detect_allocates_nothing() {
     let cfg = DetectionConfig::default();
     let detectors: [Box<dyn Detector>; 4] = [
         Box::new(train_all(train, &cfg).unwrap().cad3),
-        Box::new(Ad3Detector::train(train).unwrap()),
-        Box::new(LogisticAd3Detector::train(train, LogisticParams::default()).unwrap()),
-        Box::new(CentralizedDetector::train(train).unwrap()),
+        Box::new(RoutedDetector::ad3(train).unwrap()),
+        Box::new(RoutedDetector::logistic(train).unwrap()),
+        Box::new(RoutedDetector::centralized(train).unwrap()),
     ];
     let summary = VehicleSummary { mean_probability: 0.6, count: 4, last_class: 0 };
     for det in &detectors {
@@ -172,4 +171,28 @@ fn scalar_detect_allocates_nothing() {
         assert_eq!(detected, 512, "{}: every record detected", det.name());
         assert_eq!(n, 0, "{}: the scalar path allocated", det.name());
     }
+}
+
+#[test]
+fn tracker_handovers_allocate_nothing() {
+    // Unbounded history: a handover adds the finished road to the vehicle's
+    // running totals and keeps no per-road list, so it allocates nothing
+    // however many roads the vehicle has driven.
+    let mut tracker = SummaryTracker::new();
+    let v = VehicleId(7);
+    tracker.observe(v, RoadId(0), 0.5);
+    tracker.observe(v, RoadId(1), 0.5);
+    let mut summaries = 0u32;
+    let n = allocations_in(|| {
+        for road in 2..10_002u64 {
+            let p = if road % 3 == 0 { 0.9 } else { 0.2 };
+            summaries += u32::from(tracker.observe(v, RoadId(road), p).is_some());
+        }
+    });
+    assert_eq!(summaries, 10_000, "every record after the first road has a summary");
+    assert_eq!(
+        tracker.export(v, cad3_types::RsuId(0), cad3_types::SimTime::ZERO).unwrap().count,
+        10_002
+    );
+    assert_eq!(n, 0, "10 000 handovers of a known vehicle allocated");
 }

@@ -155,7 +155,8 @@ fn scan_effects(f: &FnFacts, cx: &Scan<'_>) -> Vec<Site> {
                     match (ty.as_str(), name.as_str()) {
                         (_, "with_capacity")
                         | ("Box" | "Arc" | "Rc", "new")
-                        | ("String" | "Vec", "from") => {
+                        | ("String" | "Vec", "from")
+                        | ("Bytes", "copy_from_slice") => {
                             push(&mut out, "alloc", line, format!("{ty}::{name}"));
                         }
                         ("thread", "sleep") => {
@@ -317,6 +318,24 @@ pub(crate) mod tests {
             "debug_assert must not count: {}",
             v[0].message
         );
+    }
+
+    #[test]
+    fn bytes_copy_from_slice_allocates() {
+        // `Bytes` lives in `vendor/`, which the analysis does not scan, so
+        // its copying constructor is charged by name.
+        let srcs = [(
+            "fx",
+            "fx/src/lib.rs",
+            "pub fn hot(image: &[u8]) -> Bytes { Bytes::copy_from_slice(image) }",
+        )];
+        let h = hot(&srcs, &[("fx::hot", &[])], &[]);
+        let v = findings(&h, "hotpath-violation");
+        assert_eq!(v.len(), 1, "{:?}", h.findings);
+        assert!(v[0].message.contains("`alloc`"), "{}", v[0].message);
+        assert!(v[0].message.contains("Bytes::copy_from_slice"), "{}", v[0].message);
+        let h = hot(&srcs, &[("fx::hot", &["alloc"])], &[]);
+        assert!(h.findings.is_empty(), "{:?}", h.findings);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! HMM map matching → Eq. 4 preprocessing → μ±σ labelling → detector
 //! training — the paper's Section V end to end.
 
-use cad3_repro::core::detector::{Ad3Detector, Detector};
+use cad3_repro::core::detector::{Detector, RoutedDetector};
 use cad3_repro::data::{preprocess, DatasetConfig, HmmMapMatcher, LabelModel, SyntheticDataset};
 use cad3_repro::sim::SimRng;
 use cad3_repro::types::{FeatureRecord, Label, TrajectoryPoint, TripId};
@@ -65,7 +65,7 @@ fn gps_to_detection_pipeline() {
 
     // The reconstructed corpus trains a working detector when both classes
     // are present everywhere it matters.
-    if let Ok(det) = Ad3Detector::train(&reconstructed) {
+    if let Ok(det) = RoutedDetector::ad3(&reconstructed) {
         let d = det.detect(&reconstructed[0], None).unwrap();
         assert!((0.0..=1.0).contains(&d.p_abnormal));
     }
