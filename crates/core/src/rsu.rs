@@ -2,7 +2,6 @@ use crate::collaboration::{SummaryTracker, VehicleSummary};
 use crate::config::ProcessingCostModel;
 use crate::detector::{Detection, Detector};
 use crate::CoreError;
-use bytes::Bytes;
 use cad3_engine::Executor;
 use cad3_stream::{
     Broker, Consumer, OffsetReset, SharedTopic, PAPER_PARTITIONS, TOPIC_CO_DATA, TOPIC_IN_DATA,
@@ -112,33 +111,26 @@ impl std::fmt::Debug for RsuNode {
     }
 }
 
-/// What a shard worker needs of one `IN-DATA` record.
-struct ShardRow {
-    /// The vehicle id the record is keyed with (0 without a well-formed key).
-    vehicle: u64,
-    /// First of the record's two reserved span ids (0 = untraced).
-    span_base: u64,
-    /// Broker arrival stamp, virtual nanoseconds.
-    arrived_ns: u64,
-    trace: Option<cad3_obs::TraceContext>,
-    value: Bytes,
-}
-
 /// What a warning and a detect span need of a decoded record beside its
 /// feature row: `(sent_at, arrival, seq, span_base, trace)`.
 type Side = (SimTime, SimTime, u32, u64, Option<cad3_obs::TraceContext>);
 
+/// A traced record's broker wait, `(span id, arrival ns, trace)`: what its
+/// `rsu.queue` span needs.
+type Queued = (u64, u64, cad3_obs::TraceContext);
+
 /// One shard's buffers for a batch. The [`RsuNode`] owns one per shard; the
-/// detect stage takes it with its bucket and hands it back with `rows`,
-/// `feats`, `sides` and `detections` emptied and `out` filled, which the
-/// merge drains.
+/// poll fills its bucket, the detect stage takes it and hands it back with
+/// `queued`, `feats`, `sides` and `detections` emptied and `out` filled,
+/// which the merge drains.
 #[derive(Default)]
 struct ShardJob {
-    /// The tracker shard every record of `rows` keys to.
+    /// The tracker shard every record of the bucket keys to.
     shard: usize,
-    /// The bucket: this shard's records of the batch, in arrival order.
-    rows: Vec<ShardRow>,
-    /// Decoded records as feature rows, and what rides beside each.
+    /// The bucket's traced records, decodable or not, in arrival order.
+    queued: Vec<Queued>,
+    /// The bucket's decoded records as feature rows, in arrival order, and
+    /// what rides beside each.
     feats: Vec<FeatureRecord>,
     sides: Vec<Side>,
     /// One detection per feature row.
@@ -320,30 +312,46 @@ impl RsuNode {
 
         // 2. Ingest the micro-batch straight into the shard buckets, by
         //    vehicle (the keyed partitioning the paper gets from Kafka's
-        //    partitioner).
+        //    partitioner), each record decoded in place from the log: the
+        //    bucket holds feature rows, not records.
         let ingest_span = cad3_obs::span!("rsu.ingest");
         let n_shards = self.jobs.len();
         let jobs = &mut self.jobs;
         let records = self.in_consumer.poll_each(usize::MAX, |rec| {
-            // Kafka keys our status records with the vehicle id; the worker
-            // drops a record whose payload names a different vehicle.
+            // Kafka keys our status records with the vehicle id.
             let vehicle = rec
                 .key
                 .and_then(|k| <[u8; 8]>::try_from(k.as_ref()).ok())
                 .map_or(0, u64::from_be_bytes);
+            // hotpath-exempt(panic): one job per shard; `shard_of` is below that count.
+            let job = &mut jobs[shard_of(vehicle, n_shards)];
             // A traced record's two span ids (rsu.queue, rsu.detect) are
             // reserved here, in input order on the batch thread; the
             // workers emit with these pre-assigned ids, so trace artifacts
-            // never depend on worker schedule (0 = untraced, unused).
-            let span_base = if rec.trace.is_some() { cad3_obs::trace::reserve_ids(2) } else { 0 };
-            // hotpath-exempt(panic): one job per shard; `shard_of` is below that count.
-            jobs[shard_of(vehicle, n_shards)].rows.push(ShardRow {
-                vehicle,
-                span_base,
-                arrived_ns: rec.timestamp,
-                trace: rec.trace,
-                value: rec.value.clone(),
-            });
+            // never depend on worker schedule (0 = untraced, unused). Its
+            // broker wait becomes an `rsu.queue` span (arrival at the log to
+            // batch start) whether or not it decodes; the job emits it, as
+            // the trace sink is a lock this visitor must not take.
+            let (span_base, trace) = match rec.trace {
+                Some(ctx) => {
+                    let span_base = cad3_obs::trace::reserve_ids(2);
+                    job.queued.push((span_base, rec.timestamp, ctx));
+                    (span_base, Some(ctx.child(span_base)))
+                }
+                None => (0, None),
+            };
+            match VehicleStatus::decode_slice(rec.value) {
+                // A payload naming another vehicle than its key is routed to
+                // the wrong shard: observing it there would split that
+                // vehicle's Eq. 1 history from the shard its CO-DATA seeds
+                // land on. Dropped like a malformed one.
+                Ok(status) if status.vehicle.raw() == vehicle => {
+                    job.feats.push(status.to_feature());
+                    let arrival = SimTime::from_nanos(rec.timestamp);
+                    job.sides.push((status.sent_at, arrival, status.seq, span_base, trace));
+                }
+                _ => {}
+            }
         })?;
         if cad3_obs::enabled() {
             // The poll drained IN-DATA, so what it visited is the backlog
@@ -355,13 +363,14 @@ impl RsuNode {
         let detected_at = now + processing;
 
         // An empty bucket's output is empty and the merge below only appends,
-        // so only the buckets that hold records are dispatched (a batch with
-        // none or one of them runs inline on this thread). A dispatched job
-        // leaves an empty one of its shard behind until it comes back.
+        // so only the buckets that hold feature rows or queue spans are
+        // dispatched (a batch with none or one of them runs inline on this
+        // thread). A dispatched job leaves an empty one of its shard behind
+        // until it comes back.
         let mut dispatch = std::mem::take(&mut self.dispatch);
         dispatch.extend(
             (self.jobs.iter_mut())
-                .filter(|job| !job.rows.is_empty())
+                .filter(|job| !job.feats.is_empty() || !job.queued.is_empty())
                 .map(|job| std::mem::replace(job, ShardJob::new(job.shard))),
         );
         drop(ingest_span);
@@ -373,43 +382,23 @@ impl RsuNode {
         let shards = Arc::clone(&self.shards);
         let node = self.id.raw();
         let mut outputs = Executor::run(&self.executor, dispatch, move |mut job: ShardJob| {
-            let ShardJob { shard, rows, feats, sides, detections, out } = &mut job;
+            let ShardJob { shard, queued, feats, sides, detections, out } = &mut job;
             let _held = cad3_lockrank::rank_scope!("cad3::RsuNode::shards");
             // Every record of the bucket keys to this one shard.
             // hotpath-exempt(panic): a job's `shard` is below `shards.len()`.
             let mut tracker = shards[*shard].lock();
 
-            // Phase 1: decode and emit the queue spans in input order,
-            // compacting decodable records into a contiguous feature slice
-            // for the batched detect sweep. Beside each feature row rides
-            // what only its warning and detect span need of the record.
-            for mut row in rows.drain(..) {
-                // A sampled record's broker wait becomes an `rsu.queue`
-                // span (arrival at the log to batch start), emitted on
-                // the first of the record's pre-reserved ids.
-                let trace = row.trace.map(|ctx| {
-                    let span = cad3_obs::trace_span_at!(
-                        "rsu.queue",
-                        row.span_base,
-                        &ctx,
-                        row.arrived_ns,
-                        now.as_nanos(),
-                        node
-                    );
-                    ctx.child(span)
-                });
-                match VehicleStatus::decode(&mut row.value) {
-                    // A payload naming another vehicle than its key was
-                    // routed to the wrong shard: observing it here would
-                    // split that vehicle's Eq. 1 history from the shard
-                    // its CO-DATA seeds land on. Dropped like a malformed one.
-                    Ok(status) if status.vehicle.raw() == row.vehicle => {
-                        feats.push(status.to_feature());
-                        let arrival = SimTime::from_nanos(row.arrived_ns);
-                        sides.push((status.sent_at, arrival, status.seq, row.span_base, trace));
-                    }
-                    _ => {}
-                }
+            // Phase 1: the queue spans in input order, each on the first of
+            // its record's pre-reserved ids.
+            for (span_base, arrived_ns, ctx) in queued.drain(..) {
+                cad3_obs::trace_span_at!(
+                    "rsu.queue",
+                    span_base,
+                    &ctx,
+                    arrived_ns,
+                    now.as_nanos(),
+                    node
+                );
             }
 
             // Phase 2: one column-major detect sweep over the shard's
@@ -475,30 +464,18 @@ impl RsuNode {
         });
         drop(detect_span);
 
-        // Shard by shard, each in arrival order.
-        let (warnings, warning_traces, warning_arrivals) = match outputs.as_mut_slice() {
-            // One shard's vectors are the batch's: moved, not copied.
-            [ShardJob { out, .. }] => (
-                std::mem::take(&mut out.warnings),
-                std::mem::take(&mut out.warning_traces),
-                std::mem::take(&mut out.warning_arrivals),
-            ),
-            jobs => {
-                let n_warnings = jobs.iter().map(|job| job.out.warnings.len()).sum();
-                let mut warnings = Vec::with_capacity(n_warnings);
-                let mut warning_traces = Vec::with_capacity(n_warnings);
-                let mut warning_arrivals = Vec::with_capacity(n_warnings);
-                // `Vec::append` by path: the analyzer resolves a bare
-                // `.append(..)` to `SharedTopic::append` as well.
-                for ShardJob { out, .. } in jobs {
-                    Vec::append(&mut warnings, &mut out.warnings);
-                    Vec::append(&mut warning_traces, &mut out.warning_traces);
-                    Vec::append(&mut warning_arrivals, &mut out.warning_arrivals);
-                }
-                (warnings, warning_traces, warning_arrivals)
-            }
-        };
+        // Shard by shard, each in arrival order. Each job's vectors are
+        // drained, not moved, so they keep their capacity for the next batch.
+        let n_warnings = outputs.iter().map(|job| job.out.warnings.len()).sum();
+        let mut warnings = Vec::with_capacity(n_warnings);
+        let mut warning_traces = Vec::with_capacity(n_warnings);
+        let mut warning_arrivals = Vec::with_capacity(n_warnings);
         for mut job in outputs.drain(..) {
+            // `Vec::append` by path: the analyzer resolves a bare
+            // `.append(..)` to `SharedTopic::append` as well.
+            Vec::append(&mut warnings, &mut job.out.warnings);
+            Vec::append(&mut warning_traces, &mut job.out.warning_traces);
+            Vec::append(&mut warning_arrivals, &mut job.out.warning_arrivals);
             self.records_processed += std::mem::take(&mut job.out.processed);
             if let Some(slot) = self.jobs.get_mut(job.shard) {
                 *slot = job;
@@ -587,6 +564,7 @@ mod tests {
     use super::*;
     use crate::detector::{train_all, DetectionConfig};
     use crate::VehicleAgent;
+    use bytes::Bytes;
     use cad3_data::{DatasetConfig, SyntheticDataset};
     use cad3_types::{Label, VehicleId};
 

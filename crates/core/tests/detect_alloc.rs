@@ -9,14 +9,22 @@
 //! each carries a `CO-DATA` summary, so CAD3's stage-2 tree sweep runs too.
 //! The scalar path runs one row through the same models, with no scratch.
 //! The summary tracker's handover keeps running totals, so a vehicle it
-//! already knows changes road without allocating.
+//! already knows changes road without allocating. A warm one-worker
+//! `RsuNode::run_batch` allocates the same whatever number of warnings it
+//! returns: its shard's warning vectors keep their capacity across batches.
 
+use bytes::Bytes;
 use cad3::detector::{train_all, DetectionConfig, Detector, RoutedDetector};
-use cad3::{SummaryTracker, VehicleSummary};
+use cad3::{ProcessingCostModel, RsuNode, SummaryTracker, VehicleSummary};
 use cad3_data::{DatasetConfig, SyntheticDataset};
-use cad3_types::{FeatureRecord, RoadId, VehicleId};
+use cad3_engine::Executor;
+use cad3_stream::TOPIC_IN_DATA;
+use cad3_types::{
+    FeatureRecord, GeoPoint, RoadId, RsuId, SimTime, VehicleId, VehicleStatus, WireEncode,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// The system allocator, counting every allocation and reallocation made
 /// by the calling thread.
@@ -195,4 +203,68 @@ fn tracker_handovers_allocate_nothing() {
         10_002
     );
     assert_eq!(n, 0, "10 000 handovers of a known vehicle allocated");
+}
+
+#[test]
+fn warm_one_worker_run_batch_allocations_do_not_grow_with_warnings() {
+    let ds = SyntheticDataset::generate(&DatasetConfig::small(7));
+    let cut = ds.features.len() * 8 / 10;
+    let (train, test) = ds.features.split_at(cut);
+    let det: Arc<dyn Detector> =
+        Arc::new(train_all(train, &DetectionConfig::default()).unwrap().cad3);
+    // Every vehicle drives one road, so no record fuses a summary and each
+    // verdict is the record's own: a batch's warnings are its abnormal ones.
+    let recs = one_road_per_vehicle(&test[..2048]);
+    let abnormal = |r: &&FeatureRecord| det.detect(r, None).unwrap().label.is_abnormal();
+    let (loud, quiet): (Vec<&FeatureRecord>, Vec<&FeatureRecord>) = recs.iter().partition(abnormal);
+    const WIDTH: usize = 48;
+    assert!(
+        loud.len() >= 40 && quiet.len() >= WIDTH,
+        "fixture: {} and {}",
+        loud.len(),
+        quiet.len()
+    );
+
+    let mut rsu = RsuNode::with_executor(
+        RsuId(1),
+        "alloc",
+        Arc::clone(&det),
+        ProcessingCostModel::default(),
+        Executor::new(1),
+    );
+    let broker = rsu.broker();
+    let mut now = SimTime::from_millis(50);
+    let mut batch = |records: &[&FeatureRecord]| -> (u64, usize) {
+        for (seq, rec) in (1u32..).zip(records) {
+            let status = VehicleStatus::from_feature(rec, GeoPoint::new(114.06, 22.54), now, seq);
+            let key = Bytes::copy_from_slice(&rec.vehicle.raw().to_be_bytes());
+            broker
+                .produce_traced(
+                    TOPIC_IN_DATA,
+                    None,
+                    Some(key),
+                    status.encode_to_bytes(),
+                    now.as_nanos(),
+                    None,
+                )
+                .unwrap();
+        }
+        now += cad3_types::SimDuration::from_millis(50);
+        let mut warnings = 0;
+        let n = allocations_in(|| warnings = rsu.run_batch(now).unwrap().warnings.len());
+        (n, warnings)
+    };
+    // Warm: every vehicle known, every buffer at the widest width and the
+    // most warnings of any batch below.
+    let widest: Vec<&FeatureRecord> = loud[..40].iter().chain(&quiet[..WIDTH]).copied().collect();
+    batch(&widest);
+    let mut counts = Vec::new();
+    for k in [1usize, 8, 40] {
+        let records: Vec<&FeatureRecord> =
+            loud[..k].iter().chain(&quiet[..WIDTH - k]).copied().collect();
+        let (n, warnings) = batch(&records);
+        assert_eq!(warnings, k, "fixture: {k} abnormal records warn");
+        counts.push(n);
+    }
+    assert!(counts.iter().all(|&n| n == counts[0]), "allocations by warnings 1, 8, 40: {counts:?}");
 }

@@ -11,6 +11,10 @@
 //! (records in two of the six shards; no records at all), where only the
 //! buckets that hold records are dispatched.
 //!
+//! Every traced record keeps its `rsu.queue` span, on the first of its two
+//! reserved span ids, whether it decodes or not; a processed one adds its
+//! `rsu.detect` span on the second.
+//!
 //! One `#[test]`: traced records reserve span ids from a process-global
 //! counter and write to the process-global sink.
 
@@ -19,12 +23,14 @@ use cad3::detector::{train_all, DetectionConfig, Detector};
 use cad3::{ProcessingCostModel, RsuNode, SummaryTracker};
 use cad3_data::{DatasetConfig, SyntheticDataset};
 use cad3_engine::Executor;
+use cad3_obs::trace::{self, TraceEvent};
 use cad3_obs::TraceContext;
 use cad3_stream::{Consumer, FetchedRecord, OffsetReset, TOPIC_IN_DATA};
 use cad3_types::{
     FeatureRecord, GeoPoint, RoadType, RsuId, SimTime, VehicleId, VehicleStatus, WarningKind,
     WarningMessage, WireDecode, WireEncode,
 };
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The road type the detector is trained without.
@@ -81,19 +87,19 @@ fn inputs(det: &dyn Detector, trained: &[FeatureRecord], untrained: &FeatureReco
     assert_eq!(traced, [true; 2], "fixture: one normal and one abnormal opener to trace");
     let good = status(3, &trained[0], 150, 9);
     let odd = [
-        // A truncated payload.
+        // A truncated payload, traced.
         Input {
             key: key_of(5),
             value: good.encode_to_bytes().slice(..120),
             arrived: SimTime::from_millis(210),
-            trace: None,
+            trace: Some(TraceContext::from_parts(9101, 1, 1)),
         },
-        // A payload keyed by another vehicle.
+        // A payload keyed by another vehicle, traced.
         Input {
             key: key_of(4),
             value: good.encode_to_bytes(),
             arrived: SimTime::from_millis(220),
-            trace: None,
+            trace: Some(TraceContext::from_parts(9102, 1, 1)),
         },
         // A keyless record.
         Input {
@@ -125,6 +131,8 @@ struct Expected {
     /// Produce stamp of each warning's record, aligned with `warnings`.
     warning_arrivals: Vec<SimTime>,
     processed: u64,
+    /// Trace ids of the traced records that were processed.
+    detected_traces: BTreeSet<u64>,
 }
 
 fn keyed_vehicle(rec: &FetchedRecord) -> u64 {
@@ -143,6 +151,7 @@ fn reference(
         warning_trace_ids: Vec::new(),
         warning_arrivals: Vec::new(),
         processed: 0,
+        detected_traces: BTreeSet::new(),
     };
     for shard in 0..shards {
         for rec in batch.iter().filter(|r| keyed_vehicle(r) % shards == shard) {
@@ -155,6 +164,7 @@ fn reference(
             let summary = tracker.observe(feat.vehicle, feat.road, p1);
             let Ok(detection) = det.detect(&feat, summary.as_ref()) else { continue };
             exp.processed += 1;
+            exp.detected_traces.extend(rec.trace.map(|ctx| ctx.trace_id()));
             if detection.label.is_abnormal() {
                 exp.warnings.push(WarningMessage {
                     vehicle: st.vehicle,
@@ -207,7 +217,9 @@ fn run_against_reference(
     let batch = reader.poll(usize::MAX).unwrap();
     assert_eq!(batch.len(), inputs.len());
 
+    let _ = trace::sink().drain();
     let result = rsu.run_batch(NOW).unwrap();
+    let events = trace::sink().drain();
     let exp = reference(&**det, &batch, workers as u64, NOW + result.processing);
 
     assert_eq!(result.records, inputs.len(), "{case}");
@@ -219,7 +231,47 @@ fn run_against_reference(
     assert_eq!(result.warning_arrivals, exp.warning_arrivals, "{case}: arrival alignment");
     assert_eq!(rsu.records_processed(), exp.processed, "{case}");
     assert_eq!(rsu.warnings_produced(), exp.warnings.len() as u64, "{case}");
+    assert_spans(case, &batch, &events, &exp, NOW + result.processing);
     exp
+}
+
+/// The one event named `name` in `trace_id`'s trace.
+fn span_of<'a>(events: &'a [TraceEvent], trace_id: u64, name: &str) -> Option<&'a TraceEvent> {
+    let mut found = events.iter().filter(|e| e.trace_id == trace_id && e.name == name);
+    let first = found.next();
+    assert!(found.next().is_none(), "trace {trace_id}: one {name} span");
+    first
+}
+
+/// Every traced record of `batch` has its `rsu.queue` span (arrival to
+/// batch start, under the record's context), the queue spans' ids step by
+/// two in poll order, and exactly the processed ones have an `rsu.detect`
+/// span on the next id, under the queue span.
+fn assert_spans(
+    case: &str,
+    batch: &[FetchedRecord],
+    events: &[TraceEvent],
+    exp: &Expected,
+    detected_at: SimTime,
+) {
+    let mut queue_ids = Vec::new();
+    for (rec, ctx) in batch.iter().filter_map(|rec| Some((rec, rec.trace?))) {
+        let id = ctx.trace_id();
+        let queue = span_of(events, id, "rsu.queue")
+            .unwrap_or_else(|| panic!("{case}: trace {id} has its rsu.queue span"));
+        assert_eq!(queue.parent, ctx.parent_span(), "{case}: trace {id}");
+        assert_eq!((queue.start_ns, queue.end_ns), (rec.timestamp, NOW.as_nanos()), "{case}");
+        queue_ids.push(queue.span);
+        let detect = span_of(events, id, "rsu.detect");
+        assert_eq!(detect.is_some(), exp.detected_traces.contains(&id), "{case}: trace {id}");
+        if let Some(detect) = detect {
+            assert_eq!((detect.span, detect.parent), (queue.span + 1, queue.span), "{case}");
+            assert_eq!((detect.start_ns, detect.end_ns), (NOW.as_nanos(), detected_at.as_nanos()));
+        }
+    }
+    assert!(queue_ids.windows(2).all(|w| w[1] == w[0] + 2), "{case}: ids {queue_ids:?}");
+    let traced = queue_ids.len() + exp.detected_traces.len();
+    assert_eq!(events.len(), traced, "{case}: no other spans");
 }
 
 #[test]
@@ -240,6 +292,7 @@ fn merged_shard_outputs_keep_shard_then_arrival_order() {
         assert!(!exp.warnings.is_empty() && exp.warnings.len() < exp.processed as usize);
         assert!(exp.warning_trace_ids.iter().any(Option::is_some), "a traced record warned");
         assert!(exp.warning_trace_ids.iter().any(Option::is_none));
+        assert_eq!(exp.detected_traces.len(), 2, "the two traced odd records are not processed");
     }
 
     // Sparse batches on six workers, where only the buckets that hold records

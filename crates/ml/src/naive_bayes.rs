@@ -205,9 +205,8 @@ impl NaiveBayes {
     /// Posterior class probabilities (normalised with log-sum-exp),
     /// row-major: `out[r * n_classes + c]`.
     ///
-    /// Per row: a max-fold from `NEG_INFINITY` via `f64::max` in class
-    /// order, exponentials in class order, a sum folded from `0.0`, then
-    /// each exponential divided by it.
+    /// Per row: the row's log-likelihoods, copied into `out`, normalised
+    /// there by [`NaiveBayes::softmax_in_place`].
     ///
     /// `ll` is scratch sized `n_classes * n_rows`.
     ///
@@ -227,23 +226,46 @@ impl NaiveBayes {
             return Err(MlError::DimensionMismatch { expected: rows * n_classes, got: out.len() });
         }
         for (r, dst) in out.chunks_exact_mut(n_classes.max(1)).enumerate() {
-            let mut max = f64::NEG_INFINITY;
-            for c in 0..n_classes {
+            for (c, e) in dst.iter_mut().enumerate() {
                 // hotpath-exempt(panic): `c * rows + r` < n_classes * rows ==
                 // ll.len(), checked by log_likelihoods_into above.
-                max = f64::max(max, ll[c * rows + r]);
+                *e = ll[c * rows + r];
             }
-            let mut sum = 0.0;
-            for (c, e) in dst.iter_mut().enumerate() {
-                // hotpath-exempt(panic): same bound as the max fold above.
-                *e = (ll[c * rows + r] - max).exp();
-                sum += *e;
-            }
-            for e in dst.iter_mut() {
-                *e /= sum;
-            }
+            Self::softmax_in_place(dst);
         }
         Ok(())
+    }
+
+    /// Normalises one row of joint log-likelihoods, in place, into class
+    /// posteriors: the log-sum-exp of both evaluation entries.
+    ///
+    /// The general fold: a max-fold from `NEG_INFINITY` via `f64::max` in
+    /// class order, exponentials in class order, a sum folded from `0.0`,
+    /// then each exponential divided by it. With two classes the larger
+    /// log-likelihood's exponential is `exp(0)`, exactly 1, so one
+    /// `exp(-|a - b|)` and a select give the fold's bits (a tie gives 0.5
+    /// each); a row where either log-likelihood is NaN, or the larger is
+    /// `+∞`, takes the general fold.
+    pub fn softmax_in_place(ll: &mut [f64]) {
+        if let [a, b] = ll {
+            let d = *a - *b;
+            if !d.is_nan() && a.max(*b) != f64::INFINITY {
+                let e = (-d.abs()).exp();
+                let sum = 1.0 + e;
+                let (larger, smaller) = (1.0 / sum, e / sum);
+                (*a, *b) = if d >= 0.0 { (larger, smaller) } else { (smaller, larger) };
+                return;
+            }
+        }
+        let max = ll.iter().fold(f64::NEG_INFINITY, |max, &x| f64::max(max, x));
+        let mut sum = 0.0;
+        for e in ll.iter_mut() {
+            *e = (*e - max).exp();
+            sum += *e;
+        }
+        for e in ll.iter_mut() {
+            *e /= sum;
+        }
     }
 
     /// Posterior class probabilities of one row, into `out` (one entry per
@@ -252,8 +274,8 @@ impl NaiveBayes {
     /// Each class performs exactly the operations of one cell of
     /// [`NaiveBayes::log_likelihoods_into`] and one row of
     /// [`NaiveBayes::predict_proba_into`], in the same order: the terms
-    /// accumulate from `0.0` in feature order, then `lp + acc`, then the
-    /// max-fold, the exponentials and the divide. So it returns the sweep's
+    /// accumulate from `0.0` in feature order, then `lp + acc`, then
+    /// [`NaiveBayes::softmax_in_place`]. So it returns the sweep's
     /// bits, with no scratch and no allocation. Rows must satisfy the model's
     /// schema, as for the sweep.
     ///
@@ -291,15 +313,7 @@ impl NaiveBayes {
             }
             *ll = lp + acc;
         }
-        let max = out.iter().fold(f64::NEG_INFINITY, |max, &ll| f64::max(max, ll));
-        let mut sum = 0.0;
-        for e in out.iter_mut() {
-            *e = (*e - max).exp();
-            sum += *e;
-        }
-        for e in out.iter_mut() {
-            *e /= sum;
-        }
+        Self::softmax_in_place(out);
         Ok(())
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! * [`RefNaiveBayes`]: per-class Welford Gaussians and Laplace-smoothed
 //!   category tables, scored with the Gaussian log-density written out in
-//!   full (no hoisted log-normaliser), then log-sum-exp.
+//!   full (no hoisted log-normaliser), then log-sum-exp by
+//!   [`softmax_fold`], the general fold with no two-class shortcut.
 //! * [`Node`]: the boxed CART tree grown by the plain rescan (every
 //!   candidate threshold of every feature counts the node's rows afresh),
 //!   walked with `row[feature] <= threshold` on the `f64`s.
@@ -124,12 +125,19 @@ impl RefNaiveBayes {
 
     /// Posterior class probabilities (normalised with log-sum-exp).
     pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        let ll = self.log_likelihoods(row);
-        let max = ll.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = ll.iter().map(|&x| (x - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        exps.into_iter().map(|e| e / sum).collect()
+        softmax_fold(&self.log_likelihoods(row))
     }
+}
+
+/// Log-sum-exp over one row of log-likelihoods, as the crate folded every
+/// row before its two-class shortcut: a max-fold from `NEG_INFINITY` via
+/// `f64::max` in class order, an exponential per class, their sum folded
+/// from `0.0` in class order, then each exponential divided by the sum.
+pub fn softmax_fold(ll: &[f64]) -> Vec<f64> {
+    let max = ll.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = ll.iter().map(|&x| (x - max).exp()).collect();
+    let sum = exps.iter().fold(0.0, |sum, &e| sum + e);
+    exps.into_iter().map(|e| e / sum).collect()
 }
 
 // ------------------------------------------------------------------ CART tree

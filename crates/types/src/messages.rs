@@ -191,27 +191,21 @@ impl VehicleStatus {
         put(&mut rest, self.seq.to_be_bytes());
         image
     }
-}
 
-impl WireEncode for VehicleStatus {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.extend_from_slice(&self.wire_image());
-    }
-
-    /// One copy of the stack image into the returned `Bytes`.
-    fn encode_to_bytes(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.wire_image())
-    }
-
-    fn encoded_len(&self) -> usize {
-        STATUS_WIRE_LEN
-    }
-}
-
-impl WireDecode for VehicleStatus {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    /// Decodes one status from the front of `wire`, borrowed: the one parser
+    /// of the layout `wire_image` writes. The RSU's `IN-DATA` poll decodes
+    /// each record in place with it, and [`WireDecode::decode`] calls it
+    /// before advancing its buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Truncated`] if `wire` is shorter than
+    /// [`STATUS_WIRE_LEN`] and [`CodecError::InvalidValue`] if a field fails
+    /// validation.
+    #[inline]
+    pub fn decode_slice(wire: &[u8]) -> Result<Self, CodecError> {
         // The 80 meaningful bytes, then padding nobody reads.
-        let (body, _) = split_body::<STATUS_WIRE_LEN>(buf)?;
+        let (body, _) = split_body::<STATUS_WIRE_LEN>(wire)?;
         let mut body: &[u8] = body;
         let vehicle = VehicleId(u64::from_be_bytes(field(&mut body)?));
         let trip = TripId(u64::from_be_bytes(field(&mut body)?));
@@ -236,7 +230,6 @@ impl WireDecode for VehicleStatus {
         let position = GeoPoint::new(lon, lat);
         let sent_at = SimTime::from_nanos(u64::from_be_bytes(field(&mut body)?));
         let seq = u32::from_be_bytes(field(&mut body)?);
-        buf.advance(STATUS_WIRE_LEN);
         Ok(VehicleStatus {
             vehicle,
             trip,
@@ -252,6 +245,29 @@ impl WireDecode for VehicleStatus {
             seq,
             truth,
         })
+    }
+}
+
+impl WireEncode for VehicleStatus {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.extend_from_slice(&self.wire_image());
+    }
+
+    /// One copy of the stack image into the returned `Bytes`.
+    fn encode_to_bytes(&self) -> Bytes {
+        Bytes::copy_from_slice(&self.wire_image())
+    }
+
+    fn encoded_len(&self) -> usize {
+        STATUS_WIRE_LEN
+    }
+}
+
+impl WireDecode for VehicleStatus {
+    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+        let status = VehicleStatus::decode_slice(buf)?;
+        buf.advance(STATUS_WIRE_LEN);
+        Ok(status)
     }
 }
 
@@ -631,6 +647,25 @@ mod tests {
         let mut good = two;
         VehicleStatus::decode(&mut good).unwrap();
         assert_eq!(good.len(), STATUS_WIRE_LEN, "exactly one message consumed");
+    }
+
+    #[test]
+    fn status_decode_slice_is_decode_on_borrowed_bytes() {
+        let good = status().encode_to_bytes();
+        assert_eq!(VehicleStatus::decode_slice(&good), Ok(status()));
+        // Trailing bytes are left alone, as `decode` leaves them in its buffer.
+        let mut two = BytesMut::new();
+        status().encode(&mut two);
+        status().encode(&mut two);
+        assert_eq!(VehicleStatus::decode_slice(&two), Ok(status()));
+        let bad = corrupted(&good, 41, 200);
+        for wire in [bad, good.slice(..STATUS_WIRE_LEN - 1), good.slice(..0)] {
+            assert_eq!(
+                VehicleStatus::decode_slice(&wire),
+                VehicleStatus::decode(&mut wire.clone())
+            );
+            assert!(VehicleStatus::decode_slice(&wire).is_err());
+        }
     }
 
     #[test]
