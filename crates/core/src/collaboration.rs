@@ -171,26 +171,17 @@ impl SummaryTracker {
         summary
     }
 
-    /// Merges an externally received summary (from a `CO-DATA` message)
-    /// into the vehicle's history, as the motorway-link RSU does when the
+    /// Injects an externally received summary (from a `CO-DATA` message)
+    /// as the vehicle's history, as the motorway-link RSU does when the
     /// motorway RSU hands a vehicle over.
     ///
-    /// With unbounded history (the paper's), a journey's counts only grow,
-    /// because an export includes what its RSU was seeded with: the summary
-    /// replaces the history only when its count is larger than the local
-    /// one, and a tie keeps the local history. A duplicated, reordered or
-    /// stale summary (one RSU's periodic export of a vehicle that has since
-    /// driven on) then leaves the history as it is.
-    ///
-    /// Under [`SummaryTracker::with_road_depth`] old roads age out, so an
-    /// export's count can fall along a journey and a count does not tell a
-    /// stale summary from a fresh one: there the summary always replaces the
-    /// history, until summaries carry a sequence number.
+    /// It always overwrites, so a stale or reordered summary replaces a
+    /// longer local history. A count alone cannot tell stale from fresh: a
+    /// receiver that was seeded by one RSU and then observed roads itself
+    /// can hold a larger count than a fresher summary from that RSU.
+    /// Summaries need a sequence number first (ROADMAP item 2).
     pub fn seed(&mut self, vehicle: VehicleId, summary: VehicleSummary) {
         let state = self.vehicles.entry(vehicle).or_default();
-        if self.road_depth.is_none() && summary.count <= state.prev_count {
-            return;
-        }
         state.history.clear();
         let road = (summary.mean_probability * summary.count as f64, summary.count);
         if self.road_depth.is_some() {

@@ -2,13 +2,12 @@
 //! mid-run from the motorway RSU to the motorway-link RSU, with their
 //! prediction summaries following them over the backhaul.
 
-use cad3::detector::{train_all, Detection, DetectionConfig, Detector};
+use cad3::detector::{train_all, DetectionConfig};
 use cad3::scenario::handover_migration;
-use cad3::{CoreError, SummaryTracker, SystemConfig, VehicleSummary};
+use cad3::SystemConfig;
 use cad3_data::{DatasetConfig, SyntheticDataset};
-use cad3_types::{FeatureRecord, RoadType, SimDuration, VehicleId};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use cad3_types::{RoadType, SimDuration};
+use std::sync::Arc;
 
 #[test]
 fn migrated_vehicles_shift_load_and_carry_summaries() {
@@ -96,100 +95,5 @@ fn full_migration_drains_the_motorway() {
         link.records as f64 > 6.0 * 10.0 * 7.5,
         "link received the migrated fleet: {}",
         link.records
-    );
-}
-
-/// A detector that delegates to `inner` and watches, through the detect
-/// hook, the prior count (`P̄_prevs`'s count) each motorway-link record
-/// fuses: every time a vehicle's count is lower than at its previous link
-/// record, it notes `(vehicle, before, after)`.
-struct PriorWatch {
-    inner: Arc<dyn Detector>,
-    seen: Mutex<Seen>,
-}
-
-#[derive(Default)]
-struct Seen {
-    /// Each vehicle's prior count at its latest link record.
-    last: HashMap<VehicleId, u32>,
-    /// Every fall, as `(vehicle, before, after)`.
-    falls: Vec<(VehicleId, u32, u32)>,
-}
-
-impl Detector for PriorWatch {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn detect(
-        &self,
-        rec: &FeatureRecord,
-        summary: Option<&VehicleSummary>,
-    ) -> Result<Detection, CoreError> {
-        self.inner.detect(rec, summary)
-    }
-
-    fn stage1_p_abnormal(&self, rec: &FeatureRecord) -> Result<f64, CoreError> {
-        self.inner.stage1_p_abnormal(rec)
-    }
-
-    fn new_tracker(&self) -> SummaryTracker {
-        self.inner.new_tracker()
-    }
-
-    fn detect_batch(
-        &self,
-        recs: &[FeatureRecord],
-        observe: &mut dyn FnMut(usize, f64) -> Option<VehicleSummary>,
-        out: &mut Vec<Option<Detection>>,
-    ) {
-        let mut watch = |i: usize, p1: f64| {
-            let summary = observe(i, p1);
-            // Only the link RSU serves motorway-link records.
-            if let Some(rec) = recs.get(i).filter(|r| r.road_type == RoadType::MotorwayLink) {
-                let count = summary.map_or(0, |s| s.count);
-                let seen = &mut *self.seen.lock().unwrap();
-                let before = seen.last.insert(rec.vehicle, count).unwrap_or(0);
-                if count < before {
-                    seen.falls.push((rec.vehicle, before, count));
-                }
-            }
-            summary
-        };
-        self.inner.detect_batch(recs, &mut watch, out);
-    }
-}
-
-#[test]
-fn stale_summaries_never_lower_a_prior_at_the_link() {
-    // The motorway RSU's periodic export keeps naming the migrated vehicles
-    // with their frozen motorway summary, every 2 s for the second half of
-    // the run; by then the link RSU's prior for them has folded link roads
-    // too, and is larger.
-    let ds = SyntheticDataset::generate(&DatasetConfig::small(42));
-    let models = train_all(&ds.features, &DetectionConfig::default()).unwrap();
-    let watch = Arc::new(PriorWatch { inner: Arc::new(models.cad3), seen: Mutex::default() });
-    let report = handover_migration(
-        SystemConfig::default(),
-        42,
-        Arc::clone(&watch) as Arc<dyn Detector>,
-        ds.features_of_type(RoadType::Motorway),
-        ds.features_of_type(RoadType::MotorwayLink),
-        32,
-        0.5,
-        SimDuration::from_secs(60),
-        Vec::new(),
-    );
-    let Seen { last, falls } = &*watch.seen.lock().unwrap();
-    // The fixture reaches the case: migrated vehicles fused priors at the link.
-    let migrated_with_prior =
-        last.iter().filter(|(v, &count)| v.raw() >> 32 == 0 && count > 0).count();
-    assert!(migrated_with_prior >= 8, "{migrated_with_prior} migrated vehicles had a link prior");
-    assert!(report.per_rsu[1].records > 0);
-    assert!(
-        falls.is_empty(),
-        "{} link records saw a lower prior: {:?}",
-        falls.len(),
-        &falls[..falls.len().min(5)]
     );
 }

@@ -63,12 +63,7 @@ impl OrderedTracker {
     }
 
     fn seed(&mut self, vehicle: VehicleId, summary: VehicleSummary) {
-        let unbounded = self.road_depth.is_none();
         let state = self.vehicles.entry(vehicle).or_default();
-        // Unbounded, the larger count wins and a tie keeps the local history.
-        if unbounded && summary.count <= state.prev_totals().1 {
-            return;
-        }
         state.history.clear();
         state.history.push_back((summary.mean_probability * summary.count as f64, summary.count));
         state.prev_last_class = summary.last_class;
@@ -215,60 +210,6 @@ proptest! {
             .expect("seeded vehicle exports");
         prop_assert_eq!(msg.count, count);
         prop_assert!((msg.mean_probability - p).abs() < 1e-9);
-    }
-
-    /// Delivered in any order, with duplicates, one journey's `CO-DATA`
-    /// exports leave a receiver with unbounded history where in-order
-    /// delivery leaves it: the larger count wins, and a journey's counts
-    /// only grow. The receiver then drives on and must fuse the same
-    /// summaries, bit for bit.
-    #[test]
-    fn shuffled_duplicated_exports_merge_like_in_order_ones(
-        journey in prop::collection::vec((0u8..4, 0.0f64..1.0, any::<bool>()), 1..80),
-        extra in prop::collection::vec(any::<u64>(), 0..40),
-        keys in prop::collection::vec(any::<u64>(), 120),
-    ) {
-        let v = VehicleId(5);
-        let now = SimTime::from_millis(5);
-        // The sender's journey: a new road one record in four, an export
-        // whenever the flag is set and once at the end.
-        let mut sender = SummaryTracker::new();
-        let mut road = 0u64;
-        let mut exports = Vec::new();
-        for (i, &(turn, p, export)) in journey.iter().enumerate() {
-            road += u64::from(turn == 0);
-            sender.observe(v, RoadId(road), p);
-            if export || i + 1 == journey.len() {
-                let msg = sender.export(v, RsuId(1), now).expect("the vehicle has records");
-                exports.push(VehicleSummary::from_message(&msg));
-            }
-        }
-        // Every export once, then duplicates, in an order drawn from `keys`.
-        let mut delivery: Vec<usize> = (0..exports.len()).collect();
-        delivery.extend(extra.iter().map(|&x| (x % exports.len() as u64) as usize));
-        let mut keyed: Vec<(u64, usize)> =
-            delivery.iter().enumerate().map(|(i, &e)| (keys[i % keys.len()], e)).collect();
-        keyed.sort_unstable();
-
-        let mut in_order = SummaryTracker::new();
-        for &summary in &exports {
-            in_order.seed(v, summary);
-        }
-        let mut shuffled = SummaryTracker::new();
-        for &(_, e) in &keyed {
-            shuffled.seed(v, exports[e]);
-        }
-        prop_assert_eq!(
-            message_bits(shuffled.export(v, RsuId(2), now)),
-            message_bits(in_order.export(v, RsuId(2), now))
-        );
-        for (step, &(_, p, _)) in journey.iter().enumerate().take(8) {
-            let road = RoadId(1000 + step as u64 / 3);
-            prop_assert_eq!(
-                summary_bits(shuffled.observe(v, road, p)),
-                summary_bits(in_order.observe(v, road, p))
-            );
-        }
     }
 
     /// The hashed tracker is the ordered one: any sequence of `observe`,

@@ -239,28 +239,17 @@ impl NaiveBayes {
     /// Normalises one row of joint log-likelihoods, in place, into class
     /// posteriors: the log-sum-exp of both evaluation entries.
     ///
-    /// The general fold: a max-fold from `NEG_INFINITY` via `f64::max` in
-    /// class order, exponentials in class order, a sum folded from `0.0`,
-    /// then each exponential divided by it. With two classes the larger
-    /// log-likelihood's exponential is `exp(0)`, exactly 1, so one
-    /// `exp(-|a - b|)` and a select give the fold's bits (a tie gives 0.5
-    /// each); a row where either log-likelihood is NaN, or the larger is
-    /// `+∞`, takes the general fold.
+    /// A max-fold from `NEG_INFINITY` via `f64::max` in class order,
+    /// exponentials in class order, a sum folded from `0.0`, then each
+    /// exponential divided by it. A class whose gap to the max is ±0 gets
+    /// `exp(0)`'s exact 1 without the call, so a two-class row takes one
+    /// `exp`; `+∞ − +∞` is NaN, not 0, so it still takes the call.
     pub fn softmax_in_place(ll: &mut [f64]) {
-        if let [a, b] = ll {
-            let d = *a - *b;
-            if !d.is_nan() && a.max(*b) != f64::INFINITY {
-                let e = (-d.abs()).exp();
-                let sum = 1.0 + e;
-                let (larger, smaller) = (1.0 / sum, e / sum);
-                (*a, *b) = if d >= 0.0 { (larger, smaller) } else { (smaller, larger) };
-                return;
-            }
-        }
         let max = ll.iter().fold(f64::NEG_INFINITY, |max, &x| f64::max(max, x));
         let mut sum = 0.0;
         for e in ll.iter_mut() {
-            *e = (*e - max).exp();
+            let d = *e - max;
+            *e = if d == 0.0 { 1.0 } else { d.exp() };
             sum += *e;
         }
         for e in ll.iter_mut() {

@@ -1,12 +1,11 @@
 //! `NaiveBayes::softmax_in_place`, the log-sum-exp of both Naïve Bayes
-//! evaluation entries, against the general fold it replaced, kept in
-//! `support` as [`support::softmax_fold`]: every output by its bits.
+//! evaluation entries, against the fold it replaced, kept in `support` as
+//! [`support::softmax_fold`]: every output by its bits.
 //!
-//! A two-class row takes one `exp` and a select instead of two; the cases
+//! The helper skips `exp` where a class's gap to the max is ±0; the cases
 //! here are the ones where that could part from the fold: ties (signed
 //! zeros too), gaps where the smaller class's `exp` underflows to 0, and
-//! rows holding ±∞ or NaN, which fall back to the fold. Rows of other
-//! widths always fold.
+//! rows holding ±∞ or NaN, at two classes and at other widths.
 
 mod support;
 

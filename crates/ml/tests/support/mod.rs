@@ -9,7 +9,7 @@
 //! * [`RefNaiveBayes`]: per-class Welford Gaussians and Laplace-smoothed
 //!   category tables, scored with the Gaussian log-density written out in
 //!   full (no hoisted log-normaliser), then log-sum-exp by
-//!   [`softmax_fold`], the general fold with no two-class shortcut.
+//!   [`softmax_fold`], which takes every `exp`.
 //! * [`Node`]: the boxed CART tree grown by the plain rescan (every
 //!   candidate threshold of every feature counts the node's rows afresh),
 //!   walked with `row[feature] <= threshold` on the `f64`s.
@@ -130,7 +130,7 @@ impl RefNaiveBayes {
 }
 
 /// Log-sum-exp over one row of log-likelihoods, as the crate folded every
-/// row before its two-class shortcut: a max-fold from `NEG_INFINITY` via
+/// row before it skipped `exp(0)`: a max-fold from `NEG_INFINITY` via
 /// `f64::max` in class order, an exponential per class, their sum folded
 /// from `0.0` in class order, then each exponential divided by the sum.
 pub fn softmax_fold(ll: &[f64]) -> Vec<f64> {

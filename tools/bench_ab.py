@@ -11,9 +11,9 @@ reads only each run's last output line, the result object.
 For every end-to-end metric of BENCHMARK.json it prints both sides' median
 and interquartile range, the change of the medians, and in how many pairs
 the working tree was better. Per-layer metrics (with `--trace 1`) are
-printed as medians. One row goes to BENCH_history.jsonl unless
-`--no-history` is given. Nothing under `benchmark/` is written: runs get no
-`--out`, so a traced run's spans are not exported.
+printed as medians. One row goes to BENCH_history.jsonl. Nothing under
+`benchmark/` is written: runs get no `--out`, so a traced run's spans are
+not exported.
 
 Usage:
     git clone -q . ../parent && git -C ../parent checkout -q <parent-rev>
@@ -91,8 +91,6 @@ def main():
     parser.add_argument("--trace", choices=["0", "1"], default="0")
     parser.add_argument("--target-root", default=os.path.join(REPO, "target", "bench_ab"),
                         help="where the two builds go (default: target/bench_ab)")
-    parser.add_argument("--no-history", action="store_true",
-                        help="print the table only; append nothing to BENCH_history.jsonl")
     opts = parser.parse_args()
 
     bench = json.load(open(os.path.join(REPO, "BENCHMARK.json")))
@@ -138,8 +136,6 @@ def main():
         print(f"{name:<34}{pm:>14.4g} ({piqr:>9.3g}){wm:>14.4g} ({wiqr:>9.3g})"
               f"{change:>+9.1%}{shown_wins:>7}")
 
-    if opts.no_history:
-        return
     entry = {
         "bench": "e2e_ab",
         "date": datetime.date.today().isoformat(),
